@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the numpy fallback.
+"""Time the numpy kernels of gibbslab.kernels.
 
 Times the two hot loops on realistic shapes: a two-mode Fock basis at the
 cutoff a T=40 convergence run needs, and coherent-amplitude batches over
@@ -14,12 +14,7 @@ import time
 import numpy as np
 
 from gibbslab import build_fock_basis
-from gibbslab.kernels import _ref
-
-try:
-    from gibbslab.kernels import _fast
-except ImportError:
-    _fast = None
+from gibbslab.kernels import occupation_products, two_body_coo
 
 
 def timeit(fn, *args, repeats=3):
@@ -52,24 +47,13 @@ def main() -> int:
     W = W + W.transpose(1, 0, 3, 2)
 
     print(f"fock dim {fb.dim}, {n_samples} amplitude rows, K={fb.K}")
-    rows = []
-    for name, fn_args in [
-        ("occupation_products", (vs, fb.occupations)),
-        ("two_body_coo", (fb.occupations, fb.table, fb.strides, W)),
+    print(f"{'kernel':<22} {'time [s]':>12}")
+    for name, fn, fn_args in [
+        ("occupation_products", occupation_products, (vs, fb.occupations)),
+        ("two_body_coo", two_body_coo,
+         (fb.occupations, fb.table, fb.strides, W)),
     ]:
-        t_ref = timeit(getattr(_ref, name), *fn_args)
-        if _fast is not None:
-            t_fast = timeit(getattr(_fast, name), *fn_args)
-            rows.append((name, t_ref, t_fast, t_ref / t_fast))
-        else:
-            rows.append((name, t_ref, None, None))
-
-    print(f"{'kernel':<22} {'numpy [s]':>12} {'cython [s]':>12} {'speedup':>9}")
-    for name, t_ref, t_fast, speedup in rows:
-        if t_fast is None:
-            print(f"{name:<22} {t_ref:>12.5f} {'(not built)':>12} {'-':>9}")
-        else:
-            print(f"{name:<22} {t_ref:>12.5f} {t_fast:>12.5f} {speedup:>8.1f}x")
+        print(f"{name:<22} {timeit(fn, *fn_args):>12.5f}")
     return 0
 
 

@@ -25,7 +25,6 @@ from .fock import (FockBasis, FockOperator, FockState, build_fock_basis,
                    gibbs_state, ladder, number_operator, particle_number,
                    reduced_density_matrix, reduced_dm_normal_ordered,
                    relative_entropy, relative_free_energy)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .metrics import hs_distance, trace_norm_distance
 from .semiclassics import (BLGap, CoherentVector, TailWarning,
                            berezin_lieb_gap, coherent, definetti_moment_check,

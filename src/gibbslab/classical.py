@@ -214,9 +214,16 @@ def reweight(ensemble: WeightedEnsemble, basis: SpectralBasis,
                    ess=ess, reweighted=True)
 
 
-def _sym_products(coeffs: np.ndarray, occs: np.ndarray,
-                  norms: np.ndarray) -> np.ndarray:
-    return occupation_products(coeffs, occs) * norms[None, :]
+def _sym_products(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Components sqrt(k!/prod m_j!) prod_j alpha_j^{m_j} of each sample's
+    k-fold tensor power, shape (n, sym_dim(K, k)).
+
+    The amplitudes of sector k come from the graded index set 0..k, and the
+    multinomial normalizer is sqrt(k!) times theirs.
+    """
+    graded, offsets = symspace.graded_indices(coeffs.shape[1], k)
+    A = occupation_products(coeffs, graded)[offsets[k]:]
+    return (A * math.sqrt(math.factorial(k))).T
 
 
 def moment_matrix(ensemble: WeightedEnsemble, k: int,
@@ -239,14 +246,13 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     if D > 5000 or ensemble.n * D > 4e8:
         raise ValueError(f"symmetric space dim {D} too large for the memory budget")
     occs = symspace.multi_indices(K, k)
-    norms = symspace.normalizers(occs)
     wt = ensemble.normalized_weights()
     M = np.zeros((D, D), dtype=np.complex128)
     acc_w2x = np.zeros((D, D), dtype=np.complex128)
     acc_w2absx = np.zeros((D, D))
     acc_w2 = 0.0
     for lo in range(0, ensemble.n, _CHUNK):
-        S = _sym_products(ensemble.coeffs[lo:lo + _CHUNK], occs, norms)
+        S = _sym_products(ensemble.coeffs[lo:lo + _CHUNK], k)
         wc = wt[lo:lo + _CHUNK]
         M += (S * wc[:, None]).T @ S.conj()
         if with_stderr:
@@ -274,13 +280,11 @@ def moment_matrix_blocks(ensemble: WeightedEnsemble, k: int,
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    occs = symspace.multi_indices(ensemble.K, k)
-    norms = symspace.normalizers(occs)
     w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
     bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
     out = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        S = _sym_products(ensemble.coeffs[lo:hi], occs, norms)
+        S = _sym_products(ensemble.coeffs[lo:hi], k)
         wb = w[lo:hi]
         wb = wb / wb.sum()
         Mb = (S * wb[:, None]).T @ S.conj()

@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import classical, convergence, fock, semiclassics
-from .kernels import BACKEND
 from .spectral import basis_to_csv, build_operator, eigendecompose, \
     interaction_elements, schatten_trace
 
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gibbslab",
         description="Grand-canonical Bose gas vs classical field measure, "
-                    f"at desk scale (kernel backend: {BACKEND})")
+                    "at desk scale")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

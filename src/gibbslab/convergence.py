@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classical, fock, semiclassics
-from .kernels import BACKEND
 from .metrics import hs_distance, trace_norm_distance
 from .spectral import InteractionKernel, OneBodySpec, SpectralBasis, \
     build_operator, eigendecompose, interaction_elements
@@ -421,7 +420,6 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
 
     summary = {
         "config": config_to_dict(result.config),
-        "kernel_backend": BACKEND,
         "z_r": result.z_r,
         "z_r_stderr": result.z_r_stderr,
         "ess": result.ess,

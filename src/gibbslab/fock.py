@@ -76,6 +76,10 @@ class FockBasis:
     def sector_dim(self, n: int) -> int:
         return int(self.sector_offsets[n + 1] - self.sector_offsets[n])
 
+    def matches(self, other: FockBasis) -> bool:
+        """Same mode count and cutoff, hence the same enumerated basis."""
+        return self.K == other.K and self.n_max == other.n_max
+
     def index(self, occ) -> int:
         occ = np.asarray(occ, dtype=np.int64)
         return int(self.table[int(occ @ self.strides)])
@@ -92,11 +96,7 @@ def build_fock_basis(K: int, n_max: int, dim_budget: int = 20000) -> FockBasis:
     dim = math.comb(K + n_max, K)
     if dim > dim_budget:
         raise ValueError(f"Fock dimension {dim} exceeds the budget {dim_budget}")
-    sectors = [symspace.multi_indices(K, n) for n in range(n_max + 1)]
-    occs = np.concatenate(sectors, axis=0)
-    offsets = np.zeros(n_max + 2, dtype=np.int64)
-    for n, sec in enumerate(sectors):
-        offsets[n + 1] = offsets[n] + sec.shape[0]
+    occs, offsets = symspace.graded_indices(K, n_max)
     strides = (n_max + 1) ** np.arange(K, dtype=np.int64)
     span = (n_max + 1) ** K
     if span > (1 << 26):
@@ -353,7 +353,7 @@ def relative_entropy(state: FockState, ref: FockState) -> float:
     1e-300 (the 0 log 0 = 0 convention), so deep but genuinely positive
     thermal tails are not mistaken for rank deficiency.
     """
-    if state.basis is not ref.basis and state.basis.dim != ref.basis.dim:
+    if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     if state.sector_diagonal and ref.sector_diagonal:
         pairs = list(zip(state.diagonal_blocks(), ref.diagonal_blocks()))

@@ -1,0 +1,128 @@
+"""Hot loops of the occupation basis, in numpy.
+
+    occupation_products(vs, occs[, vacuum])  -- normalized amplitudes
+        prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n)
+    two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
+        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["occupation_products", "two_body_coo"]
+
+
+def _parents(occs: np.ndarray):
+    """Parent row, raised mode and its occupation for every row of occs.
+
+    The parent of a state removes one particle from its highest occupied
+    mode. Returns (parent, mode, count, bounds): bounds holds the first row
+    of each sector after the vacuum and ends with D.
+    """
+    D, K = occs.shape
+    totals = occs.sum(axis=1)
+    if totals[0] != 0 or np.any(np.diff(totals) < 0):
+        raise ValueError("occupations must be graded and start at the vacuum")
+    mode = K - 1 - np.argmax(occs[:, ::-1] > 0, axis=1)
+    count = occs[np.arange(D), mode]
+    base = occs.max(axis=0) + 1
+    if np.sum(np.log2(base)) >= 62:
+        raise ValueError("occupation numbers too large for radix keys")
+    strides = np.concatenate([[1], np.cumprod(base[:-1])])
+    keys = occs @ strides
+    parent_keys = keys - np.where(count > 0, strides[mode], 0)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ValueError("occupation rows repeat")
+    pos = np.searchsorted(sorted_keys, parent_keys).clip(0, D - 1)
+    parent = order[pos]
+    if np.any(keys[parent] != parent_keys):
+        raise ValueError("occupation set is not closed under parents")
+    bounds = np.append(np.flatnonzero(np.diff(totals)) + 1, D)
+    return parent, mode, count, bounds
+
+
+def occupation_products(vs: np.ndarray, occs: np.ndarray,
+                        vacuum: np.ndarray | None = None) -> np.ndarray:
+    """prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!) for every sample s
+    and occupation row d, returned with shape (D, n_samples).
+
+    occs must be graded by total occupation, start at the vacuum and be
+    closed under parents (every state with total n + 1 keeps its parent, one
+    particle fewer in its highest occupied mode, in sector n), as a Fock
+    basis or the symmetric-power sectors 0..k are. Each sector then costs
+    one gather and one multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode).
+    Callers chunk over samples when n * D is large.
+
+    vacuum, if given, is the vacuum row's value per sample and multiplies
+    every amplitude of that sample; coherent states pass exp(-|v|^2 / 2),
+    which keeps every amplitude below 1 in modulus.
+    """
+    vs = np.asarray(vs, dtype=np.complex128)
+    occs = np.asarray(occs, dtype=np.int64)
+    n, K = vs.shape
+    if occs.shape[1] != K:
+        raise ValueError("occupation rows and vectors differ in mode count")
+    out = np.empty((occs.shape[0], n), dtype=np.complex128)
+    if out.size == 0:
+        return out
+    parent, mode, count, bounds = _parents(occs)
+    # factors[j * c_max + c - 1] = vs[:, j] / sqrt(c)
+    c_max = max(int(count.max()), 1)
+    factors = (vs.T[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
+               ).reshape(K * c_max, n)
+    which = mode * c_max + count - 1
+    out[0] = 1.0 if vacuum is None else vacuum
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.multiply(out[parent[lo:hi]], factors[which[lo:hi]], out=out[lo:hi])
+    return out
+
+
+def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,
+                 W: np.ndarray):
+    """COO triplets of (1/2) sum_{ijkl} W[i,j,k,l] a_i+ a_j+ a_l a_k.
+
+    occs: (dim, K) occupation numbers of the basis states; table: radix lookup
+    with table[occ . strides] = state index; W: (K, K, K, K) real tensor.
+    Returns (rows, cols, vals) with duplicate entries left for the sparse
+    constructor to sum. The operator conserves total particle number, so every
+    produced row index is valid.
+    """
+    occs = np.asarray(occs, dtype=np.int64)
+    dim, K = occs.shape
+    keys = occs @ strides
+    cols_all = np.arange(dim, dtype=np.int64)
+    rows_out, cols_out, vals_out = [], [], []
+    for k in range(K):
+        n_k = occs[:, k]
+        for l in range(K):
+            n_l = occs[:, l] - (1 if l == k else 0)
+            valid_kl = (n_k >= 1) & (n_l >= 1)
+            if not valid_kl.any():
+                continue
+            amp_kl = np.where(valid_kl,
+                              np.sqrt(np.clip(n_k * n_l, 0, None).astype(float)),
+                              0.0)
+            occ2_base = keys - strides[k] - strides[l]
+            for j in range(K):
+                m_j = occs[:, j] - (1 if j == k else 0) - (1 if j == l else 0)
+                for i in range(K):
+                    w = W[i, j, k, l]
+                    if w == 0.0:
+                        continue
+                    m_i = occs[:, i] - (1 if i == k else 0) - (1 if i == l else 0) \
+                        + (1 if i == j else 0)
+                    amp = amp_kl * np.sqrt(
+                        np.clip((m_j + 1) * (m_i + 1), 0, None))
+                    sel = valid_kl
+                    rows = table[occ2_base[sel] + strides[j] + strides[i]]
+                    rows_out.append(rows)
+                    cols_out.append(cols_all[sel])
+                    vals_out.append(0.5 * w * amp[sel])
+    if not rows_out:
+        empty = np.empty(0)
+        return empty.astype(np.int64), empty.astype(np.int64), empty
+    return (np.concatenate(rows_out), np.concatenate(cols_out),
+            np.concatenate(vals_out))

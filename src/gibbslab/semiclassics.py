@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc
 
 from .classical import MomentMatrix, WeightedEnsemble
 from .fock import FockBasis, FockState, reduced_density_matrix, relative_entropy
@@ -45,19 +45,6 @@ _CHUNK = 256
 
 class TailWarning(UserWarning):
     """Truncation tail of a coherent construction exceeded its threshold."""
-
-
-def _amp_normalizers(basis: FockBasis) -> np.ndarray:
-    """1/sqrt(prod_j n_j!) per basis state."""
-    return np.exp(-0.5 * gammaln(basis.occupations + 1.0).sum(axis=1))
-
-
-def _amplitude_rows(vs: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Coherent amplitudes for each row of vs, including the Gaussian factor."""
-    norms = _amp_normalizers(basis)
-    nu = np.sum(np.abs(vs) ** 2, axis=1)
-    return occupation_products(vs, basis.occupations) * norms[None, :] \
-        * np.exp(-0.5 * nu)[:, None]
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,8 @@ def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
     if tail > 1e-6:
         warnings.warn(f"coherent tail mass {tail:.3e} beyond n_max={basis.n_max}",
                       TailWarning, stacklevel=2)
-    amps = _amplitude_rows(v[None, :], basis)[0]
+    amps = occupation_products(v[None, :], basis.occupations,
+                               np.exp([-0.5 * nu]))[:, 0]
     return CoherentVector(v=v, amplitudes=amps, tail_bound=tail, basis=basis)
 
 
@@ -131,25 +119,90 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
             f"{bad} of {n} trial-state samples have coherent tail mass above "
             f"{tail_threshold:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
+    gauss = np.exp(-0.5 * nu)
 
     if phase_average:
         sums = [np.zeros((basis.sector_dim(m), basis.sector_dim(m)),
                          dtype=np.complex128) for m in range(basis.n_max + 1)]
         for lo in range(0, n, _CHUNK):
-            A = _amplitude_rows(vs[lo:lo + _CHUNK], basis)
+            A = occupation_products(vs[lo:lo + _CHUNK], basis.occupations,
+                                    gauss[lo:lo + _CHUNK])
             wc = w[lo:lo + _CHUNK]
             for m in range(basis.n_max + 1):
-                Am = A[:, basis.sector_slice(m)]
-                sums[m] += (Am * wc[:, None]).T @ Am.conj()
+                Am = A[basis.sector_slice(m)]
+                sums[m] += (Am * wc) @ Am.conj().T
         tr = sum(float(np.real(np.trace(b))) for b in sums)
         return FockState(basis=basis, blocks=tuple(b / tr for b in sums))
 
     M = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
-        A = _amplitude_rows(vs[lo:lo + _CHUNK], basis)
-        M += (A * w[lo:lo + _CHUNK, None]).T @ A.conj()
+        A = occupation_products(vs[lo:lo + _CHUNK], basis.occupations,
+                                gauss[lo:lo + _CHUNK])
+        M += (A * w[lo:lo + _CHUNK]) @ A.conj().T
     M = 0.5 * (M + M.conj().T)
     return FockState(basis=basis, matrix=M / float(np.real(np.trace(M))))
+
+
+def _husimi_form(state: FockState):
+    """How <xi|state|xi> contracts a (dim, P) amplitude array.
+
+    A diagonal array p when every sector block is exactly diagonal (a free
+    Gibbs state is), so a point costs O(dim) as p . |A|^2; otherwise a list
+    of (slice, block) pairs, one per sector or one dense block.
+    """
+    if not state.sector_diagonal:
+        return [(slice(None), np.ascontiguousarray(state.matrix))]
+    blocks = state.diagonal_blocks()
+    if all(not np.any(G - np.diag(np.diagonal(G))) for G in blocks):
+        return np.concatenate([np.real(np.diagonal(G)) for G in blocks])
+    return [(state.basis.sector_slice(m), np.ascontiguousarray(G))
+            for m, G in enumerate(blocks)]
+
+
+def _contract(form, A: np.ndarray) -> np.ndarray:
+    """Re <A|state|A> for each column of A, with form from _husimi_form."""
+    # A real p or G acts alike on Re A and Im A, which the float view of A
+    # interleaves column by column.
+    X = A.view(np.float64)
+    if isinstance(form, np.ndarray):
+        return np.einsum("i,ij,ij->j", form, X, X).reshape(-1, 2).sum(axis=1)
+    val = np.zeros(A.shape[1])
+    for sl, G in form:
+        if np.isrealobj(G):
+            Xm = X[sl]
+            val += np.einsum("ij,ij->j", Xm, G @ Xm).reshape(-1, 2).sum(axis=1)
+        else:
+            Am = A[sl]
+            val += np.real(np.einsum("ij,ij->j", Am.conj(), G @ Am))
+    return val
+
+
+def _husimi(states: list[FockState], eps: float,
+            points: np.ndarray) -> np.ndarray:
+    """Husimi densities of states on one basis, one row per state.
+
+    The coherent amplitudes of each chunk of points are built once and
+    contracted against every state.
+    """
+    if eps <= 0:
+        raise ValueError("scale eps must be positive")
+    basis = states[0].basis
+    for other in states[1:]:
+        if not other.basis.matches(basis):
+            raise ValueError("states live on different bases")
+    points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
+    vs = points / math.sqrt(eps)
+    forms = [_husimi_form(s) for s in states]
+    out = np.empty((len(states), points.shape[0]))
+    pref = (math.pi * eps) ** (-basis.K)
+    for lo in range(0, points.shape[0], _CHUNK):
+        vc = vs[lo:lo + _CHUNK]
+        A = occupation_products(vc, basis.occupations,
+                                np.exp(-0.5 * np.sum(np.abs(vc) ** 2, axis=1)))
+        for i, form in enumerate(forms):
+            out[i, lo:lo + _CHUNK] = pref * np.clip(_contract(form, A),
+                                                    0.0, None)
+    return out
 
 
 def husimi_density(state: FockState, eps: float, points: np.ndarray) -> np.ndarray:
@@ -158,28 +211,7 @@ def husimi_density(state: FockState, eps: float, points: np.ndarray) -> np.ndarr
     points: (P, K) complex field values u. Nonnegative by positivity of the
     state; integrates to 1 minus the truncation tail.
     """
-    if eps <= 0:
-        raise ValueError("scale eps must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-    basis = state.basis
-    vs = points / math.sqrt(eps)
-    out = np.empty(points.shape[0])
-    pref = (math.pi * eps) ** (-basis.K)
-    if state.sector_diagonal:
-        mats = [np.ascontiguousarray(G, dtype=np.complex128)
-                for G in state.diagonal_blocks()]
-        slices = [basis.sector_slice(m) for m in range(basis.n_max + 1)]
-    else:
-        mats = [np.ascontiguousarray(state.to_dense(), dtype=np.complex128)]
-        slices = [slice(None)]
-    for lo in range(0, points.shape[0], _CHUNK):
-        A = _amplitude_rows(vs[lo:lo + _CHUNK], basis)
-        val = np.zeros(A.shape[0])
-        for G, sl in zip(mats, slices):
-            Am = A[:, sl]
-            val += np.real(((Am.conj() @ G) * Am).sum(axis=1))
-        out[lo:lo + _CHUNK] = pref * np.clip(val, 0.0, None)
-    return out
+    return _husimi([state], eps, points)[0]
 
 
 @dataclass(frozen=True)
@@ -207,6 +239,8 @@ def husimi_kl_importance(state: FockState, ref: FockState, eps: float,
     The standard error comes from ten batch means; estimates with effective
     sample size below 5% are flagged degenerate.
     """
+    if not state.basis.matches(ref.basis):
+        raise ValueError("states live on different bases")
     rng = np.random.default_rng(seed)
     K = state.basis.K
     var = _reference_scales(ref, eps)
@@ -214,8 +248,7 @@ def husimi_kl_importance(state: FockState, ref: FockState, eps: float,
     u = (z[:, :K] + 1j * z[:, K:]) * np.sqrt(var / 2.0)
     logq = np.sum(-np.abs(u) ** 2 / var - np.log(math.pi * var), axis=1)
 
-    h = husimi_density(state, eps, u)
-    hp = husimi_density(ref, eps, u)
+    h, hp = _husimi([state, ref], eps, u)
     floor = 1e-290
     lh = np.log(np.clip(h, floor, None))
     lhp = np.log(np.clip(hp, floor, None))
@@ -264,8 +297,7 @@ def husimi_kl_quadrature(state: FockState, ref: FockState, eps: float,
     if state.basis.K != 1:
         raise ValueError("quadrature path is implemented for K = 1")
     pts, area = _polar_points(r_max, nr, ntheta)
-    h = husimi_density(state, eps, pts)
-    hp = husimi_density(ref, eps, pts)
+    h, hp = _husimi([state, ref], eps, pts)
     zh = float(np.sum(h * area))
     zhp = float(np.sum(hp * area))
     mask = h > 1e-290

@@ -8,7 +8,9 @@ order, with the multinomially normalized symmetric basis vectors
     |e_n> = sqrt(prod_j n_j! / k!) * sum over distinct orderings.
 
 A product vector then has components <e_n | v^{(x) k}> = N_n * prod_j v_j^{n_j}
-with N_n = sqrt(k! / prod_j n_j!), which is what `normalizers` returns.
+with N_n = sqrt(k! / prod_j n_j!), i.e. sqrt(k!) times the amplitudes
+prod_j v_j^{n_j} / sqrt(n_j!) that `kernels.occupation_products` builds on
+the graded index set of `graded_indices`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 __all__ = [
     "multi_indices",
+    "graded_indices",
     "sym_dim",
-    "normalizers",
     "index_map",
     "pair_embedding",
     "two_body_sym_matrix",
@@ -56,13 +58,17 @@ def multi_indices(K: int, total: int) -> np.ndarray:
     return np.array(_multi_indices_cached(K, total), dtype=np.int64).reshape(-1, K)
 
 
-def normalizers(occs: np.ndarray) -> np.ndarray:
-    """sqrt(k! / prod_j n_j!) for each row of occupation numbers."""
-    occs = np.asarray(occs)
-    k = int(occs[0].sum()) if len(occs) else 0
-    logs = np.array([math.lgamma(k + 1) - sum(math.lgamma(n + 1) for n in row)
-                     for row in occs])
-    return np.exp(0.5 * logs)
+def graded_indices(K: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-indices of totals 0..n_max, sector after sector, and offsets.
+
+    Returns (occs, offsets) with sector n in rows offsets[n]:offsets[n + 1].
+    The set is closed under removing a particle, which is what
+    `kernels.occupation_products` needs.
+    """
+    sectors = [multi_indices(K, n) for n in range(n_max + 1)]
+    offsets = np.zeros(n_max + 2, dtype=np.int64)
+    offsets[1:] = np.cumsum([sec.shape[0] for sec in sectors])
+    return np.concatenate(sectors, axis=0), offsets
 
 
 def index_map(occs: np.ndarray) -> dict[tuple[int, ...], int]:

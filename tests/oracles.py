@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented without the package internals:
 Numerov shooting for 1D eigenvalues, scalar quadrature for the quartic
-partition function, Wick pairings for Gaussian moments and the geometric
-Kullback-Leibler divergence for thermal single-mode states.
+partition function, Wick pairings for Gaussian moments, the geometric
+Kullback-Leibler divergence for thermal single-mode states and a power table
+for occupation-number monomials.
 """
 
 import math
@@ -66,3 +67,20 @@ def forward_difference_form(u: np.ndarray, potential: np.ndarray,
     padded = np.concatenate([[0.0], u, [0.0]])
     der = np.abs(np.diff(padded)) ** 2 / dx
     return float(der.sum() + np.sum(potential * np.abs(u) ** 2) * dx)
+
+
+def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
+    """prod_j vs[s, j] ** occs[d, j] for every sample s and occupation row d,
+    shape (n_samples, D), from a per-mode table of powers."""
+    vs = np.ascontiguousarray(vs, dtype=np.complex128)
+    occs = np.asarray(occs)
+    n, K = vs.shape
+    out = np.ones((n, occs.shape[0]), dtype=np.complex128)
+    for j in range(K):
+        mo = int(occs[:, j].max()) if occs.size else 0
+        pows = np.empty((n, mo + 1), dtype=np.complex128)
+        pows[:, 0] = 1.0
+        for p in range(1, mo + 1):
+            np.multiply(pows[:, p - 1], vs[:, j], out=pows[:, p])
+        out *= pows[:, occs[:, j]]
+    return out

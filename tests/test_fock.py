@@ -301,6 +301,18 @@ def test_relative_entropy_support_violation():
     assert math.isfinite(gl.relative_entropy(pure, mixed))
 
 
+def test_relative_entropy_rejects_equal_dim_different_bases():
+    a = fock.random_state(gl.build_fock_basis(2, 3), 0)
+    b = fock.random_state(gl.build_fock_basis(3, 2), 1)
+    assert a.basis.dim == b.basis.dim == 10
+    for x, y in [(a, b), (b, a)]:
+        with pytest.raises(ValueError, match="different bases"):
+            gl.relative_entropy(x, y)
+    # an equal basis built separately is accepted
+    c = fock.random_state(gl.build_fock_basis(2, 3), 2)
+    assert gl.relative_entropy(a, c) > 0.0
+
+
 def test_relative_free_energy_identity(basis_k2, tensor_k2):
     T = 2.0
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-10)

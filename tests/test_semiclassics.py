@@ -206,6 +206,80 @@ def test_husimi_kl_importance_matches_quadrature_and_oracle():
     assert quad <= quantum + 1e-6
 
 
+def _kl_from_separate_densities(state, ref, eps, n_samples, seed):
+    """The importance estimate of husimi_kl_importance, rebuilt from two
+    husimi_density calls on the same proposal draws."""
+    rng = np.random.default_rng(seed)
+    K = state.basis.K
+    g1 = gl.reduced_density_matrix(ref, 1)
+    var = eps * (np.clip(np.real(np.diag(g1.entries)), 0.0, None) + 1.0)
+    z = rng.standard_normal((n_samples, 2 * K))
+    u = (z[:, :K] + 1j * z[:, K:]) * np.sqrt(var / 2.0)
+    logq = np.sum(-np.abs(u) ** 2 / var - np.log(math.pi * var), axis=1)
+    lh = np.log(np.clip(gl.husimi_density(state, eps, u), 1e-290, None))
+    lhp = np.log(np.clip(gl.husimi_density(ref, eps, u), 1e-290, None))
+    ws, wr = np.exp(lh - logq), np.exp(lhp - logq)
+    return float(np.sum(ws * (lh - lhp)) / ws.sum()
+                 + math.log(wr.mean() / ws.mean()))
+
+
+@pytest.mark.filterwarnings("ignore:.*trial-state samples.*")
+def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2,
+                                                         delta_kernel):
+    T = 5.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    gibbs, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
+    free, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
+    ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=3), basis_k2,
+                      delta_kernel)
+    dense_trial = gl.trial_state(ens, T, fb, phase_average=False)
+    # diagonal, sector-block and dense contractions, mixed in one estimate
+    for state, ref in [(gibbs, free), (dense_trial, gibbs), (free, free)]:
+        est = husimi_kl_importance(state, ref, 1.0 / T, n_samples=600, seed=4)
+        expect = _kl_from_separate_densities(state, ref, 1.0 / T, 600, 4)
+        assert est.value == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
+    fb = gl.build_fock_basis(2, 12)
+    free, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), 3.0)
+    rng = np.random.default_rng(8)
+    pts = 0.8 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
+    eps = 0.4
+
+    def dense_route(state):
+        return gl.husimi_density(
+            fock.FockState(basis=fb, matrix=state.to_dense()), eps, pts)
+
+    assert isinstance(semiclassics._husimi_form(free), np.ndarray)
+    diag = gl.husimi_density(free, eps, pts)
+    assert np.allclose(diag, dense_route(free), rtol=1e-12, atol=0.0)
+
+    # negative control: one off-diagonal entry (and its Hermitian mirror)
+    blocks = [b.copy() for b in free.blocks]
+    G = blocks[3]
+    G[0, 1] = G[1, 0] = 0.5 * math.sqrt(G[0, 0] * G[1, 1])
+    perturbed = fock.FockState(basis=fb, blocks=tuple(blocks))
+    assert not isinstance(semiclassics._husimi_form(perturbed), np.ndarray)
+    got = gl.husimi_density(perturbed, eps, pts)
+    assert np.allclose(got, dense_route(perturbed), rtol=1e-12, atol=0.0)
+    # the diagonal of the two states agrees, so an O(dim) route would miss it
+    assert np.max(np.abs(got - diag) / diag) > 1e-2
+
+
+def test_berezin_lieb_rejects_equal_dim_different_bases():
+    a = fock.random_state(gl.build_fock_basis(2, 3), 0)
+    b = fock.random_state(gl.build_fock_basis(3, 2), 1)
+    assert a.basis.dim == b.basis.dim
+    with pytest.raises(ValueError, match="different bases"):
+        husimi_kl_importance(a, b, 1.0, n_samples=100)
+    with pytest.raises(ValueError, match="different bases"):
+        gl.berezin_lieb_gap(a, b, 1.0, n_samples=100)
+
+
 def test_berezin_lieb_gap_equal_states():
     a = _thermal_single_mode(0.8, 40)
     res = gl.berezin_lieb_gap(a, a, 1.0, n_samples=4000, seed=1)
