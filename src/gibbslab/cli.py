@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: spectrum, sample, quantum, converge, selfcheck, bl-gap. Every
-command takes --config PATH (the key = value experiment file), with --seed,
---out and --threads overrides. Exit codes: 0 success, 2 a checked property
+command takes --config PATH (the key = value experiment file), with --seed
+and --out overrides. Exit codes: 0 success, 2 a checked property
 failed, 1 error.
 """
 
@@ -21,14 +21,9 @@ from .spectral import basis_to_csv, build_operator, eigendecompose, \
 
 def _load(args) -> convergence.ExperimentConfig:
     cfg = convergence.read_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    updates = {"seed": args.seed, "out_dir": args.out}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _ensure_out(cfg) -> str:
@@ -54,7 +49,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load(args)
     out = _ensure_out(cfg)
-    basis, kernel, tensor = convergence._resolve(cfg)
+    basis, kernel, tensor = convergence.resolve(cfg)
     ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
     ens = classical.reweight(ens, basis, kernel, tensor)
     path = os.path.join(out, "ensemble.csv")
@@ -76,19 +71,15 @@ def cmd_sample(args) -> int:
 def cmd_quantum(args) -> int:
     cfg = _load(args)
     out = _ensure_out(cfg)
-    basis, kernel, tensor = convergence._resolve(cfg)
+    basis, _, tensor = convergence.resolve(cfg)
     T = args.T if args.T is not None else cfg.T_schedule[0]
     lam = cfg.coupling_rule / T
-    n_max = fock.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
-                              dim_budget=cfg.dim_budget)
-    fb = fock.build_fock_basis(cfg.K, n_max, dim_budget=cfg.dim_budget)
-    H = fock.build_hamiltonian(fb, basis.eigenvalues, tensor, lam)
-    H0 = fock.build_hamiltonian(fb, basis.eigenvalues, None, 0.0)
-    gibbs, log_z = fock.gibbs_state(H, T)
-    _, log_z0 = fock.gibbs_state(H0, T)
+    point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
+                             tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
+    gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
     split = fock.energy_decomposition(gibbs, basis.eigenvalues, tensor, lam)
     info = {"T": T, "lambda": lam, "n_max": n_max, "dim": fb.dim,
-            "log_z": log_z, "log_z_free": log_z0,
+            "log_z": point.log_z, "log_z_free": point.log_z_free,
             "tail_mass": gibbs.tail_mass(),
             "particle_number": fock.particle_number(gibbs),
             "energy": {"total": split.total, "one_body": split.one_body,
@@ -141,23 +132,17 @@ def cmd_selfcheck(args) -> int:
 def cmd_bl_gap(args) -> int:
     cfg = _load(args)
     out = _ensure_out(cfg)
-    basis, kernel, tensor = convergence._resolve(cfg)
-    ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
-    ens = classical.reweight(ens, basis, kernel, tensor)
+    basis, _, tensor = convergence.resolve(cfg)
     temps = [args.T] if args.T is not None else list(cfg.T_schedule)
+    seeds = convergence.row_seeds(cfg.seed, len(temps))
     rows, diagnostics = [], []
-    for i, T in enumerate(temps):
-        lam = cfg.coupling_rule / T
-        n_max = fock.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
-                                  dim_budget=cfg.dim_budget)
-        fb = fock.build_fock_basis(cfg.K, n_max, dim_budget=cfg.dim_budget)
-        gibbs, _ = fock.gibbs_state(
-            fock.build_hamiltonian(fb, basis.eigenvalues, tensor, lam), T)
-        free_state, _ = fock.gibbs_state(
-            fock.build_hamiltonian(fb, basis.eigenvalues, None, 0.0), T)
-        gap = semiclassics.berezin_lieb_gap(gibbs, free_state, 1.0 / T,
+    for T, seed in zip(temps, seeds):
+        point = fock.solve_point(basis.eigenvalues, tensor, T,
+                                 cfg.coupling_rule / T, tail=cfg.n_max_policy,
+                                 dim_budget=cfg.dim_budget)
+        gap = semiclassics.berezin_lieb_gap(point.gibbs, point.free, 1.0 / T,
                                             n_samples=cfg.bl_samples,
-                                            seed=cfg.seed + i)
+                                            seed=seed)
         rows.append((T, gap))
         if gap.degenerate:
             diagnostics.append({"T": T, "warning": "low importance-sampling ess",
@@ -188,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="key = value file")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None)
 
     for name, fn, extra in [
         ("spectrum", cmd_spectrum, None),

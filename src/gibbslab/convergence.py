@@ -15,15 +15,14 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import classical, fock, semiclassics
 from .metrics import hs_distance, trace_norm_distance
 from .spectral import InteractionKernel, OneBodySpec, SpectralBasis, \
-    build_operator, eigendecompose, interaction_elements
+    TwoBodyTensor, build_operator, eigendecompose, interaction_elements
 
 __all__ = [
     "KernelSpec",
@@ -34,6 +33,8 @@ __all__ = [
     "parse_config",
     "read_config",
     "config_to_dict",
+    "resolve",
+    "row_seeds",
     "run_convergence",
     "evaluate_properties",
     "emit_report",
@@ -84,7 +85,6 @@ class ExperimentConfig:
     trial_subsample: int = 512
     bl_samples: int = 4000
     n_blocks: int = 50
-    threads: int = 1
 
     def __post_init__(self):
         sched = tuple(float(t) for t in self.T_schedule)
@@ -99,10 +99,12 @@ class ExperimentConfig:
             raise ValueError("k_max must lie in 1..3")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be at least 2")
-
-
-_SPEC_KEYS = {"domain", "bc", "m", "a", "half_width", "grid_points"}
-_KERNEL_KEYS = {"kernel", "g", "width"}
+        if not 2 <= self.n_blocks <= self.mc_samples:
+            raise ValueError("n_blocks must lie in 2..mc_samples")
+        if not 0 <= self.trial_subsample <= self.mc_samples:
+            raise ValueError("trial_subsample must lie in 0..mc_samples")
+        if self.bl_samples != 0 and self.bl_samples < 10:
+            raise ValueError("bl_samples must be 0 (off) or at least 10")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -124,6 +126,8 @@ def parse_config(text: str) -> ExperimentConfig:
                                     grid_points=int(kv.pop("grid_points", 512)))
         kv.pop("a", None), kv.pop("half_width", None)
     else:
+        if "a" not in kv or "half_width" not in kv:
+            raise ValueError("anharmonic domain needs a and half_width")
         spec = OneBodySpec.anharmonic_line(
             a=float(kv.pop("a")), half_width=float(kv.pop("half_width")),
             m=float(kv.pop("m", 0.0)),
@@ -137,7 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sched = tuple(float(t) for t in kv.pop("T_schedule", "5,10,20,40").split(","))
     ints = {k: int(kv.pop(k)) for k in ("K", "k_max", "mc_samples", "seed",
                                         "dim_budget", "trial_subsample",
-                                        "bl_samples", "n_blocks", "threads")
+                                        "bl_samples", "n_blocks")
             if k in kv}
     floats = {k: float(kv.pop(k)) for k in ("coupling_rule", "n_max_policy")
               if k in kv}
@@ -165,13 +169,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         d.update(kernel=cfg.kernel.name, g=cfg.kernel.g, width=cfg.kernel.width)
     else:
         d.update(kernel=cfg.kernel.variant, g=cfg.kernel.g)
-    d.update(K=cfg.K, T_schedule=list(cfg.T_schedule),
-             coupling_rule=cfg.coupling_rule, k_max=cfg.k_max,
-             mc_samples=cfg.mc_samples, seed=cfg.seed,
-             n_max_policy=cfg.n_max_policy, dim_budget=cfg.dim_budget,
-             out_dir=cfg.out_dir, trial_subsample=cfg.trial_subsample,
-             bl_samples=cfg.bl_samples, n_blocks=cfg.n_blocks,
-             threads=cfg.threads)
+    d.update({f.name: getattr(cfg, f.name) for f in fields(cfg)
+              if f.name not in ("spec", "kernel")})
+    d["T_schedule"] = list(cfg.T_schedule)
     return d
 
 
@@ -217,13 +217,20 @@ class ConvergenceResult:
     wall_s: float
 
 
-def _resolve(config: ExperimentConfig):
+def resolve(config: ExperimentConfig):
+    """Spectral basis, realized kernel and two-body tensor of a config."""
     op = build_operator(config.spec)
     basis = eigendecompose(op, config.K)
     kernel = config.kernel.realize(basis.grid) \
         if isinstance(config.kernel, KernelSpec) else config.kernel
     tensor = interaction_elements(basis, kernel)
     return basis, kernel, tensor
+
+
+def row_seeds(seed: int, n: int) -> list:
+    """Berezin-Lieb sampling seed of each of the first n schedule points."""
+    return [int(s.generate_state(1)[0] % (1 << 31))
+            for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _classical_side(config: ExperimentConfig, basis: SpectralBasis,
@@ -254,36 +261,28 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     t0 = time.perf_counter()
     lam = config.coupling_rule / T
     try:
-        n_max = fock.choose_n_max(basis.eigenvalues, T, tail=config.n_max_policy,
-                                  dim_budget=config.dim_budget)
+        point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
+                                 tail=config.n_max_policy,
+                                 dim_budget=config.dim_budget)
     except ValueError as exc:
         return ReportRow(T=T, lam=lam, n_max=-1, tail_mass=math.nan,
                          valid=False, error=str(exc),
                          wall_s=time.perf_counter() - t0)
-    fb = fock.build_fock_basis(config.K, n_max, dim_budget=config.dim_budget)
-    H_lam = fock.build_hamiltonian(fb, basis.eigenvalues, tensor, lam)
-    H_0 = fock.build_hamiltonian(fb, basis.eigenvalues, None, 0.0)
-    gibbs, log_z_lam = fock.gibbs_state(H_lam, T)
-    free_state, log_z_0 = fock.gibbs_state(H_0, T)
-
-    row = ReportRow(T=T, lam=lam, n_max=n_max, tail_mass=gibbs.tail_mass())
-    for k in range(1, config.k_max + 1):
-        if k > n_max:
-            continue
+    fb, gibbs, free_state = point.basis, point.gibbs, point.free
+    row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass())
+    for k in range(1, min(config.k_max, fb.n_max) + 1):
         g_k = fock.reduced_density_matrix(gibbs, k)
         scaled = math.factorial(k) / T**k * g_k.entries
         target = moments[k].entries
         d = trace_norm_distance(scaled, target)
         hs = hs_distance(scaled, target)
-        if blocks[k] is None:
-            row.distances[k] = DistanceMetric(d, 0.0, hs)
-            row.block_distances[k] = None
-        else:
+        db, se = None, 0.0
+        if blocks[k] is not None:
             db = np.array([trace_norm_distance(scaled, Mb) for Mb in blocks[k]])
             se = float(db.std(ddof=1) / math.sqrt(len(db)))
-            row.distances[k] = DistanceMetric(d, se, hs)
-            row.block_distances[k] = db
-    row.f_value = log_z_0 - log_z_lam
+        row.distances[k] = DistanceMetric(d, se, hs)
+        row.block_distances[k] = db
+    row.f_value = point.log_z_free - point.log_z
 
     if config.trial_subsample > 0:
         fe_gibbs = fock.relative_free_energy(gibbs, free_state, tensor, lam, T)
@@ -296,8 +295,8 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                               if issubclass(w.category, semiclassics.TailWarning))
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
         row.trial_gap = fe_trial - fe_gibbs
-        denom = max(abs(T * (log_z_0 - log_z_lam)), 1e-12)
-        row.fe_identity_defect = abs(fe_gibbs - T * (log_z_0 - log_z_lam)) / denom
+        exact = T * row.f_value
+        row.fe_identity_defect = abs(fe_gibbs - exact) / max(abs(exact), 1e-12)
     if config.bl_samples > 0:
         row.bl = semiclassics.berezin_lieb_gap(gibbs, free_state, 1.0 / T,
                                                n_samples=config.bl_samples,
@@ -307,25 +306,15 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
-    """Run the full sweep; rows for distinct T may run on worker threads."""
+    """Run the full sweep, one temperature row after another."""
     t0 = time.perf_counter()
-    basis, kernel, tensor = _resolve(config)
+    basis, kernel, tensor = resolve(config)
     ensemble, z_r, z_err, moments, blocks, degenerate = _classical_side(
         config, basis, kernel, tensor)
-    row_seeds = [int(s.generate_state(1)[0] % (1 << 31))
-                 for s in np.random.SeedSequence(config.seed).spawn(
-                     len(config.T_schedule))]
-
-    def job(i):
-        return _temperature_row(config, basis, tensor, ensemble, moments,
-                                blocks, config.T_schedule[i], row_seeds[i])
-
-    n = len(config.T_schedule)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(job, range(n)))
-    else:
-        rows = [job(i) for i in range(n)]
+    seeds = row_seeds(config.seed, len(config.T_schedule))
+    rows = [_temperature_row(config, basis, tensor, ensemble, moments, blocks,
+                             T, seed)
+            for T, seed in zip(config.T_schedule, seeds)]
     target = -math.log(z_r)
     for row in rows:
         row.f_target = target
@@ -364,9 +353,13 @@ def evaluate_properties(result: ConvergenceResult) -> dict:
             out["f_monotone"] = False
             out["violations"].append(
                 f"|f + log Z_r| rose by {gap:.3e} from T={a.T} to T={b.T}")
+    out["insufficient_points"] = len(rows) < 2
+    if out["insufficient_points"]:
+        out["violations"].append(
+            "monotonicity needs at least 2 valid temperatures")
     out["all_valid"] = all(r.valid for r in result.rows)
-    out["all"] = (out["all_valid"] and out["f_monotone"]
-                  and all(out["d_monotone"].values()))
+    out["all"] = (out["all_valid"] and not out["insufficient_points"]
+                  and out["f_monotone"] and all(out["d_monotone"].values()))
     return out
 
 
@@ -453,7 +446,7 @@ def run_selfchecks(config: ExperimentConfig,
     from scipy.integrate import quad
 
     checks = []
-    basis, kernel, tensor = _resolve(config)
+    basis, kernel, tensor = resolve(config)
     n_mc = min(config.mc_samples, 20000)
 
     # Gaussian moment closure at k = 1, 2 on the free ensemble
@@ -479,11 +472,7 @@ def run_selfchecks(config: ExperimentConfig,
     checks.append(CheckResult("number_identity", n_diff <= 1e-10, n_diff, 1e-10))
 
     lam_fb = basis.eigenvalues[:fb.K]
-    if fb.K == config.K:
-        tens_fb = tensor
-    else:
-        from .spectral import TwoBodyTensor
-        tens_fb = TwoBodyTensor(np.real(tensor.entries)[:fb.K, :fb.K, :fb.K, :fb.K])
+    tens_fb = TwoBodyTensor(np.real(tensor.entries)[:fb.K, :fb.K, :fb.K, :fb.K])
     split = fock.energy_decomposition(state, lam_fb, tens_fb, 0.7)
     rel = abs(split.total - split.one_body - split.two_body) \
         / max(abs(split.total), 1e-12)
@@ -491,12 +480,8 @@ def run_selfchecks(config: ExperimentConfig,
 
     # free Gibbs occupancies against the closed form
     T_chk = min(config.T_schedule[0], 2.0)
-    n_free = fock.choose_n_max(basis.eigenvalues, T_chk, tail=1e-12,
-                               dim_budget=config.dim_budget)
-    fb_free = fock.build_fock_basis(config.K, n_free,
-                                    dim_budget=config.dim_budget)
-    H0 = fock.build_hamiltonian(fb_free, basis.eigenvalues, None, 0.0)
-    g_free, _ = fock.gibbs_state(H0, T_chk)
+    g_free = fock.solve_point(basis.eigenvalues, None, T_chk, 0.0, tail=1e-12,
+                              dim_budget=config.dim_budget).free
     occ = np.real(np.diag(fock.reduced_density_matrix(g_free, 1).entries))
     exact_occ = 1.0 / (np.exp(basis.eigenvalues / T_chk) - 1.0)
     occ_diff = float(np.abs(occ - exact_occ).max())

@@ -33,6 +33,7 @@ __all__ = [
     "FockOperator",
     "FockState",
     "EnergySplit",
+    "ThermalPoint",
     "build_fock_basis",
     "ladder",
     "number_operator",
@@ -47,6 +48,7 @@ __all__ = [
     "free_energy",
     "free_sector_weights",
     "choose_n_max",
+    "solve_point",
     "random_state",
     "state_to_csv",
 ]
@@ -317,6 +319,16 @@ def particle_number(state: FockState) -> float:
     return float(np.sum(np.arange(probs.size) * probs))
 
 
+def _two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
+                     lam: float) -> float:
+    """lam tr[W_2 Gamma^(2)] on Sym^2; 0 without a pair term or below n = 2."""
+    if lam == 0.0 or tensor is None or state.basis.n_max < 2:
+        return 0.0
+    g2 = reduced_density_matrix(state, 2)
+    W2 = symspace.two_body_sym_matrix(np.real(tensor.entries))
+    return lam * float(np.real(np.trace(W2 @ g2.entries)))
+
+
 @dataclass(frozen=True)
 class EnergySplit:
     total: float
@@ -334,12 +346,8 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
     g1 = reduced_density_matrix(state, 1)
     one_body = float(np.real(np.sum(np.asarray(eigenvalues)
                                     * np.diag(g1.entries))))
-    two_body = 0.0
-    if lam != 0.0 and tensor is not None and state.basis.n_max >= 2:
-        g2 = reduced_density_matrix(state, 2)
-        W2 = symspace.two_body_sym_matrix(np.real(tensor.entries))
-        two_body = lam * float(np.real(np.trace(W2 @ g2.entries)))
-    return EnergySplit(total=total, one_body=one_body, two_body=two_body)
+    return EnergySplit(total=total, one_body=one_body,
+                       two_body=_two_body_energy(state, tensor, lam))
 
 
 def relative_entropy(state: FockState, ref: FockState) -> float:
@@ -398,12 +406,8 @@ def relative_free_energy(state: FockState, free_ref: FockState,
     For the interacting Gibbs state this equals T (log Z_0 - log Z_lam); for
     any other state it is an upper bound (variational principle).
     """
-    two_body = 0.0
-    if lam != 0.0 and tensor is not None and state.basis.n_max >= 2:
-        g2 = reduced_density_matrix(state, 2)
-        W2 = symspace.two_body_sym_matrix(np.real(tensor.entries))
-        two_body = lam * float(np.real(np.trace(W2 @ g2.entries)))
-    return two_body + T * relative_entropy(state, free_ref)
+    return _two_body_energy(state, tensor, lam) \
+        + T * relative_entropy(state, free_ref)
 
 
 def free_sector_weights(eigenvalues: np.ndarray, T: float, n_cap: int) -> np.ndarray:
@@ -444,6 +448,36 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
             f"tail policy wants n_max={n_max} (dim {math.comb(K + n_max, K)}), "
             f"over the budget {dim_budget}")
     return n_max
+
+
+@dataclass(frozen=True)
+class ThermalPoint:
+    """Interacting and free Gibbs states of one (T, lam) schedule point."""
+
+    T: float
+    lam: float
+    basis: FockBasis
+    gibbs: FockState
+    free: FockState
+    log_z: float
+    log_z_free: float
+
+
+def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
+                T: float, lam: float, tail: float = 1e-8,
+                dim_budget: int = 20000) -> ThermalPoint:
+    """Cutoff from the tail policy, then exp(-H_lam/T) and exp(-H_0/T).
+
+    Raises ValueError when the tail policy needs a basis over dim_budget.
+    """
+    n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
+    basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
+    H_lam = build_hamiltonian(basis, eigenvalues, tensor, lam)
+    H_0 = build_hamiltonian(basis, eigenvalues, None, 0.0)
+    gibbs, log_z = gibbs_state(H_lam, T)
+    free, log_z_free = gibbs_state(H_0, T)
+    return ThermalPoint(T=T, lam=lam, basis=basis, gibbs=gibbs, free=free,
+                        log_z=log_z, log_z_free=log_z_free)
 
 
 def random_state(basis: FockBasis, seed: int, dense: bool = False) -> FockState:

@@ -24,7 +24,6 @@ __all__ = [
     "multi_indices",
     "graded_indices",
     "sym_dim",
-    "index_map",
     "pair_embedding",
     "two_body_sym_matrix",
 ]
@@ -69,11 +68,6 @@ def graded_indices(K: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros(n_max + 2, dtype=np.int64)
     offsets[1:] = np.cumsum([sec.shape[0] for sec in sectors])
     return np.concatenate(sectors, axis=0), offsets
-
-
-def index_map(occs: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Dict mapping occupation tuples to their row index."""
-    return {tuple(int(x) for x in row): i for i, row in enumerate(occs)}
 
 
 def pair_embedding(K: int) -> np.ndarray:

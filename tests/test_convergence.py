@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,6 @@ out_dir = results
 trial_subsample = 64
 bl_samples = 400
 n_blocks = 10
-threads = 1
 """
 
 
@@ -73,6 +73,24 @@ def test_kernel_spec_realize(basis_k2):
     assert np.all(np.diff(gauss.values) <= 0)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", g=1.0, width=0.0).realize(grid)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_blocks", 1), ("n_blocks", 4001),
+    ("trial_subsample", -1), ("trial_subsample", 4001),
+    ("bl_samples", -1), ("bl_samples", 1), ("bl_samples", 9),
+])
+def test_config_rejects_bad_sampling_counts(small_config, key, value):
+    with pytest.raises(ValueError, match=key):
+        dataclasses.replace(small_config, **{key: value})
+
+
+def test_config_accepts_boundary_sampling_counts(small_config):
+    for key, value in [("n_blocks", 2), ("n_blocks", 4000),
+                       ("trial_subsample", 0), ("trial_subsample", 4000),
+                       ("bl_samples", 0), ("bl_samples", 10)]:
+        cfg = dataclasses.replace(small_config, **{key: value})
+        assert getattr(cfg, key) == value
 
 
 def test_anharmonic_config_parses():
@@ -134,16 +152,6 @@ def test_reports_are_deterministic(tmp_path, small_config):
         for row in s["rows"]:
             row.pop("wall_s")
     assert s1 == s2
-
-
-def test_threads_do_not_change_results(small_config):
-    import dataclasses
-    res1 = run_convergence(small_config)
-    res2 = run_convergence(dataclasses.replace(small_config, threads=2))
-    for a, b in zip(res1.rows, res2.rows):
-        assert a.distances[1].value == b.distances[1].value
-        assert a.f_value == b.f_value
-        assert a.bl.classical == b.bl.classical
 
 
 def test_degenerate_run_matches_closed_form():
@@ -251,7 +259,8 @@ def test_cli_converge(config_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out
     assert (tmp_path / "out" / "report.csv").exists()
-    assert (tmp_path / "out" / "summary.json").exists()
+    props = json.load(open(tmp_path / "out" / "summary.json"))["properties"]
+    assert props["insufficient_points"] is False and props["all"]
 
 
 def test_cli_selfcheck_and_negative_control(config_file, capsys):
@@ -279,6 +288,41 @@ def test_cli_seed_override_changes_output(config_file, tmp_path):
     a = open(tmp_path / "s1" / "ensemble.csv").read()
     b = open(tmp_path / "s2" / "ensemble.csv").read()
     assert a != b
+
+
+def test_cli_one_point_schedule_exits_2(config_file, tmp_path, capsys):
+    text = config_file.read_text()
+    config_file.write_text(text.replace("T_schedule = 2.0, 4.0",
+                                        "T_schedule = 2.0"))
+    assert cli.main(["converge", "--config", str(config_file)]) == 2
+    assert "monotonicity needs at least 2 valid temperatures" \
+        in capsys.readouterr().err
+    summary = json.load(open(tmp_path / "out" / "summary.json"))
+    assert summary["rows"][0]["valid"]
+    assert summary["properties"]["insufficient_points"]
+    assert not summary["properties"]["all"]
+
+
+def test_bl_gap_seeds_match_the_sweep(config_file, tmp_path):
+    assert cli.main(["converge", "--config", str(config_file)]) == 0
+    summary = json.load(open(tmp_path / "out" / "summary.json"))
+    sweep = [row["berezin_lieb"]["classical"] for row in summary["rows"]]
+    assert cli.main(["bl-gap", "--config", str(config_file)]) == 0
+    lines = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1:]
+    assert [float(line.split(",")[2]) for line in lines] == sweep
+    assert cli.main(["bl-gap", "--config", str(config_file), "--T", "2.0"]) == 0
+    line = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1]
+    assert float(line.split(",")[2]) == sweep[0]
+
+
+@pytest.mark.parametrize("keys", ["half_width = 6", "a = 4"])
+def test_cli_anharmonic_without_a_or_half_width_is_an_error(tmp_path, capsys,
+                                                            keys):
+    bad = tmp_path / "anh.cfg"
+    bad.write_text(f"domain = anharmonic\n{keys}\nK = 1\n")
+    assert cli.main(["spectrum", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: anharmonic domain needs a and half_width"
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -394,3 +394,29 @@ def test_state_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,real,imag"
     assert len(lines) == 1 + fb.dim**2
+
+
+@pytest.mark.parametrize("T", [2.0, 5.0])
+def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
+    lam = 1.0 / T
+    point = gl.solve_point(basis_k2.eigenvalues, tensor_k2, T, lam,
+                           tail=1e-8, dim_budget=20000)
+    n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-8)
+    fb = gl.build_fock_basis(2, n_max)
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
+    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    gibbs, log_z = gl.gibbs_state(H, T)
+    free, log_z0 = gl.gibbs_state(H0, T)
+    assert (point.T, point.lam) == (T, lam)
+    assert point.basis.n_max == n_max and point.basis.matches(fb)
+    assert point.log_z == log_z and point.log_z_free == log_z0
+    for got, want in [(point.gibbs, gibbs), (point.free, free)]:
+        assert len(got.blocks) == len(want.blocks) == n_max + 1
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.array_equal(a, b)
+
+
+def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
+    with pytest.raises(ValueError, match="budget 2000"):
+        gl.solve_point(basis_k2.eigenvalues, tensor_k2, 50.0, 0.02,
+                       dim_budget=2000)
