@@ -11,11 +11,10 @@ the classical moments, together with the free-energy offset against
 -log Z_r.
 """
 
-from .classical import (ClassicalFreeEnergy, FieldSample, MeanInteraction,
-                        MomentMatrix, WeightedEnsemble,
-                        classical_relative_free_energy, eval_F_NL,
-                        eval_quadratic_form, free_moments, mean_F_NL_free,
-                        moment_matrix, reweight, sample_free)
+from .classical import (ClassicalFreeEnergy, MeanInteraction, MomentMatrix,
+                        WeightedEnsemble, classical_relative_free_energy,
+                        eval_F_NL, eval_quadratic_form, free_moments,
+                        mean_F_NL_free, moment_matrix, reweight, sample_free)
 from .convergence import (CheckResult, ExperimentConfig, KernelSpec,
                           ReportRow, emit_report, evaluate_properties,
                           parse_config, read_config, run_convergence,

@@ -22,7 +22,6 @@ from .spectral import InteractionKernel, SpectralBasis, TwoBodyTensor, \
     _difference_matrix, interaction_elements
 
 __all__ = [
-    "FieldSample",
     "WeightedEnsemble",
     "MomentMatrix",
     "MeanInteraction",
@@ -42,13 +41,6 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Mode coefficients of one field configuration."""
-
-    coeffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,10 +65,6 @@ class WeightedEnsemble:
     @property
     def K(self) -> int:
         return self.coeffs.shape[1]
-
-    @property
-    def samples(self) -> list[FieldSample]:
-        return [FieldSample(row) for row in self.coeffs]
 
     def normalized_weights(self) -> np.ndarray:
         w = np.exp(self.log_weights - self.log_weights.max())
@@ -125,7 +113,7 @@ def sample_free(basis: SpectralBasis, n_samples: int, seed: int,
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
 
 
-def eval_F_NL(sample: FieldSample | np.ndarray, basis: SpectralBasis,
+def eval_F_NL(coeffs: np.ndarray, basis: SpectralBasis,
               kernel: InteractionKernel) -> float:
     """Pair-interaction energy of one field, by grid quadrature.
 
@@ -133,8 +121,7 @@ def eval_F_NL(sample: FieldSample | np.ndarray, basis: SpectralBasis,
     (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy; for a delta kernel this is the
     local quartic (g/2) int |u|^4. Always >= 0 for a nonnegative kernel.
     """
-    coeffs = sample.coeffs if isinstance(sample, FieldSample) else np.asarray(sample)
-    u = coeffs @ basis.eigenvectors
+    u = np.asarray(coeffs) @ basis.eigenvectors
     rho = np.abs(u) ** 2
     dx = basis.grid.dx
     total = 0.0
@@ -186,10 +173,8 @@ def f_nl_batch(coeffs: np.ndarray, basis: SpectralBasis,
     return out
 
 
-def eval_quadratic_form(sample: FieldSample | np.ndarray,
-                        basis: SpectralBasis) -> float:
+def eval_quadratic_form(coeffs: np.ndarray, basis: SpectralBasis) -> float:
     """<u, h u> = sum_j lambda_j |alpha_j|^2."""
-    coeffs = sample.coeffs if isinstance(sample, FieldSample) else np.asarray(sample)
     return float(np.sum(basis.eigenvalues * np.abs(coeffs) ** 2))
 
 
@@ -226,6 +211,16 @@ def _sym_products(coeffs: np.ndarray, k: int) -> np.ndarray:
     return (A * math.sqrt(math.factorial(k))).T
 
 
+def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
+    """dim Sym^k(C^K), refused when the moment pass would be too large."""
+    if k < 1:
+        raise ValueError("moment order k must be >= 1")
+    D = symspace.sym_dim(ensemble.K, k)
+    if D > 5000 or ensemble.n * D > 4e8:
+        raise ValueError(f"symmetric space dim {D} too large for the memory budget")
+    return D
+
+
 def moment_matrix(ensemble: WeightedEnsemble, k: int,
                   with_stderr: bool = False):
     """Weighted k-th moment matrix of the sampled measure.
@@ -239,13 +234,8 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
-    if k < 1:
-        raise ValueError("moment order k must be >= 1")
-    K = ensemble.K
-    D = symspace.sym_dim(K, k)
-    if D > 5000 or ensemble.n * D > 4e8:
-        raise ValueError(f"symmetric space dim {D} too large for the memory budget")
-    occs = symspace.multi_indices(K, k)
+    D = _checked_sym_dim(ensemble, k)
+    occs = symspace.multi_indices(ensemble.K, k)
     wt = ensemble.normalized_weights()
     M = np.zeros((D, D), dtype=np.complex128)
     acc_w2x = np.zeros((D, D), dtype=np.complex128)
@@ -271,25 +261,28 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
 
 
 def moment_matrix_blocks(ensemble: WeightedEnsemble, k: int,
-                         n_blocks: int = 50) -> list[np.ndarray]:
-    """Per-block moment matrices over contiguous sample blocks.
+                         n_blocks: int = 50):
+    """The moment matrix and its per-block estimates, in one pass.
 
-    Each block is self-normalized on its own samples; the spread of a
-    statistic across blocks gives its batch-means standard error. Blocks are
-    contiguous slices, so a fixed seed fixes them too.
+    Each block is `moment_matrix` of a contiguous slice, self-normalized on
+    its own samples; the spread of a statistic across blocks gives its
+    batch-means standard error. The full matrix is the mean of the blocks
+    weighted by their share of the total weight, which is the self-normalized
+    estimate over the whole ensemble. Returns (MomentMatrix, list of block
+    entries); a fixed seed fixes the blocks too.
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
+    _checked_sym_dim(ensemble, k)
     w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
     bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        S = _sym_products(ensemble.coeffs[lo:hi], k)
-        wb = w[lo:hi]
-        wb = wb / wb.sum()
-        Mb = (S * wb[:, None]).T @ S.conj()
-        out.append(0.5 * (Mb + Mb.conj().T))
-    return out
+    blocks = [moment_matrix(replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
+                                    log_weights=ensemble.log_weights[lo:hi]),
+                            k)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    shares = np.add.reduceat(w, bounds[:-1]) / w.sum()
+    full = sum(s * b.entries for s, b in zip(shares, blocks))
+    return replace(blocks[0], entries=full), [b.entries for b in blocks]
 
 
 def free_moments(eigenvalues: np.ndarray, k: int) -> MomentMatrix:

@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("coupling_rule must be nonnegative")
         if not 1 <= self.k_max <= 3:
             raise ValueError("k_max must lie in 1..3")
+        if not 0 < self.n_max_policy < 1:
+            raise ValueError("n_max_policy must lie in (0, 1)")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be at least 2")
         if not 2 <= self.n_blocks <= self.mc_samples:
@@ -245,9 +247,8 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis,
             moments[k] = classical.free_moments(basis.eigenvalues, k)
             blocks[k] = None
         else:
-            moments[k] = classical.moment_matrix(ensemble, k)
-            blocks[k] = classical.moment_matrix_blocks(ensemble, k,
-                                                       config.n_blocks)
+            moments[k], blocks[k] = classical.moment_matrix_blocks(
+                ensemble, k, config.n_blocks)
     if degenerate:
         z_r, z_err = 1.0, 0.0
     else:
@@ -289,8 +290,7 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(
-                ensemble, T, fb, n_subsample=config.trial_subsample,
-                phase_average=True)
+                ensemble, T, fb, n_subsample=config.trial_subsample)
         row.notes = "; ".join(str(w.message) for w in caught
                               if issubclass(w.category, semiclassics.TailWarning))
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)

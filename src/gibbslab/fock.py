@@ -129,7 +129,6 @@ class FockOperator:
 
     basis: FockBasis
     matrix: sparse.csr_matrix
-    sector_diagonal: bool = True
 
     def sector_block(self, n: int) -> np.ndarray:
         s = self.basis.sector_slice(n)
@@ -468,14 +467,20 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
                 dim_budget: int = 20000) -> ThermalPoint:
     """Cutoff from the tail policy, then exp(-H_lam/T) and exp(-H_0/T).
 
-    Raises ValueError when the tail policy needs a basis over dim_budget.
+    H_0 is diagonal in the occupation basis with energies occupations @
+    eigenvalues, so the free state is written down directly; only H_lam is
+    diagonalized. Raises ValueError when the tail policy needs a basis over
+    dim_budget.
     """
     n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
     basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
-    H_lam = build_hamiltonian(basis, eigenvalues, tensor, lam)
-    H_0 = build_hamiltonian(basis, eigenvalues, None, 0.0)
-    gibbs, log_z = gibbs_state(H_lam, T)
-    free, log_z_free = gibbs_state(H_0, T)
+    gibbs, log_z = gibbs_state(
+        build_hamiltonian(basis, eigenvalues, tensor, lam), T)
+    E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
+    log_z_free = float(logsumexp(-E / T))
+    free = FockState(basis=basis, blocks=tuple(
+        np.diag(np.exp(-E[basis.sector_slice(n)] / T - log_z_free))
+        for n in range(n_max + 1)))
     return ThermalPoint(T=T, lam=lam, basis=basis, gibbs=gibbs, free=free,
                         log_z=log_z, log_z_free=log_z_free)
 

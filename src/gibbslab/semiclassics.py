@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
 
 
 class TailWarning(UserWarning):
@@ -75,7 +76,7 @@ def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
         raise ValueError("coherent vector length must match the mode count")
     nu = float(np.sum(np.abs(v) ** 2))
     tail = float(gammainc(basis.n_max + 1, nu)) if nu > 0 else 0.0
-    if tail > 1e-6:
+    if tail > _TAIL_THRESHOLD:
         warnings.warn(f"coherent tail mass {tail:.3e} beyond n_max={basis.n_max}",
                       TailWarning, stacklevel=2)
     amps = occupation_products(v[None, :], basis.occupations,
@@ -89,18 +90,16 @@ def coherent_overlap(a: CoherentVector, b: CoherentVector) -> complex:
 
 
 def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
-                n_subsample: int | None = None, phase_average: bool = False,
-                tail_threshold: float = 1e-6) -> FockState:
-    """Weighted mixture of coherent projectors at vectors sqrt(T) * alpha.
+                n_subsample: int | None = None) -> FockState:
+    """Phase-averaged mixture of coherent projectors at vectors sqrt(T) * alpha.
 
-    The mixture is renormalized to unit trace; n_subsample keeps the first n
-    samples (a deterministic, unbiased cut of an iid ensemble) with their
-    weights renormalized. With phase_average=True each
-    projector is replaced by its sector-diagonal pinching, which equals its
-    exact average over the global phase alpha -> e^{i theta} alpha (a
+    Each projector is replaced by its sector-diagonal pinching, which equals
+    its exact average over the global phase alpha -> e^{i theta} alpha (a
     symmetry of the sampled measure), keeps the state block diagonal, and
-    can only lower the free energy; the default keeps the plain projectors,
-    so a single sample reproduces the coherent projector exactly.
+    can only lower the free energy. The mixture is renormalized to unit
+    trace; n_subsample keeps the first n samples (a deterministic, unbiased
+    cut of an iid ensemble) with their weights renormalized. Warns when a
+    sample's coherent tail beyond n_max exceeds 1e-6.
     """
     if not ensemble.reweighted:
         raise ValueError("trial state needs a reweighted ensemble")
@@ -113,34 +112,25 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
 
     nu = np.sum(np.abs(vs) ** 2, axis=1)
     tails = gammainc(basis.n_max + 1, np.clip(nu, 1e-300, None))
-    bad = int(np.sum(tails > tail_threshold))
+    bad = int(np.sum(tails > _TAIL_THRESHOLD))
     if bad:
         warnings.warn(
             f"{bad} of {n} trial-state samples have coherent tail mass above "
-            f"{tail_threshold:.1e} (worst {tails.max():.3e})",
+            f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
     gauss = np.exp(-0.5 * nu)
 
-    if phase_average:
-        sums = [np.zeros((basis.sector_dim(m), basis.sector_dim(m)),
-                         dtype=np.complex128) for m in range(basis.n_max + 1)]
-        for lo in range(0, n, _CHUNK):
-            A = occupation_products(vs[lo:lo + _CHUNK], basis.occupations,
-                                    gauss[lo:lo + _CHUNK])
-            wc = w[lo:lo + _CHUNK]
-            for m in range(basis.n_max + 1):
-                Am = A[basis.sector_slice(m)]
-                sums[m] += (Am * wc) @ Am.conj().T
-        tr = sum(float(np.real(np.trace(b))) for b in sums)
-        return FockState(basis=basis, blocks=tuple(b / tr for b in sums))
-
-    M = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    sums = [np.zeros((basis.sector_dim(m), basis.sector_dim(m)),
+                     dtype=np.complex128) for m in range(basis.n_max + 1)]
     for lo in range(0, n, _CHUNK):
         A = occupation_products(vs[lo:lo + _CHUNK], basis.occupations,
                                 gauss[lo:lo + _CHUNK])
-        M += (A * w[lo:lo + _CHUNK]) @ A.conj().T
-    M = 0.5 * (M + M.conj().T)
-    return FockState(basis=basis, matrix=M / float(np.real(np.trace(M))))
+        wc = w[lo:lo + _CHUNK]
+        for m in range(basis.n_max + 1):
+            Am = A[basis.sector_slice(m)]
+            sums[m] += (Am * wc) @ Am.conj().T
+    tr = sum(float(np.real(np.trace(b))) for b in sums)
+    return FockState(basis=basis, blocks=tuple(b / tr for b in sums))
 
 
 def _husimi_form(state: FockState):

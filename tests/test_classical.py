@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,7 +50,6 @@ def test_free_ensemble_fields(basis_k2):
     assert not ens.reweighted
     assert ens.z_r == 1.0 and ens.ess == 100
     assert not np.any(ens.log_weights)
-    assert len(ens.samples) == 100
 
 
 def test_f_nl_zero_field(basis_k2, delta_kernel):
@@ -188,12 +188,19 @@ def test_moment_budget_guard(basis_k3):
 def test_moment_blocks_consistency(basis_k2, delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=13), basis_k2,
                       delta_kernel)
-    blocks = moment_matrix_blocks(ens, 1, n_blocks=8)
-    assert len(blocks) == 8
-    full = gl.moment_matrix(ens, 1).entries
-    avg = np.mean(blocks, axis=0)
-    # block averages agree with the full estimate up to weight renormalization
-    assert np.abs(avg - full).max() < 0.05 * np.abs(full).max()
+    bounds = np.linspace(0, ens.n, 9).astype(int)
+    for k in (1, 2):
+        full, blocks = moment_matrix_blocks(ens, k, n_blocks=8)
+        assert len(blocks) == 8
+        want = gl.moment_matrix(ens, k)
+        assert full.k == k and np.array_equal(full.occupations,
+                                              want.occupations)
+        scale = np.abs(want.entries).max()
+        assert np.abs(full.entries - want.entries).max() < 1e-12 * scale
+        for lo, hi, got in zip(bounds[:-1], bounds[1:], blocks):
+            part = dataclasses.replace(ens, coeffs=ens.coeffs[lo:hi],
+                                       log_weights=ens.log_weights[lo:hi])
+            assert np.array_equal(got, gl.moment_matrix(part, k).entries)
 
 
 def test_mean_f_nl_single_mode(unit_mode_basis, quartic_kernel):

@@ -315,6 +315,21 @@ def test_bl_gap_seeds_match_the_sweep(config_file, tmp_path):
     assert float(line.split(",")[2]) == sweep[0]
 
 
+@pytest.mark.parametrize("policy", ["2", "0", "1"])
+def test_cli_n_max_policy_outside_unit_interval_is_an_error(
+        config_file, tmp_path, capsys, monkeypatch, policy):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was validated")
+
+    monkeypatch.setattr(gl.classical, "sample_free", no_sampling)
+    config_file.write_text(config_file.read_text().replace(
+        "n_max_policy = 1e-8", f"n_max_policy = {policy}"))
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: n_max_policy must lie in (0, 1)"
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 @pytest.mark.parametrize("keys", ["half_width = 6", "a = 4"])
 def test_cli_anharmonic_without_a_or_half_width_is_an_error(tmp_path, capsys,
                                                             keys):

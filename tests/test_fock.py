@@ -416,6 +416,21 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
             assert np.array_equal(a, b)
 
 
+def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
+                                                             tensor_k3):
+    # within a K=3 sector the basis order is not the energy order, so the
+    # closed form sums log Z in another order than the eigensolver route
+    T = 2.0
+    point = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 1.0 / T)
+    fb = point.basis
+    free, log_z0 = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k3.eigenvalues, None, 0.0), T)
+    assert point.log_z_free == pytest.approx(log_z0, rel=1e-13, abs=0.0)
+    assert len(point.free.blocks) == len(free.blocks) == fb.n_max + 1
+    for got, want in zip(point.free.blocks, free.blocks):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
     with pytest.raises(ValueError, match="budget 2000"):
         gl.solve_point(basis_k2.eigenvalues, tensor_k2, 50.0, 0.02,

@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,12 +94,3 @@ def test_reference_products_match_direct_loop():
                               / math.sqrt(math.factorial(occ[j]))
                               for j in range(2)])
             assert abs(out[d, s] - direct) < 1e-12
-
-
-def test_benchmark_script_runs():
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    out = subprocess.run([sys.executable, str(script), "--quick"],
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "occupation_products" in out.stdout
-    assert "two_body_coo" in out.stdout

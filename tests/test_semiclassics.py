@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,15 +78,37 @@ def test_overlap_law():
                    - math.exp(-float(np.sum(np.abs(v - w) ** 2)))) < 2 * slack
 
 
+def _plain_mixture(ens, T, fb, n_subsample=None):
+    """The unpinched mixture sum_s w_s |xi_s><xi_s| of the truncated coherent
+    vectors at sqrt(T) * alpha_s, as one dense unit-trace matrix."""
+    n = ens.n if n_subsample is None else n_subsample
+    logw = ens.log_weights[:n]
+    w = np.exp(logw - logw.max())
+    M = np.zeros((fb.dim, fb.dim), dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailWarning)
+        for ws, alpha in zip(w / w.sum(), ens.coeffs[:n]):
+            cv = gl.coherent(math.sqrt(T) * alpha, fb)
+            M += ws * cv.norm_sq() * cv.projector().matrix
+    return fock.FockState(basis=fb, matrix=M / np.real(np.trace(M)))
+
+
+def _sector_blocks(matrix, fb):
+    return [matrix[fb.sector_slice(n), fb.sector_slice(n)]
+            for n in range(fb.n_max + 1)]
+
+
 def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 1, seed=2), basis_k2,
                       delta_kernel)
     fb = gl.build_fock_basis(2, 20)
     T = 1.0
-    trial = gl.trial_state(ens, T, fb, phase_average=False)
+    trial = gl.trial_state(ens, T, fb)
     cv = gl.coherent(math.sqrt(T) * ens.coeffs[0], fb)
-    expect = cv.projector().matrix
-    assert np.abs(trial.matrix - expect).max() < 1e-12
+    expect = _sector_blocks(cv.projector().matrix, fb)
+    assert len(trial.blocks) == len(expect)
+    for got, want in zip(trial.blocks, expect):
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_trial_state_particle_number(basis_k2, delta_kernel):
@@ -93,7 +116,7 @@ def test_trial_state_particle_number(basis_k2, delta_kernel):
                       delta_kernel)
     T = 1.0
     fb = gl.build_fock_basis(2, 25)
-    trial = gl.trial_state(ens, T, fb, phase_average=True)
+    trial = gl.trial_state(ens, T, fb)
     wt = ens.normalized_weights()
     target = T * float(np.sum(wt * np.sum(np.abs(ens.coeffs) ** 2, axis=1)))
     h = T * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
@@ -106,11 +129,10 @@ def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
     ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=5), basis_k2,
                       delta_kernel)
     fb = gl.build_fock_basis(2, 18)
-    plain = gl.trial_state(ens, 0.8, fb, phase_average=False)
-    pinched = gl.trial_state(ens, 0.8, fb, phase_average=True)
-    for n in range(fb.n_max + 1):
-        s = fb.sector_slice(n)
-        assert np.abs(plain.matrix[s, s] - pinched.blocks[n]).max() < 1e-12
+    plain = _plain_mixture(ens, 0.8, fb)
+    pinched = gl.trial_state(ens, 0.8, fb)
+    for want, got in zip(_sector_blocks(plain.matrix, fb), pinched.blocks):
+        assert np.abs(want - got).max() < 1e-12
     assert abs(fock.particle_number(plain)
                - fock.particle_number(pinched)) < 1e-10
 
@@ -128,18 +150,15 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
     gibbs, _ = gl.gibbs_state(H, T)
     free, _ = gl.gibbs_state(H0, T)
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
-    for phase_average in (False, True):
-        trial = gl.trial_state(ens, T, fb, n_subsample=256,
-                               phase_average=phase_average)
+    for trial in (gl.trial_state(ens, T, fb, n_subsample=256),
+                  _plain_mixture(ens, T, fb, n_subsample=256)):
         fe_trial = gl.relative_free_energy(trial, free, tensor_k2, lam, T)
         assert fe_trial >= fe_gibbs - 1e-8
     # pinching can only lower the trial free energy
     fe_plain = gl.relative_free_energy(
-        gl.trial_state(ens, T, fb, n_subsample=128, phase_average=False),
-        free, tensor_k2, lam, T)
+        _plain_mixture(ens, T, fb, n_subsample=128), free, tensor_k2, lam, T)
     fe_pinch = gl.relative_free_energy(
-        gl.trial_state(ens, T, fb, n_subsample=128, phase_average=True),
-        free, tensor_k2, lam, T)
+        gl.trial_state(ens, T, fb, n_subsample=128), free, tensor_k2, lam, T)
     assert fe_pinch <= fe_plain + 1e-9
 
 
@@ -148,7 +167,7 @@ def test_trial_state_warns_on_cutoff_violation(basis_k2, delta_kernel):
                       delta_kernel)
     fb = gl.build_fock_basis(2, 6)
     with pytest.warns(TailWarning, match=r"\d+ of 200"):
-        gl.trial_state(ens, 8.0, fb, phase_average=True)
+        gl.trial_state(ens, 8.0, fb)
 
 
 def test_husimi_vacuum_density():
@@ -223,20 +242,16 @@ def _kl_from_separate_densities(state, ref, eps, n_samples, seed):
                  + math.log(wr.mean() / ws.mean()))
 
 
-@pytest.mark.filterwarnings("ignore:.*trial-state samples.*")
-def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2,
-                                                         delta_kernel):
+def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
     T = 5.0
     fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
     gibbs, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
-    ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=3), basis_k2,
-                      delta_kernel)
-    dense_trial = gl.trial_state(ens, T, fb, phase_average=False)
+    dense = fock.random_state(fb, 3, dense=True)
     # diagonal, sector-block and dense contractions, mixed in one estimate
-    for state, ref in [(gibbs, free), (dense_trial, gibbs), (free, free)]:
+    for state, ref in [(gibbs, free), (dense, gibbs), (free, free)]:
         est = husimi_kl_importance(state, ref, 1.0 / T, n_samples=600, seed=4)
         expect = _kl_from_separate_densities(state, ref, 1.0 / T, 600, 4)
         assert est.value == pytest.approx(expect, rel=1e-12, abs=1e-15)
