@@ -271,6 +271,10 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                          wall_s=time.perf_counter() - t0)
     fb, gibbs, free_state = point.basis, point.gibbs, point.free
     row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass())
+    notes = []
+    if row.tail_mass >= config.n_max_policy:
+        notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
+                     f"n_max_policy {config.n_max_policy:.1e}")
     for k in range(1, min(config.k_max, fb.n_max) + 1):
         g_k = fock.reduced_density_matrix(gibbs, k)
         scaled = math.factorial(k) / T**k * g_k.entries
@@ -285,22 +289,27 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
 
+    if config.trial_subsample > 0 or config.bl_samples > 0:
+        # S(Gibbs | free): the Gibbs free energy and the quantum BL term
+        s_gibbs = fock.relative_entropy(gibbs, free_state)
     if config.trial_subsample > 0:
-        fe_gibbs = fock.relative_free_energy(gibbs, free_state, tensor, lam, T)
+        fe_gibbs = fock.two_body_energy(gibbs, tensor, lam) + T * s_gibbs
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(
                 ensemble, T, fb, n_subsample=config.trial_subsample)
-        row.notes = "; ".join(str(w.message) for w in caught
-                              if issubclass(w.category, semiclassics.TailWarning))
+        notes += [str(w.message) for w in caught
+                  if issubclass(w.category, semiclassics.TailWarning)]
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
         row.trial_gap = fe_trial - fe_gibbs
         exact = T * row.f_value
         row.fe_identity_defect = abs(fe_gibbs - exact) / max(abs(exact), 1e-12)
     if config.bl_samples > 0:
-        row.bl = semiclassics.berezin_lieb_gap(gibbs, free_state, 1.0 / T,
-                                               n_samples=config.bl_samples,
-                                               seed=row_seed)
+        row.bl = semiclassics.BLGap.of(
+            s_gibbs, semiclassics.husimi_kl_importance(
+                gibbs, free_state, 1.0 / T, n_samples=config.bl_samples,
+                seed=row_seed))
+    row.notes = "; ".join(notes)
     row.wall_s = time.perf_counter() - t0
     return row
 

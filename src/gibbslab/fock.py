@@ -43,9 +43,9 @@ __all__ = [
     "reduced_dm_normal_ordered",
     "particle_number",
     "energy_decomposition",
+    "two_body_energy",
     "relative_entropy",
     "relative_free_energy",
-    "free_energy",
     "free_sector_weights",
     "choose_n_max",
     "solve_point",
@@ -318,8 +318,8 @@ def particle_number(state: FockState) -> float:
     return float(np.sum(np.arange(probs.size) * probs))
 
 
-def _two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
-                     lam: float) -> float:
+def two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
+                    lam: float) -> float:
     """lam tr[W_2 Gamma^(2)] on Sym^2; 0 without a pair term or below n = 2."""
     if lam == 0.0 or tensor is None or state.basis.n_max < 2:
         return 0.0
@@ -346,19 +346,22 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
     one_body = float(np.real(np.sum(np.asarray(eigenvalues)
                                     * np.diag(g1.entries))))
     return EnergySplit(total=total, one_body=one_body,
-                       two_body=_two_body_energy(state, tensor, lam))
+                       two_body=two_body_energy(state, tensor, lam))
 
 
 def relative_entropy(state: FockState, ref: FockState) -> float:
     """tr[state (log state - log ref)]; +inf on a support violation.
 
-    Reference eigenvalues below 1e-14 of the largest one in their own
-    diagonalized block count as kernel directions (that is the scale the
-    eigensolver resolves); if the state carries more than 1e-9 of its mass
-    there the support condition fails and +inf is returned. Otherwise the
-    kernel weight is entropically negligible and eigenvalues are clipped at
-    1e-300 (the 0 log 0 = 0 convention), so deep but genuinely positive
-    thermal tails are not mistaken for rank deficiency.
+    The state side needs only eigenvalues. A reference stored as sector
+    blocks whose block is exactly diagonal (a free Gibbs state is) has its
+    diagonal q as spectrum and the state's diagonal as the mass on each of
+    its modes, with no eigensolve; its kernel is exactly q == 0. Any other
+    reference block (and every dense reference) is diagonalized, the mass on
+    each mode is Re diag(V+ G V), and eigenvalues below 1e-14 of the block's
+    largest count as kernel, the scale the eigensolver resolves. If the state
+    carries more than 1e-9 of its mass on kernel modes the support condition
+    fails and +inf is returned; otherwise eigenvalues are clipped at 1e-300
+    (the 0 log 0 = 0 convention).
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
@@ -367,34 +370,24 @@ def relative_entropy(state: FockState, ref: FockState) -> float:
     else:
         pairs = [(state.to_dense(), ref.to_dense())]
     total, stray = 0.0, 0.0
-    for G, Gp in pairs:
-        p, U = eigh(np.asarray(G))
-        q, V = eigh(np.asarray(Gp))
-        p = np.clip(p, 0.0, None)
+    for G, R in pairs:
+        G, R = np.asarray(G), np.asarray(R)
+        p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        weights = (np.abs(V.conj().T @ U) ** 2) @ p  # mass on each ref mode
-        small = q <= _SUPPORT_EPS * max(float(q[-1]), _LOG_FLOOR) if q.size \
-            else np.zeros(0, dtype=bool)
-        stray += float(weights[small].sum()) if small.any() else 0.0
-        total -= float(np.sum(weights * np.log(np.clip(q, _LOG_FLOOR, None))))
+        if ref.sector_diagonal and not np.any(R - np.diag(np.diagonal(R))):
+            q = np.real(np.diagonal(R))
+            mass = np.real(np.diagonal(G))
+            small = q <= 0.0
+        else:
+            q, V = eigh(R)
+            mass = np.real(np.sum(V.conj() * (G @ V), axis=0))
+            small = q <= _SUPPORT_EPS * max(float(q[-1]), _LOG_FLOOR)
+        stray += float(mass[small].sum())
+        total -= float(np.sum(mass * np.log(np.clip(q, _LOG_FLOOR, None))))
     if stray > 1e-9:
         return math.inf
     return total
-
-
-def free_energy(state: FockState, H: FockOperator, T: float) -> float:
-    """tr[H state] + T tr[state log state] (the quantity Gibbs states minimize)."""
-    energy = 0.0
-    for n, blk in enumerate(state.diagonal_blocks()):
-        energy += float(np.real(np.trace(H.sector_block(n) @ blk)))
-    ent = 0.0
-    mats = state.diagonal_blocks() if state.sector_diagonal else [state.to_dense()]
-    for blk in mats:
-        p = np.clip(eigh(np.asarray(blk), eigvals_only=True), 0.0, None)
-        mask = p > _LOG_FLOOR
-        ent += float(np.sum(p[mask] * np.log(p[mask])))
-    return energy + T * ent
 
 
 def relative_free_energy(state: FockState, free_ref: FockState,
@@ -405,7 +398,7 @@ def relative_free_energy(state: FockState, free_ref: FockState,
     For the interacting Gibbs state this equals T (log Z_0 - log Z_lam); for
     any other state it is an upper bound (variational principle).
     """
-    return _two_body_energy(state, tensor, lam) \
+    return two_body_energy(state, tensor, lam) \
         + T * relative_entropy(state, free_ref)
 
 

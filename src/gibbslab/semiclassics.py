@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_WINDOW_TAIL = 2.0 ** -60  # Poisson mass a chunk's sector window leaves out
+_WINDOW_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
 
 
@@ -149,15 +151,20 @@ def _husimi_form(state: FockState):
             for m, G in enumerate(blocks)]
 
 
-def _contract(form, A: np.ndarray) -> np.ndarray:
-    """Re <A|state|A> for each column of A, with form from _husimi_form."""
+def _contract(form, A: np.ndarray, n_hi: int) -> np.ndarray:
+    """Re <A|state|A> over sectors 0..n_hi for each column of A.
+
+    A holds the amplitudes of those sectors (a graded prefix of the basis);
+    form comes from _husimi_form, and a dense form needs n_hi = n_max.
+    """
     # A real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
     if isinstance(form, np.ndarray):
-        return np.einsum("i,ij,ij->j", form, X, X).reshape(-1, 2).sum(axis=1)
+        p = form[:A.shape[0]]
+        return np.einsum("i,ij,ij->j", p, X, X).reshape(-1, 2).sum(axis=1)
     val = np.zeros(A.shape[1])
-    for sl, G in form:
+    for sl, G in form[:n_hi + 1]:
         if np.isrealobj(G):
             Xm = X[sl]
             val += np.einsum("ij,ij->j", Xm, G @ Xm).reshape(-1, 2).sum(axis=1)
@@ -171,8 +178,16 @@ def _husimi(states: list[FockState], eps: float,
             points: np.ndarray) -> np.ndarray:
     """Husimi densities of states on one basis, one row per state.
 
-    The coherent amplitudes of each chunk of points are built once and
-    contracted against every state.
+    Points are taken in chunks in ascending order of nu = |v|^2, and the
+    coherent amplitudes of each chunk are built once and contracted against
+    every state. The particle number of a coherent vector is Poisson(nu), so
+    when every state is sector-diagonal a chunk only spans sectors up to the
+    first n_hi whose Poisson(nu_max) tail beyond it is at most 2^-60. Sector
+    m of the amplitudes has squared norm exactly e^-nu nu^m / m!, and
+    lambda_max(G_m) <= tr G_m, so the omitted part of a density is at most
+    max_{m > n_hi} tr G_m * P(N > n_hi); a point where that exceeds 2^-53
+    of the kept part is recomputed over the full basis. Dense states always
+    use the full basis.
     """
     if eps <= 0:
         raise ValueError("scale eps must be positive")
@@ -182,17 +197,40 @@ def _husimi(states: list[FockState], eps: float,
             raise ValueError("states live on different bases")
     points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     vs = points / math.sqrt(eps)
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
     forms = [_husimi_form(s) for s in states]
+    n_top = basis.n_max
+    windowed = all(s.sector_diagonal for s in states)
+    if windowed:
+        # beyond[i, n] = max over m > n of tr G_m of state i
+        tr = np.array([s.sector_probabilities() for s in states])
+        beyond = np.zeros_like(tr)
+        beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
+
+    def kept(idx: np.ndarray, n_hi: int) -> np.ndarray:
+        occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
+        A = occupation_products(vs[idx], occs, np.exp(-0.5 * nu[idx]))
+        return np.array([_contract(form, A, n_hi) for form in forms])
+
     out = np.empty((len(states), points.shape[0]))
-    pref = (math.pi * eps) ** (-basis.K)
-    for lo in range(0, points.shape[0], _CHUNK):
-        vc = vs[lo:lo + _CHUNK]
-        A = occupation_products(vc, basis.occupations,
-                                np.exp(-0.5 * np.sum(np.abs(vc) ** 2, axis=1)))
-        for i, form in enumerate(forms):
-            out[i, lo:lo + _CHUNK] = pref * np.clip(_contract(form, A),
-                                                    0.0, None)
-    return out
+    order = np.argsort(nu, kind="stable")
+    redo = []
+    for lo in range(0, order.size, _CHUNK):
+        idx = order[lo:lo + _CHUNK]
+        n_hi = n_top
+        if windowed:
+            inside = gammainc(np.arange(1, n_top + 2), nu[idx[-1]]) \
+                <= _WINDOW_TAIL
+            n_hi = int(np.argmax(inside)) if inside.any() else n_top
+        out[:, idx] = kept(idx, n_hi)
+        if n_hi < n_top:
+            missed = beyond[:, n_hi, None] * gammainc(n_hi + 1, nu[idx])
+            redo.append(idx[np.any(missed > _WINDOW_REL * out[:, idx], axis=0)])
+    redo = np.concatenate(redo) if redo else np.zeros(0, dtype=np.int64)
+    for lo in range(0, redo.size, _CHUNK):
+        idx = redo[lo:lo + _CHUNK]
+        out[:, idx] = kept(idx, n_top)
+    return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None)
 
 
 def husimi_density(state: FockState, eps: float, points: np.ndarray) -> np.ndarray:
@@ -364,6 +402,13 @@ class BLGap:
     ess: float
     degenerate: bool
 
+    @classmethod
+    def of(cls, quantum: float, kl: KLEstimate) -> BLGap:
+        """The gap of a quantum relative entropy and a Husimi KL estimate."""
+        return cls(quantum=quantum, classical=kl.value,
+                   gap=quantum - kl.value, classical_stderr=kl.stderr,
+                   ess=kl.ess, degenerate=kl.degenerate)
+
 
 def berezin_lieb_gap(state: FockState, ref: FockState, eps: float,
                      n_samples: int = 4000, seed: int = 0) -> BLGap:
@@ -372,8 +417,6 @@ def berezin_lieb_gap(state: FockState, ref: FockState, eps: float,
     Asymptotically (small eps) the quantum term dominates the classical one;
     at finite scale the signed gap is simply reported.
     """
-    quantum = relative_entropy(state, ref)
-    kl = husimi_kl_importance(state, ref, eps, n_samples=n_samples, seed=seed)
-    return BLGap(quantum=quantum, classical=kl.value,
-                 gap=quantum - kl.value, classical_stderr=kl.stderr,
-                 ess=kl.ess, degenerate=kl.degenerate)
+    return BLGap.of(relative_entropy(state, ref),
+                    husimi_kl_importance(state, ref, eps, n_samples=n_samples,
+                                         seed=seed))

@@ -170,9 +170,9 @@ def test_criterion_07_free_energy_convergence(heavy):
 def test_criterion_08_variational_sanity(heavy):
     result, _ = heavy
     gaps = [r.trial_gap for r in result.rows]
-    ok = all(g is not None and g >= -1e-8 for g in gaps)
+    ok = all(g is not None and math.isfinite(g) and g >= -1e-8 for g in gaps)
     _record(8, ok, f"trial-state free-energy gaps {['%.3f' % g for g in gaps]} "
-                   f"all >= -1e-8")
+                   f"all finite and >= -1e-8")
 
 
 def test_criterion_09_berezin_lieb_gap(heavy):

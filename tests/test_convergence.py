@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gibbslab as gl
-from gibbslab import cli
+from gibbslab import cli, fock
 from gibbslab.convergence import (ExperimentConfig, KernelSpec, emit_report,
                                   evaluate_properties, parse_config,
                                   run_convergence, run_selfchecks)
@@ -109,7 +109,8 @@ def test_run_convergence_small(small_config):
         assert row.tail_mass < small_config.n_max_policy
         assert set(row.distances) == {1, 2}
         assert row.distances[1].value >= 0
-        assert row.trial_gap >= -1e-8
+        # a support failure would give +inf and pass the bound vacuously
+        assert math.isfinite(row.trial_gap) and row.trial_gap >= -1e-8
         assert row.fe_identity_defect < 1e-8
         assert row.bl is not None
     assert 0 < res.z_r <= 1
@@ -196,6 +197,39 @@ def test_tail_policy_failure_marks_row_invalid():
     assert not res.rows[1].valid and "budget" in res.rows[1].error
     props = evaluate_properties(res)
     assert not props["all_valid"] and not props["all"]
+
+
+def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
+                                                   small_config):
+    solve = fock.solve_point
+
+    def heavy_tail(*args, **kwargs):
+        # the solved Gibbs state with 1e-6 of its mass moved to the top sector
+        point = solve(*args, **kwargs)
+        blocks = [(1.0 - 1e-6) * b for b in point.gibbs.blocks]
+        top = blocks[-1]
+        blocks[-1] = top + 1e-6 * np.eye(top.shape[0]) / top.shape[0]
+        gibbs = fock.FockState(basis=point.basis, blocks=tuple(blocks))
+        return dataclasses.replace(point, gibbs=gibbs)
+
+    monkeypatch.setattr(fock, "solve_point", heavy_tail)
+    cfg = dataclasses.replace(small_config, trial_subsample=0, bl_samples=0)
+    res = run_convergence(cfg)
+    csv_path, json_path = emit_report(res, tmp_path)
+    for row in json.load(open(json_path))["rows"]:
+        assert row["tail_mass"] >= cfg.n_max_policy
+        assert "interacting tail mass" in row["notes"]
+    assert "interacting tail mass" not in open(csv_path).read()
+
+
+def test_committed_config_tail_is_within_the_policy(tmp_path):
+    # negative control of the tail note: the T=5 row of configs/desk.cfg
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
+    cfg = dataclasses.replace(gl.read_config(path), T_schedule=(5.0,),
+                              out_dir=str(tmp_path))
+    (row,) = run_convergence(cfg).rows
+    assert row.valid and row.tail_mass < cfg.n_max_policy
+    assert "interacting tail mass" not in row.notes
 
 
 def test_selfchecks_pass(small_config):
@@ -306,13 +340,14 @@ def test_cli_one_point_schedule_exits_2(config_file, tmp_path, capsys):
 def test_bl_gap_seeds_match_the_sweep(config_file, tmp_path):
     assert cli.main(["converge", "--config", str(config_file)]) == 0
     summary = json.load(open(tmp_path / "out" / "summary.json"))
-    sweep = [row["berezin_lieb"]["classical"] for row in summary["rows"]]
+    keys = ("quantum", "classical", "gap", "classical_stderr", "ess")
+    sweep = [[row["berezin_lieb"][k] for k in keys] for row in summary["rows"]]
     assert cli.main(["bl-gap", "--config", str(config_file)]) == 0
     lines = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1:]
-    assert [float(line.split(",")[2]) for line in lines] == sweep
+    assert [[float(x) for x in line.split(",")[1:]] for line in lines] == sweep
     assert cli.main(["bl-gap", "--config", str(config_file), "--T", "2.0"]) == 0
     line = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1]
-    assert float(line.split(",")[2]) == sweep[0]
+    assert [float(x) for x in line.split(",")[1:]] == sweep[0]
 
 
 @pytest.mark.parametrize("policy", ["2", "0", "1"])

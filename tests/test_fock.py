@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import gibbslab as gl
@@ -301,6 +303,32 @@ def test_relative_entropy_support_violation():
     assert math.isfinite(gl.relative_entropy(pure, mixed))
 
 
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 3), n_max=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), dense_state=st.booleans(),
+       zero_sector=st.one_of(st.none(), st.integers(0, 8)))
+def test_relative_entropy_diagonal_reference_matches_generic_route(
+        K, n_max, seed, dense_state, zero_sector):
+    # a diagonal reference stored as sector blocks skips its eigensolve; the
+    # same reference passed as a dense matrix goes through eigh(ref)
+    fb = gl.build_fock_basis(K, n_max)
+    rng = np.random.default_rng(seed)
+    q = np.exp(-rng.uniform(0.0, 20.0, fb.dim))
+    if zero_sector is not None and zero_sector <= n_max:
+        q[fb.sector_slice(zero_sector)] = 0.0
+    q /= q.sum()
+    diag_ref = fock.FockState(basis=fb, blocks=tuple(
+        np.diag(q[fb.sector_slice(n)]) for n in range(n_max + 1)))
+    dense_ref = fock.FockState(basis=fb, matrix=np.diag(q))
+    state = fock.random_state(fb, seed % 1000, dense=dense_state)
+    got = gl.relative_entropy(state, diag_ref)
+    want = gl.relative_entropy(state, dense_ref)
+    if zero_sector is not None and zero_sector <= n_max:
+        assert math.isinf(got) and math.isinf(want)
+    else:
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
 def test_relative_entropy_rejects_equal_dim_different_bases():
     a = fock.random_state(gl.build_fock_basis(2, 3), 0)
     b = fock.random_state(gl.build_fock_basis(3, 2), 1)
@@ -341,11 +369,18 @@ def test_relative_free_energy_identity_single_mode(basis_k2, tensor_k2):
 
 
 def test_gibbs_minimizes_free_energy(basis_k2, tensor_k2):
+    def free_energy(state):
+        # tr[H state] + T tr[state log state], densely
+        rho = state.to_dense()
+        p = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
+        return float(np.real(np.trace(H.matrix @ rho))
+                     + T * np.sum(p * np.log(p)))
+
     T = 1.5
     fb = gl.build_fock_basis(2, 8)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
     gibbs, _ = gl.gibbs_state(H, T)
-    base = fock.free_energy(gibbs, H, T)
+    base = free_energy(gibbs)
     rng = np.random.default_rng(0)
     for seed in range(20):
         other = fock.random_state(fb, seed + 100)
@@ -353,7 +388,7 @@ def test_gibbs_minimizes_free_energy(basis_k2, tensor_k2):
         mix = [(1 - eps) * g + eps * o
                for g, o in zip(gibbs.blocks, other.blocks)]
         pert = fock.FockState(basis=fb, blocks=tuple(mix))
-        assert fock.free_energy(pert, H, T) >= base - 1e-9
+        assert free_energy(pert) >= base - 1e-9
 
 
 def test_variational_bound_of_relative_free_energy(basis_k2, tensor_k2):

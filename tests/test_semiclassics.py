@@ -6,6 +6,7 @@ import pytest
 
 import gibbslab as gl
 from gibbslab import fock, semiclassics
+from gibbslab.kernels import occupation_products
 from gibbslab.semiclassics import (TailWarning, coherent_overlap,
                                    husimi_kl_importance, husimi_kl_quadrature,
                                    husimi_normalization_quadrature)
@@ -283,6 +284,81 @@ def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
     assert np.allclose(got, dense_route(perturbed), rtol=1e-12, atol=0.0)
     # the diagonal of the two states agrees, so an O(dim) route would miss it
     assert np.max(np.abs(got - diag) / diag) > 1e-2
+
+
+def _full_basis_husimi(state, eps, pts):
+    """(pi eps)^-K <xi|state|xi> with amplitudes over every sector."""
+    fb = state.basis
+    vs = pts / math.sqrt(eps)
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    A = occupation_products(vs, fb.occupations, np.exp(-0.5 * nu))
+    form = semiclassics._husimi_form(state)
+    return (math.pi * eps) ** (-fb.K) * semiclassics._contract(form, A,
+                                                                fb.n_max)
+
+
+def _record_amplitude_rows(monkeypatch):
+    rows = []
+    build = semiclassics.occupation_products
+
+    def recording(vs, occs, vacuum=None):
+        rows.append(len(occs))
+        return build(vs, occs, vacuum)
+
+    monkeypatch.setattr(semiclassics, "occupation_products", recording)
+    return rows
+
+
+def _spread_points(n, nu_max, seed):
+    # |v|^2 spread over [0, nu_max] in shuffled order, at scale eps = 1
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return z * np.sqrt(rng.uniform(0.0, nu_max, n))[:, None]
+
+
+def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
+                                                 tensor_k2):
+    T = 6.0
+    fb = gl.build_fock_basis(2, 30)
+    gibbs, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
+    free, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
+    pts = _spread_points(700, 9.0, 1)
+    rows = _record_amplitude_rows(monkeypatch)
+    # sector-block and exactly diagonal states share the windowed chunks
+    h = semiclassics._husimi([gibbs, free], 1.0, pts)
+    assert isinstance(semiclassics._husimi_form(free), np.ndarray)
+    assert min(rows) < fb.dim and len(rows) == 3   # windows, no fallback
+    for got, state in zip(h, [gibbs, free]):
+        want = _full_basis_husimi(state, 1.0, pts)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # a dense state keeps the full basis in every chunk
+    rows.clear()
+    dense = fock.random_state(fb, 2, dense=True)
+    got = gl.husimi_density(dense, 1.0, pts)
+    assert rows == [fb.dim] * 3
+    want = _full_basis_husimi(dense, 1.0, pts)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
+    # negative control: all mass in the top sector, which every window drops
+    fb = gl.build_fock_basis(2, 30)
+    rng = np.random.default_rng(5)
+    d = fb.sector_dim(30)
+    M = rng.standard_normal((d, d))
+    blocks = [np.zeros((fb.sector_dim(n),) * 2) for n in range(30)]
+    top = fock.FockState(basis=fb,
+                         blocks=tuple(blocks + [M @ M.T / np.trace(M @ M.T)]))
+    pts = _spread_points(300, 3.0, 2)
+    rows = _record_amplitude_rows(monkeypatch)
+    got = gl.husimi_density(top, 1.0, pts)
+    assert rows[0] < fb.dim and rows[-1] == fb.dim   # window, then fallback
+    want = _full_basis_husimi(top, 1.0, pts)
+    assert np.all(want > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_berezin_lieb_rejects_equal_dim_different_bases():
