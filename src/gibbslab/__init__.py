@@ -13,21 +13,21 @@ the classical moments, together with the free-energy offset against
 
 from .classical import (ClassicalFreeEnergy, MeanInteraction, MomentMatrix,
                         WeightedEnsemble, classical_relative_free_energy,
-                        eval_F_NL, eval_quadratic_form, free_moments,
-                        mean_F_NL_free, moment_matrix, reweight, sample_free)
+                        free_moments, mean_F_NL_free, moment_matrix, reweight,
+                        sample_free)
 from .convergence import (CheckResult, ExperimentConfig, KernelSpec,
                           ReportRow, emit_report, evaluate_properties,
                           parse_config, read_config, run_convergence,
                           run_selfchecks)
 from .fock import (FockBasis, FockOperator, FockState, ThermalPoint,
                    build_fock_basis, build_hamiltonian, choose_n_max,
-                   energy_decomposition, gibbs_state, ladder, number_operator,
-                   particle_number, reduced_density_matrix, relative_entropy,
+                   energy_decomposition, gibbs_state, ladder, particle_number,
+                   reduced_density_matrix, relative_entropy,
                    reduced_dm_normal_ordered, relative_free_energy, solve_point)
 from .metrics import hs_distance, trace_norm_distance
 from .semiclassics import (BLGap, CoherentVector, TailWarning,
-                           berezin_lieb_gap, coherent, definetti_moment_check,
-                           husimi_density, trial_state)
+                           berezin_lieb_gap, coherent, husimi_density,
+                           trial_state)
 from .spectral import (InteractionKernel, OneBodySpec, SpectralBasis,
                        TwoBodyTensor, build_operator, eigendecompose,
                        interaction_elements, schatten_trace)

@@ -19,7 +19,7 @@ import numpy as np
 from . import symspace
 from .kernels import occupation_products
 from .spectral import InteractionKernel, SpectralBasis, TwoBodyTensor, \
-    _difference_matrix, interaction_elements
+    interaction_elements
 
 __all__ = [
     "WeightedEnsemble",
@@ -27,9 +27,7 @@ __all__ = [
     "MeanInteraction",
     "ClassicalFreeEnergy",
     "sample_free",
-    "eval_F_NL",
     "f_nl_batch",
-    "eval_quadratic_form",
     "reweight",
     "moment_matrix",
     "moment_matrix_blocks",
@@ -87,67 +85,22 @@ class MomentMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-def sample_free(basis: SpectralBasis, n_samples: int, seed: int,
-                n_chains: int = 1) -> WeightedEnsemble:
+def sample_free(basis: SpectralBasis, n_samples: int,
+                seed: int) -> WeightedEnsemble:
     """Draw independent mode coefficients from the free Gaussian measure.
 
-    Chains get deterministic subseeds from numpy's SeedSequence and are
-    concatenated in chain order, so the result is bit-identical for a fixed
-    (seed, n_chains) no matter how chains would be scheduled.
+    The generator is seeded with the first child of numpy's
+    SeedSequence(seed), so a fixed seed fixes the ensemble bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if n_chains < 1 or n_chains > n_samples:
-        raise ValueError("need 1 <= n_chains <= n_samples")
     K = basis.K
     scale = np.sqrt(0.5 / basis.eigenvalues)
-    counts = [n_samples // n_chains + (1 if c < n_samples % n_chains else 0)
-              for c in range(n_chains)]
-    parts = []
-    for ss, cnt in zip(np.random.SeedSequence(seed).spawn(n_chains), counts):
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal((cnt, 2 * K))
-        parts.append((z[:, :K] + 1j * z[:, K:]) * scale)
-    coeffs = np.concatenate(parts, axis=0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    z = rng.standard_normal((n_samples, 2 * K))
+    coeffs = (z[:, :K] + 1j * z[:, K:]) * scale
     return WeightedEnsemble(coeffs=coeffs, log_weights=np.zeros(n_samples),
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
-
-
-def eval_F_NL(coeffs: np.ndarray, basis: SpectralBasis,
-              kernel: InteractionKernel) -> float:
-    """Pair-interaction energy of one field, by grid quadrature.
-
-    Reconstructs u on the grid and evaluates
-    (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy; for a delta kernel this is the
-    local quartic (g/2) int |u|^4. Always >= 0 for a nonnegative kernel.
-    """
-    u = np.asarray(coeffs) @ basis.eigenvectors
-    rho = np.abs(u) ** 2
-    dx = basis.grid.dx
-    total = 0.0
-    if kernel.variant == "delta":
-        return float(0.5 * kernel.g * np.sum(rho**2) * dx)
-    if kernel.values is not None and np.any(kernel.values):
-        Wmat = _difference_matrix(kernel.values, rho.size, basis.grid.periodic)
-        total += 0.5 * dx * dx * float(rho @ (Wmat @ rho))
-    if kernel.variant == "mixed":
-        for loc, mass in kernel.point_masses:
-            if mass == 0.0:
-                continue
-            s = int(round(loc / dx))
-            shifted = _roll_or_pad(rho, s, basis.grid.periodic)
-            total += 0.5 * mass * float(np.sum(rho * shifted)) * dx
-    return total
-
-
-def _roll_or_pad(rho: np.ndarray, s: int, periodic: bool) -> np.ndarray:
-    if s == 0:
-        return rho
-    if periodic:
-        return np.roll(rho, s)
-    out = np.zeros_like(rho)
-    out[s:] = rho[:-s]
-    return out
 
 
 def f_nl_batch(coeffs: np.ndarray, basis: SpectralBasis,
@@ -155,9 +108,10 @@ def f_nl_batch(coeffs: np.ndarray, basis: SpectralBasis,
                tensor: TwoBodyTensor | None = None) -> np.ndarray:
     """F_NL for every sample row, via the two-body tensor contraction.
 
-    Exactly equals the grid quadrature of eval_F_NL (the tensor entries come
-    from the same quadrature), but costs O(K^4) per sample instead of a grid
-    pass, which is what makes reweighting 1e5 samples cheap.
+    Equals the grid quadrature (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy
+    (the tensor entries come from the same quadrature), but costs O(K^4) per
+    sample instead of a grid pass, which is what makes reweighting 1e5
+    samples cheap.
     """
     if tensor is None:
         tensor = interaction_elements(basis, kernel)
@@ -171,11 +125,6 @@ def f_nl_batch(coeffs: np.ndarray, basis: SpectralBasis,
         out[lo:lo + _CHUNK] = 0.5 * np.real(
             np.einsum("sa,sa->s", B.conj() @ Wm, B))
     return out
-
-
-def eval_quadratic_form(coeffs: np.ndarray, basis: SpectralBasis) -> float:
-    """<u, h u> = sum_j lambda_j |alpha_j|^2."""
-    return float(np.sum(basis.eigenvalues * np.abs(coeffs) ** 2))
 
 
 def reweight(ensemble: WeightedEnsemble, basis: SpectralBasis,

@@ -16,7 +16,7 @@ import sys
 
 from . import classical, convergence, fock, semiclassics
 from .spectral import basis_to_csv, build_operator, eigendecompose, \
-    interaction_elements, schatten_trace
+    schatten_trace
 
 
 def _load(args) -> convergence.ExperimentConfig:
@@ -24,6 +24,13 @@ def _load(args) -> convergence.ExperimentConfig:
     updates = {"seed": args.seed, "out_dir": args.out}
     return dataclasses.replace(
         cfg, **{k: v for k, v in updates.items() if v is not None})
+
+
+def _temperature(T: float) -> float:
+    """A --T override, refused unless positive like the schedule's."""
+    if not T > 0:
+        raise ValueError("--T must be a positive temperature")
+    return T
 
 
 def _ensure_out(cfg) -> str:
@@ -70,9 +77,9 @@ def cmd_sample(args) -> int:
 
 def cmd_quantum(args) -> int:
     cfg = _load(args)
+    T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
     out = _ensure_out(cfg)
     basis, _, tensor = convergence.resolve(cfg)
-    T = args.T if args.T is not None else cfg.T_schedule[0]
     lam = cfg.coupling_rule / T
     point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
@@ -131,9 +138,10 @@ def cmd_selfcheck(args) -> int:
 
 def cmd_bl_gap(args) -> int:
     cfg = _load(args)
+    temps = [_temperature(args.T)] if args.T is not None \
+        else list(cfg.T_schedule)
     out = _ensure_out(cfg)
     basis, _, tensor = convergence.resolve(cfg)
-    temps = [args.T] if args.T is not None else list(cfg.T_schedule)
     seeds = convergence.row_seeds(cfg.seed, len(temps))
     rows, diagnostics = [], []
     for T, seed in zip(temps, seeds):

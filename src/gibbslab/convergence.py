@@ -72,7 +72,7 @@ class ExperimentConfig:
     """Everything one convergence sweep needs; mirrors the config-file keys."""
 
     spec: OneBodySpec
-    kernel: InteractionKernel | KernelSpec
+    kernel: KernelSpec
     K: int
     T_schedule: tuple
     coupling_rule: float = 1.0
@@ -167,10 +167,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         d["bc"] = spec.bc
     else:
         d["a"], d["half_width"] = spec.a, spec.half_width
-    if isinstance(cfg.kernel, KernelSpec):
-        d.update(kernel=cfg.kernel.name, g=cfg.kernel.g, width=cfg.kernel.width)
-    else:
-        d.update(kernel=cfg.kernel.variant, g=cfg.kernel.g)
+    d.update(kernel=cfg.kernel.name, g=cfg.kernel.g, width=cfg.kernel.width)
     d.update({f.name: getattr(cfg, f.name) for f in fields(cfg)
               if f.name not in ("spec", "kernel")})
     d["T_schedule"] = list(cfg.T_schedule)
@@ -223,8 +220,7 @@ def resolve(config: ExperimentConfig):
     """Spectral basis, realized kernel and two-body tensor of a config."""
     op = build_operator(config.spec)
     basis = eigendecompose(op, config.K)
-    kernel = config.kernel.realize(basis.grid) \
-        if isinstance(config.kernel, KernelSpec) else config.kernel
+    kernel = config.kernel.realize(basis.grid)
     tensor = interaction_elements(basis, kernel)
     return basis, kernel, tensor
 
@@ -552,10 +548,10 @@ def run_selfchecks(config: ExperimentConfig,
     checks.append(CheckResult("single_mode_quartic_zr", zq_dev <= 1.0,
                               zq_dev, 1.0, "|MC - quadrature| / 3 stderr"))
 
-    # seed determinism (the corrupt hook breaks the second subseed)
-    e1 = classical.sample_free(basis, 512, config.seed, n_chains=4)
+    # seed determinism (the corrupt hook changes the second draw's seed)
+    e1 = classical.sample_free(basis, 512, config.seed)
     seed2 = config.seed + 1 if corrupt_determinism else config.seed
-    e2 = classical.sample_free(basis, 512, seed2, n_chains=4)
+    e2 = classical.sample_free(basis, 512, seed2)
     identical = bool(np.array_equal(e1.coeffs, e2.coeffs))
     checks.append(CheckResult("seed_determinism", identical,
                               0.0 if identical else 1.0, 0.0))

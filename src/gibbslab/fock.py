@@ -36,7 +36,6 @@ __all__ = [
     "ThermalPoint",
     "build_fock_basis",
     "ladder",
-    "number_operator",
     "build_hamiltonian",
     "gibbs_state",
     "reduced_density_matrix",
@@ -50,11 +49,11 @@ __all__ = [
     "choose_n_max",
     "solve_point",
     "random_state",
-    "state_to_csv",
 ]
 
 _SUPPORT_EPS = 1e-14
 _LOG_FLOOR = 1e-300
+_N_MAX_FLOOR = 4  # smallest cutoff choose_n_max returns
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,6 @@ class FockBasis:
     def matches(self, other: FockBasis) -> bool:
         """Same mode count and cutoff, hence the same enumerated basis."""
         return self.K == other.K and self.n_max == other.n_max
-
-    def index(self, occ) -> int:
-        occ = np.asarray(occ, dtype=np.int64)
-        return int(self.table[int(occ @ self.strides)])
 
     def rank_in_sector(self, occs: np.ndarray, n: int) -> np.ndarray:
         keys = np.asarray(occs, dtype=np.int64) @ self.strides
@@ -137,11 +132,6 @@ class FockOperator:
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.T.conjugate()
         return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
-    totals = basis.occupations.sum(axis=1).astype(float)
-    return FockOperator(basis, sparse.diags(totals).tocsr())
 
 
 def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
@@ -416,8 +406,11 @@ def free_sector_weights(eigenvalues: np.ndarray, T: float, n_cap: int) -> np.nda
 
 
 def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
-                 dim_budget: int = 20000, floor: int = 4) -> int:
-    """Smallest cutoff whose top two free-state sectors carry mass < tail."""
+                 dim_budget: int = 20000) -> int:
+    """Smallest cutoff (at least 4) whose top two free-state sectors carry
+    mass < tail."""
+    if T <= 0:
+        raise ValueError("temperature must be positive")
     if tail <= 0 or tail >= 1:
         raise ValueError("tail threshold must lie in (0, 1)")
     K = len(np.asarray(eigenvalues))
@@ -434,7 +427,7 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
     ok = np.flatnonzero(frac < tail)
     if ok.size == 0:
         raise ValueError("tail policy unreachable within the computed cap")
-    n_max = max(int(ok[0]) + 1, floor)
+    n_max = max(int(ok[0]) + 1, _N_MAX_FLOOR)
     if math.comb(K + n_max, K) > dim_budget:
         raise ValueError(
             f"tail policy wants n_max={n_max} (dim {math.comb(K + n_max, K)}), "
@@ -493,14 +486,3 @@ def random_state(basis: FockBasis, seed: int, dense: bool = False) -> FockState:
         blocks.append(A @ A.conj().T)
     tr = sum(float(np.real(np.trace(b))) for b in blocks)
     return FockState(basis=basis, blocks=tuple(b / tr for b in blocks))
-
-
-def state_to_csv(state: FockState, path) -> None:
-    """Dense entries as (row, col, real, imag) rows; meant for small states."""
-    M = state.to_dense()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,real,imag\n")
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                z = M[i, j]
-                fh.write(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .classical import MomentMatrix, WeightedEnsemble
+from .classical import WeightedEnsemble
 from .fock import FockBasis, FockState, reduced_density_matrix, relative_entropy
 from .kernels import occupation_products
-from .metrics import trace_norm_distance
 
 __all__ = [
     "TailWarning",
@@ -30,12 +29,7 @@ __all__ = [
     "coherent_overlap",
     "trial_state",
     "husimi_density",
-    "husimi_to_csv",
     "husimi_kl_importance",
-    "husimi_kl_quadrature",
-    "husimi_normalization_quadrature",
-    "DeFinettiReport",
-    "definetti_moment_check",
     "BLGap",
     "berezin_lieb_gap",
 ]
@@ -264,11 +258,14 @@ def husimi_kl_importance(state: FockState, ref: FockState, eps: float,
     Samples a per-mode complex Gaussian moment-matched to the reference
     state's Husimi covariance, importance-weights to the reference density,
     and self-normalizes both densities so the truncation deficit cancels.
-    The standard error comes from ten batch means; estimates with effective
-    sample size below 5% are flagged degenerate.
+    The standard error comes from ten batch means, so at least 10 samples
+    are needed; estimates with effective sample size below 5% are flagged
+    degenerate.
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
+    if n_samples < 10:
+        raise ValueError("Husimi KL estimate needs at least 10 samples")
     rng = np.random.default_rng(seed)
     K = state.basis.K
     var = _reference_scales(ref, eps)
@@ -299,96 +296,6 @@ def husimi_kl_importance(state: FockState, ref: FockState, eps: float,
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
                       degenerate=ess < 0.05 * n_samples)
-
-
-def _polar_points(r_max: float, nr: int, ntheta: int):
-    r = (np.arange(nr) + 0.5) * (r_max / nr)
-    th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    pts = (r[:, None] * np.exp(1j * th)[None, :]).reshape(-1, 1)
-    area = np.repeat(r * (r_max / nr) * (2.0 * math.pi / ntheta), ntheta)
-    return pts, area
-
-
-def husimi_normalization_quadrature(state: FockState, eps: float,
-                                    r_max: float, nr: int = 200,
-                                    ntheta: int = 64) -> float:
-    """Polar-grid integral of the Husimi density (single-mode states only)."""
-    if state.basis.K != 1:
-        raise ValueError("quadrature path is implemented for K = 1")
-    pts, area = _polar_points(r_max, nr, ntheta)
-    return float(np.sum(husimi_density(state, eps, pts) * area))
-
-
-def husimi_kl_quadrature(state: FockState, ref: FockState, eps: float,
-                         r_max: float, nr: int = 200, ntheta: int = 64) -> float:
-    """Deterministic K=1 cross-check of husimi_kl_importance."""
-    if state.basis.K != 1:
-        raise ValueError("quadrature path is implemented for K = 1")
-    pts, area = _polar_points(r_max, nr, ntheta)
-    h, hp = _husimi([state, ref], eps, pts)
-    zh = float(np.sum(h * area))
-    zhp = float(np.sum(hp * area))
-    mask = h > 1e-290
-    return float(np.sum(h[mask] / zh * np.log((h[mask] / zh)
-                                              / np.clip(hp[mask] / zhp, 1e-290, None))
-                        * area[mask]))
-
-
-@dataclass(frozen=True)
-class DeFinettiReport:
-    """Moment-bound diagnostics along a sequence of states."""
-
-    orders: tuple
-    constants: dict          # k -> list of eps^k tr Gamma^(k)
-    bounds: dict             # k -> free-moment trace used as the yardstick
-    bounded: dict            # k -> bool
-    distances: dict | None   # k -> list of ||k! eps^k Gamma^(k) - candidate||_tr
-
-
-def definetti_moment_check(states: list[tuple[FockState, float]],
-                           eigenvalues: np.ndarray, k_max: int = 3,
-                           candidates: dict[int, MomentMatrix] | None = None,
-                           margin: float = 0.15) -> DeFinettiReport:
-    """Check eps^k tr Gamma^(k) stays below the free-moment yardstick.
-
-    The yardstick for order k is the trace of the exact free moment matrix
-    (defocusing interactions only push occupancies down), inflated by
-    `margin`. When candidate moment matrices are supplied, the trace-norm
-    distances of k! eps^k Gamma^(k) to them are reported per state.
-    """
-    from .classical import free_moments
-
-    orders = tuple(range(1, k_max + 1))
-    constants = {k: [] for k in orders}
-    distances = {k: [] for k in orders} if candidates else None
-    bounds = {k: free_moments(eigenvalues, k).trace() for k in orders}
-    for state, eps in states:
-        for k in orders:
-            if k > state.basis.n_max:
-                continue
-            g = reduced_density_matrix(state, k)
-            constants[k].append(eps**k * g.trace())
-            if candidates and k in candidates:
-                scaled = math.factorial(k) * eps**k * g.entries
-                distances[k].append(
-                    trace_norm_distance(scaled, candidates[k].entries))
-    bounded = {k: bool(np.all(np.asarray(constants[k])
-                              <= (1.0 + margin) * bounds[k]))
-               for k in orders}
-    return DeFinettiReport(orders=orders, constants=constants, bounds=bounds,
-                           bounded=bounded, distances=distances)
-
-
-def husimi_to_csv(points: np.ndarray, values: np.ndarray, path) -> None:
-    """Density samples as CSV rows: re/im of each mode, then the value."""
-    points = np.atleast_2d(points)
-    K = points.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ",".join(f"re_{j + 1},im_{j + 1}" for j in range(K))
-        fh.write(f"{cols},density\n")
-        for u, val in zip(points, values):
-            parts = ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in u)
-            fh.write(f"{parts},{val:.17g}\n")
 
 
 @dataclass(frozen=True)

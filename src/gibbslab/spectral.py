@@ -29,11 +29,11 @@ __all__ = [
     "eigendecompose",
     "schatten_trace",
     "interaction_elements",
-    "suggest_half_width",
     "basis_to_csv",
 ]
 
 _BCS = ("dirichlet", "neumann", "periodic")
+_K_TAIL = 8  # top eigenvalues that calibrate the Schatten tail
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,12 @@ class SchattenTrace:
         return math.inf if self.divergent else self.partial_sum + self.tail_bound
 
 
-def schatten_trace(basis: SpectralBasis, p: float, K_tail: int = 8) -> SchattenTrace:
+def schatten_trace(basis: SpectralBasis, p: float) -> SchattenTrace:
     """Sum of lambda_j^-p over the computed modes plus an analytic tail.
 
     The tail integrates the eigenvalue growth law lambda_j ~ c j^rho with
     rho = 2 on the interval and rho = 2a/(a+2) on the anharmonic line (Weyl
-    counting), calibrating c on the top K_tail computed eigenvalues. When
+    counting), calibrating c on the top 8 computed eigenvalues. When
     rho*p <= 1 the series diverges and the result is flagged instead of
     being reported as a number.
     """
@@ -291,7 +291,7 @@ def schatten_trace(basis: SpectralBasis, p: float, K_tail: int = 8) -> SchattenT
     if rho * p <= 1.0:
         return SchattenTrace(p, float(np.sum(lam ** -p)) if p > 0 else float(K),
                              math.inf, True)
-    k_cal = min(K_tail, K)
+    k_cal = min(_K_TAIL, K)
     js = np.arange(K - k_cal + 1, K + 1, dtype=float)
     c = float(np.exp(np.mean(np.log(lam[-k_cal:]) - rho * np.log(js))))
     tail = c ** -p * K ** (1.0 - rho * p) / (rho * p - 1.0)
@@ -305,26 +305,19 @@ class InteractionKernel:
     variant "delta":   g * delta(x - y), g >= 0.
     variant "bounded": samples w(|d|) >= 0 on the difference grid, values[i]
                        at offset i * dx (the even extension is implied).
-    variant "mixed":   point masses [(location >= 0, mass >= 0)] placed
-                       symmetrically at +-location plus an optional bounded
-                       part.
     """
 
     variant: str
     g: float = 0.0
     values: np.ndarray | None = None
-    point_masses: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.variant not in ("delta", "bounded", "mixed"):
+        if self.variant not in ("delta", "bounded"):
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.g < 0:
             raise ValueError("delta coupling must be nonnegative (defocusing)")
         if self.values is not None and np.any(np.asarray(self.values) < 0):
             raise ValueError("bounded kernel values must be nonnegative")
-        for loc, mass in self.point_masses:
-            if mass < 0 or loc < 0:
-                raise ValueError("point masses need location >= 0 and mass >= 0")
 
     @classmethod
     def delta(cls, g: float) -> "InteractionKernel":
@@ -334,19 +327,11 @@ class InteractionKernel:
     def bounded(cls, values) -> "InteractionKernel":
         return cls(variant="bounded", values=np.asarray(values, dtype=float))
 
-    @classmethod
-    def mixed(cls, point_masses, bounded_values=None) -> "InteractionKernel":
-        vals = None if bounded_values is None else np.asarray(bounded_values, float)
-        return cls(variant="mixed", values=vals,
-                   point_masses=tuple((float(l), float(m)) for l, m in point_masses))
-
     @property
     def is_zero(self) -> bool:
         if self.variant == "delta":
             return self.g == 0.0
-        zero_vals = self.values is None or not np.any(self.values)
-        zero_pts = all(m == 0.0 for _, m in self.point_masses)
-        return zero_vals and zero_pts
+        return self.values is None or not np.any(self.values)
 
 
 @dataclass(frozen=True)
@@ -378,25 +363,12 @@ def _difference_matrix(kernel_values: np.ndarray, n: int, periodic: bool) -> np.
     return vals[idx]
 
 
-def _shift(U: np.ndarray, s: int, periodic: bool) -> np.ndarray:
-    if s == 0:
-        return U
-    if periodic:
-        return np.roll(U, s, axis=1)
-    out = np.zeros_like(U)
-    if s > 0:
-        out[:, s:] = U[:, :-s]
-    else:
-        out[:, :s] = U[:, -s:]
-    return out
-
-
 def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> TwoBodyTensor:
     """Two-body tensor of the pair interaction in the spectral basis.
 
     Delta kernels reduce to the single quadrature g * sum_x u_i u_j u_k u_l dx
     (legitimate in 1D); bounded kernels use the double quadrature over
-    w(x - y); point masses use shifted single sums at +-location.
+    w(x - y).
     """
     U = basis.eigenvectors
     dx = basis.grid.dx
@@ -414,30 +386,7 @@ def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> Two
         A = np.einsum("ix,kx->ikx", U, U).reshape(K * K, n)
         M = (A @ Wmat @ A.T) * dx * dx
         W += M.reshape(K, K, K, K).transpose(0, 2, 1, 3)
-
-    if kernel.variant == "mixed":
-        for loc, mass in kernel.point_masses:
-            if mass == 0.0:
-                continue
-            s = int(round(loc / dx))
-            for sign in ((0,) if s == 0 else (+1, -1)):
-                Us = _shift(U, sign * s, basis.grid.periodic)
-                w = mass if s == 0 else 0.5 * mass
-                W += w * np.einsum("ix,kx,jx,lx->ijkl", U, U, Us, Us * dx)
     return TwoBodyTensor(W)
-
-
-def suggest_half_width(a: float, m: float, K: int) -> float:
-    """Box half-width making the wall potential dominate the top mode.
-
-    Uses the Weyl estimate of the K-th eigenvalue of -u'' + |x|^a and returns
-    L with L^a = 10 * lambda_K, so the Dirichlet truncation error is
-    negligible next to the grid error.
-    """
-    t = np.linspace(0.0, 1.0, 2049)
-    c_a = (2.0 / math.pi) * np.trapezoid(np.sqrt(1.0 - t**a), t)
-    lam_K = (K / c_a) ** (2.0 * a / (a + 2.0)) + m
-    return float((10.0 * lam_K) ** (1.0 / a))
 
 
 def basis_to_csv(basis: SpectralBasis, path) -> None:

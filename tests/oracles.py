@@ -3,8 +3,10 @@
 Everything here is deliberately implemented without the package internals:
 Numerov shooting for 1D eigenvalues, scalar quadrature for the quartic
 partition function, Wick pairings for Gaussian moments, the geometric
-Kullback-Leibler divergence for thermal single-mode states and a power table
-for occupation-number monomials.
+Kullback-Leibler divergence for thermal single-mode states, a power table
+for occupation-number monomials, grid quadrature of the interaction energy
+and polar-grid quadrature over single-mode Husimi densities (the densities
+themselves come from the package).
 """
 
 import math
@@ -12,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from gibbslab import husimi_density
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,
@@ -84,3 +88,65 @@ def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
             np.multiply(pows[:, p - 1], vs[:, j], out=pows[:, p])
         out *= pows[:, occs[:, j]]
     return out
+
+
+def eval_F_NL(coeffs: np.ndarray, basis, kernel) -> float:
+    """Pair-interaction energy of one field, by grid quadrature.
+
+    Reconstructs u on the grid and evaluates
+    (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy; for a delta kernel this is the
+    local quartic (g/2) int |u|^4. Always >= 0 for a nonnegative kernel.
+    """
+    u = np.asarray(coeffs) @ basis.eigenvectors
+    rho = np.abs(u) ** 2
+    dx = basis.grid.dx
+    if kernel.variant == "delta":
+        return float(0.5 * kernel.g * np.sum(rho**2) * dx)
+    if kernel.values is None or not np.any(kernel.values):
+        return 0.0
+    n = rho.size
+    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    if basis.grid.periodic:
+        idx = np.minimum(idx, n - idx)
+    w = np.zeros(n)  # w(|i - j| dx), zero past the sampled offsets
+    vals = np.asarray(kernel.values, dtype=float)[:n]
+    w[:vals.size] = vals
+    return 0.5 * dx * dx * float(rho @ (w[idx] @ rho))
+
+
+def eval_quadratic_form(coeffs: np.ndarray, basis) -> float:
+    """<u, h u> = sum_j lambda_j |alpha_j|^2."""
+    return float(np.sum(basis.eigenvalues * np.abs(coeffs) ** 2))
+
+
+def _polar_points(r_max: float, nr: int, ntheta: int):
+    r = (np.arange(nr) + 0.5) * (r_max / nr)
+    th = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    pts = (r[:, None] * np.exp(1j * th)[None, :]).reshape(-1, 1)
+    area = np.repeat(r * (r_max / nr) * (2.0 * math.pi / ntheta), ntheta)
+    return pts, area
+
+
+def husimi_normalization_quadrature(state, eps: float, r_max: float,
+                                    nr: int = 200, ntheta: int = 64) -> float:
+    """Polar-grid integral of the Husimi density (single-mode states only)."""
+    if state.basis.K != 1:
+        raise ValueError("quadrature path is implemented for K = 1")
+    pts, area = _polar_points(r_max, nr, ntheta)
+    return float(np.sum(husimi_density(state, eps, pts) * area))
+
+
+def husimi_kl_quadrature(state, ref, eps: float, r_max: float, nr: int = 200,
+                         ntheta: int = 64) -> float:
+    """Deterministic K=1 cross-check of husimi_kl_importance."""
+    if state.basis.K != 1:
+        raise ValueError("quadrature path is implemented for K = 1")
+    pts, area = _polar_points(r_max, nr, ntheta)
+    h = husimi_density(state, eps, pts)
+    hp = husimi_density(ref, eps, pts)
+    zh = float(np.sum(h * area))
+    zhp = float(np.sum(hp * area))
+    mask = h > 1e-290
+    return float(np.sum(h[mask] / zh * np.log((h[mask] / zh)
+                                              / np.clip(hp[mask] / zhp, 1e-290, None))
+                        * area[mask]))

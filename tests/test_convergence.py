@@ -13,6 +13,8 @@ from gibbslab.convergence import (ExperimentConfig, KernelSpec, emit_report,
                                   evaluate_properties, parse_config,
                                   run_convergence, run_selfchecks)
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 CONFIG_TEXT = """
 # small desk experiment
 domain = interval
@@ -158,7 +160,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
 def test_degenerate_run_matches_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
-        kernel=gl.InteractionKernel.delta(0.0),
+        kernel=gl.KernelSpec("zero"),
         K=2, T_schedule=(5.0, 10.0), coupling_rule=0.0, k_max=1,
         mc_samples=100, seed=0, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)
@@ -188,7 +190,7 @@ def test_evaluate_properties_flags_rising_distance(small_config):
 def test_tail_policy_failure_marks_row_invalid():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
-        kernel=gl.InteractionKernel.delta(1.0),
+        kernel=gl.KernelSpec("delta", g=1.0),
         K=2, T_schedule=(2.0, 50.0), coupling_rule=1.0, k_max=1,
         mc_samples=100, seed=0, dim_budget=2000,
         bl_samples=0, trial_subsample=0)
@@ -224,7 +226,7 @@ def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
 
 def test_committed_config_tail_is_within_the_policy(tmp_path):
     # negative control of the tail note: the T=5 row of configs/desk.cfg
-    path = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
+    path = os.path.join(CONFIGS, "desk.cfg")
     cfg = dataclasses.replace(gl.read_config(path), T_schedule=(5.0,),
                               out_dir=str(tmp_path))
     (row,) = run_convergence(cfg).rows
@@ -348,6 +350,39 @@ def test_bl_gap_seeds_match_the_sweep(config_file, tmp_path):
     assert cli.main(["bl-gap", "--config", str(config_file), "--T", "2.0"]) == 0
     line = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1]
     assert [float(x) for x in line.split(",")[1:]] == sweep[0]
+
+
+@pytest.mark.parametrize("command", ["quantum", "bl-gap"])
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_cli_non_positive_temperature_is_an_error(
+        config_file, tmp_path, capsys, monkeypatch, command, T):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --T was checked")
+
+    monkeypatch.setattr(gl.fock, "solve_point", no_solve)
+    assert cli.main([command, "--config", str(config_file), "--T", T]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: --T must be a positive temperature"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bl_gap_without_samples_is_an_error(tmp_path, capsys):
+    # configs/free-case.cfg sets bl_samples = 0
+    path = os.path.join(CONFIGS, "free-case.cfg")
+    assert cli.main(["bl-gap", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: Husimi KL estimate needs at least 10 samples"
+    assert not (tmp_path / "bl_gap.csv").exists()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS)
+                                          if n.endswith(".cfg")))
+def test_committed_config_schedule_fits_its_budget(name):
+    cfg = gl.read_config(os.path.join(CONFIGS, name))
+    basis, _, _ = gl.convergence.resolve(cfg)
+    for T in cfg.T_schedule:
+        gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
+                        dim_budget=cfg.dim_budget)
 
 
 @pytest.mark.parametrize("policy", ["2", "0", "1"])

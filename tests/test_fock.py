@@ -23,7 +23,7 @@ def test_basis_order_and_offsets():
     assert fb.occupations.tolist() == [[0, 0], [1, 0], [0, 1],
                                        [2, 0], [1, 1], [0, 2]]
     assert fb.sector_offsets.tolist() == [0, 1, 3, 6]
-    assert fb.index((1, 1)) == 4
+    assert fb.rank_in_sector(np.array([[1, 1]]), 2).tolist() == [1]
 
 
 def test_basis_budget_overflow():
@@ -144,7 +144,7 @@ def test_gibbs_commutes_with_number(basis_k2, tensor_k2):
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
     state, _ = gl.gibbs_state(H, 2.0)
     assert state.sector_diagonal
-    N = gl.number_operator(fb).matrix.toarray()
+    N = np.diag(fb.occupations.sum(axis=1).astype(float))
     M = state.to_dense()
     assert np.abs(N @ M - M @ N).max() < 1e-12
     eigs = np.concatenate([np.linalg.eigvalsh(b) for b in state.blocks])
@@ -421,14 +421,10 @@ def test_choose_n_max_policy(basis_k2):
         gl.choose_n_max(lam, 5.0, tail=1e-8, dim_budget=10)
 
 
-def test_state_csv(tmp_path):
-    fb = gl.build_fock_basis(1, 2)
-    state = fock.random_state(fb, 0)
-    path = tmp_path / "state.csv"
-    fock.state_to_csv(state, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,real,imag"
-    assert len(lines) == 1 + fb.dim**2
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_choose_n_max_rejects_non_positive_temperature(basis_k2, T):
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        gl.choose_n_max(basis_k2.eigenvalues, T)
 
 
 @pytest.mark.parametrize("T", [2.0, 5.0])

@@ -8,8 +8,7 @@ import gibbslab as gl
 from gibbslab import fock, semiclassics
 from gibbslab.kernels import occupation_products
 from gibbslab.semiclassics import (TailWarning, coherent_overlap,
-                                   husimi_kl_importance, husimi_kl_quadrature,
-                                   husimi_normalization_quadrature)
+                                   husimi_kl_importance)
 
 import oracles
 
@@ -207,8 +206,8 @@ def test_husimi_normalization_window():
         (gl.coherent(np.array([0.9 + 0.2j]), gl.build_fock_basis(1, 30))
          .projector(), 1.0, 8.0),
     ]:
-        val = husimi_normalization_quadrature(state, eps, r_max=rmax, nr=300,
-                                              ntheta=96)
+        val = oracles.husimi_normalization_quadrature(state, eps, r_max=rmax,
+                                                      nr=300, ntheta=96)
         assert 0.97 <= val <= 1.001
 
 
@@ -218,7 +217,8 @@ def test_husimi_kl_importance_matches_quadrature_and_oracle():
     eps = 1.0
     quantum = gl.relative_entropy(a, b)
     assert abs(quantum - oracles.geometric_kl(0.6, 1.1)) < 1e-8
-    quad = husimi_kl_quadrature(a, b, eps, r_max=9.0, nr=400, ntheta=128)
+    quad = oracles.husimi_kl_quadrature(a, b, eps, r_max=9.0, nr=400,
+                                        ntheta=128)
     est = husimi_kl_importance(a, b, eps, n_samples=20000, seed=11)
     assert not est.degenerate
     assert abs(est.value - quad) < max(4 * est.stderr, 2e-3)
@@ -384,78 +384,7 @@ def test_berezin_lieb_gap_thermal_pair():
     b = _thermal_single_mode(1.0, 50)
     res = gl.berezin_lieb_gap(a, b, 1.0, n_samples=20000, seed=2)
     assert abs(res.quantum - oracles.geometric_kl(0.5, 1.0)) < 1e-8
-    quad = husimi_kl_quadrature(a, b, 1.0, r_max=9.0, nr=400, ntheta=128)
+    quad = oracles.husimi_kl_quadrature(a, b, 1.0, r_max=9.0, nr=400,
+                                        ntheta=128)
     assert abs(res.classical - quad) < max(4 * res.classical_stderr, 2e-3)
     assert res.gap > 0
-
-
-def test_definetti_check_free_sequence(basis_k2):
-    lam = basis_k2.eigenvalues
-    states = []
-    for T in (5.0, 10.0, 20.0):
-        n_max = gl.choose_n_max(lam, T, tail=1e-8)
-        fb = gl.build_fock_basis(2, n_max)
-        H0 = gl.build_hamiltonian(fb, lam, None, 0.0)
-        state, _ = gl.gibbs_state(H0, T)
-        states.append((state, 1.0 / T))
-    from gibbslab.classical import free_moments
-    cands = {k: free_moments(lam, k) for k in (1, 2)}
-    rep = gl.definetti_moment_check(states, lam, k_max=2, candidates=cands)
-    assert rep.bounded[1] and rep.bounded[2]
-    assert np.all(np.asarray(rep.constants[1]) <= np.sum(1.0 / lam) + 1e-9)
-    assert np.all(np.diff(rep.distances[1]) < 0)
-    assert np.all(np.diff(rep.distances[2]) < 0)
-
-
-def test_definetti_check_vacuum_sequence(basis_k2):
-    fb = gl.build_fock_basis(2, 5)
-    vac = gl.coherent(np.zeros(2), fb).projector()
-    rep = gl.definetti_moment_check([(vac, 0.2), (vac, 0.1)],
-                                    basis_k2.eigenvalues, k_max=2)
-    assert np.allclose(rep.constants[1], 0.0)
-    assert np.allclose(rep.constants[2], 0.0)
-
-
-def test_husimi_csv_export(tmp_path):
-    fb = gl.build_fock_basis(2, 6)
-    state = fock.random_state(fb, 1)
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-    vals = gl.husimi_density(state, 0.5, pts)
-    path = tmp_path / "husimi.csv"
-    semiclassics.husimi_to_csv(pts, vals, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "re_1,im_1,re_2,im_2,density"
-    assert len(lines) == 11
-    assert float(lines[1].rsplit(",", 1)[1]) == pytest.approx(vals[0])
-
-
-def test_definetti_check_interacting_sequence(basis_k2, tensor_k2,
-                                              delta_kernel):
-    # interacting Gibbs states with coupling 1/T: constants stay below the
-    # free yardstick and distances to the sampled moments shrink
-    lam = basis_k2.eigenvalues
-    ens = gl.reweight(gl.sample_free(basis_k2, 40000, seed=9), basis_k2,
-                      delta_kernel)
-    cands = {k: gl.moment_matrix(ens, k) for k in (1, 2)}
-    states = []
-    for T in (4.0, 8.0):
-        fb = gl.build_fock_basis(2, gl.choose_n_max(lam, T, tail=1e-8))
-        H = gl.build_hamiltonian(fb, lam, tensor_k2, 1.0 / T)
-        state, _ = gl.gibbs_state(H, T)
-        states.append((state, 1.0 / T))
-    rep = gl.definetti_moment_check(states, lam, k_max=2, candidates=cands)
-    assert rep.bounded[1] and rep.bounded[2]
-    for k in (1, 2):
-        assert rep.distances[k][1] < rep.distances[k][0]
-
-
-def test_definetti_unboundedness_flagged(basis_k2):
-    # occupancy far above the free yardstick must fail the bounded check
-    fb = gl.build_fock_basis(2, 12)
-    blocks = [np.zeros((fb.sector_dim(n),) * 2) for n in range(13)]
-    blocks[12][0, 0] = 1.0
-    heavy = fock.FockState(basis=fb, blocks=tuple(blocks))
-    rep = gl.definetti_moment_check([(heavy, 1.0)], basis_k2.eigenvalues,
-                                    k_max=1)
-    assert not rep.bounded[1]

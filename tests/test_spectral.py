@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab as gl
-from gibbslab.spectral import SchattenTrace, suggest_half_width
 
 import oracles
 
@@ -178,12 +177,11 @@ def test_constant_bounded_kernel_is_separable(basis_k3):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.floats(0.0, 3.0), st.floats(0.0, 2.0), st.floats(0.05, 0.8))
-def test_mixed_kernel_tensor_symmetries(g0, mass, loc):
+@given(st.floats(0.0, 3.0), st.floats(0.05, 0.8))
+def test_bounded_kernel_tensor_symmetries(g, width):
     spec = gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=128)
     basis = gl.eigendecompose(gl.build_operator(spec), 2)
-    kern = gl.InteractionKernel.mixed([(loc, mass)],
-                                      bounded_values=np.full(128, g0))
+    kern = gl.KernelSpec("gaussian", g=g, width=width).realize(basis.grid)
     t = gl.interaction_elements(basis, kern)
     assert t.hermiticity_defect() < 1e-12
     assert t.boson_symmetry_defect() < 1e-12
@@ -195,16 +193,6 @@ def test_negative_kernel_rejected():
         gl.InteractionKernel.delta(-1.0)
     with pytest.raises(ValueError):
         gl.InteractionKernel.bounded([-0.1, 0.2])
-    with pytest.raises(ValueError):
-        gl.InteractionKernel.mixed([(0.1, -2.0)])
-
-
-def test_suggest_half_width_dominates_top_mode():
-    L = suggest_half_width(a=4.0, m=0.0, K=6)
-    spec = gl.OneBodySpec.anharmonic_line(a=4.0, half_width=L, m=0.0,
-                                          grid_points=1024)
-    basis = gl.eigendecompose(gl.build_operator(spec), 6)
-    assert L**4 >= 8.0 * basis.eigenvalues[-1]
 
 
 def test_basis_csv_dump(tmp_path, basis_k2):
