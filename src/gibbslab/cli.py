@@ -140,6 +140,8 @@ def cmd_bl_gap(args) -> int:
     cfg = _load(args)
     temps = [_temperature(args.T)] if args.T is not None \
         else list(cfg.T_schedule)
+    if cfg.bl_samples < 10:  # refused here, before any output or solve
+        raise ValueError("Husimi KL estimate needs at least 10 samples")
     out = _ensure_out(cfg)
     basis, _, tensor = convergence.resolve(cfg)
     seeds = convergence.row_seeds(cfg.seed, len(temps))

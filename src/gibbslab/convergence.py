@@ -211,6 +211,7 @@ class ConvergenceResult:
     z_r_stderr: float
     ess: float
     eigenvalues: np.ndarray
+    mode_parity: list
     moments: dict
     degenerate: bool
     wall_s: float
@@ -326,7 +327,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
         row.f_stderr = z_err / z_r
     return ConvergenceResult(config=config, rows=rows, z_r=z_r,
                              z_r_stderr=z_err, ess=ensemble.ess,
-                             eigenvalues=basis.eigenvalues, moments=moments,
+                             eigenvalues=basis.eigenvalues,
+                             mode_parity=tensor.parity.tolist(),
+                             moments=moments,
                              degenerate=degenerate,
                              wall_s=time.perf_counter() - t0)
 
@@ -424,6 +427,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
         "degenerate_free_case": result.degenerate,
         "targets": {"neg_log_z_r": -math.log(result.z_r),
                     "eigenvalues": list(result.eigenvalues)},
+        "mode_parity": result.mode_parity,
         "rows": [row_dict(r) for r in result.rows],
         "properties": evaluate_properties(result),
         "wall_clock_s": result.wall_s,

@@ -120,10 +120,22 @@ def ladder(basis: FockBasis, j: int):
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Hermitian operator on the truncated Fock space."""
+    """Hermitian operator on the truncated Fock space.
+
+    labels[i] is the symmetry class of basis state i; the operator has no
+    entry between two states of one sector with different labels, so
+    gibbs_state diagonalizes each class of a sector on its own. Left out,
+    every state is in class 0.
+    """
 
     basis: FockBasis
     matrix: sparse.csr_matrix
+    labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.labels is None:
+            object.__setattr__(self, "labels",
+                               np.zeros(self.basis.dim, dtype=np.int64))
 
     def sector_block(self, n: int) -> np.ndarray:
         s = self.basis.sector_slice(n)
@@ -141,24 +153,27 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     The normal-ordered two-body term reproduces sum_{p<q} w(x_p - x_q) on
     every n-particle sector; it annihilates the vacuum and the one-particle
     sector and keeps the operator block diagonal in total particle number.
+    It also conserves the reflection parity (-1)^(occupation of the odd
+    modes) of the tensor's mode classes, which labels each basis state.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size != basis.K:
         raise ValueError("one-body spectrum size does not match the mode count")
     if lam < 0:
         raise ValueError("coupling must be nonnegative")
+    if tensor is not None and tensor.K != basis.K:
+        raise ValueError("two-body tensor mode count does not match basis")
     diag = basis.occupations @ eigenvalues
     H = sparse.diags(diag).tocsr()
     if lam != 0.0 and tensor is not None and np.any(tensor.entries):
-        if tensor.K != basis.K:
-            raise ValueError("two-body tensor mode count does not match basis")
         rows, cols, vals = two_body_coo(basis.occupations, basis.table,
                                         basis.strides,
                                         np.real(tensor.entries))
         W = sparse.coo_matrix((vals, (rows, cols)),
                               shape=(basis.dim, basis.dim)).tocsr()
         H = H + lam * W
-    return FockOperator(basis, H)
+    labels = None if tensor is None else basis.occupations @ tensor.parity % 2
+    return FockOperator(basis, H, labels)
 
 
 @dataclass(frozen=True)
@@ -209,21 +224,42 @@ class FockState:
 
 
 def gibbs_state(H: FockOperator, T: float):
-    """exp(-H/T)/Z as sector blocks, plus log Z (log-sum-exp stabilized)."""
+    """exp(-H/T)/Z as sector blocks, plus log Z (log-sum-exp stabilized).
+
+    Each sector block is diagonalized one label class at a time (the
+    reflection-parity blocks of build_hamiltonian), and a block with an
+    entry between two classes is refused. The eigenvalues of a sector are
+    sorted before the log-sum-exp, so log Z does not depend on the split.
+    """
     if T <= 0:
         raise ValueError("temperature must be positive")
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian is not Hermitian")
     basis = H.basis
-    eigs, vecs = [], []
+    M = H.matrix.tocoo()
+    sector = basis.occupations.sum(axis=1)
+    if np.any(M.data[(H.labels[M.row] != H.labels[M.col])
+                     & (sector[M.row] == sector[M.col])]):
+        raise ValueError("a sector block couples states of different classes")
+    eigs, solved = [], []
     for n in range(basis.n_max + 1):
-        lam, U = eigh(H.sector_block(n))
-        eigs.append(lam)
-        vecs.append(U)
+        block = H.sector_block(n)
+        labels = H.labels[basis.sector_slice(n)]
+        parts = []
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            parts.append((idx, *eigh(block[np.ix_(idx, idx)])))
+        eigs.append(np.sort(np.concatenate([lam for _, lam, _ in parts])))
+        solved.append(parts)
     log_z = float(logsumexp(-np.concatenate(eigs) / T))
-    blocks = tuple(U @ np.diag(np.exp(-lam / T - log_z)) @ U.T.conj()
-                   for lam, U in zip(eigs, vecs))
-    return FockState(basis=basis, blocks=blocks), log_z
+    blocks = []
+    for n, parts in enumerate(solved):
+        d = basis.sector_dim(n)
+        G = np.zeros((d, d), dtype=parts[0][2].dtype)
+        for idx, lam, U in parts:
+            G[np.ix_(idx, idx)] = (U * np.exp(-lam / T - log_z)) @ U.conj().T
+        blocks.append(G)
+    return FockState(basis=basis, blocks=tuple(blocks)), log_z
 
 
 def _branching_rows(basis: FockBasis, p: np.ndarray, rest: np.ndarray, n: int):

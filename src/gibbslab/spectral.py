@@ -34,6 +34,7 @@ __all__ = [
 
 _BCS = ("dirichlet", "neumann", "periodic")
 _K_TAIL = 8  # top eigenvalues that calibrate the Schatten tail
+_PARITY_TOL = 1e-10  # reflection classification and forbidden-W bound
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,13 @@ class Grid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    def reflection(self) -> np.ndarray:
+        """Index of the node at -x for each node x: i -> -i mod n on a
+        periodic grid (node 0 sits at x = -1, which is also x = +1), the
+        reversed order otherwise."""
+        i = np.arange(self.n)
+        return (-i) % self.n if self.periodic else i[::-1]
 
 
 @dataclass(frozen=True)
@@ -188,6 +196,16 @@ class SpectralBasis:
     def orthonormality_defect(self) -> float:
         G = (self.eigenvectors * self.grid.weights) @ self.eigenvectors.T
         return float(np.abs(G - np.eye(self.K)).max())
+
+    def parity(self) -> np.ndarray | None:
+        """Reflection class of each mode, 0 (even) or 1 (odd), from its
+        overlap with its own reflection x -> -x; None unless every overlap
+        is +-1 to 1e-10."""
+        U = self.eigenvectors
+        overlap = (U * U[:, self.grid.reflection()]) @ self.grid.weights
+        if np.any(np.abs(np.abs(overlap) - 1.0) > _PARITY_TOL):
+            return None
+        return (overlap < 0).astype(np.int64)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -336,9 +354,36 @@ class InteractionKernel:
 
 @dataclass(frozen=True)
 class TwoBodyTensor:
-    """Matrix elements W[i,j,k,l] = <u_i u_j| w |u_k u_l> in the mode basis."""
+    """Matrix elements W[i,j,k,l] = <u_i u_j| w |u_k u_l> in the mode basis.
+
+    parity[j] is the reflection class (0/1) of mode j. Every entry whose
+    four classes sum to an odd number is exactly zero, so the pair term
+    conserves (-1)^(occupation of the odd modes). Left out, every mode is
+    in class 0: one class, no constraint.
+    """
 
     entries: np.ndarray
+    parity: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.parity is None:
+            object.__setattr__(self, "parity", np.zeros(self.K, dtype=np.int64))
+
+    @classmethod
+    def with_parity(cls, entries: np.ndarray,
+                    parity: np.ndarray | None) -> "TwoBodyTensor":
+        """Tensor whose modes carry the reflection classes `parity`, its
+        parity-forbidden entries set to zero once each is checked to be at
+        most 1e-10 max|W| (quadrature noise). With parity None or a failed
+        check, every mode gets class 0 and the entries are kept as given."""
+        if parity is None:
+            return cls(entries)
+        p = np.asarray(parity, dtype=np.int64)
+        forbidden = np.add.outer(np.add.outer(p, p), np.add.outer(p, p)) % 2 == 1
+        if np.abs(entries[forbidden]).max(initial=0.0) \
+                > _PARITY_TOL * np.abs(entries).max(initial=0.0):
+            return cls(entries)
+        return cls(np.where(forbidden, 0.0, entries), p)
 
     @property
     def K(self) -> int:
@@ -368,7 +413,9 @@ def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> Two
 
     Delta kernels reduce to the single quadrature g * sum_x u_i u_j u_k u_l dx
     (legitimate in 1D); bounded kernels use the double quadrature over
-    w(x - y).
+    w(x - y). The modes' reflection classes (`SpectralBasis.parity`) go to
+    `TwoBodyTensor.with_parity`, which zeroes the parity-forbidden entries
+    after checking them, or falls back to one class.
     """
     U = basis.eigenvectors
     dx = basis.grid.dx
@@ -379,14 +426,12 @@ def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> Two
     if kernel.variant == "delta":
         if kernel.g != 0.0:
             W += kernel.g * np.einsum("ix,jx,kx,lx->ijkl", U, U, U, U * dx)
-        return TwoBodyTensor(W)
-
-    if kernel.values is not None and np.any(kernel.values):
+    elif kernel.values is not None and np.any(kernel.values):
         Wmat = _difference_matrix(kernel.values, n, basis.grid.periodic)
         A = np.einsum("ix,kx->ikx", U, U).reshape(K * K, n)
         M = (A @ Wmat @ A.T) * dx * dx
         W += M.reshape(K, K, K, K).transpose(0, 2, 1, 3)
-    return TwoBodyTensor(W)
+    return TwoBodyTensor.with_parity(W, basis.parity())
 
 
 def basis_to_csv(basis: SpectralBasis, path) -> None:

@@ -131,6 +131,7 @@ def test_emit_report_counts_and_format(tmp_path, small_config):
     assert len(metric_rows) == 4 and len(f_rows) == 2
     summary = json.load(open(json_path))
     assert summary["config"]["mc_samples"] == 4000
+    assert summary["mode_parity"] == [0, 1]
     assert summary["properties"]["all"] in (True, False)
     assert "wall_clock_s" in summary
 
@@ -369,10 +370,11 @@ def test_cli_non_positive_temperature_is_an_error(
 def test_cli_bl_gap_without_samples_is_an_error(tmp_path, capsys):
     # configs/free-case.cfg sets bl_samples = 0
     path = os.path.join(CONFIGS, "free-case.cfg")
-    assert cli.main(["bl-gap", "--config", path, "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert cli.main(["bl-gap", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: Husimi KL estimate needs at least 10 samples"
-    assert not (tmp_path / "bl_gap.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS)
@@ -383,6 +385,15 @@ def test_committed_config_schedule_fits_its_budget(name):
     for T in cfg.T_schedule:
         gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
                         dim_budget=cfg.dim_budget)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS)
+                                          if n.endswith(".cfg")))
+def test_committed_config_has_both_parity_classes(name):
+    # a silent fall back to one class would read as all zeros
+    cfg = gl.read_config(os.path.join(CONFIGS, name))
+    _, _, tensor = gl.convergence.resolve(cfg)
+    assert set(tensor.parity.tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("policy", ["2", "0", "1"])

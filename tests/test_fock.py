@@ -162,6 +162,113 @@ def test_gibbs_rejects_bad_input(basis_k2):
         gl.gibbs_state(bad, 1.0)
 
 
+def _random_reflection_tensor(K, parity, rng):
+    """Real W with W[ijkl] = W[klij] = W[jilk] and every entry whose mode
+    classes sum to an odd number exactly zero."""
+    A = rng.uniform(0.0, 1.0, (K,) * 4)
+    W = (A + A.transpose(2, 3, 0, 1) + A.transpose(1, 0, 3, 2)
+         + A.transpose(3, 2, 1, 0)) / 4.0
+    p = np.asarray(parity)
+    odd = np.add.outer(np.add.outer(p, p), np.add.outer(p, p)) % 2 == 1
+    return np.where(odd, 0.0, W)
+
+
+def _with_forbidden_entry(tensor):
+    # one parity-forbidden entry of 1e-6 and its symmetric partners
+    W = tensor.entries.copy()
+    for idx in [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]:
+        W[idx] = 1e-6
+    return W
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(1, 3), n_max=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 5.0),
+       lam=st.floats(0.0, 1.0))
+def test_parity_split_matches_one_class(K, n_max, seed, T, lam):
+    rng = np.random.default_rng(seed)
+    parity = rng.integers(0, 2, K)
+    W = _random_reflection_tensor(K, parity, rng)
+    eigenvalues = np.sort(rng.uniform(0.5, 5.0, K))
+    split = gl.TwoBodyTensor.with_parity(W, parity)
+    assert np.array_equal(split.parity, parity)
+    fb = gl.build_fock_basis(K, n_max)
+    H = gl.build_hamiltonian(fb, eigenvalues, split, lam)
+    assert np.array_equal(H.labels, fb.occupations @ parity % 2)
+    got, log_z = gl.gibbs_state(H, T)
+    want, log_z_one = gl.gibbs_state(
+        gl.build_hamiltonian(fb, eigenvalues, gl.TwoBodyTensor(W), lam), T)
+    assert abs(log_z - log_z_one) <= 1e-12 * max(1.0, abs(log_z_one))
+    for a, b in zip(got.blocks, want.blocks):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(K=st.integers(1, 3), n_max=st.integers(2, 8),
+       seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 5.0),
+       lam=st.floats(0.0, 1.0))
+def test_parity_split_gibbs_state_properties(K, n_max, seed, T, lam):
+    rng = np.random.default_rng(seed)
+    parity = rng.integers(0, 2, K)
+    tensor = gl.TwoBodyTensor.with_parity(
+        _random_reflection_tensor(K, parity, rng), parity)
+    eigenvalues = np.sort(rng.uniform(0.5, 5.0, K))
+    fb = gl.build_fock_basis(K, n_max)
+    gibbs, log_z = gl.gibbs_state(
+        gl.build_hamiltonian(fb, eigenvalues, tensor, lam), T)
+    free, log_z0 = gl.gibbs_state(
+        gl.build_hamiltonian(fb, eigenvalues, None, 0.0), T)
+    g1 = gl.reduced_density_matrix(gibbs, 1)
+    assert g1.trace() == pytest.approx(gl.particle_number(gibbs), abs=1e-10)
+    for k in (1, 2):
+        pt = gl.reduced_density_matrix(gibbs, k).entries
+        no = gl.reduced_dm_normal_ordered(gibbs, k).entries
+        assert np.abs(pt - no).max() <= 1e-10
+        assert np.linalg.eigvalsh(pt).min() >= -1e-12
+    split = gl.energy_decomposition(gibbs, eigenvalues, tensor, lam)
+    assert split.total == pytest.approx(split.one_body + split.two_body,
+                                        rel=1e-9, abs=1e-12)
+    fe = gl.relative_free_energy(gibbs, free, tensor, lam, T)
+    assert fe == pytest.approx(T * (log_z0 - log_z), rel=1e-8, abs=1e-10)
+    other = fock.random_state(fb, seed % 1000)
+    assert gl.relative_free_energy(other, free, tensor, lam, T) >= fe - 1e-10
+
+
+def test_forbidden_entry_falls_back_and_matches_dense_route(basis_k3,
+                                                            tensor_k3):
+    # negative control: the check refuses the split, and the one-class
+    # Gibbs state equals exp(-H/T)/Z from one eigensolve of the dense H
+    W = _with_forbidden_entry(tensor_k3)
+    tensor = gl.TwoBodyTensor.with_parity(W, tensor_k3.parity)
+    assert not tensor.parity.any() and np.array_equal(tensor.entries, W)
+    assert not gl.TwoBodyTensor.with_parity(W, None).parity.any()
+    T = 3.0
+    fb = gl.build_fock_basis(3, 6)
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor, 0.7)
+    assert not H.labels.any()
+    gibbs, log_z = gl.gibbs_state(H, T)
+    E, V = np.linalg.eigh(H.matrix.toarray())
+    want_log_z = float(np.log(np.sum(np.exp(-E / T))))
+    assert log_z == pytest.approx(want_log_z, rel=1e-12)
+    rho = (V * np.exp(-E / T - want_log_z)) @ V.T
+    assert np.abs(gibbs.to_dense() - rho).max() <= 1e-12
+
+
+def test_gibbs_refuses_labels_that_cut_an_entry(basis_k3, tensor_k3):
+    fb = gl.build_fock_basis(3, 4)
+    labels = fb.occupations @ tensor_k3.parity % 2
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues,
+                             gl.TwoBodyTensor(_with_forbidden_entry(tensor_k3)),
+                             0.7)
+    cut = fock.FockOperator(fb, H.matrix, labels)
+    with pytest.raises(ValueError, match="different classes"):
+        gl.gibbs_state(cut, 1.0)
+    # the same labels on the checked tensor's Hamiltonian cut nothing
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 0.7)
+    assert np.array_equal(H.labels, labels) and labels.any()
+    gl.gibbs_state(H, 1.0)
+
+
 def test_rdm_pure_two_particle_state():
     fb = gl.build_fock_basis(1, 6)
     blocks = [np.zeros((1, 1)) for _ in range(7)]

@@ -188,6 +188,42 @@ def test_bounded_kernel_tensor_symmetries(g, width):
     assert np.isrealobj(t.entries)
 
 
+@pytest.mark.parametrize("spec", [
+    gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
+    gl.OneBodySpec.interval("neumann", m=1.0, grid_points=256),
+    gl.OneBodySpec.anharmonic_line(a=4.0, half_width=6.0, grid_points=512),
+], ids=["dirichlet", "neumann", "anharmonic"])
+def test_modes_alternate_in_reflection_parity(spec):
+    basis = gl.eigendecompose(gl.build_operator(spec), 5)
+    assert basis.parity().tolist() == [0, 1, 0, 1, 0]
+    n = spec.grid_points
+    assert basis.grid.reflection().tolist() == list(range(n - 1, -1, -1))
+
+
+def test_periodic_modes_reflect_through_node_zero():
+    spec = gl.OneBodySpec.interval("periodic", m=1.0, grid_points=512)
+    basis = gl.eigendecompose(gl.build_operator(spec), 5)
+    # constant, then cos/sin pairs; the reflection maps node i to -i mod n
+    assert basis.parity().tolist() == [0, 0, 1, 0, 1]
+    # reversing the node order instead is a shifted reflection, under which
+    # the cos/sin pair at lambda = pi^2 + 1 does not classify
+    U, w = basis.eigenvectors, basis.grid.weights
+    plain = (U * U[:, ::-1]) @ w
+    assert abs(abs(plain[1]) - 1.0) > 1e-5
+
+
+def test_interaction_elements_zero_only_forbidden_noise(basis_k3):
+    U, dx = basis_k3.eigenvectors, basis_k3.grid.dx
+    raw = np.einsum("ix,jx,kx,lx->ijkl", U, U, U, U * dx)
+    t = gl.interaction_elements(basis_k3, gl.InteractionKernel.delta(1.0))
+    p = t.parity
+    forbidden = np.add.outer(np.add.outer(p, p), np.add.outer(p, p)) % 2 == 1
+    assert t.parity.tolist() == [0, 1, 0]
+    assert forbidden.any() and not np.any(t.entries[forbidden])
+    assert np.array_equal(t.entries[~forbidden], raw[~forbidden])
+    assert np.abs(raw[forbidden]).max() <= 1e-10 * np.abs(raw).max()
+
+
 def test_negative_kernel_rejected():
     with pytest.raises(ValueError):
         gl.InteractionKernel.delta(-1.0)
