@@ -78,11 +78,11 @@ def cmd_sample(args) -> int:
 def cmd_quantum(args) -> int:
     cfg = _load(args)
     T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
-    out = _ensure_out(cfg)
     basis, _, tensor = convergence.resolve(cfg)
     lam = cfg.coupling_rule / T
     point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
+    out = _ensure_out(cfg)
     gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
     split = fock.energy_decomposition(gibbs, basis.eigenvalues, tensor, lam)
     info = {"T": T, "lambda": lam, "n_max": n_max, "dim": fb.dim,
@@ -142,7 +142,6 @@ def cmd_bl_gap(args) -> int:
         else list(cfg.T_schedule)
     if cfg.bl_samples < 10:  # refused here, before any output or solve
         raise ValueError("Husimi KL estimate needs at least 10 samples")
-    out = _ensure_out(cfg)
     basis, _, tensor = convergence.resolve(cfg)
     seeds = convergence.row_seeds(cfg.seed, len(temps))
     rows, diagnostics = [], []
@@ -159,6 +158,7 @@ def cmd_bl_gap(args) -> int:
                                 "ess": gap.ess})
         print(f"T={T}: quantum={gap.quantum:.6f} classical={gap.classical:.6f} "
               f"gap={gap.gap:.6f} (ess {gap.ess:.0f})")
+    out = _ensure_out(cfg)
     path = os.path.join(out, "bl_gap.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("T,quantum,classical,gap,classical_stderr,ess\n")

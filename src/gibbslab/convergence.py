@@ -189,6 +189,7 @@ class ReportRow:
     lam: float
     n_max: int
     tail_mass: float
+    dim: int | None = None                          # Fock dim; None if invalid
     distances: dict = field(default_factory=dict)   # k -> DistanceMetric
     f_value: float = math.nan
     f_target: float = math.nan
@@ -267,7 +268,8 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                          valid=False, error=str(exc),
                          wall_s=time.perf_counter() - t0)
     fb, gibbs, free_state = point.basis, point.gibbs, point.free
-    row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass())
+    row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass(),
+                    dim=fb.dim)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
@@ -410,6 +412,8 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
              "distances": {str(k): {"value": m.value, "stderr": m.stderr,
                                     "hs": m.hs}
                            for k, m in row.distances.items()}}
+        if row.dim is not None:
+            d["dim"] = row.dim
         if row.bl is not None:
             d["berezin_lieb"] = {"quantum": row.bl.quantum,
                                  "classical": row.bl.classical,

@@ -230,6 +230,9 @@ def gibbs_state(H: FockOperator, T: float):
     reflection-parity blocks of build_hamiltonian), and a block with an
     entry between two classes is refused. The eigenvalues of a sector are
     sorted before the log-sum-exp, so log Z does not depend on the split.
+    Class blocks go to LAPACK's divide-and-conquer solver (syevd/heevd);
+    relative_entropy keeps the default driver on whole sector blocks, so
+    the free-energy identity stays an independent check of this one.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -248,7 +251,8 @@ def gibbs_state(H: FockOperator, T: float):
         parts = []
         for c in np.unique(labels):
             idx = np.flatnonzero(labels == c)
-            parts.append((idx, *eigh(block[np.ix_(idx, idx)])))
+            parts.append((idx, *eigh(block[np.ix_(idx, idx)],
+                                     driver="evd")))
         eigs.append(np.sort(np.concatenate([lam for _, lam, _ in parts])))
         solved.append(parts)
     log_z = float(logsumexp(-np.concatenate(eigs) / T))
@@ -282,6 +286,8 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
         Gamma^(k)[p, q] = sum_n sum_r c(p,r) c(q,r) G_n[p+r, q+r],
     with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Only the sector-diagonal part
     of the state enters, which is exactly what the defining duality sees.
+    Each sector is one gather of the Dk^2 |rest| entries G_n[p+r, q+r] and
+    one reduction over r.
     """
     basis = state.basis
     if not 1 <= k <= basis.n_max:
@@ -293,12 +299,10 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     for n in range(k, basis.n_max + 1):
         G = blocks[n]
         rest = symspace.multi_indices(basis.K, n - k)
-        ridx = np.arange(rest.shape[0])
-        rows, coefs = zip(*[_branching_rows(basis, p, rest, n) for p in occs_k])
-        for a in range(Dk):
-            ga = G[rows[a]]
-            for b in range(Dk):
-                out[a, b] += np.sum(coefs[a] * coefs[b] * ga[ridx, rows[b]])
+        rows, coefs = map(np.array, zip(
+            *[_branching_rows(basis, p, rest, n) for p in occs_k]))
+        vals = G[rows[:, None, :], rows[None, :, :]]
+        out += (coefs[:, None, :] * coefs[None, :, :] * vals).sum(axis=-1)
     out = 0.5 * (out + out.conj().T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
 

@@ -6,7 +6,8 @@ partition function, Wick pairings for Gaussian moments, the geometric
 Kullback-Leibler divergence for thermal single-mode states, a power table
 for occupation-number monomials, grid quadrature of the interaction energy
 and polar-grid quadrature over single-mode Husimi densities (the densities
-themselves come from the package).
+themselves come from the package). The per-pair partial trace shares the
+package's branching rows and checks only the contraction over them.
 """
 
 import math
@@ -15,7 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from gibbslab import husimi_density
+from gibbslab import MomentMatrix, husimi_density, symspace
+from gibbslab.fock import _branching_rows
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,
@@ -150,3 +152,25 @@ def husimi_kl_quadrature(state, ref, eps: float, r_max: float, nr: int = 200,
     return float(np.sum(h[mask] / zh * np.log((h[mask] / zh)
                                               / np.clip(hp[mask] / zhp, 1e-290, None))
                         * area[mask]))
+
+
+def reduced_density_matrix_pairs(state, k: int):
+    """k-body marginal by the per-pair partial trace: for each pair (p, q)
+    of k-body occupations, sum_r c(p,r) c(q,r) G_n[p+r, q+r] over sectors,
+    one Python-level reduction per pair."""
+    basis = state.basis
+    occs_k = symspace.multi_indices(basis.K, k)
+    Dk = occs_k.shape[0]
+    out = np.zeros((Dk, Dk), dtype=np.complex128)
+    blocks = state.diagonal_blocks()
+    for n in range(k, basis.n_max + 1):
+        G = blocks[n]
+        rest = symspace.multi_indices(basis.K, n - k)
+        ridx = np.arange(rest.shape[0])
+        rows, coefs = zip(*[_branching_rows(basis, p, rest, n) for p in occs_k])
+        for a in range(Dk):
+            ga = G[rows[a]]
+            for b in range(Dk):
+                out[a, b] += np.sum(coefs[a] * coefs[b] * ga[ridx, rows[b]])
+    out = 0.5 * (out + out.conj().T)
+    return MomentMatrix(k=k, entries=out, occupations=occs_k)

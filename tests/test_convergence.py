@@ -132,6 +132,8 @@ def test_emit_report_counts_and_format(tmp_path, small_config):
     summary = json.load(open(json_path))
     assert summary["config"]["mc_samples"] == 4000
     assert summary["mode_parity"] == [0, 1]
+    for row, srow in zip(res.rows, summary["rows"]):
+        assert srow["dim"] == math.comb(2 + row.n_max, 2)
     assert summary["properties"]["all"] in (True, False)
     assert "wall_clock_s" in summary
 
@@ -188,7 +190,7 @@ def test_evaluate_properties_flags_rising_distance(small_config):
     assert props["violations"]
 
 
-def test_tail_policy_failure_marks_row_invalid():
+def test_tail_policy_failure_marks_row_invalid(tmp_path):
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
         kernel=gl.KernelSpec("delta", g=1.0),
@@ -198,6 +200,10 @@ def test_tail_policy_failure_marks_row_invalid():
     res = run_convergence(cfg)
     assert res.rows[0].valid
     assert not res.rows[1].valid and "budget" in res.rows[1].error
+    _, json_path = emit_report(res, tmp_path)
+    rows = json.load(open(json_path))["rows"]
+    assert rows[0]["dim"] == math.comb(2 + rows[0]["n_max"], 2)
+    assert rows[1]["n_max"] == -1 and "dim" not in rows[1]
     props = evaluate_properties(res)
     assert not props["all_valid"] and not props["all"]
 
@@ -288,6 +294,25 @@ def test_cli_quantum(config_file, tmp_path):
     assert info["T"] == 2.0
     assert info["tail_mass"] < 1e-8
     assert (tmp_path / "out" / "quantum_k1.csv").exists()
+
+
+def _refuses_over_budget_without_output(command, tmp_path, capsys):
+    path = os.path.join(CONFIGS, "desk.cfg")
+    out = tmp_path / "over"
+    assert cli.main([command, "--config", path, "--T", "1000",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "over the budget 20000" in err[0]
+    assert not out.exists()
+
+
+def test_cli_quantum_over_budget_leaves_no_output(tmp_path, capsys):
+    _refuses_over_budget_without_output("quantum", tmp_path, capsys)
+
+
+def test_cli_bl_gap_over_budget_leaves_no_output(tmp_path, capsys):
+    _refuses_over_budget_without_output("bl-gap", tmp_path, capsys)
 
 
 def test_cli_converge(config_file, tmp_path, capsys):

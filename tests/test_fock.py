@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import logsumexp
 
 import gibbslab as gl
 from gibbslab import fock
@@ -327,6 +328,32 @@ def test_rdm_routes_agree_on_dense_states():
         assert np.abs(a.entries - b.entries).max() < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 3), n_max=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["complex", "real", "dense", "gibbs"]),
+       data=st.data())
+def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
+    k = data.draw(st.integers(1, min(3, n_max)), label="k")
+    fb = gl.build_fock_basis(K, n_max)
+    if kind == "gibbs":
+        rng = np.random.default_rng(seed)
+        parity = rng.integers(0, 2, K)
+        tensor = gl.TwoBodyTensor.with_parity(
+            _random_reflection_tensor(K, parity, rng), parity)
+        H = gl.build_hamiltonian(fb, np.sort(rng.uniform(0.5, 5.0, K)),
+                                 tensor, rng.uniform(0.0, 1.0))
+        state, _ = gl.gibbs_state(H, rng.uniform(0.5, 5.0))
+    else:
+        state = fock.random_state(fb, seed, dense=kind == "dense")
+    if kind == "real":
+        state = fock.FockState(basis=fb,
+                               blocks=tuple(b.real for b in state.blocks))
+    got = gl.reduced_density_matrix(state, k).entries
+    assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
+        state, k).entries)
+
+
 def test_rdm_coherent_projector():
     fb = gl.build_fock_basis(2, 22)
     cv = gl.coherent(np.array([1.0, 0.0]), fb)
@@ -567,6 +594,27 @@ def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
     assert len(point.free.blocks) == len(free.blocks) == fb.n_max + 1
     for got, want in zip(point.free.blocks, free.blocks):
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
+                                                         tensor_k3):
+    # LAPACK's stedc uses QR below 26 rows; the largest parity class here
+    # is wider, so the recursive divide-and-conquer path runs
+    T = 2.5
+    fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
+    assert max(np.bincount(H.labels[fb.sector_slice(n)]).max()
+               for n in range(fb.n_max + 1)) > 25
+    gibbs, log_z = gl.gibbs_state(H, T)
+    E, V = np.linalg.eigh(H.matrix.toarray())
+    want_log_z = float(logsumexp(-E / T))
+    assert log_z == pytest.approx(want_log_z, rel=1e-13, abs=0.0)
+    rho = (V * np.exp(-E / T - want_log_z)) @ V.T
+    for n, blk in enumerate(gibbs.blocks):
+        want = rho[fb.sector_slice(n), fb.sector_slice(n)]
+        assert np.abs(blk - want).max() <= 1e-12 * np.abs(want).max()
+    free = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 0.0)
+    assert free.log_z_free - free.log_z == 0.0
 
 
 def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
