@@ -40,8 +40,8 @@ def _ensure_out(cfg) -> str:
 
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
-    out = _ensure_out(cfg)
     basis = eigendecompose(build_operator(cfg.spec), cfg.K)
+    out = _ensure_out(cfg)
     path = os.path.join(out, "spectrum.csv")
     basis_to_csv(basis, path)
     tr = schatten_trace(basis, p=1.0)
@@ -55,10 +55,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    out = _ensure_out(cfg)
     basis, kernel, tensor = convergence.resolve(cfg)
     ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
     ens = classical.reweight(ens, basis, kernel, tensor)
+    out = _ensure_out(cfg)
     path = os.path.join(out, "ensemble.csv")
     classical.ensemble_to_csv(ens, path)
     fe = classical.classical_relative_free_energy(ens)

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import time
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from . import classical, fock, semiclassics
 from .metrics import hs_distance, trace_norm_distance
@@ -119,6 +121,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in kv:
+            raise ValueError(f"config line {lineno}: duplicate key {key}")
         kv[key] = val
 
     domain = kv.pop("domain", "interval").lower()
@@ -382,7 +386,8 @@ def _fmt(x) -> str:
 def emit_report(result: ConvergenceResult, out_dir) -> tuple:
     """Write report.csv (one row per (T, k) metric plus one free-energy row
     per T) and summary.json; returns both paths. CSV content is a pure
-    function of config + seed; wall-clock lives only in the JSON."""
+    function of config + seed; wall-clock and the Python, numpy and scipy
+    versions live only in the JSON."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -435,6 +440,8 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
         "rows": [row_dict(r) for r in result.rows],
         "properties": evaluate_properties(result),
         "wall_clock_s": result.wall_s,
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

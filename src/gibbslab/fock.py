@@ -3,9 +3,9 @@
 The Fock space over K modes is truncated at total occupation n_max and
 enumerated in graded colexicographic order, so every operator built here is
 block diagonal across total-particle sectors whenever it commutes with the
-number operator. States are stored either as per-sector dense blocks (the
-cheap representation every Gibbs state admits) or as one dense matrix
-(needed for coherent superpositions of sectors).
+number operator. Every state the lab builds (Gibbs states, the free state,
+the phase-averaged trial state) commutes with it too, so a state is stored
+as its per-sector dense blocks and nothing else.
 
 Reduced k-body matrices follow the binomial-weight convention
 tr[A Gamma^(k)] = sum_n C(n,k) tr[(A (x)_s 1) G_n], so tr Gamma^(1) equals
@@ -178,29 +178,13 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
 
 @dataclass(frozen=True)
 class FockState:
-    """Positive trace-one operator, stored as sector blocks or dense."""
+    """Positive trace-one operator commuting with the number operator,
+    stored as its sector blocks (blocks[n] acts on sector n)."""
 
     basis: FockBasis
-    blocks: tuple | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.blocks is None) == (self.matrix is None):
-            raise ValueError("provide exactly one of blocks / matrix")
-
-    @property
-    def sector_diagonal(self) -> bool:
-        return self.blocks is not None
-
-    def diagonal_blocks(self) -> list[np.ndarray]:
-        if self.blocks is not None:
-            return list(self.blocks)
-        return [self.matrix[self.basis.sector_slice(n), self.basis.sector_slice(n)]
-                for n in range(self.basis.n_max + 1)]
+    blocks: tuple
 
     def to_dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
         out = np.zeros((self.basis.dim, self.basis.dim),
                        dtype=self.blocks[0].dtype)
         for n, blk in enumerate(self.blocks):
@@ -209,13 +193,11 @@ class FockState:
         return out
 
     def trace(self) -> float:
-        if self.blocks is not None:
-            return float(sum(np.real(np.trace(b)) for b in self.blocks))
-        return float(np.real(np.trace(self.matrix)))
+        return float(sum(np.real(np.trace(b)) for b in self.blocks))
 
     def sector_probabilities(self) -> np.ndarray:
         return np.array([float(np.real(np.trace(b)))
-                         for b in self.diagonal_blocks()])
+                         for b in self.blocks])
 
     def tail_mass(self) -> float:
         """Combined weight of the top two sectors (the truncation diagnostic)."""
@@ -284,10 +266,8 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     Expanding each sector's symmetric basis over Sym^k (x) Sym^(n-k) turns
     the weighted partial trace into the gather
         Gamma^(k)[p, q] = sum_n sum_r c(p,r) c(q,r) G_n[p+r, q+r],
-    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Only the sector-diagonal part
-    of the state enters, which is exactly what the defining duality sees.
-    Each sector is one gather of the Dk^2 |rest| entries G_n[p+r, q+r] and
-    one reduction over r.
+    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Each sector is one gather
+    of the Dk^2 |rest| entries G_n[p+r, q+r] and one reduction over r.
     """
     basis = state.basis
     if not 1 <= k <= basis.n_max:
@@ -295,9 +275,8 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     occs_k = symspace.multi_indices(basis.K, k)
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
-    blocks = state.diagonal_blocks()
     for n in range(k, basis.n_max + 1):
-        G = blocks[n]
+        G = state.blocks[n]
         rest = symspace.multi_indices(basis.K, n - k)
         rows, coefs = map(np.array, zip(
             *[_branching_rows(basis, p, rest, n) for p in occs_k]))
@@ -370,7 +349,7 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
     """tr[H state] and its exact split into one- and two-body marginals."""
     H = build_hamiltonian(state.basis, eigenvalues, tensor, lam)
     total = 0.0
-    for n, blk in enumerate(state.diagonal_blocks()):
+    for n, blk in enumerate(state.blocks):
         total += float(np.real(np.trace(H.sector_block(n) @ blk)))
     g1 = reduced_density_matrix(state, 1)
     one_body = float(np.real(np.sum(np.asarray(eigenvalues)
@@ -382,30 +361,26 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
 def relative_entropy(state: FockState, ref: FockState) -> float:
     """tr[state (log state - log ref)]; +inf on a support violation.
 
-    The state side needs only eigenvalues. A reference stored as sector
-    blocks whose block is exactly diagonal (a free Gibbs state is) has its
-    diagonal q as spectrum and the state's diagonal as the mass on each of
-    its modes, with no eigensolve; its kernel is exactly q == 0. Any other
-    reference block (and every dense reference) is diagonalized, the mass on
-    each mode is Re diag(V+ G V), and eigenvalues below 1e-14 of the block's
-    largest count as kernel, the scale the eigensolver resolves. If the state
-    carries more than 1e-9 of its mass on kernel modes the support condition
-    fails and +inf is returned; otherwise eigenvalues are clipped at 1e-300
-    (the 0 log 0 = 0 convention).
+    Both states are block diagonal, so the sum runs over sector pairs, and
+    the state side needs only eigenvalues. A reference block that is exactly
+    diagonal (a free Gibbs state's is) has its diagonal q as spectrum and the
+    state's diagonal as the mass on each of its modes, with no eigensolve;
+    its kernel is exactly q == 0. Any other reference block is diagonalized,
+    the mass on each mode is Re diag(V+ G V), and eigenvalues below 1e-14 of
+    the block's largest count as kernel, the scale the eigensolver resolves.
+    If the state carries more than 1e-9 of its mass on kernel modes the
+    support condition fails and +inf is returned; otherwise eigenvalues are
+    clipped at 1e-300 (the 0 log 0 = 0 convention).
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
-    if state.sector_diagonal and ref.sector_diagonal:
-        pairs = list(zip(state.diagonal_blocks(), ref.diagonal_blocks()))
-    else:
-        pairs = [(state.to_dense(), ref.to_dense())]
     total, stray = 0.0, 0.0
-    for G, R in pairs:
+    for G, R in zip(state.blocks, ref.blocks):
         G, R = np.asarray(G), np.asarray(R)
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        if ref.sector_diagonal and not np.any(R - np.diag(np.diagonal(R))):
+        if not np.any(R - np.diag(np.diagonal(R))):
             q = np.real(np.diagonal(R))
             mass = np.real(np.diagonal(G))
             small = q <= 0.0
@@ -511,14 +486,9 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
                         log_z=log_z, log_z_free=log_z_free)
 
 
-def random_state(basis: FockBasis, seed: int, dense: bool = False) -> FockState:
-    """Random mixed state (sector-diagonal unless dense=True); test fodder."""
+def random_state(basis: FockBasis, seed: int) -> FockState:
+    """Random mixed state with complex sector blocks; test fodder."""
     rng = np.random.default_rng(seed)
-    if dense:
-        A = rng.standard_normal((basis.dim, basis.dim)) \
-            + 1j * rng.standard_normal((basis.dim, basis.dim))
-        M = A @ A.conj().T
-        return FockState(basis=basis, matrix=M / np.real(np.trace(M)))
     blocks = []
     for n in range(basis.n_max + 1):
         d = basis.sector_dim(n)

@@ -51,14 +51,9 @@ class CoherentVector:
     v: np.ndarray
     amplitudes: np.ndarray
     tail_bound: float
-    basis: FockBasis
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def projector(self) -> FockState:
-        M = np.outer(self.amplitudes, self.amplitudes.conj())
-        return FockState(basis=self.basis, matrix=M / self.norm_sq())
 
 
 def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
@@ -77,7 +72,7 @@ def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
                       TailWarning, stacklevel=2)
     amps = occupation_products(v[None, :], basis.occupations,
                                np.exp([-0.5 * nu]))[:, 0]
-    return CoherentVector(v=v, amplitudes=amps, tail_bound=tail, basis=basis)
+    return CoherentVector(v=v, amplitudes=amps, tail_bound=tail)
 
 
 def coherent_overlap(a: CoherentVector, b: CoherentVector) -> complex:
@@ -134,22 +129,19 @@ def _husimi_form(state: FockState):
 
     A diagonal array p when every sector block is exactly diagonal (a free
     Gibbs state is), so a point costs O(dim) as p . |A|^2; otherwise a list
-    of (slice, block) pairs, one per sector or one dense block.
+    of (slice, block) pairs, one per sector.
     """
-    if not state.sector_diagonal:
-        return [(slice(None), np.ascontiguousarray(state.matrix))]
-    blocks = state.diagonal_blocks()
-    if all(not np.any(G - np.diag(np.diagonal(G))) for G in blocks):
-        return np.concatenate([np.real(np.diagonal(G)) for G in blocks])
+    if all(not np.any(G - np.diag(np.diagonal(G))) for G in state.blocks):
+        return np.concatenate([np.real(np.diagonal(G)) for G in state.blocks])
     return [(state.basis.sector_slice(m), np.ascontiguousarray(G))
-            for m, G in enumerate(blocks)]
+            for m, G in enumerate(state.blocks)]
 
 
 def _contract(form, A: np.ndarray, n_hi: int) -> np.ndarray:
     """Re <A|state|A> over sectors 0..n_hi for each column of A.
 
     A holds the amplitudes of those sectors (a graded prefix of the basis);
-    form comes from _husimi_form, and a dense form needs n_hi = n_max.
+    form comes from _husimi_form.
     """
     # A real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
@@ -174,14 +166,13 @@ def _husimi(states: list[FockState], eps: float,
 
     Points are taken in chunks in ascending order of nu = |v|^2, and the
     coherent amplitudes of each chunk are built once and contracted against
-    every state. The particle number of a coherent vector is Poisson(nu), so
-    when every state is sector-diagonal a chunk only spans sectors up to the
+    every state. The particle number of a coherent vector is Poisson(nu) and
+    every state is block diagonal, so a chunk only spans sectors up to the
     first n_hi whose Poisson(nu_max) tail beyond it is at most 2^-60. Sector
     m of the amplitudes has squared norm exactly e^-nu nu^m / m!, and
     lambda_max(G_m) <= tr G_m, so the omitted part of a density is at most
     max_{m > n_hi} tr G_m * P(N > n_hi); a point where that exceeds 2^-53
-    of the kept part is recomputed over the full basis. Dense states always
-    use the full basis.
+    of the kept part is recomputed over the full basis.
     """
     if eps <= 0:
         raise ValueError("scale eps must be positive")
@@ -194,12 +185,10 @@ def _husimi(states: list[FockState], eps: float,
     nu = np.sum(np.abs(vs) ** 2, axis=1)
     forms = [_husimi_form(s) for s in states]
     n_top = basis.n_max
-    windowed = all(s.sector_diagonal for s in states)
-    if windowed:
-        # beyond[i, n] = max over m > n of tr G_m of state i
-        tr = np.array([s.sector_probabilities() for s in states])
-        beyond = np.zeros_like(tr)
-        beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
+    # beyond[i, n] = max over m > n of tr G_m of state i
+    tr = np.array([s.sector_probabilities() for s in states])
+    beyond = np.zeros_like(tr)
+    beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
 
     def kept(idx: np.ndarray, n_hi: int) -> np.ndarray:
         occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
@@ -211,11 +200,8 @@ def _husimi(states: list[FockState], eps: float,
     redo = []
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        n_hi = n_top
-        if windowed:
-            inside = gammainc(np.arange(1, n_top + 2), nu[idx[-1]]) \
-                <= _WINDOW_TAIL
-            n_hi = int(np.argmax(inside)) if inside.any() else n_top
+        inside = gammainc(np.arange(1, n_top + 2), nu[idx[-1]]) <= _WINDOW_TAIL
+        n_hi = int(np.argmax(inside)) if inside.any() else n_top
         out[:, idx] = kept(idx, n_hi)
         if n_hi < n_top:
             missed = beyond[:, n_hi, None] * gammainc(n_hi + 1, nu[idx])

@@ -193,10 +193,6 @@ class SpectralBasis:
     def K(self) -> int:
         return self.eigenvalues.size
 
-    def orthonormality_defect(self) -> float:
-        G = (self.eigenvectors * self.grid.weights) @ self.eigenvectors.T
-        return float(np.abs(G - np.eye(self.K)).max())
-
     def parity(self) -> np.ndarray | None:
         """Reflection class of each mode, 0 (even) or 1 (odd), from its
         overlap with its own reflection x -> -x; None unless every overlap
@@ -388,14 +384,6 @@ class TwoBodyTensor:
     @property
     def K(self) -> int:
         return self.entries.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        W = self.entries
-        return float(np.abs(W - np.conj(W.transpose(2, 3, 0, 1))).max())
-
-    def boson_symmetry_defect(self) -> float:
-        W = self.entries
-        return float(np.abs(W - W.transpose(1, 0, 3, 2)).max())
 
 
 def _difference_matrix(kernel_values: np.ndarray, n: int, periodic: bool) -> np.ndarray:

@@ -6,8 +6,10 @@ partition function, Wick pairings for Gaussian moments, the geometric
 Kullback-Leibler divergence for thermal single-mode states, a power table
 for occupation-number monomials, grid quadrature of the interaction energy
 and polar-grid quadrature over single-mode Husimi densities (the densities
-themselves come from the package). The per-pair partial trace shares the
-package's branching rows and checks only the contraction over them.
+themselves come from the package). The relative entropy and the Husimi
+density of plain matrices are the whole-space definitions, with no sector
+structure. The per-pair partial trace shares the package's branching rows
+and checks only the contraction over them.
 """
 
 import math
@@ -15,9 +17,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from gibbslab import MomentMatrix, husimi_density, symspace
-from gibbslab.fock import _branching_rows
+from gibbslab.fock import FockState, _branching_rows
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,
@@ -92,6 +95,43 @@ def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
     return out
 
 
+def pinched(matrix: np.ndarray, basis) -> FockState:
+    """The sector blocks of a matrix on the Fock basis, as a state."""
+    return FockState(basis=basis, blocks=tuple(
+        matrix[basis.sector_slice(n), basis.sector_slice(n)]
+        for n in range(basis.n_max + 1)))
+
+
+def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """tr[rho (log rho - log sigma)] of two matrices, from eigh of each.
+
+    Eigenvalues of sigma below 1e-14 of its largest count as kernel; more
+    than 1e-9 of rho's mass there gives +inf.
+    """
+    p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    q, V = np.linalg.eigh(sigma)
+    mass = np.real(np.sum(V.conj() * (rho @ V), axis=0))
+    if mass[q <= 1e-14 * max(q[-1], 1e-300)].sum() > 1e-9:
+        return math.inf
+    p = p[p > 1e-300]
+    return float(np.sum(p * np.log(p))
+                 - np.sum(mass * np.log(np.clip(q, 1e-300, None))))
+
+
+def husimi_dense(matrix: np.ndarray, basis, eps: float,
+                 pts: np.ndarray) -> np.ndarray:
+    """(pi eps)^-K Re a+ M a at each point u, with the coherent amplitudes
+    a_n = exp(-|v|^2/2) prod_j v_j^{n_j} / sqrt(n_j!) of v = u / sqrt(eps)
+    over the whole basis."""
+    vs = np.atleast_2d(np.asarray(pts, dtype=np.complex128)) / math.sqrt(eps)
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    occs = basis.occupations
+    A = power_products(vs, occs) * np.exp(
+        -0.5 * nu[:, None] - 0.5 * gammaln(occs + 1.0).sum(axis=1)[None, :])
+    val = np.real(np.sum(A.conj() * (A @ np.asarray(matrix).T), axis=1))
+    return (math.pi * eps) ** (-basis.K) * val
+
+
 def eval_F_NL(coeffs: np.ndarray, basis, kernel) -> float:
     """Pair-interaction energy of one field, by grid quadrature.
 
@@ -162,9 +202,8 @@ def reduced_density_matrix_pairs(state, k: int):
     occs_k = symspace.multi_indices(basis.K, k)
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
-    blocks = state.diagonal_blocks()
     for n in range(k, basis.n_max + 1):
-        G = blocks[n]
+        G = state.blocks[n]
         rest = symspace.multi_indices(basis.K, n - k)
         ridx = np.arange(rest.shape[0])
         rows, coefs = zip(*[_branching_rows(basis, p, rest, n) for p in occs_k])

@@ -3,9 +3,11 @@ import dataclasses
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import gibbslab as gl
 from gibbslab import cli, fock
@@ -62,6 +64,11 @@ def test_parse_config_errors():
         parse_config("T_schedule = 4, 2\nK = 1\n")
     with pytest.raises(ValueError, match="k_max"):
         parse_config("k_max = 5\n")
+    desk = open(os.path.join(CONFIGS, "desk.cfg")).read().rstrip("\n")
+    line = len(desk.splitlines()) + 1
+    with pytest.raises(ValueError,
+                       match=f"^config line {line}: duplicate key K$"):
+        parse_config(desk + "\nK = 3\n")
 
 
 def test_kernel_spec_realize(basis_k2):
@@ -136,6 +143,9 @@ def test_emit_report_counts_and_format(tmp_path, small_config):
         assert srow["dim"] == math.comb(2 + row.n_max, 2)
     assert summary["properties"]["all"] in (True, False)
     assert "wall_clock_s" in summary
+    assert summary["versions"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_emit_report_empty_rows(tmp_path, small_config):
@@ -313,6 +323,18 @@ def test_cli_quantum_over_budget_leaves_no_output(tmp_path, capsys):
 
 def test_cli_bl_gap_over_budget_leaves_no_output(tmp_path, capsys):
     _refuses_over_budget_without_output("bl-gap", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sample"])
+def test_cli_too_many_modes_leaves_no_output(config_file, tmp_path, capsys,
+                                             command):
+    config_file.write_text(config_file.read_text()
+                           .replace("K = 2", "K = 40")
+                           .replace("grid_points = 256", "grid_points = 64"))
+    assert cli.main([command, "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_converge(config_file, tmp_path, capsys):

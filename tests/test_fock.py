@@ -144,7 +144,6 @@ def test_gibbs_commutes_with_number(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 4)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
     state, _ = gl.gibbs_state(H, 2.0)
-    assert state.sector_diagonal
     N = np.diag(fb.occupations.sum(axis=1).astype(float))
     M = state.to_dense()
     assert np.abs(N @ M - M @ N).max() < 1e-12
@@ -319,19 +318,10 @@ def test_rdm_routes_agree_on_random_states():
                 assert np.linalg.eigvalsh(a.entries).min() > -1e-12
 
 
-def test_rdm_routes_agree_on_dense_states():
-    fb = gl.build_fock_basis(2, 5)
-    state = fock.random_state(fb, 3, dense=True)
-    for k in (1, 2):
-        a = gl.reduced_density_matrix(state, k)
-        b = gl.reduced_dm_normal_ordered(state, k)
-        assert np.abs(a.entries - b.entries).max() < 1e-10
-
-
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["complex", "real", "dense", "gibbs"]),
+       kind=st.sampled_from(["complex", "real", "gibbs"]),
        data=st.data())
 def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     k = data.draw(st.integers(1, min(3, n_max)), label="k")
@@ -345,7 +335,7 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
                                  tensor, rng.uniform(0.0, 1.0))
         state, _ = gl.gibbs_state(H, rng.uniform(0.5, 5.0))
     else:
-        state = fock.random_state(fb, seed, dense=kind == "dense")
+        state = fock.random_state(fb, seed)
     if kind == "real":
         state = fock.FockState(basis=fb,
                                blocks=tuple(b.real for b in state.blocks))
@@ -354,17 +344,23 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
         state, k).entries)
 
 
+def _coherent_projector(v, fb):
+    """Sector blocks of |xi(v)><xi(v)| / <xi(v)|xi(v)>, the part of the
+    projector that marginals and <N> see."""
+    a = gl.coherent(np.asarray(v, dtype=complex), fb).amplitudes
+    return oracles.pinched(np.outer(a, a.conj()) / np.vdot(a, a).real, fb)
+
+
 def test_rdm_coherent_projector():
     fb = gl.build_fock_basis(2, 22)
-    cv = gl.coherent(np.array([1.0, 0.0]), fb)
-    g1 = gl.reduced_density_matrix(cv.projector(), 1)
+    g1 = gl.reduced_density_matrix(_coherent_projector([1.0, 0.0], fb), 1)
     assert abs(g1.entries[0, 0] - 1.0) < 1e-8   # |v_1|^2 up to the tail
     assert abs(g1.entries[1, 1]) < 1e-12
 
 
 def test_rdm_vacuum_is_zero():
     fb = gl.build_fock_basis(2, 4)
-    vac = gl.coherent(np.zeros(2), fb).projector()
+    vac = _coherent_projector(np.zeros(2), fb)
     for k in (1, 2):
         assert not np.any(gl.reduced_density_matrix(vac, k).entries)
 
@@ -431,7 +427,7 @@ def test_relative_entropy_matches_classical_kl():
 
 def test_relative_entropy_support_violation():
     fb = gl.build_fock_basis(2, 3)
-    pure = gl.coherent(np.zeros(2), fb).projector()
+    pure = _coherent_projector(np.zeros(2), fb)
     mixed = fock.random_state(fb, 5)
     assert math.isinf(gl.relative_entropy(mixed, pure))
     assert math.isfinite(gl.relative_entropy(pure, mixed))
@@ -439,12 +435,12 @@ def test_relative_entropy_support_violation():
 
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1), dense_state=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
        zero_sector=st.one_of(st.none(), st.integers(0, 8)))
 def test_relative_entropy_diagonal_reference_matches_generic_route(
-        K, n_max, seed, dense_state, zero_sector):
+        K, n_max, seed, zero_sector):
     # a diagonal reference stored as sector blocks skips its eigensolve; the
-    # same reference passed as a dense matrix goes through eigh(ref)
+    # whole-space definition diagonalizes the same reference as one matrix
     fb = gl.build_fock_basis(K, n_max)
     rng = np.random.default_rng(seed)
     q = np.exp(-rng.uniform(0.0, 20.0, fb.dim))
@@ -453,10 +449,9 @@ def test_relative_entropy_diagonal_reference_matches_generic_route(
     q /= q.sum()
     diag_ref = fock.FockState(basis=fb, blocks=tuple(
         np.diag(q[fb.sector_slice(n)]) for n in range(n_max + 1)))
-    dense_ref = fock.FockState(basis=fb, matrix=np.diag(q))
-    state = fock.random_state(fb, seed % 1000, dense=dense_state)
+    state = fock.random_state(fb, seed % 1000)
     got = gl.relative_entropy(state, diag_ref)
-    want = gl.relative_entropy(state, dense_ref)
+    want = oracles.relative_entropy_dense(state.to_dense(), np.diag(q))
     if zero_sector is not None and zero_sector <= n_max:
         assert math.isinf(got) and math.isinf(want)
     else:

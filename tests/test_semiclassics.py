@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbslab as gl
 from gibbslab import fock, semiclassics
-from gibbslab.kernels import occupation_products
 from gibbslab.semiclassics import (TailWarning, coherent_overlap,
                                    husimi_kl_importance)
 
@@ -19,6 +20,17 @@ def _thermal_single_mode(nbar, n_max):
     p = (1 - s) * s ** np.arange(n_max + 1)
     return fock.FockState(basis=fb,
                           blocks=tuple(np.array([[v]]) for v in p / p.sum()))
+
+
+def _number_state(fb, n):
+    """|n><n| of a single mode."""
+    return fock.FockState(basis=fb, blocks=tuple(
+        np.array([[float(m == n)]]) for m in range(fb.n_max + 1)))
+
+
+def _projector(cv):
+    """|xi><xi| / <xi|xi> of a truncated coherent vector, as a matrix."""
+    return np.outer(cv.amplitudes, cv.amplitudes.conj()) / cv.norm_sq()
 
 
 def test_coherent_vacuum():
@@ -52,7 +64,8 @@ def test_coherent_particle_number_is_poisson_mean():
     v = np.array([1.2 + 0.3j, -0.5j])
     cv = gl.coherent(v, fb)
     nu = float(np.sum(np.abs(v) ** 2))
-    assert abs(fock.particle_number(cv.projector()) - nu) < 1e-8
+    assert abs(fock.particle_number(oracles.pinched(_projector(cv), fb))
+               - nu) < 1e-8
 
 
 def test_coherent_tail_warning():
@@ -80,7 +93,7 @@ def test_overlap_law():
 
 def _plain_mixture(ens, T, fb, n_subsample=None):
     """The unpinched mixture sum_s w_s |xi_s><xi_s| of the truncated coherent
-    vectors at sqrt(T) * alpha_s, as one dense unit-trace matrix."""
+    vectors at sqrt(T) * alpha_s, as one unit-trace matrix."""
     n = ens.n if n_subsample is None else n_subsample
     logw = ens.log_weights[:n]
     w = np.exp(logw - logw.max())
@@ -89,13 +102,16 @@ def _plain_mixture(ens, T, fb, n_subsample=None):
         warnings.simplefilter("ignore", TailWarning)
         for ws, alpha in zip(w / w.sum(), ens.coeffs[:n]):
             cv = gl.coherent(math.sqrt(T) * alpha, fb)
-            M += ws * cv.norm_sq() * cv.projector().matrix
-    return fock.FockState(basis=fb, matrix=M / np.real(np.trace(M)))
+            M += ws * cv.norm_sq() * _projector(cv)
+    return M / np.real(np.trace(M))
 
 
-def _sector_blocks(matrix, fb):
-    return [matrix[fb.sector_slice(n), fb.sector_slice(n)]
-            for n in range(fb.n_max + 1)]
+def _plain_free_energy(plain, free, tensor, lam, T):
+    """relative_free_energy of an unpinched mixture: its two-body energy sees
+    only its sector blocks, its relative entropy the whole matrix."""
+    fb = free.basis
+    return fock.two_body_energy(oracles.pinched(plain, fb), tensor, lam) \
+        + T * oracles.relative_entropy_dense(plain, free.to_dense())
 
 
 def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel):
@@ -105,7 +121,7 @@ def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel)
     T = 1.0
     trial = gl.trial_state(ens, T, fb)
     cv = gl.coherent(math.sqrt(T) * ens.coeffs[0], fb)
-    expect = _sector_blocks(cv.projector().matrix, fb)
+    expect = oracles.pinched(_projector(cv), fb).blocks
     assert len(trial.blocks) == len(expect)
     for got, want in zip(trial.blocks, expect):
         assert np.abs(got - want).max() < 1e-12
@@ -131,10 +147,10 @@ def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
     fb = gl.build_fock_basis(2, 18)
     plain = _plain_mixture(ens, 0.8, fb)
     pinched = gl.trial_state(ens, 0.8, fb)
-    for want, got in zip(_sector_blocks(plain.matrix, fb), pinched.blocks):
+    for want, got in zip(oracles.pinched(plain, fb).blocks, pinched.blocks):
         assert np.abs(want - got).max() < 1e-12
-    assert abs(fock.particle_number(plain)
-               - fock.particle_number(pinched)) < 1e-10
+    n_plain = float(np.real(np.diagonal(plain)) @ fb.occupations.sum(axis=1))
+    assert abs(n_plain - fock.particle_number(pinched)) < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:.*trial-state samples.*")
@@ -150,13 +166,15 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
     gibbs, _ = gl.gibbs_state(H, T)
     free, _ = gl.gibbs_state(H0, T)
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
-    for trial in (gl.trial_state(ens, T, fb, n_subsample=256),
-                  _plain_mixture(ens, T, fb, n_subsample=256)):
-        fe_trial = gl.relative_free_energy(trial, free, tensor_k2, lam, T)
+    for fe_trial in (
+            gl.relative_free_energy(gl.trial_state(ens, T, fb, n_subsample=256),
+                                    free, tensor_k2, lam, T),
+            _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=256),
+                               free, tensor_k2, lam, T)):
         assert fe_trial >= fe_gibbs - 1e-8
     # pinching can only lower the trial free energy
-    fe_plain = gl.relative_free_energy(
-        _plain_mixture(ens, T, fb, n_subsample=128), free, tensor_k2, lam, T)
+    fe_plain = _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=128),
+                                  free, tensor_k2, lam, T)
     fe_pinch = gl.relative_free_energy(
         gl.trial_state(ens, T, fb, n_subsample=128), free, tensor_k2, lam, T)
     assert fe_pinch <= fe_plain + 1e-9
@@ -172,7 +190,7 @@ def test_trial_state_warns_on_cutoff_violation(basis_k2, delta_kernel):
 
 def test_husimi_vacuum_density():
     fb = gl.build_fock_basis(1, 8)
-    vac = gl.coherent(np.zeros(1), fb).projector()
+    vac = _number_state(fb, 0)
     pts = np.array([[0.3 + 0.4j], [1.0 + 0.0j], [0.0 + 0.0j]])
     dens = gl.husimi_density(vac, 1.0, pts)
     expect = np.exp(-np.abs(pts[:, 0]) ** 2) / math.pi
@@ -180,14 +198,17 @@ def test_husimi_vacuum_density():
 
 
 def test_husimi_peaks_at_scaled_center():
+    # |n> has density (pi eps)^-1 e^-nu nu^n / n!, nu = |u|^2 / eps, which
+    # peaks on the circle |u|^2 = n eps
     fb = gl.build_fock_basis(1, 40)
-    w = np.array([1.1 + 0.6j])
-    proj = gl.coherent(w, fb).projector()
-    eps = 0.5
-    line = np.linspace(-2.5, 2.5, 101)
-    pts = (math.sqrt(eps) * w)[None, :] + line[:, None] * np.array([[1.0]])
-    dens = gl.husimi_density(proj, eps, pts)
-    assert abs(line[np.argmax(dens)]) < 0.05
+    n, eps = 3, 0.5
+    line = np.linspace(0.0, 2.5, 101)
+    pts = (line * np.exp(0.7j))[:, None]
+    dens = gl.husimi_density(_number_state(fb, n), eps, pts)
+    nu = line**2 / eps
+    expect = np.exp(-nu) * nu**n / math.factorial(n) / (math.pi * eps)
+    assert np.abs(dens - expect).max() < 1e-12
+    assert abs(line[np.argmax(dens)] - math.sqrt(n * eps)) < 0.05
 
 
 def test_husimi_positive_on_random_states():
@@ -203,8 +224,7 @@ def test_husimi_normalization_window():
     for state, eps, rmax in [
         (_thermal_single_mode(0.5, 25), 1.0, 7.0),
         (_thermal_single_mode(1.5, 40), 0.5, 6.0),
-        (gl.coherent(np.array([0.9 + 0.2j]), gl.build_fock_basis(1, 30))
-         .projector(), 1.0, 8.0),
+        (_number_state(gl.build_fock_basis(1, 30), 2), 1.0, 8.0),
     ]:
         val = oracles.husimi_normalization_quadrature(state, eps, r_max=rmax,
                                                       nr=300, ntheta=96)
@@ -250,9 +270,10 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
-    dense = fock.random_state(fb, 3, dense=True)
-    # diagonal, sector-block and dense contractions, mixed in one estimate
-    for state, ref in [(gibbs, free), (dense, gibbs), (free, free)]:
+    # real and complex sector-block and diagonal contractions, mixed in one
+    # estimate
+    for state, ref in [(gibbs, free), (fock.random_state(fb, 3), gibbs),
+                       (free, free)]:
         est = husimi_kl_importance(state, ref, 1.0 / T, n_samples=600, seed=4)
         expect = _kl_from_separate_densities(state, ref, 1.0 / T, 600, 4)
         assert est.value == pytest.approx(expect, rel=1e-12, abs=1e-15)
@@ -267,8 +288,7 @@ def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
     eps = 0.4
 
     def dense_route(state):
-        return gl.husimi_density(
-            fock.FockState(basis=fb, matrix=state.to_dense()), eps, pts)
+        return oracles.husimi_dense(state.to_dense(), fb, eps, pts)
 
     assert isinstance(semiclassics._husimi_form(free), np.ndarray)
     diag = gl.husimi_density(free, eps, pts)
@@ -284,17 +304,6 @@ def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
     assert np.allclose(got, dense_route(perturbed), rtol=1e-12, atol=0.0)
     # the diagonal of the two states agrees, so an O(dim) route would miss it
     assert np.max(np.abs(got - diag) / diag) > 1e-2
-
-
-def _full_basis_husimi(state, eps, pts):
-    """(pi eps)^-K <xi|state|xi> with amplitudes over every sector."""
-    fb = state.basis
-    vs = pts / math.sqrt(eps)
-    nu = np.sum(np.abs(vs) ** 2, axis=1)
-    A = occupation_products(vs, fb.occupations, np.exp(-0.5 * nu))
-    form = semiclassics._husimi_form(state)
-    return (math.pi * eps) ** (-fb.K) * semiclassics._contract(form, A,
-                                                                fb.n_max)
 
 
 def _record_amplitude_rows(monkeypatch):
@@ -332,14 +341,26 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
     assert isinstance(semiclassics._husimi_form(free), np.ndarray)
     assert min(rows) < fb.dim and len(rows) == 3   # windows, no fallback
     for got, state in zip(h, [gibbs, free]):
-        want = _full_basis_husimi(state, 1.0, pts)
+        want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
-    # a dense state keeps the full basis in every chunk
-    rows.clear()
-    dense = fock.random_state(fb, 2, dense=True)
-    got = gl.husimi_density(dense, 1.0, pts)
-    assert rows == [fb.dim] * 3
-    want = _full_basis_husimi(dense, 1.0, pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(1, 3), n_max=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_husimi_complex_blocks_match_full_basis(K, n_max, seed):
+    # complex sector blocks, the trial state's shape; half the points sit
+    # near the vacuum, where a chunk drops the top sectors
+    fb = gl.build_fock_basis(K, n_max)
+    state = fock.random_state(fb, seed % 1000)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((600, K)) + 1j * rng.standard_normal((600, K))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    nu = np.concatenate([rng.uniform(0.0, n_max, 300),
+                         rng.uniform(0.0, 1e-3, 300)])
+    pts = z * np.sqrt(nu)[:, None]
+    got = semiclassics._husimi([state], 1.0, pts)[0]
+    want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
@@ -356,7 +377,7 @@ def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
     rows = _record_amplitude_rows(monkeypatch)
     got = gl.husimi_density(top, 1.0, pts)
     assert rows[0] < fb.dim and rows[-1] == fb.dim   # window, then fallback
-    want = _full_basis_husimi(top, 1.0, pts)
+    want = oracles.husimi_dense(top.to_dense(), fb, 1.0, pts)
     assert np.all(want > 0.0)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
