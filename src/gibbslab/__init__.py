@@ -19,10 +19,10 @@ from .convergence import (CheckResult, ExperimentConfig, KernelSpec,
                           ReportRow, emit_report, evaluate_properties,
                           parse_config, read_config, run_convergence,
                           run_selfchecks)
-from .fock import (FockBasis, FockOperator, FockState, ThermalPoint,
-                   build_fock_basis, build_hamiltonian, choose_n_max,
-                   energy_decomposition, gibbs_state, ladder, particle_number,
-                   reduced_density_matrix, relative_entropy,
+from .fock import (DiagonalState, FockBasis, FockOperator, FockState,
+                   ThermalPoint, build_fock_basis, build_hamiltonian,
+                   choose_n_max, energy_decomposition, gibbs_state, ladder,
+                   particle_number, reduced_density_matrix, relative_entropy,
                    reduced_dm_normal_ordered, relative_free_energy, solve_point)
 from .metrics import hs_distance, trace_norm_distance
 from .semiclassics import (BLGap, CoherentVector, TailWarning,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
 import warnings
@@ -109,6 +110,8 @@ class ExperimentConfig:
             raise ValueError("trial_subsample must lie in 0..mc_samples")
         if self.bl_samples != 0 and self.bl_samples < 10:
             raise ValueError("bl_samples must be 0 (off) or at least 10")
+        if self.dim_budget < 1:
+            raise ValueError("dim_budget must be positive")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -199,6 +202,7 @@ class ReportRow:
     f_target: float = math.nan
     f_stderr: float = 0.0
     trial_gap: float | None = None
+    trial_tail_mass: float | None = None
     fe_identity_defect: float | None = None
     bl: semiclassics.BLGap | None = None
     wall_s: float = 0.0
@@ -303,6 +307,10 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                 ensemble, T, fb, n_subsample=config.trial_subsample)
         notes += [str(w.message) for w in caught
                   if issubclass(w.category, semiclassics.TailWarning)]
+        row.trial_tail_mass = trial.tail_mass()
+        if row.trial_tail_mass >= config.n_max_policy:
+            notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
+                         f"below n_max_policy {config.n_max_policy:.1e}")
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
         row.trial_gap = fe_trial - fe_gibbs
         exact = T * row.f_value
@@ -388,8 +396,6 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
     per T) and summary.json; returns both paths. CSV content is a pure
     function of config + seed; wall-clock and the Python, numpy and scipy
     versions live only in the JSON."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     json_path = os.path.join(out_dir, "summary.json")
@@ -419,6 +425,8 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
                            for k, m in row.distances.items()}}
         if row.dim is not None:
             d["dim"] = row.dim
+        if row.trial_tail_mass is not None:
+            d["trial_tail_mass"] = row.trial_tail_mass
         if row.bl is not None:
             d["berezin_lieb"] = {"quantum": row.bl.quantum,
                                  "classical": row.bl.classical,
@@ -502,7 +510,7 @@ def run_selfchecks(config: ExperimentConfig,
     T_chk = min(config.T_schedule[0], 2.0)
     g_free = fock.solve_point(basis.eigenvalues, None, T_chk, 0.0, tail=1e-12,
                               dim_budget=config.dim_budget).free
-    occ = np.real(np.diag(fock.reduced_density_matrix(g_free, 1).entries))
+    occ = g_free.basis.occupations.T @ g_free.p
     exact_occ = 1.0 / (np.exp(basis.eigenvalues / T_chk) - 1.0)
     occ_diff = float(np.abs(occ - exact_occ).max())
     checks.append(CheckResult("free_state_occupation", occ_diff <= 1e-8,

@@ -4,8 +4,10 @@ The Fock space over K modes is truncated at total occupation n_max and
 enumerated in graded colexicographic order, so every operator built here is
 block diagonal across total-particle sectors whenever it commutes with the
 number operator. Every state the lab builds (Gibbs states, the free state,
-the phase-averaged trial state) commutes with it too, so a state is stored
-as its per-sector dense blocks and nothing else.
+the phase-averaged trial state) commutes with it too, so a FockState is
+stored as its per-sector dense blocks. A state diagonal in the occupation
+basis, as the free Gibbs state is, is a DiagonalState: its diagonal alone,
+and the reference of every relative entropy.
 
 Reduced k-body matrices follow the binomial-weight convention
 tr[A Gamma^(k)] = sum_n C(n,k) tr[(A (x)_s 1) G_n], so tr Gamma^(1) equals
@@ -32,6 +34,7 @@ __all__ = [
     "FockBasis",
     "FockOperator",
     "FockState",
+    "DiagonalState",
     "EnergySplit",
     "ThermalPoint",
     "build_fock_basis",
@@ -51,7 +54,6 @@ __all__ = [
     "random_state",
 ]
 
-_SUPPORT_EPS = 1e-14
 _LOG_FLOOR = 1e-300
 _N_MAX_FLOOR = 4  # smallest cutoff choose_n_max returns
 
@@ -179,7 +181,8 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
 @dataclass(frozen=True)
 class FockState:
     """Positive trace-one operator commuting with the number operator,
-    stored as its sector blocks (blocks[n] acts on sector n)."""
+    stored as its sector blocks (blocks[n] acts on sector n); one diagonal in
+    the occupation basis can be a DiagonalState instead."""
 
     basis: FockBasis
     blocks: tuple
@@ -192,9 +195,6 @@ class FockState:
             out[s, s] = blk
         return out
 
-    def trace(self) -> float:
-        return float(sum(np.real(np.trace(b)) for b in self.blocks))
-
     def sector_probabilities(self) -> np.ndarray:
         return np.array([float(np.real(np.trace(b)))
                          for b in self.blocks])
@@ -203,6 +203,22 @@ class FockState:
         """Combined weight of the top two sectors (the truncation diagnostic)."""
         p = self.sector_probabilities()
         return float(p[-2:].sum()) if p.size >= 2 else float(p.sum())
+
+
+@dataclass(frozen=True)
+class DiagonalState:
+    """Positive trace-one operator diagonal in the occupation basis, stored
+    as its diagonal (p[i] is the weight of basis state i)."""
+
+    basis: FockBasis
+    p: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.p) != (self.basis.dim,):
+            raise ValueError("diagonal length does not match the basis dim")
+
+    def sector_probabilities(self) -> np.ndarray:
+        return np.add.reduceat(self.p, self.basis.sector_offsets[:-1])
 
 
 def gibbs_state(H: FockOperator, T: float):
@@ -358,44 +374,34 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
                        two_body=two_body_energy(state, tensor, lam))
 
 
-def relative_entropy(state: FockState, ref: FockState) -> float:
+def relative_entropy(state: FockState, ref: DiagonalState) -> float:
     """tr[state (log state - log ref)]; +inf on a support violation.
 
-    Both states are block diagonal, so the sum runs over sector pairs, and
-    the state side needs only eigenvalues. A reference block that is exactly
-    diagonal (a free Gibbs state's is) has its diagonal q as spectrum and the
-    state's diagonal as the mass on each of its modes, with no eigensolve;
-    its kernel is exactly q == 0. Any other reference block is diagonalized,
-    the mass on each mode is Re diag(V+ G V), and eigenvalues below 1e-14 of
-    the block's largest count as kernel, the scale the eigensolver resolves.
-    If the state carries more than 1e-9 of its mass on kernel modes the
+    The state is block diagonal, so the sum runs over its sectors and its
+    side needs only the eigenvalues of each block. The reference is
+    diagonal, so its diagonal q is its spectrum and the state's diagonal is
+    the mass on each of its modes, with no eigensolve; its kernel is exactly
+    q == 0. If the state carries more than 1e-9 of its mass there the
     support condition fails and +inf is returned; otherwise eigenvalues are
     clipped at 1e-300 (the 0 log 0 = 0 convention).
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     total, stray = 0.0, 0.0
-    for G, R in zip(state.blocks, ref.blocks):
-        G, R = np.asarray(G), np.asarray(R)
+    for n, G in enumerate(state.blocks):
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        if not np.any(R - np.diag(np.diagonal(R))):
-            q = np.real(np.diagonal(R))
-            mass = np.real(np.diagonal(G))
-            small = q <= 0.0
-        else:
-            q, V = eigh(R)
-            mass = np.real(np.sum(V.conj() * (G @ V), axis=0))
-            small = q <= _SUPPORT_EPS * max(float(q[-1]), _LOG_FLOOR)
-        stray += float(mass[small].sum())
+        q = ref.p[state.basis.sector_slice(n)]
+        mass = np.real(np.diagonal(G))
+        stray += float(mass[q <= 0.0].sum())
         total -= float(np.sum(mass * np.log(np.clip(q, _LOG_FLOOR, None))))
     if stray > 1e-9:
         return math.inf
     return total
 
 
-def relative_free_energy(state: FockState, free_ref: FockState,
+def relative_free_energy(state: FockState, free_ref: DiagonalState,
                          tensor: TwoBodyTensor | None, lam: float,
                          T: float) -> float:
     """lam tr[w Gamma^(2)] + T S(state | free reference).
@@ -452,13 +458,13 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
 
 @dataclass(frozen=True)
 class ThermalPoint:
-    """Interacting and free Gibbs states of one (T, lam) schedule point."""
+    """Interacting and free (diagonal) Gibbs states of one (T, lam) point."""
 
     T: float
     lam: float
     basis: FockBasis
     gibbs: FockState
-    free: FockState
+    free: DiagonalState
     log_z: float
     log_z_free: float
 
@@ -479,9 +485,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
         build_hamiltonian(basis, eigenvalues, tensor, lam), T)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))
-    free = FockState(basis=basis, blocks=tuple(
-        np.diag(np.exp(-E[basis.sector_slice(n)] / T - log_z_free))
-        for n in range(n_max + 1)))
+    free = DiagonalState(basis, np.exp(-E / T - log_z_free))
     return ThermalPoint(T=T, lam=lam, basis=basis, gibbs=gibbs, free=free,
                         log_z=log_z, log_z_free=log_z_free)
 

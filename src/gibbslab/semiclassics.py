@@ -19,7 +19,9 @@ import numpy as np
 from scipy.special import gammainc
 
 from .classical import WeightedEnsemble
-from .fock import FockBasis, FockState, reduced_density_matrix, relative_entropy
+from .fock import DiagonalState, FockBasis, FockState, relative_entropy
+# perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
+from .fock import reduced_density_matrix  # noqa: F401
 from .kernels import occupation_products
 
 __all__ = [
@@ -48,12 +50,8 @@ class TailWarning(UserWarning):
 class CoherentVector:
     """Truncated coherent state with its Poisson tail bound."""
 
-    v: np.ndarray
     amplitudes: np.ndarray
     tail_bound: float
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
@@ -72,7 +70,7 @@ def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
                       TailWarning, stacklevel=2)
     amps = occupation_products(v[None, :], basis.occupations,
                                np.exp([-0.5 * nu]))[:, 0]
-    return CoherentVector(v=v, amplitudes=amps, tail_bound=tail)
+    return CoherentVector(amplitudes=amps, tail_bound=tail)
 
 
 def coherent_overlap(a: CoherentVector, b: CoherentVector) -> complex:
@@ -124,33 +122,23 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
     return FockState(basis=basis, blocks=tuple(b / tr for b in sums))
 
 
-def _husimi_form(state: FockState):
-    """How <xi|state|xi> contracts a (dim, P) amplitude array.
-
-    A diagonal array p when every sector block is exactly diagonal (a free
-    Gibbs state is), so a point costs O(dim) as p . |A|^2; otherwise a list
-    of (slice, block) pairs, one per sector.
-    """
-    if all(not np.any(G - np.diag(np.diagonal(G))) for G in state.blocks):
-        return np.concatenate([np.real(np.diagonal(G)) for G in state.blocks])
-    return [(state.basis.sector_slice(m), np.ascontiguousarray(G))
-            for m, G in enumerate(state.blocks)]
-
-
-def _contract(form, A: np.ndarray, n_hi: int) -> np.ndarray:
+def _contract(state: FockState | DiagonalState, A: np.ndarray,
+              n_hi: int) -> np.ndarray:
     """Re <A|state|A> over sectors 0..n_hi for each column of A.
 
-    A holds the amplitudes of those sectors (a graded prefix of the basis);
-    form comes from _husimi_form.
+    A holds the amplitudes of those sectors (a graded prefix of the basis).
+    A DiagonalState costs O(dim) per point as p . |A|^2; a FockState is
+    contracted one sector block at a time.
     """
     # A real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
-    if isinstance(form, np.ndarray):
-        p = form[:A.shape[0]]
+    if isinstance(state, DiagonalState):
+        p = state.p[:A.shape[0]]
         return np.einsum("i,ij,ij->j", p, X, X).reshape(-1, 2).sum(axis=1)
     val = np.zeros(A.shape[1])
-    for sl, G in form[:n_hi + 1]:
+    for m, G in enumerate(state.blocks[:n_hi + 1]):
+        sl = state.basis.sector_slice(m)
         if np.isrealobj(G):
             Xm = X[sl]
             val += np.einsum("ij,ij->j", Xm, G @ Xm).reshape(-1, 2).sum(axis=1)
@@ -160,9 +148,10 @@ def _contract(form, A: np.ndarray, n_hi: int) -> np.ndarray:
     return val
 
 
-def _husimi(states: list[FockState], eps: float,
+def _husimi(states: list[FockState | DiagonalState], eps: float,
             points: np.ndarray) -> np.ndarray:
-    """Husimi densities of states on one basis, one row per state.
+    """Husimi densities of FockStates or DiagonalStates on one basis, one
+    row per state.
 
     Points are taken in chunks in ascending order of nu = |v|^2, and the
     coherent amplitudes of each chunk are built once and contracted against
@@ -183,7 +172,6 @@ def _husimi(states: list[FockState], eps: float,
     points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     vs = points / math.sqrt(eps)
     nu = np.sum(np.abs(vs) ** 2, axis=1)
-    forms = [_husimi_form(s) for s in states]
     n_top = basis.n_max
     # beyond[i, n] = max over m > n of tr G_m of state i
     tr = np.array([s.sector_probabilities() for s in states])
@@ -193,7 +181,7 @@ def _husimi(states: list[FockState], eps: float,
     def kept(idx: np.ndarray, n_hi: int) -> np.ndarray:
         occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
         A = occupation_products(vs[idx], occs, np.exp(-0.5 * nu[idx]))
-        return np.array([_contract(form, A, n_hi) for form in forms])
+        return np.array([_contract(s, A, n_hi) for s in states])
 
     out = np.empty((len(states), points.shape[0]))
     order = np.argsort(nu, kind="stable")
@@ -213,7 +201,8 @@ def _husimi(states: list[FockState], eps: float,
     return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None)
 
 
-def husimi_density(state: FockState, eps: float, points: np.ndarray) -> np.ndarray:
+def husimi_density(state: FockState | DiagonalState, eps: float,
+                   points: np.ndarray) -> np.ndarray:
     """Lower-symbol density (pi eps)^-K <xi(u/sqrt(eps))| state |xi(u/sqrt(eps))>.
 
     points: (P, K) complex field values u. Nonnegative by positivity of the
@@ -230,14 +219,12 @@ class KLEstimate:
     degenerate: bool
 
 
-def _reference_scales(ref: FockState, eps: float) -> np.ndarray:
+def _reference_scales(ref: DiagonalState, eps: float) -> np.ndarray:
     """Per-mode Gaussian proposal variances eps * (occupancy + 1)."""
-    g1 = reduced_density_matrix(ref, 1)
-    occ = np.clip(np.real(np.diag(g1.entries)), 0.0, None)
-    return eps * (occ + 1.0)
+    return eps * (ref.basis.occupations.T @ ref.p + 1.0)
 
 
-def husimi_kl_importance(state: FockState, ref: FockState, eps: float,
+def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
                          n_samples: int = 4000, seed: int = 0) -> KLEstimate:
     """KL divergence of the two (normalized) Husimi densities.
 
@@ -303,7 +290,7 @@ class BLGap:
                    ess=kl.ess, degenerate=kl.degenerate)
 
 
-def berezin_lieb_gap(state: FockState, ref: FockState, eps: float,
+def berezin_lieb_gap(state: FockState, ref: DiagonalState, eps: float,
                      n_samples: int = 4000, seed: int = 0) -> BLGap:
     """Gap between quantum relative entropy and the Husimi-density KL.
 

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from gibbslab import MomentMatrix, husimi_density, symspace
-from gibbslab.fock import FockState, _branching_rows
+from gibbslab.fock import DiagonalState, FockState, _branching_rows
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,
@@ -100,6 +100,15 @@ def pinched(matrix: np.ndarray, basis) -> FockState:
     return FockState(basis=basis, blocks=tuple(
         matrix[basis.sector_slice(n), basis.sector_slice(n)]
         for n in range(basis.n_max + 1)))
+
+
+def diagonal_of(state: FockState) -> DiagonalState:
+    """The diagonal of a state whose every sector block is exactly diagonal;
+    asserts that each one is."""
+    for G in state.blocks:
+        assert not np.any(G - np.diag(np.diagonal(G))), "block not diagonal"
+    return DiagonalState(state.basis, np.concatenate(
+        [np.real(np.diagonal(G)) for G in state.blocks]))
 
 
 def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import gibbslab as gl
-from gibbslab import cli, fock
+from gibbslab import cli, fock, semiclassics
 from gibbslab.convergence import (ExperimentConfig, KernelSpec, emit_report,
                                   evaluate_properties, parse_config,
                                   run_convergence, run_selfchecks)
@@ -88,6 +88,7 @@ def test_kernel_spec_realize(basis_k2):
     ("n_blocks", 1), ("n_blocks", 4001),
     ("trial_subsample", -1), ("trial_subsample", 4001),
     ("bl_samples", -1), ("bl_samples", 1), ("bl_samples", 9),
+    ("dim_budget", 0), ("dim_budget", -1),
 ])
 def test_config_rejects_bad_sampling_counts(small_config, key, value):
     with pytest.raises(ValueError, match=key):
@@ -97,7 +98,8 @@ def test_config_rejects_bad_sampling_counts(small_config, key, value):
 def test_config_accepts_boundary_sampling_counts(small_config):
     for key, value in [("n_blocks", 2), ("n_blocks", 4000),
                        ("trial_subsample", 0), ("trial_subsample", 4000),
-                       ("bl_samples", 0), ("bl_samples", 10)]:
+                       ("bl_samples", 0), ("bl_samples", 10),
+                       ("dim_budget", 1)]:
         cfg = dataclasses.replace(small_config, **{key: value})
         assert getattr(cfg, key) == value
 
@@ -241,14 +243,40 @@ def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
     assert "interacting tail mass" not in open(csv_path).read()
 
 
+def test_trial_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
+                                            small_config):
+    build = semiclassics.trial_state
+
+    def heavy_tail(*args, **kwargs):
+        # the built trial state with all its mass moved to the top sector
+        trial = build(*args, **kwargs)
+        blocks = [np.zeros_like(b) for b in trial.blocks]
+        d = blocks[-1].shape[0]
+        blocks[-1] = np.eye(d) / d
+        return fock.FockState(basis=trial.basis, blocks=tuple(blocks))
+
+    monkeypatch.setattr(semiclassics, "trial_state", heavy_tail)
+    cfg = dataclasses.replace(small_config, bl_samples=0)
+    res = run_convergence(cfg)
+    csv_path, json_path = emit_report(res, tmp_path)
+    for row in json.load(open(json_path))["rows"]:
+        assert row["trial_tail_mass"] == pytest.approx(1.0, rel=1e-12)
+        assert "trial tail mass 1.000e+00 is not below n_max_policy 1.0e-08" \
+            in row["notes"]
+        assert "interacting tail mass" not in row["notes"]
+    assert "trial tail mass" not in open(csv_path).read()
+
+
 def test_committed_config_tail_is_within_the_policy(tmp_path):
-    # negative control of the tail note: the T=5 row of configs/desk.cfg
+    # negative control of the tail notes: the T=5 row of configs/desk.cfg
     path = os.path.join(CONFIGS, "desk.cfg")
     cfg = dataclasses.replace(gl.read_config(path), T_schedule=(5.0,),
                               out_dir=str(tmp_path))
     (row,) = run_convergence(cfg).rows
     assert row.valid and row.tail_mass < cfg.n_max_policy
+    assert row.trial_tail_mass < cfg.n_max_policy
     assert "interacting tail mass" not in row.notes
+    assert "trial tail mass" not in row.notes
 
 
 def test_selfchecks_pass(small_config):
@@ -412,6 +440,18 @@ def test_cli_non_positive_temperature_is_an_error(
     err = capsys.readouterr().err
     assert err.strip() == "error: --T must be a positive temperature"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_positive_dim_budget_is_an_error(config_file, tmp_path,
+                                                capsys):
+    config_file.write_text(config_file.read_text().replace(
+        "dim_budget = 20000", "dim_budget = 0"))
+    out = tmp_path / "budget"
+    assert cli.main(["converge", "--config", str(config_file),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: dim_budget must be positive"]
+    assert not out.exists()
 
 
 def test_cli_bl_gap_without_samples_is_an_error(tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_gibbs_geometric_partition_function():
     state, log_z = gl.gibbs_state(H, 1.0)
     exact = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     assert abs(log_z - exact) < 1e-10
-    assert abs(state.trace() - 1.0) < 1e-10
+    assert abs(state.sector_probabilities().sum() - 1.0) < 1e-10
 
 
 def test_gibbs_low_temperature_is_vacuum(basis_k2, tensor_k2):
@@ -218,6 +218,7 @@ def test_parity_split_gibbs_state_properties(K, n_max, seed, T, lam):
         gl.build_hamiltonian(fb, eigenvalues, tensor, lam), T)
     free, log_z0 = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, None, 0.0), T)
+    free = oracles.diagonal_of(free)
     g1 = gl.reduced_density_matrix(gibbs, 1)
     assert g1.trace() == pytest.approx(gl.particle_number(gibbs), abs=1e-10)
     for k in (1, 2):
@@ -401,12 +402,36 @@ def test_energy_decomposition_random_states(basis_k3, tensor_k3):
         assert rel < 1e-9
 
 
+def _random_diagonal(fb, rng):
+    q = np.exp(-rng.uniform(0.0, 20.0, fb.dim))
+    return fock.DiagonalState(fb, q / q.sum())
+
+
+def _as_blocks(ref):
+    """A DiagonalState as the FockState with the same (diagonal) blocks."""
+    fb = ref.basis
+    return fock.FockState(basis=fb, blocks=tuple(
+        np.diag(ref.p[fb.sector_slice(n)]) for n in range(fb.n_max + 1)))
+
+
+def test_diagonal_state_checks_length_and_sums_sectors():
+    fb = gl.build_fock_basis(2, 4)
+    ref = _random_diagonal(fb, np.random.default_rng(0))
+    assert np.allclose(ref.sector_probabilities(),
+                       _as_blocks(ref).sector_probabilities(),
+                       rtol=1e-14, atol=0.0)
+    for bad in (ref.p[:-1], np.append(ref.p, 0.0), ref.p.reshape(1, -1)):
+        with pytest.raises(ValueError, match="basis dim"):
+            fock.DiagonalState(fb, bad)
+
+
 def test_relative_entropy_basics():
     fb = gl.build_fock_basis(2, 4)
-    a = fock.random_state(fb, 1)
-    assert abs(gl.relative_entropy(a, a)) < 1e-10
+    rng = np.random.default_rng(1)
+    a = _random_diagonal(fb, rng)
+    assert abs(gl.relative_entropy(_as_blocks(a), a)) < 1e-10
     for seed in range(100):
-        x, y = fock.random_state(fb, 2 * seed), fock.random_state(fb, 2 * seed + 1)
+        x, y = fock.random_state(fb, seed), _random_diagonal(fb, rng)
         assert gl.relative_entropy(x, y) > -1e-10
 
 
@@ -419,36 +444,39 @@ def test_relative_entropy_matches_classical_kl():
         return fock.FockState(basis=fb,
                               blocks=tuple(np.array([[v]]) for v in p / p.sum()))
     a, b = thermal(0.4), thermal(0.9)
-    kl = gl.relative_entropy(a, b)
+    kl = gl.relative_entropy(a, oracles.diagonal_of(b))
     assert abs(kl - oracles.geometric_kl(0.4, 0.9)) < 1e-6
     # asymmetry witnessed
-    assert abs(gl.relative_entropy(b, a) - kl) > 1e-3
+    assert abs(gl.relative_entropy(b, oracles.diagonal_of(a)) - kl) > 1e-3
 
 
 def test_relative_entropy_support_violation():
+    # the vacuum as reference: its kernel is every state but the vacuum
     fb = gl.build_fock_basis(2, 3)
+    vacuum = fock.DiagonalState(fb, np.eye(fb.dim)[0])
     pure = _coherent_projector(np.zeros(2), fb)
     mixed = fock.random_state(fb, 5)
-    assert math.isinf(gl.relative_entropy(mixed, pure))
-    assert math.isfinite(gl.relative_entropy(pure, mixed))
+    assert math.isinf(gl.relative_entropy(mixed, vacuum))
+    assert gl.relative_entropy(pure, vacuum) == 0.0
+    full = _random_diagonal(fb, np.random.default_rng(5))
+    assert math.isfinite(gl.relative_entropy(pure, full))
 
 
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1),
        zero_sector=st.one_of(st.none(), st.integers(0, 8)))
-def test_relative_entropy_diagonal_reference_matches_generic_route(
+def test_relative_entropy_diagonal_reference_matches_dense_oracle(
         K, n_max, seed, zero_sector):
-    # a diagonal reference stored as sector blocks skips its eigensolve; the
-    # whole-space definition diagonalizes the same reference as one matrix
+    # a diagonal reference needs no eigensolve; the whole-space definition
+    # diagonalizes the same reference as one matrix
     fb = gl.build_fock_basis(K, n_max)
     rng = np.random.default_rng(seed)
     q = np.exp(-rng.uniform(0.0, 20.0, fb.dim))
     if zero_sector is not None and zero_sector <= n_max:
         q[fb.sector_slice(zero_sector)] = 0.0
     q /= q.sum()
-    diag_ref = fock.FockState(basis=fb, blocks=tuple(
-        np.diag(q[fb.sector_slice(n)]) for n in range(n_max + 1)))
+    diag_ref = fock.DiagonalState(fb, q)
     state = fock.random_state(fb, seed % 1000)
     got = gl.relative_entropy(state, diag_ref)
     want = oracles.relative_entropy_dense(state.to_dense(), np.diag(q))
@@ -459,14 +487,15 @@ def test_relative_entropy_diagonal_reference_matches_generic_route(
 
 
 def test_relative_entropy_rejects_equal_dim_different_bases():
+    rng = np.random.default_rng(0)
     a = fock.random_state(gl.build_fock_basis(2, 3), 0)
     b = fock.random_state(gl.build_fock_basis(3, 2), 1)
     assert a.basis.dim == b.basis.dim == 10
     for x, y in [(a, b), (b, a)]:
         with pytest.raises(ValueError, match="different bases"):
-            gl.relative_entropy(x, y)
+            gl.relative_entropy(x, _random_diagonal(y.basis, rng))
     # an equal basis built separately is accepted
-    c = fock.random_state(gl.build_fock_basis(2, 3), 2)
+    c = _random_diagonal(gl.build_fock_basis(2, 3), rng)
     assert gl.relative_entropy(a, c) > 0.0
 
 
@@ -478,11 +507,12 @@ def test_relative_free_energy_identity(basis_k2, tensor_k2):
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
     gibbs, log_z = gl.gibbs_state(H, T)
-    free, log_z0 = gl.gibbs_state(H0, T)
+    free_blocks, log_z0 = gl.gibbs_state(H0, T)
+    free = oracles.diagonal_of(free_blocks)
     fe = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     target = T * (log_z0 - log_z)
     assert abs(fe - target) < 1e-8 * max(abs(target), 1.0)
-    assert gl.relative_free_energy(free, free, None, 0.0, T) == \
+    assert gl.relative_free_energy(free_blocks, free, None, 0.0, T) == \
         pytest.approx(0.0, abs=1e-10)
 
 
@@ -493,7 +523,7 @@ def test_relative_free_energy_identity_single_mode(basis_k2, tensor_k2):
     t1 = gl.TwoBodyTensor(tensor_k2.entries[:1, :1, :1, :1])
     gibbs, log_z = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, t1, lam), T)
     free, log_z0 = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, None, 0.0), T)
-    fe = gl.relative_free_energy(gibbs, free, t1, lam, T)
+    fe = gl.relative_free_energy(gibbs, oracles.diagonal_of(free), t1, lam, T)
     assert fe == pytest.approx(T * (log_z0 - log_z), rel=1e-8)
 
 
@@ -528,7 +558,7 @@ def test_variational_bound_of_relative_free_energy(basis_k2, tensor_k2):
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
     gibbs, _ = gl.gibbs_state(H, T)
-    free, _ = gl.gibbs_state(H0, T)
+    free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     base = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for seed in range(5):
         other = fock.random_state(fb, seed)
@@ -570,10 +600,11 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     assert (point.T, point.lam) == (T, lam)
     assert point.basis.n_max == n_max and point.basis.matches(fb)
     assert point.log_z == log_z and point.log_z_free == log_z0
-    for got, want in [(point.gibbs, gibbs), (point.free, free)]:
-        assert len(got.blocks) == len(want.blocks) == n_max + 1
-        for a, b in zip(got.blocks, want.blocks):
-            assert np.array_equal(a, b)
+    assert len(point.gibbs.blocks) == len(gibbs.blocks) == n_max + 1
+    for a, b in zip(point.gibbs.blocks, gibbs.blocks):
+        assert np.array_equal(a, b)
+    assert point.free.p.shape == (fb.dim,)
+    assert np.array_equal(point.free.p, oracles.diagonal_of(free).p)
 
 
 def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
@@ -586,9 +617,9 @@ def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
     free, log_z0 = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k3.eigenvalues, None, 0.0), T)
     assert point.log_z_free == pytest.approx(log_z0, rel=1e-13, abs=0.0)
-    assert len(point.free.blocks) == len(free.blocks) == fb.n_max + 1
-    for got, want in zip(point.free.blocks, free.blocks):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert point.free.p.shape == (fb.dim,)
+    np.testing.assert_allclose(point.free.p, oracles.diagonal_of(free).p,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,

@@ -28,9 +28,13 @@ def _number_state(fb, n):
         np.array([[float(m == n)]]) for m in range(fb.n_max + 1)))
 
 
+def _norm_sq(cv):
+    return np.vdot(cv.amplitudes, cv.amplitudes).real
+
+
 def _projector(cv):
     """|xi><xi| / <xi|xi> of a truncated coherent vector, as a matrix."""
-    return np.outer(cv.amplitudes, cv.amplitudes.conj()) / cv.norm_sq()
+    return np.outer(cv.amplitudes, cv.amplitudes.conj()) / _norm_sq(cv)
 
 
 def test_coherent_vacuum():
@@ -51,7 +55,7 @@ def test_coherent_normalization_and_poisson_sectors():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v *= math.sqrt(rng.uniform(0.1, fb.n_max / 2)) / np.linalg.norm(v)
         cv = gl.coherent(v, fb)
-        assert abs(cv.norm_sq() + cv.tail_bound - 1.0) < 1e-12
+        assert abs(_norm_sq(cv) + cv.tail_bound - 1.0) < 1e-12
         nu = float(np.sum(np.abs(v) ** 2))
         for k in (0, 1, 2):
             sector = cv.amplitudes[fb.sector_slice(k)]
@@ -102,7 +106,7 @@ def _plain_mixture(ens, T, fb, n_subsample=None):
         warnings.simplefilter("ignore", TailWarning)
         for ws, alpha in zip(w / w.sum(), ens.coeffs[:n]):
             cv = gl.coherent(math.sqrt(T) * alpha, fb)
-            M += ws * cv.norm_sq() * _projector(cv)
+            M += ws * _norm_sq(cv) * _projector(cv)
     return M / np.real(np.trace(M))
 
 
@@ -111,7 +115,7 @@ def _plain_free_energy(plain, free, tensor, lam, T):
     only its sector blocks, its relative entropy the whole matrix."""
     fb = free.basis
     return fock.two_body_energy(oracles.pinched(plain, fb), tensor, lam) \
-        + T * oracles.relative_entropy_dense(plain, free.to_dense())
+        + T * oracles.relative_entropy_dense(plain, np.diag(free.p))
 
 
 def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel):
@@ -164,7 +168,7 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
     gibbs, _ = gl.gibbs_state(H, T)
-    free, _ = gl.gibbs_state(H0, T)
+    free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for fe_trial in (
             gl.relative_free_energy(gl.trial_state(ens, T, fb, n_subsample=256),
@@ -233,7 +237,7 @@ def test_husimi_normalization_window():
 
 def test_husimi_kl_importance_matches_quadrature_and_oracle():
     a = _thermal_single_mode(0.6, 50)
-    b = _thermal_single_mode(1.1, 50)
+    b = oracles.diagonal_of(_thermal_single_mode(1.1, 50))
     eps = 1.0
     quantum = gl.relative_entropy(a, b)
     assert abs(quantum - oracles.geometric_kl(0.6, 1.1)) < 1e-8
@@ -248,7 +252,8 @@ def test_husimi_kl_importance_matches_quadrature_and_oracle():
 
 def _kl_from_separate_densities(state, ref, eps, n_samples, seed):
     """The importance estimate of husimi_kl_importance, rebuilt from two
-    husimi_density calls on the same proposal draws."""
+    husimi_density calls on the same proposal draws; ref is the reference
+    as sector blocks, and its one-body marginal sets the proposal."""
     rng = np.random.default_rng(seed)
     K = state.basis.K
     g1 = gl.reduced_density_matrix(ref, 1)
@@ -270,16 +275,17 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
-    # real and complex sector-block and diagonal contractions, mixed in one
-    # estimate
-    for state, ref in [(gibbs, free), (fock.random_state(fb, 3), gibbs),
-                       (free, free)]:
-        est = husimi_kl_importance(state, ref, 1.0 / T, n_samples=600, seed=4)
-        expect = _kl_from_separate_densities(state, ref, 1.0 / T, 600, 4)
+    # real and complex sector-block contractions of the state, each mixed
+    # with the diagonal one of the reference in one estimate; the expected
+    # value contracts the reference's sector blocks
+    for state in (gibbs, fock.random_state(fb, 3), free):
+        est = husimi_kl_importance(state, oracles.diagonal_of(free), 1.0 / T,
+                                   n_samples=600, seed=4)
+        expect = _kl_from_separate_densities(state, free, 1.0 / T, 600, 4)
         assert est.value == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
-def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
+def test_husimi_diagonal_state_matches_block_route(basis_k2):
     fb = gl.build_fock_basis(2, 12)
     free, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), 3.0)
@@ -290,8 +296,9 @@ def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
     def dense_route(state):
         return oracles.husimi_dense(state.to_dense(), fb, eps, pts)
 
-    assert isinstance(semiclassics._husimi_form(free), np.ndarray)
-    diag = gl.husimi_density(free, eps, pts)
+    diag = gl.husimi_density(oracles.diagonal_of(free), eps, pts)
+    assert np.allclose(diag, gl.husimi_density(free, eps, pts),
+                       rtol=1e-12, atol=0.0)
     assert np.allclose(diag, dense_route(free), rtol=1e-12, atol=0.0)
 
     # negative control: one off-diagonal entry (and its Hermitian mirror)
@@ -299,7 +306,8 @@ def test_husimi_diagonal_path_needs_exactly_diagonal_blocks(basis_k2):
     G = blocks[3]
     G[0, 1] = G[1, 0] = 0.5 * math.sqrt(G[0, 0] * G[1, 1])
     perturbed = fock.FockState(basis=fb, blocks=tuple(blocks))
-    assert not isinstance(semiclassics._husimi_form(perturbed), np.ndarray)
+    with pytest.raises(AssertionError, match="not diagonal"):
+        oracles.diagonal_of(perturbed)
     got = gl.husimi_density(perturbed, eps, pts)
     assert np.allclose(got, dense_route(perturbed), rtol=1e-12, atol=0.0)
     # the diagonal of the two states agrees, so an O(dim) route would miss it
@@ -336,9 +344,8 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
     pts = _spread_points(700, 9.0, 1)
     rows = _record_amplitude_rows(monkeypatch)
-    # sector-block and exactly diagonal states share the windowed chunks
-    h = semiclassics._husimi([gibbs, free], 1.0, pts)
-    assert isinstance(semiclassics._husimi_form(free), np.ndarray)
+    # sector-block and diagonal states share the windowed chunks
+    h = semiclassics._husimi([gibbs, oracles.diagonal_of(free)], 1.0, pts)
     assert min(rows) < fb.dim and len(rows) == 3   # windows, no fallback
     for got, state in zip(h, [gibbs, free]):
         want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
@@ -384,7 +391,7 @@ def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
 
 def test_berezin_lieb_rejects_equal_dim_different_bases():
     a = fock.random_state(gl.build_fock_basis(2, 3), 0)
-    b = fock.random_state(gl.build_fock_basis(3, 2), 1)
+    b = fock.DiagonalState(gl.build_fock_basis(3, 2), np.full(10, 0.1))
     assert a.basis.dim == b.basis.dim
     with pytest.raises(ValueError, match="different bases"):
         husimi_kl_importance(a, b, 1.0, n_samples=100)
@@ -394,7 +401,8 @@ def test_berezin_lieb_rejects_equal_dim_different_bases():
 
 def test_berezin_lieb_gap_equal_states():
     a = _thermal_single_mode(0.8, 40)
-    res = gl.berezin_lieb_gap(a, a, 1.0, n_samples=4000, seed=1)
+    res = gl.berezin_lieb_gap(a, oracles.diagonal_of(a), 1.0, n_samples=4000,
+                              seed=1)
     assert abs(res.quantum) < 1e-10
     assert abs(res.classical) < 5e-3
     assert abs(res.gap) < 5e-3
@@ -402,7 +410,7 @@ def test_berezin_lieb_gap_equal_states():
 
 def test_berezin_lieb_gap_thermal_pair():
     a = _thermal_single_mode(0.5, 50)
-    b = _thermal_single_mode(1.0, 50)
+    b = oracles.diagonal_of(_thermal_single_mode(1.0, 50))
     res = gl.berezin_lieb_gap(a, b, 1.0, n_samples=20000, seed=2)
     assert abs(res.quantum - oracles.geometric_kl(0.5, 1.0)) < 1e-8
     quad = oracles.husimi_kl_quadrature(a, b, 1.0, r_max=9.0, nr=400,
