@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
+from scipy.linalg import eigvalsh
+from scipy.special import logsumexp
 
 from . import classical, fock, semiclassics
 from .metrics import hs_distance, trace_norm_distance
@@ -206,6 +208,7 @@ class ReportRow:
     fe_identity_defect: float | None = None
     bl: semiclassics.BLGap | None = None
     wall_s: float = 0.0
+    stages: dict = field(default_factory=dict)      # stage -> wall seconds
     valid: bool = True
     error: str = ""
     notes: str = ""
@@ -266,18 +269,28 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                      tensor, ensemble, moments, blocks, T: float,
                      row_seed: int) -> ReportRow:
     t0 = time.perf_counter()
+    stages, clock = {}, [t0]
+
+    def lap(stage: str) -> None:
+        """Add the wall time since the last lap to a stage."""
+        now = time.perf_counter()
+        stages[stage] = stages.get(stage, 0.0) + now - clock[0]
+        clock[0] = now
+
     lam = config.coupling_rule / T
     try:
         point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
                                  tail=config.n_max_policy,
                                  dim_budget=config.dim_budget)
     except ValueError as exc:
+        lap("solve_point")
         return ReportRow(T=T, lam=lam, n_max=-1, tail_mass=math.nan,
                          valid=False, error=str(exc),
-                         wall_s=time.perf_counter() - t0)
+                         wall_s=time.perf_counter() - t0, stages=stages)
+    lap("solve_point")
     fb, gibbs, free_state = point.basis, point.gibbs, point.free
     row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass(),
-                    dim=fb.dim)
+                    dim=fb.dim, stages=stages)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
@@ -295,12 +308,15 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.distances[k] = DistanceMetric(d, se, hs)
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
+    lap("rdm")
 
     if config.trial_subsample > 0 or config.bl_samples > 0:
         # S(Gibbs | free): the Gibbs free energy and the quantum BL term
         s_gibbs = fock.relative_entropy(gibbs, free_state)
+        lap("relative_entropy")
     if config.trial_subsample > 0:
         fe_gibbs = fock.two_body_energy(gibbs, tensor, lam) + T * s_gibbs
+        lap("relative_entropy")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(
@@ -311,15 +327,18 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         if row.trial_tail_mass >= config.n_max_policy:
             notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
                          f"below n_max_policy {config.n_max_policy:.1e}")
+        lap("trial_state")
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
         row.trial_gap = fe_trial - fe_gibbs
         exact = T * row.f_value
         row.fe_identity_defect = abs(fe_gibbs - exact) / max(abs(exact), 1e-12)
+        lap("relative_entropy")
     if config.bl_samples > 0:
         row.bl = semiclassics.BLGap.of(
             s_gibbs, semiclassics.husimi_kl_importance(
                 gibbs, free_state, 1.0 / T, n_samples=config.bl_samples,
                 seed=row_seed))
+        lap("berezin_lieb")
     row.notes = "; ".join(notes)
     row.wall_s = time.perf_counter() - t0
     return row
@@ -419,7 +438,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
              "f_value": row.f_value, "f_target": row.f_target,
              "f_stderr": row.f_stderr, "trial_gap": row.trial_gap,
              "fe_identity_defect": row.fe_identity_defect,
-             "wall_s": row.wall_s,
+             "wall_s": row.wall_s, "stages": row.stages,
              "distances": {str(k): {"value": m.value, "stderr": m.stderr,
                                     "hs": m.hs}
                            for k, m in row.distances.items()}}
@@ -500,11 +519,44 @@ def run_selfchecks(config: ExperimentConfig,
     checks.append(CheckResult("number_identity", n_diff <= 1e-10, n_diff, 1e-10))
 
     lam_fb = basis.eigenvalues[:fb.K]
-    tens_fb = TwoBodyTensor(np.real(tensor.entries)[:fb.K, :fb.K, :fb.K, :fb.K])
+    tens_fb = TwoBodyTensor.with_parity(
+        np.real(tensor.entries)[:fb.K, :fb.K, :fb.K, :fb.K],
+        tensor.parity[:fb.K])
     split = fock.energy_decomposition(state, lam_fb, tens_fb, 0.7)
     rel = abs(split.total - split.one_body - split.two_body) \
         / max(abs(split.total), 1e-12)
     checks.append(CheckResult("energy_decomposition", rel <= 1e-9, rel, 1e-9))
+
+    # the same two routes on a Gibbs state stored as class blocks, so the
+    # ladder route also checks the gather's reads across classes
+    H_fb = fock.build_hamiltonian(fb, lam_fb, tens_fb, 0.7)
+    gibbs_fb, _ = fock.gibbs_state(H_fb, float(lam_fb.sum()))
+    diff = float(np.abs(fock.reduced_density_matrix(gibbs_fb, 2).entries
+                        - fock.reduced_dm_normal_ordered(gibbs_fb, 2).entries
+                        ).max())
+    checks.append(CheckResult(
+        "partial_trace_vs_normal_ordered_gibbs", diff <= 1e-10, diff, 1e-10,
+        f"{np.unique(H_fb.labels).size} classes"))
+
+    # log Z of the class split against the default driver on whole sectors
+    # of H_lam at the first schedule point
+    T0 = config.T_schedule[0]
+    fb0 = fock.build_fock_basis(
+        config.K, fock.choose_n_max(basis.eigenvalues, T0,
+                                    tail=config.n_max_policy,
+                                    dim_budget=config.dim_budget),
+        dim_budget=config.dim_budget)
+    H0 = fock.build_hamiltonian(fb0, basis.eigenvalues, tensor,
+                                config.coupling_rule / T0)
+    _, log_z0 = fock.gibbs_state(H0, T0)
+    whole = [eigvalsh(H0.class_block(n, np.arange(fb0.sector_dim(n))))
+             for n in range(fb0.n_max + 1)]
+    ref = float(logsumexp(-np.concatenate(whole) / T0))
+    dev = abs(log_z0 - ref) / max(abs(ref), 1.0)
+    n_cls = np.unique(H0.labels).size
+    checks.append(CheckResult(
+        "class_split", dev <= 1e-12, dev, 1e-12,
+        f"{n_cls} classes" if n_cls > 1 else "one class: split not exercised"))
 
     # free Gibbs occupancies against the closed form
     T_chk = min(config.T_schedule[0], 2.0)

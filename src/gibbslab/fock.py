@@ -5,9 +5,9 @@ enumerated in graded colexicographic order, so every operator built here is
 block diagonal across total-particle sectors whenever it commutes with the
 number operator. Every state the lab builds (Gibbs states, the free state,
 the phase-averaged trial state) commutes with it too, so a FockState is
-stored as its per-sector dense blocks. A state diagonal in the occupation
-basis, as the free Gibbs state is, is a DiagonalState: its diagonal alone,
-and the reference of every relative entropy.
+stored as one dense block per (sector, symmetry class). A state diagonal in
+the occupation basis, as the free Gibbs state is, is a DiagonalState: its
+diagonal alone, and the reference of every relative entropy.
 
 Reduced k-body matrices follow the binomial-weight convention
 tr[A Gamma^(k)] = sum_n C(n,k) tr[(A (x)_s 1) G_n], so tr Gamma^(1) equals
@@ -126,22 +126,17 @@ class FockOperator:
 
     labels[i] is the symmetry class of basis state i; the operator has no
     entry between two states of one sector with different labels, so
-    gibbs_state diagonalizes each class of a sector on its own. Left out,
-    every state is in class 0.
+    gibbs_state diagonalizes each class of a sector on its own.
     """
 
     basis: FockBasis
     matrix: sparse.csr_matrix
-    labels: np.ndarray | None = None
+    labels: np.ndarray
 
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels",
-                               np.zeros(self.basis.dim, dtype=np.int64))
-
-    def sector_block(self, n: int) -> np.ndarray:
-        s = self.basis.sector_slice(n)
-        return self.matrix[s, s].toarray()
+    def class_block(self, n: int, idx: np.ndarray) -> np.ndarray:
+        """The dense block on the in-sector indices idx of sector n."""
+        g = idx + self.basis.sector_offsets[n]
+        return self.matrix[g][:, g].toarray()
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.T.conjugate()
@@ -174,35 +169,47 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
         W = sparse.coo_matrix((vals, (rows, cols)),
                               shape=(basis.dim, basis.dim)).tocsr()
         H = H + lam * W
-    labels = None if tensor is None else basis.occupations @ tensor.parity % 2
-    return FockOperator(basis, H, labels)
+    parity = np.zeros(basis.K, dtype=np.int64) if tensor is None \
+        else tensor.parity
+    return FockOperator(basis, H, basis.occupations @ parity % 2)
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Positive trace-one operator commuting with the number operator,
-    stored as its sector blocks (blocks[n] acts on sector n); one diagonal in
-    the occupation basis can be a DiagonalState instead."""
+    """Positive trace-one operator commuting with the number operator and
+    zero between classes: blocks holds (n, idx, G) in sector order, G the
+    state on the in-sector basis indices idx of one class of sector n. One
+    diagonal in the occupation basis can be a DiagonalState instead."""
 
     basis: FockBasis
     blocks: tuple
 
+    @classmethod
+    def from_sectors(cls, basis: FockBasis, mats) -> FockState:
+        """One class per sector: mats[n] is the whole block of sector n."""
+        return cls(basis, tuple((n, np.arange(len(G)), G)
+                                for n, G in enumerate(mats)))
+
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.basis.dim, self.basis.dim),
-                       dtype=self.blocks[0].dtype)
-        for n, blk in enumerate(self.blocks):
-            s = self.basis.sector_slice(n)
-            out[s, s] = blk
+        out = np.zeros((self.basis.dim,) * 2,
+                       dtype=np.result_type(*(G for *_, G in self.blocks)))
+        for n, idx, G in self.blocks:
+            i = idx + self.basis.sector_offsets[n]
+            out[i[:, None], i] = G
         return out
 
     def sector_probabilities(self) -> np.ndarray:
-        return np.array([float(np.real(np.trace(b)))
-                         for b in self.blocks])
+        # each sector's diagonal in basis order, so the sum is its trace's
+        diag = np.empty(self.basis.dim,
+                        dtype=np.result_type(*(G for *_, G in self.blocks)))
+        for n, idx, G in self.blocks:
+            diag[idx + self.basis.sector_offsets[n]] = np.diagonal(G)
+        return np.real([diag[self.basis.sector_slice(n)].sum()
+                        for n in range(self.basis.n_max + 1)])
 
     def tail_mass(self) -> float:
         """Combined weight of the top two sectors (the truncation diagnostic)."""
-        p = self.sector_probabilities()
-        return float(p[-2:].sum()) if p.size >= 2 else float(p.sum())
+        return float(self.sector_probabilities()[-2:].sum())
 
 
 @dataclass(frozen=True)
@@ -222,15 +229,14 @@ class DiagonalState:
 
 
 def gibbs_state(H: FockOperator, T: float):
-    """exp(-H/T)/Z as sector blocks, plus log Z (log-sum-exp stabilized).
+    """exp(-H/T)/Z as (sector, class) blocks, plus log Z (log-sum-exp).
 
-    Each sector block is diagonalized one label class at a time (the
-    reflection-parity blocks of build_hamiltonian), and a block with an
-    entry between two classes is refused. The eigenvalues of a sector are
-    sorted before the log-sum-exp, so log Z does not depend on the split.
-    Class blocks go to LAPACK's divide-and-conquer solver (syevd/heevd);
-    relative_entropy keeps the default driver on whole sector blocks, so
-    the free-energy identity stays an independent check of this one.
+    Each label class of a sector (the reflection-parity blocks of
+    build_hamiltonian) goes to LAPACK's divide-and-conquer solver
+    (syevd/heevd); an entry between two classes is refused. A sector's
+    eigenvalues are sorted before the log-sum-exp, so log Z does not depend
+    on the split (the class_split selfcheck holds it to whole sectors).
+    Each class drops its eigenvectors once its block (U w) U^H is built.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -244,23 +250,17 @@ def gibbs_state(H: FockOperator, T: float):
         raise ValueError("a sector block couples states of different classes")
     eigs, solved = [], []
     for n in range(basis.n_max + 1):
-        block = H.sector_block(n)
         labels = H.labels[basis.sector_slice(n)]
-        parts = []
-        for c in np.unique(labels):
-            idx = np.flatnonzero(labels == c)
-            parts.append((idx, *eigh(block[np.ix_(idx, idx)],
-                                     driver="evd")))
-        eigs.append(np.sort(np.concatenate([lam for _, lam, _ in parts])))
-        solved.append(parts)
+        parts = [(n, idx, *eigh(H.class_block(n, idx), driver="evd"))
+                 for idx in (np.flatnonzero(labels == c)
+                             for c in np.unique(labels))]
+        eigs.append(np.sort(np.concatenate([lam for _, _, lam, _ in parts])))
+        solved += parts
     log_z = float(logsumexp(-np.concatenate(eigs) / T))
     blocks = []
-    for n, parts in enumerate(solved):
-        d = basis.sector_dim(n)
-        G = np.zeros((d, d), dtype=parts[0][2].dtype)
-        for idx, lam, U in parts:
-            G[np.ix_(idx, idx)] = (U * np.exp(-lam / T - log_z)) @ U.conj().T
-        blocks.append(G)
+    while solved:
+        n, idx, lam, U = solved.pop(0)
+        blocks.append((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z
 
 
@@ -283,7 +283,9 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     the weighted partial trace into the gather
         Gamma^(k)[p, q] = sum_n sum_r c(p,r) c(q,r) G_n[p+r, q+r],
     with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Each sector is one gather
-    of the Dk^2 |rest| entries G_n[p+r, q+r] and one reduction over r.
+    of the Dk^2 |rest| entries G_n[p+r, q+r] and one reduction over r. The
+    gather reads the sector's class blocks laid end to end, and a pair in
+    different classes reads the exact zero put after them.
     """
     basis = state.basis
     if not 1 <= k <= basis.n_max:
@@ -292,11 +294,20 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
     for n in range(k, basis.n_max + 1):
-        G = state.blocks[n]
         rest = symspace.multi_indices(basis.K, n - k)
         rows, coefs = map(np.array, zip(
             *[_branching_rows(basis, p, rest, n) for p in occs_k]))
-        vals = G[rows[:, None, :], rows[None, :, :]]
+        # class, place in the class and flat row start of each sector index
+        cls, pos, start = np.empty((3, basis.sector_dim(n)), dtype=np.int64)
+        flat, off = [], 0
+        for c, (_, idx, G) in enumerate(x for x in state.blocks if x[0] == n):
+            cls[idx], pos[idx] = c, np.arange(idx.size)
+            start[idx] = off + pos[idx] * idx.size
+            flat.append(G.ravel())
+            off += G.size
+        a, b = rows[:, None, :], rows[None, :, :]
+        vals = np.concatenate(flat + [np.zeros(1)])[
+            np.where(cls[a] == cls[b], start[a] + pos[b], off)]
         out += (coefs[:, None, :] * coefs[None, :, :] * vals).sum(axis=-1)
     out = 0.5 * (out + out.conj().T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
@@ -365,8 +376,8 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
     """tr[H state] and its exact split into one- and two-body marginals."""
     H = build_hamiltonian(state.basis, eigenvalues, tensor, lam)
     total = 0.0
-    for n, blk in enumerate(state.blocks):
-        total += float(np.real(np.trace(H.sector_block(n) @ blk)))
+    for n, idx, G in state.blocks:
+        total += float(np.real(np.sum(H.class_block(n, idx).T * G)))
     g1 = reduced_density_matrix(state, 1)
     one_body = float(np.real(np.sum(np.asarray(eigenvalues)
                                     * np.diag(g1.entries))))
@@ -377,22 +388,22 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
 def relative_entropy(state: FockState, ref: DiagonalState) -> float:
     """tr[state (log state - log ref)]; +inf on a support violation.
 
-    The state is block diagonal, so the sum runs over its sectors and its
-    side needs only the eigenvalues of each block. The reference is
-    diagonal, so its diagonal q is its spectrum and the state's diagonal is
-    the mass on each of its modes, with no eigensolve; its kernel is exactly
-    q == 0. If the state carries more than 1e-9 of its mass there the
-    support condition fails and +inf is returned; otherwise eigenvalues are
-    clipped at 1e-300 (the 0 log 0 = 0 convention).
+    The sum runs over the state's (sector, class) blocks, and its side needs
+    only the eigenvalues of each. The reference is diagonal, so its
+    diagonal q is its spectrum and the state's diagonal is the mass on each
+    of its modes, with no eigensolve; its kernel is exactly q == 0. If the
+    state carries more than 1e-9 of its mass there the support condition
+    fails and +inf is returned; otherwise eigenvalues are clipped at 1e-300
+    (the 0 log 0 = 0 convention).
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     total, stray = 0.0, 0.0
-    for n, G in enumerate(state.blocks):
+    for n, idx, G in state.blocks:
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        q = ref.p[state.basis.sector_slice(n)]
+        q = ref.p[idx + state.basis.sector_offsets[n]]
         mass = np.real(np.diagonal(G))
         stray += float(mass[q <= 0.0].sum())
         total -= float(np.sum(mass * np.log(np.clip(q, _LOG_FLOOR, None))))
@@ -491,7 +502,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
 
 
 def random_state(basis: FockBasis, seed: int) -> FockState:
-    """Random mixed state with complex sector blocks; test fodder."""
+    """Random mixed state, one complex block per sector; test fodder."""
     rng = np.random.default_rng(seed)
     blocks = []
     for n in range(basis.n_max + 1):
@@ -499,4 +510,4 @@ def random_state(basis: FockBasis, seed: int) -> FockState:
         A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         blocks.append(A @ A.conj().T)
     tr = sum(float(np.real(np.trace(b))) for b in blocks)
-    return FockState(basis=basis, blocks=tuple(b / tr for b in blocks))
+    return FockState.from_sectors(basis, [b / tr for b in blocks])

@@ -119,7 +119,7 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
             Am = A[basis.sector_slice(m)]
             sums[m] += (Am * wc) @ Am.conj().T
     tr = sum(float(np.real(np.trace(b))) for b in sums)
-    return FockState(basis=basis, blocks=tuple(b / tr for b in sums))
+    return FockState.from_sectors(basis, [b / tr for b in sums])
 
 
 def _contract(state: FockState | DiagonalState, A: np.ndarray,
@@ -128,7 +128,7 @@ def _contract(state: FockState | DiagonalState, A: np.ndarray,
 
     A holds the amplitudes of those sectors (a graded prefix of the basis).
     A DiagonalState costs O(dim) per point as p . |A|^2; a FockState is
-    contracted one sector block at a time.
+    contracted one (sector, class) block at a time.
     """
     # A real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
@@ -137,14 +137,16 @@ def _contract(state: FockState | DiagonalState, A: np.ndarray,
         p = state.p[:A.shape[0]]
         return np.einsum("i,ij,ij->j", p, X, X).reshape(-1, 2).sum(axis=1)
     val = np.zeros(A.shape[1])
-    for m, G in enumerate(state.blocks[:n_hi + 1]):
-        sl = state.basis.sector_slice(m)
+    for n, idx, G in state.blocks:
+        if n > n_hi:
+            break
+        i = idx + state.basis.sector_offsets[n]
         if np.isrealobj(G):
-            Xm = X[sl]
-            val += np.einsum("ij,ij->j", Xm, G @ Xm).reshape(-1, 2).sum(axis=1)
+            Xi = X[i]
+            val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
         else:
-            Am = A[sl]
-            val += np.real(np.einsum("ij,ij->j", Am.conj(), G @ Am))
+            Ai = A[i]
+            val += np.real(np.einsum("ij,ij->j", Ai.conj(), G @ Ai))
     return val
 
 
@@ -219,11 +221,6 @@ class KLEstimate:
     degenerate: bool
 
 
-def _reference_scales(ref: DiagonalState, eps: float) -> np.ndarray:
-    """Per-mode Gaussian proposal variances eps * (occupancy + 1)."""
-    return eps * (ref.basis.occupations.T @ ref.p + 1.0)
-
-
 def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
                          n_samples: int = 4000, seed: int = 0) -> KLEstimate:
     """KL divergence of the two (normalized) Husimi densities.
@@ -241,7 +238,7 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
         raise ValueError("Husimi KL estimate needs at least 10 samples")
     rng = np.random.default_rng(seed)
     K = state.basis.K
-    var = _reference_scales(ref, eps)
+    var = eps * (ref.basis.occupations.T @ ref.p + 1.0)  # occupancy + 1
     z = rng.standard_normal((n_samples, 2 * K))
     u = (z[:, :K] + 1j * z[:, K:]) * np.sqrt(var / 2.0)
     logq = np.sum(-np.abs(u) ** 2 / var - np.log(math.pi * var), axis=1)

@@ -95,20 +95,38 @@ def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
     return out
 
 
-def pinched(matrix: np.ndarray, basis) -> FockState:
-    """The sector blocks of a matrix on the Fock basis, as a state."""
-    return FockState(basis=basis, blocks=tuple(
-        matrix[basis.sector_slice(n), basis.sector_slice(n)]
-        for n in range(basis.n_max + 1)))
+def pinched(matrix: np.ndarray, basis, labels=None) -> FockState:
+    """The (sector, class) blocks of a matrix on the Fock basis, as a state;
+    labels[i] is the class of basis state i (one class if left out)."""
+    labels = np.zeros(basis.dim, dtype=np.int64) if labels is None else labels
+    blocks = []
+    for n in range(basis.n_max + 1):
+        lab = labels[basis.sector_slice(n)]
+        for c in np.unique(lab):
+            idx = np.flatnonzero(lab == c)
+            g = idx + int(basis.sector_offsets[n])
+            blocks.append((n, idx, matrix[np.ix_(g, g)]))
+    return FockState(basis=basis, blocks=tuple(blocks))
+
+
+def dense_sector(state: FockState, n: int) -> np.ndarray:
+    """Sector n of a state as one dense block, zero between its classes."""
+    d = state.basis.sector_dim(n)
+    parts = [(idx, G) for m, idx, G in state.blocks if m == n]
+    out = np.zeros((d, d), dtype=np.result_type(*(G for _, G in parts)))
+    for idx, G in parts:
+        out[np.ix_(idx, idx)] = G
+    return out
 
 
 def diagonal_of(state: FockState) -> DiagonalState:
-    """The diagonal of a state whose every sector block is exactly diagonal;
+    """The diagonal of a state whose every class block is exactly diagonal;
     asserts that each one is."""
-    for G in state.blocks:
+    p = np.empty(state.basis.dim)
+    for n, idx, G in state.blocks:
         assert not np.any(G - np.diag(np.diagonal(G))), "block not diagonal"
-    return DiagonalState(state.basis, np.concatenate(
-        [np.real(np.diagonal(G)) for G in state.blocks]))
+        p[idx + int(state.basis.sector_offsets[n])] = np.real(np.diagonal(G))
+    return DiagonalState(state.basis, p)
 
 
 def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -206,13 +224,14 @@ def husimi_kl_quadrature(state, ref, eps: float, r_max: float, nr: int = 200,
 def reduced_density_matrix_pairs(state, k: int):
     """k-body marginal by the per-pair partial trace: for each pair (p, q)
     of k-body occupations, sum_r c(p,r) c(q,r) G_n[p+r, q+r] over sectors,
-    one Python-level reduction per pair."""
+    one Python-level reduction per pair, read from each sector's dense
+    view."""
     basis = state.basis
     occs_k = symspace.multi_indices(basis.K, k)
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
     for n in range(k, basis.n_max + 1):
-        G = state.blocks[n]
+        G = dense_sector(state, n)
         rest = symspace.multi_indices(basis.K, n - k)
         ridx = np.arange(rest.shape[0])
         rows, coefs = zip(*[_branching_rows(basis, p, rest, n) for p in occs_k])

@@ -169,6 +169,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
         s.pop("wall_clock_s")
         for row in s["rows"]:
             row.pop("wall_s")
+            row.pop("stages")
     assert s1 == s2
 
 
@@ -227,10 +228,11 @@ def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
     def heavy_tail(*args, **kwargs):
         # the solved Gibbs state with 1e-6 of its mass moved to the top sector
         point = solve(*args, **kwargs)
-        blocks = [(1.0 - 1e-6) * b for b in point.gibbs.blocks]
-        top = blocks[-1]
-        blocks[-1] = top + 1e-6 * np.eye(top.shape[0]) / top.shape[0]
-        gibbs = fock.FockState(basis=point.basis, blocks=tuple(blocks))
+        top = point.basis.n_max
+        eps = 1e-6 / point.basis.sector_dim(top)
+        gibbs = fock.FockState(basis=point.basis, blocks=tuple(
+            (n, idx, (1.0 - 1e-6) * G + (n == top) * eps * np.eye(idx.size))
+            for n, idx, G in point.gibbs.blocks))
         return dataclasses.replace(point, gibbs=gibbs)
 
     monkeypatch.setattr(fock, "solve_point", heavy_tail)
@@ -250,10 +252,10 @@ def test_trial_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
     def heavy_tail(*args, **kwargs):
         # the built trial state with all its mass moved to the top sector
         trial = build(*args, **kwargs)
-        blocks = [np.zeros_like(b) for b in trial.blocks]
-        d = blocks[-1].shape[0]
-        blocks[-1] = np.eye(d) / d
-        return fock.FockState(basis=trial.basis, blocks=tuple(blocks))
+        fb = trial.basis
+        blocks = [np.zeros((fb.sector_dim(n),) * 2) for n in range(fb.n_max)]
+        d = fb.sector_dim(fb.n_max)
+        return fock.FockState.from_sectors(fb, blocks + [np.eye(d) / d])
 
     monkeypatch.setattr(semiclassics, "trial_state", heavy_tail)
     cfg = dataclasses.replace(small_config, bl_samples=0)
@@ -286,7 +288,8 @@ def test_selfchecks_pass(small_config):
             "number_identity", "energy_decomposition",
             "free_state_occupation", "mean_fnl_identity", "coherent_overlap",
             "classical_fe_identity", "single_mode_log_z",
-            "single_mode_quartic_zr", "seed_determinism"} <= names
+            "single_mode_quartic_zr", "seed_determinism", "class_split",
+            "partial_trace_vs_normal_ordered_gibbs"} <= names
     for c in checks:
         assert c.passed, f"{c.name}: measured {c.measured} > {c.tolerance}"
 
@@ -297,6 +300,42 @@ def test_selfchecks_negative_control(small_config):
     assert not by_name["seed_determinism"].passed
     others = [c for c in checks if c.name != "seed_determinism"]
     assert all(c.passed for c in others)
+
+
+def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
+                                                          small_config):
+    block = fock.FockOperator.class_block
+
+    def shifted(self, n, idx):
+        # class 1 of every split sector moved up by 1e-6; whole sectors and
+        # one-class sectors are left as they are
+        B = block(self, n, idx)
+        if idx.size < self.basis.sector_dim(n) \
+                and self.labels[idx[0] + self.basis.sector_offsets[n]] == 1:
+            B = B + 1e-6 * np.eye(idx.size)
+        return B
+
+    monkeypatch.setattr(fock.FockOperator, "class_block", shifted)
+    by_name = {c.name: c for c in run_selfchecks(small_config)}
+    assert not by_name["class_split"].passed
+    assert by_name["class_split"].note == "2 classes"
+    assert all(c.passed for c in by_name.values() if c.name != "class_split")
+
+
+def test_summary_rows_carry_stage_times_outside_the_report(tmp_path,
+                                                           small_config):
+    res = run_convergence(small_config)
+    csv_path, json_path = emit_report(res, tmp_path / "a")
+    stages = {"solve_point", "rdm", "relative_entropy", "trial_state",
+              "berezin_lieb"}
+    for row in json.load(open(json_path))["rows"]:
+        assert set(row["stages"]) == stages
+        assert all(v >= 0.0 for v in row["stages"].values())
+        assert sum(row["stages"].values()) <= row["wall_s"]
+    for row in res.rows:
+        row.stages = {}
+    bare_csv, _ = emit_report(res, tmp_path / "b")
+    assert open(csv_path, "rb").read() == open(bare_csv, "rb").read()
 
 
 # ---------------------------------------------------------------- CLI tests

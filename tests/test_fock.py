@@ -147,7 +147,8 @@ def test_gibbs_commutes_with_number(basis_k2, tensor_k2):
     N = np.diag(fb.occupations.sum(axis=1).astype(float))
     M = state.to_dense()
     assert np.abs(N @ M - M @ N).max() < 1e-12
-    eigs = np.concatenate([np.linalg.eigvalsh(b) for b in state.blocks])
+    eigs = np.concatenate([np.linalg.eigvalsh(G)
+                           for *_, G in state.blocks])
     assert eigs.min() > -1e-12
 
 
@@ -157,7 +158,7 @@ def test_gibbs_rejects_bad_input(basis_k2):
     with pytest.raises(ValueError):
         gl.gibbs_state(H, 0.0)
     bad = fock.FockOperator(fb, sparse.csr_matrix(
-        np.triu(np.ones((fb.dim, fb.dim)))))
+        np.triu(np.ones((fb.dim, fb.dim)))), np.zeros(fb.dim, dtype=np.int64))
     with pytest.raises(ValueError):
         gl.gibbs_state(bad, 1.0)
 
@@ -199,8 +200,9 @@ def test_parity_split_matches_one_class(K, n_max, seed, T, lam):
     want, log_z_one = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, gl.TwoBodyTensor(W), lam), T)
     assert abs(log_z - log_z_one) <= 1e-12 * max(1.0, abs(log_z_one))
-    for a, b in zip(got.blocks, want.blocks):
-        assert np.abs(a - b).max() <= 1e-12
+    for n in range(n_max + 1):
+        assert np.abs(oracles.dense_sector(got, n)
+                      - oracles.dense_sector(want, n)).max() <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -274,7 +276,7 @@ def test_rdm_pure_two_particle_state():
     fb = gl.build_fock_basis(1, 6)
     blocks = [np.zeros((1, 1)) for _ in range(7)]
     blocks[2] = np.ones((1, 1))
-    state = fock.FockState(basis=fb, blocks=tuple(blocks))
+    state = fock.FockState.from_sectors(fb, blocks)
     g1 = gl.reduced_density_matrix(state, 1)
     assert g1.entries[0, 0] == pytest.approx(2.0)   # binomial weight C(2,1)
     g2 = gl.reduced_density_matrix(state, 2)
@@ -338,11 +340,83 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     else:
         state = fock.random_state(fb, seed)
     if kind == "real":
-        state = fock.FockState(basis=fb,
-                               blocks=tuple(b.real for b in state.blocks))
+        state = fock.FockState.from_sectors(
+            fb, [G.real for *_, G in state.blocks])
     got = gl.reduced_density_matrix(state, k).entries
     assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
         state, k).entries)
+
+
+def _random_charge_tensor(K, charge, rng):
+    """Real W with W[ijkl] = W[klij] = W[jilk], zero unless the pair term
+    conserves the mod-3 charge: charge[i] + charge[j] = charge[k] + charge[l]
+    mod 3."""
+    A = rng.uniform(0.0, 1.0, (K,) * 4)
+    W = (A + A.transpose(2, 3, 0, 1) + A.transpose(1, 0, 3, 2)
+         + A.transpose(3, 2, 1, 0)) / 4.0
+    q = np.asarray(charge)
+    pair = np.add.outer(q, q)
+    return np.where(np.subtract.outer(pair, pair) % 3 == 0, W, 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(2, 3), n_max=st.integers(2, 7),
+       seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 5.0),
+       lam=st.floats(0.0, 1.0))
+def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
+    # three classes per sector from n = 2 on: every consumer of the class
+    # blocks against its whole-space or pair-loop oracle
+    rng = np.random.default_rng(seed)
+    charge = np.concatenate([[0, 1], rng.integers(0, 3, K - 2)])
+    W = _random_charge_tensor(K, charge, rng)
+    eigenvalues = np.sort(rng.uniform(0.5, 5.0, K))
+    fb = gl.build_fock_basis(K, n_max)
+    H = gl.build_hamiltonian(fb, eigenvalues, gl.TwoBodyTensor(W), lam)
+    labels = fb.occupations @ charge % 3
+    state, log_z = gl.gibbs_state(fock.FockOperator(fb, H.matrix, labels), T)
+    assert np.unique(labels[fb.sector_slice(2)]).size == 3
+    assert {n for n, *_ in state.blocks} == set(range(n_max + 1))
+    for n, idx, G in state.blocks:
+        assert np.all(labels[idx + fb.sector_offsets[n]]
+                      == labels[idx[0] + fb.sector_offsets[n]])
+    E = np.linalg.eigvalsh(H.matrix.toarray())
+    assert log_z == pytest.approx(float(logsumexp(-E / T)), rel=1e-12)
+    rho = state.to_dense()
+    for k in range(1, min(3, n_max) + 1):
+        assert np.array_equal(
+            gl.reduced_density_matrix(state, k).entries,
+            oracles.reduced_density_matrix_pairs(state, k).entries)
+    ref = _random_diagonal(fb, rng)
+    assert gl.relative_entropy(state, ref) == pytest.approx(
+        oracles.relative_entropy_dense(rho, np.diag(ref.p)),
+        rel=1e-10, abs=1e-12)
+    z = rng.standard_normal((200, K)) + 1j * rng.standard_normal((200, K))
+    pts = z * np.sqrt(rng.uniform(0.0, n_max, 200) / 2.0)[:, None]
+    got = gl.husimi_density(state, 1.0, pts)
+    want = oracles.husimi_dense(rho, fb, 1.0, pts)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    total = float(np.real(np.sum(H.matrix.toarray() * rho.T)))
+    split = gl.energy_decomposition(state, eigenvalues, gl.TwoBodyTensor(W),
+                                    lam)
+    assert split.total == pytest.approx(total, rel=1e-12)
+
+
+def test_parity_split_gibbs_state_stores_no_zero_padding(basis_k3,
+                                                         tensor_k3):
+    # the stored entries are sum over (sector, class) of d_c^2, fewer than
+    # the sum over sectors of d_n^2 that whole sector blocks would hold
+    fb = gl.build_fock_basis(3, 10)
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 0.5)
+    gibbs, _ = gl.gibbs_state(H, 2.0)
+    class_sizes = [np.bincount(H.labels[fb.sector_slice(n)])
+                   for n in range(fb.n_max + 1)]
+    want = sum(int(np.sum(c[c > 0] ** 2)) for c in class_sizes)
+    assert sum(G.size for *_, G in gibbs.blocks) == want
+    assert want < sum(fb.sector_dim(n) ** 2 for n in range(fb.n_max + 1))
+    for n, idx, G in gibbs.blocks:
+        assert G.shape == (idx.size, idx.size)
+        assert np.unique(H.labels[idx + fb.sector_offsets[n]]).size == 1
+    assert sum(idx.size for _, idx, _ in gibbs.blocks) == fb.dim
 
 
 def _coherent_projector(v, fb):
@@ -380,7 +454,7 @@ def test_energy_decomposition(basis_k2, tensor_k2):
     # two-particle pure state: total = 2 lambda_1 + lam W_1111
     blocks = [np.zeros((fb.sector_dim(n),) * 2) for n in range(7)]
     blocks[2][0, 0] = 1.0
-    state = fock.FockState(basis=fb, blocks=tuple(blocks))
+    state = fock.FockState.from_sectors(fb, blocks)
     split = gl.energy_decomposition(state, basis_k2.eigenvalues, tensor_k2, lam)
     expect = 2 * basis_k2.eigenvalues[0] + lam * tensor_k2.entries[0, 0, 0, 0]
     assert split.total == pytest.approx(expect, rel=1e-12)
@@ -410,8 +484,8 @@ def _random_diagonal(fb, rng):
 def _as_blocks(ref):
     """A DiagonalState as the FockState with the same (diagonal) blocks."""
     fb = ref.basis
-    return fock.FockState(basis=fb, blocks=tuple(
-        np.diag(ref.p[fb.sector_slice(n)]) for n in range(fb.n_max + 1)))
+    return fock.FockState.from_sectors(fb, [
+        np.diag(ref.p[fb.sector_slice(n)]) for n in range(fb.n_max + 1)])
 
 
 def test_diagonal_state_checks_length_and_sums_sectors():
@@ -441,8 +515,8 @@ def test_relative_entropy_matches_classical_kl():
     def thermal(nbar):
         s = nbar / (1.0 + nbar)
         p = (1 - s) * s ** np.arange(61)
-        return fock.FockState(basis=fb,
-                              blocks=tuple(np.array([[v]]) for v in p / p.sum()))
+        return fock.FockState.from_sectors(
+            fb, [np.array([[v]]) for v in p / p.sum()])
     a, b = thermal(0.4), thermal(0.9)
     kl = gl.relative_entropy(a, oracles.diagonal_of(b))
     assert abs(kl - oracles.geometric_kl(0.4, 0.9)) < 1e-6
@@ -544,9 +618,8 @@ def test_gibbs_minimizes_free_energy(basis_k2, tensor_k2):
     for seed in range(20):
         other = fock.random_state(fb, seed + 100)
         eps = rng.uniform(0.05, 0.6)
-        mix = [(1 - eps) * g + eps * o
-               for g, o in zip(gibbs.blocks, other.blocks)]
-        pert = fock.FockState(basis=fb, blocks=tuple(mix))
+        pert = oracles.pinched(
+            (1 - eps) * gibbs.to_dense() + eps * other.to_dense(), fb)
         assert free_energy(pert) >= base - 1e-9
 
 
@@ -562,8 +635,8 @@ def test_variational_bound_of_relative_free_energy(basis_k2, tensor_k2):
     base = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for seed in range(5):
         other = fock.random_state(fb, seed)
-        mix = [(0.9) * g + 0.1 * o for g, o in zip(gibbs.blocks, other.blocks)]
-        pert = fock.FockState(basis=fb, blocks=tuple(mix))
+        pert = oracles.pinched(0.9 * gibbs.to_dense() + 0.1 * other.to_dense(),
+                               fb)
         assert gl.relative_free_energy(pert, free, tensor_k2, lam, T) \
             >= base - 1e-9
 
@@ -600,9 +673,10 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     assert (point.T, point.lam) == (T, lam)
     assert point.basis.n_max == n_max and point.basis.matches(fb)
     assert point.log_z == log_z and point.log_z_free == log_z0
-    assert len(point.gibbs.blocks) == len(gibbs.blocks) == n_max + 1
-    for a, b in zip(point.gibbs.blocks, gibbs.blocks):
-        assert np.array_equal(a, b)
+    assert len(point.gibbs.blocks) == len(gibbs.blocks)
+    assert {n for n, *_ in gibbs.blocks} == set(range(n_max + 1))
+    for (na, ia, ga), (nb, ib, gb) in zip(point.gibbs.blocks, gibbs.blocks):
+        assert na == nb and np.array_equal(ia, ib) and np.array_equal(ga, gb)
     assert point.free.p.shape == (fb.dim,)
     assert np.array_equal(point.free.p, oracles.diagonal_of(free).p)
 
@@ -636,9 +710,10 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
     want_log_z = float(logsumexp(-E / T))
     assert log_z == pytest.approx(want_log_z, rel=1e-13, abs=0.0)
     rho = (V * np.exp(-E / T - want_log_z)) @ V.T
-    for n, blk in enumerate(gibbs.blocks):
+    for n in range(fb.n_max + 1):
         want = rho[fb.sector_slice(n), fb.sector_slice(n)]
-        assert np.abs(blk - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(oracles.dense_sector(gibbs, n) - want).max() \
+            <= 1e-12 * np.abs(want).max()
     free = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 0.0)
     assert free.log_z_free - free.log_z == 0.0
 

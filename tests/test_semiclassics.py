@@ -18,14 +18,14 @@ def _thermal_single_mode(nbar, n_max):
     fb = gl.build_fock_basis(1, n_max)
     s = nbar / (1.0 + nbar)
     p = (1 - s) * s ** np.arange(n_max + 1)
-    return fock.FockState(basis=fb,
-                          blocks=tuple(np.array([[v]]) for v in p / p.sum()))
+    return fock.FockState.from_sectors(
+        fb, [np.array([[v]]) for v in p / p.sum()])
 
 
 def _number_state(fb, n):
     """|n><n| of a single mode."""
-    return fock.FockState(basis=fb, blocks=tuple(
-        np.array([[float(m == n)]]) for m in range(fb.n_max + 1)))
+    return fock.FockState.from_sectors(
+        fb, [np.array([[float(m == n)]]) for m in range(fb.n_max + 1)])
 
 
 def _norm_sq(cv):
@@ -125,9 +125,9 @@ def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel)
     T = 1.0
     trial = gl.trial_state(ens, T, fb)
     cv = gl.coherent(math.sqrt(T) * ens.coeffs[0], fb)
-    expect = oracles.pinched(_projector(cv), fb).blocks
-    assert len(trial.blocks) == len(expect)
-    for got, want in zip(trial.blocks, expect):
+    expect = oracles.pinched(_projector(cv), fb)
+    assert len(trial.blocks) == len(expect.blocks)
+    for (*_, got), (*_, want) in zip(trial.blocks, expect.blocks):
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -151,7 +151,8 @@ def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
     fb = gl.build_fock_basis(2, 18)
     plain = _plain_mixture(ens, 0.8, fb)
     pinched = gl.trial_state(ens, 0.8, fb)
-    for want, got in zip(oracles.pinched(plain, fb).blocks, pinched.blocks):
+    for (*_, want), (*_, got) in zip(oracles.pinched(plain, fb).blocks,
+                                     pinched.blocks):
         assert np.abs(want - got).max() < 1e-12
     n_plain = float(np.real(np.diagonal(plain)) @ fb.occupations.sum(axis=1))
     assert abs(n_plain - fock.particle_number(pinched)) < 1e-10
@@ -302,10 +303,10 @@ def test_husimi_diagonal_state_matches_block_route(basis_k2):
     assert np.allclose(diag, dense_route(free), rtol=1e-12, atol=0.0)
 
     # negative control: one off-diagonal entry (and its Hermitian mirror)
-    blocks = [b.copy() for b in free.blocks]
-    G = blocks[3]
-    G[0, 1] = G[1, 0] = 0.5 * math.sqrt(G[0, 0] * G[1, 1])
-    perturbed = fock.FockState(basis=fb, blocks=tuple(blocks))
+    M = free.to_dense()
+    i, j = fb.sector_slice(3).start, fb.sector_slice(3).start + 1
+    M[i, j] = M[j, i] = 0.5 * math.sqrt(M[i, i] * M[j, j])
+    perturbed = oracles.pinched(M, fb)
     with pytest.raises(AssertionError, match="not diagonal"):
         oracles.diagonal_of(perturbed)
     got = gl.husimi_density(perturbed, eps, pts)
@@ -378,8 +379,8 @@ def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
     d = fb.sector_dim(30)
     M = rng.standard_normal((d, d))
     blocks = [np.zeros((fb.sector_dim(n),) * 2) for n in range(30)]
-    top = fock.FockState(basis=fb,
-                         blocks=tuple(blocks + [M @ M.T / np.trace(M @ M.T)]))
+    top = fock.FockState.from_sectors(
+        fb, blocks + [M @ M.T / np.trace(M @ M.T)])
     pts = _spread_points(300, 3.0, 2)
     rows = _record_amplitude_rows(monkeypatch)
     got = gl.husimi_density(top, 1.0, pts)
