@@ -30,6 +30,7 @@ __all__ = [
     "f_nl_batch",
     "reweight",
     "moment_matrix",
+    "moment_matrices",
     "moment_matrix_blocks",
     "free_moments",
     "mean_F_NL_free",
@@ -90,15 +91,20 @@ def sample_free(basis: SpectralBasis, n_samples: int,
     """Draw independent mode coefficients from the free Gaussian measure.
 
     The generator is seeded with the first child of numpy's
-    SeedSequence(seed), so a fixed seed fixes the ensemble bit for bit.
+    SeedSequence(seed), so a fixed seed fixes the ensemble bit for bit. The
+    normals are drawn _CHUNK rows at a time into the one coefficient array;
+    the stream, and so every coefficient, is that of a single
+    (n_samples, 2K) draw.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     K = basis.K
     scale = np.sqrt(0.5 / basis.eigenvalues)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = rng.standard_normal((n_samples, 2 * K))
-    coeffs = (z[:, :K] + 1j * z[:, K:]) * scale
+    coeffs = np.empty((n_samples, K), dtype=np.complex128)
+    for lo in range(0, n_samples, _CHUNK):
+        z = rng.standard_normal((min(_CHUNK, n_samples - lo), 2 * K))
+        coeffs[lo:lo + _CHUNK] = (z[:, :K] + 1j * z[:, K:]) * scale
     return WeightedEnsemble(coeffs=coeffs, log_weights=np.zeros(n_samples),
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
 
@@ -148,16 +154,21 @@ def reweight(ensemble: WeightedEnsemble, basis: SpectralBasis,
                    ess=ess, reweighted=True)
 
 
-def _sym_products(coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Components sqrt(k!/prod m_j!) prod_j alpha_j^{m_j} of each sample's
-    k-fold tensor power, shape (n, sym_dim(K, k)).
+def _sym_products(coeffs: np.ndarray, orders):
+    """Per _CHUNK rows of coeffs, yield (first row, [S_k for k in orders]).
 
-    The amplitudes of sector k come from the graded index set 0..k, and the
-    multinomial normalizer is sqrt(k!) times theirs.
+    S_k holds the components sqrt(k!/prod m_j!) prod_j alpha_j^{m_j} of each
+    sample's k-fold tensor power, shape (rows, sym_dim(K, k)). One amplitude
+    pass over the graded index set 0..max(orders) serves every order: each
+    amplitude is its parent's times one factor, so sector k of that pass is
+    bitwise sector k of a 0..k pass. The multinomial normalizer is sqrt(k!)
+    times the amplitudes'.
     """
-    graded, offsets = symspace.graded_indices(coeffs.shape[1], k)
-    A = occupation_products(coeffs, graded)[offsets[k]:]
-    return (A * math.sqrt(math.factorial(k))).T
+    graded, offsets = symspace.graded_indices(coeffs.shape[1], max(orders))
+    for lo in range(0, coeffs.shape[0], _CHUNK):
+        A = occupation_products(coeffs[lo:lo + _CHUNK], graded)
+        yield lo, [(A[offsets[k]:offsets[k + 1]]
+                    * math.sqrt(math.factorial(k))).T for k in orders]
 
 
 def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
@@ -168,6 +179,45 @@ def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
     if D > 5000 or ensemble.n * D > 4e8:
         raise ValueError(f"symmetric space dim {D} too large for the memory budget")
     return D
+
+
+def _moments(ensemble: WeightedEnsemble, orders, with_stderr: bool = False):
+    """Self-normalized moment matrices of the given orders, one chunk loop.
+
+    dim Sym^k grows with k, so checking the top order refuses an over-budget
+    pass before any amplitude is built. Returns the list of MomentMatrix,
+    and with with_stderr also the list of their standard errors (see
+    `moment_matrix`).
+    """
+    _checked_sym_dim(ensemble, max(orders, default=0))
+    wt = ensemble.normalized_weights()
+    dims = [symspace.sym_dim(ensemble.K, k) for k in orders]
+    M = [np.zeros((D, D), dtype=np.complex128) for D in dims]
+    acc_w2x = [np.zeros((D, D), dtype=np.complex128) for D in dims]
+    acc_w2absx = [np.zeros((D, D)) for D in dims]
+    acc_w2 = 0.0
+    for lo, S in _sym_products(ensemble.coeffs, orders):
+        wc = wt[lo:lo + _CHUNK]
+        for Mk, Sk in zip(M, S):
+            Mk += (Sk * wc[:, None]).T @ Sk.conj()
+        if with_stderr:
+            w2 = wc**2
+            for Xk, Ak, Sk in zip(acc_w2x, acc_w2absx, S):
+                Xk += (Sk * w2[:, None]).T @ Sk.conj()
+                S2 = np.abs(Sk) ** 2
+                Ak += (S2 * w2[:, None]).T @ S2
+            acc_w2 += float(w2.sum())
+    moments = [MomentMatrix(k=k, entries=0.5 * (Mk + Mk.conj().T),
+                            occupations=symspace.multi_indices(ensemble.K, k))
+               for k, Mk in zip(orders, M)]
+    if not with_stderr:
+        return moments
+    stderr = []
+    for m, Xk, Ak in zip(moments, acc_w2x, acc_w2absx):
+        var = Ak - 2.0 * np.real(np.conj(m.entries) * Xk) \
+            + np.abs(m.entries) ** 2 * acc_w2
+        stderr.append(np.sqrt(np.clip(var, 0.0, None)))
+    return moments, stderr
 
 
 def moment_matrix(ensemble: WeightedEnsemble, k: int,
@@ -183,55 +233,48 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
-    D = _checked_sym_dim(ensemble, k)
-    occs = symspace.multi_indices(ensemble.K, k)
-    wt = ensemble.normalized_weights()
-    M = np.zeros((D, D), dtype=np.complex128)
-    acc_w2x = np.zeros((D, D), dtype=np.complex128)
-    acc_w2absx = np.zeros((D, D))
-    acc_w2 = 0.0
-    for lo in range(0, ensemble.n, _CHUNK):
-        S = _sym_products(ensemble.coeffs[lo:lo + _CHUNK], k)
-        wc = wt[lo:lo + _CHUNK]
-        M += (S * wc[:, None]).T @ S.conj()
-        if with_stderr:
-            w2 = wc**2
-            acc_w2x += (S * w2[:, None]).T @ S.conj()
-            S2 = np.abs(S) ** 2
-            acc_w2absx += (S2 * w2[:, None]).T @ S2
-            acc_w2 += float(w2.sum())
-    M = 0.5 * (M + M.conj().T)
-    result = MomentMatrix(k=k, entries=M, occupations=occs)
     if not with_stderr:
-        return result
-    var = acc_w2absx - 2.0 * np.real(np.conj(M) * acc_w2x) + np.abs(M) ** 2 * acc_w2
-    stderr = np.sqrt(np.clip(var, 0.0, None))
-    return result, stderr
+        return _moments(ensemble, (k,))[0]
+    (moment,), (stderr,) = _moments(ensemble, (k,), with_stderr=True)
+    return moment, stderr
 
 
-def moment_matrix_blocks(ensemble: WeightedEnsemble, k: int,
-                         n_blocks: int = 50):
-    """The moment matrix and its per-block estimates, in one pass.
+def moment_matrices(ensemble: WeightedEnsemble, k_max: int) -> dict:
+    """{k: moment_matrix(ensemble, k)} for k = 1..k_max, bitwise, from one
+    amplitude pass per chunk."""
+    orders = range(1, k_max + 1)
+    return dict(zip(orders, _moments(ensemble, orders)))
 
-    Each block is `moment_matrix` of a contiguous slice, self-normalized on
-    its own samples; the spread of a statistic across blocks gives its
-    batch-means standard error. The full matrix is the mean of the blocks
-    weighted by their share of the total weight, which is the self-normalized
-    estimate over the whole ensemble. Returns (MomentMatrix, list of block
-    entries); a fixed seed fixes the blocks too.
+
+def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
+                         n_blocks: int = 50) -> dict:
+    """Moment matrices of orders 1..k_max and their per-block estimates.
+
+    Each block is `moment_matrices` of a contiguous slice, self-normalized
+    on its own samples, so one amplitude pass per chunk serves every order;
+    the spread of a statistic across blocks gives its batch-means standard
+    error. The full matrix is the mean of the blocks weighted by their share
+    of the total weight, which is the self-normalized estimate over the
+    whole ensemble. Returns {k: (MomentMatrix, list of block entries)}; a
+    fixed seed fixes the blocks too.
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    _checked_sym_dim(ensemble, k)
+    _checked_sym_dim(ensemble, k_max)
+    orders = range(1, k_max + 1)
     w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
     bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
-    blocks = [moment_matrix(replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
-                                    log_weights=ensemble.log_weights[lo:hi]),
-                            k)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    per_block = [_moments(replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
+                                  log_weights=ensemble.log_weights[lo:hi]),
+                          orders)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
     shares = np.add.reduceat(w, bounds[:-1]) / w.sum()
-    full = sum(s * b.entries for s, b in zip(shares, blocks))
-    return replace(blocks[0], entries=full), [b.entries for b in blocks]
+    out = {}
+    for i, k in enumerate(orders):
+        blocks = [b[i].entries for b in per_block]
+        full = sum(s * b for s, b in zip(shares, blocks))
+        out[k] = (replace(per_block[0][i], entries=full), blocks)
+    return out
 
 
 def free_moments(eigenvalues: np.ndarray, k: int) -> MomentMatrix:

@@ -67,9 +67,8 @@ def cmd_sample(args) -> int:
                "entropy_term": fe.entropy_term}
     with open(os.path.join(out, "ensemble.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    for k in range(1, cfg.k_max + 1):
-        classical.moments_to_csv(classical.moment_matrix(ens, k),
-                                 os.path.join(out, f"moments_k{k}.csv"))
+    for k, moment in classical.moment_matrices(ens, cfg.k_max).items():
+        classical.moments_to_csv(moment, os.path.join(out, f"moments_k{k}.csv"))
     print(f"z_r = {ens.z_r:.6f} +- {ens.z_r_stderr:.2e} (ess {ens.ess:.0f})")
     print(f"wrote {path}")
     return 0

@@ -250,17 +250,16 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis,
     degenerate = kernel.is_zero or config.coupling_rule == 0.0
     ensemble = classical.sample_free(basis, config.mc_samples, config.seed)
     ensemble = classical.reweight(ensemble, basis, kernel, tensor)
-    moments, blocks = {}, {}
-    for k in range(1, config.k_max + 1):
-        if degenerate:
-            moments[k] = classical.free_moments(basis.eigenvalues, k)
-            blocks[k] = None
-        else:
-            moments[k], blocks[k] = classical.moment_matrix_blocks(
-                ensemble, k, config.n_blocks)
     if degenerate:
+        moments = {k: classical.free_moments(basis.eigenvalues, k)
+                   for k in range(1, config.k_max + 1)}
+        blocks = dict.fromkeys(moments)
         z_r, z_err = 1.0, 0.0
     else:
+        pairs = classical.moment_matrix_blocks(ensemble, config.k_max,
+                                               config.n_blocks)
+        moments = {k: m for k, (m, _) in pairs.items()}
+        blocks = {k: b for k, (_, b) in pairs.items()}
         z_r, z_err = ensemble.z_r, ensemble.z_r_stderr
     return ensemble, z_r, z_err, moments, blocks, degenerate
 
@@ -295,8 +294,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
                      f"n_max_policy {config.n_max_policy:.1e}")
+    marginals = {}
     for k in range(1, min(config.k_max, fb.n_max) + 1):
-        g_k = fock.reduced_density_matrix(gibbs, k)
+        g_k = marginals[k] = fock.reduced_density_matrix(gibbs, k)
         scaled = math.factorial(k) / T**k * g_k.entries
         target = moments[k].entries
         d = trace_norm_distance(scaled, target)
@@ -315,7 +315,10 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         s_gibbs = fock.relative_entropy(gibbs, free_state)
         lap("relative_entropy")
     if config.trial_subsample > 0:
-        fe_gibbs = fock.two_body_energy(gibbs, tensor, lam) + T * s_gibbs
+        # the d_2 marginal, where there is one, is Gamma^(2) of the energy
+        pair = (fock.pair_energy(marginals[2], tensor, lam)
+                if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
+        fe_gibbs = pair + T * s_gibbs
         lap("relative_entropy")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)

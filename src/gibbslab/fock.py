@@ -46,6 +46,7 @@ __all__ = [
     "particle_number",
     "energy_decomposition",
     "two_body_energy",
+    "pair_energy",
     "relative_entropy",
     "relative_free_energy",
     "free_sector_weights",
@@ -359,7 +360,11 @@ def two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
     """lam tr[W_2 Gamma^(2)] on Sym^2; 0 without a pair term or below n = 2."""
     if lam == 0.0 or tensor is None or state.basis.n_max < 2:
         return 0.0
-    g2 = reduced_density_matrix(state, 2)
+    return pair_energy(reduced_density_matrix(state, 2), tensor, lam)
+
+
+def pair_energy(g2: MomentMatrix, tensor: TwoBodyTensor, lam: float) -> float:
+    """lam tr[W_2 g2] on Sym^2, for a two-body marginal g2 already built."""
     W2 = symspace.two_body_sym_matrix(np.real(tensor.entries))
     return lam * float(np.real(np.trace(W2 @ g2.entries)))
 

@@ -159,6 +159,15 @@ def husimi_dense(matrix: np.ndarray, basis, eps: float,
     return (math.pi * eps) ** (-basis.K) * val
 
 
+def sample_free_one_shot(basis, n_samples: int, seed: int) -> np.ndarray:
+    """Free-measure coefficients from one (n_samples, 2K) normal draw of the
+    generator `sample_free` seeds."""
+    K = basis.K
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    z = rng.standard_normal((n_samples, 2 * K))
+    return (z[:, :K] + 1j * z[:, K:]) * np.sqrt(0.5 / basis.eigenvalues)
+
+
 def eval_F_NL(coeffs: np.ndarray, basis, kernel) -> float:
     """Pair-interaction energy of one field, by grid quadrature.
 

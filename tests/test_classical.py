@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab as gl
-from gibbslab.classical import (f_nl_batch, free_moments, moment_matrix_blocks,
+from gibbslab.classical import (_CHUNK, f_nl_batch, free_moments,
+                                moment_matrices, moment_matrix_blocks,
                                 moments_to_csv, ensemble_to_csv)
 
 import oracles
@@ -188,8 +190,9 @@ def test_moment_blocks_consistency(basis_k2, delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=13), basis_k2,
                       delta_kernel)
     bounds = np.linspace(0, ens.n, 9).astype(int)
-    for k in (1, 2):
-        full, blocks = moment_matrix_blocks(ens, k, n_blocks=8)
+    out = moment_matrix_blocks(ens, 2, n_blocks=8)
+    assert sorted(out) == [1, 2]
+    for k, (full, blocks) in out.items():
         assert len(blocks) == 8
         want = gl.moment_matrix(ens, k)
         assert full.k == k and np.array_equal(full.occupations,
@@ -200,6 +203,73 @@ def test_moment_blocks_consistency(basis_k2, delta_kernel):
             part = dataclasses.replace(ens, coeffs=ens.coeffs[lo:hi],
                                        log_weights=ens.log_weights[lo:hi])
             assert np.array_equal(got, gl.moment_matrix(part, k).entries)
+
+
+def _weighted_ensemble(K, n, seed):
+    """Complex coefficients with unequal log-weights, no basis needed."""
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.standard_normal((n, K))
+              + 1j * rng.standard_normal((n, K))) / np.arange(1.0, K + 1.0)
+    lw = -rng.exponential(size=n)
+    return gl.WeightedEnsemble(coeffs=coeffs, log_weights=lw, z_r=1.0,
+                               z_r_stderr=0.0, ess=float(n), reweighted=True)
+
+
+@settings(max_examples=12, deadline=None)
+@given(K=st.integers(1, 4), k_max=st.integers(1, 3),
+       n=st.one_of(st.integers(8, 64),
+                   st.integers(_CHUNK - 4, _CHUNK + 4),
+                   st.integers(2 * _CHUNK, 3 * _CHUNK + 5)),
+       n_blocks=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_multi_order_moments_match_per_order(K, k_max, n, n_blocks, seed):
+    ens = _weighted_ensemble(K, n, seed)
+    out = moment_matrix_blocks(ens, k_max, n_blocks=n_blocks)
+    assert sorted(out) == list(range(1, k_max + 1))
+    whole = moment_matrices(ens, k_max)
+    bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+    for k, (full, blocks) in out.items():
+        want = gl.moment_matrix(ens, k)
+        assert np.array_equal(whole[k].entries, want.entries)
+        assert np.array_equal(full.occupations, want.occupations)
+        scale = np.abs(want.entries).max()
+        assert np.abs(full.entries - want.entries).max() < 1e-12 * scale
+        for lo, hi, got in zip(bounds[:-1], bounds[1:], blocks):
+            part = dataclasses.replace(ens, coeffs=ens.coeffs[lo:hi],
+                                       log_weights=ens.log_weights[lo:hi])
+            assert np.array_equal(got, gl.moment_matrix(part, k).entries)
+
+
+@pytest.mark.parametrize("k_max", [0, 150])
+def test_multi_order_refusal_precedes_amplitudes(basis_k3, monkeypatch,
+                                                  k_max):
+    def no_amplitudes(*args, **kwargs):
+        raise AssertionError("amplitudes built before the order check")
+
+    monkeypatch.setattr(gl.classical, "occupation_products", no_amplitudes)
+    ens = gl.sample_free(basis_k3, 10, seed=0)
+    with pytest.raises(ValueError, match="moment order|too large"):
+        moment_matrix_blocks(ens, k_max, n_blocks=2)
+    with pytest.raises(ValueError, match="moment order|too large"):
+        moment_matrices(ens, k_max)
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               3 * _CHUNK + 5])
+def test_chunked_sampling_matches_one_shot_draw(basis_k3, n):
+    got = gl.sample_free(basis_k3, n, seed=19).coeffs
+    want = oracles.sample_free_one_shot(basis_k3, n, seed=19)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sampling_peak_memory_is_one_ensemble(dirichlet_op):
+    basis = gl.eigendecompose(dirichlet_op, 5)
+    tracemalloc.start()
+    try:
+        ens = gl.sample_free(basis, 200_000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ens.coeffs.nbytes
 
 
 def test_mean_f_nl_single_mode(unit_mode_basis, quartic_kernel):

@@ -127,6 +127,31 @@ def test_run_convergence_small(small_config):
     assert 0 < res.z_r <= 1
 
 
+def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
+    real = fock.reduced_density_matrix
+    calls = []
+
+    def counting(state, k):
+        calls.append(k)
+        return real(state, k)
+
+    monkeypatch.setattr(fock, "reduced_density_matrix", counting)
+    res = run_convergence(small_config)
+    # per row: d_1 and d_2 of the Gibbs state, then the trial state's pair
+    # energy; the Gibbs free energy reuses the d_2 marginal
+    assert calls == [1, 2, 2] * len(res.rows)
+    monkeypatch.undo()
+    basis, _, tensor = gl.convergence.resolve(small_config)
+    for row in res.rows:
+        point = fock.solve_point(basis.eigenvalues, tensor, row.T, row.lam,
+                                 tail=small_config.n_max_policy,
+                                 dim_budget=small_config.dim_budget)
+        rebuilt = fock.relative_free_energy(point.gibbs, point.free, tensor,
+                                            row.lam, row.T)
+        exact = row.T * row.f_value
+        assert row.fe_identity_defect == abs(rebuilt - exact) / abs(exact)
+
+
 def test_emit_report_counts_and_format(tmp_path, small_config):
     res = run_convergence(small_config)
     csv_path, json_path = emit_report(res, tmp_path)
@@ -362,6 +387,19 @@ def test_cli_sample(config_file, tmp_path):
     assert (out / "ensemble.csv").exists()
     assert (out / "ensemble.json").exists()
     assert (out / "moments_k1.csv").exists()
+
+
+def test_cli_sample_moments_match_per_order(config_file, tmp_path):
+    assert cli.main(["sample", "--config", str(config_file)]) == 0
+    cfg = gl.read_config(str(config_file))
+    basis, kernel, tensor = gl.convergence.resolve(cfg)
+    ens = gl.reweight(gl.sample_free(basis, cfg.mc_samples, cfg.seed), basis,
+                      kernel, tensor)
+    for k in range(1, cfg.k_max + 1):
+        want = tmp_path / f"want_k{k}.csv"
+        gl.classical.moments_to_csv(gl.moment_matrix(ens, k), want)
+        got = tmp_path / "out" / f"moments_k{k}.csv"
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_cli_quantum(config_file, tmp_path):
