@@ -205,6 +205,7 @@ class ReportRow:
     f_stderr: float = 0.0
     trial_gap: float | None = None
     trial_tail_mass: float | None = None
+    trial_window: list | None = None   # lowest, highest sector of the trial
     fe_identity_defect: float | None = None
     bl: semiclassics.BLGap | None = None
     wall_s: float = 0.0
@@ -323,10 +324,12 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(
-                ensemble, T, fb, n_subsample=config.trial_subsample)
+                ensemble, T, gibbs, n_subsample=config.trial_subsample)
         notes += [str(w.message) for w in caught
                   if issubclass(w.category, semiclassics.TailWarning)]
         row.trial_tail_mass = trial.tail_mass()
+        held = np.flatnonzero(trial.sector_probabilities())
+        row.trial_window = [int(held[0]), int(held[-1])]
         if row.trial_tail_mass >= config.n_max_policy:
             notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
                          f"below n_max_policy {config.n_max_policy:.1e}")
@@ -449,6 +452,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
             d["dim"] = row.dim
         if row.trial_tail_mass is not None:
             d["trial_tail_mass"] = row.trial_tail_mass
+            d["trial_window"] = row.trial_window
         if row.bl is not None:
             d["berezin_lieb"] = {"quantum": row.bl.quantum,
                                  "classical": row.bl.classical,

@@ -4,7 +4,7 @@ The Fock space over K modes is truncated at total occupation n_max and
 enumerated in graded colexicographic order, so every operator built here is
 block diagonal across total-particle sectors whenever it commutes with the
 number operator. Every state the lab builds (Gibbs states, the free state,
-the phase-averaged trial state) commutes with it too, so a FockState is
+the symmetrized trial state) commutes with it too, so a FockState is
 stored as one dense block per (sector, symmetry class). A state diagonal in
 the occupation basis, as the free Gibbs state is, is a DiagonalState: its
 diagonal alone, and the reference of every relative entropy.

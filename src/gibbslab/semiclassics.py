@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from .classical import WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
-_WINDOW_TAIL = 2.0 ** -60  # Poisson mass a chunk's sector window leaves out
+_WINDOW_TAIL = 2.0 ** -60  # Poisson mass a sector window leaves out per side
 _WINDOW_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
 
@@ -78,20 +78,63 @@ def coherent_overlap(a: CoherentVector, b: CoherentVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
-                n_subsample: int | None = None) -> FockState:
-    """Phase-averaged mixture of coherent projectors at vectors sqrt(T) * alpha.
+def _sector_window(nu_lo: float, nu_hi: float, n_top: int) -> tuple[int, int]:
+    """Sectors n_lo..n_hi of 0..n_top outside which Poisson(nu) has at most
+    2^-60 mass below and at most 2^-60 above, for every nu in [nu_lo, nu_hi].
 
-    Each projector is replaced by its sector-diagonal pinching, which equals
-    its exact average over the global phase alpha -> e^{i theta} alpha (a
-    symmetry of the sampled measure), keeps the state block diagonal, and
-    can only lower the free energy. The mixture is renormalized to unit
-    trace; n_subsample keeps the first n samples (a deterministic, unbiased
-    cut of an iid ensemble) with their weights renormalized. Warns when a
-    sample's coherent tail beyond n_max exceeds 1e-6.
+    n_hi is the first n with P(N > n) <= 2^-60 at nu_hi (n_top if none is),
+    and n_lo the last n <= n_hi with P(N < n) <= 2^-60 at nu_lo. The upper
+    tail grows with nu and the lower tail shrinks, so the two ends of the
+    range bound every nu inside it.
+    """
+    upper = gammainc(np.arange(1, n_top + 2), nu_hi) <= _WINDOW_TAIL
+    n_hi = int(np.argmax(upper)) if upper.any() else n_top
+    lower = gammaincc(np.arange(1, n_hi + 1), nu_lo) <= _WINDOW_TAIL
+    n_lo = n_hi if lower.all() else int(np.argmin(lower))
+    return n_lo, n_hi
+
+
+def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
+                n_subsample: int | None = None) -> FockState:
+    """Symmetrized mixture of coherent projectors at vectors sqrt(T) * alpha,
+    on the (sector, class) blocks of layout.
+
+    layout is the Gibbs state the trial state is compared with; only its
+    blocks' (n, idx) are read. The sampled measure, H_lam and the free state
+    are invariant under the global phase alpha -> e^{i theta} alpha, under
+    complex conjugation alpha -> conj(alpha) (the modes and W are real) and
+    under the reflection x -> -x (the mode parity). Each projector is
+    replaced by its exact average over these maps: the phase keeps its
+    sector blocks, conjugation their real part and the reflection their
+    parity-class blocks, the classes of layout (one per sector when the
+    parity fell back, and then nothing is pinched). The average keeps the
+    energy and, by joint convexity, cannot raise S(. | free), so the state
+    is a variational upper bound no worse than the plain mixture.
+
+    Samples are taken in chunks of 256 in ascending nu = T |alpha|^2. The
+    particle number of a coherent vector is Poisson(nu), so a chunk builds
+    amplitudes only up to n_hi and updates only the sectors n_lo..n_hi
+    outside which every one of its samples has at most 2^-60 mass on
+    either side (_sector_window). The mixture without this window differs
+    from it by a share eps <= 2^-59 / (1 - tau) of its trace, tau the
+    weighted mean coherent tail beyond n_max, so by joint convexity and
+    concavity of the entropy S(trial | free) moves by at most
+    eps (max|log q| + log(1/eps) + 1), q the free state's diagonal: of
+    order 2^-59 max|log q|. The windowed mixture is still a state, so it is
+    still an upper bound. A sector that no chunk reaches is an exact zero
+    block.
+
+    The mixture is renormalized to unit trace; n_subsample keeps the first
+    n samples (a deterministic, unbiased cut of an iid ensemble) with their
+    weights renormalized. Warns when a sample's coherent tail beyond n_max
+    exceeds 1e-6.
     """
     if not ensemble.reweighted:
         raise ValueError("trial state needs a reweighted ensemble")
+    if n_subsample is not None and n_subsample < 1:
+        raise ValueError(f"n_subsample must be a positive sample count, "
+                         f"got {n_subsample}")
+    basis = layout.basis
     n = ensemble.n if n_subsample is None else min(n_subsample, ensemble.n)
     coeffs = ensemble.coeffs[:n]
     logw = ensemble.log_weights[:n]
@@ -109,17 +152,26 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
             TailWarning, stacklevel=2)
     gauss = np.exp(-0.5 * nu)
 
-    sums = [np.zeros((basis.sector_dim(m), basis.sector_dim(m)),
-                     dtype=np.complex128) for m in range(basis.n_max + 1)]
+    offsets = basis.sector_offsets
+    rows = [idx + offsets[m] for m, idx, _ in layout.blocks]
+    sums = [np.zeros((idx.size, idx.size)) for _, idx, _ in layout.blocks]
+    order = np.argsort(nu, kind="stable")
     for lo in range(0, n, _CHUNK):
-        A = occupation_products(vs[lo:lo + _CHUNK], basis.occupations,
-                                gauss[lo:lo + _CHUNK])
-        wc = w[lo:lo + _CHUNK]
-        for m in range(basis.n_max + 1):
-            Am = A[basis.sector_slice(m)]
-            sums[m] += (Am * wc) @ Am.conj().T
-    tr = sum(float(np.real(np.trace(b))) for b in sums)
-    return FockState.from_sectors(basis, [b / tr for b in sums])
+        s = order[lo:lo + _CHUNK]
+        n_lo, n_hi = _sector_window(nu[s[0]], nu[s[-1]], basis.n_max)
+        A = occupation_products(vs[s], basis.occupations[:offsets[n_hi + 1]],
+                                gauss[s])
+        # Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
+        # interleaves the real and imaginary part of each sample's column
+        X = A.view(np.float64)
+        w2 = np.repeat(w[s], 2)
+        for (m, _, _), i, G in zip(layout.blocks, rows, sums):
+            if n_lo <= m <= n_hi:
+                Xi = X[i]
+                G += (Xi * w2) @ Xi.T
+    tr = sum(float(np.trace(G)) for G in sums)
+    return FockState(basis, tuple((m, idx, G / tr) for (m, idx, _), G
+                                  in zip(layout.blocks, sums)))
 
 
 def _contract(state: FockState | DiagonalState, A: np.ndarray,
@@ -159,11 +211,11 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     coherent amplitudes of each chunk are built once and contracted against
     every state. The particle number of a coherent vector is Poisson(nu) and
     every state is block diagonal, so a chunk only spans sectors up to the
-    first n_hi whose Poisson(nu_max) tail beyond it is at most 2^-60. Sector
-    m of the amplitudes has squared norm exactly e^-nu nu^m / m!, and
-    lambda_max(G_m) <= tr G_m, so the omitted part of a density is at most
-    max_{m > n_hi} tr G_m * P(N > n_hi); a point where that exceeds 2^-53
-    of the kept part is recomputed over the full basis.
+    n_hi of _sector_window, the first whose Poisson(nu_max) tail beyond it
+    is at most 2^-60. Sector m of the amplitudes has squared norm exactly
+    e^-nu nu^m / m!, and lambda_max(G_m) <= tr G_m, so the omitted part of
+    a density is at most max_{m > n_hi} tr G_m * P(N > n_hi); a point where
+    that exceeds 2^-53 of the kept part is recomputed over the full basis.
     """
     if eps <= 0:
         raise ValueError("scale eps must be positive")
@@ -190,8 +242,7 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     redo = []
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        inside = gammainc(np.arange(1, n_top + 2), nu[idx[-1]]) <= _WINDOW_TAIL
-        n_hi = int(np.argmax(inside)) if inside.any() else n_top
+        _, n_hi = _sector_window(nu[idx[0]], nu[idx[-1]], n_top)
         out[:, idx] = kept(idx, n_hi)
         if n_hi < n_top:
             missed = beyond[:, n_hi, None] * gammainc(n_hi + 1, nu[idx])

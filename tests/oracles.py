@@ -8,7 +8,8 @@ for occupation-number monomials, grid quadrature of the interaction energy
 and polar-grid quadrature over single-mode Husimi densities (the densities
 themselves come from the package). The relative entropy and the Husimi
 density of plain matrices are the whole-space definitions, with no sector
-structure. The per-pair partial trace shares the package's branching rows
+structure; so is the mixture of coherent projectors, whose symmetry average
+is its real part pinched to (sector, class) blocks. The per-pair partial trace shares the package's branching rows
 and checks only the contraction over them.
 """
 
@@ -145,18 +146,39 @@ def relative_entropy_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
                  - np.sum(mass * np.log(np.clip(q, 1e-300, None))))
 
 
+def coherent_amplitudes(vs: np.ndarray, basis) -> np.ndarray:
+    """a_n = exp(-|v|^2/2) prod_j v_j^{n_j} / sqrt(n_j!) over the whole
+    basis for each row v of vs, shape (n_samples, dim)."""
+    vs = np.atleast_2d(np.asarray(vs, dtype=np.complex128))
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    occs = basis.occupations
+    return power_products(vs, occs) * np.exp(
+        -0.5 * nu[:, None] - 0.5 * gammaln(occs + 1.0).sum(axis=1)[None, :])
+
+
 def husimi_dense(matrix: np.ndarray, basis, eps: float,
                  pts: np.ndarray) -> np.ndarray:
     """(pi eps)^-K Re a+ M a at each point u, with the coherent amplitudes
-    a_n = exp(-|v|^2/2) prod_j v_j^{n_j} / sqrt(n_j!) of v = u / sqrt(eps)
-    over the whole basis."""
-    vs = np.atleast_2d(np.asarray(pts, dtype=np.complex128)) / math.sqrt(eps)
-    nu = np.sum(np.abs(vs) ** 2, axis=1)
-    occs = basis.occupations
-    A = power_products(vs, occs) * np.exp(
-        -0.5 * nu[:, None] - 0.5 * gammaln(occs + 1.0).sum(axis=1)[None, :])
+    a of v = u / sqrt(eps) over the whole basis."""
+    A = coherent_amplitudes(np.asarray(pts) / math.sqrt(eps), basis)
     val = np.real(np.sum(A.conj() * (A @ np.asarray(matrix).T), axis=1))
     return (math.pi * eps) ** (-basis.K) * val
+
+
+def coherent_mixture(vs: np.ndarray, w: np.ndarray, basis) -> np.ndarray:
+    """sum_s w_s |a_s><a_s| of the truncated coherent vectors a_s at the
+    rows of vs, over the whole basis and scaled to unit trace: the plain
+    mixture, before any symmetry average."""
+    A = coherent_amplitudes(vs, basis)
+    M = (A.T * np.asarray(w)) @ A.conj()
+    return M / np.real(np.trace(M))
+
+
+def symmetrized(matrix: np.ndarray, basis, labels=None) -> FockState:
+    """The symmetry average of a matrix on the Fock basis: the phase average
+    keeps its sector blocks, complex conjugation its real part and the
+    reflection the class blocks of labels (whole sectors if left out)."""
+    return pinched(np.real(matrix), basis, labels)
 
 
 def sample_free_one_shot(basis, n_samples: int, seed: int) -> np.ndarray:

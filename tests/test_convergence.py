@@ -294,6 +294,32 @@ def test_trial_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
     assert "trial tail mass" not in open(csv_path).read()
 
 
+def test_summary_rows_carry_the_trial_window(tmp_path, monkeypatch,
+                                            small_config):
+    build = semiclassics.trial_state
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(semiclassics, "trial_state", recording)
+    cfg = dataclasses.replace(small_config, T_schedule=(2.0, 20.0),
+                              bl_samples=0)
+    _, json_path = emit_report(run_convergence(cfg), tmp_path / "a")
+    rows = json.load(open(json_path))["rows"]
+    assert len(rows) == len(built) == 2
+    for row, trial in zip(rows, built):
+        held = np.flatnonzero(trial.sector_probabilities())
+        assert row["trial_window"] == [int(held[0]), int(held[-1])]
+    # at T = 20 no sample reaches the top two sectors: the trial tail is 0
+    assert rows[1]["trial_window"][1] < rows[1]["n_max"] - 1
+    assert rows[1]["trial_tail_mass"] == 0.0
+    cfg = dataclasses.replace(cfg, T_schedule=(2.0,), trial_subsample=0)
+    _, json_path = emit_report(run_convergence(cfg), tmp_path / "b")
+    assert "trial_window" not in json.load(open(json_path))["rows"][0]
+
+
 def test_committed_config_tail_is_within_the_policy(tmp_path):
     # negative control of the tail notes: the T=5 row of configs/desk.cfg
     path = os.path.join(CONFIGS, "desk.cfg")

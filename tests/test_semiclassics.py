@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 import gibbslab as gl
 from gibbslab import fock, semiclassics
@@ -100,14 +101,8 @@ def _plain_mixture(ens, T, fb, n_subsample=None):
     vectors at sqrt(T) * alpha_s, as one unit-trace matrix."""
     n = ens.n if n_subsample is None else n_subsample
     logw = ens.log_weights[:n]
-    w = np.exp(logw - logw.max())
-    M = np.zeros((fb.dim, fb.dim), dtype=np.complex128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TailWarning)
-        for ws, alpha in zip(w / w.sum(), ens.coeffs[:n]):
-            cv = gl.coherent(math.sqrt(T) * alpha, fb)
-            M += ws * _norm_sq(cv) * _projector(cv)
-    return M / np.real(np.trace(M))
+    return oracles.coherent_mixture(math.sqrt(T) * ens.coeffs[:n],
+                                    np.exp(logw - logw.max()), fb)
 
 
 def _plain_free_energy(plain, free, tensor, lam, T):
@@ -118,25 +113,49 @@ def _plain_free_energy(plain, free, tensor, lam, T):
         + T * oracles.relative_entropy_dense(plain, np.diag(free.p))
 
 
-def test_trial_state_single_sample_is_coherent_projector(basis_k2, delta_kernel):
+def _gibbs(fb, basis, tensor, T=1.0):
+    """The Gibbs state of H_{1/T} on fb, whose (sector, class) blocks a trial
+    state takes."""
+    H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
+    return gl.gibbs_state(H, T)[0]
+
+
+def _free(fb, basis, T):
+    """The free Gibbs state on fb, as its diagonal."""
+    p = np.exp(-fb.occupations @ basis.eigenvalues / T)
+    return fock.DiagonalState(fb, p / p.sum())
+
+
+def _labels(fb, tensor):
+    return fb.occupations @ tensor.parity % 2
+
+
+def _assert_blocks_close(got, want, tol):
+    assert [(n, idx.tolist()) for n, idx, _ in got.blocks] \
+        == [(n, idx.tolist()) for n, idx, _ in want.blocks]
+    for (*_, g), (*_, w) in zip(got.blocks, want.blocks):
+        assert np.isrealobj(g)
+        assert np.abs(g - w).max() < tol
+
+
+def test_trial_state_single_sample_is_coherent_projector(basis_k2, tensor_k2,
+                                                         delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 1, seed=2), basis_k2,
                       delta_kernel)
     fb = gl.build_fock_basis(2, 20)
     T = 1.0
-    trial = gl.trial_state(ens, T, fb)
+    trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
     cv = gl.coherent(math.sqrt(T) * ens.coeffs[0], fb)
-    expect = oracles.pinched(_projector(cv), fb)
-    assert len(trial.blocks) == len(expect.blocks)
-    for (*_, got), (*_, want) in zip(trial.blocks, expect.blocks):
-        assert np.abs(got - want).max() < 1e-12
+    expect = oracles.symmetrized(_projector(cv), fb, _labels(fb, tensor_k2))
+    _assert_blocks_close(trial, expect, 1e-12)
 
 
-def test_trial_state_particle_number(basis_k2, delta_kernel):
+def test_trial_state_particle_number(basis_k2, tensor_k2, delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=4), basis_k2,
                       delta_kernel)
     T = 1.0
     fb = gl.build_fock_basis(2, 25)
-    trial = gl.trial_state(ens, T, fb)
+    trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
     wt = ens.normalized_weights()
     target = T * float(np.sum(wt * np.sum(np.abs(ens.coeffs) ** 2, axis=1)))
     h = T * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
@@ -145,17 +164,19 @@ def test_trial_state_particle_number(basis_k2, delta_kernel):
 
 
 def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
+                                                            tensor_k2,
                                                             delta_kernel):
+    # the symmetry average drops the cross-sector blocks, the imaginary part
+    # and the cross-class blocks of the plain mixture, and nothing else
     ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=5), basis_k2,
                       delta_kernel)
     fb = gl.build_fock_basis(2, 18)
     plain = _plain_mixture(ens, 0.8, fb)
-    pinched = gl.trial_state(ens, 0.8, fb)
-    for (*_, want), (*_, got) in zip(oracles.pinched(plain, fb).blocks,
-                                     pinched.blocks):
-        assert np.abs(want - got).max() < 1e-12
+    trial = gl.trial_state(ens, 0.8, _gibbs(fb, basis_k2, tensor_k2))
+    _assert_blocks_close(
+        trial, oracles.symmetrized(plain, fb, _labels(fb, tensor_k2)), 1e-12)
     n_plain = float(np.real(np.diagonal(plain)) @ fb.occupations.sum(axis=1))
-    assert abs(n_plain - fock.particle_number(pinched)) < 1e-10
+    assert abs(n_plain - fock.particle_number(trial)) < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:.*trial-state samples.*")
@@ -172,25 +193,146 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for fe_trial in (
-            gl.relative_free_energy(gl.trial_state(ens, T, fb, n_subsample=256),
-                                    free, tensor_k2, lam, T),
+            gl.relative_free_energy(
+                gl.trial_state(ens, T, gibbs, n_subsample=256),
+                free, tensor_k2, lam, T),
             _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=256),
                                free, tensor_k2, lam, T)):
         assert fe_trial >= fe_gibbs - 1e-8
-    # pinching can only lower the trial free energy
+    # the symmetry average can only lower the trial free energy
     fe_plain = _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=128),
                                   free, tensor_k2, lam, T)
     fe_pinch = gl.relative_free_energy(
-        gl.trial_state(ens, T, fb, n_subsample=128), free, tensor_k2, lam, T)
+        gl.trial_state(ens, T, gibbs, n_subsample=128), free, tensor_k2, lam,
+        T)
     assert fe_pinch <= fe_plain + 1e-9
 
 
-def test_trial_state_warns_on_cutoff_violation(basis_k2, delta_kernel):
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48),
+       T=st.floats(0.5, 3.0))
+def test_symmetrized_gap_is_at_most_the_sector_pinched_gap(
+        basis_k2, tensor_k2, delta_kernel, seed, n, T):
+    # 0 <= F(trial) - F(Gibbs) <= F(sector-pinched mixture) - F(Gibbs): the
+    # variational principle, then joint convexity of S(. | free)
+    lam = 1.0 / T
+    fb = gl.build_fock_basis(2, 12)
+    ens = gl.reweight(gl.sample_free(basis_k2, n, seed=seed), basis_k2,
+                      delta_kernel)
+    gibbs = _gibbs(fb, basis_k2, tensor_k2, T)
+    free = _free(fb, basis_k2, T)
+    fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TailWarning)
+        trial = gl.trial_state(ens, T, gibbs)
+    sym = gl.relative_free_energy(trial, free, tensor_k2, lam, T) - fe_gibbs
+    plain = gl.relative_free_energy(
+        oracles.pinched(_plain_mixture(ens, T, fb), fb), free, tensor_k2,
+        lam, T) - fe_gibbs
+    assert -1e-10 <= sym <= plain + 1e-10
+
+
+def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2,
+                                                    delta_kernel):
+    # negative control: a tensor without parity (the one-class fallback)
+    # leaves whole sectors, so the trial state is exactly the conjugation
+    # average alone, and it carries the cross-class entries the parity
+    # classes drop
+    ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=9), basis_k2,
+                      delta_kernel)
+    fb = gl.build_fock_basis(2, 16)
+    flat = gl.TwoBodyTensor.with_parity(tensor_k2.entries, None)
+    trial = gl.trial_state(ens, 1.0, _gibbs(fb, basis_k2, flat))
+    sectors = fock.FockState.from_sectors(
+        fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(fb.n_max + 1)])
+    conj_only = gl.trial_state(ens, 1.0, sectors)
+    assert len(trial.blocks) == fb.n_max + 1
+    for (n, idx, g), (m, jdx, c) in zip(trial.blocks, conj_only.blocks):
+        assert n == m and np.array_equal(idx, jdx) and np.array_equal(g, c)
+    _assert_blocks_close(
+        trial, oracles.symmetrized(_plain_mixture(ens, 1.0, fb), fb), 1e-12)
+    labels = _labels(fb, tensor_k2)
+    cross = 0.0
+    for n, idx, g in trial.blocks:
+        lab = labels[idx + fb.sector_offsets[n]]
+        cross = max(cross, np.abs(g[lab[:, None] != lab]).max(initial=0.0))
+    assert cross > 1e-6
+
+
+def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2,
+                                                   delta_kernel):
+    ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), basis_k2,
+                      delta_kernel)
+    gibbs = _gibbs(gl.build_fock_basis(2, 8), basis_k2, tensor_k2)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="n_subsample must be a positive"):
+            gl.trial_state(ens, 1.0, gibbs, n_subsample=bad)
+
+
+def _record_windows(monkeypatch):
+    windows = []
+    window = semiclassics._sector_window
+
+    def recording(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(semiclassics, "_sector_window", recording)
+    return windows
+
+
+def _far_ensemble(n, seed):
+    """n reweighted samples with |alpha|^2 spread over [48, 64], where a
+    sector window starts above the vacuum, and log-weights in [-2, 0]."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    coeffs = z * np.sqrt(rng.uniform(48.0, 64.0, n))[:, None]
+    return gl.WeightedEnsemble(coeffs, -rng.uniform(0.0, 2.0, n), z_r=1.0,
+                               z_r_stderr=0.0, ess=float(n), reweighted=True)
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
+                                               tensor_k2, delta_kernel, n):
+    fb = gl.build_fock_basis(2, 36)
+    gibbs = _gibbs(fb, basis_k2, tensor_k2)
+    free = _free(fb, basis_k2, 10.0)
+    log_q = float(np.max(-np.log(free.p)))
+    sampled = gl.reweight(gl.sample_free(basis_k2, 700, seed=12), basis_k2,
+                          delta_kernel)
+    # T = 2 puts every chunk's top below n_max; the far ensemble's window
+    # starts above the vacuum
+    windows = _record_windows(monkeypatch)
+    for ens, T in ((sampled, 2.0), (_far_ensemble(700, 3), 1.0)):
+        windows.clear()
+        trial = gl.trial_state(ens, T, gibbs, n_subsample=n)
+        vs = math.sqrt(T) * ens.coeffs[:n]
+        w = np.exp(ens.log_weights[:n] - ens.log_weights[:n].max())
+        want = oracles.symmetrized(oracles.coherent_mixture(vs, w, fb), fb,
+                                   _labels(fb, tensor_k2))
+        _assert_blocks_close(trial, want, 1e-12)
+        # the trial_state docstring's bound on S(trial | free)
+        tail = gammainc(fb.n_max + 1, np.sum(np.abs(vs) ** 2, axis=1))
+        eps = 2.0 ** -59 / (1.0 - np.sum(w * tail) / w.sum())
+        bound = eps * (log_q + math.log(1.0 / eps) + 1.0)
+        assert abs(gl.relative_entropy(trial, free)
+                   - gl.relative_entropy(want, free)) <= bound + 1e-12
+        # rank updates run only inside the windows, fewer than every sector
+        assert len(windows) == -(-n // 256)
+        assert sum(hi - lo + 1 for lo, hi in windows) \
+            < len(windows) * (fb.n_max + 1)
+    assert windows[0][0] > 0
+
+
+def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2,
+                                               delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 200, seed=7), basis_k2,
                       delta_kernel)
     fb = gl.build_fock_basis(2, 6)
     with pytest.warns(TailWarning, match=r"\d+ of 200"):
-        gl.trial_state(ens, 8.0, fb)
+        gl.trial_state(ens, 8.0, _gibbs(fb, basis_k2, tensor_k2))
 
 
 def test_husimi_vacuum_density():
