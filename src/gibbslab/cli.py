@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Subcommands: spectrum, sample, quantum, converge, selfcheck, bl-gap. Every
-command takes --config PATH (the key = value experiment file), with --seed
-and --out overrides. Exit codes: 0 success, 2 a checked property
-failed, 1 error.
+Subcommands: spectrum, sample, quantum, converge, selfcheck. Every command
+takes --config PATH (the key = value experiment file), with --seed and
+--out overrides. Exit codes: 0 success, 2 a checked property failed, 1
+error.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
-from . import classical, convergence, fock, semiclassics
+from . import classical, convergence, fock
 from .spectral import basis_to_csv, build_operator, eigendecompose, \
     schatten_trace
 
@@ -27,9 +28,9 @@ def _load(args) -> convergence.ExperimentConfig:
 
 
 def _temperature(T: float) -> float:
-    """A --T override, refused unless positive like the schedule's."""
-    if not T > 0:
-        raise ValueError("--T must be a positive temperature")
+    """A --T override, refused unless finite and positive, as in a schedule."""
+    if not 0 < T < math.inf:
+        raise ValueError("--T must be a positive finite temperature")
     return T
 
 
@@ -135,42 +136,6 @@ def cmd_selfcheck(args) -> int:
     return 2 if failed else 0
 
 
-def cmd_bl_gap(args) -> int:
-    cfg = _load(args)
-    temps = [_temperature(args.T)] if args.T is not None \
-        else list(cfg.T_schedule)
-    if cfg.bl_samples < 10:  # refused here, before any output or solve
-        raise ValueError("Husimi KL estimate needs at least 10 samples")
-    basis, _, tensor = convergence.resolve(cfg)
-    seeds = convergence.row_seeds(cfg.seed, len(temps))
-    rows, diagnostics = [], []
-    for T, seed in zip(temps, seeds):
-        point = fock.solve_point(basis.eigenvalues, tensor, T,
-                                 cfg.coupling_rule / T, tail=cfg.n_max_policy,
-                                 dim_budget=cfg.dim_budget)
-        gap = semiclassics.berezin_lieb_gap(point.gibbs, point.free, 1.0 / T,
-                                            n_samples=cfg.bl_samples,
-                                            seed=seed)
-        rows.append((T, gap))
-        if gap.degenerate:
-            diagnostics.append({"T": T, "warning": "low importance-sampling ess",
-                                "ess": gap.ess})
-        print(f"T={T}: quantum={gap.quantum:.6f} classical={gap.classical:.6f} "
-              f"gap={gap.gap:.6f} (ess {gap.ess:.0f})")
-    out = _ensure_out(cfg)
-    path = os.path.join(out, "bl_gap.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("T,quantum,classical,gap,classical_stderr,ess\n")
-        for T, g in rows:
-            fh.write(f"{T:.17g},{g.quantum:.17g},{g.classical:.17g},"
-                     f"{g.gap:.17g},{g.classical_stderr:.17g},{g.ess:.17g}\n")
-    with open(os.path.join(out, "bl_gap_diagnostics.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"warnings": diagnostics}, fh, indent=2, sort_keys=True)
-    print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gibbslab",
@@ -189,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("quantum", cmd_quantum, "T"),
         ("converge", cmd_converge, None),
         ("selfcheck", cmd_selfcheck, "corrupt"),
-        ("bl-gap", cmd_bl_gap, "T"),
     ]:
         sp = sub.add_parser(name)
         common(sp)

@@ -93,13 +93,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sched = tuple(float(t) for t in self.T_schedule)
-        if not sched or any(t <= 0 for t in sched):
-            raise ValueError("T_schedule must hold positive temperatures")
+        if not sched or not all(0 < t < math.inf for t in sched):
+            raise ValueError(
+                "T_schedule must hold positive finite temperatures")
         if list(sched) != sorted(sched):
             raise ValueError("T_schedule must be ascending")
         object.__setattr__(self, "T_schedule", sched)
-        if self.coupling_rule < 0:
-            raise ValueError("coupling_rule must be nonnegative")
+        if not 0 <= self.coupling_rule < math.inf:
+            raise ValueError("coupling_rule must be nonnegative and finite")
         if not 1 <= self.k_max <= 3:
             raise ValueError("k_max must lie in 1..3")
         if not 0 < self.n_max_policy < 1:
@@ -136,7 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
                                     m=float(kv.pop("m", 1.0)),
                                     grid_points=int(kv.pop("grid_points", 512)))
         kv.pop("a", None), kv.pop("half_width", None)
-    else:
+    elif domain == "anharmonic":
         if "a" not in kv or "half_width" not in kv:
             raise ValueError("anharmonic domain needs a and half_width")
         spec = OneBodySpec.anharmonic_line(
@@ -144,6 +145,8 @@ def parse_config(text: str) -> ExperimentConfig:
             m=float(kv.pop("m", 0.0)),
             grid_points=int(kv.pop("grid_points", 1024)))
         kv.pop("bc", None)
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
 
     kernel = KernelSpec(name=kv.pop("kernel", "delta").lower(),
                         g=float(kv.pop("g", 1.0)),
@@ -545,21 +548,19 @@ def run_selfchecks(config: ExperimentConfig,
         "partial_trace_vs_normal_ordered_gibbs", diff <= 1e-10, diff, 1e-10,
         f"{np.unique(H_fb.labels).size} classes"))
 
-    # log Z of the class split against the default driver on whole sectors
-    # of H_lam at the first schedule point
+    # log Z of the class split, as the sweep's solve_point reports it at the
+    # first schedule point, against the default driver on whole sectors
     T0 = config.T_schedule[0]
-    fb0 = fock.build_fock_basis(
-        config.K, fock.choose_n_max(basis.eigenvalues, T0,
-                                    tail=config.n_max_policy,
-                                    dim_budget=config.dim_budget),
-        dim_budget=config.dim_budget)
-    H0 = fock.build_hamiltonian(fb0, basis.eigenvalues, tensor,
-                                config.coupling_rule / T0)
-    _, log_z0 = fock.gibbs_state(H0, T0)
-    whole = [eigvalsh(H0.class_block(n, np.arange(fb0.sector_dim(n))))
-             for n in range(fb0.n_max + 1)]
+    point = fock.solve_point(basis.eigenvalues, tensor, T0,
+                             config.coupling_rule / T0,
+                             tail=config.n_max_policy,
+                             dim_budget=config.dim_budget)
+    H0 = fock.build_hamiltonian(point.basis, basis.eigenvalues, tensor,
+                                point.lam)
+    whole = [eigvalsh(H0.class_block(n, np.arange(point.basis.sector_dim(n))))
+             for n in range(point.basis.n_max + 1)]
     ref = float(logsumexp(-np.concatenate(whole) / T0))
-    dev = abs(log_z0 - ref) / max(abs(ref), 1.0)
+    dev = abs(point.log_z - ref) / max(abs(ref), 1.0)
     n_cls = np.unique(H0.labels).size
     checks.append(CheckResult(
         "class_split", dev <= 1e-12, dev, 1e-12,

@@ -399,12 +399,15 @@ def relative_entropy(state: FockState, ref: DiagonalState) -> float:
     of its modes, with no eigensolve; its kernel is exactly q == 0. If the
     state carries more than 1e-9 of its mass there the support condition
     fails and +inf is returned; otherwise eigenvalues are clipped at 1e-300
-    (the 0 log 0 = 0 convention).
+    (the 0 log 0 = 0 convention). An exactly zero block adds exactly 0 to
+    every term, so it is skipped without an eigensolve.
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     total, stray = 0.0, 0.0
     for n, idx, G in state.blocks:
+        if not G.any():
+            continue
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
@@ -444,32 +447,47 @@ def free_sector_weights(eigenvalues: np.ndarray, T: float, n_cap: int) -> np.nda
 
 def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
                  dim_budget: int = 20000) -> int:
-    """Smallest cutoff (at least 4) whose top two free-state sectors carry
-    mass < tail."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
+    """Smallest cutoff (at least 4) past half the free state's mass whose
+    top two sectors carry mass < tail.
+
+    Masses are normalized by the closed-form free partition function
+    prod_j (1 - exp(-lambda_j/T))^-1. The half-mass rule keeps a very hot
+    state's nearly empty low sectors from passing. The search doubles its
+    window from 64 up to the largest cutoff within dim_budget; as N >= N_1,
+    the lowest mode's occupation, half the mass needs n + 1 > T log 2 /
+    lambda_1, which refuses a hot point before any search.
+    """
+    if not 0 < T < math.inf:
+        raise ValueError("temperature must be positive and finite")
     if tail <= 0 or tail >= 1:
         raise ValueError("tail threshold must lie in (0, 1)")
-    K = len(np.asarray(eigenvalues))
-    cap = 64
-    while True:
-        w = free_sector_weights(eigenvalues, T, cap)
-        total = w.sum()
-        if w[-1] / total < tail / 10.0:
-            break
-        cap *= 2
-        if cap > 1 << 20:
-            raise ValueError("tail policy does not converge; temperature too high")
-    frac = (w[:-1] + w[1:]) / total  # mass of sectors (n-1, n)
-    ok = np.flatnonzero(frac < tail)
-    if ok.size == 0:
-        raise ValueError("tail policy unreachable within the computed cap")
-    n_max = max(int(ok[0]) + 1, _N_MAX_FLOOR)
-    if math.comb(K + n_max, K) > dim_budget:
-        raise ValueError(
-            f"tail policy wants n_max={n_max} (dim {math.comb(K + n_max, K)}), "
-            f"over the budget {dim_budget}")
-    return n_max
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if eigenvalues.min() <= 0:
+        raise ValueError("free state needs positive one-body eigenvalues")
+    K = eigenvalues.size
+    n_top, step = -1, 1  # largest cutoff whose basis fits dim_budget
+    while math.comb(K + n_top + step, K) <= dim_budget:
+        step *= 2
+    while step:
+        if math.comb(K + n_top + step, K) <= dim_budget:
+            n_top += step
+        step //= 2
+    if n_top >= _N_MAX_FLOOR \
+            and n_top + 2 > T * math.log(2) / float(eigenvalues.min()):
+        z = math.exp(-np.sum(np.log(-np.expm1(-eigenvalues / T))))
+        cap = min(64, n_top)
+        while True:
+            w = free_sector_weights(eigenvalues, T, cap) / z
+            ok = np.flatnonzero((w[:-1] + w[1:] < tail)
+                                & (np.cumsum(w)[1:] > 0.5))
+            if ok.size:
+                return max(int(ok[0]) + 1, _N_MAX_FLOOR)
+            if cap == n_top:
+                break
+            cap = min(2 * cap, n_top)
+    raise ValueError(
+        f"tail policy at T={T:g} needs n_max > {n_top} "
+        f"(dim > {math.comb(K + n_top, K)}), over the budget {dim_budget}")
 
 
 @dataclass(frozen=True)

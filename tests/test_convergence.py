@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import time
 
 import numpy as np
 import pytest
@@ -437,10 +438,10 @@ def test_cli_quantum(config_file, tmp_path):
     assert (tmp_path / "out" / "quantum_k1.csv").exists()
 
 
-def _refuses_over_budget_without_output(command, tmp_path, capsys):
+def _refuses_over_budget_without_output(command, tmp_path, capsys, T="1000"):
     path = os.path.join(CONFIGS, "desk.cfg")
     out = tmp_path / "over"
-    assert cli.main([command, "--config", path, "--T", "1000",
+    assert cli.main([command, "--config", path, "--T", T,
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -450,10 +451,6 @@ def _refuses_over_budget_without_output(command, tmp_path, capsys):
 
 def test_cli_quantum_over_budget_leaves_no_output(tmp_path, capsys):
     _refuses_over_budget_without_output("quantum", tmp_path, capsys)
-
-
-def test_cli_bl_gap_over_budget_leaves_no_output(tmp_path, capsys):
-    _refuses_over_budget_without_output("bl-gap", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sample"])
@@ -486,15 +483,6 @@ def test_cli_selfcheck_and_negative_control(config_file, capsys):
     assert "FAIL seed_determinism" in capsys.readouterr().out
 
 
-def test_cli_bl_gap(config_file, tmp_path):
-    rc = cli.main(["bl-gap", "--config", str(config_file), "--T", "2.0"])
-    assert rc == 0
-    lines = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()
-    assert lines[0] == "T,quantum,classical,gap,classical_stderr,ess"
-    assert len(lines) == 2
-    assert (tmp_path / "out" / "bl_gap_diagnostics.json").exists()
-
-
 def test_cli_seed_override_changes_output(config_file, tmp_path):
     cli.main(["sample", "--config", str(config_file), "--out",
               str(tmp_path / "s1"), "--seed", "1"])
@@ -518,21 +506,27 @@ def test_cli_one_point_schedule_exits_2(config_file, tmp_path, capsys):
     assert not summary["properties"]["all"]
 
 
-def test_bl_gap_seeds_match_the_sweep(config_file, tmp_path):
+def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
     assert cli.main(["converge", "--config", str(config_file)]) == 0
     summary = json.load(open(tmp_path / "out" / "summary.json"))
-    keys = ("quantum", "classical", "gap", "classical_stderr", "ess")
-    sweep = [[row["berezin_lieb"][k] for k in keys] for row in summary["rows"]]
-    assert cli.main(["bl-gap", "--config", str(config_file)]) == 0
-    lines = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1:]
-    assert [[float(x) for x in line.split(",")[1:]] for line in lines] == sweep
-    assert cli.main(["bl-gap", "--config", str(config_file), "--T", "2.0"]) == 0
-    line = open(tmp_path / "out" / "bl_gap.csv").read().splitlines()[1]
-    assert [float(x) for x in line.split(",")[1:]] == sweep[0]
+    cfg = gl.read_config(str(config_file))
+    basis, _, tensor = gl.convergence.resolve(cfg)
+    seeds = gl.convergence.row_seeds(cfg.seed, len(cfg.T_schedule))
+    assert len(summary["rows"]) == len(seeds)
+    for T, seed, row in zip(cfg.T_schedule, seeds, summary["rows"]):
+        point = gl.solve_point(basis.eigenvalues, tensor, T,
+                               cfg.coupling_rule / T, tail=cfg.n_max_policy,
+                               dim_budget=cfg.dim_budget)
+        gap = gl.berezin_lieb_gap(point.gibbs, point.free, 1.0 / T,
+                                  n_samples=cfg.bl_samples, seed=seed)
+        assert row["berezin_lieb"] == {
+            "quantum": gap.quantum, "classical": gap.classical,
+            "gap": gap.gap, "classical_stderr": gap.classical_stderr,
+            "ess": gap.ess, "degenerate": gap.degenerate}
 
 
-@pytest.mark.parametrize("command", ["quantum", "bl-gap"])
-@pytest.mark.parametrize("T", ["0", "-1"])
+@pytest.mark.parametrize("command", ["quantum"])
+@pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
 def test_cli_non_positive_temperature_is_an_error(
         config_file, tmp_path, capsys, monkeypatch, command, T):
     def no_solve(*args, **kwargs):
@@ -541,8 +535,15 @@ def test_cli_non_positive_temperature_is_an_error(
     monkeypatch.setattr(gl.fock, "solve_point", no_solve)
     assert cli.main([command, "--config", str(config_file), "--T", T]) == 1
     err = capsys.readouterr().err
-    assert err.strip() == "error: --T must be a positive temperature"
+    assert err.strip() == "error: --T must be a positive finite temperature"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("T", ["64000", "1e12"])
+def test_cli_hot_temperature_is_refused_at_once(tmp_path, capsys, T):
+    t0 = time.perf_counter()
+    _refuses_over_budget_without_output("quantum", tmp_path, capsys, T)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cli_non_positive_dim_budget_is_an_error(config_file, tmp_path,
@@ -557,16 +558,6 @@ def test_cli_non_positive_dim_budget_is_an_error(config_file, tmp_path,
     assert not out.exists()
 
 
-def test_cli_bl_gap_without_samples_is_an_error(tmp_path, capsys):
-    # configs/free-case.cfg sets bl_samples = 0
-    path = os.path.join(CONFIGS, "free-case.cfg")
-    out = tmp_path / "out"
-    assert cli.main(["bl-gap", "--config", path, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.strip() == "error: Husimi KL estimate needs at least 10 samples"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS)
                                           if n.endswith(".cfg")))
 def test_committed_config_schedule_fits_its_budget(name):
@@ -575,6 +566,21 @@ def test_committed_config_schedule_fits_its_budget(name):
     for T in cfg.T_schedule:
         gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
                         dim_budget=cfg.dim_budget)
+
+
+@pytest.mark.parametrize("name, overrides, n_max", [
+    ("anharmonic.cfg", {}, (68, 131, 252)),
+    ("free-case.cfg", {}, (41, 80)),
+    ("desk.cfg", {"T_schedule": (80.0, 160.0), "dim_budget": 300000},
+     (377, 723)),
+])
+def test_committed_config_cutoffs(name, overrides, n_max):
+    cfg = dataclasses.replace(gl.read_config(os.path.join(CONFIGS, name)),
+                              **overrides)
+    basis, _, _ = gl.convergence.resolve(cfg)
+    assert tuple(gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
+                                 dim_budget=cfg.dim_budget)
+                 for T in cfg.T_schedule) == n_max
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS)
@@ -599,6 +605,38 @@ def test_cli_n_max_policy_outside_unit_interval_is_an_error(
     err = capsys.readouterr().err
     assert err.strip() == "error: n_max_policy must lie in (0, 1)"
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("T_schedule = 2.0, 4.0", "T_schedule = 2.0, inf",
+     "T_schedule must hold positive finite temperatures"),
+    ("T_schedule = 2.0, 4.0", "T_schedule = 2.0, nan",
+     "T_schedule must hold positive finite temperatures"),
+    ("coupling_rule = 1.0", "coupling_rule = nan",
+     "coupling_rule must be nonnegative and finite"),
+    ("coupling_rule = 1.0", "coupling_rule = inf",
+     "coupling_rule must be nonnegative and finite"),
+], ids=["T-inf", "T-nan", "coupling-nan", "coupling-inf"])
+def test_cli_non_finite_schedule_or_coupling_is_an_error(
+        config_file, tmp_path, capsys, monkeypatch, old, new, message):
+    def guard(*args, **kwargs):
+        raise AssertionError("ran before the config was validated")
+
+    monkeypatch.setattr(gl.classical, "sample_free", guard)
+    monkeypatch.setattr(gl.fock, "solve_point", guard)
+    config_file.write_text(config_file.read_text().replace(old, new))
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys", ["a = 4\nhalf_width = 6\n", ""],
+                         ids=["with-a", "bare"])
+def test_cli_unknown_domain_is_an_error(tmp_path, capsys, keys):
+    bad = tmp_path / "foo.cfg"
+    bad.write_text(f"domain = foo\n{keys}K = 1\n")
+    assert cli.main(["spectrum", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.strip() == "error: unknown domain 'foo'"
 
 
 @pytest.mark.parametrize("keys", ["half_width = 6", "a = 4"])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -657,6 +658,37 @@ def test_choose_n_max_policy(basis_k2):
 def test_choose_n_max_rejects_non_positive_temperature(basis_k2, T):
     with pytest.raises(ValueError, match="temperature must be positive"):
         gl.choose_n_max(basis_k2.eigenvalues, T)
+
+
+@pytest.mark.parametrize("T", [1e3, 1.6e4, 6.4e4, 1e5, 1e12])
+def test_choose_n_max_refuses_hot_points_at_once(basis_k2, T):
+    # T = 1e5 puts less than 1e-8 of the free mass on sectors 0 and 1, so
+    # only the half-mass rule keeps the policy from answering 4
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="over the budget 20000"):
+        gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-8, dim_budget=20000)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_choose_n_max_work_follows_the_cutoff(monkeypatch):
+    caps = []
+    weights = fock.free_sector_weights
+
+    def recording(eigenvalues, T, n_cap):
+        caps.append(n_cap)
+        return weights(eigenvalues, T, n_cap)
+
+    monkeypatch.setattr(fock, "free_sector_weights", recording)
+    lam = np.array([1.0])
+    n_max = gl.choose_n_max(lam, 5.0, tail=1e-8, dim_budget=10**9)
+    # K = 1: sectors (n-1, n) hold (1 - q^2) q^(n-1) of the mass, q = e^-0.2
+    assert n_max == 1 + math.ceil(math.log(1e-8 / (1 - math.exp(-0.4)))
+                                  / -0.2)
+    assert max(caps) < 2 * n_max
+    caps.clear()
+    with pytest.raises(ValueError, match="over the budget"):
+        gl.choose_n_max(lam, 1e12, tail=1e-8, dim_budget=10**9)
+    assert caps == []
 
 
 @pytest.mark.parametrize("T", [2.0, 5.0])

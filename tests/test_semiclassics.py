@@ -326,6 +326,28 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
     assert windows[0][0] > 0
 
 
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+def test_relative_entropy_skips_zero_blocks(monkeypatch, basis_k2, tensor_k2):
+    fb = gl.build_fock_basis(2, 36)
+    trial = gl.trial_state(_far_ensemble(256, 3), 1.0,
+                           _gibbs(fb, basis_k2, tensor_k2), n_subsample=256)
+    free = _free(fb, basis_k2, 10.0)
+    zero = sum(not G.any() for *_, G in trial.blocks)
+    assert zero > 0
+    calls = []
+    eigh = fock.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "eigh", counting)
+    got = gl.relative_entropy(trial, free)
+    assert len(calls) == len(trial.blocks) - zero
+    want = oracles.relative_entropy_dense(trial.to_dense(), np.diag(free.p))
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2,
                                                delta_kernel):
     ens = gl.reweight(gl.sample_free(basis_k2, 200, seed=7), basis_k2,
@@ -540,6 +562,13 @@ def test_berezin_lieb_rejects_equal_dim_different_bases():
         husimi_kl_importance(a, b, 1.0, n_samples=100)
     with pytest.raises(ValueError, match="different bases"):
         gl.berezin_lieb_gap(a, b, 1.0, n_samples=100)
+
+
+def test_husimi_kl_needs_ten_samples():
+    a = _thermal_single_mode(0.8, 40)
+    with pytest.raises(ValueError, match="at least 10 samples"):
+        husimi_kl_importance(a, oracles.diagonal_of(a), 1.0, n_samples=9)
+    husimi_kl_importance(a, oracles.diagonal_of(a), 1.0, n_samples=10)
 
 
 def test_berezin_lieb_gap_equal_states():
