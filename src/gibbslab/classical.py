@@ -3,7 +3,8 @@
 The free measure draws each mode coefficient alpha_j as an independent
 centered complex Gaussian with E|alpha_j|^2 = 1/lambda_j. The interacting
 measure reweights those samples by exp(-F_NL), where F_NL is the (quartic,
-nonnegative) pair-interaction energy of the field u = sum_j alpha_j u_j.
+nonnegative) pair-interaction energy of the field u = sum_j alpha_j u_j,
+contracted on Sym^2 with the same pair matrix as the quantum pair energy.
 Because 0 < exp(-F_NL) <= 1 in the defocusing case, plain importance
 sampling is stable at desk scale; the effective sample size is tracked so
 weight degeneracy cannot pass silently.
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import symspace
 from .kernels import occupation_products
-from .spectral import InteractionKernel, SpectralBasis, TwoBodyTensor, \
-    interaction_elements
+from .spectral import SpectralBasis, TwoBodyTensor
 
 __all__ = [
     "WeightedEnsemble",
@@ -109,39 +109,31 @@ def sample_free(basis: SpectralBasis, n_samples: int,
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
 
 
-def f_nl_batch(coeffs: np.ndarray, basis: SpectralBasis,
-               kernel: InteractionKernel,
-               tensor: TwoBodyTensor | None = None) -> np.ndarray:
-    """F_NL for every sample row, via the two-body tensor contraction.
+def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
+    """F_NL = (1/2) Re <S_2, W_2 S_2> for every sample row.
 
-    Equals the grid quadrature (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy
-    (the tensor entries come from the same quadrature), but costs O(K^4) per
-    sample instead of a grid pass, which is what makes reweighting 1e5
-    samples cheap.
+    S_2 holds the Sym^2 components of alpha (x) alpha from the moment
+    matrices' amplitude pass (`_sym_products`), and W_2 is the pair matrix
+    of `symspace.two_body_sym_matrix` that the quantum pair energy uses.
+    The tensor entries come from the grid quadrature, so F equals
+    (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
     """
-    if tensor is None:
-        tensor = interaction_elements(basis, kernel)
-    K = basis.K
-    Wm = tensor.entries.reshape(K * K, K * K)
-    n = coeffs.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        c = coeffs[lo:lo + _CHUNK]
-        B = np.einsum("si,sj->sij", c, c).reshape(c.shape[0], K * K)
+    W2 = symspace.two_body_sym_matrix(tensor.entries)
+    out = np.empty(coeffs.shape[0])
+    for lo, (S,) in _sym_products(coeffs, (2,)):
         out[lo:lo + _CHUNK] = 0.5 * np.real(
-            np.einsum("sa,sa->s", B.conj() @ Wm, B))
+            np.einsum("sp,sp->s", S.conj(), S @ W2))
     return out
 
 
-def reweight(ensemble: WeightedEnsemble, basis: SpectralBasis,
-             kernel: InteractionKernel,
-             tensor: TwoBodyTensor | None = None) -> WeightedEnsemble:
+def reweight(ensemble: WeightedEnsemble,
+             tensor: TwoBodyTensor) -> WeightedEnsemble:
     """Attach the interaction weights exp(-F_NL) to a free ensemble.
 
     z_r is the plain mean of the weights (its standard error by the usual
     sample-variance formula) and ess = (sum w)^2 / sum w^2.
     """
-    F = f_nl_batch(ensemble.coeffs, basis, kernel, tensor)
+    F = f_nl_batch(ensemble.coeffs, tensor)
     if np.any(F < -1e-10):
         raise ValueError("negative interaction energy: kernel is not defocusing")
     F = np.clip(F, 0.0, None)
@@ -300,25 +292,23 @@ class MeanInteraction:
     closed_form: float
 
 
-def mean_F_NL_free(basis: SpectralBasis, kernel: InteractionKernel,
-                   n_samples: int = 20000, seed: int = 0,
-                   tensor: TwoBodyTensor | None = None) -> MeanInteraction:
+def mean_F_NL_free(basis: SpectralBasis, tensor: TwoBodyTensor,
+                   n_samples: int = 20000, seed: int = 0) -> MeanInteraction:
     """E_{mu_0}[F_NL] two ways: sampling, and the Wick closed form.
 
     Wick's theorem on the independent Gaussian coefficients gives
     E[conj(a_i a_j) a_k a_l] = (d_ik d_jl + d_il d_jk)/(lambda_i lambda_j),
     hence the closed form (1/2) sum_ij (W_ijij + W_ijji)/(lambda_i lambda_j),
     which is (1/2) tr over Sym^2 of the kernel against the free second moment.
+    It reads the raw entries, independently of the Sym^2 route of f_nl_batch.
     """
-    if tensor is None:
-        tensor = interaction_elements(basis, kernel)
     lam = basis.eigenvalues
-    W = np.real(tensor.entries)
+    W = tensor.entries
     inv = 1.0 / np.outer(lam, lam)
     closed = 0.5 * float(np.sum((np.einsum("ijij->ij", W)
                                  + np.einsum("ijji->ij", W)) * inv))
     ens = sample_free(basis, n_samples, seed)
-    F = f_nl_batch(ens.coeffs, basis, kernel, tensor)
+    F = f_nl_batch(ens.coeffs, tensor)
     return MeanInteraction(mc_value=float(F.mean()),
                            mc_stderr=float(F.std(ddof=1) / math.sqrt(n_samples)),
                            closed_form=closed)

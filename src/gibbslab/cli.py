@@ -56,9 +56,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    basis, kernel, tensor = convergence.resolve(cfg)
+    basis, _, tensor = convergence.resolve(cfg)
     ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
-    ens = classical.reweight(ens, basis, kernel, tensor)
+    ens = classical.reweight(ens, tensor)
     out = _ensure_out(cfg)
     path = os.path.join(out, "ensemble.csv")
     classical.ensemble_to_csv(ens, path)

@@ -56,6 +56,10 @@ class KernelSpec:
     g: float = 0.0
     width: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.g) and math.isfinite(self.width)):
+            raise ValueError("kernel g and width must be finite")
+
     def realize(self, grid) -> InteractionKernel:
         if self.name == "delta":
             return InteractionKernel.delta(self.g)
@@ -253,7 +257,7 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis,
     """Ensemble, Z_r and moment matrices (exact ones when no interaction)."""
     degenerate = kernel.is_zero or config.coupling_rule == 0.0
     ensemble = classical.sample_free(basis, config.mc_samples, config.seed)
-    ensemble = classical.reweight(ensemble, basis, kernel, tensor)
+    ensemble = classical.reweight(ensemble, tensor)
     if degenerate:
         moments = {k: classical.free_moments(basis.eigenvalues, k)
                    for k in range(1, config.k_max + 1)}
@@ -530,7 +534,7 @@ def run_selfchecks(config: ExperimentConfig,
 
     lam_fb = basis.eigenvalues[:fb.K]
     tens_fb = TwoBodyTensor.with_parity(
-        np.real(tensor.entries)[:fb.K, :fb.K, :fb.K, :fb.K],
+        tensor.entries[:fb.K, :fb.K, :fb.K, :fb.K],
         tensor.parity[:fb.K])
     split = fock.energy_decomposition(state, lam_fb, tens_fb, 0.7)
     rel = abs(split.total - split.one_body - split.two_body) \
@@ -577,8 +581,8 @@ def run_selfchecks(config: ExperimentConfig,
                               occ_diff, 1e-8))
 
     # mean interaction energy under the free measure
-    mi = classical.mean_F_NL_free(basis, kernel, n_samples=n_mc,
-                                  seed=config.seed, tensor=tensor)
+    mi = classical.mean_F_NL_free(basis, tensor, n_samples=n_mc,
+                                  seed=config.seed)
     if kernel.is_zero:
         mi_dev = abs(mi.mc_value - mi.closed_form)
         checks.append(CheckResult("mean_fnl_identity", mi_dev <= 1e-12,
@@ -605,7 +609,7 @@ def run_selfchecks(config: ExperimentConfig,
                               "defect / tail-corrected bound"))
 
     # classical relative free energy decomposition
-    rw = classical.reweight(free, basis, kernel, tensor)
+    rw = classical.reweight(free, tensor)
     fe = classical.classical_relative_free_energy(rw)
     fe_dev = abs(fe.mean_interaction + fe.entropy_term - fe.value) \
         / max(3.0 * fe.stderr, 1e-14)
@@ -626,7 +630,8 @@ def run_selfchecks(config: ExperimentConfig,
     synth = SpectralBasis(lam1, occs1, basis.grid, basis.spec)
     i4 = float(np.sum(occs1[0] ** 4) * basis.grid.dx)
     ens1 = classical.sample_free(synth, n_mc, config.seed + 1)
-    rw1 = classical.reweight(ens1, synth, InteractionKernel.delta(2.0 / i4))
+    rw1 = classical.reweight(
+        ens1, interaction_elements(synth, InteractionKernel.delta(2.0 / i4)))
     zq_dev = abs(rw1.z_r - quartic) / max(3.0 * rw1.z_r_stderr, 1e-30)
     checks.append(CheckResult("single_mode_quartic_zr", zq_dev <= 1.0,
                               zq_dev, 1.0, "|MC - quadrature| / 3 stderr"))

@@ -165,8 +165,7 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     H = sparse.diags(diag).tocsr()
     if lam != 0.0 and tensor is not None and np.any(tensor.entries):
         rows, cols, vals = two_body_coo(basis.occupations, basis.table,
-                                        basis.strides,
-                                        np.real(tensor.entries))
+                                        basis.strides, tensor.entries)
         W = sparse.coo_matrix((vals, (rows, cols)),
                               shape=(basis.dim, basis.dim)).tocsr()
         H = H + lam * W
@@ -259,8 +258,9 @@ def gibbs_state(H: FockOperator, T: float):
         solved += parts
     log_z = float(logsumexp(-np.concatenate(eigs) / T))
     blocks = []
+    solved.reverse()
     while solved:
-        n, idx, lam, U = solved.pop(0)
+        n, idx, lam, U = solved.pop()
         blocks.append((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z
 
@@ -294,6 +294,9 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     occs_k = symspace.multi_indices(basis.K, k)
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
+    by_sector = [[] for _ in range(basis.n_max + 1)]
+    for n, idx, G in state.blocks:
+        by_sector[n].append((idx, G))
     for n in range(k, basis.n_max + 1):
         rest = symspace.multi_indices(basis.K, n - k)
         rows, coefs = map(np.array, zip(
@@ -301,7 +304,7 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
         # class, place in the class and flat row start of each sector index
         cls, pos, start = np.empty((3, basis.sector_dim(n)), dtype=np.int64)
         flat, off = [], 0
-        for c, (_, idx, G) in enumerate(x for x in state.blocks if x[0] == n):
+        for c, (idx, G) in enumerate(by_sector[n]):
             cls[idx], pos[idx] = c, np.arange(idx.size)
             start[idx] = off + pos[idx] * idx.size
             flat.append(G.ravel())
@@ -365,7 +368,7 @@ def two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
 
 def pair_energy(g2: MomentMatrix, tensor: TwoBodyTensor, lam: float) -> float:
     """lam tr[W_2 g2] on Sym^2, for a two-body marginal g2 already built."""
-    W2 = symspace.two_body_sym_matrix(np.real(tensor.entries))
+    W2 = symspace.two_body_sym_matrix(tensor.entries)
     return lam * float(np.real(np.trace(W2 @ g2.entries)))
 
 

@@ -80,11 +80,13 @@ class OneBodySpec:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
+        if not math.isfinite(self.m):
+            raise ValueError("m must be finite")
         if self.domain == "anharmonic":
-            if self.a is None or self.a <= 2:
-                raise ValueError("anharmonic exponent must satisfy a > 2")
-            if self.half_width is None or self.half_width <= 0:
-                raise ValueError("anharmonic box needs half_width > 0")
+            if self.a is None or not 2 < self.a < math.inf:
+                raise ValueError("anharmonic exponent must satisfy 2 < a < inf")
+            if self.half_width is None or not 0 < self.half_width < math.inf:
+                raise ValueError("anharmonic box needs 0 < half_width < inf")
         else:
             if self.bc not in _BCS:
                 raise ValueError(f"bc must be one of {_BCS}")
@@ -319,6 +321,7 @@ class InteractionKernel:
     variant "delta":   g * delta(x - y), g >= 0.
     variant "bounded": samples w(|d|) >= 0 on the difference grid, values[i]
                        at offset i * dx (the even extension is implied).
+    g and the values must be finite.
     """
 
     variant: str
@@ -328,10 +331,13 @@ class InteractionKernel:
     def __post_init__(self):
         if self.variant not in ("delta", "bounded"):
             raise ValueError(f"unknown kernel variant {self.variant!r}")
-        if self.g < 0:
-            raise ValueError("delta coupling must be nonnegative (defocusing)")
-        if self.values is not None and np.any(np.asarray(self.values) < 0):
-            raise ValueError("bounded kernel values must be nonnegative")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(
+                "delta coupling must be nonnegative (defocusing) and finite")
+        if self.values is not None and not np.all(
+                (np.asarray(self.values) >= 0) & np.isfinite(self.values)):
+            raise ValueError(
+                "bounded kernel values must be nonnegative and finite")
 
     @classmethod
     def delta(cls, g: float) -> "InteractionKernel":
@@ -355,13 +361,16 @@ class TwoBodyTensor:
     parity[j] is the reflection class (0/1) of mode j. Every entry whose
     four classes sum to an odd number is exactly zero, so the pair term
     conserves (-1)^(occupation of the odd modes). Left out, every mode is
-    in class 0: one class, no constraint.
+    in class 0: one class, no constraint. The entries are real; complex
+    ones are refused.
     """
 
     entries: np.ndarray
     parity: np.ndarray | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.entries):
+            raise ValueError("two-body tensor entries must be real")
         if self.parity is None:
             object.__setattr__(self, "parity", np.zeros(self.K, dtype=np.int64))
 

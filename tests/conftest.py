@@ -49,3 +49,9 @@ def quartic_kernel(unit_mode_basis):
     basis = unit_mode_basis
     i4 = float(np.sum(basis.eigenvectors[0] ** 4) * basis.grid.dx)
     return gl.InteractionKernel.delta(2.0 / i4)
+
+
+@pytest.fixture(scope="session")
+def quartic_tensor(unit_mode_basis, quartic_kernel):
+    """Pair tensor of quartic_kernel on the synthetic mode: W_1111 = 2."""
+    return gl.interaction_elements(unit_mode_basis, quartic_kernel)

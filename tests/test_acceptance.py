@@ -84,12 +84,12 @@ def test_criterion_03_interaction_mean_identity(dirichlet_op, delta_kernel):
     msgs, ok = [], True
     for K in (1, 2):
         basis = gl.eigendecompose(dirichlet_op, K)
-        res = gl.mean_F_NL_free(basis, delta_kernel, n_samples=50_000, seed=3)
+        tensor = gl.interaction_elements(basis, delta_kernel)
+        res = gl.mean_F_NL_free(basis, tensor, n_samples=50_000, seed=3)
         dev = abs(res.mc_value - res.closed_form) / res.mc_stderr
         ok &= dev <= 3.0
         msgs.append(f"K={K} |MC-closed|={dev:.2f} stderr")
         if K == 1:
-            tensor = gl.interaction_elements(basis, delta_kernel)
             analytic = tensor.entries[0, 0, 0, 0] / basis.eigenvalues[0] ** 2
             dev_a = abs(res.mc_value - analytic) / res.mc_stderr
             ok &= dev_a <= 3.0 and abs(res.closed_form - analytic) < 1e-12
@@ -97,9 +97,9 @@ def test_criterion_03_interaction_mean_identity(dirichlet_op, delta_kernel):
     _record(3, ok, "; ".join(msgs))
 
 
-def test_criterion_04_single_mode_closed_forms(unit_mode_basis, quartic_kernel):
+def test_criterion_04_single_mode_closed_forms(unit_mode_basis, quartic_tensor):
     ens = gl.sample_free(unit_mode_basis, 100_000, seed=23)
-    rw = gl.reweight(ens, unit_mode_basis, quartic_kernel)
+    rw = gl.reweight(ens, quartic_tensor)
     zr_oracle = oracles.quartic_zr()
     dev = abs(rw.z_r - zr_oracle) / rw.z_r_stderr
     fb = gl.build_fock_basis(1, 10)
@@ -119,7 +119,7 @@ def test_criterion_05_exact_algebraic_identities(basis_k3, tensor_k3):
     for K, n_max in ((1, 8), (2, 7), (3, 5)):
         fb = gl.build_fock_basis(K, n_max)
         lam = basis_k3.eigenvalues[:K]
-        tens = gl.TwoBodyTensor(np.real(tensor_k3.entries)[:K, :K, :K, :K])
+        tens = gl.TwoBodyTensor(tensor_k3.entries[:K, :K, :K, :K])
         for seed in range(7 if K < 3 else 6):
             state = fock.random_state(fb, 1000 + seed)
             count += 1

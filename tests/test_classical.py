@@ -98,39 +98,62 @@ def test_quadratic_form_vs_grid_quadrature(basis_k2):
     assert abs(val - oracle) < 1e-8 * oracle
 
 
+def _f_nl_defect(coeffs, basis, kernel, tensor):
+    """Largest |f_nl_batch - grid quadrature|, in units of the tolerance
+    1e-9 max(1, max F) of test_batch_f_nl_matches_scalar."""
+    scalar = np.array([oracles.eval_F_NL(c, basis, kernel) for c in coeffs])
+    return np.abs(f_nl_batch(coeffs, tensor) - scalar).max() \
+        / (1e-9 * max(1.0, scalar.max()))
+
+
+def _random_fields(n, K, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+
+
 def test_batch_f_nl_matches_scalar(basis_k2):
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    coeffs = _random_fields(16, 2, seed=5)
     kernels = [
         gl.InteractionKernel.delta(0.8),
         gl.InteractionKernel.bounded(0.3 * np.exp(
             -np.arange(basis_k2.grid.n) * basis_k2.grid.dx / 0.2)),
     ]
     for kern in kernels:
-        batch = f_nl_batch(coeffs, basis_k2, kern)
-        scalar = np.array([oracles.eval_F_NL(c, basis_k2, kern)
-                           for c in coeffs])
-        assert np.abs(batch - scalar).max() < 1e-9 * max(1.0, scalar.max())
+        tensor = gl.interaction_elements(basis_k2, kern)
+        assert _f_nl_defect(coeffs, basis_k2, kern, tensor) < 1.0
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)])
+def test_batch_f_nl_sees_one_perturbed_entry(basis_k2, delta_kernel,
+                                             tensor_k2, entry):
+    # negative control: one entry off by 1e-6 fails the quadrature match
+    W = tensor_k2.entries.copy()
+    W[entry] += 1e-6
+    perturbed = gl.TwoBodyTensor(W, tensor_k2.parity)
+    coeffs = _random_fields(16, 2, seed=5)
+    assert _f_nl_defect(coeffs, basis_k2, delta_kernel, tensor_k2) < 1.0
+    assert _f_nl_defect(coeffs, basis_k2, delta_kernel, perturbed) > 1.0
 
 
 def test_reweight_zero_kernel_is_exact(basis_k2):
     ens = gl.sample_free(basis_k2, 1000, seed=1)
-    rw = gl.reweight(ens, basis_k2, gl.InteractionKernel.delta(0.0))
+    rw = gl.reweight(ens, gl.interaction_elements(
+        basis_k2, gl.InteractionKernel.delta(0.0)))
     assert rw.z_r == 1.0 and rw.z_r_stderr == 0.0
     assert rw.reweighted and rw.ess == pytest.approx(1000)
 
 
-def test_reweight_invariants(basis_k2, delta_kernel):
+def test_reweight_invariants(basis_k2, tensor_k2):
     ens = gl.sample_free(basis_k2, 5000, seed=2)
-    rw = gl.reweight(ens, basis_k2, delta_kernel)
+    rw = gl.reweight(ens, tensor_k2)
     assert np.all(rw.log_weights <= 0)
     assert 0 < rw.z_r <= 1
     assert rw.ess <= rw.n
 
 
-def test_quartic_zr_matches_quadrature(unit_mode_basis, quartic_kernel):
+def test_quartic_zr_matches_quadrature(unit_mode_basis, quartic_tensor):
     ens = gl.sample_free(unit_mode_basis, 100000, seed=21)
-    rw = gl.reweight(ens, unit_mode_basis, quartic_kernel)
+    rw = gl.reweight(ens, quartic_tensor)
     oracle = oracles.quartic_zr()
     assert abs(oracle - 0.5456) < 1e-4  # pre-build quadrature pin
     assert abs(rw.z_r - oracle) < 3 * rw.z_r_stderr
@@ -172,9 +195,8 @@ def test_moment_diag_matches_free_closure(basis_k2):
         assert np.all(np.abs(est.entries - exact.entries) <= 5 * se + 1e-12)
 
 
-def test_moment_matrix_is_hermitian_psd(basis_k2, delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=9), basis_k2,
-                      delta_kernel)
+def test_moment_matrix_is_hermitian_psd(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=9), tensor_k2)
     m = gl.moment_matrix(ens, 2)
     assert np.abs(m.entries - m.entries.conj().T).max() < 1e-14
     assert np.linalg.eigvalsh(m.entries).min() > -1e-12
@@ -186,9 +208,8 @@ def test_moment_budget_guard(basis_k3):
         gl.moment_matrix(ens, 150)  # Sym^150(C^3) is far over the budget
 
 
-def test_moment_blocks_consistency(basis_k2, delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=13), basis_k2,
-                      delta_kernel)
+def test_moment_blocks_consistency(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=13), tensor_k2)
     bounds = np.linspace(0, ens.n, 9).astype(int)
     out = moment_matrix_blocks(ens, 2, n_blocks=8)
     assert sorted(out) == [1, 2]
@@ -272,37 +293,36 @@ def test_sampling_peak_memory_is_one_ensemble(dirichlet_op):
     assert peak <= 1.5 * ens.coeffs.nbytes
 
 
-def test_mean_f_nl_single_mode(unit_mode_basis, quartic_kernel):
-    res = gl.mean_F_NL_free(unit_mode_basis, quartic_kernel,
+def test_mean_f_nl_single_mode(unit_mode_basis, quartic_tensor):
+    res = gl.mean_F_NL_free(unit_mode_basis, quartic_tensor,
                             n_samples=50000, seed=5)
-    tensor = gl.interaction_elements(unit_mode_basis, quartic_kernel)
-    w1111 = tensor.entries[0, 0, 0, 0]
+    w1111 = quartic_tensor.entries[0, 0, 0, 0]
     assert res.closed_form == pytest.approx(w1111 / 1.0**2, rel=1e-12)
     assert abs(res.mc_value - res.closed_form) < 3 * res.mc_stderr
 
 
-def test_mean_f_nl_two_modes(basis_k2, delta_kernel):
-    res = gl.mean_F_NL_free(basis_k2, delta_kernel, n_samples=50000, seed=7)
+def test_mean_f_nl_two_modes(basis_k2, tensor_k2):
+    res = gl.mean_F_NL_free(basis_k2, tensor_k2, n_samples=50000, seed=7)
     assert abs(res.mc_value - res.closed_form) < 3 * res.mc_stderr
 
 
 def test_mean_f_nl_zero_kernel(basis_k2):
-    res = gl.mean_F_NL_free(basis_k2, gl.InteractionKernel.delta(0.0),
-                            n_samples=100, seed=0)
+    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel.delta(0.0))
+    res = gl.mean_F_NL_free(basis_k2, zero, n_samples=100, seed=0)
     assert res.mc_value == 0.0 and res.closed_form == 0.0
 
 
 def test_classical_free_energy_zero_kernel(basis_k2):
-    rw = gl.reweight(gl.sample_free(basis_k2, 200, seed=1), basis_k2,
-                     gl.InteractionKernel.delta(0.0))
+    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel.delta(0.0))
+    rw = gl.reweight(gl.sample_free(basis_k2, 200, seed=1), zero)
     fe = gl.classical_relative_free_energy(rw)
     assert fe.value == 0.0
     assert fe.mean_interaction == 0.0
 
 
-def test_classical_free_energy_quartic_value(unit_mode_basis, quartic_kernel):
+def test_classical_free_energy_quartic_value(unit_mode_basis, quartic_tensor):
     rw = gl.reweight(gl.sample_free(unit_mode_basis, 100000, seed=17),
-                     unit_mode_basis, quartic_kernel)
+                     quartic_tensor)
     fe = gl.classical_relative_free_energy(rw)
     target = -math.log(oracles.quartic_zr())
     assert abs(fe.value - target) < 3 * fe.stderr
@@ -315,18 +335,18 @@ def test_classical_free_energy_rejects_free_ensemble(basis_k2):
         gl.classical_relative_free_energy(ens)
 
 
-def test_jensen_bound(basis_k2, delta_kernel):
+def test_jensen_bound(basis_k2, tensor_k2):
     ens = gl.sample_free(basis_k2, 20000, seed=14)
-    rw = gl.reweight(ens, basis_k2, delta_kernel)
+    rw = gl.reweight(ens, tensor_k2)
     F = -rw.log_weights
     mc_mean = F.mean()
     mc_se = F.std(ddof=1) / math.sqrt(rw.n)
     assert -math.log(rw.z_r) <= mc_mean + 3 * mc_se
 
 
-def test_defocusing_weights_shrink_occupancy(basis_k2, delta_kernel):
+def test_defocusing_weights_shrink_occupancy(basis_k2, tensor_k2):
     ens = gl.sample_free(basis_k2, 50000, seed=15)
-    rw = gl.reweight(ens, basis_k2, delta_kernel)
+    rw = gl.reweight(ens, tensor_k2)
     h = np.sum(np.abs(ens.coeffs) ** 2, axis=1)
     wt = rw.normalized_weights()
     weighted = float(np.sum(wt * h))
@@ -349,9 +369,8 @@ def test_free_moments_values():
     assert not np.any(m.entries - np.diag(diag))
 
 
-def test_csv_exports(tmp_path, basis_k2, delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 50, seed=2), basis_k2,
-                      delta_kernel)
+def test_csv_exports(tmp_path, basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 50, seed=2), tensor_k2)
     p1 = tmp_path / "ens.csv"
     ensemble_to_csv(ens, p1)
     lines = p1.read_text().splitlines()

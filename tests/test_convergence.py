@@ -419,9 +419,8 @@ def test_cli_sample(config_file, tmp_path):
 def test_cli_sample_moments_match_per_order(config_file, tmp_path):
     assert cli.main(["sample", "--config", str(config_file)]) == 0
     cfg = gl.read_config(str(config_file))
-    basis, kernel, tensor = gl.convergence.resolve(cfg)
-    ens = gl.reweight(gl.sample_free(basis, cfg.mc_samples, cfg.seed), basis,
-                      kernel, tensor)
+    basis, _, tensor = gl.convergence.resolve(cfg)
+    ens = gl.reweight(gl.sample_free(basis, cfg.mc_samples, cfg.seed), tensor)
     for k in range(1, cfg.k_max + 1):
         want = tmp_path / f"want_k{k}.csv"
         gl.classical.moments_to_csv(gl.moment_matrix(ens, k), want)
@@ -616,7 +615,19 @@ def test_cli_n_max_policy_outside_unit_interval_is_an_error(
      "coupling_rule must be nonnegative and finite"),
     ("coupling_rule = 1.0", "coupling_rule = inf",
      "coupling_rule must be nonnegative and finite"),
-], ids=["T-inf", "T-nan", "coupling-nan", "coupling-inf"])
+    ("g = 1.0", "g = inf", "kernel g and width must be finite"),
+    ("g = 1.0", "g = nan", "kernel g and width must be finite"),
+    ("kernel = delta", "kernel = gaussian\nwidth = nan",
+     "kernel g and width must be finite"),
+    ("kernel = delta\ng = 1.0", "kernel = gaussian\nwidth = 0.2\ng = inf",
+     "kernel g and width must be finite"),
+    ("m = 1.0", "m = nan", "m must be finite"),
+    ("domain = interval", "domain = anharmonic\na = inf\nhalf_width = 6",
+     "anharmonic exponent must satisfy 2 < a < inf"),
+    ("domain = interval", "domain = anharmonic\na = 4\nhalf_width = nan",
+     "anharmonic box needs 0 < half_width < inf"),
+], ids=["T-inf", "T-nan", "coupling-nan", "coupling-inf", "g-inf", "g-nan",
+        "width-nan", "gaussian-g-inf", "m-nan", "a-inf", "half_width-nan"])
 def test_cli_non_finite_schedule_or_coupling_is_an_error(
         config_file, tmp_path, capsys, monkeypatch, old, new, message):
     def guard(*args, **kwargs):

@@ -138,10 +138,8 @@ def _assert_blocks_close(got, want, tol):
         assert np.abs(g - w).max() < tol
 
 
-def test_trial_state_single_sample_is_coherent_projector(basis_k2, tensor_k2,
-                                                         delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 1, seed=2), basis_k2,
-                      delta_kernel)
+def test_trial_state_single_sample_is_coherent_projector(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 1, seed=2), tensor_k2)
     fb = gl.build_fock_basis(2, 20)
     T = 1.0
     trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
@@ -150,9 +148,8 @@ def test_trial_state_single_sample_is_coherent_projector(basis_k2, tensor_k2,
     _assert_blocks_close(trial, expect, 1e-12)
 
 
-def test_trial_state_particle_number(basis_k2, tensor_k2, delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=4), basis_k2,
-                      delta_kernel)
+def test_trial_state_particle_number(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=4), tensor_k2)
     T = 1.0
     fb = gl.build_fock_basis(2, 25)
     trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
@@ -164,12 +161,10 @@ def test_trial_state_particle_number(basis_k2, tensor_k2, delta_kernel):
 
 
 def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
-                                                            tensor_k2,
-                                                            delta_kernel):
+                                                            tensor_k2):
     # the symmetry average drops the cross-sector blocks, the imaginary part
     # and the cross-class blocks of the plain mixture, and nothing else
-    ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=5), basis_k2,
-                      delta_kernel)
+    ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=5), tensor_k2)
     fb = gl.build_fock_basis(2, 18)
     plain = _plain_mixture(ens, 0.8, fb)
     trial = gl.trial_state(ens, 0.8, _gibbs(fb, basis_k2, tensor_k2))
@@ -180,11 +175,10 @@ def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
 
 
 @pytest.mark.filterwarnings("ignore:.*trial-state samples.*")
-def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
+def test_trial_state_variational_bound(basis_k2, tensor_k2):
     T = 2.0
     lam = 1.0 / T
-    ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=6), basis_k2,
-                      delta_kernel)
+    ens = gl.reweight(gl.sample_free(basis_k2, 4000, seed=6), tensor_k2)
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-10)
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
@@ -212,13 +206,12 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2, delta_kernel):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48),
        T=st.floats(0.5, 3.0))
 def test_symmetrized_gap_is_at_most_the_sector_pinched_gap(
-        basis_k2, tensor_k2, delta_kernel, seed, n, T):
+        basis_k2, tensor_k2, seed, n, T):
     # 0 <= F(trial) - F(Gibbs) <= F(sector-pinched mixture) - F(Gibbs): the
     # variational principle, then joint convexity of S(. | free)
     lam = 1.0 / T
     fb = gl.build_fock_basis(2, 12)
-    ens = gl.reweight(gl.sample_free(basis_k2, n, seed=seed), basis_k2,
-                      delta_kernel)
+    ens = gl.reweight(gl.sample_free(basis_k2, n, seed=seed), tensor_k2)
     gibbs = _gibbs(fb, basis_k2, tensor_k2, T)
     free = _free(fb, basis_k2, T)
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
@@ -232,14 +225,12 @@ def test_symmetrized_gap_is_at_most_the_sector_pinched_gap(
     assert -1e-10 <= sym <= plain + 1e-10
 
 
-def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2,
-                                                    delta_kernel):
+def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2):
     # negative control: a tensor without parity (the one-class fallback)
     # leaves whole sectors, so the trial state is exactly the conjugation
     # average alone, and it carries the cross-class entries the parity
     # classes drop
-    ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=9), basis_k2,
-                      delta_kernel)
+    ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=9), tensor_k2)
     fb = gl.build_fock_basis(2, 16)
     flat = gl.TwoBodyTensor.with_parity(tensor_k2.entries, None)
     trial = gl.trial_state(ens, 1.0, _gibbs(fb, basis_k2, flat))
@@ -259,10 +250,8 @@ def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2,
     assert cross > 1e-6
 
 
-def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2,
-                                                   delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), basis_k2,
-                      delta_kernel)
+def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), tensor_k2)
     gibbs = _gibbs(gl.build_fock_basis(2, 8), basis_k2, tensor_k2)
     for bad in (0, -5):
         with pytest.raises(ValueError, match="n_subsample must be a positive"):
@@ -295,13 +284,12 @@ def _far_ensemble(n, seed):
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
 def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
-                                               tensor_k2, delta_kernel, n):
+                                               tensor_k2, n):
     fb = gl.build_fock_basis(2, 36)
     gibbs = _gibbs(fb, basis_k2, tensor_k2)
     free = _free(fb, basis_k2, 10.0)
     log_q = float(np.max(-np.log(free.p)))
-    sampled = gl.reweight(gl.sample_free(basis_k2, 700, seed=12), basis_k2,
-                          delta_kernel)
+    sampled = gl.reweight(gl.sample_free(basis_k2, 700, seed=12), tensor_k2)
     # T = 2 puts every chunk's top below n_max; the far ensemble's window
     # starts above the vacuum
     windows = _record_windows(monkeypatch)
@@ -348,10 +336,8 @@ def test_relative_entropy_skips_zero_blocks(monkeypatch, basis_k2, tensor_k2):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2,
-                                               delta_kernel):
-    ens = gl.reweight(gl.sample_free(basis_k2, 200, seed=7), basis_k2,
-                      delta_kernel)
+def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2):
+    ens = gl.reweight(gl.sample_free(basis_k2, 200, seed=7), tensor_k2)
     fb = gl.build_fock_basis(2, 6)
     with pytest.warns(TailWarning, match=r"\d+ of 200"):
         gl.trial_state(ens, 8.0, _gibbs(fb, basis_k2, tensor_k2))

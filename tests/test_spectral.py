@@ -242,6 +242,31 @@ def test_negative_kernel_rejected():
         gl.InteractionKernel.bounded([-0.1, 0.2])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gl.InteractionKernel.delta(math.inf),
+    lambda: gl.InteractionKernel.delta(math.nan),
+    lambda: gl.InteractionKernel.bounded([0.1, math.nan]),
+    lambda: gl.InteractionKernel.bounded([math.inf, 0.2]),
+    lambda: gl.OneBodySpec.interval(m=math.inf),
+    lambda: gl.OneBodySpec.anharmonic_line(a=math.nan, half_width=5.0),
+    lambda: gl.OneBodySpec.anharmonic_line(a=4.0, half_width=math.inf),
+    lambda: gl.OneBodySpec.anharmonic_line(a=4.0, half_width=5.0,
+                                           m=math.nan),
+], ids=["g-inf", "g-nan", "values-nan", "values-inf", "m-inf", "a-nan",
+        "half_width-inf", "anharmonic-m-nan"])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="finite|inf"):
+        make()
+
+
+def test_complex_tensor_entries_rejected(tensor_k2):
+    with pytest.raises(ValueError, match="must be real"):
+        gl.TwoBodyTensor(tensor_k2.entries.astype(complex))
+    with pytest.raises(ValueError, match="must be real"):
+        gl.TwoBodyTensor.with_parity(tensor_k2.entries.astype(complex),
+                                     tensor_k2.parity)
+
+
 def test_basis_csv_dump(tmp_path, basis_k2):
     path = tmp_path / "spectrum.csv"
     gl.spectral.basis_to_csv(basis_k2, path)
