@@ -8,6 +8,13 @@ contracted on Sym^2 with the same pair matrix as the quantum pair energy.
 Because 0 < exp(-F_NL) <= 1 in the defocusing case, plain importance
 sampling is stable at desk scale; the effective sample size is tracked so
 weight degeneracy cannot pass silently.
+
+Moments and F_NL read the raw amplitudes A_k of one occupation_products
+pass per chunk, whose sector k is the Sym^k component of the sample's
+tensor power up to the factor sqrt(k!). Each moment order takes one
+Hermitian rank update per chunk (BLAS zherk on sqrt(w) A_k, scaled in
+place); k! is applied once to the finished matrix, which is filled from one
+triangle and so is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dsyrk, zherk
 
 from . import symspace
 from .kernels import occupation_products
@@ -110,19 +118,22 @@ def sample_free(basis: SpectralBasis, n_samples: int,
 
 
 def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
-    """F_NL = (1/2) Re <S_2, W_2 S_2> for every sample row.
+    """F_NL = (1/2) Re <S_2, W_2 S_2> = Re <A_2, W_2 A_2> for every sample row.
 
-    S_2 holds the Sym^2 components of alpha (x) alpha from the moment
-    matrices' amplitude pass (`_sym_products`), and W_2 is the pair matrix
-    of `symspace.two_body_sym_matrix` that the quantum pair energy uses.
-    The tensor entries come from the grid quadrature, so F equals
-    (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
+    S_2 = sqrt(2) A_2 holds the Sym^2 components of alpha (x) alpha, A_2
+    being sector 2 of the moment matrices' amplitude pass (`_amplitudes`),
+    and W_2 is the pair matrix of `symspace.two_body_sym_matrix` that the
+    quantum pair energy uses. The tensor entries come from the grid
+    quadrature, so F equals (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
     """
     W2 = symspace.two_body_sym_matrix(tensor.entries)
     out = np.empty(coeffs.shape[0])
-    for lo, (S,) in _sym_products(coeffs, (2,)):
-        out[lo:lo + _CHUNK] = 0.5 * np.real(
-            np.einsum("sp,sp->s", S.conj(), S @ W2))
+    for lo, A in _amplitudes(coeffs, 2):
+        # the real W_2 acts alike on the real and imaginary parts, which the
+        # float view of A_2 interleaves sample by sample
+        X = A[2].view(np.float64)
+        out[lo:lo + _CHUNK] = np.einsum("pj,pj->j", X, W2 @ X
+                                        ).reshape(-1, 2).sum(axis=1)
     return out
 
 
@@ -146,21 +157,38 @@ def reweight(ensemble: WeightedEnsemble,
                    ess=ess, reweighted=True)
 
 
-def _sym_products(coeffs: np.ndarray, orders):
-    """Per _CHUNK rows of coeffs, yield (first row, [S_k for k in orders]).
+def _amplitudes(coeffs: np.ndarray, k_max: int):
+    """Per _CHUNK rows of coeffs, yield (first row, [A_0, ..., A_k_max]).
 
-    S_k holds the components sqrt(k!/prod m_j!) prod_j alpha_j^{m_j} of each
-    sample's k-fold tensor power, shape (rows, sym_dim(K, k)). One amplitude
-    pass over the graded index set 0..max(orders) serves every order: each
-    amplitude is its parent's times one factor, so sector k of that pass is
-    bitwise sector k of a 0..k pass. The multinomial normalizer is sqrt(k!)
-    times the amplitudes'.
+    A_k is sector k of one occupation_products pass over the graded index
+    set 0..k_max, a row-contiguous view of shape (sym_dim(K, k), rows) whose
+    column s holds prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each
+    amplitude is its parent's times one factor, so A_k is bitwise the same
+    for every k_max >= k. The Sym^k components of the sample's k-fold tensor
+    power are sqrt(k!) A_k. Every chunk of _CHUNK rows is written into one
+    buffer, so a consumer may scale the views in place but must be done
+    with them before it asks for the next chunk.
     """
-    graded, offsets = symspace.graded_indices(coeffs.shape[1], max(orders))
+    graded, offsets = symspace.graded_indices(coeffs.shape[1], k_max)
+    buf = None
     for lo in range(0, coeffs.shape[0], _CHUNK):
-        A = occupation_products(coeffs[lo:lo + _CHUNK], graded)
-        yield lo, [(A[offsets[k]:offsets[k + 1]]
-                    * math.sqrt(math.factorial(k))).T for k in orders]
+        rows = coeffs[lo:lo + _CHUNK]
+        if buf is None or buf.shape[1] != rows.shape[0]:
+            buf = np.empty((graded.shape[0], rows.shape[0]), dtype=np.complex128)
+        A = occupation_products(rows, graded, out=buf)
+        yield lo, [A[offsets[k]:offsets[k + 1]] for k in range(k_max + 1)]
+
+
+def _hermitian(C: np.ndarray, scale: float) -> np.ndarray:
+    """scale * M, filled from the upper triangle of C = conj(M).
+
+    That is what a rank update zherk(a = A.T, trans=2) leaves for
+    M = A A^H (dsyrk for real A); mirroring one triangle makes the result
+    exactly Hermitian with a real diagonal.
+    """
+    upper = np.triu(C, 1).conj() * scale
+    return np.ascontiguousarray(
+        upper + upper.conj().T + np.diag(C.diagonal().real * scale))
 
 
 def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
@@ -177,36 +205,46 @@ def _moments(ensemble: WeightedEnsemble, orders, with_stderr: bool = False):
     """Self-normalized moment matrices of the given orders, one chunk loop.
 
     dim Sym^k grows with k, so checking the top order refuses an over-budget
-    pass before any amplitude is built. Returns the list of MomentMatrix,
-    and with with_stderr also the list of their standard errors (see
-    `moment_matrix`).
+    pass before any amplitude is built. Per chunk and order, A_k is scaled
+    in place by sqrt(w) and enters one Hermitian rank update; k! is applied
+    to the finished sums. Returns the list of MomentMatrix, and with
+    with_stderr also the list of their standard errors (see
+    `moment_matrix`), whose sums of w^2 A_k A_k^H and of
+    w^2 |A_k|^2 (|A_k|^2)^T ride along in the same loop.
     """
-    _checked_sym_dim(ensemble, max(orders, default=0))
+    k_max = max(orders, default=0)
+    _checked_sym_dim(ensemble, k_max)
     wt = ensemble.normalized_weights()
     dims = [symspace.sym_dim(ensemble.K, k) for k in orders]
-    M = [np.zeros((D, D), dtype=np.complex128) for D in dims]
-    acc_w2x = [np.zeros((D, D), dtype=np.complex128) for D in dims]
-    acc_w2absx = [np.zeros((D, D)) for D in dims]
+    # Fortran order lets zherk and dsyrk update the sums in place
+    M = [np.zeros((D, D), dtype=np.complex128, order="F") for D in dims]
+    X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
+    Q = [np.zeros((D, D), order="F") if with_stderr else None for D in dims]
     acc_w2 = 0.0
-    for lo, S in _sym_products(ensemble.coeffs, orders):
+    for lo, A in _amplitudes(ensemble.coeffs, k_max):
         wc = wt[lo:lo + _CHUNK]
-        for Mk, Sk in zip(M, S):
-            Mk += (Sk * wc[:, None]).T @ Sk.conj()
+        root = np.sqrt(wc)
+        for k, Mk, Xk, Qk in zip(orders, M, X, Q):
+            a = A[k]
+            a *= root
+            zherk(1.0, a.T, beta=1.0, c=Mk, trans=2, overwrite_c=1)
+            if with_stderr:
+                r = a.real**2 + a.imag**2
+                dsyrk(1.0, r.T, beta=1.0, c=Qk, trans=1, overwrite_c=1)
+                a *= root
+                zherk(1.0, a.T, beta=1.0, c=Xk, trans=2, overwrite_c=1)
         if with_stderr:
-            w2 = wc**2
-            for Xk, Ak, Sk in zip(acc_w2x, acc_w2absx, S):
-                Xk += (Sk * w2[:, None]).T @ Sk.conj()
-                S2 = np.abs(Sk) ** 2
-                Ak += (S2 * w2[:, None]).T @ S2
-            acc_w2 += float(w2.sum())
-    moments = [MomentMatrix(k=k, entries=0.5 * (Mk + Mk.conj().T),
+            acc_w2 += float(np.sum(wc**2))
+    facts = [float(math.factorial(k)) for k in orders]
+    moments = [MomentMatrix(k=k, entries=_hermitian(Mk, f),
                             occupations=symspace.multi_indices(ensemble.K, k))
-               for k, Mk in zip(orders, M)]
+               for k, Mk, f in zip(orders, M, facts)]
     if not with_stderr:
         return moments
     stderr = []
-    for m, Xk, Ak in zip(moments, acc_w2x, acc_w2absx):
-        var = Ak - 2.0 * np.real(np.conj(m.entries) * Xk) \
+    for m, Xk, Qk, f in zip(moments, X, Q, facts):
+        var = _hermitian(Qk, f * f) \
+            - 2.0 * np.real(np.conj(m.entries) * _hermitian(Xk, f)) \
             + np.abs(m.entries) ** 2 * acc_w2
         stderr.append(np.sqrt(np.clip(var, 0.0, None)))
     return moments, stderr

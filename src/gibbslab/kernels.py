@@ -1,7 +1,9 @@
 """Hot loops of the occupation basis, in numpy.
 
-    occupation_products(vs, occs[, vacuum])  -- normalized amplitudes
-        prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n)
+    occupation_products(vs, occs[, vacuum, out])  -- normalized amplitudes
+        prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n),
+        with no temporary above _STEP elements besides the factor table
+        and a transposed copy of vs
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
         ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k
 """
@@ -11,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["occupation_products", "two_body_coo"]
+
+# Largest gather a sector step of occupation_products makes, in elements
+# (128 KiB of complex128): slices of rows * n_samples <= _STEP elements, or
+# one row at a time from views when a slice would hold a single row.
+_STEP = 1 << 13
 
 
 def _parents(occs: np.ndarray):
@@ -45,38 +52,59 @@ def _parents(occs: np.ndarray):
 
 
 def occupation_products(vs: np.ndarray, occs: np.ndarray,
-                        vacuum: np.ndarray | None = None) -> np.ndarray:
+                        vacuum: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!) for every sample s
     and occupation row d, returned with shape (D, n_samples).
 
     occs must be graded by total occupation, start at the vacuum and be
     closed under parents (every state with total n + 1 keeps its parent, one
     particle fewer in its highest occupied mode, in sector n), as a Fock
-    basis or the symmetric-power sectors 0..k are. Each sector then costs
-    one gather and one multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode).
-    Callers chunk over samples when n * D is large.
+    basis or the symmetric-power sectors 0..k are. Each row then costs one
+    multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode). A sector is
+    taken in row slices whose parent and factor gathers hold at most _STEP
+    elements each; rows wider than _STEP / 2 are multiplied one at a time
+    from views, so no step copies a whole sector. Callers chunk over
+    samples when n * D is large.
 
     vacuum, if given, is the vacuum row's value per sample and multiplies
     every amplitude of that sample; coherent states pass exp(-|v|^2 / 2),
     which keeps every amplitude below 1 in modulus.
+
+    out, if given, is a C-contiguous complex128 (D, n_samples) array that
+    receives the amplitudes and is returned; a chunk loop can reuse one.
     """
     vs = np.asarray(vs, dtype=np.complex128)
     occs = np.asarray(occs, dtype=np.int64)
     n, K = vs.shape
     if occs.shape[1] != K:
         raise ValueError("occupation rows and vectors differ in mode count")
-    out = np.empty((occs.shape[0], n), dtype=np.complex128)
+    shape = (occs.shape[0], n)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif (out.shape != shape or out.dtype != np.complex128
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous complex128 {shape} array")
     if out.size == 0:
         return out
     parent, mode, count, bounds = _parents(occs)
-    # factors[j * c_max + c - 1] = vs[:, j] / sqrt(c)
+    # factors[j * c_max + c - 1] = vs[:, j] / sqrt(c); from a contiguous
+    # vs.T the quotient is C-ordered and its reshape is a view
     c_max = max(int(count.max()), 1)
-    factors = (vs.T[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
+    vt = np.ascontiguousarray(vs.T)
+    factors = (vt[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
                ).reshape(K * c_max, n)
     which = mode * c_max + count - 1
     out[0] = 1.0 if vacuum is None else vacuum
+    step = _STEP // n
+    if step <= 1:
+        for r in range(bounds[0], bounds[-1]):
+            np.multiply(out[parent[r]], factors[which[r]], out=out[r])
+        return out
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.multiply(out[parent[lo:hi]], factors[which[lo:hi]], out=out[lo:hi])
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            np.multiply(out[parent[a:b]], factors[which[a:b]], out=out[a:b])
     return out
 
 

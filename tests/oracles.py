@@ -10,7 +10,10 @@ themselves come from the package). The relative entropy and the Husimi
 density of plain matrices are the whole-space definitions, with no sector
 structure; so is the mixture of coherent projectors, whose symmetry average
 is its real part pinched to (sector, class) blocks. The per-pair partial trace shares the package's branching rows
-and checks only the contraction over them.
+and checks only the contraction over them. The sector-gather amplitudes
+share the package's parent rows and keep the one-gather-per-sector loop
+that `occupation_products` must reproduce bit for bit. The moment matrices
+are dense weighted sums of per-sample outer products.
 """
 
 import math
@@ -22,6 +25,7 @@ from scipy.special import gammaln
 
 from gibbslab import MomentMatrix, husimi_density, symspace
 from gibbslab.fock import DiagonalState, FockState, _branching_rows
+from gibbslab.kernels import _parents
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,
@@ -94,6 +98,45 @@ def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
             np.multiply(pows[:, p - 1], vs[:, j], out=pows[:, p])
         out *= pows[:, occs[:, j]]
     return out
+
+
+def sector_gather_products(vs: np.ndarray, occs: np.ndarray,
+                           vacuum: np.ndarray | None = None) -> np.ndarray:
+    """occupation_products by whole-sector gathers: each sector is one
+    multiply of its parents' rows by its factors' rows, both gathered as
+    (sector rows, n) copies."""
+    vs = np.asarray(vs, dtype=np.complex128)
+    occs = np.asarray(occs, dtype=np.int64)
+    n, K = vs.shape
+    out = np.empty((occs.shape[0], n), dtype=np.complex128)
+    if out.size == 0:
+        return out
+    parent, mode, count, bounds = _parents(occs)
+    c_max = max(int(count.max()), 1)
+    factors = (vs.T[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
+               ).reshape(K * c_max, n)
+    which = mode * c_max + count - 1
+    out[0] = 1.0 if vacuum is None else vacuum
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.multiply(out[parent[lo:hi]], factors[which[lo:hi]], out=out[lo:hi])
+    return out
+
+
+def dense_moments(coeffs: np.ndarray, log_weights: np.ndarray, k: int):
+    """Self-normalized k-th moment matrix sum_s w_s S_s S_s^H / sum_s w_s
+    and its delta-method standard error sqrt(sum_s w_s^2 |S_s S_s^H - M|^2)
+    (normalized weights), with S_s = sqrt(k!/prod m_j!) prod_j alpha_j^{m_j}
+    from a power table, one (n, D, D) stack of outer products."""
+    occs = symspace.multi_indices(coeffs.shape[1], k)
+    norms = np.array([math.sqrt(math.factorial(k) / math.prod(
+        math.factorial(int(x)) for x in row)) for row in occs])
+    S = power_products(coeffs, occs) * norms
+    w = np.exp(log_weights - log_weights.max())
+    w = w / w.sum()
+    outer = S[:, :, None] * S.conj()[:, None, :]
+    M = np.einsum("s,sab->ab", w, outer)
+    var = np.einsum("s,sab->ab", w**2, np.abs(outer - M) ** 2)
+    return M, np.sqrt(var)
 
 
 def pinched(matrix: np.ndarray, basis, labels=None) -> FockState:

@@ -260,6 +260,57 @@ def test_multi_order_moments_match_per_order(K, k_max, n, n_blocks, seed):
             assert np.array_equal(got, gl.moment_matrix(part, k).entries)
 
 
+def _assert_exactly_hermitian(entries):
+    assert np.array_equal(entries, entries.conj().T)
+    assert not np.any(entries.diagonal().imag)
+
+
+def test_moments_are_exactly_hermitian():
+    ens = _weighted_ensemble(4, 3 * _CHUNK + 7, seed=3)
+    for k in (1, 2, 3):
+        _assert_exactly_hermitian(gl.moment_matrix(ens, k).entries)
+        _assert_exactly_hermitian(
+            gl.moment_matrix(ens, k, with_stderr=True)[0].entries)
+    for m in moment_matrices(ens, 3).values():
+        _assert_exactly_hermitian(m.entries)
+    for full, blocks in moment_matrix_blocks(ens, 3, n_blocks=5).values():
+        _assert_exactly_hermitian(full.entries)
+        for b in blocks:
+            _assert_exactly_hermitian(b)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_moments_match_dense_weighted_sums(K):
+    # the rank updates of sqrt(w) A_k, times k!, against sum_s w_s S_s S_s^H
+    ens = _weighted_ensemble(K, 300, seed=40 + K)
+    whole = moment_matrices(ens, 3)
+    for k in (1, 2, 3):
+        want, want_se = oracles.dense_moments(ens.coeffs, ens.log_weights, k)
+        got, se = gl.moment_matrix(ens, k, with_stderr=True)
+        assert np.array_equal(whole[k].entries, got.entries)
+        scale = np.abs(want).max()
+        assert np.abs(got.entries - want).max() <= 1e-13 * scale
+        assert np.abs(se - want_se).max() <= 1e-13 * want_se.max()
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_moment_pass_peak_memory_is_bounded_by_one_chunk(blocks):
+    # the pass holds one amplitude chunk of the graded set 0..3 at K=5
+    # (56 rows), reused and scaled in place, and temporaries far smaller
+    ens = _weighted_ensemble(5, 50_000, seed=8)
+    chunk = 56 * _CHUNK * 16
+    tracemalloc.start()
+    try:
+        if blocks:
+            moment_matrix_blocks(ens, 3, n_blocks=5)
+        else:
+            moment_matrices(ens, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * chunk
+
+
 @pytest.mark.parametrize("k_max", [0, 150])
 def test_multi_order_refusal_precedes_amplitudes(basis_k3, monkeypatch,
                                                   k_max):

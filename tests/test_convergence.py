@@ -346,6 +346,17 @@ def test_selfchecks_pass(small_config):
         assert c.passed, f"{c.name}: measured {c.measured} > {c.tolerance}"
 
 
+@pytest.mark.filterwarnings("error::gibbslab.semiclassics.TailWarning")
+def test_selfchecks_on_free_case_count_tail_warnings_in_the_note():
+    # the 20 coherent pairs of coherent_overlap are cut at n_max 30; the
+    # tails they drop are inside the check's bound and go into its note
+    cfg = gl.read_config(os.path.join(CONFIGS, "free-case.cfg"))
+    by_name = {c.name: c for c in run_selfchecks(cfg)}
+    assert all(c.passed for c in by_name.values())
+    assert by_name["coherent_overlap"].note == \
+        "defect / tail-corrected bound; 2 TailWarning(s) at n_max 30"
+
+
 def test_selfchecks_negative_control(small_config):
     checks = run_selfchecks(small_config, corrupt_determinism=True)
     by_name = {c.name: c for c in checks}

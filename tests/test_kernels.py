@@ -6,7 +6,7 @@ from scipy import sparse
 
 import gibbslab as gl
 from gibbslab import symspace
-from gibbslab.kernels import occupation_products, two_body_coo
+from gibbslab.kernels import _STEP, occupation_products, two_body_coo
 
 import oracles
 
@@ -58,6 +58,44 @@ def test_occupation_products_on_symmetric_sectors():
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
 
+# Fock cuts of about a hundred rows, with sectors wider than a sector step
+# at n = 4000 or more samples
+_FOCK_N_MAX = {1: 12, 2: 10, 3: 6, 4: 5, 5: 4}
+
+
+def _assert_matches_sector_gathers(K, n, fock_n_max):
+    rng = np.random.default_rng(1000 * K + n)
+    vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+    vacuum = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
+    for occs in (symspace.graded_indices(K, 3)[0],
+                 gl.build_fock_basis(K, fock_n_max).occupations):
+        for vac in (None, vacuum):
+            got = occupation_products(vs, occs, vac)
+            want = oracles.sector_gather_products(vs, occs, vac)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # a reused buffer is overwritten in full
+            buf = np.full(want.shape, np.nan + 0j)
+            assert occupation_products(vs, occs, vac, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 4000, 8192, 8193])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_occupation_products_bitwise_match_sector_gathers(K, n):
+    # row-sliced sector steps multiply the same operands as one gather per
+    # sector
+    _assert_matches_sector_gathers(K, n, _FOCK_N_MAX[K])
+
+
+@pytest.mark.parametrize("n", [_STEP // 3, _STEP // 3 + 1, _STEP // 2,
+                               _STEP // 2 + 1, _STEP, _STEP + 1])
+def test_occupation_products_bitwise_across_the_row_step(n):
+    # three- and two-row slices up to _STEP / 2 samples, single rows from
+    # views beyond it
+    _assert_matches_sector_gathers(2, n, 6)
+
+
 @pytest.mark.parametrize("occs", [
     [[1, 0], [0, 0]],              # vacuum not first
     [[0, 0], [1, 1], [1, 0]],      # not graded
@@ -67,6 +105,16 @@ def test_occupation_products_on_symmetric_sectors():
 def test_occupation_products_rejects_unusable_index_sets(occs):
     with pytest.raises(ValueError):
         occupation_products(np.ones((3, 2)), np.array(occs))
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 4), dtype=np.complex128),
+                                 np.empty((6, 3), dtype=np.complex128),
+                                 np.empty((3, 6), dtype=np.complex128).T,
+                                 np.empty((6, 4))])
+def test_occupation_products_rejects_an_unfit_buffer(out):
+    occs = symspace.graded_indices(2, 2)[0]      # 6 rows
+    with pytest.raises(ValueError, match="out must be"):
+        occupation_products(np.ones((4, 2)), occs, out=out)
 
 
 def test_two_body_coo_matches_ladder_products():
