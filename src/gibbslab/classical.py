@@ -110,9 +110,12 @@ def sample_free(basis: SpectralBasis, n_samples: int,
     scale = np.sqrt(0.5 / basis.eigenvalues)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     coeffs = np.empty((n_samples, K), dtype=np.complex128)
+    # the float view of coeffs interleaves real and imaginary parts
+    parts = coeffs.view(np.float64)
     for lo in range(0, n_samples, _CHUNK):
         z = rng.standard_normal((min(_CHUNK, n_samples - lo), 2 * K))
-        coeffs[lo:lo + _CHUNK] = (z[:, :K] + 1j * z[:, K:]) * scale
+        np.multiply(z[:, :K], scale, out=parts[lo:lo + _CHUNK, 0::2])
+        np.multiply(z[:, K:], scale, out=parts[lo:lo + _CHUNK, 1::2])
     return WeightedEnsemble(coeffs=coeffs, log_weights=np.zeros(n_samples),
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
 

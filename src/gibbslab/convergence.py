@@ -318,15 +318,18 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     row.f_value = point.log_z_free - point.log_z
     lap("rdm")
 
-    if config.trial_subsample > 0 or config.bl_samples > 0:
-        # S(Gibbs | free): the Gibbs free energy and the quantum BL term
-        s_gibbs = fock.relative_entropy(gibbs, free_state)
-        lap("relative_entropy")
     if config.trial_subsample > 0:
         # the d_2 marginal, where there is one, is Gamma^(2) of the energy
         pair = (fock.pair_energy(marginals[2], tensor, lam)
                 if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
-        fe_gibbs = pair + T * s_gibbs
+        fe_gibbs = pair + T * point.s_gibbs
+        # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
+        # comes from the Sym^2 pair matrix and the RDM gather, <H> from
+        # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks
+        exact = T * row.f_value
+        row.fe_identity_defect = abs(
+            pair + point.one_body_energy - point.energy) \
+            / max(abs(exact), 1e-12)
         lap("relative_entropy")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
@@ -342,13 +345,12 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                          f"below n_max_policy {config.n_max_policy:.1e}")
         lap("trial_state")
         fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
+        del trial  # not held through the Berezin-Lieb stage
         row.trial_gap = fe_trial - fe_gibbs
-        exact = T * row.f_value
-        row.fe_identity_defect = abs(fe_gibbs - exact) / max(abs(exact), 1e-12)
         lap("relative_entropy")
     if config.bl_samples > 0:
         row.bl = semiclassics.BLGap.of(
-            s_gibbs, semiclassics.husimi_kl_importance(
+            point.s_gibbs, semiclassics.husimi_kl_importance(
                 gibbs, free_state, 1.0 / T, n_samples=config.bl_samples,
                 seed=row_seed))
         lap("berezin_lieb")
@@ -544,7 +546,7 @@ def run_selfchecks(config: ExperimentConfig,
     # the same two routes on a Gibbs state stored as class blocks, so the
     # ladder route also checks the gather's reads across classes
     H_fb = fock.build_hamiltonian(fb, lam_fb, tens_fb, 0.7)
-    gibbs_fb, _ = fock.gibbs_state(H_fb, float(lam_fb.sum()))
+    gibbs_fb, _, _ = fock.gibbs_state(H_fb, float(lam_fb.sum()))
     diff = float(np.abs(fock.reduced_density_matrix(gibbs_fb, 2).entries
                         - fock.reduced_dm_normal_ordered(gibbs_fb, 2).entries
                         ).max())
@@ -627,7 +629,7 @@ def run_selfchecks(config: ExperimentConfig,
     # single-mode closed forms: geometric log Z and the quartic Z_r
     fb1 = fock.build_fock_basis(1, 10)
     H1 = fock.build_hamiltonian(fb1, np.array([1.0]), None, 0.0)
-    _, log_z1 = fock.gibbs_state(H1, 1.0)
+    _, log_z1, _ = fock.gibbs_state(H1, 1.0)
     exact_log_z1 = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     z_dev = abs(log_z1 - exact_log_z1)
     checks.append(CheckResult("single_mode_log_z", z_dev <= 1e-10, z_dev, 1e-10))

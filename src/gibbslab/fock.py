@@ -178,8 +178,10 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
 class FockState:
     """Positive trace-one operator commuting with the number operator and
     zero between classes: blocks holds (n, idx, G) in sector order, G the
-    state on the in-sector basis indices idx of one class of sector n. One
-    diagonal in the occupation basis can be a DiagonalState instead."""
+    state on the in-sector basis indices idx of one class of sector n. The
+    blocks of a stored sector partition that sector, and a sector with no
+    block is zero. One diagonal in the occupation basis can be a
+    DiagonalState instead."""
 
     basis: FockBasis
     blocks: tuple
@@ -199,8 +201,9 @@ class FockState:
         return out
 
     def sector_probabilities(self) -> np.ndarray:
-        # each sector's diagonal in basis order, so the sum is its trace's
-        diag = np.empty(self.basis.dim,
+        # each sector's diagonal in basis order, so the sum is its trace's;
+        # a sector with no block keeps its zeros
+        diag = np.zeros(self.basis.dim,
                         dtype=np.result_type(*(G for *_, G in self.blocks)))
         for n, idx, G in self.blocks:
             diag[idx + self.basis.sector_offsets[n]] = np.diagonal(G)
@@ -229,13 +232,16 @@ class DiagonalState:
 
 
 def gibbs_state(H: FockOperator, T: float):
-    """exp(-H/T)/Z as (sector, class) blocks, plus log Z (log-sum-exp).
+    """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
+    energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
 
     Each label class of a sector (the reflection-parity blocks of
     build_hamiltonian) goes to LAPACK's divide-and-conquer solver
     (syevd/heevd); an entry between two classes is refused. A sector's
     eigenvalues are sorted before the log-sum-exp, so log Z does not depend
     on the split (the class_split selfcheck holds it to whole sectors).
+    The energy is one dot product over the same eigenvalues, which also
+    give the entropy -sum p log p = <H>/T + log Z with no second eigensolve.
     Each class drops its eigenvectors once its block (U w) U^H is built.
     """
     if T <= 0:
@@ -256,13 +262,15 @@ def gibbs_state(H: FockOperator, T: float):
                              for c in np.unique(labels))]
         eigs.append(np.sort(np.concatenate([lam for _, _, lam, _ in parts])))
         solved += parts
-    log_z = float(logsumexp(-np.concatenate(eigs) / T))
+    eigs = np.concatenate(eigs)
+    log_z = float(logsumexp(-eigs / T))
+    energy = float(np.exp(-eigs / T - log_z) @ eigs)
     blocks = []
     solved.reverse()
     while solved:
         n, idx, lam, U = solved.pop()
         blocks.append((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
-    return FockState(basis=basis, blocks=tuple(blocks)), log_z
+    return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
 
 
 def _branching_rows(basis: FockBasis, p: np.ndarray, rest: np.ndarray, n: int):
@@ -286,7 +294,8 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Each sector is one gather
     of the Dk^2 |rest| entries G_n[p+r, q+r] and one reduction over r. The
     gather reads the sector's class blocks laid end to end, and a pair in
-    different classes reads the exact zero put after them.
+    different classes reads the exact zero put after them. A sector with no
+    block is zero and is skipped.
     """
     basis = state.basis
     if not 1 <= k <= basis.n_max:
@@ -298,6 +307,8 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     for n, idx, G in state.blocks:
         by_sector[n].append((idx, G))
     for n in range(k, basis.n_max + 1):
+        if not by_sector[n]:
+            continue
         rest = symspace.multi_indices(basis.K, n - k)
         rows, coefs = map(np.array, zip(
             *[_branching_rows(basis, p, rest, n) for p in occs_k]))
@@ -402,15 +413,14 @@ def relative_entropy(state: FockState, ref: DiagonalState) -> float:
     of its modes, with no eigensolve; its kernel is exactly q == 0. If the
     state carries more than 1e-9 of its mass there the support condition
     fails and +inf is returned; otherwise eigenvalues are clipped at 1e-300
-    (the 0 log 0 = 0 convention). An exactly zero block adds exactly 0 to
-    every term, so it is skipped without an eigensolve.
+    (the 0 log 0 = 0 convention). A sector with no block is zero and adds
+    nothing. The sweep calls this only on trial states: the Gibbs state's
+    own value comes with its spectrum (ThermalPoint.s_gibbs).
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     total, stray = 0.0, 0.0
     for n, idx, G in state.blocks:
-        if not G.any():
-            continue
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
@@ -495,7 +505,15 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
 
 @dataclass(frozen=True)
 class ThermalPoint:
-    """Interacting and free (diagonal) Gibbs states of one (T, lam) point."""
+    """Interacting and free (diagonal) Gibbs states of one (T, lam) point.
+
+    energy is <H_lam> of the Gibbs state, sum_i p_i eps_i over its spectrum,
+    and one_body_energy its <H_0>, the Gibbs blocks' diagonal . E with
+    E = occupations @ eigenvalues. Together they give the relative entropy
+        s_gibbs = S(gibbs | free)
+                = (one_body_energy - energy) / T + log_z_free - log_z,
+    from sum p log p = -<H_lam>/T - log Z and log q = -E/T - log Z_0.
+    """
 
     T: float
     lam: float
@@ -504,6 +522,9 @@ class ThermalPoint:
     free: DiagonalState
     log_z: float
     log_z_free: float
+    energy: float
+    one_body_energy: float
+    s_gibbs: float
 
 
 def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
@@ -513,18 +534,24 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
 
     H_0 is diagonal in the occupation basis with energies occupations @
     eigenvalues, so the free state is written down directly; only H_lam is
-    diagonalized. Raises ValueError when the tail policy needs a basis over
+    diagonalized, once; S(gibbs | free) comes from that spectrum (see
+    ThermalPoint). Raises ValueError when the tail policy needs a basis over
     dim_budget.
     """
     n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
     basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
-    gibbs, log_z = gibbs_state(
+    gibbs, log_z, energy = gibbs_state(
         build_hamiltonian(basis, eigenvalues, tensor, lam), T)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))
     free = DiagonalState(basis, np.exp(-E / T - log_z_free))
-    return ThermalPoint(T=T, lam=lam, basis=basis, gibbs=gibbs, free=free,
-                        log_z=log_z, log_z_free=log_z_free)
+    offsets = basis.sector_offsets
+    one_body = sum(float(np.real(np.diagonal(G)) @ E[idx + offsets[n]])
+                   for n, idx, G in gibbs.blocks)
+    return ThermalPoint(
+        T=T, lam=lam, basis=basis, gibbs=gibbs, free=free, log_z=log_z,
+        log_z_free=log_z_free, energy=energy, one_body_energy=one_body,
+        s_gibbs=(one_body - energy) / T + log_z_free - log_z)
 
 
 def random_state(basis: FockBasis, seed: int) -> FockState:

@@ -121,8 +121,8 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     concavity of the entropy S(trial | free) moves by at most
     eps (max|log q| + log(1/eps) + 1), q the free state's diagonal: of
     order 2^-59 max|log q|. The windowed mixture is still a state, so it is
-    still an upper bound. A sector that no chunk reaches is an exact zero
-    block.
+    still an upper bound. A sector that no chunk reaches is exactly zero and
+    gets no block.
 
     The mixture is renormalized to unit trace; n_subsample keeps the first
     n samples (a deterministic, unbiased cut of an iid ensemble) with their
@@ -153,25 +153,30 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     gauss = np.exp(-0.5 * nu)
 
     offsets = basis.sector_offsets
-    rows = [idx + offsets[m] for m, idx, _ in layout.blocks]
-    sums = [np.zeros((idx.size, idx.size)) for _, idx, _ in layout.blocks]
     order = np.argsort(nu, kind="stable")
-    for lo in range(0, n, _CHUNK):
-        s = order[lo:lo + _CHUNK]
-        n_lo, n_hi = _sector_window(nu[s[0]], nu[s[-1]], basis.n_max)
+    chunks = [order[lo:lo + _CHUNK] for lo in range(0, n, _CHUNK)]
+    windows = [_sector_window(nu[s[0]], nu[s[-1]], basis.n_max)
+               for s in chunks]
+    reached = np.zeros(basis.n_max + 1, dtype=bool)
+    for n_lo, n_hi in windows:
+        reached[n_lo:n_hi + 1] = True
+    kept = [(m, idx) for m, idx, _ in layout.blocks if reached[m]]
+    rows = [idx + offsets[m] for m, idx in kept]
+    sums = [np.zeros((idx.size, idx.size)) for _, idx in kept]
+    for s, (n_lo, n_hi) in zip(chunks, windows):
         A = occupation_products(vs[s], basis.occupations[:offsets[n_hi + 1]],
                                 gauss[s])
         # Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
         # interleaves the real and imaginary part of each sample's column
         X = A.view(np.float64)
         w2 = np.repeat(w[s], 2)
-        for (m, _, _), i, G in zip(layout.blocks, rows, sums):
+        for (m, _), i, G in zip(kept, rows, sums):
             if n_lo <= m <= n_hi:
                 Xi = X[i]
                 G += (Xi * w2) @ Xi.T
     tr = sum(float(np.trace(G)) for G in sums)
-    return FockState(basis, tuple((m, idx, G / tr) for (m, idx, _), G
-                                  in zip(layout.blocks, sums)))
+    return FockState(basis, tuple((m, idx, G / tr)
+                                  for (m, idx), G in zip(kept, sums)))
 
 
 def _contract(state: FockState | DiagonalState, A: np.ndarray,

@@ -9,7 +9,8 @@ and polar-grid quadrature over single-mode Husimi densities (the densities
 themselves come from the package). The relative entropy and the Husimi
 density of plain matrices are the whole-space definitions, with no sector
 structure; so is the mixture of coherent projectors, whose symmetry average
-is its real part pinched to (sector, class) blocks. The per-pair partial trace shares the package's branching rows
+is its real part pinched to (sector, class) blocks. A state that leaves a
+sector out is padded with explicit zero blocks there. The per-pair partial trace shares the package's branching rows
 and checks only the contraction over them. The sector-gather amplitudes
 share the package's parent rows and keep the one-gather-per-sector loop
 that `occupation_products` must reproduce bit for bit. The moment matrices
@@ -151,6 +152,17 @@ def pinched(matrix: np.ndarray, basis, labels=None) -> FockState:
             g = idx + int(basis.sector_offsets[n])
             blocks.append((n, idx, matrix[np.ix_(g, g)]))
     return FockState(basis=basis, blocks=tuple(blocks))
+
+
+def padded(state: FockState, layout: FockState) -> FockState:
+    """state with an explicit zero block for each (sector, class) block of
+    layout in a sector where state has none: the zero-padded form that a
+    missing sector stands for."""
+    held = {n for n, _, _ in state.blocks}
+    zeros = [(n, idx, np.zeros((idx.size, idx.size)))
+             for n, idx, _ in layout.blocks if n not in held]
+    blocks = sorted(list(state.blocks) + zeros, key=lambda b: b[0])
+    return FockState(basis=state.basis, blocks=tuple(blocks))
 
 
 def dense_sector(state: FockState, n: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_criterion_04_single_mode_closed_forms(unit_mode_basis, quartic_tensor):
     dev = abs(rw.z_r - zr_oracle) / rw.z_r_stderr
     fb = gl.build_fock_basis(1, 10)
     H = gl.build_hamiltonian(fb, np.array([1.0]), None, 0.0)
-    _, log_z = gl.gibbs_state(H, 1.0)
+    _, log_z, _ = gl.gibbs_state(H, 1.0)
     exact = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     z_err = abs(log_z - exact)
     ok = dev <= 3.0 and z_err <= 1e-10

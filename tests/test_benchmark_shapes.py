@@ -1,8 +1,11 @@
-"""The sweep benchmark's declared shapes, checked against the tail policy.
+"""The sweep benchmark's declared shapes and traced names, checked against
+the package.
 
-perfbench/workloads.py imports only the standard library, so it is loaded
-here by file path; a workload whose declared cutoffs the policy no longer
-picks would otherwise show up only inside a benchmark run.
+perfbench/workloads.py and perfbench/run.py import only the standard
+library and their perfbench siblings, so they are loaded here by file path;
+a workload whose declared cutoffs the policy no longer picks, or a traced
+name that no longer exists, would otherwise show up only inside a benchmark
+run (a missing name changes the shape of a traced run's result line).
 """
 
 import dataclasses
@@ -15,18 +18,28 @@ import pytest
 import gibbslab as gl
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+BENCH = os.path.join(ROOT, "perfbench")
 
 
-def _load_workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+def _load(name):
+    """perfbench/<name>.py as a module; its sibling imports resolve in
+    perfbench/."""
+    path = os.path.join(BENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
+    sys.path.insert(0, BENCH)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(BENCH)
     return module
 
 
-WORKLOADS = _load_workloads()
+WORKLOADS = _load("workloads")
+RUN = _load("run")
+TRACED = sorted({name for names in RUN.SELF_TIME_METRICS.values()
+                 for name in names} | set(RUN.CALL_METRICS.values()))
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
@@ -45,3 +58,26 @@ def test_workload_declared_shapes_match_the_tail_policy(name):
     assert n_max == workload.n_max
     assert tuple(gl.build_fock_basis(cfg.K, n, cfg.dim_budget).dim
                  for n in n_max) == workload.dims
+
+
+def _unresolved(names):
+    """The layer.function names with no callable of that name in their
+    gibbslab module."""
+    out = []
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"gibbslab.{layer}")
+        if not callable(getattr(module, attr, None)):
+            out.append(name)
+    return out
+
+
+def test_every_traced_benchmark_name_resolves():
+    assert "fock.eigh" in TRACED and "semiclassics.husimi_density" in TRACED
+    assert _unresolved(TRACED) == []
+
+
+def test_a_deleted_traced_name_is_caught(monkeypatch):
+    monkeypatch.delattr(importlib.import_module("gibbslab.semiclassics"),
+                        "husimi_density")
+    assert _unresolved(TRACED) == ["semiclassics.husimi_density"]

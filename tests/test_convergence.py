@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import gibbslab as gl
-from gibbslab import cli, fock, semiclassics
+from gibbslab import cli, fock, semiclassics, symspace
 from gibbslab.convergence import (ExperimentConfig, KernelSpec, emit_report,
                                   evaluate_properties, parse_config,
                                   run_convergence, run_selfchecks)
@@ -147,10 +147,92 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
         point = fock.solve_point(basis.eigenvalues, tensor, row.T, row.lam,
                                  tail=small_config.n_max_policy,
                                  dim_budget=small_config.dim_budget)
-        rebuilt = fock.relative_free_energy(point.gibbs, point.free, tensor,
-                                            row.lam, row.T)
+        pair = fock.two_body_energy(point.gibbs, tensor, row.lam)
         exact = row.T * row.f_value
-        assert row.fe_identity_defect == abs(rebuilt - exact) / abs(exact)
+        assert row.fe_identity_defect == abs(
+            pair + point.one_body_energy - point.energy) / abs(exact)
+
+
+def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
+    # gibbs_state solves each Gibbs class block, S(trial | free) each stored
+    # trial block; S(Gibbs | free) comes from the Gibbs spectrum, so
+    # relative_entropy sees trial states only
+    eigh, gibbs_state = fock.eigh, fock.gibbs_state
+    trial_state, relative_entropy = semiclassics.trial_state, \
+        fock.relative_entropy
+    eigh_calls, gibbs_blocks, trials, entropy_states = [0], [], [], []
+
+    def counting_eigh(*args, **kwargs):
+        eigh_calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    def recording_gibbs(*args, **kwargs):
+        out = gibbs_state(*args, **kwargs)
+        gibbs_blocks.append(len(out[0].blocks))
+        return out
+
+    def recording_trial(*args, **kwargs):
+        trials.append(trial_state(*args, **kwargs))
+        return trials[-1]
+
+    def recording_entropy(state, ref):
+        entropy_states.append(state)
+        return relative_entropy(state, ref)
+
+    monkeypatch.setattr(fock, "eigh", counting_eigh)
+    monkeypatch.setattr(fock, "gibbs_state", recording_gibbs)
+    monkeypatch.setattr(semiclassics, "trial_state", recording_trial)
+    monkeypatch.setattr(fock, "relative_entropy", recording_entropy)
+    res = run_convergence(small_config)
+    assert len(gibbs_blocks) == len(trials) == len(res.rows) == 2
+    assert eigh_calls[0] == sum(gibbs_blocks) \
+        + sum(len(t.blocks) for t in trials)
+    assert [id(s) for s in entropy_states] == [id(t) for t in trials]
+
+
+def _corrupt_gibbs_coupling(monkeypatch):
+    """One off-diagonal pair of one rebuilt Gibbs block, between two states
+    that W couples, moved by 1e-6."""
+    build = fock.gibbs_state
+
+    def corrupted(H, T):
+        state, log_z, energy = build(H, T)
+        blocks = list(state.blocks)
+        for i, (n, idx, G) in enumerate(blocks):
+            h = H.class_block(n, idx)
+            a, b = np.nonzero(h - np.diag(np.diagonal(h)))
+            if a.size:
+                G = G.copy()
+                G[a[0], b[0]] += 1e-6
+                G[b[0], a[0]] += 1e-6
+                blocks[i] = (n, idx, G)
+                break
+        return fock.FockState(state.basis, tuple(blocks)), log_z, energy
+
+    monkeypatch.setattr(fock, "gibbs_state", corrupted)
+
+
+def _corrupt_sym2_entry(monkeypatch):
+    """One tensor entry moved by 1e-6 on the Sym^2 pair matrix only; the
+    Hamiltonian keeps the true tensor."""
+    restrict = symspace.two_body_sym_matrix
+
+    def corrupted(W):
+        W = W.copy()
+        W[0, 0, 0, 0] += 1e-6
+        return restrict(W)
+
+    monkeypatch.setattr(symspace, "two_body_sym_matrix", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_gibbs_coupling,
+                                     _corrupt_sym2_entry])
+def test_fe_identity_defect_sees_one_corrupted_build(small_config,
+                                                     monkeypatch, corrupt):
+    cfg = dataclasses.replace(small_config, bl_samples=0)
+    assert all(r.fe_identity_defect <= 1e-10 for r in run_convergence(cfg).rows)
+    corrupt(monkeypatch)
+    assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
 
 
 def test_emit_report_counts_and_format(tmp_path, small_config):
@@ -527,8 +609,14 @@ def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
         point = gl.solve_point(basis.eigenvalues, tensor, T,
                                cfg.coupling_rule / T, tail=cfg.n_max_policy,
                                dim_budget=cfg.dim_budget)
-        gap = gl.berezin_lieb_gap(point.gibbs, point.free, 1.0 / T,
-                                  n_samples=cfg.bl_samples, seed=seed)
+        gap = semiclassics.BLGap.of(
+            point.s_gibbs, semiclassics.husimi_kl_importance(
+                point.gibbs, point.free, 1.0 / T, n_samples=cfg.bl_samples,
+                seed=seed))
+        # the closed form from the spectrum against a second eigensolve:
+        # the desk sweep at seed 7 reads at most 2e-13 relative
+        s_eig = fock.relative_entropy(point.gibbs, point.free)
+        assert abs(point.s_gibbs - s_eig) <= 1e-12 * abs(s_eig)
         assert row["berezin_lieb"] == {
             "quantum": gap.quantum, "classical": gap.classical,
             "gap": gap.gap, "classical_stderr": gap.classical_stderr,

@@ -126,7 +126,7 @@ def test_two_body_matches_pair_potential_on_sectors(basis_k2, tensor_k2):
 def test_gibbs_geometric_partition_function():
     fb = gl.build_fock_basis(1, 10)
     H = gl.build_hamiltonian(fb, np.array([1.0]), None, 0.0)
-    state, log_z = gl.gibbs_state(H, 1.0)
+    state, log_z, _ = gl.gibbs_state(H, 1.0)
     exact = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     assert abs(log_z - exact) < 1e-10
     assert abs(state.sector_probabilities().sum() - 1.0) < 1e-10
@@ -135,7 +135,7 @@ def test_gibbs_geometric_partition_function():
 def test_gibbs_low_temperature_is_vacuum(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 4)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
-    state, _ = gl.gibbs_state(H, 1e-3)
+    state, _, _ = gl.gibbs_state(H, 1e-3)
     probs = state.sector_probabilities()
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     assert gl.particle_number(state) < 1e-12
@@ -144,7 +144,7 @@ def test_gibbs_low_temperature_is_vacuum(basis_k2, tensor_k2):
 def test_gibbs_commutes_with_number(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 4)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
-    state, _ = gl.gibbs_state(H, 2.0)
+    state, _, _ = gl.gibbs_state(H, 2.0)
     N = np.diag(fb.occupations.sum(axis=1).astype(float))
     M = state.to_dense()
     assert np.abs(N @ M - M @ N).max() < 1e-12
@@ -197,8 +197,8 @@ def test_parity_split_matches_one_class(K, n_max, seed, T, lam):
     fb = gl.build_fock_basis(K, n_max)
     H = gl.build_hamiltonian(fb, eigenvalues, split, lam)
     assert np.array_equal(H.labels, fb.occupations @ parity % 2)
-    got, log_z = gl.gibbs_state(H, T)
-    want, log_z_one = gl.gibbs_state(
+    got, log_z, _ = gl.gibbs_state(H, T)
+    want, log_z_one, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, gl.TwoBodyTensor(W), lam), T)
     assert abs(log_z - log_z_one) <= 1e-12 * max(1.0, abs(log_z_one))
     for n in range(n_max + 1):
@@ -217,9 +217,9 @@ def test_parity_split_gibbs_state_properties(K, n_max, seed, T, lam):
         _random_reflection_tensor(K, parity, rng), parity)
     eigenvalues = np.sort(rng.uniform(0.5, 5.0, K))
     fb = gl.build_fock_basis(K, n_max)
-    gibbs, log_z = gl.gibbs_state(
+    gibbs, log_z, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, tensor, lam), T)
-    free, log_z0 = gl.gibbs_state(
+    free, log_z0, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, None, 0.0), T)
     free = oracles.diagonal_of(free)
     g1 = gl.reduced_density_matrix(gibbs, 1)
@@ -250,7 +250,7 @@ def test_forbidden_entry_falls_back_and_matches_dense_route(basis_k3,
     fb = gl.build_fock_basis(3, 6)
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor, 0.7)
     assert not H.labels.any()
-    gibbs, log_z = gl.gibbs_state(H, T)
+    gibbs, log_z, _ = gl.gibbs_state(H, T)
     E, V = np.linalg.eigh(H.matrix.toarray())
     want_log_z = float(np.log(np.sum(np.exp(-E / T))))
     assert log_z == pytest.approx(want_log_z, rel=1e-12)
@@ -299,7 +299,7 @@ def test_free_gibbs_occupancies_closed_form(basis_k2):
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-12)
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
-    state, _ = gl.gibbs_state(H, T)
+    state, _, _ = gl.gibbs_state(H, T)
     occ = np.real(np.diag(gl.reduced_density_matrix(state, 1).entries))
     exact = 1.0 / (np.exp(basis_k2.eigenvalues / T) - 1.0)
     assert np.abs(occ - exact).max() < 1e-8
@@ -337,7 +337,7 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
             _random_reflection_tensor(K, parity, rng), parity)
         H = gl.build_hamiltonian(fb, np.sort(rng.uniform(0.5, 5.0, K)),
                                  tensor, rng.uniform(0.0, 1.0))
-        state, _ = gl.gibbs_state(H, rng.uniform(0.5, 5.0))
+        state, _, _ = gl.gibbs_state(H, rng.uniform(0.5, 5.0))
     else:
         state = fock.random_state(fb, seed)
     if kind == "real":
@@ -374,7 +374,7 @@ def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
     fb = gl.build_fock_basis(K, n_max)
     H = gl.build_hamiltonian(fb, eigenvalues, gl.TwoBodyTensor(W), lam)
     labels = fb.occupations @ charge % 3
-    state, log_z = gl.gibbs_state(fock.FockOperator(fb, H.matrix, labels), T)
+    state, log_z, _ = gl.gibbs_state(fock.FockOperator(fb, H.matrix, labels), T)
     assert np.unique(labels[fb.sector_slice(2)]).size == 3
     assert {n for n, *_ in state.blocks} == set(range(n_max + 1))
     for n, idx, G in state.blocks:
@@ -408,7 +408,7 @@ def test_parity_split_gibbs_state_stores_no_zero_padding(basis_k3,
     # the sum over sectors of d_n^2 that whole sector blocks would hold
     fb = gl.build_fock_basis(3, 10)
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 0.5)
-    gibbs, _ = gl.gibbs_state(H, 2.0)
+    gibbs, _, _ = gl.gibbs_state(H, 2.0)
     class_sizes = [np.bincount(H.labels[fb.sector_slice(n)])
                    for n in range(fb.n_max + 1)]
     want = sum(int(np.sum(c[c > 0] ** 2)) for c in class_sizes)
@@ -581,8 +581,8 @@ def test_relative_free_energy_identity(basis_k2, tensor_k2):
     lam = 0.5
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
-    gibbs, log_z = gl.gibbs_state(H, T)
-    free_blocks, log_z0 = gl.gibbs_state(H0, T)
+    gibbs, log_z, _ = gl.gibbs_state(H, T)
+    free_blocks, log_z0, _ = gl.gibbs_state(H0, T)
     free = oracles.diagonal_of(free_blocks)
     fe = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     target = T * (log_z0 - log_z)
@@ -596,8 +596,8 @@ def test_relative_free_energy_identity_single_mode(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(1, 40)
     lam1 = basis_k2.eigenvalues[:1]
     t1 = gl.TwoBodyTensor(tensor_k2.entries[:1, :1, :1, :1])
-    gibbs, log_z = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, t1, lam), T)
-    free, log_z0 = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, None, 0.0), T)
+    gibbs, log_z, _ = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, t1, lam), T)
+    free, log_z0, _ = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, None, 0.0), T)
     fe = gl.relative_free_energy(gibbs, oracles.diagonal_of(free), t1, lam, T)
     assert fe == pytest.approx(T * (log_z0 - log_z), rel=1e-8)
 
@@ -613,7 +613,7 @@ def test_gibbs_minimizes_free_energy(basis_k2, tensor_k2):
     T = 1.5
     fb = gl.build_fock_basis(2, 8)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
-    gibbs, _ = gl.gibbs_state(H, T)
+    gibbs, _, _ = gl.gibbs_state(H, T)
     base = free_energy(gibbs)
     rng = np.random.default_rng(0)
     for seed in range(20):
@@ -631,7 +631,7 @@ def test_variational_bound_of_relative_free_energy(basis_k2, tensor_k2):
     lam = 0.5
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
-    gibbs, _ = gl.gibbs_state(H, T)
+    gibbs, _, _ = gl.gibbs_state(H, T)
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     base = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for seed in range(5):
@@ -700,8 +700,8 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
-    gibbs, log_z = gl.gibbs_state(H, T)
-    free, log_z0 = gl.gibbs_state(H0, T)
+    gibbs, log_z, _ = gl.gibbs_state(H, T)
+    free, log_z0, _ = gl.gibbs_state(H0, T)
     assert (point.T, point.lam) == (T, lam)
     assert point.basis.n_max == n_max and point.basis.matches(fb)
     assert point.log_z == log_z and point.log_z_free == log_z0
@@ -720,7 +720,7 @@ def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
     T = 2.0
     point = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 1.0 / T)
     fb = point.basis
-    free, log_z0 = gl.gibbs_state(
+    free, log_z0, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k3.eigenvalues, None, 0.0), T)
     assert point.log_z_free == pytest.approx(log_z0, rel=1e-13, abs=0.0)
     assert point.free.p.shape == (fb.dim,)
@@ -737,7 +737,7 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
     assert max(np.bincount(H.labels[fb.sector_slice(n)]).max()
                for n in range(fb.n_max + 1)) > 25
-    gibbs, log_z = gl.gibbs_state(H, T)
+    gibbs, log_z, _ = gl.gibbs_state(H, T)
     E, V = np.linalg.eigh(H.matrix.toarray())
     want_log_z = float(logsumexp(-E / T))
     assert log_z == pytest.approx(want_log_z, rel=1e-13, abs=0.0)

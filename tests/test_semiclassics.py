@@ -131,6 +131,9 @@ def _labels(fb, tensor):
 
 
 def _assert_blocks_close(got, want, tol):
+    """got, a sector it leaves out read as zero, against want block by
+    block."""
+    got = oracles.padded(got, want)
     assert [(n, idx.tolist()) for n, idx, _ in got.blocks] \
         == [(n, idx.tolist()) for n, idx, _ in want.blocks]
     for (*_, g), (*_, w) in zip(got.blocks, want.blocks):
@@ -183,7 +186,7 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
-    gibbs, _ = gl.gibbs_state(H, T)
+    gibbs, _, _ = gl.gibbs_state(H, T)
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for fe_trial in (
@@ -315,13 +318,17 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
 
 
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
-def test_relative_entropy_skips_zero_blocks(monkeypatch, basis_k2, tensor_k2):
+def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 36)
-    trial = gl.trial_state(_far_ensemble(256, 3), 1.0,
-                           _gibbs(fb, basis_k2, tensor_k2), n_subsample=256)
+    gibbs = _gibbs(fb, basis_k2, tensor_k2)
+    trial = gl.trial_state(_far_ensemble(256, 3), 1.0, gibbs, n_subsample=256)
     free = _free(fb, basis_k2, 10.0)
-    zero = sum(not G.any() for *_, G in trial.blocks)
-    assert zero > 0
+    held = {n for n, *_ in trial.blocks}
+    assert min(held) > 0
+    assert all(G.any() for *_, G in trial.blocks)
+    # a stored sector keeps every class block of the layout
+    assert [(n, idx.tolist()) for n, idx, _ in trial.blocks] \
+        == [(n, idx.tolist()) for n, idx, _ in gibbs.blocks if n in held]
     calls = []
     eigh = fock.eigh
 
@@ -331,9 +338,40 @@ def test_relative_entropy_skips_zero_blocks(monkeypatch, basis_k2, tensor_k2):
 
     monkeypatch.setattr(fock, "eigh", counting)
     got = gl.relative_entropy(trial, free)
-    assert len(calls) == len(trial.blocks) - zero
+    assert len(calls) == len(trial.blocks)
     want = oracles.relative_entropy_dense(trial.to_dense(), np.diag(free.p))
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+@pytest.mark.parametrize("far", [False, True])
+def test_missing_sectors_read_as_zero_blocks(basis_k2, tensor_k2, far):
+    # the near ensemble's windows stop below n_max, the far one's start
+    # above the vacuum
+    fb = gl.build_fock_basis(2, 36)
+    gibbs = _gibbs(fb, basis_k2, tensor_k2)
+    ens, T = ((_far_ensemble(300, 3), 1.0) if far else
+              (gl.reweight(gl.sample_free(basis_k2, 300, seed=12),
+                           tensor_k2), 2.0))
+    trial = gl.trial_state(ens, T, gibbs)
+    full = oracles.padded(trial, gibbs)
+    held = [n for n, *_ in trial.blocks]
+    assert (min(held) > 0) if far else (max(held) < fb.n_max)
+    assert len(full.blocks) == len(gibbs.blocks) > len(trial.blocks)
+    free = _free(fb, basis_k2, 10.0)
+    assert gl.relative_entropy(trial, free) == gl.relative_entropy(full, free)
+    for k in (1, 2, 3):
+        assert gl.reduced_density_matrix(trial, k).entries.tobytes() \
+            == gl.reduced_density_matrix(full, k).entries.tobytes()
+    assert trial.sector_probabilities().tobytes() \
+        == full.sector_probabilities().tobytes()
+    assert trial.to_dense().tobytes() == full.to_dense().tobytes()
+    rng = np.random.default_rng(5)
+    vs = 4.0 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    A = semiclassics.occupation_products(vs, fb.occupations, np.exp(-0.5 * nu))
+    assert semiclassics._contract(trial, A, fb.n_max).tobytes() \
+        == semiclassics._contract(full, A, fb.n_max).tobytes()
 
 
 def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2):
@@ -422,9 +460,9 @@ def _kl_from_separate_densities(state, ref, eps, n_samples, seed):
 def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
     T = 5.0
     fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
-    gibbs, _ = gl.gibbs_state(
+    gibbs, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
-    free, _ = gl.gibbs_state(
+    free, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
     # real and complex sector-block contractions of the state, each mixed
     # with the diagonal one of the reference in one estimate; the expected
@@ -438,7 +476,7 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
 
 def test_husimi_diagonal_state_matches_block_route(basis_k2):
     fb = gl.build_fock_basis(2, 12)
-    free, _ = gl.gibbs_state(
+    free, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), 3.0)
     rng = np.random.default_rng(8)
     pts = 0.8 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
@@ -489,9 +527,9 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
                                                  tensor_k2):
     T = 6.0
     fb = gl.build_fock_basis(2, 30)
-    gibbs, _ = gl.gibbs_state(
+    gibbs, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
-    free, _ = gl.gibbs_state(
+    free, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
     pts = _spread_points(700, 9.0, 1)
     rows = _record_amplitude_rows(monkeypatch)
