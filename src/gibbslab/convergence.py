@@ -316,21 +316,19 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.distances[k] = DistanceMetric(d, se, hs)
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
+    # the d_2 marginal, where there is one, is Gamma^(2) of the energy
+    pair = (fock.pair_energy(marginals[2], tensor, lam)
+            if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
+    # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
+    # comes from the Sym^2 pair matrix and the RDM gather, <H> from
+    # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks
+    row.fe_identity_defect = abs(
+        pair + point.one_body_energy - point.energy) \
+        / max(abs(T * row.f_value), 1e-12)
     lap("rdm")
 
     if config.trial_subsample > 0:
-        # the d_2 marginal, where there is one, is Gamma^(2) of the energy
-        pair = (fock.pair_energy(marginals[2], tensor, lam)
-                if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
         fe_gibbs = pair + T * point.s_gibbs
-        # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
-        # comes from the Sym^2 pair matrix and the RDM gather, <H> from
-        # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks
-        exact = T * row.f_value
-        row.fe_identity_defect = abs(
-            pair + point.one_body_energy - point.energy) \
-            / max(abs(exact), 1e-12)
-        lap("relative_entropy")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
 from . import symspace
@@ -231,38 +232,93 @@ class DiagonalState:
         return np.add.reduceat(self.p, self.basis.sector_offsets[:-1])
 
 
+def _class_entries(H: FockOperator, M: sparse.coo_matrix, sector: np.ndarray):
+    """The (sector, class) blocks of H from M, its COO with no duplicates.
+
+    Yields (n, idx, r, c, v) per block: idx its in-sector basis indices in
+    basis order and v the stored entries at the in-block positions (r, c).
+    Blocks run over sectors in ascending order and over the labels of a
+    sector in ascending order; sector[i] is the sector of basis state i. An
+    entry between two blocks is dropped, so gibbs_state refuses a nonzero
+    one within a sector first.
+    """
+    basis = H.basis
+    # states grouped by (sector, label), in basis order within a group
+    order = np.lexsort((H.labels, sector))
+    first = np.ones(basis.dim, dtype=bool)
+    first[1:] = (sector[order[1:]] != sector[order[:-1]]) \
+        | (H.labels[order[1:]] != H.labels[order[:-1]])
+    edges = np.append(np.flatnonzero(first), basis.dim)
+    block = np.empty(basis.dim, dtype=np.int64)
+    block[order] = np.cumsum(first) - 1
+    pos = np.empty(basis.dim, dtype=np.int64)
+    pos[order] = np.arange(basis.dim) - edges[block[order]]
+    keep = block[M.row] == block[M.col]
+    rows, cols, vals = M.row[keep], M.col[keep], M.data[keep]
+    by_block = np.argsort(block[rows], kind="stable")
+    rows, cols, vals = rows[by_block], cols[by_block], vals[by_block]
+    bounds = np.searchsorted(block[rows], np.arange(edges.size))
+    for b in range(edges.size - 1):
+        states = order[edges[b]:edges[b + 1]]
+        n = int(sector[states[0]])
+        lo, hi = bounds[b], bounds[b + 1]
+        yield (n, states - basis.sector_offsets[n], pos[rows[lo:hi]],
+               pos[cols[lo:hi]], vals[lo:hi])
+
+
 def gibbs_state(H: FockOperator, T: float):
     """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
     energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
 
     Each label class of a sector (the reflection-parity blocks of
-    build_hamiltonian) goes to LAPACK's divide-and-conquer solver
-    (syevd/heevd); an entry between two classes is refused. A sector's
-    eigenvalues are sorted before the log-sum-exp, so log Z does not depend
-    on the split (the class_split selfcheck holds it to whole sectors).
-    The energy is one dot product over the same eigenvalues, which also
-    give the entropy -sum p log p = <H>/T + log Z with no second eigensolve.
-    Each class drops its eigenvectors once its block (U w) U^H is built.
+    build_hamiltonian) is read from the COO of H (_class_entries); an entry
+    between two classes is refused. A real block whose entries all lie
+    within one place of the diagonal goes to LAPACK's tridiagonal
+    divide-and-conquer solver (stevd) on its diagonal and lower
+    off-diagonal; every other block is scattered densely and goes to the
+    dense one (syevd/heevd), which reads the lower triangle and on a
+    tridiagonal input ends in the same stedc call, so the two give the same
+    bits there. A sector's eigenvalues are sorted before the log-sum-exp, so
+    log Z does not depend on the split (the class_split selfcheck holds it
+    to whole sectors). The energy is one dot product over the same
+    eigenvalues, which also give the entropy -sum p log p = <H>/T + log Z
+    with no second eigensolve. Each class drops its eigenvectors once its
+    block (U w) U^H is built.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian is not Hermitian")
     basis = H.basis
-    M = H.matrix.tocoo()
+    A = H.matrix
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    M = A.tocoo()
     sector = basis.occupations.sum(axis=1)
     if np.any(M.data[(H.labels[M.row] != H.labels[M.col])
                      & (sector[M.row] == sector[M.col])]):
         raise ValueError("a sector block couples states of different classes")
-    eigs, solved = [], []
-    for n in range(basis.n_max + 1):
-        labels = H.labels[basis.sector_slice(n)]
-        parts = [(n, idx, *eigh(H.class_block(n, idx), driver="evd"))
-                 for idx in (np.flatnonzero(labels == c)
-                             for c in np.unique(labels))]
-        eigs.append(np.sort(np.concatenate([lam for _, _, lam, _ in parts])))
-        solved += parts
-    eigs = np.concatenate(eigs)
+    eigs = [[] for _ in range(basis.n_max + 1)]
+    solved = []
+    for n, idx, r, c, v in _class_entries(H, M, sector):
+        m = idx.size
+        if not np.iscomplexobj(v) and np.all(np.abs(r - c) <= 1):
+            diag, lower = r == c, r == c + 1
+            d, e = np.zeros(m), np.zeros(max(m - 1, 1))
+            d[r[diag]] = v[diag]
+            e[c[lower]] = v[lower]
+            lam, U, info = dstevd(d, e)
+            if info:
+                raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+        else:
+            # Fortran order lets LAPACK write the eigenvectors over B
+            B = np.zeros((m, m), dtype=v.dtype, order="F")
+            B[r, c] = v
+            lam, U = eigh(B, overwrite_a=True, driver="evd")
+        eigs[n].append(lam)
+        solved.append((n, idx, lam, U))
+    eigs = np.concatenate([np.sort(np.concatenate(lams)) for lams in eigs])
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
     blocks = []

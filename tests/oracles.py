@@ -14,15 +14,18 @@ sector out is padded with explicit zero blocks there. The per-pair partial trace
 and checks only the contraction over them. The sector-gather amplitudes
 share the package's parent rows and keep the one-gather-per-sector loop
 that `occupation_products` must reproduce bit for bit. The moment matrices
-are dense weighted sums of per-sample outer products.
+are dense weighted sums of per-sample outer products. The Gibbs blocks
+slice each class from the Hamiltonian's CSR matrix and give every one to
+the dense divide-and-conquer driver.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from gibbslab import MomentMatrix, husimi_density, symspace
 from gibbslab.fock import DiagonalState, FockState, _branching_rows
@@ -327,3 +330,27 @@ def reduced_density_matrix_pairs(state, k: int):
                 out[a, b] += np.sum(coefs[a] * coefs[b] * ga[ridx, rows[b]])
     out = 0.5 * (out + out.conj().T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
+
+
+def gibbs_blocks_csr(H, T: float):
+    """exp(-H/T)/Z as (sector, class) blocks, log Z and <H>, with each
+    class block sliced from the CSR matrix and solved by the dense
+    divide-and-conquer driver, whatever its shape."""
+    basis = H.basis
+    eigs, solved = [], []
+    for n in range(basis.n_max + 1):
+        labels = H.labels[basis.sector_slice(n)]
+        parts = []
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            g = idx + basis.sector_offsets[n]
+            B = H.matrix[g][:, g].toarray()
+            parts.append((n, idx, *eigh(B, driver="evd")))
+        eigs.append(np.sort(np.concatenate([lam for _, _, lam, _ in parts])))
+        solved += parts
+    eigs = np.concatenate(eigs)
+    log_z = float(logsumexp(-eigs / T))
+    energy = float(np.exp(-eigs / T - log_z) @ eigs)
+    blocks = tuple((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T)
+                   for n, idx, lam, U in solved)
+    return FockState(basis=basis, blocks=blocks), log_z, energy

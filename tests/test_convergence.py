@@ -154,21 +154,30 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
 
 
 def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
-    # gibbs_state solves each Gibbs class block, S(trial | free) each stored
-    # trial block; S(Gibbs | free) comes from the Gibbs spectrum, so
+    # gibbs_state solves each Gibbs class block, the tridiagonal ones with
+    # stevd and the others with evd, and S(trial | free) each stored trial
+    # block with evd; S(Gibbs | free) comes from the Gibbs spectrum, so
     # relative_entropy sees trial states only
-    eigh, gibbs_state = fock.eigh, fock.gibbs_state
+    eigh, dstevd, gibbs_state = fock.eigh, fock.dstevd, fock.gibbs_state
     trial_state, relative_entropy = semiclassics.trial_state, \
         fock.relative_entropy
-    eigh_calls, gibbs_blocks, trials, entropy_states = [0], [], [], []
+    calls = {"evd": 0, "stevd": 0}
+    gibbs_blocks, trials, entropy_states = [], [], []
 
     def counting_eigh(*args, **kwargs):
-        eigh_calls[0] += 1
+        calls["evd"] += 1
         return eigh(*args, **kwargs)
 
-    def recording_gibbs(*args, **kwargs):
-        out = gibbs_state(*args, **kwargs)
-        gibbs_blocks.append(len(out[0].blocks))
+    def counting_stevd(*args, **kwargs):
+        calls["stevd"] += 1
+        return dstevd(*args, **kwargs)
+
+    def recording_gibbs(H, T):
+        out = gibbs_state(H, T)
+        shapes = [H.class_block(n, idx) for n, idx, _ in out[0].blocks]
+        tri = sum(not np.triu(h, 2).any() and not np.tril(h, -2).any()
+                  for h in shapes)
+        gibbs_blocks.append((tri, len(shapes) - tri))
         return out
 
     def recording_trial(*args, **kwargs):
@@ -180,13 +189,15 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         return relative_entropy(state, ref)
 
     monkeypatch.setattr(fock, "eigh", counting_eigh)
+    monkeypatch.setattr(fock, "dstevd", counting_stevd)
     monkeypatch.setattr(fock, "gibbs_state", recording_gibbs)
     monkeypatch.setattr(semiclassics, "trial_state", recording_trial)
     monkeypatch.setattr(fock, "relative_entropy", recording_entropy)
     res = run_convergence(small_config)
     assert len(gibbs_blocks) == len(trials) == len(res.rows) == 2
-    assert eigh_calls[0] == sum(gibbs_blocks) \
-        + sum(len(t.blocks) for t in trials)
+    tridiagonal, dense = np.sum(gibbs_blocks, axis=0)
+    assert calls["stevd"] == tridiagonal > 0
+    assert calls["evd"] == dense + sum(len(t.blocks) for t in trials)
     assert [id(s) for s in entropy_states] == [id(t) for t in trials]
 
 
@@ -232,6 +243,23 @@ def test_fe_identity_defect_sees_one_corrupted_build(small_config,
     cfg = dataclasses.replace(small_config, bl_samples=0)
     assert all(r.fe_identity_defect <= 1e-10 for r in run_convergence(cfg).rows)
     corrupt(monkeypatch)
+    assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
+
+
+def test_fe_identity_defect_is_on_rows_without_a_trial_state(
+        small_config, tmp_path, monkeypatch):
+    # the ed-k3 shape: K=3 dense class blocks, k_max=3, no trial state and
+    # no Berezin-Lieb stage; the identity needs only <H>, <H_0> and the d_2
+    # pair term, so every row carries it and it still sees a corrupted block
+    cfg = dataclasses.replace(small_config, K=3, k_max=3, trial_subsample=0,
+                              bl_samples=0)
+    _, json_path = emit_report(run_convergence(cfg), tmp_path)
+    rows = json.load(open(json_path))["rows"]
+    assert len(rows) == 2
+    assert all(r["trial_gap"] is None for r in rows)
+    assert all(r["fe_identity_defect"] is not None
+               and r["fe_identity_defect"] <= 1e-10 for r in rows)
+    _corrupt_gibbs_coupling(monkeypatch)
     assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
 
 
@@ -449,18 +477,19 @@ def test_selfchecks_negative_control(small_config):
 
 def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
                                                           small_config):
-    block = fock.FockOperator.class_block
+    entries = fock._class_entries
 
-    def shifted(self, n, idx):
+    def shifted(H, M, sector):
         # class 1 of every split sector moved up by 1e-6; whole sectors and
         # one-class sectors are left as they are
-        B = block(self, n, idx)
-        if idx.size < self.basis.sector_dim(n) \
-                and self.labels[idx[0] + self.basis.sector_offsets[n]] == 1:
-            B = B + 1e-6 * np.eye(idx.size)
-        return B
+        for n, idx, r, c, v in entries(H, M, sector):
+            if idx.size < H.basis.sector_dim(n) \
+                    and H.labels[idx[0] + H.basis.sector_offsets[n]] == 1:
+                assert np.array_equal(np.sort(r[r == c]), np.arange(idx.size))
+                v = v + 1e-6 * (r == c)
+            yield n, idx, r, c, v
 
-    monkeypatch.setattr(fock.FockOperator, "class_block", shifted)
+    monkeypatch.setattr(fock, "_class_entries", shifted)
     by_name = {c.name: c for c in run_selfchecks(small_config)}
     assert not by_name["class_split"].passed
     assert by_name["class_split"].note == "2 classes"

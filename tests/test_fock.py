@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import logsumexp
@@ -364,6 +364,7 @@ def _random_charge_tensor(K, charge, rng):
 @given(K=st.integers(2, 3), n_max=st.integers(2, 7),
        seed=st.integers(0, 2**32 - 1), T=st.floats(0.5, 5.0),
        lam=st.floats(0.0, 1.0))
+@example(K=3, n_max=6, seed=3643, T=1.0, lam=1.0)
 def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
     # three classes per sector from n = 2 on: every consumer of the class
     # blocks against its whole-space or pair-loop oracle
@@ -395,7 +396,15 @@ def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
     pts = z * np.sqrt(rng.uniform(0.0, n_max, 200) / 2.0)[:, None]
     got = gl.husimi_density(state, 1.0, pts)
     want = oracles.husimi_dense(rho, fb, 1.0, pts)
-    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # the terms a_i rho_ij a_j cancel where the density is small, so each
+    # point is bounded by the sum of their magnitudes, not by the density
+    A = np.abs(oracles.coherent_amplitudes(pts, fb))
+    bound = 1e-13 * np.pi ** (-K) * np.sum(A * (A @ np.abs(rho)), axis=1)
+    assert np.all(np.abs(got - want) <= bound)
+    # negative control: the vacuum block moved by 1e-9 relative fails it
+    n, idx, G = state.blocks[0]
+    moved = fock.FockState(fb, ((n, idx, G * (1 + 1e-9)),) + state.blocks[1:])
+    assert np.any(np.abs(gl.husimi_density(moved, 1.0, pts) - want) > bound)
     total = float(np.real(np.sum(H.matrix.toarray() * rho.T)))
     split = gl.energy_decomposition(state, eigenvalues, gl.TwoBodyTensor(W),
                                     lam)
@@ -748,6 +757,158 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
             <= 1e-12 * np.abs(want).max()
     free = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 0.0)
     assert free.log_z_free - free.log_z == 0.0
+
+
+def _count_solvers(monkeypatch):
+    """Count fock's calls of the dense and the tridiagonal eigensolver."""
+    calls = {"evd": 0, "stevd": 0}
+    eigh, dstevd = fock.eigh, fock.dstevd
+
+    def counting_eigh(*args, **kwargs):
+        calls["evd"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_stevd(*args, **kwargs):
+        calls["stevd"] += 1
+        return dstevd(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "eigh", counting_eigh)
+    monkeypatch.setattr(fock, "dstevd", counting_stevd)
+    return calls
+
+
+def _assert_same_gibbs(got, want):
+    state, log_z, energy = got
+    want_state, want_log_z, want_energy = want
+    assert log_z == want_log_z and energy == want_energy
+    assert len(state.blocks) == len(want_state.blocks)
+    for (na, ia, ga), (nb, ib, gb) in zip(state.blocks, want_state.blocks):
+        assert na == nb and np.array_equal(ia, ib) and np.array_equal(ga, gb)
+
+
+def _is_tridiagonal(block):
+    return not np.triu(block, 2).any() and not np.tril(block, -2).any()
+
+
+@pytest.mark.parametrize("K, T", [(2, 10.0), (3, 2.5)])
+def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
+        basis_k2, tensor_k2, basis_k3, tensor_k3, monkeypatch, K, T):
+    # every K=2 parity block is tridiagonal and goes to stevd, the K=3 ones
+    # are not; both give the bits of dense evd on CSR slices, and
+    # gibbs_state no longer reads class_block
+    basis, tensor = (basis_k2, tensor_k2) if K == 2 else (basis_k3, tensor_k3)
+    fb = gl.build_fock_basis(K, gl.choose_n_max(basis.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
+    want = oracles.gibbs_blocks_csr(H, T)
+    tri = sum(_is_tridiagonal(fock.FockOperator.class_block(H, n, idx))
+              for n, idx, _ in want[0].blocks)
+
+    def refuse(*args):
+        raise AssertionError("gibbs_state read class_block")
+
+    monkeypatch.setattr(fock.FockOperator, "class_block", refuse)
+    calls = _count_solvers(monkeypatch)
+    _assert_same_gibbs(gl.gibbs_state(H, T), want)
+    assert calls == {"evd": len(want[0].blocks) - tri, "stevd": tri}
+    if K == 2:
+        assert calls["evd"] == 0
+    else:
+        assert calls["evd"] > 25 and calls["stevd"] > 0
+
+
+def _csr_entry(A, r, c) -> int:
+    """Place of the stored entry (r, c) in A.data."""
+    lo, hi = A.indptr[r], A.indptr[r + 1]
+    k = lo + int(np.searchsorted(A.indices[lo:hi], c))
+    assert k < hi and A.indices[k] == c
+    return k
+
+
+def test_tridiagonal_route_reads_the_lower_triangle(basis_k2, tensor_k2):
+    # negative control: one upper off-diagonal entry moved by an ulp leaves
+    # H Hermitian to 1e-10 and the result unchanged, as evd (which reads
+    # the lower triangle) leaves it; the same move below does show
+    T = 10.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T)
+    n = 12
+    g = np.flatnonzero(H.labels[fb.sector_slice(n)] == 0) + fb.sector_offsets[n]
+    moved = {}
+    for side, (r, c) in {"upper": (g[0], g[1]), "lower": (g[1], g[0])}.items():
+        A = H.matrix.copy()
+        k = _csr_entry(A, r, c)
+        A.data[k] = np.nextafter(A.data[k], np.inf)
+        moved[side] = fock.FockOperator(fb, A, H.labels)
+    assert 0.0 < moved["upper"].hermiticity_defect() <= 1e-10
+    base = gl.gibbs_state(H, T)
+    _assert_same_gibbs(gl.gibbs_state(moved["upper"], T), base)
+    _assert_same_gibbs(gl.gibbs_state(moved["upper"], T),
+                       oracles.gibbs_blocks_csr(moved["upper"], T))
+    lower = gl.gibbs_state(moved["lower"], T)
+    _assert_same_gibbs(lower, oracles.gibbs_blocks_csr(moved["lower"], T))
+    assert any(not np.array_equal(a, b) for (*_, a), (*_, b)
+               in zip(lower[0].blocks, base[0].blocks))
+
+
+def test_parity_fallback_blocks_go_to_dense_evd(basis_k2, tensor_k2,
+                                                monkeypatch):
+    # control: a K=2 tensor that fails the parity check leaves one class per
+    # sector, and the pair term's n_1 -> n_1 +- 1 moves make its blocks
+    # pentadiagonal; only sectors of at most two states are tridiagonal
+    W = _with_forbidden_entry(tensor_k2)
+    tensor = gl.TwoBodyTensor.with_parity(W, tensor_k2.parity)
+    T = 5.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor, 1.0 / T)
+    assert not H.labels.any()
+    assert not _is_tridiagonal(fock.FockOperator.class_block(
+        H, fb.n_max, np.arange(fb.sector_dim(fb.n_max))))
+    want = oracles.gibbs_blocks_csr(H, T)
+    calls = _count_solvers(monkeypatch)
+    _assert_same_gibbs(gl.gibbs_state(H, T), want)
+    assert calls == {"evd": fb.n_max - 1, "stevd": 2}
+
+
+def test_complex_hermitian_tridiagonal_blocks_go_to_dense_evd(
+        basis_k2, tensor_k2, monkeypatch):
+    # D H D^H with a diagonal phase D keeps every block tridiagonal but
+    # makes it complex, which stevd cannot take
+    T = 5.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T)
+    D = sparse.diags(np.exp(1j * np.arange(fb.dim)))
+    Hc = fock.FockOperator(fb, (D @ H.matrix @ D.conj()).tocsr(), H.labels)
+    assert np.abs(Hc.matrix.data.imag).max() > 0.1
+    assert Hc.hermiticity_defect() <= 1e-10
+    want = oracles.gibbs_blocks_csr(Hc, T)
+    calls = _count_solvers(monkeypatch)
+    _assert_same_gibbs(gl.gibbs_state(Hc, T), want)
+    assert calls == {"evd": len(want[0].blocks), "stevd": 0}
+
+
+def test_gibbs_state_sums_duplicate_entries(basis_k2, tensor_k2):
+    # a CSR matrix with every entry stored as two halves is the same
+    # operator; toarray sums them, and so must the COO route
+    T = 5.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T)
+    A = H.matrix
+    halves = sparse.csr_matrix((np.repeat(A.data / 2, 2),
+                                np.repeat(A.indices, 2), 2 * A.indptr),
+                               shape=A.shape)
+    assert not halves.has_canonical_format
+    _assert_same_gibbs(gl.gibbs_state(fock.FockOperator(fb, halves, H.labels),
+                                      T), gl.gibbs_state(H, T))
+
+
+def test_tridiagonal_solver_failure_is_raised(basis_k2, tensor_k2,
+                                             monkeypatch):
+    fb = gl.build_fock_basis(2, 6)
+    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 0.5)
+    monkeypatch.setattr(fock, "dstevd",
+                        lambda d, e: (d, np.eye(d.size), 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+        gl.gibbs_state(H, 1.0)
 
 
 def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
