@@ -135,40 +135,48 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: duplicate key {key}")
         kv[key] = val
 
+    def pop(key, kind, *default):
+        """kv.pop(key, *default) as kind; a bad value's error names key."""
+        text = kv.pop(key, *default)
+        try:
+            return kind(text)
+        except ValueError:
+            what = {int: "an integer", float: "a number"}.get(kind, "numbers")
+            raise ValueError(f"config key {key}: expected {what}, "
+                             f"got {text!r}") from None
+
     domain = kv.pop("domain", "interval").lower()
     if domain == "interval":
         spec = OneBodySpec.interval(bc=kv.pop("bc", "dirichlet"),
-                                    m=float(kv.pop("m", 1.0)),
-                                    grid_points=int(kv.pop("grid_points", 512)))
+                                    m=pop("m", float, 1.0),
+                                    grid_points=pop("grid_points", int, 512))
         kv.pop("a", None), kv.pop("half_width", None)
     elif domain == "anharmonic":
         if "a" not in kv or "half_width" not in kv:
             raise ValueError("anharmonic domain needs a and half_width")
         spec = OneBodySpec.anharmonic_line(
-            a=float(kv.pop("a")), half_width=float(kv.pop("half_width")),
-            m=float(kv.pop("m", 0.0)),
-            grid_points=int(kv.pop("grid_points", 1024)))
+            a=pop("a", float), half_width=pop("half_width", float),
+            m=pop("m", float, 0.0),
+            grid_points=pop("grid_points", int, 1024))
         kv.pop("bc", None)
     else:
         raise ValueError(f"unknown domain {domain!r}")
 
     kernel = KernelSpec(name=kv.pop("kernel", "delta").lower(),
-                        g=float(kv.pop("g", 1.0)),
-                        width=float(kv.pop("width", 0.0)))
+                        g=pop("g", float, 1.0),
+                        width=pop("width", float, 0.0))
 
-    sched = tuple(float(t) for t in kv.pop("T_schedule", "5,10,20,40").split(","))
-    ints = {k: int(kv.pop(k)) for k in ("K", "k_max", "mc_samples", "seed",
-                                        "dim_budget", "trial_subsample",
-                                        "bl_samples", "n_blocks")
-            if k in kv}
-    floats = {k: float(kv.pop(k)) for k in ("coupling_rule", "n_max_policy")
-              if k in kv}
+    sched = pop("T_schedule", lambda v: tuple(map(float, v.split(","))),
+                "5,10,20,40")
+    # the int and float fields of ExperimentConfig that the file sets
+    nums = {f.name: pop(f.name, {"int": int, "float": float}[f.type])
+            for f in fields(ExperimentConfig)
+            if f.type in ("int", "float") and f.name in kv}
     out_dir = kv.pop("out_dir", "results")
     if kv:
         raise ValueError(f"unknown config keys: {sorted(kv)}")
-    return ExperimentConfig(spec=spec, kernel=kernel, K=ints.pop("K", 2),
-                            T_schedule=sched, out_dir=out_dir,
-                            **floats, **ints)
+    return ExperimentConfig(spec=spec, kernel=kernel, K=nums.pop("K", 2),
+                            T_schedule=sched, out_dir=out_dir, **nums)
 
 
 def read_config(path) -> ExperimentConfig:

@@ -18,6 +18,7 @@ the convergence driver.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,6 @@ class FockBasis:
     def matches(self, other: FockBasis) -> bool:
         """Same mode count and cutoff, hence the same enumerated basis."""
         return self.K == other.K and self.n_max == other.n_max
-
-    def rank_in_sector(self, occs: np.ndarray, n: int) -> np.ndarray:
-        keys = np.asarray(occs, dtype=np.int64) @ self.strides
-        return self.table[keys] - int(self.sector_offsets[n])
 
 
 def build_fock_basis(K: int, n_max: int, dim_budget: int = 20000) -> FockBasis:
@@ -329,16 +326,21 @@ def gibbs_state(H: FockOperator, T: float):
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
 
 
-def _branching_rows(basis: FockBasis, p: np.ndarray, rest: np.ndarray, n: int):
-    """Sector ranks of p + rest and the sqrt(prod C(p_j+r_j, p_j)) weights."""
-    source = rest + p[None, :]
-    ranks = basis.rank_in_sector(source, n)
-    logs = np.zeros(rest.shape[0])
-    for j in np.flatnonzero(p):
-        pj = int(p[j])
-        sj = source[:, j].astype(float)
-        logs += gammaln(sj + 1.0) - gammaln(sj - pj + 1.0) - math.lgamma(pj + 1.0)
-    return ranks, np.exp(0.5 * logs)
+def _branching_table(basis: FockBasis, k: int):
+    """k-body occupations p, basis indices of p + r and the weights
+    sqrt(prod_j C(p_j + r_j, p_j)): a row per p, a column per basis state r
+    of sectors 0..n_max-k, so sector n - k's columns branch sector n."""
+    occs_k = symspace.multi_indices(basis.K, k)
+    rest = basis.occupations[:basis.sector_offsets[basis.n_max - k + 1]]
+    rows = basis.table[(occs_k @ basis.strides)[:, None]
+                       + (rest @ basis.strides)[None, :]]
+    lgamma_p = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
+    logs = np.zeros(rows.shape)
+    for j in range(basis.K):
+        p = occs_k[:, j, None]
+        s = (p + rest[None, :, j]).astype(float)
+        logs += gammaln(s + 1.0) - gammaln(s - p + 1.0) - lgamma_p[p]
+    return occs_k, rows, np.exp(0.5 * logs)
 
 
 def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
@@ -347,39 +349,32 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     Expanding each sector's symmetric basis over Sym^k (x) Sym^(n-k) turns
     the weighted partial trace into the gather
         Gamma^(k)[p, q] = sum_n sum_r c(p,r) c(q,r) G_n[p+r, q+r],
-    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)). Each sector is one gather
-    of the Dk^2 |rest| entries G_n[p+r, q+r] and one reduction over r. The
-    gather reads the sector's class blocks laid end to end, and a pair in
-    different classes reads the exact zero put after them. A sector with no
-    block is zero and is skipped.
+    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)) from one branching table.
+    Each sector is one gather of the Dk^2 |rest| entries G_n[p+r, q+r] and
+    one reduction over r. The gather reads the sector's class blocks laid
+    end to end, and a pair in different classes reads the exact zero put
+    after them. A sector with no block is zero and is skipped.
     """
     basis = state.basis
     if not 1 <= k <= basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={basis.n_max}")
-    occs_k = symspace.multi_indices(basis.K, k)
-    Dk = occs_k.shape[0]
-    out = np.zeros((Dk, Dk), dtype=np.complex128)
-    by_sector = [[] for _ in range(basis.n_max + 1)]
-    for n, idx, G in state.blocks:
-        by_sector[n].append((idx, G))
-    for n in range(k, basis.n_max + 1):
-        if not by_sector[n]:
-            continue
-        rest = symspace.multi_indices(basis.K, n - k)
-        rows, coefs = map(np.array, zip(
-            *[_branching_rows(basis, p, rest, n) for p in occs_k]))
-        # class, place in the class and flat row start of each sector index
-        cls, pos, start = np.empty((3, basis.sector_dim(n)), dtype=np.int64)
-        flat, off = [], 0
-        for c, (idx, G) in enumerate(by_sector[n]):
-            cls[idx], pos[idx] = c, np.arange(idx.size)
-            start[idx] = off + pos[idx] * idx.size
-            flat.append(G.ravel())
-            off += G.size
-        a, b = rows[:, None, :], rows[None, :, :]
-        vals = np.concatenate(flat + [np.zeros(1)])[
-            np.where(cls[a] == cls[b], start[a] + pos[b], off)]
-        out += (coefs[:, None, :] * coefs[None, :, :] * vals).sum(axis=-1)
+    occs_k, rows, coefs = _branching_table(basis, k)
+    out = np.zeros((occs_k.shape[0],) * 2, dtype=np.complex128)
+    # block, place in the block and row start in its sector's flat copy
+    cls, pos, start = np.empty((3, basis.dim), dtype=np.int64)
+    flat = [[] for _ in range(basis.n_max + 1)]
+    for c, (n, idx, G) in enumerate(state.blocks):
+        g = idx + basis.sector_offsets[n]
+        cls[g], pos[g] = c, np.arange(idx.size)
+        start[g] = sum(map(len, flat[n])) + pos[g] * idx.size
+        flat[n].append(G.ravel())
+    for n in sorted({m for m, *_ in state.blocks if m >= k}):
+        cols = basis.sector_slice(n - k)
+        a, b = rows[:, None, cols], rows[None, :, cols]
+        vals = np.concatenate(flat[n] + [np.zeros(1)])[
+            np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
+        c = coefs[:, cols]
+        out += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
     out = 0.5 * (out + out.conj().T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
 
@@ -517,14 +512,15 @@ def free_sector_weights(eigenvalues: np.ndarray, T: float, n_cap: int) -> np.nda
 def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
                  dim_budget: int = 20000) -> int:
     """Smallest cutoff (at least 4) past half the free state's mass whose
-    top two sectors carry mass < tail.
+    top two sectors carry mass < tail, masses normalized by the closed-form
+    free partition function Z_0 = prod_j (1 - exp(-lambda_j/T))^-1.
 
-    Masses are normalized by the closed-form free partition function
-    prod_j (1 - exp(-lambda_j/T))^-1. The half-mass rule keeps a very hot
-    state's nearly empty low sectors from passing. The search doubles its
-    window from 64 up to the largest cutoff within dim_budget; as N >= N_1,
-    the lowest mode's occupation, half the mass needs n + 1 > T log 2 /
-    lambda_1, which refuses a hot point before any search.
+    The half-mass rule keeps a very hot state's nearly empty low sectors
+    from passing. As N >= N_1, the lowest mode's occupation, it needs
+    n + 1 > T log 2 / lambda_1, which refuses a hot point at once. The
+    weights are computed once, up to the largest cutoff within dim_budget
+    or, if lower, the first n where the Chernoff bound E[e^sN] e^-s(n-1) on
+    P(N >= n - 1), s = 3 lambda_1 / 4T, is below min(tail, 1/2).
     """
     if not 0 < T < math.inf:
         raise ValueError("temperature must be positive and finite")
@@ -534,26 +530,21 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
     if eigenvalues.min() <= 0:
         raise ValueError("free state needs positive one-body eigenvalues")
     K = eigenvalues.size
-    n_top, step = -1, 1  # largest cutoff whose basis fits dim_budget
-    while math.comb(K + n_top + step, K) <= dim_budget:
-        step *= 2
-    while step:
-        if math.comb(K + n_top + step, K) <= dim_budget:
-            n_top += step
-        step //= 2
+    # the largest cutoff whose basis fits dim_budget
+    n_top = bisect_right(range(int(dim_budget) + 1), dim_budget,
+                         key=lambda n: math.comb(K + n, K)) - 1
     if n_top >= _N_MAX_FLOOR \
             and n_top + 2 > T * math.log(2) / float(eigenvalues.min()):
-        z = math.exp(-np.sum(np.log(-np.expm1(-eigenvalues / T))))
-        cap = min(64, n_top)
-        while True:
-            w = free_sector_weights(eigenvalues, T, cap) / z
-            ok = np.flatnonzero((w[:-1] + w[1:] < tail)
-                                & (np.cumsum(w)[1:] > 0.5))
-            if ok.size:
-                return max(int(ok[0]) + 1, _N_MAX_FLOOR)
-            if cap == n_top:
-                break
-            cap = min(2 * cap, n_top)
+        log_free = np.sum(np.log(-np.expm1(-eigenvalues / T)))  # -log Z_0
+        # log E[e^sN] of N, a sum of independent geometric occupations
+        s = 0.75 * float(eigenvalues.min()) / T
+        log_mgf = log_free - np.sum(np.log(-np.expm1(s - eigenvalues / T)))
+        cap = min(n_top, 2 + int((log_mgf - math.log(min(tail, 0.5))) / s))
+        w = free_sector_weights(eigenvalues, T, cap) / math.exp(-log_free)
+        ok = np.flatnonzero((w[:-1] + w[1:] < tail)
+                            & (np.cumsum(w)[1:] > 0.5))
+        if ok.size:
+            return max(int(ok[0]) + 1, _N_MAX_FLOOR)
     raise ValueError(
         f"tail policy at T={T:g} needs n_max > {n_top} "
         f"(dim > {math.comb(K + n_top, K)}), over the budget {dim_budget}")

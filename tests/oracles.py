@@ -10,13 +10,17 @@ themselves come from the package). The relative entropy and the Husimi
 density of plain matrices are the whole-space definitions, with no sector
 structure; so is the mixture of coherent projectors, whose symmetry average
 is its real part pinched to (sector, class) blocks. A state that leaves a
-sector out is padded with explicit zero blocks there. The per-pair partial trace shares the package's branching rows
-and checks only the contraction over them. The sector-gather amplitudes
-share the package's parent rows and keep the one-gather-per-sector loop
-that `occupation_products` must reproduce bit for bit. The moment matrices
+sector out is padded with explicit zero blocks there. The per-pair
+partial trace keeps the per-occupation branching loop the package's
+branching table replaced: for each k-body occupation p it looks up p + r
+in the basis table and sums gammaln terms over the modes p occupies. The
+sector-gather amplitudes share the package's parent rows and keep the
+one-gather-per-sector loop that `occupation_products` must reproduce bit
+for bit. The moment matrices
 are dense weighted sums of per-sample outer products. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
-the dense divide-and-conquer driver.
+the dense divide-and-conquer driver. The free-state cutoff sums the free
+Gibbs weights over the enumerated basis and scans every cutoff in budget.
 """
 
 import math
@@ -27,8 +31,8 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from gibbslab import MomentMatrix, husimi_density, symspace
-from gibbslab.fock import DiagonalState, FockState, _branching_rows
+from gibbslab import MomentMatrix, build_fock_basis, husimi_density, symspace
+from gibbslab.fock import DiagonalState, FockState
 from gibbslab.kernels import _parents
 
 
@@ -310,6 +314,18 @@ def husimi_kl_quadrature(state, ref, eps: float, r_max: float, nr: int = 200,
                         * area[mask]))
 
 
+def branching_rows(basis, p: np.ndarray, rest: np.ndarray, n: int):
+    """Sector ranks of p + rest and the sqrt(prod C(p_j+r_j, p_j)) weights."""
+    source = rest + p[None, :]
+    ranks = basis.table[source @ basis.strides] - int(basis.sector_offsets[n])
+    logs = np.zeros(rest.shape[0])
+    for j in np.flatnonzero(p):
+        pj = int(p[j])
+        sj = source[:, j].astype(float)
+        logs += gammaln(sj + 1.0) - gammaln(sj - pj + 1.0) - math.lgamma(pj + 1.0)
+    return ranks, np.exp(0.5 * logs)
+
+
 def reduced_density_matrix_pairs(state, k: int):
     """k-body marginal by the per-pair partial trace: for each pair (p, q)
     of k-body occupations, sum_r c(p,r) c(q,r) G_n[p+r, q+r] over sectors,
@@ -323,13 +339,35 @@ def reduced_density_matrix_pairs(state, k: int):
         G = dense_sector(state, n)
         rest = symspace.multi_indices(basis.K, n - k)
         ridx = np.arange(rest.shape[0])
-        rows, coefs = zip(*[_branching_rows(basis, p, rest, n) for p in occs_k])
+        rows, coefs = zip(*[branching_rows(basis, p, rest, n) for p in occs_k])
         for a in range(Dk):
             ga = G[rows[a]]
             for b in range(Dk):
                 out[a, b] += np.sum(coefs[a] * coefs[b] * ga[ridx, rows[b]])
     out = 0.5 * (out + out.conj().T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
+
+
+def brute_force_cutoff(eigenvalues, T: float, tail: float, dim_budget: int):
+    """Smallest n >= 4 within dim_budget whose sectors n - 1 and n hold
+    free mass < tail and whose sectors 0..n hold more than half of it, or
+    None. Sector masses sum exp(-E/T)/Z_0 over the enumerated basis, with
+    Z_0 = prod_j (1 - exp(-lambda_j/T))^-1."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    K = lam.size
+    n_top = 0
+    while math.comb(K + n_top + 1, K) <= dim_budget:
+        n_top += 1
+    if n_top < 4:
+        return None
+    fb = build_fock_basis(K, n_top, dim_budget)
+    log_z0 = -np.sum(np.log1p(-np.exp(-lam / T)))
+    p = np.exp(-(fb.occupations @ lam) / T - log_z0)
+    mass = np.array([p[fb.sector_slice(n)].sum() for n in range(n_top + 1)])
+    for n in range(4, n_top + 1):
+        if mass[n - 1] + mass[n] < tail and mass[:n + 1].sum() > 0.5:
+            return n
+    return None
 
 
 def gibbs_blocks_csr(H, T: float):

@@ -72,6 +72,20 @@ def test_parse_config_errors():
         parse_config(desk + "\nK = 3\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("mc_samples = 1e5", "config key mc_samples: expected an integer, "
+                         "got '1e5'"),
+    ("coupling_rule = one", "config key coupling_rule: expected a number, "
+                            "got 'one'"),
+    ("T_schedule = 5,,10", "config key T_schedule: expected numbers, "
+                           "got '5,,10'"),
+], ids=["int", "float", "schedule"])
+def test_parse_config_names_the_key_of_a_bad_number(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"K = 1\n{line}\n")
+    assert str(info.value) == message
+
+
 def test_kernel_spec_realize(basis_k2):
     grid = basis_k2.grid
     assert KernelSpec("delta", g=2.0).realize(grid).g == 2.0
@@ -786,6 +800,16 @@ def test_cli_anharmonic_without_a_or_half_width_is_an_error(tmp_path, capsys,
     assert cli.main(["spectrum", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: anharmonic domain needs a and half_width"
+
+
+def test_cli_bad_number_is_a_one_line_error(config_file, tmp_path, capsys):
+    config_file.write_text(config_file.read_text().replace(
+        "mc_samples = 4000", "mc_samples = 1e5"))
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: config key mc_samples: expected an integer, "
+                   "got '1e5'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_exit_code(tmp_path):

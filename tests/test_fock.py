@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 import gibbslab as gl
-from gibbslab import fock
+from gibbslab import fock, symspace
 
 import oracles
 
@@ -25,7 +25,8 @@ def test_basis_order_and_offsets():
     assert fb.occupations.tolist() == [[0, 0], [1, 0], [0, 1],
                                        [2, 0], [1, 1], [0, 2]]
     assert fb.sector_offsets.tolist() == [0, 1, 3, 6]
-    assert fb.rank_in_sector(np.array([[1, 1]]), 2).tolist() == [1]
+    # (1, 1) is the second state of sector 2
+    assert fb.table[np.array([1, 1]) @ fb.strides] - fb.sector_offsets[2] == 1
 
 
 def test_basis_budget_overflow():
@@ -325,14 +326,19 @@ def test_rdm_routes_agree_on_random_states():
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["complex", "real", "gibbs"]),
+       kind=st.sampled_from(["complex", "real", "gibbs", "gaps"]),
        data=st.data())
 def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
-    k = data.draw(st.integers(1, min(3, n_max)), label="k")
+    # "gaps": a two-class Gibbs state with the blocks of some sectors
+    # dropped, the way a trial state is stored
+    k = data.draw(st.sampled_from(sorted({*range(1, min(3, n_max) + 1),
+                                          n_max})), label="k")
     fb = gl.build_fock_basis(K, n_max)
-    if kind == "gibbs":
+    if kind in ("gibbs", "gaps"):
         rng = np.random.default_rng(seed)
         parity = rng.integers(0, 2, K)
+        if kind == "gaps":
+            parity[0], parity[-1] = 0, 1
         tensor = gl.TwoBodyTensor.with_parity(
             _random_reflection_tensor(K, parity, rng), parity)
         H = gl.build_hamiltonian(fb, np.sort(rng.uniform(0.5, 5.0, K)),
@@ -343,9 +349,44 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     if kind == "real":
         state = fock.FockState.from_sectors(
             fb, [G.real for *_, G in state.blocks])
+    want_state = state
+    if kind == "gaps":
+        kept = rng.integers(0, 2, n_max + 1).astype(bool)
+        state = fock.FockState(fb, tuple(b for b in state.blocks
+                                         if kept[b[0]]))
+        want_state = oracles.padded(state, want_state)
+        if K >= 2 and n_max >= 2:
+            assert len({b[0] for b in want_state.blocks}) \
+                < len(want_state.blocks)
+    occs_k, rows, coefs = fock._branching_table(fb, k)
+    assert np.array_equal(occs_k, symspace.multi_indices(K, k))
+    offsets = fb.sector_offsets
+    for n in range(k, n_max + 1):
+        cols = slice(offsets[n - k], offsets[n - k + 1])
+        rest = symspace.multi_indices(K, n - k)
+        for a, p in enumerate(occs_k):
+            ranks, c = oracles.branching_rows(fb, p, rest, n)
+            assert np.array_equal(rows[a, cols] - offsets[n], ranks)
+            assert coefs[a, cols].tobytes() == c.tobytes()
     got = gl.reduced_density_matrix(state, k).entries
     assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
-        state, k).entries)
+        want_state, k).entries)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_branching_table_weights_are_binomial(K, k):
+    n_max = k + 4
+    fb = gl.build_fock_basis(K, n_max)
+    occs_k, rows, coefs = fock._branching_table(fb, k)
+    rest = fb.occupations[:fb.sector_offsets[n_max - k + 1]]
+    assert rows.shape == coefs.shape == (occs_k.shape[0], rest.shape[0])
+    for a, p in enumerate(occs_k):
+        for r, occ in enumerate(rest):
+            assert np.array_equal(fb.occupations[rows[a, r]], p + occ)
+            exact = math.sqrt(math.prod(math.comb(int(x + y), int(x))
+                                        for x, y in zip(p, occ)))
+            assert abs(coefs[a, r] - exact) <= 1e-15 * exact
 
 
 def _random_charge_tensor(K, charge, rng):
@@ -698,6 +739,26 @@ def test_choose_n_max_work_follows_the_cutoff(monkeypatch):
     with pytest.raises(ValueError, match="over the budget"):
         gl.choose_n_max(lam, 1e12, tail=1e-8, dim_budget=10**9)
     assert caps == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=st.integers(1, 4), data=st.data(), T=st.floats(0.1, 50.0),
+       log_tail=st.floats(-14.0, -2.0), dim_budget=st.integers(10, 2000))
+def test_choose_n_max_is_the_brute_force_cutoff(K, data, T, log_tail,
+                                                dim_budget):
+    # for tail <= 1/4 the first n >= 4 meeting both rules is also the
+    # floor 4 applied to the first n >= 1 meeting them: the free sector
+    # masses are log-concave
+    lam = np.sort(data.draw(st.lists(st.floats(0.2, 10.0), min_size=K,
+                                     max_size=K), label="eigenvalues"))
+    tail = 10.0 ** log_tail
+    want = oracles.brute_force_cutoff(lam, T, tail, dim_budget)
+    if want is None:
+        with pytest.raises(ValueError, match="over the budget"):
+            gl.choose_n_max(lam, T, tail=tail, dim_budget=dim_budget)
+    else:
+        assert gl.choose_n_max(lam, T, tail=tail,
+                               dim_budget=dim_budget) == want
 
 
 @pytest.mark.parametrize("T", [2.0, 5.0])
