@@ -84,18 +84,20 @@ def cmd_quantum(args) -> int:
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
     out = _ensure_out(cfg)
     gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
-    split = fock.energy_decomposition(gibbs, basis.eigenvalues, tensor, lam)
+    marginals = {k: fock.reduced_density_matrix(gibbs, k)
+                 for k in range(1, min(cfg.k_max, n_max) + 1)}
+    pair = (fock.pair_energy(marginals[2], tensor, lam)
+            if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
     info = {"T": T, "lambda": lam, "n_max": n_max, "dim": fb.dim,
             "log_z": point.log_z, "log_z_free": point.log_z_free,
             "tail_mass": gibbs.tail_mass(),
             "particle_number": fock.particle_number(gibbs),
-            "energy": {"total": split.total, "one_body": split.one_body,
-                       "two_body": split.two_body}}
+            "energy": {"total": point.energy,
+                       "one_body": point.one_body_energy, "two_body": pair}}
     with open(os.path.join(out, "quantum.json"), "w", encoding="utf-8") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
-    for k in range(1, min(cfg.k_max, n_max) + 1):
-        classical.moments_to_csv(fock.reduced_density_matrix(gibbs, k),
-                                 os.path.join(out, f"quantum_k{k}.csv"))
+    for k, g_k in marginals.items():
+        classical.moments_to_csv(g_k, os.path.join(out, f"quantum_k{k}.csv"))
     print(f"T={T} lambda={lam:.6g} n_max={n_max} dim={fb.dim} "
           f"<N>={info['particle_number']:.4f} tail={info['tail_mass']:.2e}")
     return 0

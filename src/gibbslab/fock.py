@@ -132,10 +132,9 @@ class FockOperator:
     matrix: sparse.csr_matrix
     labels: np.ndarray
 
-    def class_block(self, n: int, idx: np.ndarray) -> np.ndarray:
-        """The dense block on the in-sector indices idx of sector n."""
-        g = idx + self.basis.sector_offsets[n]
-        return self.matrix[g][:, g].toarray()
+    def class_block(self, rows: np.ndarray) -> np.ndarray:
+        """The dense block on the basis indices rows."""
+        return self.matrix[rows][:, rows].toarray()
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.T.conjugate()
@@ -175,10 +174,10 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
 @dataclass(frozen=True)
 class FockState:
     """Positive trace-one operator commuting with the number operator and
-    zero between classes: blocks holds (n, idx, G) in sector order, G the
-    state on the in-sector basis indices idx of one class of sector n. The
-    blocks of a stored sector partition that sector, and a sector with no
-    block is zero. One diagonal in the occupation basis can be a
+    zero between classes: blocks holds (n, rows, G) in sector order, G the
+    state on the basis indices rows (ascending) of one class of sector n.
+    The blocks of a stored sector partition that sector, and a sector with
+    no block is zero. One diagonal in the occupation basis can be a
     DiagonalState instead."""
 
     basis: FockBasis
@@ -187,15 +186,14 @@ class FockState:
     @classmethod
     def from_sectors(cls, basis: FockBasis, mats) -> FockState:
         """One class per sector: mats[n] is the whole block of sector n."""
-        return cls(basis, tuple((n, np.arange(len(G)), G)
-                                for n, G in enumerate(mats)))
+        rows = np.split(np.arange(basis.dim), basis.sector_offsets[1:-1])
+        return cls(basis, tuple(zip(range(basis.n_max + 1), rows, mats)))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.basis.dim,) * 2,
                        dtype=np.result_type(*(G for *_, G in self.blocks)))
-        for n, idx, G in self.blocks:
-            i = idx + self.basis.sector_offsets[n]
-            out[i[:, None], i] = G
+        for _, rows, G in self.blocks:
+            out[rows[:, None], rows] = G
         return out
 
     def sector_probabilities(self) -> np.ndarray:
@@ -203,8 +201,8 @@ class FockState:
         # a sector with no block keeps its zeros
         diag = np.zeros(self.basis.dim,
                         dtype=np.result_type(*(G for *_, G in self.blocks)))
-        for n, idx, G in self.blocks:
-            diag[idx + self.basis.sector_offsets[n]] = np.diagonal(G)
+        for _, rows, G in self.blocks:
+            diag[rows] = np.diagonal(G)
         return np.real([diag[self.basis.sector_slice(n)].sum()
                         for n in range(self.basis.n_max + 1)])
 
@@ -232,8 +230,8 @@ class DiagonalState:
 def _class_entries(H: FockOperator, M: sparse.coo_matrix, sector: np.ndarray):
     """The (sector, class) blocks of H from M, its COO with no duplicates.
 
-    Yields (n, idx, r, c, v) per block: idx its in-sector basis indices in
-    basis order and v the stored entries at the in-block positions (r, c).
+    Yields (n, rows, r, c, v) per block: rows its basis indices in basis
+    order and v the stored entries at the in-block positions (r, c).
     Blocks run over sectors in ascending order and over the labels of a
     sector in ascending order; sector[i] is the sector of basis state i. An
     entry between two blocks is dropped, so gibbs_state refuses a nonzero
@@ -257,9 +255,8 @@ def _class_entries(H: FockOperator, M: sparse.coo_matrix, sector: np.ndarray):
     bounds = np.searchsorted(block[rows], np.arange(edges.size))
     for b in range(edges.size - 1):
         states = order[edges[b]:edges[b + 1]]
-        n = int(sector[states[0]])
         lo, hi = bounds[b], bounds[b + 1]
-        yield (n, states - basis.sector_offsets[n], pos[rows[lo:hi]],
+        yield (int(sector[states[0]]), states, pos[rows[lo:hi]],
                pos[cols[lo:hi]], vals[lo:hi])
 
 
@@ -298,8 +295,8 @@ def gibbs_state(H: FockOperator, T: float):
         raise ValueError("a sector block couples states of different classes")
     eigs = [[] for _ in range(basis.n_max + 1)]
     solved = []
-    for n, idx, r, c, v in _class_entries(H, M, sector):
-        m = idx.size
+    for n, rows, r, c, v in _class_entries(H, M, sector):
+        m = rows.size
         if not np.iscomplexobj(v) and np.all(np.abs(r - c) <= 1):
             diag, lower = r == c, r == c + 1
             d, e = np.zeros(m), np.zeros(max(m - 1, 1))
@@ -314,15 +311,15 @@ def gibbs_state(H: FockOperator, T: float):
             B[r, c] = v
             lam, U = eigh(B, overwrite_a=True, driver="evd")
         eigs[n].append(lam)
-        solved.append((n, idx, lam, U))
+        solved.append((n, rows, lam, U))
     eigs = np.concatenate([np.sort(np.concatenate(lams)) for lams in eigs])
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
     blocks = []
     solved.reverse()
     while solved:
-        n, idx, lam, U = solved.pop()
-        blocks.append((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
+        n, rows, lam, U = solved.pop()
+        blocks.append((n, rows, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
 
 
@@ -363,10 +360,9 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     # block, place in the block and row start in its sector's flat copy
     cls, pos, start = np.empty((3, basis.dim), dtype=np.int64)
     flat = [[] for _ in range(basis.n_max + 1)]
-    for c, (n, idx, G) in enumerate(state.blocks):
-        g = idx + basis.sector_offsets[n]
-        cls[g], pos[g] = c, np.arange(idx.size)
-        start[g] = sum(map(len, flat[n])) + pos[g] * idx.size
+    for c, (n, g, G) in enumerate(state.blocks):
+        cls[g], pos[g] = c, np.arange(g.size)
+        start[g] = sum(map(len, flat[n])) + pos[g] * g.size
         flat[n].append(G.ravel())
     for n in sorted({m for m, *_ in state.blocks if m >= k}):
         cols = basis.sector_slice(n - k)
@@ -446,8 +442,8 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
     """tr[H state] and its exact split into one- and two-body marginals."""
     H = build_hamiltonian(state.basis, eigenvalues, tensor, lam)
     total = 0.0
-    for n, idx, G in state.blocks:
-        total += float(np.real(np.sum(H.class_block(n, idx).T * G)))
+    for _, rows, G in state.blocks:
+        total += float(np.real(np.sum(H.class_block(rows).T * G)))
     g1 = reduced_density_matrix(state, 1)
     one_body = float(np.real(np.sum(np.asarray(eigenvalues)
                                     * np.diag(g1.entries))))
@@ -471,11 +467,11 @@ def relative_entropy(state: FockState, ref: DiagonalState) -> float:
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
     total, stray = 0.0, 0.0
-    for n, idx, G in state.blocks:
+    for _, rows, G in state.blocks:
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        q = ref.p[idx + state.basis.sector_offsets[n]]
+        q = ref.p[rows]
         mass = np.real(np.diagonal(G))
         stray += float(mass[q <= 0.0].sum())
         total -= float(np.sum(mass * np.log(np.clip(q, _LOG_FLOOR, None))))
@@ -592,9 +588,8 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))
     free = DiagonalState(basis, np.exp(-E / T - log_z_free))
-    offsets = basis.sector_offsets
-    one_body = sum(float(np.real(np.diagonal(G)) @ E[idx + offsets[n]])
-                   for n, idx, G in gibbs.blocks)
+    one_body = sum(float(np.real(np.diagonal(G)) @ E[rows])
+                   for _, rows, G in gibbs.blocks)
     return ThermalPoint(
         T=T, lam=lam, basis=basis, gibbs=gibbs, free=free, log_z=log_z,
         log_z_free=log_z_free, energy=energy, one_body_energy=one_body,

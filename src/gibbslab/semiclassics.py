@@ -100,7 +100,7 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     on the (sector, class) blocks of layout.
 
     layout is the Gibbs state the trial state is compared with; only its
-    blocks' (n, idx) are read. The sampled measure, H_lam and the free state
+    blocks' (n, rows) are read. The sampled measure, H_lam and the free state
     are invariant under the global phase alpha -> e^{i theta} alpha, under
     complex conjugation alpha -> conj(alpha) (the modes and W are real) and
     under the reflection x -> -x (the mode parity). Each projector is
@@ -160,9 +160,8 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     reached = np.zeros(basis.n_max + 1, dtype=bool)
     for n_lo, n_hi in windows:
         reached[n_lo:n_hi + 1] = True
-    kept = [(m, idx) for m, idx, _ in layout.blocks if reached[m]]
-    rows = [idx + offsets[m] for m, idx in kept]
-    sums = [np.zeros((idx.size, idx.size)) for _, idx in kept]
+    kept = [(m, rows) for m, rows, _ in layout.blocks if reached[m]]
+    sums = [np.zeros((rows.size, rows.size)) for _, rows in kept]
     for s, (n_lo, n_hi) in zip(chunks, windows):
         A = occupation_products(vs[s], basis.occupations[:offsets[n_hi + 1]],
                                 gauss[s])
@@ -170,13 +169,13 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
         # interleaves the real and imaginary part of each sample's column
         X = A.view(np.float64)
         w2 = np.repeat(w[s], 2)
-        for (m, _), i, G in zip(kept, rows, sums):
+        for (m, rows), G in zip(kept, sums):
             if n_lo <= m <= n_hi:
-                Xi = X[i]
+                Xi = X[rows]
                 G += (Xi * w2) @ Xi.T
     tr = sum(float(np.trace(G)) for G in sums)
-    return FockState(basis, tuple((m, idx, G / tr)
-                                  for (m, idx), G in zip(kept, sums)))
+    return FockState(basis, tuple((m, rows, G / tr)
+                                  for (m, rows), G in zip(kept, sums)))
 
 
 def _contract(state: FockState | DiagonalState, A: np.ndarray,
@@ -194,15 +193,14 @@ def _contract(state: FockState | DiagonalState, A: np.ndarray,
         p = state.p[:A.shape[0]]
         return np.einsum("i,ij,ij->j", p, X, X).reshape(-1, 2).sum(axis=1)
     val = np.zeros(A.shape[1])
-    for n, idx, G in state.blocks:
+    for n, rows, G in state.blocks:
         if n > n_hi:
             break
-        i = idx + state.basis.sector_offsets[n]
         if np.isrealobj(G):
-            Xi = X[i]
+            Xi = X[rows]
             val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
         else:
-            Ai = A[i]
+            Ai = A[rows]
             val += np.real(np.einsum("ij,ij->j", Ai.conj(), G @ Ai))
     return val
 

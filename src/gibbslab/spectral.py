@@ -141,20 +141,15 @@ class DiscreteOperator:
 def build_operator(spec: OneBodySpec) -> DiscreteOperator:
     """Assemble the finite-difference operator for a OneBodySpec."""
     n = spec.grid_points
-    if spec.domain == "anharmonic":
-        L = float(spec.half_width)
+    if spec.domain == "anharmonic" or spec.bc == "dirichlet":
+        # Dirichlet walls on [-L, L]: the anharmonic well, or the interval
+        anharmonic = spec.domain == "anharmonic"
+        L = float(spec.half_width) if anharmonic else 1.0
         dx = 2.0 * L / (n + 1)
         nodes = -L + dx * np.arange(1, n + 1)
-        potential = np.abs(nodes) ** spec.a + spec.m
+        potential = np.abs(nodes) ** spec.a + spec.m if anharmonic \
+            else np.full(n, spec.m)
         diag = 2.0 / dx**2 + potential
-        off = np.full(n - 1, -1.0 / dx**2)
-        grid = Grid(nodes, np.full(n, dx), dx)
-        return DiscreteOperator(diag, off, 0.0, grid, spec)
-
-    if spec.bc == "dirichlet":
-        dx = 2.0 / (n + 1)
-        nodes = -1.0 + dx * np.arange(1, n + 1)
-        diag = np.full(n, 2.0 / dx**2 + spec.m)
         off = np.full(n - 1, -1.0 / dx**2)
         grid = Grid(nodes, np.full(n, dx), dx)
         return DiscreteOperator(diag, off, 0.0, grid, spec)

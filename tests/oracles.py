@@ -155,9 +155,8 @@ def pinched(matrix: np.ndarray, basis, labels=None) -> FockState:
     for n in range(basis.n_max + 1):
         lab = labels[basis.sector_slice(n)]
         for c in np.unique(lab):
-            idx = np.flatnonzero(lab == c)
-            g = idx + int(basis.sector_offsets[n])
-            blocks.append((n, idx, matrix[np.ix_(g, g)]))
+            rows = np.flatnonzero(lab == c) + int(basis.sector_offsets[n])
+            blocks.append((n, rows, matrix[np.ix_(rows, rows)]))
     return FockState(basis=basis, blocks=tuple(blocks))
 
 
@@ -166,8 +165,8 @@ def padded(state: FockState, layout: FockState) -> FockState:
     layout in a sector where state has none: the zero-padded form that a
     missing sector stands for."""
     held = {n for n, _, _ in state.blocks}
-    zeros = [(n, idx, np.zeros((idx.size, idx.size)))
-             for n, idx, _ in layout.blocks if n not in held]
+    zeros = [(n, rows, np.zeros((rows.size, rows.size)))
+             for n, rows, _ in layout.blocks if n not in held]
     blocks = sorted(list(state.blocks) + zeros, key=lambda b: b[0])
     return FockState(basis=state.basis, blocks=tuple(blocks))
 
@@ -175,10 +174,11 @@ def padded(state: FockState, layout: FockState) -> FockState:
 def dense_sector(state: FockState, n: int) -> np.ndarray:
     """Sector n of a state as one dense block, zero between its classes."""
     d = state.basis.sector_dim(n)
-    parts = [(idx, G) for m, idx, G in state.blocks if m == n]
+    parts = [(rows, G) for m, rows, G in state.blocks if m == n]
     out = np.zeros((d, d), dtype=np.result_type(*(G for _, G in parts)))
-    for idx, G in parts:
-        out[np.ix_(idx, idx)] = G
+    for rows, G in parts:
+        i = rows - int(state.basis.sector_offsets[n])
+        out[np.ix_(i, i)] = G
     return out
 
 
@@ -186,9 +186,9 @@ def diagonal_of(state: FockState) -> DiagonalState:
     """The diagonal of a state whose every class block is exactly diagonal;
     asserts that each one is."""
     p = np.empty(state.basis.dim)
-    for n, idx, G in state.blocks:
+    for _, rows, G in state.blocks:
         assert not np.any(G - np.diag(np.diagonal(G))), "block not diagonal"
-        p[idx + int(state.basis.sector_offsets[n])] = np.real(np.diagonal(G))
+        p[rows] = np.real(np.diagonal(G))
     return DiagonalState(state.basis, p)
 
 
@@ -380,15 +380,14 @@ def gibbs_blocks_csr(H, T: float):
         labels = H.labels[basis.sector_slice(n)]
         parts = []
         for c in np.unique(labels):
-            idx = np.flatnonzero(labels == c)
-            g = idx + basis.sector_offsets[n]
-            B = H.matrix[g][:, g].toarray()
-            parts.append((n, idx, *eigh(B, driver="evd")))
+            rows = np.flatnonzero(labels == c) + basis.sector_offsets[n]
+            B = H.matrix[rows][:, rows].toarray()
+            parts.append((n, rows, *eigh(B, driver="evd")))
         eigs.append(np.sort(np.concatenate([lam for _, _, lam, _ in parts])))
         solved += parts
     eigs = np.concatenate(eigs)
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
-    blocks = tuple((n, idx, (U * np.exp(-lam / T - log_z)) @ U.conj().T)
-                   for n, idx, lam, U in solved)
+    blocks = tuple((n, rows, (U * np.exp(-lam / T - log_z)) @ U.conj().T)
+                   for n, rows, lam, U in solved)
     return FockState(basis=basis, blocks=blocks), log_z, energy

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -188,7 +189,7 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
 
     def recording_gibbs(H, T):
         out = gibbs_state(H, T)
-        shapes = [H.class_block(n, idx) for n, idx, _ in out[0].blocks]
+        shapes = [H.class_block(rows) for _, rows, _ in out[0].blocks]
         tri = sum(not np.triu(h, 2).any() and not np.tril(h, -2).any()
                   for h in shapes)
         gibbs_blocks.append((tri, len(shapes) - tri))
@@ -223,14 +224,14 @@ def _corrupt_gibbs_coupling(monkeypatch):
     def corrupted(H, T):
         state, log_z, energy = build(H, T)
         blocks = list(state.blocks)
-        for i, (n, idx, G) in enumerate(blocks):
-            h = H.class_block(n, idx)
+        for i, (n, rows, G) in enumerate(blocks):
+            h = H.class_block(rows)
             a, b = np.nonzero(h - np.diag(np.diagonal(h)))
             if a.size:
                 G = G.copy()
                 G[a[0], b[0]] += 1e-6
                 G[b[0], a[0]] += 1e-6
-                blocks[i] = (n, idx, G)
+                blocks[i] = (n, rows, G)
                 break
         return fock.FockState(state.basis, tuple(blocks)), log_z, energy
 
@@ -381,8 +382,8 @@ def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
         top = point.basis.n_max
         eps = 1e-6 / point.basis.sector_dim(top)
         gibbs = fock.FockState(basis=point.basis, blocks=tuple(
-            (n, idx, (1.0 - 1e-6) * G + (n == top) * eps * np.eye(idx.size))
-            for n, idx, G in point.gibbs.blocks))
+            (n, rows, (1.0 - 1e-6) * G + (n == top) * eps * np.eye(rows.size))
+            for n, rows, G in point.gibbs.blocks))
         return dataclasses.replace(point, gibbs=gibbs)
 
     monkeypatch.setattr(fock, "solve_point", heavy_tail)
@@ -463,7 +464,7 @@ def test_selfchecks_pass(small_config):
     assert {"wick_k1", "wick_k2", "partial_trace_vs_normal_ordered",
             "number_identity", "energy_decomposition",
             "free_state_occupation", "mean_fnl_identity", "coherent_overlap",
-            "classical_fe_identity", "single_mode_log_z",
+            "classical_jensen_bound", "single_mode_log_z",
             "single_mode_quartic_zr", "seed_determinism", "class_split",
             "partial_trace_vs_normal_ordered_gibbs"} <= names
     for c in checks:
@@ -479,6 +480,31 @@ def test_selfchecks_on_free_case_count_tail_warnings_in_the_note():
     assert all(c.passed for c in by_name.values())
     assert by_name["coherent_overlap"].note == \
         "defect / tail-corrected bound; 2 TailWarning(s) at n_max 30"
+    assert by_name["classical_jensen_bound"].measured == 0.0
+    assert by_name["classical_jensen_bound"].note == "zero kernel: vacuous"
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CONFIGS, "*.cfg"))))
+def test_selfchecks_pass_on_committed_config(name):
+    cfg = gl.read_config(os.path.join(CONFIGS, name))
+    failed = [c.name for c in run_selfchecks(cfg) if not c.passed]
+    assert failed == []
+
+
+def test_jensen_bound_selfcheck_fails_on_doubled_reweighting(monkeypatch):
+    # negative control: F_NL doubled in the weights exp(-F_NL) only, not in
+    # the Wick closed form of <F_NL>_mu0, pushes -log Z_r past the bound
+    cfg = gl.read_config(os.path.join(CONFIGS, "desk.cfg"))
+    reweight = gl.classical.reweight
+
+    def doubled(ensemble, tensor):
+        return reweight(ensemble, dataclasses.replace(
+            tensor, entries=2.0 * tensor.entries))
+
+    monkeypatch.setattr(gl.classical, "reweight", doubled)
+    check = {c.name: c for c in run_selfchecks(cfg)}["classical_jensen_bound"]
+    assert not check.passed and check.measured > 10.0
 
 
 def test_selfchecks_negative_control(small_config):
@@ -496,12 +522,11 @@ def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
     def shifted(H, M, sector):
         # class 1 of every split sector moved up by 1e-6; whole sectors and
         # one-class sectors are left as they are
-        for n, idx, r, c, v in entries(H, M, sector):
-            if idx.size < H.basis.sector_dim(n) \
-                    and H.labels[idx[0] + H.basis.sector_offsets[n]] == 1:
-                assert np.array_equal(np.sort(r[r == c]), np.arange(idx.size))
+        for n, rows, r, c, v in entries(H, M, sector):
+            if rows.size < H.basis.sector_dim(n) and H.labels[rows[0]] == 1:
+                assert np.array_equal(np.sort(r[r == c]), np.arange(rows.size))
                 v = v + 1e-6 * (r == c)
-            yield n, idx, r, c, v
+            yield n, rows, r, c, v
 
     monkeypatch.setattr(fock, "_class_entries", shifted)
     by_name = {c.name: c for c in run_selfchecks(small_config)}
@@ -571,6 +596,36 @@ def test_cli_quantum(config_file, tmp_path):
     assert info["T"] == 2.0
     assert info["tail_mass"] < 1e-8
     assert (tmp_path / "out" / "quantum_k1.csv").exists()
+
+
+def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
+                                                 monkeypatch):
+    # <H> and <H_0> come from the solved point and the pair term from the
+    # written k = 2 marginal, so no energy split rebuilds H
+    build = fock.build_hamiltonian
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "build_hamiltonian", counting)
+    assert cli.main(["quantum", "--config", str(config_file),
+                     "--T", "2.0"]) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(fock, "build_hamiltonian", build)
+    energy = json.load(open(tmp_path / "out" / "quantum.json"))["energy"]
+    cfg = gl.read_config(str(config_file))
+    basis, _, tensor = gl.convergence.resolve(cfg)
+    point = fock.solve_point(basis.eigenvalues, tensor, 2.0, 0.5,
+                             tail=cfg.n_max_policy)
+    split = fock.energy_decomposition(point.gibbs, basis.eigenvalues, tensor,
+                                      0.5)
+    assert energy["two_body"] == split.two_body
+    for key in ("total", "one_body"):
+        assert energy[key] == pytest.approx(getattr(split, key), rel=1e-13)
+    assert energy["total"] == pytest.approx(
+        energy["one_body"] + energy["two_body"], rel=1e-12)
 
 
 def _refuses_over_budget_without_output(command, tmp_path, capsys, T="1000"):
@@ -800,6 +855,22 @@ def test_cli_anharmonic_without_a_or_half_width_is_an_error(tmp_path, capsys,
     assert cli.main(["spectrum", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: anharmonic domain needs a and half_width"
+
+
+@pytest.mark.parametrize("domain, key", [
+    ("interval", "a = 4"), ("interval", "half_width = 6"),
+    ("anharmonic\na = 4\nhalf_width = 6", "bc = neumann")],
+    ids=["interval-a", "interval-half_width", "anharmonic-bc"])
+def test_cli_key_of_the_other_domain_is_an_error(tmp_path, capsys, domain,
+                                                 key):
+    bad = tmp_path / "mixed.cfg"
+    bad.write_text(f"domain = {domain}\n{key}\nK = 1\n")
+    assert cli.main(["spectrum", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+    name = key.split(" = ")[0]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: unknown config keys: ['{name}']"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_number_is_a_one_line_error(config_file, tmp_path, capsys):

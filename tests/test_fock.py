@@ -419,9 +419,8 @@ def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
     state, log_z, _ = gl.gibbs_state(fock.FockOperator(fb, H.matrix, labels), T)
     assert np.unique(labels[fb.sector_slice(2)]).size == 3
     assert {n for n, *_ in state.blocks} == set(range(n_max + 1))
-    for n, idx, G in state.blocks:
-        assert np.all(labels[idx + fb.sector_offsets[n]]
-                      == labels[idx[0] + fb.sector_offsets[n]])
+    for _, rows, G in state.blocks:
+        assert np.all(labels[rows] == labels[rows[0]])
     E = np.linalg.eigvalsh(H.matrix.toarray())
     assert log_z == pytest.approx(float(logsumexp(-E / T)), rel=1e-12)
     rho = state.to_dense()
@@ -443,8 +442,8 @@ def test_mod3_class_blocks_match_dense_oracles(K, n_max, seed, T, lam):
     bound = 1e-13 * np.pi ** (-K) * np.sum(A * (A @ np.abs(rho)), axis=1)
     assert np.all(np.abs(got - want) <= bound)
     # negative control: the vacuum block moved by 1e-9 relative fails it
-    n, idx, G = state.blocks[0]
-    moved = fock.FockState(fb, ((n, idx, G * (1 + 1e-9)),) + state.blocks[1:])
+    n, rows, G = state.blocks[0]
+    moved = fock.FockState(fb, ((n, rows, G * (1 + 1e-9)),) + state.blocks[1:])
     assert np.any(np.abs(gl.husimi_density(moved, 1.0, pts) - want) > bound)
     total = float(np.real(np.sum(H.matrix.toarray() * rho.T)))
     split = gl.energy_decomposition(state, eigenvalues, gl.TwoBodyTensor(W),
@@ -464,10 +463,10 @@ def test_parity_split_gibbs_state_stores_no_zero_padding(basis_k3,
     want = sum(int(np.sum(c[c > 0] ** 2)) for c in class_sizes)
     assert sum(G.size for *_, G in gibbs.blocks) == want
     assert want < sum(fb.sector_dim(n) ** 2 for n in range(fb.n_max + 1))
-    for n, idx, G in gibbs.blocks:
-        assert G.shape == (idx.size, idx.size)
-        assert np.unique(H.labels[idx + fb.sector_offsets[n]]).size == 1
-    assert sum(idx.size for _, idx, _ in gibbs.blocks) == fb.dim
+    for _, rows, G in gibbs.blocks:
+        assert G.shape == (rows.size, rows.size)
+        assert np.unique(H.labels[rows]).size == 1
+    assert sum(rows.size for _, rows, _ in gibbs.blocks) == fb.dim
 
 
 def _coherent_projector(v, fb):
@@ -861,8 +860,8 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     fb = gl.build_fock_basis(K, gl.choose_n_max(basis.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
     want = oracles.gibbs_blocks_csr(H, T)
-    tri = sum(_is_tridiagonal(fock.FockOperator.class_block(H, n, idx))
-              for n, idx, _ in want[0].blocks)
+    tri = sum(_is_tridiagonal(fock.FockOperator.class_block(H, rows))
+              for _, rows, _ in want[0].blocks)
 
     def refuse(*args):
         raise AssertionError("gibbs_state read class_block")
@@ -923,7 +922,7 @@ def test_parity_fallback_blocks_go_to_dense_evd(basis_k2, tensor_k2,
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor, 1.0 / T)
     assert not H.labels.any()
     assert not _is_tridiagonal(fock.FockOperator.class_block(
-        H, fb.n_max, np.arange(fb.sector_dim(fb.n_max))))
+        H, np.arange(fb.dim)[fb.sector_slice(fb.n_max)]))
     want = oracles.gibbs_blocks_csr(H, T)
     calls = _count_solvers(monkeypatch)
     _assert_same_gibbs(gl.gibbs_state(H, T), want)

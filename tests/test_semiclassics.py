@@ -134,8 +134,8 @@ def _assert_blocks_close(got, want, tol):
     """got, a sector it leaves out read as zero, against want block by
     block."""
     got = oracles.padded(got, want)
-    assert [(n, idx.tolist()) for n, idx, _ in got.blocks] \
-        == [(n, idx.tolist()) for n, idx, _ in want.blocks]
+    assert [(n, rows.tolist()) for n, rows, _ in got.blocks] \
+        == [(n, rows.tolist()) for n, rows, _ in want.blocks]
     for (*_, g), (*_, w) in zip(got.blocks, want.blocks):
         assert np.isrealobj(g)
         assert np.abs(g - w).max() < tol
@@ -241,14 +241,14 @@ def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2):
         fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(fb.n_max + 1)])
     conj_only = gl.trial_state(ens, 1.0, sectors)
     assert len(trial.blocks) == fb.n_max + 1
-    for (n, idx, g), (m, jdx, c) in zip(trial.blocks, conj_only.blocks):
-        assert n == m and np.array_equal(idx, jdx) and np.array_equal(g, c)
+    for (n, rows, g), (m, want, c) in zip(trial.blocks, conj_only.blocks):
+        assert n == m and np.array_equal(rows, want) and np.array_equal(g, c)
     _assert_blocks_close(
         trial, oracles.symmetrized(_plain_mixture(ens, 1.0, fb), fb), 1e-12)
     labels = _labels(fb, tensor_k2)
     cross = 0.0
-    for n, idx, g in trial.blocks:
-        lab = labels[idx + fb.sector_offsets[n]]
+    for _, rows, g in trial.blocks:
+        lab = labels[rows]
         cross = max(cross, np.abs(g[lab[:, None] != lab]).max(initial=0.0))
     assert cross > 1e-6
 
@@ -327,8 +327,8 @@ def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
     assert min(held) > 0
     assert all(G.any() for *_, G in trial.blocks)
     # a stored sector keeps every class block of the layout
-    assert [(n, idx.tolist()) for n, idx, _ in trial.blocks] \
-        == [(n, idx.tolist()) for n, idx, _ in gibbs.blocks if n in held]
+    assert [(n, rows.tolist()) for n, rows, _ in trial.blocks] \
+        == [(n, rows.tolist()) for n, rows, _ in gibbs.blocks if n in held]
     calls = []
     eigh = fock.eigh
 
