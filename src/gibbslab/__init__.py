@@ -15,10 +15,9 @@ from .classical import (ClassicalFreeEnergy, MeanInteraction, MomentMatrix,
                         WeightedEnsemble, classical_relative_free_energy,
                         free_moments, mean_F_NL_free, moment_matrix, reweight,
                         sample_free)
-from .convergence import (CheckResult, ExperimentConfig, KernelSpec,
-                          ReportRow, emit_report, evaluate_properties,
-                          parse_config, read_config, run_convergence,
-                          run_selfchecks)
+from .convergence import (CheckResult, ExperimentConfig, ReportRow,
+                          emit_report, evaluate_properties, parse_config,
+                          read_config, run_convergence, run_selfchecks)
 from .fock import (DiagonalState, FockBasis, FockOperator, FockState,
                    ThermalPoint, build_fock_basis, build_hamiltonian,
                    choose_n_max, energy_decomposition, gibbs_state, ladder,

@@ -3,7 +3,7 @@
 Subcommands: spectrum, sample, quantum, converge, selfcheck. Every command
 takes --config PATH (the key = value experiment file), with --seed and
 --out overrides. Exit codes: 0 success, 2 a checked property failed, 1
-error.
+error (a bad config, a file error or too little memory).
 """
 
 from __future__ import annotations
@@ -175,6 +175,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -311,42 +311,32 @@ def schatten_trace(basis: SpectralBasis, p: float) -> SchattenTrace:
 
 @dataclass(frozen=True)
 class InteractionKernel:
-    """Nonnegative pair interaction w(x - y).
+    """Nonnegative pair interaction w(x - y), named as in a config file.
 
-    variant "delta":   g * delta(x - y), g >= 0.
-    variant "bounded": samples w(|d|) >= 0 on the difference grid, values[i]
-                       at offset i * dx (the even extension is implied).
-    g and the values must be finite.
+    delta:    g * delta(x - y).
+    zero:     no interaction; g is not read.
+    constant: w = g.
+    gaussian: w(d) = g * exp(-(d / width)^2 / 2), width > 0.
+    g >= 0 (defocusing) for every name; g and width must be finite.
     """
 
-    variant: str
+    name: str
     g: float = 0.0
-    values: np.ndarray | None = None
+    width: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("delta", "bounded"):
-            raise ValueError(f"unknown kernel variant {self.variant!r}")
-        if not 0 <= self.g < math.inf:
-            raise ValueError(
-                "delta coupling must be nonnegative (defocusing) and finite")
-        if self.values is not None and not np.all(
-                (np.asarray(self.values) >= 0) & np.isfinite(self.values)):
-            raise ValueError(
-                "bounded kernel values must be nonnegative and finite")
-
-    @classmethod
-    def delta(cls, g: float) -> "InteractionKernel":
-        return cls(variant="delta", g=g)
-
-    @classmethod
-    def bounded(cls, values) -> "InteractionKernel":
-        return cls(variant="bounded", values=np.asarray(values, dtype=float))
+        if not (math.isfinite(self.g) and math.isfinite(self.width)):
+            raise ValueError("kernel g and width must be finite")
+        if self.name not in ("delta", "zero", "constant", "gaussian"):
+            raise ValueError(f"unknown kernel name {self.name!r}")
+        if self.g < 0:
+            raise ValueError("kernel g must be nonnegative (defocusing)")
+        if self.name == "gaussian" and self.width <= 0:
+            raise ValueError("gaussian kernel needs width > 0")
 
     @property
     def is_zero(self) -> bool:
-        if self.variant == "delta":
-            return self.g == 0.0
-        return self.values is None or not np.any(self.values)
+        return self.name == "zero" or self.g == 0
 
 
 @dataclass(frozen=True)
@@ -390,22 +380,22 @@ class TwoBodyTensor:
         return self.entries.shape[0]
 
 
-def _difference_matrix(kernel_values: np.ndarray, n: int, periodic: bool) -> np.ndarray:
+def _difference_matrix(profile: np.ndarray, periodic: bool) -> np.ndarray:
+    """w(x_i - x_j) from the profile w(i dx), i < n (even extension)."""
+    n = profile.size
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     if periodic:
         idx = np.minimum(idx, n - idx)
-    vals = np.asarray(kernel_values, dtype=float)
-    if vals.size < idx.max() + 1:
-        vals = np.concatenate([vals, np.zeros(idx.max() + 1 - vals.size)])
-    return vals[idx]
+    return profile[idx]
 
 
 def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> TwoBodyTensor:
     """Two-body tensor of the pair interaction in the spectral basis.
 
     Delta kernels reduce to the single quadrature g * sum_x u_i u_j u_k u_l dx
-    (legitimate in 1D); bounded kernels use the double quadrature over
-    w(x - y). The modes' reflection classes (`SpectralBasis.parity`) go to
+    (legitimate in 1D); constant and gaussian kernels use the double
+    quadrature over w(x - y), its profile w(i dx) sampled on the basis grid.
+    The modes' reflection classes (`SpectralBasis.parity`) go to
     `TwoBodyTensor.with_parity`, which zeroes the parity-forbidden entries
     after checking them, or falls back to one class.
     """
@@ -415,11 +405,13 @@ def interaction_elements(basis: SpectralBasis, kernel: InteractionKernel) -> Two
     K = basis.K
     W = np.zeros((K, K, K, K))
 
-    if kernel.variant == "delta":
-        if kernel.g != 0.0:
-            W += kernel.g * np.einsum("ix,jx,kx,lx->ijkl", U, U, U, U * dx)
-    elif kernel.values is not None and np.any(kernel.values):
-        Wmat = _difference_matrix(kernel.values, n, basis.grid.periodic)
+    if not kernel.is_zero and kernel.name == "delta":
+        W += kernel.g * np.einsum("ix,jx,kx,lx->ijkl", U, U, U, U * dx)
+    elif not kernel.is_zero:
+        d = dx * np.arange(n)
+        profile = (np.full(n, kernel.g) if kernel.name == "constant"
+                   else kernel.g * np.exp(-0.5 * (d / kernel.width) ** 2))
+        Wmat = _difference_matrix(profile, basis.grid.periodic)
         A = np.einsum("ix,kx->ikx", U, U).reshape(K * K, n)
         M = (A @ Wmat @ A.T) * dx * dx
         W += M.reshape(K, K, K, K).transpose(0, 2, 1, 3)

@@ -22,7 +22,7 @@ def basis_k3(dirichlet_op):
 
 @pytest.fixture(scope="session")
 def delta_kernel():
-    return gl.InteractionKernel.delta(1.0)
+    return gl.InteractionKernel("delta", 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +48,7 @@ def quartic_kernel(unit_mode_basis):
     """Delta coupling tuned so F_NL = |alpha|^4 on the synthetic mode."""
     basis = unit_mode_basis
     i4 = float(np.sum(basis.eigenvectors[0] ** 4) * basis.grid.dx)
-    return gl.InteractionKernel.delta(2.0 / i4)
+    return gl.InteractionKernel("delta", 2.0 / i4)
 
 
 @pytest.fixture(scope="session")

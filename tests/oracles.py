@@ -262,17 +262,17 @@ def eval_F_NL(coeffs: np.ndarray, basis, kernel) -> float:
     u = np.asarray(coeffs) @ basis.eigenvectors
     rho = np.abs(u) ** 2
     dx = basis.grid.dx
-    if kernel.variant == "delta":
-        return float(0.5 * kernel.g * np.sum(rho**2) * dx)
-    if kernel.values is None or not np.any(kernel.values):
+    if kernel.is_zero:
         return 0.0
+    if kernel.name == "delta":
+        return float(0.5 * kernel.g * np.sum(rho**2) * dx)
     n = rho.size
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     if basis.grid.periodic:
         idx = np.minimum(idx, n - idx)
-    w = np.zeros(n)  # w(|i - j| dx), zero past the sampled offsets
-    vals = np.asarray(kernel.values, dtype=float)[:n]
-    w[:vals.size] = vals
+    d = dx * np.arange(n)
+    w = kernel.g * (np.ones(n) if kernel.name == "constant"  # w at offset d
+                    else np.exp(-0.5 * (d / kernel.width) ** 2))
     return 0.5 * dx * dx * float(rho @ (w[idx] @ rho))
 
 

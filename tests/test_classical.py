@@ -63,7 +63,7 @@ def test_f_nl_single_dirichlet_mode(basis_k2):
     # F = (g/2) |alpha|^4 int u_1^4, with int u_1^4 = 3/4 for the cosine mode
     g = 2.0
     alpha = np.array([1.3 + 0.0j, 0.0])
-    val = oracles.eval_F_NL(alpha, basis_k2, gl.InteractionKernel.delta(g))
+    val = oracles.eval_F_NL(alpha, basis_k2, gl.InteractionKernel("delta", g))
     i4 = float(np.sum(basis_k2.eigenvectors[0] ** 4) * basis_k2.grid.dx)
     assert abs(val - 0.5 * g * 1.3**4 * i4) < 1e-12
     assert abs(i4 - 0.75) < 1e-6
@@ -75,7 +75,7 @@ def test_f_nl_single_dirichlet_mode(basis_k2):
 def test_f_nl_quartic_scaling(c):
     spec = gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=128)
     basis = gl.eigendecompose(gl.build_operator(spec), 2)
-    kern = gl.InteractionKernel.delta(0.7)
+    kern = gl.InteractionKernel("delta", 0.7)
     alpha = np.array([0.4 - 0.2j, 0.9 + 1.1j])
     base = oracles.eval_F_NL(alpha, basis, kern)
     scaled = oracles.eval_F_NL(c * alpha, basis, kern)
@@ -114,9 +114,8 @@ def _random_fields(n, K, seed):
 def test_batch_f_nl_matches_scalar(basis_k2):
     coeffs = _random_fields(16, 2, seed=5)
     kernels = [
-        gl.InteractionKernel.delta(0.8),
-        gl.InteractionKernel.bounded(0.3 * np.exp(
-            -np.arange(basis_k2.grid.n) * basis_k2.grid.dx / 0.2)),
+        gl.InteractionKernel("delta", 0.8),
+        gl.InteractionKernel("gaussian", 0.3, width=0.2),
     ]
     for kern in kernels:
         tensor = gl.interaction_elements(basis_k2, kern)
@@ -138,7 +137,7 @@ def test_batch_f_nl_sees_one_perturbed_entry(basis_k2, delta_kernel,
 def test_reweight_zero_kernel_is_exact(basis_k2):
     ens = gl.sample_free(basis_k2, 1000, seed=1)
     rw = gl.reweight(ens, gl.interaction_elements(
-        basis_k2, gl.InteractionKernel.delta(0.0)))
+        basis_k2, gl.InteractionKernel("delta", 0.0)))
     assert rw.z_r == 1.0 and rw.z_r_stderr == 0.0
     assert rw.reweighted and rw.ess == pytest.approx(1000)
 
@@ -358,13 +357,13 @@ def test_mean_f_nl_two_modes(basis_k2, tensor_k2):
 
 
 def test_mean_f_nl_zero_kernel(basis_k2):
-    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel.delta(0.0))
+    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel("zero"))
     res = gl.mean_F_NL_free(basis_k2, zero, n_samples=100, seed=0)
     assert res.mc_value == 0.0 and res.closed_form == 0.0
 
 
 def test_classical_free_energy_zero_kernel(basis_k2):
-    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel.delta(0.0))
+    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel("zero"))
     rw = gl.reweight(gl.sample_free(basis_k2, 200, seed=1), zero)
     fe = gl.classical_relative_free_energy(rw)
     assert fe.value == 0.0

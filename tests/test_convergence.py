@@ -13,9 +13,10 @@ import scipy
 
 import gibbslab as gl
 from gibbslab import cli, fock, semiclassics, symspace
-from gibbslab.convergence import (ExperimentConfig, KernelSpec, emit_report,
-                                  evaluate_properties, parse_config,
-                                  run_convergence, run_selfchecks)
+from gibbslab.convergence import (ExperimentConfig, config_to_dict,
+                                  emit_report, evaluate_properties,
+                                  parse_config, run_convergence,
+                                  run_selfchecks)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -51,7 +52,7 @@ def test_parse_config_roundtrip(small_config):
     cfg = small_config
     assert cfg.spec.domain == "interval" and cfg.spec.bc == "dirichlet"
     assert cfg.spec.grid_points == 256
-    assert isinstance(cfg.kernel, KernelSpec) and cfg.kernel.name == "delta"
+    assert cfg.kernel == gl.InteractionKernel("delta", 1.0)
     assert cfg.T_schedule == (2.0, 4.0)
     assert cfg.mc_samples == 4000 and cfg.seed == 11
     assert cfg.n_max_policy == 1e-8
@@ -87,17 +88,49 @@ def test_parse_config_names_the_key_of_a_bad_number(line, message):
     assert str(info.value) == message
 
 
-def test_kernel_spec_realize(basis_k2):
-    grid = basis_k2.grid
-    assert KernelSpec("delta", g=2.0).realize(grid).g == 2.0
-    assert KernelSpec("zero").realize(grid).is_zero
-    const = KernelSpec("constant", g=0.5).realize(grid)
-    assert np.allclose(const.values, 0.5)
-    gauss = KernelSpec("gaussian", g=1.0, width=0.2).realize(grid)
-    assert gauss.values[0] == pytest.approx(1.0)
-    assert np.all(np.diff(gauss.values) <= 0)
-    with pytest.raises(ValueError):
-        KernelSpec("gaussian", g=1.0, width=0.0).realize(grid)
+def test_interaction_kernel_names(basis_k2):
+    def W(name, g, width=0.0):
+        kern = gl.InteractionKernel(name, g, width)
+        return gl.interaction_elements(basis_k2, kern).entries
+
+    assert np.array_equal(W("delta", 2.0), 2.0 * W("delta", 1.0))
+    assert gl.InteractionKernel("zero", 1.0).is_zero
+    assert not np.any(W("zero", 1.0))
+    for name in ("delta", "constant", "gaussian"):
+        assert gl.InteractionKernel(name, 0.0, width=0.2).is_zero
+        assert not gl.InteractionKernel(name, 0.5, width=0.2).is_zero
+    # 0 < w <= g pointwise, so the gaussian self-energy of a mode lies
+    # below the constant one and reaches it as the width grows
+    const = W("constant", 0.5)[0, 0, 0, 0]
+    assert 0 < W("gaussian", 0.5, 0.2)[0, 0, 0, 0] < const
+    assert W("gaussian", 0.5, 1e3)[0, 0, 0, 0] == pytest.approx(const)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("kernel = foo", "unknown kernel name 'foo'"),
+    ("kernel = constant\ng = -1", "kernel g must be nonnegative (defocusing)"),
+    ("kernel = gaussian\nwidth = 0", "gaussian kernel needs width > 0"),
+], ids=["unknown", "negative-g", "zero-width"])
+def test_parse_config_refuses_a_bad_kernel(tmp_path, capsys, lines, message):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"K = 1\n{lines}\n")
+    assert str(info.value) == message
+    bad = tmp_path / "kernel.cfg"
+    bad.write_text(f"K = 1\n{lines}\nout_dir = {tmp_path}/out\n")
+    assert cli.main(["spectrum", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(CONFIGS, "*.cfg"))))
+def test_config_echo_parses_back_to_the_config(name):
+    # summary.json echoes config_to_dict; as key = value lines it must
+    # read back as the same config
+    cfg = gl.read_config(os.path.join(CONFIGS, name))
+    lines = [f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}"
+             for key, v in config_to_dict(cfg).items()]
+    assert parse_config("\n".join(lines)) == cfg
 
 
 @pytest.mark.parametrize("key, value", [
@@ -327,7 +360,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
 def test_degenerate_run_matches_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
-        kernel=gl.KernelSpec("zero"),
+        kernel=gl.InteractionKernel("zero"),
         K=2, T_schedule=(5.0, 10.0), coupling_rule=0.0, k_max=1,
         mc_samples=100, seed=0, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)
@@ -357,7 +390,7 @@ def test_evaluate_properties_flags_rising_distance(small_config):
 def test_tail_policy_failure_marks_row_invalid(tmp_path):
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
-        kernel=gl.KernelSpec("delta", g=1.0),
+        kernel=gl.InteractionKernel("delta", g=1.0),
         K=2, T_schedule=(2.0, 50.0), coupling_rule=1.0, k_max=1,
         mc_samples=100, seed=0, dim_budget=2000,
         bl_samples=0, trial_subsample=0)
@@ -482,6 +515,7 @@ def test_selfchecks_on_free_case_count_tail_warnings_in_the_note():
         "defect / tail-corrected bound; 2 TailWarning(s) at n_max 30"
     assert by_name["classical_jensen_bound"].measured == 0.0
     assert by_name["classical_jensen_bound"].note == "zero kernel: vacuous"
+    assert by_name["mean_fnl_identity"].note == "zero kernel: vacuous"
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -490,6 +524,15 @@ def test_selfchecks_pass_on_committed_config(name):
     cfg = gl.read_config(os.path.join(CONFIGS, name))
     failed = [c.name for c in run_selfchecks(cfg) if not c.passed]
     assert failed == []
+
+
+def test_selfcheck_notes_say_one_class_on_k1(small_config):
+    cfg = dataclasses.replace(small_config, K=1)
+    by_name = {c.name: c for c in run_selfchecks(cfg)}
+    assert all(c.passed for c in by_name.values())
+    assert by_name["partial_trace_vs_normal_ordered_gibbs"].note == \
+        "one class: cross-class reads not exercised"
+    assert by_name["class_split"].note == "one class: split not exercised"
 
 
 def test_jensen_bound_selfcheck_fails_on_doubled_reweighting(monkeypatch):
@@ -881,6 +924,28 @@ def test_cli_bad_number_is_a_one_line_error(config_file, tmp_path, capsys):
     assert err == ["error: config key mc_samples: expected an integer, "
                    "got '1e5'"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_of_memory_is_a_one_line_error(config_file, tmp_path,
+                                               capsys):
+    # 1e14 samples need 2.84 PiB, more than a 47-bit address space: the
+    # allocation fails before it touches memory
+    config_file.write_text(config_file.read_text().replace(
+        "mc_samples = 4000", "mc_samples = 100000000000000"))
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_memory_error_without_text_still_says_memory(
+        config_file, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(gl.classical, "sample_free", no_memory)
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
 def test_cli_error_exit_code(tmp_path):

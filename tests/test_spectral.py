@@ -173,15 +173,13 @@ def test_delta_tensor_cos4(basis_k2, tensor_k2):
 
 
 def test_zero_kernel_gives_zero_tensor(basis_k2):
-    t = gl.interaction_elements(basis_k2, gl.InteractionKernel.delta(0.0))
+    t = gl.interaction_elements(basis_k2, gl.InteractionKernel("delta", 0.0))
     assert not np.any(t.entries)
 
 
 def test_constant_bounded_kernel_is_separable(basis_k3):
     c = 2.5
-    n = basis_k3.grid.n
-    t = gl.interaction_elements(basis_k3, gl.InteractionKernel.bounded(
-        np.full(n, c)))
+    t = gl.interaction_elements(basis_k3, gl.InteractionKernel("constant", c))
     K = basis_k3.K
     eye = np.eye(K)
     expected = c * np.einsum("ik,jl->ijkl", eye, eye)
@@ -193,7 +191,7 @@ def test_constant_bounded_kernel_is_separable(basis_k3):
 def test_bounded_kernel_tensor_symmetries(g, width):
     spec = gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=128)
     basis = gl.eigendecompose(gl.build_operator(spec), 2)
-    kern = gl.KernelSpec("gaussian", g=g, width=width).realize(basis.grid)
+    kern = gl.InteractionKernel("gaussian", g=g, width=width)
     t = gl.interaction_elements(basis, kern)
     assert max(_tensor_defects(t)) < 1e-12
     assert np.isrealobj(t.entries)
@@ -226,7 +224,7 @@ def test_periodic_modes_reflect_through_node_zero():
 def test_interaction_elements_zero_only_forbidden_noise(basis_k3):
     U, dx = basis_k3.eigenvectors, basis_k3.grid.dx
     raw = np.einsum("ix,jx,kx,lx->ijkl", U, U, U, U * dx)
-    t = gl.interaction_elements(basis_k3, gl.InteractionKernel.delta(1.0))
+    t = gl.interaction_elements(basis_k3, gl.InteractionKernel("delta", 1.0))
     p = t.parity
     forbidden = np.add.outer(np.add.outer(p, p), np.add.outer(p, p)) % 2 == 1
     assert t.parity.tolist() == [0, 1, 0]
@@ -236,23 +234,22 @@ def test_interaction_elements_zero_only_forbidden_noise(basis_k3):
 
 
 def test_negative_kernel_rejected():
-    with pytest.raises(ValueError):
-        gl.InteractionKernel.delta(-1.0)
-    with pytest.raises(ValueError):
-        gl.InteractionKernel.bounded([-0.1, 0.2])
+    for name in ("delta", "zero", "constant", "gaussian"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gl.InteractionKernel(name, -0.1, width=0.2)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gl.InteractionKernel.delta(math.inf),
-    lambda: gl.InteractionKernel.delta(math.nan),
-    lambda: gl.InteractionKernel.bounded([0.1, math.nan]),
-    lambda: gl.InteractionKernel.bounded([math.inf, 0.2]),
+    lambda: gl.InteractionKernel("delta", math.inf),
+    lambda: gl.InteractionKernel("delta", math.nan),
+    lambda: gl.InteractionKernel("gaussian", 0.1, width=math.nan),
+    lambda: gl.InteractionKernel("gaussian", 0.2, width=math.inf),
     lambda: gl.OneBodySpec.interval(m=math.inf),
     lambda: gl.OneBodySpec.anharmonic_line(a=math.nan, half_width=5.0),
     lambda: gl.OneBodySpec.anharmonic_line(a=4.0, half_width=math.inf),
     lambda: gl.OneBodySpec.anharmonic_line(a=4.0, half_width=5.0,
                                            m=math.nan),
-], ids=["g-inf", "g-nan", "values-nan", "values-inf", "m-inf", "a-nan",
+], ids=["g-inf", "g-nan", "width-nan", "width-inf", "m-inf", "a-nan",
         "half_width-inf", "anharmonic-m-nan"])
 def test_non_finite_parameters_rejected(make):
     with pytest.raises(ValueError, match="finite|inf"):
