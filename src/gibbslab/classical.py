@@ -152,6 +152,9 @@ def reweight(ensemble: WeightedEnsemble,
         raise ValueError("negative interaction energy: kernel is not defocusing")
     F = np.clip(F, 0.0, None)
     w = np.exp(-F)
+    if not w.any():
+        raise ValueError(f"every weight exp(-F_NL) underflows to 0 (smallest "
+                         f"F_NL {F.min():.6g}); the interaction is too strong")
     n = ensemble.n
     z = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

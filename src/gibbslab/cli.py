@@ -56,7 +56,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load(args)
-    basis, _, tensor = convergence.resolve(cfg)
+    basis, tensor = convergence.resolve(cfg)
     ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
     ens = classical.reweight(ens, tensor)
     out = _ensure_out(cfg)
@@ -78,7 +78,7 @@ def cmd_sample(args) -> int:
 def cmd_quantum(args) -> int:
     cfg = _load(args)
     T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
-    basis, _, tensor = convergence.resolve(cfg)
+    basis, tensor = convergence.resolve(cfg)
     lam = cfg.coupling_rule / T
     point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)

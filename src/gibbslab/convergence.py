@@ -214,9 +214,9 @@ class ConvergenceResult:
 
 
 def resolve(config: ExperimentConfig):
-    """Spectral basis, kernel and two-body tensor of a config."""
+    """Spectral basis and two-body tensor of a config."""
     basis = eigendecompose(build_operator(config.spec), config.K)
-    return basis, config.kernel, interaction_elements(basis, config.kernel)
+    return basis, interaction_elements(basis, config.kernel)
 
 
 def row_seeds(seed: int, n: int) -> list:
@@ -225,10 +225,9 @@ def row_seeds(seed: int, n: int) -> list:
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _classical_side(config: ExperimentConfig, basis: SpectralBasis,
-                    kernel: InteractionKernel, tensor):
+def _classical_side(config: ExperimentConfig, basis: SpectralBasis, tensor):
     """Ensemble, Z_r and moment matrices (exact ones when no interaction)."""
-    degenerate = kernel.is_zero or config.coupling_rule == 0.0
+    degenerate = config.kernel.is_zero or config.coupling_rule == 0.0
     ensemble = classical.sample_free(basis, config.mc_samples, config.seed)
     ensemble = classical.reweight(ensemble, tensor)
     if degenerate:
@@ -333,9 +332,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Run the full sweep, one temperature row after another."""
     t0 = time.perf_counter()
-    basis, kernel, tensor = resolve(config)
+    basis, tensor = resolve(config)
     ensemble, z_r, z_err, moments, blocks, degenerate = _classical_side(
-        config, basis, kernel, tensor)
+        config, basis, tensor)
     seeds = row_seeds(config.seed, len(config.T_schedule))
     rows = [_temperature_row(config, basis, tensor, ensemble, moments, blocks,
                              T, seed)
@@ -353,7 +352,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
 
 def evaluate_properties(result: ConvergenceResult) -> dict:
-    """Monotone-convergence verdicts with shared-noise standard errors."""
+    """Monotone-convergence and ensemble verdicts; a violation fails all."""
     rows = [r for r in result.rows if r.valid]
     out = {"d_monotone": {}, "f_monotone": True, "violations": []}
     for k in range(1, result.config.k_max + 1):
@@ -383,9 +382,13 @@ def evaluate_properties(result: ConvergenceResult) -> dict:
     if out["insufficient_points"]:
         out["violations"].append(
             "monotonicity needs at least 2 valid temperatures")
+    ess, n = result.ess, result.config.mc_samples
+    out["ensemble_degenerate"] = ess < 0.05 * n  # husimi_kl_importance's cut
+    if out["ensemble_degenerate"]:
+        out["violations"].append(f"classical ensemble is degenerate: ESS "
+                                 f"{ess:.1f} of {n} samples, below 5%")
     out["all_valid"] = all(r.valid for r in result.rows)
-    out["all"] = (out["all_valid"] and not out["insufficient_points"]
-                  and out["f_monotone"] and all(out["d_monotone"].values()))
+    out["all"] = out["all_valid"] and not out["violations"]
     return out
 
 
@@ -479,7 +482,7 @@ def run_selfchecks(config: ExperimentConfig,
     from scipy.integrate import quad
 
     checks = []
-    basis, kernel, tensor = resolve(config)
+    basis, tensor = resolve(config)
     n_mc = min(config.mc_samples, 20000)
 
     # Gaussian moment closure at k = 1, 2 on the free ensemble
@@ -558,7 +561,7 @@ def run_selfchecks(config: ExperimentConfig,
     # mean interaction energy under the free measure
     mi = classical.mean_F_NL_free(basis, tensor, n_samples=n_mc,
                                   seed=config.seed)
-    if kernel.is_zero:
+    if config.kernel.is_zero:
         mi_dev = abs(mi.mc_value - mi.closed_form)
         checks.append(CheckResult("mean_fnl_identity", mi_dev <= 1e-12,
                                   mi_dev, 1e-12, "zero kernel: vacuous"))
@@ -598,7 +601,7 @@ def run_selfchecks(config: ExperimentConfig,
     excess = max(-fe.value, fe.value - mi.closed_form) / max(fe.stderr, 1e-30)
     checks.append(CheckResult(
         "classical_jensen_bound", excess <= 3.0, excess, 3.0,
-        "zero kernel: vacuous" if kernel.is_zero
+        "zero kernel: vacuous" if config.kernel.is_zero
         else "excess over [0, <F_NL>_mu0] / stderr"))
 
     # single-mode closed forms: geometric log Z and the quartic Z_r

@@ -5,7 +5,7 @@ enumerated in graded colexicographic order, so every operator built here is
 block diagonal across total-particle sectors whenever it commutes with the
 number operator. Every state the lab builds (Gibbs states, the free state,
 the symmetrized trial state) commutes with it too, so a FockState is
-stored as one dense block per (sector, symmetry class). A state diagonal in
+stored as one real block per (sector, symmetry class). A state diagonal in
 the occupation basis, as the free Gibbs state is, is a DiagonalState: its
 diagonal alone, and the reference of every relative entropy.
 
@@ -121,7 +121,7 @@ def ladder(basis: FockBasis, j: int):
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Hermitian operator on the truncated Fock space.
+    """Real symmetric operator on the truncated Fock space.
 
     labels[i] is the symmetry class of basis state i; the operator has no
     entry between two states of one sector with different labels, so
@@ -137,7 +137,7 @@ class FockOperator:
         return self.matrix[rows][:, rows].toarray()
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.T.conjugate()
+        d = self.matrix - self.matrix.T
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
@@ -177,11 +177,16 @@ class FockState:
     zero between classes: blocks holds (n, rows, G) in sector order, G the
     state on the basis indices rows (ascending) of one class of sector n.
     The blocks of a stored sector partition that sector, and a sector with
-    no block is zero. One diagonal in the occupation basis can be a
-    DiagonalState instead."""
+    no block is zero. Blocks are real, as the lab's Hamiltonian (real modes
+    and pair tensor) is, and a complex one is refused. One diagonal in the
+    occupation basis can be a DiagonalState instead."""
 
     basis: FockBasis
     blocks: tuple
+
+    def __post_init__(self):
+        if any(np.iscomplexobj(G) for *_, G in self.blocks):
+            raise ValueError("FockState blocks must be real")
 
     @classmethod
     def from_sectors(cls, basis: FockBasis, mats) -> FockState:
@@ -190,8 +195,7 @@ class FockState:
         return cls(basis, tuple(zip(range(basis.n_max + 1), rows, mats)))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.basis.dim,) * 2,
-                       dtype=np.result_type(*(G for *_, G in self.blocks)))
+        out = np.zeros((self.basis.dim,) * 2)
         for _, rows, G in self.blocks:
             out[rows[:, None], rows] = G
         return out
@@ -199,12 +203,11 @@ class FockState:
     def sector_probabilities(self) -> np.ndarray:
         # each sector's diagonal in basis order, so the sum is its trace's;
         # a sector with no block keeps its zeros
-        diag = np.zeros(self.basis.dim,
-                        dtype=np.result_type(*(G for *_, G in self.blocks)))
+        diag = np.zeros(self.basis.dim)
         for _, rows, G in self.blocks:
             diag[rows] = np.diagonal(G)
-        return np.real([diag[self.basis.sector_slice(n)].sum()
-                        for n in range(self.basis.n_max + 1)])
+        return np.array([diag[self.basis.sector_slice(n)].sum()
+                         for n in range(self.basis.n_max + 1)])
 
     def tail_mass(self) -> float:
         """Combined weight of the top two sectors (the truncation diagnostic)."""
@@ -266,23 +269,24 @@ def gibbs_state(H: FockOperator, T: float):
 
     Each label class of a sector (the reflection-parity blocks of
     build_hamiltonian) is read from the COO of H (_class_entries); an entry
-    between two classes is refused. A real block whose entries all lie
-    within one place of the diagonal goes to LAPACK's tridiagonal
-    divide-and-conquer solver (stevd) on its diagonal and lower
-    off-diagonal; every other block is scattered densely and goes to the
-    dense one (syevd/heevd), which reads the lower triangle and on a
-    tridiagonal input ends in the same stedc call, so the two give the same
-    bits there. A sector's eigenvalues are sorted before the log-sum-exp, so
-    log Z does not depend on the split (the class_split selfcheck holds it
-    to whole sectors). The energy is one dot product over the same
-    eigenvalues, which also give the entropy -sum p log p = <H>/T + log Z
-    with no second eigensolve. Each class drops its eigenvectors once its
-    block (U w) U^H is built.
+    between two classes is refused, and so is a complex H. A block whose
+    entries all lie within one place of the diagonal goes to LAPACK's
+    tridiagonal divide-and-conquer solver (stevd) on its diagonal and lower
+    off-diagonal; every other block is scattered densely and goes to the dense
+    one (syevd), which reads the lower triangle and on a tridiagonal input ends
+    in the same stedc call, so the two give the same bits there. A sector's
+    eigenvalues are sorted before the log-sum-exp, so log Z does not depend on
+    the split (the class_split selfcheck holds it to whole sectors). The energy
+    is one dot product over the same eigenvalues, which also give the entropy
+    -sum p log p = <H>/T + log Z with no second eigensolve. Each class drops
+    its eigenvectors once its block (U w) U^T is built.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
+    if np.iscomplexobj(H.matrix):
+        raise ValueError("Hamiltonian must be real")
     if H.hermiticity_defect() > 1e-10:
-        raise ValueError("Hamiltonian is not Hermitian")
+        raise ValueError("Hamiltonian is not symmetric")
     basis = H.basis
     A = H.matrix
     if not A.has_canonical_format:
@@ -297,7 +301,7 @@ def gibbs_state(H: FockOperator, T: float):
     solved = []
     for n, rows, r, c, v in _class_entries(H, M, sector):
         m = rows.size
-        if not np.iscomplexobj(v) and np.all(np.abs(r - c) <= 1):
+        if np.all(np.abs(r - c) <= 1):
             diag, lower = r == c, r == c + 1
             d, e = np.zeros(m), np.zeros(max(m - 1, 1))
             d[r[diag]] = v[diag]
@@ -307,7 +311,7 @@ def gibbs_state(H: FockOperator, T: float):
                 raise np.linalg.LinAlgError(f"stevd failed with info {info}")
         else:
             # Fortran order lets LAPACK write the eigenvectors over B
-            B = np.zeros((m, m), dtype=v.dtype, order="F")
+            B = np.zeros((m, m), order="F")
             B[r, c] = v
             lam, U = eigh(B, overwrite_a=True, driver="evd")
         eigs[n].append(lam)
@@ -319,7 +323,7 @@ def gibbs_state(H: FockOperator, T: float):
     solved.reverse()
     while solved:
         n, rows, lam, U = solved.pop()
-        blocks.append((n, rows, (U * np.exp(-lam / T - log_z)) @ U.conj().T))
+        blocks.append((n, rows, (U * np.exp(-lam / T - log_z)) @ U.T))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
 
 
@@ -356,7 +360,7 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     if not 1 <= k <= basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={basis.n_max}")
     occs_k, rows, coefs = _branching_table(basis, k)
-    out = np.zeros((occs_k.shape[0],) * 2, dtype=np.complex128)
+    out = np.zeros((occs_k.shape[0],) * 2)
     # block, place in the block and row start in its sector's flat copy
     cls, pos, start = np.empty((3, basis.dim), dtype=np.int64)
     flat = [[] for _ in range(basis.n_max + 1)]
@@ -371,7 +375,7 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
             np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
         c = coefs[:, cols]
         out += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
-    out = 0.5 * (out + out.conj().T)
+    out = 0.5 * (out + out.T)
     return MomentMatrix(k=k, entries=out, occupations=occs_k)
 
 
@@ -398,9 +402,9 @@ def reduced_dm_normal_ordered(state: FockState, k: int) -> MomentMatrix:
         return M
 
     ann = [chain(p, lowering) for p in occs_k]
-    out = np.zeros((Dk, Dk), dtype=np.complex128)
+    out = np.zeros((Dk, Dk))
     for b, q in enumerate(occs_k):
-        cre = chain(q, lowering).T.conj().tocsr()
+        cre = chain(q, lowering).T.tocsr()
         for a, p in enumerate(occs_k):
             O = (cre @ ann[a]).tocoo()
             val = np.sum(O.data * dense[O.col, O.row])
@@ -427,7 +431,7 @@ def two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
 def pair_energy(g2: MomentMatrix, tensor: TwoBodyTensor, lam: float) -> float:
     """lam tr[W_2 g2] on Sym^2, for a two-body marginal g2 already built."""
     W2 = symspace.two_body_sym_matrix(tensor.entries)
-    return lam * float(np.real(np.trace(W2 @ g2.entries)))
+    return lam * float(np.trace(W2 @ g2.entries))
 
 
 @dataclass(frozen=True)
@@ -441,12 +445,10 @@ def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
                          tensor: TwoBodyTensor | None, lam: float) -> EnergySplit:
     """tr[H state] and its exact split into one- and two-body marginals."""
     H = build_hamiltonian(state.basis, eigenvalues, tensor, lam)
-    total = 0.0
-    for _, rows, G in state.blocks:
-        total += float(np.real(np.sum(H.class_block(rows).T * G)))
+    total = sum(float(np.sum(H.class_block(rows).T * G))
+                for _, rows, G in state.blocks)
     g1 = reduced_density_matrix(state, 1)
-    one_body = float(np.real(np.sum(np.asarray(eigenvalues)
-                                    * np.diag(g1.entries))))
+    one_body = float(np.sum(np.asarray(eigenvalues) * np.diag(g1.entries)))
     return EnergySplit(total=total, one_body=one_body,
                        two_body=two_body_energy(state, tensor, lam))
 
@@ -471,8 +473,7 @@ def relative_entropy(state: FockState, ref: DiagonalState) -> float:
         p = np.clip(eigh(G, eigvals_only=True), 0.0, None)
         mask = p > _LOG_FLOOR
         total += float(np.sum(p[mask] * np.log(p[mask])))
-        q = ref.p[rows]
-        mass = np.real(np.diagonal(G))
+        q, mass = ref.p[rows], np.diagonal(G)
         stray += float(mass[q <= 0.0].sum())
         total -= float(np.sum(mass * np.log(np.clip(q, _LOG_FLOOR, None))))
     if stray > 1e-9:
@@ -588,7 +589,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))
     free = DiagonalState(basis, np.exp(-E / T - log_z_free))
-    one_body = sum(float(np.real(np.diagonal(G)) @ E[rows])
+    one_body = sum(float(np.diagonal(G) @ E[rows])
                    for _, rows, G in gibbs.blocks)
     return ThermalPoint(
         T=T, lam=lam, basis=basis, gibbs=gibbs, free=free, log_z=log_z,
@@ -597,12 +598,9 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
 
 
 def random_state(basis: FockBasis, seed: int) -> FockState:
-    """Random mixed state, one complex block per sector; test fodder."""
+    """Random mixed state, one real block A A^T per sector; test fodder."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for n in range(basis.n_max + 1):
-        d = basis.sector_dim(n)
-        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append(A @ A.conj().T)
-    tr = sum(float(np.real(np.trace(b))) for b in blocks)
+    dims = np.diff(basis.sector_offsets)
+    blocks = [A @ A.T for A in (rng.standard_normal((d, d)) for d in dims)]
+    tr = sum(float(np.trace(b)) for b in blocks)
     return FockState.from_sectors(basis, [b / tr for b in blocks])

@@ -186,7 +186,7 @@ def _contract(state: FockState | DiagonalState, A: np.ndarray,
     A DiagonalState costs O(dim) per point as p . |A|^2; a FockState is
     contracted one (sector, class) block at a time.
     """
-    # A real p or G acts alike on Re A and Im A, which the float view of A
+    # The real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
     if isinstance(state, DiagonalState):
@@ -196,12 +196,8 @@ def _contract(state: FockState | DiagonalState, A: np.ndarray,
     for n, rows, G in state.blocks:
         if n > n_hi:
             break
-        if np.isrealobj(G):
-            Xi = X[rows]
-            val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
-        else:
-            Ai = A[rows]
-            val += np.real(np.einsum("ij,ij->j", Ai.conj(), G @ Ai))
+        Xi = X[rows]
+        val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
     return val
 
 

@@ -50,7 +50,7 @@ def test_workload_declared_shapes_match_the_tail_policy(name):
     for key, value in workload.declared.items():
         got = getattr(cfg, key)
         assert (list(got) if key == "T_schedule" else got) == value, key
-    basis, _, _ = gl.convergence.resolve(cfg)
+    basis, _ = gl.convergence.resolve(cfg)
     n_max = tuple(gl.choose_n_max(basis.eigenvalues, T,
                                   tail=cfg.n_max_policy,
                                   dim_budget=cfg.dim_budget)

@@ -190,7 +190,7 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
     # energy; the Gibbs free energy reuses the d_2 marginal
     assert calls == [1, 2, 2] * len(res.rows)
     monkeypatch.undo()
-    basis, _, tensor = gl.convergence.resolve(small_config)
+    basis, tensor = gl.convergence.resolve(small_config)
     for row in res.rows:
         point = fock.solve_point(basis.eigenvalues, tensor, row.T, row.lam,
                                  tail=small_config.n_max_policy,
@@ -623,7 +623,7 @@ def test_cli_sample(config_file, tmp_path):
 def test_cli_sample_moments_match_per_order(config_file, tmp_path):
     assert cli.main(["sample", "--config", str(config_file)]) == 0
     cfg = gl.read_config(str(config_file))
-    basis, _, tensor = gl.convergence.resolve(cfg)
+    basis, tensor = gl.convergence.resolve(cfg)
     ens = gl.reweight(gl.sample_free(basis, cfg.mc_samples, cfg.seed), tensor)
     for k in range(1, cfg.k_max + 1):
         want = tmp_path / f"want_k{k}.csv"
@@ -659,7 +659,7 @@ def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
     monkeypatch.setattr(fock, "build_hamiltonian", build)
     energy = json.load(open(tmp_path / "out" / "quantum.json"))["energy"]
     cfg = gl.read_config(str(config_file))
-    basis, _, tensor = gl.convergence.resolve(cfg)
+    basis, tensor = gl.convergence.resolve(cfg)
     point = fock.solve_point(basis.eigenvalues, tensor, 2.0, 0.5,
                              tail=cfg.n_max_policy)
     split = fock.energy_decomposition(point.gibbs, basis.eigenvalues, tensor,
@@ -708,6 +708,41 @@ def test_cli_converge(config_file, tmp_path, capsys):
     assert props["insufficient_points"] is False and props["all"]
 
 
+def _desk_at_coupling(tmp_path, g):
+    """configs/desk.cfg with 2000 samples, T = 5, 10 and kernel strength g."""
+    text = open(os.path.join(CONFIGS, "desk.cfg")).read()
+    for old, new in [("\ng = 1.0\n", f"\ng = {g}\n"),
+                     ("mc_samples = 100000", "mc_samples = 2000"),
+                     ("T_schedule = 5, 10, 20, 40", "T_schedule = 5, 10"),
+                     ("out_dir = results/desk", f"out_dir = {tmp_path}/out")]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "strong.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_converge_refuses_weights_that_all_underflow(tmp_path, capsys):
+    # every exp(-F_NL) is 0 in double precision, so Z_r and the ESS are 0/0
+    path = _desk_at_coupling(tmp_path, "1e12")
+    assert cli.main(["converge", "--config", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: every weight")
+    assert "smallest F_NL 1.259" in err[0]
+
+
+def test_cli_converge_fails_on_a_degenerate_ensemble(tmp_path, capsys):
+    # one sample carries all the weight: ESS 1 of 2000
+    path = _desk_at_coupling(tmp_path, "1e7")
+    assert cli.main(["converge", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "property violation: classical ensemble is degenerate: ESS 1.0 " \
+        "of 2000 samples" in err
+    props = json.load(open(tmp_path / "out" / "summary.json"))["properties"]
+    assert props["ensemble_degenerate"] is True and props["all"] is False
+    assert props["all_valid"] and props["f_monotone"]
+
+
 def test_cli_selfcheck_and_negative_control(config_file, capsys):
     assert cli.main(["selfcheck", "--config", str(config_file)]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -743,7 +778,7 @@ def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
     assert cli.main(["converge", "--config", str(config_file)]) == 0
     summary = json.load(open(tmp_path / "out" / "summary.json"))
     cfg = gl.read_config(str(config_file))
-    basis, _, tensor = gl.convergence.resolve(cfg)
+    basis, tensor = gl.convergence.resolve(cfg)
     seeds = gl.convergence.row_seeds(cfg.seed, len(cfg.T_schedule))
     assert len(summary["rows"]) == len(seeds)
     for T, seed, row in zip(cfg.T_schedule, seeds, summary["rows"]):
@@ -801,7 +836,7 @@ def test_cli_non_positive_dim_budget_is_an_error(config_file, tmp_path,
                                           if n.endswith(".cfg")))
 def test_committed_config_schedule_fits_its_budget(name):
     cfg = gl.read_config(os.path.join(CONFIGS, name))
-    basis, _, _ = gl.convergence.resolve(cfg)
+    basis, _ = gl.convergence.resolve(cfg)
     for T in cfg.T_schedule:
         gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
                         dim_budget=cfg.dim_budget)
@@ -816,7 +851,7 @@ def test_committed_config_schedule_fits_its_budget(name):
 def test_committed_config_cutoffs(name, overrides, n_max):
     cfg = dataclasses.replace(gl.read_config(os.path.join(CONFIGS, name)),
                               **overrides)
-    basis, _, _ = gl.convergence.resolve(cfg)
+    basis, _ = gl.convergence.resolve(cfg)
     assert tuple(gl.choose_n_max(basis.eigenvalues, T, tail=cfg.n_max_policy,
                                  dim_budget=cfg.dim_budget)
                  for T in cfg.T_schedule) == n_max
@@ -827,7 +862,7 @@ def test_committed_config_cutoffs(name, overrides, n_max):
 def test_committed_config_has_both_parity_classes(name):
     # a silent fall back to one class would read as all zeros
     cfg = gl.read_config(os.path.join(CONFIGS, name))
-    _, _, tensor = gl.convergence.resolve(cfg)
+    _, tensor = gl.convergence.resolve(cfg)
     assert set(tensor.parity.tolist()) == {0, 1}
 
 

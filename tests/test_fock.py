@@ -326,7 +326,7 @@ def test_rdm_routes_agree_on_random_states():
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["complex", "real", "gibbs", "gaps"]),
+       kind=st.sampled_from(["random", "gibbs", "gaps"]),
        data=st.data())
 def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     # "gaps": a two-class Gibbs state with the blocks of some sectors
@@ -346,9 +346,6 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
         state, _, _ = gl.gibbs_state(H, rng.uniform(0.5, 5.0))
     else:
         state = fock.random_state(fb, seed)
-    if kind == "real":
-        state = fock.FockState.from_sectors(
-            fb, [G.real for *_, G in state.blocks])
     want_state = state
     if kind == "gaps":
         kept = rng.integers(0, 2, n_max + 1).astype(bool)
@@ -470,10 +467,12 @@ def test_parity_split_gibbs_state_stores_no_zero_padding(basis_k3,
 
 
 def _coherent_projector(v, fb):
-    """Sector blocks of |xi(v)><xi(v)| / <xi(v)|xi(v)>, the part of the
-    projector that marginals and <N> see."""
+    """Sector blocks of the real part of |xi(v)><xi(v)| / <xi(v)|xi(v)>,
+    the part of the projector that marginals and <N> see; for a real v the
+    imaginary part is exactly 0."""
     a = gl.coherent(np.asarray(v, dtype=complex), fb).amplitudes
-    return oracles.pinched(np.outer(a, a.conj()) / np.vdot(a, a).real, fb)
+    return oracles.pinched(np.real(np.outer(a, a.conj())) / np.vdot(a, a).real,
+                           fb)
 
 
 def test_rdm_coherent_projector():
@@ -929,21 +928,27 @@ def test_parity_fallback_blocks_go_to_dense_evd(basis_k2, tensor_k2,
     assert calls == {"evd": fb.n_max - 1, "stevd": 2}
 
 
-def test_complex_hermitian_tridiagonal_blocks_go_to_dense_evd(
-        basis_k2, tensor_k2, monkeypatch):
-    # D H D^H with a diagonal phase D keeps every block tridiagonal but
-    # makes it complex, which stevd cannot take
+def test_gibbs_state_refuses_a_complex_hamiltonian(basis_k2, tensor_k2):
+    # negative control: D H D^H with a diagonal phase D is Hermitian with
+    # the same spectrum, but complex, and a real block would drop its
+    # imaginary part
     T = 5.0
     fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T)
     D = sparse.diags(np.exp(1j * np.arange(fb.dim)))
     Hc = fock.FockOperator(fb, (D @ H.matrix @ D.conj()).tocsr(), H.labels)
     assert np.abs(Hc.matrix.data.imag).max() > 0.1
-    assert Hc.hermiticity_defect() <= 1e-10
-    want = oracles.gibbs_blocks_csr(Hc, T)
-    calls = _count_solvers(monkeypatch)
-    _assert_same_gibbs(gl.gibbs_state(Hc, T), want)
-    assert calls == {"evd": len(want[0].blocks), "stevd": 0}
+    with pytest.raises(ValueError, match="real"):
+        gl.gibbs_state(Hc, T)
+
+
+def test_fock_state_refuses_a_complex_block():
+    fb = gl.build_fock_basis(2, 3)
+    blocks = list(fock.random_state(fb, 0).blocks)
+    n, rows, G = blocks[2]
+    blocks[2] = (n, rows, G + 0j)
+    with pytest.raises(ValueError, match="real"):
+        fock.FockState(fb, tuple(blocks))
 
 
 def test_gibbs_state_sums_duplicate_entries(basis_k2, tensor_k2):

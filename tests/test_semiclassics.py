@@ -69,8 +69,9 @@ def test_coherent_particle_number_is_poisson_mean():
     v = np.array([1.2 + 0.3j, -0.5j])
     cv = gl.coherent(v, fb)
     nu = float(np.sum(np.abs(v) ** 2))
-    assert abs(fock.particle_number(oracles.pinched(_projector(cv), fb))
-               - nu) < 1e-8
+    # <N> reads only the diagonal, which is real
+    assert abs(fock.particle_number(oracles.pinched(np.real(_projector(cv)),
+                                                    fb)) - nu) < 1e-8
 
 
 def test_coherent_tail_warning():
@@ -107,9 +108,12 @@ def _plain_mixture(ens, T, fb, n_subsample=None):
 
 def _plain_free_energy(plain, free, tensor, lam, T):
     """relative_free_energy of an unpinched mixture: its two-body energy sees
-    only its sector blocks, its relative entropy the whole matrix."""
+    only its sector blocks, its relative entropy the whole matrix. W_2 is
+    real symmetric, so the antisymmetric imaginary part of a block traces
+    to 0 against it and the real part gives the pair energy exactly."""
     fb = free.basis
-    return fock.two_body_energy(oracles.pinched(plain, fb), tensor, lam) \
+    return fock.two_body_energy(oracles.pinched(np.real(plain), fb), tensor,
+                                lam) \
         + T * oracles.relative_entropy_dense(plain, np.diag(free.p))
 
 
@@ -222,9 +226,9 @@ def test_symmetrized_gap_is_at_most_the_sector_pinched_gap(
         warnings.simplefilter("ignore", TailWarning)
         trial = gl.trial_state(ens, T, gibbs)
     sym = gl.relative_free_energy(trial, free, tensor_k2, lam, T) - fe_gibbs
-    plain = gl.relative_free_energy(
-        oracles.pinched(_plain_mixture(ens, T, fb), fb), free, tensor_k2,
-        lam, T) - fe_gibbs
+    sector = fb.occupations.sum(axis=1)
+    pinched = _plain_mixture(ens, T, fb) * (sector[:, None] == sector)
+    plain = _plain_free_energy(pinched, free, tensor_k2, lam, T) - fe_gibbs
     assert -1e-10 <= sym <= plain + 1e-10
 
 
@@ -464,7 +468,7 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
-    # real and complex sector-block contractions of the state, each mixed
+    # sector-block contractions of the Gibbs and a random state, each mixed
     # with the diagonal one of the reference in one estimate; the expected
     # value contracts the reference's sector blocks
     for state in (gibbs, fock.random_state(fb, 3), free):
@@ -545,7 +549,7 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
 @given(K=st.integers(1, 3), n_max=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1))
 def test_husimi_complex_blocks_match_full_basis(K, n_max, seed):
-    # complex sector blocks, the trial state's shape; half the points sit
+    # dense sector blocks, the trial state's shape; half the points sit
     # near the vacuum, where a chunk drops the top sectors
     fb = gl.build_fock_basis(K, n_max)
     state = fock.random_state(fb, seed % 1000)
