@@ -245,8 +245,8 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis, tensor):
 
 
 def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
-                     tensor, ensemble, moments, blocks, T: float,
-                     row_seed: int) -> ReportRow:
+                     tensor, ensemble, moments, blocks, degenerate: bool,
+                     T: float, row_seed: int) -> ReportRow:
     t0 = time.perf_counter()
     stages, clock = {}, [t0]
 
@@ -293,10 +293,11 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
             if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
     # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
     # comes from the Sym^2 pair matrix and the RDM gather, <H> from
-    # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks
+    # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks;
+    # T f is exactly 0 in the free case, which reads it on the scale of <H>
+    scale = abs(point.energy) if degenerate else abs(T * row.f_value)
     row.fe_identity_defect = abs(
-        pair + point.one_body_energy - point.energy) \
-        / max(abs(T * row.f_value), 1e-12)
+        pair + point.one_body_energy - point.energy) / max(scale, 1e-12)
     lap("rdm")
 
     if config.trial_subsample > 0:
@@ -307,9 +308,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                 ensemble, T, gibbs, n_subsample=config.trial_subsample)
         notes += [str(w.message) for w in caught
                   if issubclass(w.category, semiclassics.TailWarning)]
-        row.trial_tail_mass = trial.tail_mass()
-        held = np.flatnonzero(trial.sector_probabilities())
-        row.trial_window = [int(held[0]), int(held[-1])]
+        probs = trial.sector_probabilities()
+        row.trial_tail_mass = float(probs[-2:].sum())
+        row.trial_window = [int(i) for i in np.flatnonzero(probs)[[0, -1]]]
         if row.trial_tail_mass >= config.n_max_policy:
             notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
                          f"below n_max_policy {config.n_max_policy:.1e}")
@@ -337,7 +338,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
         config, basis, tensor)
     seeds = row_seeds(config.seed, len(config.T_schedule))
     rows = [_temperature_row(config, basis, tensor, ensemble, moments, blocks,
-                             T, seed)
+                             degenerate, T, seed)
             for T, seed in zip(config.T_schedule, seeds)]
     target = -math.log(z_r)
     for row in rows:

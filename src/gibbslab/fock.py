@@ -404,7 +404,7 @@ def reduced_dm_normal_ordered(state: FockState, k: int) -> MomentMatrix:
     ann = [chain(p, lowering) for p in occs_k]
     out = np.zeros((Dk, Dk))
     for b, q in enumerate(occs_k):
-        cre = chain(q, lowering).T.tocsr()
+        cre = ann[b].T.tocsr()
         for a, p in enumerate(occs_k):
             O = (cre @ ann[a]).tocoo()
             val = np.sum(O.data * dense[O.col, O.row])

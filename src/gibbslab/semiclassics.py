@@ -94,6 +94,26 @@ def _sector_window(nu_lo: float, nu_hi: float, n_top: int) -> tuple[int, int]:
     return n_lo, n_hi
 
 
+def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
+                     window: bool = True):
+    """Coherent amplitudes of the points vs, nu = |v|^2, in chunks of 256 in
+    ascending nu (a stable sort). The particle number of a coherent vector is
+    Poisson(nu), so a chunk builds amplitudes only up to the n_hi of its
+    _sector_window. Yields (idx, n_lo, n_hi, A): idx the chunk's rows of vs,
+    n_lo..n_hi its window (0..n_max with the window off), A the amplitudes of
+    sectors 0..n_hi, one column per point. A caller deletes A before the next
+    chunk, so that one chunk's amplitudes are alive at a time.
+    """
+    order = np.argsort(nu, kind="stable")
+    for lo in range(0, order.size, _CHUNK):
+        idx = order[lo:lo + _CHUNK]
+        n_lo, n_hi = (_sector_window(nu[idx[0]], nu[idx[-1]], basis.n_max)
+                      if window else (0, basis.n_max))
+        occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
+        yield idx, n_lo, n_hi, occupation_products(vs[idx], occs,
+                                                   np.exp(-0.5 * nu[idx]))
+
+
 def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
                 n_subsample: int | None = None) -> FockState:
     """Symmetrized mixture of coherent projectors at vectors sqrt(T) * alpha,
@@ -111,11 +131,9 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     energy and, by joint convexity, cannot raise S(. | free), so the state
     is a variational upper bound no worse than the plain mixture.
 
-    Samples are taken in chunks of 256 in ascending nu = T |alpha|^2. The
-    particle number of a coherent vector is Poisson(nu), so a chunk builds
-    amplitudes only up to n_hi and updates only the sectors n_lo..n_hi
-    outside which every one of its samples has at most 2^-60 mass on
-    either side (_sector_window). The mixture without this window differs
+    Each chunk of _coherent_chunks (nu = T |alpha|^2) updates only the
+    sectors n_lo..n_hi outside which every one of its samples has at most
+    2^-60 mass on either side. The mixture without this window differs
     from it by a share eps <= 2^-59 / (1 - tau) of its trace, tau the
     weighted mean coherent tail beyond n_max, so by joint convexity and
     concavity of the entropy S(trial | free) moves by at most
@@ -136,11 +154,10 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
                          f"got {n_subsample}")
     basis = layout.basis
     n = ensemble.n if n_subsample is None else min(n_subsample, ensemble.n)
-    coeffs = ensemble.coeffs[:n]
     logw = ensemble.log_weights[:n]
     w = np.exp(logw - logw.max())
     w = w / w.sum()
-    vs = math.sqrt(T) * coeffs
+    vs = math.sqrt(T) * ensemble.coeffs[:n]
 
     nu = np.sum(np.abs(vs) ** 2, axis=1)
     tails = gammainc(basis.n_max + 1, np.clip(nu, 1e-300, None))
@@ -150,32 +167,23 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
             f"{bad} of {n} trial-state samples have coherent tail mass above "
             f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
-    gauss = np.exp(-0.5 * nu)
-
-    offsets = basis.sector_offsets
-    order = np.argsort(nu, kind="stable")
-    chunks = [order[lo:lo + _CHUNK] for lo in range(0, n, _CHUNK)]
-    windows = [_sector_window(nu[s[0]], nu[s[-1]], basis.n_max)
-               for s in chunks]
-    reached = np.zeros(basis.n_max + 1, dtype=bool)
-    for n_lo, n_hi in windows:
-        reached[n_lo:n_hi + 1] = True
-    kept = [(m, rows) for m, rows, _ in layout.blocks if reached[m]]
-    sums = [np.zeros((rows.size, rows.size)) for _, rows in kept]
-    for s, (n_lo, n_hi) in zip(chunks, windows):
-        A = occupation_products(vs[s], basis.occupations[:offsets[n_hi + 1]],
-                                gauss[s])
+    sums = {}
+    for idx, n_lo, n_hi, A in _coherent_chunks(vs, nu, basis):
         # Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
         # interleaves the real and imaginary part of each sample's column
         X = A.view(np.float64)
-        w2 = np.repeat(w[s], 2)
-        for (m, rows), G in zip(kept, sums):
+        w2 = np.repeat(w[idx], 2)
+        for b, (m, rows, _) in enumerate(layout.blocks):
             if n_lo <= m <= n_hi:
                 Xi = X[rows]
-                G += (Xi * w2) @ Xi.T
-    tr = sum(float(np.trace(G)) for G in sums)
-    return FockState(basis, tuple((m, rows, G / tr)
-                                  for (m, rows), G in zip(kept, sums)))
+                if b not in sums:
+                    sums[b] = np.zeros((rows.size, rows.size))
+                sums[b] += (Xi * w2) @ Xi.T
+        del A, X
+    kept = [(m, rows, sums[b]) for b, (m, rows, _) in enumerate(layout.blocks)
+            if b in sums]
+    tr = sum(float(np.trace(G)) for _, _, G in kept)
+    return FockState(basis, tuple((m, rows, G / tr) for m, rows, G in kept))
 
 
 def _contract(state: FockState | DiagonalState, A: np.ndarray,
@@ -206,12 +214,10 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     """Husimi densities of FockStates or DiagonalStates on one basis, one
     row per state.
 
-    Points are taken in chunks in ascending order of nu = |v|^2, and the
-    coherent amplitudes of each chunk are built once and contracted against
-    every state. The particle number of a coherent vector is Poisson(nu) and
-    every state is block diagonal, so a chunk only spans sectors up to the
-    n_hi of _sector_window, the first whose Poisson(nu_max) tail beyond it
-    is at most 2^-60. Sector m of the amplitudes has squared norm exactly
+    The amplitudes of each chunk of _coherent_chunks are built once and
+    contracted against every state, which is block diagonal, over sectors
+    0..n_hi: the first whose Poisson(nu_max) tail beyond it is at most
+    2^-60. Sector m of the amplitudes has squared norm exactly
     e^-nu nu^m / m!, and lambda_max(G_m) <= tr G_m, so the omitted part of
     a density is at most max_{m > n_hi} tr G_m * P(N > n_hi); a point where
     that exceeds 2^-53 of the kept part is recomputed over the full basis.
@@ -225,31 +231,24 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     points = np.atleast_2d(np.asarray(points, dtype=np.complex128))
     vs = points / math.sqrt(eps)
     nu = np.sum(np.abs(vs) ** 2, axis=1)
-    n_top = basis.n_max
     # beyond[i, n] = max over m > n of tr G_m of state i
     tr = np.array([s.sector_probabilities() for s in states])
     beyond = np.zeros_like(tr)
     beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
 
-    def kept(idx: np.ndarray, n_hi: int) -> np.ndarray:
-        occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
-        A = occupation_products(vs[idx], occs, np.exp(-0.5 * nu[idx]))
-        return np.array([_contract(s, A, n_hi) for s in states])
-
     out = np.empty((len(states), points.shape[0]))
-    order = np.argsort(nu, kind="stable")
-    redo = []
-    for lo in range(0, order.size, _CHUNK):
-        idx = order[lo:lo + _CHUNK]
-        _, n_hi = _sector_window(nu[idx[0]], nu[idx[-1]], n_top)
-        out[:, idx] = kept(idx, n_hi)
-        if n_hi < n_top:
+    redo = np.zeros(points.shape[0], dtype=bool)
+    for idx, _, n_hi, A in _coherent_chunks(vs, nu, basis):
+        out[:, idx] = [_contract(s, A, n_hi) for s in states]
+        del A
+        if n_hi < basis.n_max:
             missed = beyond[:, n_hi, None] * gammainc(n_hi + 1, nu[idx])
-            redo.append(idx[np.any(missed > _WINDOW_REL * out[:, idx], axis=0)])
-    redo = np.concatenate(redo) if redo else np.zeros(0, dtype=np.int64)
-    for lo in range(0, redo.size, _CHUNK):
-        idx = redo[lo:lo + _CHUNK]
-        out[:, idx] = kept(idx, n_top)
+            redo[idx] = np.any(missed > _WINDOW_REL * out[:, idx], axis=0)
+    redo = np.flatnonzero(redo)
+    for idx, _, n_hi, A in _coherent_chunks(vs[redo], nu[redo], basis,
+                                            window=False):
+        out[:, redo[idx]] = [_contract(s, A, n_hi) for s in states]
+        del A
     return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None)
 
 
@@ -308,11 +307,9 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
 
     nb = 10
     bounds = np.linspace(0, n_samples, nb + 1).astype(int)
-    batch = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ws, wr = w_state[lo:hi], w_ref[lo:hi]
-        batch.append(np.sum(ws * ratio[lo:hi]) / ws.sum()
-                     + math.log(wr.mean() / ws.mean()))
+    batch = [np.sum(w_state[lo:hi] * ratio[lo:hi]) / w_state[lo:hi].sum()
+             + math.log(w_ref[lo:hi].mean() / w_state[lo:hi].mean())
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
                       degenerate=ess < 0.05 * n_samples)

@@ -6,9 +6,12 @@ library and their perfbench siblings, so they are loaded here by file path;
 a workload whose declared cutoffs the policy no longer picks, or a traced
 name that no longer exists, would otherwise show up only inside a benchmark
 run (a missing name changes the shape of a traced run's result line).
+The benchmark's row gate (perfbench/gate.py) is checked here on every
+committed config, so a config that the gate would fail shows up in tier-1.
 """
 
 import dataclasses
+import glob
 import importlib.util
 import os
 import sys
@@ -37,6 +40,7 @@ def _load(name):
 
 
 WORKLOADS = _load("workloads")
+GATE = _load("gate")
 RUN = _load("run")
 TRACED = sorted({name for names in RUN.SELF_TIME_METRICS.values()
                  for name in names} | set(RUN.CALL_METRICS.values()))
@@ -81,3 +85,19 @@ def test_a_deleted_traced_name_is_caught(monkeypatch):
     monkeypatch.delattr(importlib.import_module("gibbslab.semiclassics"),
                         "husimi_density")
     assert _unresolved(TRACED) == ["semiclassics.husimi_density"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "configs",
+                                                         "*.cfg"))))
+def test_committed_config_rows_meet_the_row_gate(name):
+    # the config as committed: samples and schedule are not cut
+    cfg = gl.read_config(os.path.join(ROOT, "configs", name))
+    rows = [r for r in gl.run_convergence(cfg).rows if r.valid]
+    assert rows
+    for row in rows:
+        assert row.fe_identity_defect <= GATE.FE_DEFECT_MAX
+        if cfg.trial_subsample > 0:
+            assert row.trial_gap >= GATE.TRIAL_GAP_FLOOR
+        if cfg.bl_samples > 0:
+            assert not row.bl.degenerate

@@ -311,6 +311,25 @@ def test_fe_identity_defect_is_on_rows_without_a_trial_state(
     assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
 
 
+def test_fe_identity_defect_of_the_free_case_is_relative_to_the_energy(
+        monkeypatch):
+    # T f is exactly 0 without a pair term, so the defect is read on the
+    # scale of <H> = <H_0>; a 1e-9 relative error in the eigen-route <H>
+    # must still show
+    cfg = gl.read_config(os.path.join(CONFIGS, "free-case.cfg"))
+    rows = run_convergence(cfg).rows
+    assert all(r.valid and r.T * r.f_value == 0.0 for r in rows)
+    assert all(r.fe_identity_defect <= 1e-12 for r in rows)
+    build = fock.gibbs_state
+
+    def scaled(H, T):
+        state, log_z, energy = build(H, T)
+        return state, log_z, energy * (1.0 + 1e-9)
+
+    monkeypatch.setattr(fock, "gibbs_state", scaled)
+    assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
+
+
 def test_emit_report_counts_and_format(tmp_path, small_config):
     res = run_convergence(small_config)
     csv_path, json_path = emit_report(res, tmp_path)

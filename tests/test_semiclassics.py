@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -525,6 +526,57 @@ def _spread_points(n, nu_max, seed):
     z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     z /= np.linalg.norm(z, axis=1)[:, None]
     return z * np.sqrt(rng.uniform(0.0, nu_max, n))[:, None]
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+@pytest.mark.parametrize("window", [True, False])
+def test_coherent_chunks_cover_every_point_once_in_ascending_nu(window):
+    # the one walk of trial_state and _husimi: chunks of 256 in ascending
+    # nu, each point's amplitudes those of coherent() up to the chunk's top
+    fb = gl.build_fock_basis(2, 30)
+    vs = _spread_points(700, 24.0, 3)
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    seen = []
+    for idx, n_lo, n_hi, A in semiclassics._coherent_chunks(vs, nu, fb,
+                                                            window=window):
+        assert idx.size == min(256, 700 - len(seen))
+        assert (n_lo, n_hi) == (semiclassics._sector_window(
+            nu[idx[0]], nu[idx[-1]], fb.n_max) if window else (0, fb.n_max))
+        assert A.shape == (fb.sector_offsets[n_hi + 1], idx.size)
+        for j in (0, idx.size - 1):
+            full = gl.coherent(vs[idx[j]], fb).amplitudes
+            assert np.allclose(A[:, j], full[:A.shape[0]], rtol=1e-14,
+                               atol=1e-300)
+        seen += idx.tolist()
+    assert sorted(seen) == list(range(700))
+    assert np.all(np.diff(nu[seen]) >= 0)
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+def test_one_chunk_of_amplitudes_is_alive_at_a_time(monkeypatch, basis_k2,
+                                                    tensor_k2):
+    # each caller of the walk lets a chunk's amplitudes go before the next
+    # chunk is built, so a stage peaks at one chunk, not two
+    build = semiclassics.occupation_products
+    built, alive = [], []
+
+    def recording(vs, occs, vacuum=None):
+        alive.append(sum(ref() is not None for ref in built))
+        A = build(vs, occs, vacuum)
+        built.append(weakref.ref(A))
+        return A
+
+    monkeypatch.setattr(semiclassics, "occupation_products", recording)
+    fb = gl.build_fock_basis(2, 30)
+    d = fb.sector_dim(30)
+    top = fock.FockState.from_sectors(
+        fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(30)]
+        + [np.eye(d) / d])
+    # all mass in the top sector: windowed chunks, then the full-basis redo
+    gl.husimi_density(top, 1.0, _spread_points(600, 3.0, 2))
+    gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
+    assert len(alive) == 3 + 3 + 3
+    assert alive == [0] * len(alive)
 
 
 def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
