@@ -384,10 +384,11 @@ def evaluate_properties(result: ConvergenceResult) -> dict:
         out["violations"].append(
             "monotonicity needs at least 2 valid temperatures")
     ess, n = result.ess, result.config.mc_samples
-    out["ensemble_degenerate"] = ess < 0.05 * n  # husimi_kl_importance's cut
+    cut = semiclassics._DEGENERATE_ESS
+    out["ensemble_degenerate"] = ess < cut * n
     if out["ensemble_degenerate"]:
         out["violations"].append(f"classical ensemble is degenerate: ESS "
-                                 f"{ess:.1f} of {n} samples, below 5%")
+                                 f"{ess:.1f} of {n} samples, below {cut:.0%}")
     out["all_valid"] = all(r.valid for r in result.rows)
     out["all"] = out["all_valid"] and not out["violations"]
     return out

@@ -124,8 +124,8 @@ class FockOperator:
     """Real symmetric operator on the truncated Fock space.
 
     labels[i] is the symmetry class of basis state i; the operator has no
-    entry between two states of one sector with different labels, so
-    gibbs_state diagonalizes each class of a sector on its own.
+    entry between two sectors or two labels, so gibbs_state diagonalizes
+    each class of a sector on its own.
     """
 
     basis: FockBasis
@@ -230,54 +230,49 @@ class DiagonalState:
         return np.add.reduceat(self.p, self.basis.sector_offsets[:-1])
 
 
-def _class_entries(H: FockOperator, M: sparse.coo_matrix, sector: np.ndarray):
-    """The (sector, class) blocks of H from M, its COO with no duplicates.
+def _class_blocks(H: FockOperator):
+    """The (sector, class) blocks of H as (n, rows, r, c, v): rows the
+    block's basis indices (ascending) and v its stored entries at the
+    in-block positions (r, c), in ascending sector, then label, order.
 
-    Yields (n, rows, r, c, v) per block: rows its basis indices in basis
-    order and v the stored entries at the in-block positions (r, c).
-    Blocks run over sectors in ascending order and over the labels of a
-    sector in ascending order; sector[i] is the sector of basis state i. An
-    entry between two blocks is dropped, so gibbs_state refuses a nonzero
-    one within a sector first.
+    The stable sort order by (sector, label) lays each block on a run of
+    consecutive states, so in H permuted by order a block's entries are one
+    slice of the COO rows. A stored nonzero outside every run is refused.
     """
-    basis = H.basis
-    # states grouped by (sector, label), in basis order within a group
+    sector = H.basis.occupations.sum(axis=1)
     order = np.lexsort((H.labels, sector))
-    first = np.ones(basis.dim, dtype=bool)
-    first[1:] = (sector[order[1:]] != sector[order[:-1]]) \
-        | (H.labels[order[1:]] != H.labels[order[:-1]])
-    edges = np.append(np.flatnonzero(first), basis.dim)
-    block = np.empty(basis.dim, dtype=np.int64)
-    block[order] = np.cumsum(first) - 1
-    pos = np.empty(basis.dim, dtype=np.int64)
-    pos[order] = np.arange(basis.dim) - edges[block[order]]
-    keep = block[M.row] == block[M.col]
-    rows, cols, vals = M.row[keep], M.col[keep], M.data[keep]
-    by_block = np.argsort(block[rows], kind="stable")
-    rows, cols, vals = rows[by_block], cols[by_block], vals[by_block]
-    bounds = np.searchsorted(block[rows], np.arange(edges.size))
-    for b in range(edges.size - 1):
-        states = order[edges[b]:edges[b + 1]]
-        lo, hi = bounds[b], bounds[b + 1]
-        yield (int(sector[states[0]]), states, pos[rows[lo:hi]],
-               pos[cols[lo:hi]], vals[lo:hi])
+    P = H.matrix[order][:, order]
+    P.sum_duplicates()
+    P.eliminate_zeros()
+    P = P.tocoo()
+    s, labels = sector[order], H.labels[order]
+    run = np.concatenate(([0], np.cumsum((s[1:] != s[:-1])
+                                         | (labels[1:] != labels[:-1]))))
+    if np.any(run[P.row] != run[P.col]):
+        raise ValueError("H couples states of different classes or sectors")
+    edges = np.searchsorted(run, np.arange(run[-1] + 2))
+    bounds = np.searchsorted(P.row, edges)
+    for lo, hi, a, b in zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]):
+        yield (int(s[lo]), order[lo:hi], P.row[a:b] - lo, P.col[a:b] - lo,
+               P.data[a:b])
 
 
 def gibbs_state(H: FockOperator, T: float):
     """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
     energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
 
-    Each label class of a sector (the reflection-parity blocks of
-    build_hamiltonian) is read from the COO of H (_class_entries); an entry
-    between two classes is refused, and so is a complex H. A block whose
-    entries all lie within one place of the diagonal goes to LAPACK's
-    tridiagonal divide-and-conquer solver (stevd) on its diagonal and lower
-    off-diagonal; every other block is scattered densely and goes to the dense
-    one (syevd), which reads the lower triangle and on a tridiagonal input ends
-    in the same stedc call, so the two give the same bits there. A sector's
-    eigenvalues are sorted before the log-sum-exp, so log Z does not depend on
-    the split (the class_split selfcheck holds it to whole sectors). The energy
-    is one dot product over the same eigenvalues, which also give the entropy
+    The blocks are the label classes of each sector (the reflection-parity
+    blocks of build_hamiltonian), cut from H by one permutation
+    (_class_blocks); an entry between two blocks is refused, and so is a
+    complex H. A block whose entries all lie within one place of the
+    diagonal goes to LAPACK's tridiagonal divide-and-conquer solver (stevd)
+    on its diagonal and lower off-diagonal; every other block is scattered
+    densely and goes to the dense one (syevd), which reads the lower triangle
+    and on a tridiagonal input ends in the same stedc call, so the two give
+    the same bits there. A sector's eigenvalues are sorted before the
+    log-sum-exp, so log Z does not depend on the split (the class_split
+    selfcheck holds it to whole sectors). The energy is one dot product over
+    the same eigenvalues, which also give the entropy
     -sum p log p = <H>/T + log Z with no second eigensolve. Each class drops
     its eigenvectors once its block (U w) U^T is built.
     """
@@ -288,18 +283,9 @@ def gibbs_state(H: FockOperator, T: float):
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian is not symmetric")
     basis = H.basis
-    A = H.matrix
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    M = A.tocoo()
-    sector = basis.occupations.sum(axis=1)
-    if np.any(M.data[(H.labels[M.row] != H.labels[M.col])
-                     & (sector[M.row] == sector[M.col])]):
-        raise ValueError("a sector block couples states of different classes")
     eigs = [[] for _ in range(basis.n_max + 1)]
     solved = []
-    for n, rows, r, c, v in _class_entries(H, M, sector):
+    for n, rows, r, c, v in _class_blocks(H):
         m = rows.size
         if np.all(np.abs(r - c) <= 1):
             diag, lower = r == c, r == c + 1

@@ -5,7 +5,8 @@
         with no temporary above _STEP elements besides the factor table
         and a transposed copy of vs
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
-        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k
+        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
+        one step per annihilated pair (k, l) over every created pair and state
 """
 
 from __future__ import annotations
@@ -116,41 +117,22 @@ def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,
     with table[occ . strides] = state index; W: (K, K, K, K) real tensor.
     Returns (rows, cols, vals) with duplicate entries left for the sparse
     constructor to sum. The operator conserves total particle number, so every
-    produced row index is valid.
+    produced row index is valid. Triplets come in the order (k, l, j, i,
+    state) over the nonzero W[i, j, k, l] and the states a_l a_k keeps.
     """
     occs = np.asarray(occs, dtype=np.int64)
-    dim, K = occs.shape
     keys = occs @ strides
-    cols_all = np.arange(dim, dtype=np.int64)
-    rows_out, cols_out, vals_out = [], [], []
-    for k in range(K):
-        n_k = occs[:, k]
-        for l in range(K):
-            n_l = occs[:, l] - (1 if l == k else 0)
-            valid_kl = (n_k >= 1) & (n_l >= 1)
-            if not valid_kl.any():
-                continue
-            amp_kl = np.where(valid_kl,
-                              np.sqrt(np.clip(n_k * n_l, 0, None).astype(float)),
-                              0.0)
-            occ2_base = keys - strides[k] - strides[l]
-            for j in range(K):
-                m_j = occs[:, j] - (1 if j == k else 0) - (1 if j == l else 0)
-                for i in range(K):
-                    w = W[i, j, k, l]
-                    if w == 0.0:
-                        continue
-                    m_i = occs[:, i] - (1 if i == k else 0) - (1 if i == l else 0) \
-                        + (1 if i == j else 0)
-                    amp = amp_kl * np.sqrt(
-                        np.clip((m_j + 1) * (m_i + 1), 0, None))
-                    sel = valid_kl
-                    rows = table[occ2_base[sel] + strides[j] + strides[i]]
-                    rows_out.append(rows)
-                    cols_out.append(cols_all[sel])
-                    vals_out.append(0.5 * w * amp[sel])
-    if not rows_out:
-        empty = np.empty(0)
-        return empty.astype(np.int64), empty.astype(np.int64), empty
-    return (np.concatenate(rows_out), np.concatenate(cols_out),
-            np.concatenate(vals_out))
+    eye = np.eye(occs.shape[1], dtype=np.int64)
+    out = []
+    for k, l in np.ndindex(W.shape[2:]):
+        n_k, n_l = occs[:, k], occs[:, l] - (l == k)
+        sel = np.flatnonzero((n_k >= 1) & (n_l >= 1))
+        j, i = np.nonzero(W[:, :, k, l].T)
+        left = (occs[sel] - eye[k] - eye[l]).T     # occupations after a_l a_k
+        amp = np.sqrt((n_k[sel] * n_l[sel]).astype(float)) \
+            * np.sqrt((left[j] + 1) * (left[i] + 1 + (i == j)[:, None]))
+        out.append((table[keys[sel] - strides[k] - strides[l]
+                          + (strides[j] + strides[i])[:, None]].ravel(),
+                     np.tile(sel, j.size),
+                     ((0.5 * W[i, j, k, l])[:, None] * amp).ravel()))
+    return tuple(np.concatenate(x) for x in zip(*out))

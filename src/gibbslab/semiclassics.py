@@ -40,6 +40,7 @@ _CHUNK = 256
 _WINDOW_TAIL = 2.0 ** -60  # Poisson mass a sector window leaves out per side
 _WINDOW_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
+_DEGENERATE_ESS = 0.05  # ESS share below which a weighted sample is degenerate
 
 
 class TailWarning(UserWarning):
@@ -312,7 +313,7 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
              for lo, hi in zip(bounds[:-1], bounds[1:])]
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
-                      degenerate=ess < 0.05 * n_samples)
+                      degenerate=ess < _DEGENERATE_ESS * n_samples)
 
 
 @dataclass(frozen=True)

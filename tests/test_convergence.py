@@ -579,18 +579,18 @@ def test_selfchecks_negative_control(small_config):
 
 def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
                                                           small_config):
-    entries = fock._class_entries
+    blocks = fock._class_blocks
 
-    def shifted(H, M, sector):
+    def shifted(H):
         # class 1 of every split sector moved up by 1e-6; whole sectors and
         # one-class sectors are left as they are
-        for n, rows, r, c, v in entries(H, M, sector):
+        for n, rows, r, c, v in blocks(H):
             if rows.size < H.basis.sector_dim(n) and H.labels[rows[0]] == 1:
                 assert np.array_equal(np.sort(r[r == c]), np.arange(rows.size))
                 v = v + 1e-6 * (r == c)
             yield n, rows, r, c, v
 
-    monkeypatch.setattr(fock, "_class_entries", shifted)
+    monkeypatch.setattr(fock, "_class_blocks", shifted)
     by_name = {c.name: c for c in run_selfchecks(small_config)}
     assert not by_name["class_split"].passed
     assert by_name["class_split"].note == "2 classes"

@@ -274,6 +274,19 @@ def test_gibbs_refuses_labels_that_cut_an_entry(basis_k3, tensor_k3):
     gl.gibbs_state(H, 1.0)
 
 
+def test_gibbs_refuses_an_entry_between_sectors(basis_k3, tensor_k3):
+    # the vacuum coupled to the one-particle state (1, 0, 0) of the same
+    # label: a number-changing entry that no Gibbs block can hold
+    fb = gl.build_fock_basis(3, 4)
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 0.7)
+    assert fb.occupations[1].tolist() == [1, 0, 0] and H.labels[1] == 0
+    bump = sparse.csr_matrix(([0.3, 0.3], ([0, 1], [1, 0])),
+                             shape=H.matrix.shape)
+    changed = fock.FockOperator(fb, H.matrix + bump, H.labels)
+    with pytest.raises(ValueError, match="different classes or sectors"):
+        gl.gibbs_state(changed, 1.0)
+
+
 def test_rdm_pure_two_particle_state():
     fb = gl.build_fock_basis(1, 6)
     blocks = [np.zeros((1, 1)) for _ in range(7)]

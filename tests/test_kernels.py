@@ -118,10 +118,18 @@ def test_occupation_products_rejects_an_unfit_buffer(out):
 
 
 def test_two_body_coo_matches_ladder_products():
-    for seed in range(4):
-        fb, _, W = _random_inputs(seed)
+    inputs = [_random_inputs(seed, K=K)[::2]
+              for K in range(2, 5) for seed in range(4)]
+    # K = 1 has the one entry W[0,0,0,0], which _random_inputs zeroes; an
+    # all-zero W gives empty triplets
+    inputs += [(gl.build_fock_basis(1, 6), np.full((1,) * 4, 0.7)),
+               (gl.build_fock_basis(3, 6), np.zeros((3,) * 4))]
+    for fb, W in inputs:
         rows, cols, vals = two_body_coo(fb.occupations, fb.table, fb.strides,
                                         W)
+        assert rows.dtype == cols.dtype == np.int64 and vals.dtype == float
+        assert rows.size == cols.size == vals.size
+        assert (rows.size == 0) == (not W.any())
         got = sparse.coo_matrix((vals, (rows, cols)),
                                 shape=(fb.dim, fb.dim)).toarray()
         ops = [gl.ladder(fb, j + 1) for j in range(fb.K)]
