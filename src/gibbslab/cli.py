@@ -84,8 +84,7 @@ def cmd_quantum(args) -> int:
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
     out = _ensure_out(cfg)
     gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
-    marginals = {k: fock.reduced_density_matrix(gibbs, k)
-                 for k in range(1, min(cfg.k_max, n_max) + 1)}
+    marginals = fock.reduced_density_matrices(gibbs, min(cfg.k_max, n_max))
     pair = (fock.pair_energy(marginals[2], tensor, lam)
             if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
     info = {"T": T, "lambda": lam, "n_max": n_max, "dim": fb.dim,

@@ -274,9 +274,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
                      f"n_max_policy {config.n_max_policy:.1e}")
-    marginals = {}
-    for k in range(1, min(config.k_max, fb.n_max) + 1):
-        g_k = marginals[k] = fock.reduced_density_matrix(gibbs, k)
+    marginals = fock.reduced_density_matrices(gibbs,
+                                              min(config.k_max, fb.n_max))
+    for k, g_k in marginals.items():
         scaled = math.factorial(k) / T**k * g_k.entries
         target = moments[k].entries
         d = trace_norm_distance(scaled, target)

@@ -18,7 +18,9 @@ the convergence driver.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "build_hamiltonian",
     "gibbs_state",
     "reduced_density_matrix",
+    "reduced_density_matrices",
     "reduced_dm_normal_ordered",
     "particle_number",
     "energy_decomposition",
@@ -257,6 +260,36 @@ def _class_blocks(H: FockOperator):
                P.data[a:b])
 
 
+def _workers() -> int:
+    """Threads of the Gibbs eigensolve pool: the CPUs this process may run
+    on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _weights_into(G: np.ndarray, lam: np.ndarray, U: np.ndarray,
+                  T: float) -> None:
+    """G = V V^T with V = U exp(-lam/2T) formed in place over U: one BLAS
+    syrk, exactly symmetric."""
+    U *= np.exp(-lam / (2.0 * T))
+    np.matmul(U, U.T, out=G)
+
+
+def _dense_block(r: np.ndarray, c: np.ndarray, v: np.ndarray, T: float,
+                 G: np.ndarray) -> np.ndarray:
+    """Scatter one class block, solve it and write its unnormalized Gibbs
+    block into G; returns the eigenvalues, the eigenvectors are dropped.
+    Runs on a pool thread, so it calls numpy alone."""
+    B = np.zeros(G.shape)
+    B[r, c] = v
+    lam, U = np.linalg.eigh(B)
+    del B
+    _weights_into(G, lam, U, T)
+    return lam
+
+
 def gibbs_state(H: FockOperator, T: float):
     """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
     energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
@@ -264,30 +297,51 @@ def gibbs_state(H: FockOperator, T: float):
     The blocks are the label classes of each sector (the reflection-parity
     blocks of build_hamiltonian), cut from H by one permutation
     (_class_blocks); an entry between two blocks is refused, and so is a
-    complex H. A block whose entries all lie within one place of the
-    diagonal goes to LAPACK's tridiagonal divide-and-conquer solver (stevd)
-    on its diagonal and lower off-diagonal; every other block is scattered
-    densely and goes to the dense one (syevd), which reads the lower triangle
-    and on a tridiagonal input ends in the same stedc call, so the two give
-    the same bits there. A sector's eigenvalues are sorted before the
-    log-sum-exp, so log Z does not depend on the split (the class_split
-    selfcheck holds it to whole sectors). The energy is one dot product over
-    the same eigenvalues, which also give the entropy
-    -sum p log p = <H>/T + log Z with no second eigensolve. Each class drops
-    its eigenvectors once its block (U w) U^T is built.
+    complex H or one with a non-finite entry. A block whose entries all lie
+    within one place of the diagonal goes to LAPACK's tridiagonal
+    divide-and-conquer solver (stevd) on its diagonal and lower
+    off-diagonal, on the calling thread, as scipy's wrapper holds the GIL.
+    Every other block is scattered densely and goes to the dense one
+    (syevd, through numpy.linalg.eigh, which releases the GIL) on a pool of
+    one thread per CPU this process may use; the pool assumes a
+    single-threaded BLAS. syevd reads the lower triangle and on a
+    tridiagonal input ends in the same stedc call, so the two give the same
+    bits there.
+
+    Each block is solved once into an output G the calling thread
+    allocates: G = V V^T with V = U exp(-lam/2T) is exp(-H/T) unnormalized,
+    one syrk (half the flops of (U w) U^T, and exactly symmetric), and the
+    eigenvectors are dropped at once. A sector's eigenvalues are sorted
+    before the log-sum-exp, so log Z does not depend on the split (the
+    class_split selfcheck holds it to whole sectors). The energy is one dot
+    product over the same eigenvalues, which also give the entropy
+    -sum p log p = <H>/T + log Z with no second eigensolve. Last, every
+    block is scaled in place by exp(-log Z). That cannot overflow: the
+    vacuum's eigenvalue is 0 for every H build_hamiltonian makes, so
+    log Z >= 0 (and V stays finite above a spectrum of -1400 T; the lab's
+    H is positive semidefinite). Against exp(-lam/T - log Z) weights the
+    blocks move at float level, two roundings of one number; log Z and <H>
+    do not move.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
     if np.iscomplexobj(H.matrix):
         raise ValueError("Hamiltonian must be real")
+    if not np.isfinite(H.matrix.data).all():
+        raise ValueError("Hamiltonian has non-finite entries")
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian is not symmetric")
     basis = H.basis
     eigs = [[] for _ in range(basis.n_max + 1)]
-    solved = []
-    for n, rows, r, c, v in _class_blocks(H):
-        m = rows.size
-        if np.all(np.abs(r - c) <= 1):
+    blocks, dense = [], []
+    with ThreadPoolExecutor(_workers()) as pool:
+        for n, rows, r, c, v in _class_blocks(H):
+            m = rows.size
+            G = np.empty((m, m))
+            blocks.append((n, rows, G))
+            if not np.all(np.abs(r - c) <= 1):
+                dense.append((n, pool.submit(_dense_block, r, c, v, T, G)))
+                continue
             diag, lower = r == c, r == c + 1
             d, e = np.zeros(m), np.zeros(max(m - 1, 1))
             d[r[diag]] = v[diag]
@@ -295,21 +349,16 @@ def gibbs_state(H: FockOperator, T: float):
             lam, U, info = dstevd(d, e)
             if info:
                 raise np.linalg.LinAlgError(f"stevd failed with info {info}")
-        else:
-            # Fortran order lets LAPACK write the eigenvectors over B
-            B = np.zeros((m, m), order="F")
-            B[r, c] = v
-            lam, U = eigh(B, overwrite_a=True, driver="evd")
-        eigs[n].append(lam)
-        solved.append((n, rows, lam, U))
+            _weights_into(G, lam, U, T)
+            eigs[n].append(lam)
+        for n, solve in dense:
+            eigs[n].append(solve.result())
     eigs = np.concatenate([np.sort(np.concatenate(lams)) for lams in eigs])
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
-    blocks = []
-    solved.reverse()
-    while solved:
-        n, rows, lam, U = solved.pop()
-        blocks.append((n, rows, (U * np.exp(-lam / T - log_z)) @ U.T))
+    scale = np.exp(-log_z)
+    for *_, G in blocks:
+        G *= scale
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
 
 
@@ -342,11 +391,27 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     end to end, and a pair in different classes reads the exact zero put
     after them. A sector with no block is zero and is skipped.
     """
+    if not 1 <= k <= state.basis.n_max:
+        raise ValueError(f"order k={k} outside 1..n_max={state.basis.n_max}")
+    return _marginals(state, (k,))[k]
+
+
+def reduced_density_matrices(state: FockState, k_max: int) -> dict:
+    """{k: reduced_density_matrix(state, k)} for k = 1..k_max, bitwise, with
+    the block lookup and each sector's flat copy of its class blocks built
+    once for every order."""
+    if not 1 <= k_max <= state.basis.n_max:
+        raise ValueError(
+            f"order k={k_max} outside 1..n_max={state.basis.n_max}")
+    return _marginals(state, range(1, k_max + 1))
+
+
+def _marginals(state: FockState, orders) -> dict:
+    """The marginals of the given orders, one pass over the sectors."""
     basis = state.basis
-    if not 1 <= k <= basis.n_max:
-        raise ValueError(f"order k={k} outside 1..n_max={basis.n_max}")
-    occs_k, rows, coefs = _branching_table(basis, k)
-    out = np.zeros((occs_k.shape[0],) * 2)
+    tables = {k: _branching_table(basis, k) for k in orders}
+    out = {k: np.zeros((occs_k.shape[0],) * 2)
+           for k, (occs_k, _, _) in tables.items()}
     # block, place in the block and row start in its sector's flat copy
     cls, pos, start = np.empty((3, basis.dim), dtype=np.int64)
     flat = [[] for _ in range(basis.n_max + 1)]
@@ -354,15 +419,19 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
         cls[g], pos[g] = c, np.arange(g.size)
         start[g] = sum(map(len, flat[n])) + pos[g] * g.size
         flat[n].append(G.ravel())
-    for n in sorted({m for m, *_ in state.blocks if m >= k}):
-        cols = basis.sector_slice(n - k)
-        a, b = rows[:, None, cols], rows[None, :, cols]
-        vals = np.concatenate(flat[n] + [np.zeros(1)])[
-            np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
-        c = coefs[:, cols]
-        out += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
-    out = 0.5 * (out + out.T)
-    return MomentMatrix(k=k, entries=out, occupations=occs_k)
+    for n in sorted({m for m, *_ in state.blocks if m >= min(tables)}):
+        sector = np.concatenate(flat[n] + [np.zeros(1)])
+        for k, (_, rows, coefs) in tables.items():
+            if n < k:
+                continue
+            cols = basis.sector_slice(n - k)
+            a, b = rows[:, None, cols], rows[None, :, cols]
+            vals = sector[np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
+            c = coefs[:, cols]
+            out[k] += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
+    return {k: MomentMatrix(k=k, entries=0.5 * (g + g.T),
+                            occupations=tables[k][0])
+            for k, g in out.items()}
 
 
 def reduced_dm_normal_ordered(state: FockState, k: int) -> MomentMatrix:

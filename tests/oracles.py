@@ -19,8 +19,9 @@ one-gather-per-sector loop that `occupation_products` must reproduce bit
 for bit. The moment matrices
 are dense weighted sums of per-sample outer products. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
-the dense divide-and-conquer driver. The free-state cutoff sums the free
-Gibbs weights over the enumerated basis and scans every cutoff in budget.
+scipy's dense divide-and-conquer driver, one by one. The free-state cutoff
+sums the free Gibbs weights over the enumerated basis and scans every
+cutoff in budget.
 """
 
 import math
@@ -372,8 +373,9 @@ def brute_force_cutoff(eigenvalues, T: float, tail: float, dim_budget: int):
 
 def gibbs_blocks_csr(H, T: float):
     """exp(-H/T)/Z as (sector, class) blocks, log Z and <H>, with each
-    class block sliced from the CSR matrix and solved by the dense
-    divide-and-conquer driver, whatever its shape."""
+    class block sliced from the CSR matrix and solved by scipy's dense
+    divide-and-conquer driver, whatever its shape, rebuilt as V V^T with
+    V = U exp(-lam/2T) and then scaled by exp(-log Z)."""
     basis = H.basis
     eigs, solved = [], []
     for n in range(basis.n_max + 1):
@@ -388,6 +390,8 @@ def gibbs_blocks_csr(H, T: float):
     eigs = np.concatenate(eigs)
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
-    blocks = tuple((n, rows, (U * np.exp(-lam / T - log_z)) @ U.conj().T)
-                   for n, rows, lam, U in solved)
-    return FockState(basis=basis, blocks=blocks), log_z, energy
+    blocks = []
+    for n, rows, lam, U in solved:
+        V = U * np.exp(-lam / (2.0 * T))
+        blocks.append((n, rows, (V @ V.T) * np.exp(-log_z)))
+    return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import threading
 import time
 
 import numpy as np
@@ -177,18 +178,23 @@ def test_run_convergence_small(small_config):
 
 
 def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
-    real = fock.reduced_density_matrix
+    one, every = fock.reduced_density_matrix, fock.reduced_density_matrices
     calls = []
 
-    def counting(state, k):
+    def counting_one(state, k):
         calls.append(k)
-        return real(state, k)
+        return one(state, k)
 
-    monkeypatch.setattr(fock, "reduced_density_matrix", counting)
+    def counting_every(state, k_max):
+        calls.append(range(1, k_max + 1))
+        return every(state, k_max)
+
+    monkeypatch.setattr(fock, "reduced_density_matrix", counting_one)
+    monkeypatch.setattr(fock, "reduced_density_matrices", counting_every)
     res = run_convergence(small_config)
-    # per row: d_1 and d_2 of the Gibbs state, then the trial state's pair
-    # energy; the Gibbs free energy reuses the d_2 marginal
-    assert calls == [1, 2, 2] * len(res.rows)
+    # per row: d_1 and d_2 of the Gibbs state in one call, then the trial
+    # state's pair energy; the Gibbs free energy reuses the d_2 marginal
+    assert calls == [range(1, 3), 2] * len(res.rows)
     monkeypatch.undo()
     basis, tensor = gl.convergence.resolve(small_config)
     for row in res.rows:
@@ -203,18 +209,24 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
 
 def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     # gibbs_state solves each Gibbs class block, the tridiagonal ones with
-    # stevd and the others with evd, and S(trial | free) each stored trial
-    # block with evd; S(Gibbs | free) comes from the Gibbs spectrum, so
-    # relative_entropy sees trial states only
+    # stevd and the others with numpy's evd on its pool, and S(trial | free)
+    # each stored trial block with scipy's evd; S(Gibbs | free) comes from
+    # the Gibbs spectrum, so relative_entropy sees trial states only
     eigh, dstevd, gibbs_state = fock.eigh, fock.dstevd, fock.gibbs_state
+    dense_eigh, lock = np.linalg.eigh, threading.Lock()
     trial_state, relative_entropy = semiclassics.trial_state, \
         fock.relative_entropy
-    calls = {"evd": 0, "stevd": 0}
+    calls = {"evd": 0, "stevd": 0, "pool_evd": 0}
     gibbs_blocks, trials, entropy_states = [], [], []
 
     def counting_eigh(*args, **kwargs):
         calls["evd"] += 1
         return eigh(*args, **kwargs)
+
+    def counting_dense_eigh(*args, **kwargs):
+        with lock:
+            calls["pool_evd"] += 1
+        return dense_eigh(*args, **kwargs)
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
@@ -237,6 +249,7 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         return relative_entropy(state, ref)
 
     monkeypatch.setattr(fock, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_dense_eigh)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
     monkeypatch.setattr(fock, "gibbs_state", recording_gibbs)
     monkeypatch.setattr(semiclassics, "trial_state", recording_trial)
@@ -245,7 +258,8 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     assert len(gibbs_blocks) == len(trials) == len(res.rows) == 2
     tridiagonal, dense = np.sum(gibbs_blocks, axis=0)
     assert calls["stevd"] == tridiagonal > 0
-    assert calls["evd"] == dense + sum(len(t.blocks) for t in trials)
+    assert calls["pool_evd"] == dense
+    assert calls["evd"] == sum(len(t.blocks) for t in trials)
     assert [id(s) for s in entropy_states] == [id(t) for t in trials]
 
 

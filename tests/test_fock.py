@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 
 import numpy as np
@@ -306,6 +307,9 @@ def test_rdm_order_guard():
         gl.reduced_density_matrix(state, 4)
     with pytest.raises(ValueError):
         gl.reduced_dm_normal_ordered(state, 0)
+    for k_max in (0, 4):
+        with pytest.raises(ValueError):
+            gl.reduced_density_matrices(state, k_max)
 
 
 def test_free_gibbs_occupancies_closed_form(basis_k2):
@@ -381,6 +385,12 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     got = gl.reduced_density_matrix(state, k).entries
     assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
         want_state, k).entries)
+    every = gl.reduced_density_matrices(state, min(3, n_max))
+    assert list(every) == list(range(1, min(3, n_max) + 1))
+    for j, g in every.items():
+        one = gl.reduced_density_matrix(state, j)
+        assert g.k == j and np.array_equal(g.occupations, one.occupations)
+        assert g.entries.tobytes() == one.entries.tobytes()
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -790,8 +800,15 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     assert {n for n, *_ in gibbs.blocks} == set(range(n_max + 1))
     for (na, ia, ga), (nb, ib, gb) in zip(point.gibbs.blocks, gibbs.blocks):
         assert na == nb and np.array_equal(ia, ib) and np.array_equal(ga, gb)
+    # exp(-E/T - log Z_0) against exp(-E/2T)^2 exp(-log Z_0) from the H_0
+    # Gibbs route: two roundings of one number, 2 ulp apart, plus the
+    # rounding of exp's argument E/T + log Z_0 on the direct side, which
+    # moves its result by at most |E/T + log Z_0| ulp
     assert point.free.p.shape == (fb.dim,)
-    assert np.array_equal(point.free.p, oracles.diagonal_of(free).p)
+    want = oracles.diagonal_of(free).p
+    arg = fb.occupations @ basis_k2.eigenvalues / T + log_z0
+    assert np.all(np.abs(point.free.p - want)
+                  <= (2.0 + np.abs(arg)) * np.spacing(want))
 
 
 def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
@@ -809,15 +826,63 @@ def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
                                rtol=1e-13, atol=0.0)
 
 
-def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
-                                                         tensor_k3):
-    # LAPACK's stedc uses QR below 26 rows; the largest parity class here
-    # is wider, so the recursive divide-and-conquer path runs
-    T = 2.5
+def _k3_point(basis_k3, tensor_k3, T=2.5):
+    """H of the K=3 point whose widest parity class exceeds 25 rows, so
+    stedc's divide-and-conquer path runs."""
     fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
     assert max(np.bincount(H.labels[fb.sector_slice(n)]).max()
                for n in range(fb.n_max + 1)) > 25
+    return H, T
+
+
+def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
+                                                  monkeypatch):
+    H, T = _k3_point(basis_k3, tensor_k3)
+    got = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(fock, "_workers", lambda: workers)
+        threads = threading.active_count()
+        got[workers] = gl.gibbs_state(H, T)
+        assert threading.active_count() == threads
+    _assert_same_gibbs(got[3], got[1])
+    for *_, G in got[3][0].blocks:
+        assert np.array_equal(G, G.T)
+
+
+def test_gibbs_blocks_are_exactly_symmetric(basis_k2, tensor_k2):
+    # the tridiagonal route builds its blocks on the calling thread
+    T = 10.0
+    fb = gl.build_fock_basis(2, gl.choose_n_max(basis_k2.eigenvalues, T))
+    state, _, _ = gl.gibbs_state(
+        gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
+    for *_, G in state.blocks:
+        assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_gibbs_state_refuses_a_non_finite_hamiltonian(dirichlet_op,
+                                                      delta_kernel, K):
+    # NaN > 1e-10 is false, so the symmetry check alone lets a NaN through;
+    # at K=1 every block is tridiagonal and stevd does not check its input
+    basis = gl.eigendecompose(dirichlet_op, K)
+    tensor = gl.interaction_elements(basis, delta_kernel)
+    T = 2.5
+    fb = gl.build_fock_basis(K, gl.choose_n_max(basis.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
+    for bad in (np.nan, np.inf):
+        A = H.matrix.copy()
+        A.data[A.nnz // 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gl.gibbs_state(fock.FockOperator(fb, A, H.labels), T)
+
+
+def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
+                                                         tensor_k3):
+    # LAPACK's stedc uses QR below 26 rows; the largest parity class here
+    # is wider, so the recursive divide-and-conquer path runs
+    H, T = _k3_point(basis_k3, tensor_k3)
+    fb = H.basis
     gibbs, log_z, _ = gl.gibbs_state(H, T)
     E, V = np.linalg.eigh(H.matrix.toarray())
     want_log_z = float(logsumexp(-E / T))
@@ -832,19 +897,22 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
 
 
 def _count_solvers(monkeypatch):
-    """Count fock's calls of the dense and the tridiagonal eigensolver."""
+    """Count fock's calls of the dense eigensolver (numpy's, on the pool
+    threads) and the tridiagonal one (on the calling thread)."""
     calls = {"evd": 0, "stevd": 0}
-    eigh, dstevd = fock.eigh, fock.dstevd
+    lock = threading.Lock()
+    eigh, dstevd = np.linalg.eigh, fock.dstevd
 
     def counting_eigh(*args, **kwargs):
-        calls["evd"] += 1
+        with lock:
+            calls["evd"] += 1
         return eigh(*args, **kwargs)
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
         return dstevd(*args, **kwargs)
 
-    monkeypatch.setattr(fock, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
     return calls
 
