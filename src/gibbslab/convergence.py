@@ -443,7 +443,10 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
                                  "gap": row.bl.gap,
                                  "classical_stderr": row.bl.classical_stderr,
                                  "ess": row.bl.ess,
-                                 "degenerate": row.bl.degenerate}
+                                 "degenerate": row.bl.degenerate,
+                                 "fallback_points": row.bl.fallback_points,
+                                 "n_hi": dict(zip(("min", "median", "max"),
+                                                  row.bl.n_hi))}
         return d
 
     summary = {

@@ -4,6 +4,8 @@
         prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n),
         with no temporary above _STEP elements besides the factor table
         and a transposed copy of vs
+    occupation_sectors(vs, occs[, vacuum, reach])  -- the same amplitudes
+        as a stream of sectors, each column only up to its own reach
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
         ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
         one step per annihilated pair (k, l) over every created pair and state
@@ -13,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["occupation_products", "two_body_coo"]
+__all__ = ["occupation_products", "occupation_sectors", "two_body_coo"]
 
-# Largest gather a sector step of occupation_products makes, in elements
+# Largest gather a sector step of the amplitude recurrence makes, in elements
 # (128 KiB of complex128): slices of rows * n_samples <= _STEP elements, or
 # one row at a time from views when a slice would hold a single row.
 _STEP = 1 << 13
@@ -52,6 +54,47 @@ def _parents(occs: np.ndarray):
     return parent, mode, count, bounds
 
 
+def _checked(vs, occs) -> tuple[np.ndarray, np.ndarray]:
+    vs = np.asarray(vs, dtype=np.complex128)
+    occs = np.asarray(occs, dtype=np.int64)
+    if occs.shape[1] != vs.shape[1]:
+        raise ValueError("occupation rows and vectors differ in mode count")
+    return vs, occs
+
+
+def _recurrence(vs: np.ndarray, occs: np.ndarray):
+    """(parent, which, factors, bounds) of the amplitude recurrence over occs:
+    row r is factors[which[r]] times row parent[r], where
+    factors[j * c_max + c - 1] = vs[:, j] / sqrt(c), and bounds is that of
+    _parents."""
+    parent, mode, count, bounds = _parents(occs)
+    # from a contiguous vs.T the quotient is C-ordered and its reshape is a
+    # view
+    c_max = max(int(count.max()), 1)
+    vt = np.ascontiguousarray(vs.T)
+    factors = (vt[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
+               ).reshape(vs.shape[1] * c_max, vs.shape[0])
+    return parent, mode * c_max + count - 1, factors, bounds
+
+
+def _step(src: np.ndarray, parent: np.ndarray, which: np.ndarray,
+          factors: np.ndarray, dst: np.ndarray) -> None:
+    """dst[r] = src[parent[r]] * factors[which[r]] for every row r of dst.
+
+    Row slices whose parent and factor gathers hold at most _STEP elements
+    each; rows wider than _STEP / 2 are multiplied one at a time from views,
+    so no step copies a whole sector.
+    """
+    step = _STEP // dst.shape[1]
+    if step <= 1:
+        for r in range(dst.shape[0]):
+            np.multiply(src[parent[r]], factors[which[r]], out=dst[r])
+        return
+    for a in range(0, dst.shape[0], step):
+        b = a + step
+        np.multiply(src[parent[a:b]], factors[which[a:b]], out=dst[a:b])
+
+
 def occupation_products(vs: np.ndarray, occs: np.ndarray,
                         vacuum: np.ndarray | None = None,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -62,11 +105,9 @@ def occupation_products(vs: np.ndarray, occs: np.ndarray,
     closed under parents (every state with total n + 1 keeps its parent, one
     particle fewer in its highest occupied mode, in sector n), as a Fock
     basis or the symmetric-power sectors 0..k are. Each row then costs one
-    multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode). A sector is
-    taken in row slices whose parent and factor gathers hold at most _STEP
-    elements each; rows wider than _STEP / 2 are multiplied one at a time
-    from views, so no step copies a whole sector. Callers chunk over
-    samples when n * D is large.
+    multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode), a sector at a
+    time in the row slices of _step. Callers chunk over samples when n * D
+    is large; occupation_sectors walks the same steps one sector at a time.
 
     vacuum, if given, is the vacuum row's value per sample and multiplies
     every amplitude of that sample; coherent states pass exp(-|v|^2 / 2),
@@ -75,12 +116,8 @@ def occupation_products(vs: np.ndarray, occs: np.ndarray,
     out, if given, is a C-contiguous complex128 (D, n_samples) array that
     receives the amplitudes and is returned; a chunk loop can reuse one.
     """
-    vs = np.asarray(vs, dtype=np.complex128)
-    occs = np.asarray(occs, dtype=np.int64)
-    n, K = vs.shape
-    if occs.shape[1] != K:
-        raise ValueError("occupation rows and vectors differ in mode count")
-    shape = (occs.shape[0], n)
+    vs, occs = _checked(vs, occs)
+    shape = (occs.shape[0], vs.shape[0])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif (out.shape != shape or out.dtype != np.complex128
@@ -88,25 +125,55 @@ def occupation_products(vs: np.ndarray, occs: np.ndarray,
         raise ValueError(f"out must be a C-contiguous complex128 {shape} array")
     if out.size == 0:
         return out
-    parent, mode, count, bounds = _parents(occs)
-    # factors[j * c_max + c - 1] = vs[:, j] / sqrt(c); from a contiguous
-    # vs.T the quotient is C-ordered and its reshape is a view
-    c_max = max(int(count.max()), 1)
-    vt = np.ascontiguousarray(vs.T)
-    factors = (vt[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
-               ).reshape(K * c_max, n)
-    which = mode * c_max + count - 1
+    parent, which, factors, bounds = _recurrence(vs, occs)
     out[0] = 1.0 if vacuum is None else vacuum
-    step = _STEP // n
-    if step <= 1:
-        for r in range(bounds[0], bounds[-1]):
-            np.multiply(out[parent[r]], factors[which[r]], out=out[r])
-        return out
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            np.multiply(out[parent[a:b]], factors[which[a:b]], out=out[a:b])
+        _step(out, parent[lo:hi], which[lo:hi], factors, out[lo:hi])
     return out
+
+
+def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
+                       vacuum: np.ndarray | None = None,
+                       reach: np.ndarray | None = None):
+    """The amplitudes of occupation_products, one sector at a time.
+
+    Yields (n, c, A_n) for n = 0, 1, ... up to the top sector of occs: A_n
+    is sector n for the columns c: of vs, shape (sector dim, n_samples - c),
+    bitwise those rows and columns of occupation_products. reach, if given,
+    is each column's top sector, non-decreasing along the columns, so the
+    columns that reach n are a suffix; the walk ends at the last column's
+    reach. Sector n is built from sector n - 1 alone, so the generator
+    holds at most the sector it yields and the one before it; a consumer
+    that lets each sector go before it asks for the next keeps at most two
+    alive.
+    """
+    vs, occs = _checked(vs, occs)
+    n_cols = vs.shape[0]
+    if reach is not None:
+        reach = np.asarray(reach, dtype=np.int64)
+        if reach.shape != (n_cols,) or np.any(np.diff(reach) < 0):
+            raise ValueError("reach must be one non-decreasing sector per "
+                             "column")
+    if n_cols == 0 or occs.shape[0] == 0:
+        return
+    parent, which, factors, bounds = _recurrence(vs, occs)
+    starts = np.concatenate([[0], bounds])   # first row of each sector, D
+    top = bounds.size - 1 if reach is None else int(reach[-1])
+    if not 0 <= top < bounds.size:
+        raise ValueError(f"reach {top} is outside the sectors 0.."
+                         f"{bounds.size - 1} of occs")
+    A = np.empty((1, n_cols), dtype=np.complex128)
+    A[0] = 1.0 if vacuum is None else vacuum
+    c = 0
+    yield 0, c, A
+    for n in range(1, top + 1):
+        c_n = c if reach is None else c + int(np.searchsorted(reach[c:], n))
+        lo, hi = starts[n], starts[n + 1]
+        child = np.empty((hi - lo, n_cols - c_n), dtype=np.complex128)
+        _step(A[:, c_n - c:], parent[lo:hi] - starts[n - 1], which[lo:hi],
+              factors[:, c_n:], child)
+        A, c = child, c_n
+        yield n, c, A
 
 
 def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,

@@ -16,13 +16,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from .classical import WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
 # perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
 from .fock import reduced_density_matrix  # noqa: F401
-from .kernels import occupation_products
+from .kernels import occupation_products, occupation_sectors
 
 __all__ = [
     "TailWarning",
@@ -95,24 +95,69 @@ def _sector_window(nu_lo: float, nu_hi: float, n_top: int) -> tuple[int, int]:
     return n_lo, n_hi
 
 
+def _reach(nu: np.ndarray, n_max: int) -> np.ndarray:
+    """Each point's n_hi of _sector_window(nu, nu, n_max), from one table.
+
+    P(N > n) = gammainc(n + 1, nu) grows with nu, so it is at most 2^-60
+    exactly when nu <= gammaincinv(n + 1, 2^-60), and n_hi is the first n
+    whose threshold reaches nu.
+    """
+    table = gammaincinv(np.arange(1, n_max + 2), _WINDOW_TAIL)
+    return np.minimum(np.searchsorted(table, nu), n_max)
+
+
 def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
-                     window: bool = True):
+                     reach: np.ndarray | None = None):
     """Coherent amplitudes of the points vs, nu = |v|^2, in chunks of 256 in
-    ascending nu (a stable sort). The particle number of a coherent vector is
-    Poisson(nu), so a chunk builds amplitudes only up to the n_hi of its
-    _sector_window. Yields (idx, n_lo, n_hi, A): idx the chunk's rows of vs,
-    n_lo..n_hi its window (0..n_max with the window off), A the amplitudes of
-    sectors 0..n_hi, one column per point. A caller deletes A before the next
-    chunk, so that one chunk's amplitudes are alive at a time.
+    ascending nu (a stable sort), one sector at a time.
+
+    Yields (idx, n_lo, sectors): idx the chunk's rows of vs and sectors the
+    occupation_sectors stream of the chunk, (n, c, A_n) with A_n the
+    amplitudes of sector n for the chunk's points c: (one column per
+    point). The particle number of a coherent vector is Poisson(nu), so
+    without a reach the stream ends at the n_hi of the chunk's
+    _sector_window, and n_lo is the low end of that window. With reach, a
+    per-point top sector (non-decreasing in nu, as _reach is), each point's
+    amplitudes stop at its own reach, and n_lo is 0. A caller lets each
+    sector go before it asks for the next, so at most two sectors of
+    amplitudes are alive at a time.
     """
     order = np.argsort(nu, kind="stable")
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        n_lo, n_hi = (_sector_window(nu[idx[0]], nu[idx[-1]], basis.n_max)
-                      if window else (0, basis.n_max))
+        if reach is None:
+            n_lo, n_hi = _sector_window(nu[idx[0]], nu[idx[-1]], basis.n_max)
+            top = None
+        else:
+            n_lo, top = 0, reach[idx]
+            n_hi = int(top[-1])
         occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
-        yield idx, n_lo, n_hi, occupation_products(vs[idx], occs,
-                                                   np.exp(-0.5 * nu[idx]))
+        yield idx, n_lo, occupation_sectors(vs[idx], occs,
+                                            np.exp(-0.5 * nu[idx]), top)
+
+
+def _by_sector(blocks, basis: FockBasis) -> list[list]:
+    """(b, rows - first row of sector n, G) of every block b = (n, rows, G),
+    listed under its sector n."""
+    out = [[] for _ in range(basis.n_max + 1)]
+    for b, (n, rows, G) in enumerate(blocks):
+        out[n].append((b, rows - basis.sector_offsets[n], G))
+    return out
+
+
+def _rank_update(sums: dict, blocks: list, A: np.ndarray, w2: np.ndarray):
+    """sums[b] += Re (A_i diag(w) A_i^H) over the rows A_i of each block b
+    of one sector, w2 the weights w each repeated twice.
+
+    Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
+    interleaves the real and imaginary part of each sample's column.
+    """
+    X = A.view(np.float64)
+    for b, rows, _ in blocks:
+        Xi = X[rows]
+        if b not in sums:
+            sums[b] = np.zeros((rows.size, rows.size))
+        sums[b] += (Xi * w2) @ Xi.T
 
 
 def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
@@ -132,9 +177,10 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     energy and, by joint convexity, cannot raise S(. | free), so the state
     is a variational upper bound no worse than the plain mixture.
 
-    Each chunk of _coherent_chunks (nu = T |alpha|^2) updates only the
-    sectors n_lo..n_hi outside which every one of its samples has at most
-    2^-60 mass on either side. The mixture without this window differs
+    Each chunk of _coherent_chunks (nu = T |alpha|^2) updates, one sector
+    of amplitudes at a time, only the sectors n_lo..n_hi of its window,
+    outside which every one of its samples has at most 2^-60 mass on
+    either side. The mixture without this window differs
     from it by a share eps <= 2^-59 / (1 - tau) of its trace, tau the
     weighted mean coherent tail beyond n_max, so by joint convexity and
     concavity of the entropy S(trial | free) moves by at most
@@ -169,59 +215,77 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
             f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
     sums = {}
-    for idx, n_lo, n_hi, A in _coherent_chunks(vs, nu, basis):
-        # Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
-        # interleaves the real and imaginary part of each sample's column
-        X = A.view(np.float64)
+    by_sector = _by_sector(layout.blocks, basis)
+    for idx, n_lo, sectors in _coherent_chunks(vs, nu, basis):
         w2 = np.repeat(w[idx], 2)
-        for b, (m, rows, _) in enumerate(layout.blocks):
-            if n_lo <= m <= n_hi:
-                Xi = X[rows]
-                if b not in sums:
-                    sums[b] = np.zeros((rows.size, rows.size))
-                sums[b] += (Xi * w2) @ Xi.T
-        del A, X
+        for m, _, A in sectors:
+            if m >= n_lo:
+                _rank_update(sums, by_sector[m], A, w2)
     kept = [(m, rows, sums[b]) for b, (m, rows, _) in enumerate(layout.blocks)
             if b in sums]
     tr = sum(float(np.trace(G)) for _, _, G in kept)
-    return FockState(basis, tuple((m, rows, G / tr) for m, rows, G in kept))
+    for _, _, G in kept:
+        G /= tr
+    return FockState(basis, tuple(kept))
 
 
-def _contract(state: FockState | DiagonalState, A: np.ndarray,
-              n_hi: int) -> np.ndarray:
-    """Re <A|state|A> over sectors 0..n_hi for each column of A.
+def _sector_terms(state: FockState | DiagonalState) -> list[list]:
+    """The terms of state in each sector n: its class blocks (rows - first
+    row of n, G), or (None, p_n), the sector's slice of a DiagonalState."""
+    basis = state.basis
+    if isinstance(state, DiagonalState):
+        return [[(None, state.p[basis.sector_slice(n)])]
+                for n in range(basis.n_max + 1)]
+    return [[(rows, G) for _, rows, G in blocks]
+            for blocks in _by_sector(state.blocks, basis)]
 
-    A holds the amplitudes of those sectors (a graded prefix of the basis).
-    A DiagonalState costs O(dim) per point as p . |A|^2; a FockState is
-    contracted one (sector, class) block at a time.
+
+def _contract(terms: list, A: np.ndarray, val: np.ndarray) -> None:
+    """val += Re <A|terms|A> for each column of A, the amplitudes of one
+    sector, and terms that sector's part of a state (_sector_terms).
+
+    A diagonal part costs O(sector dim) per point as p . |A|^2; class
+    blocks are contracted one at a time.
     """
     # The real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
-    if isinstance(state, DiagonalState):
-        p = state.p[:A.shape[0]]
-        return np.einsum("i,ij,ij->j", p, X, X).reshape(-1, 2).sum(axis=1)
-    val = np.zeros(A.shape[1])
-    for n, rows, G in state.blocks:
-        if n > n_hi:
-            break
-        Xi = X[rows]
-        val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
-    return val
+    for rows, G in terms:
+        if rows is None:
+            val += np.einsum("i,ij,ij->j", G, X, X).reshape(-1, 2).sum(axis=1)
+        else:
+            Xi = X[rows]
+            val += np.einsum("ij,ij->j", Xi, G @ Xi).reshape(-1, 2).sum(axis=1)
+
+
+def _densities(terms: list, vs: np.ndarray, nu: np.ndarray,
+               basis: FockBasis, reach: np.ndarray) -> np.ndarray:
+    """Re <xi(v)|state|xi(v)> for each state's _sector_terms and each point,
+    over sectors 0..reach of that point, in the walk of _coherent_chunks."""
+    out = np.empty((len(terms), vs.shape[0]))
+    for idx, _, sectors in _coherent_chunks(vs, nu, basis, reach):
+        vals = np.zeros((len(terms), idx.size))
+        for n, c, A in sectors:
+            for t, val in zip(terms, vals):
+                _contract(t[n], A, val[c:])
+        out[:, idx] = vals
+    return out
 
 
 def _husimi(states: list[FockState | DiagonalState], eps: float,
-            points: np.ndarray) -> np.ndarray:
+            points: np.ndarray):
     """Husimi densities of FockStates or DiagonalStates on one basis, one
-    row per state.
+    row per state, with each point's reach and the points recomputed over
+    the full basis: (densities, reach, redo).
 
-    The amplitudes of each chunk of _coherent_chunks are built once and
-    contracted against every state, which is block diagonal, over sectors
-    0..n_hi: the first whose Poisson(nu_max) tail beyond it is at most
-    2^-60. Sector m of the amplitudes has squared norm exactly
-    e^-nu nu^m / m!, and lambda_max(G_m) <= tr G_m, so the omitted part of
-    a density is at most max_{m > n_hi} tr G_m * P(N > n_hi); a point where
-    that exceeds 2^-53 of the kept part is recomputed over the full basis.
+    Each chunk of _coherent_chunks builds its amplitudes one sector at a
+    time and contracts every state, which is block diagonal, sector by
+    sector as it arrives. A point's amplitudes stop at its reach, the first
+    sector n_hi whose Poisson(nu) tail beyond it is at most 2^-60 (_reach).
+    Sector m of the amplitudes has squared norm exactly e^-nu nu^m / m!, and
+    lambda_max(G_m) <= tr G_m, so the omitted part of a density is at most
+    max_{m > n_hi} tr G_m * P(N > n_hi); a point where that exceeds 2^-53
+    of the kept part is recomputed over the full basis (a reach of n_max).
     """
     if eps <= 0:
         raise ValueError("scale eps must be positive")
@@ -237,20 +301,15 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     beyond = np.zeros_like(tr)
     beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
 
-    out = np.empty((len(states), points.shape[0]))
-    redo = np.zeros(points.shape[0], dtype=bool)
-    for idx, _, n_hi, A in _coherent_chunks(vs, nu, basis):
-        out[:, idx] = [_contract(s, A, n_hi) for s in states]
-        del A
-        if n_hi < basis.n_max:
-            missed = beyond[:, n_hi, None] * gammainc(n_hi + 1, nu[idx])
-            redo[idx] = np.any(missed > _WINDOW_REL * out[:, idx], axis=0)
-    redo = np.flatnonzero(redo)
-    for idx, _, n_hi, A in _coherent_chunks(vs[redo], nu[redo], basis,
-                                            window=False):
-        out[:, redo[idx]] = [_contract(s, A, n_hi) for s in states]
-        del A
-    return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None)
+    terms = [_sector_terms(s) for s in states]
+    reach = _reach(nu, basis.n_max)
+    out = _densities(terms, vs, nu, basis, reach)
+    short = np.flatnonzero(reach < basis.n_max)
+    missed = beyond[:, reach[short]] * gammainc(reach[short] + 1, nu[short])
+    redo = short[np.any(missed > _WINDOW_REL * out[:, short], axis=0)]
+    out[:, redo] = _densities(terms, vs[redo], nu[redo], basis,
+                              np.full(redo.size, basis.n_max))
+    return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None), reach, redo
 
 
 def husimi_density(state: FockState | DiagonalState, eps: float,
@@ -260,7 +319,7 @@ def husimi_density(state: FockState | DiagonalState, eps: float,
     points: (P, K) complex field values u. Nonnegative by positivity of the
     state; integrates to 1 minus the truncation tail.
     """
-    return _husimi([state], eps, points)[0]
+    return _husimi([state], eps, points)[0][0]
 
 
 @dataclass(frozen=True)
@@ -269,6 +328,8 @@ class KLEstimate:
     stderr: float
     ess: float
     degenerate: bool
+    fallback_points: int     # points whose densities took the full basis
+    n_hi: tuple              # min, median, max of the points' reach
 
 
 def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
@@ -280,7 +341,8 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
     and self-normalizes both densities so the truncation deficit cancels.
     The standard error comes from ten batch means, so at least 10 samples
     are needed; estimates with effective sample size below 5% are flagged
-    degenerate.
+    degenerate. The estimate also counts the points _husimi recomputed over
+    the full basis and gives the min, median and max of their reach.
     """
     if not state.basis.matches(ref.basis):
         raise ValueError("states live on different bases")
@@ -293,7 +355,7 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
     u = (z[:, :K] + 1j * z[:, K:]) * np.sqrt(var / 2.0)
     logq = np.sum(-np.abs(u) ** 2 / var - np.log(math.pi * var), axis=1)
 
-    h, hp = _husimi([state, ref], eps, u)
+    (h, hp), reach, redo = _husimi([state, ref], eps, u)
     floor = 1e-290
     lh = np.log(np.clip(h, floor, None))
     lhp = np.log(np.clip(hp, floor, None))
@@ -313,7 +375,10 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
              for lo, hi in zip(bounds[:-1], bounds[1:])]
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
-                      degenerate=ess < _DEGENERATE_ESS * n_samples)
+                      degenerate=ess < _DEGENERATE_ESS * n_samples,
+                      fallback_points=int(redo.size),
+                      n_hi=(int(reach.min()), float(np.median(reach)),
+                            int(reach.max())))
 
 
 @dataclass(frozen=True)
@@ -326,13 +391,16 @@ class BLGap:
     classical_stderr: float
     ess: float
     degenerate: bool
+    fallback_points: int
+    n_hi: tuple
 
     @classmethod
     def of(cls, quantum: float, kl: KLEstimate) -> BLGap:
         """The gap of a quantum relative entropy and a Husimi KL estimate."""
         return cls(quantum=quantum, classical=kl.value,
                    gap=quantum - kl.value, classical_stderr=kl.stderr,
-                   ess=kl.ess, degenerate=kl.degenerate)
+                   ess=kl.ess, degenerate=kl.degenerate,
+                   fallback_points=kl.fallback_points, n_hi=kl.n_hi)
 
 
 def berezin_lieb_gap(state: FockState, ref: DiagonalState, eps: float,

@@ -829,7 +829,32 @@ def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
         assert row["berezin_lieb"] == {
             "quantum": gap.quantum, "classical": gap.classical,
             "gap": gap.gap, "classical_stderr": gap.classical_stderr,
-            "ess": gap.ess, "degenerate": gap.degenerate}
+            "ess": gap.ess, "degenerate": gap.degenerate,
+            "fallback_points": gap.fallback_points,
+            "n_hi": {"min": gap.n_hi[0], "median": gap.n_hi[1],
+                     "max": gap.n_hi[2]}}
+        assert 0 < row["berezin_lieb"]["n_hi"]["min"] \
+            <= row["berezin_lieb"]["n_hi"]["median"] \
+            <= row["berezin_lieb"]["n_hi"]["max"] <= row["n_max"]
+
+
+def test_desk_berezin_lieb_needs_no_full_basis_fallback():
+    # every desk row at seeds 7 and 11: the Gibbs state's tail is far below
+    # 2^-53, so no Husimi point is recomputed over the full basis
+    cfg = gl.read_config(os.path.join(CONFIGS, "desk.cfg"))
+    basis, tensor = gl.convergence.resolve(cfg)
+    points = [gl.solve_point(basis.eigenvalues, tensor, T,
+                             cfg.coupling_rule / T, tail=cfg.n_max_policy,
+                             dim_budget=cfg.dim_budget)
+              for T in cfg.T_schedule]
+    for seed in (7, 11):
+        seeds = gl.convergence.row_seeds(seed, len(cfg.T_schedule))
+        for point, row_seed in zip(points, seeds):
+            kl = semiclassics.husimi_kl_importance(
+                point.gibbs, point.free, 1.0 / point.T,
+                n_samples=cfg.bl_samples, seed=row_seed)
+            assert kl.fallback_points == 0
+            assert kl.n_hi[2] <= point.basis.n_max
 
 
 @pytest.mark.parametrize("command", ["quantum"])

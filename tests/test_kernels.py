@@ -6,7 +6,8 @@ from scipy import sparse
 
 import gibbslab as gl
 from gibbslab import symspace
-from gibbslab.kernels import _STEP, occupation_products, two_body_coo
+from gibbslab.kernels import (_STEP, occupation_products,
+                              occupation_sectors, two_body_coo)
 
 import oracles
 
@@ -115,6 +116,35 @@ def test_occupation_products_rejects_an_unfit_buffer(out):
     occs = symspace.graded_indices(2, 2)[0]      # 6 rows
     with pytest.raises(ValueError, match="out must be"):
         occupation_products(np.ones((4, 2)), occs, out=out)
+
+
+@pytest.mark.parametrize("n", [1, 40, _STEP // 2 + 1])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_occupation_sectors_are_bitwise_the_products(K, n):
+    # each sector of the stream, for the suffix of columns that reach it,
+    # is those rows and columns of occupation_products
+    rng = np.random.default_rng(K * n)
+    fb = gl.build_fock_basis(K, _FOCK_N_MAX[K] if n < 1000 else 6)
+    vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+    vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
+    want = occupation_products(vs, fb.occupations, vac)
+    for reach in (None, np.sort(rng.integers(0, fb.n_max + 1, n))):
+        top = np.full(n, fb.n_max) if reach is None else reach
+        steps = []
+        for m, c, A in occupation_sectors(vs, fb.occupations, vac, reach):
+            assert c == np.sum(top < m)
+            assert A.flags.owndata and A.flags.c_contiguous
+            assert A.tobytes() == want[fb.sector_slice(m), c:].tobytes()
+            steps.append(m)
+        assert steps == list(range(top[-1] + 1))
+
+
+@pytest.mark.parametrize("reach", [[2, 1, 3], [0, 1], [0, 1, 4]])
+def test_occupation_sectors_rejects_an_unfit_reach(reach):
+    # decreasing, one column short, beyond the top sector
+    occs = symspace.graded_indices(2, 3)[0]
+    with pytest.raises(ValueError, match="reach"):
+        list(occupation_sectors(np.ones((3, 2)), occs, reach=np.array(reach)))
 
 
 def test_two_body_coo_matches_ladder_products():

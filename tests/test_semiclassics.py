@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -22,6 +23,15 @@ def _thermal_single_mode(nbar, n_max):
     p = (1 - s) * s ** np.arange(n_max + 1)
     return fock.FockState.from_sectors(
         fb, [np.array([[v]]) for v in p / p.sum()])
+
+
+def _thermal_state(fb, T):
+    """The free state of unit mode energies at temperature T, as sector
+    blocks."""
+    p = np.exp(-fb.occupations.sum(axis=1) / T)
+    return fock.FockState.from_sectors(
+        fb, [np.diag(p[fb.sector_slice(n)]) / p.sum()
+             for n in range(fb.n_max + 1)])
 
 
 def _number_state(fb, n):
@@ -373,10 +383,8 @@ def test_missing_sectors_read_as_zero_blocks(basis_k2, tensor_k2, far):
     assert trial.to_dense().tobytes() == full.to_dense().tobytes()
     rng = np.random.default_rng(5)
     vs = 4.0 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
-    nu = np.sum(np.abs(vs) ** 2, axis=1)
-    A = semiclassics.occupation_products(vs, fb.occupations, np.exp(-0.5 * nu))
-    assert semiclassics._contract(trial, A, fb.n_max).tobytes() \
-        == semiclassics._contract(full, A, fb.n_max).tobytes()
+    assert semiclassics._husimi([trial], 1.0, vs)[0].tobytes() \
+        == semiclassics._husimi([full], 1.0, vs)[0].tobytes()
 
 
 def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2):
@@ -508,16 +516,20 @@ def test_husimi_diagonal_state_matches_block_route(basis_k2):
     assert np.max(np.abs(got - diag) / diag) > 1e-2
 
 
-def _record_amplitude_rows(monkeypatch):
-    rows = []
-    build = semiclassics.occupation_products
+def _record_sector_streams(monkeypatch):
+    """Every occupation_sectors stream of semiclassics, as the list of its
+    (sector, first column, columns) steps."""
+    streams = []
+    build = semiclassics.occupation_sectors
 
-    def recording(vs, occs, vacuum=None):
-        rows.append(len(occs))
-        return build(vs, occs, vacuum)
+    def recording(vs, occs, vacuum=None, reach=None):
+        streams.append([])
+        for n, c, A in build(vs, occs, vacuum, reach):
+            streams[-1].append((n, c, A.shape[1]))
+            yield n, c, A
 
-    monkeypatch.setattr(semiclassics, "occupation_products", recording)
-    return rows
+    monkeypatch.setattr(semiclassics, "occupation_sectors", recording)
+    return streams
 
 
 def _spread_points(n, nu_max, seed):
@@ -529,44 +541,70 @@ def _spread_points(n, nu_max, seed):
 
 
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
-@pytest.mark.parametrize("window", [True, False])
-def test_coherent_chunks_cover_every_point_once_in_ascending_nu(window):
+@pytest.mark.parametrize("reach", ["window", "point", "full"])
+def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
     # the one walk of trial_state and _husimi: chunks of 256 in ascending
-    # nu, each point's amplitudes those of coherent() up to the chunk's top
+    # nu, each sector bitwise the rows of coherent() for the chunk's points
+    # that reach it
     fb = gl.build_fock_basis(2, 30)
     vs = _spread_points(700, 24.0, 3)
     nu = np.sum(np.abs(vs) ** 2, axis=1)
+    per_point = {"window": None,
+                 "point": semiclassics._reach(nu, fb.n_max),
+                 "full": np.full(700, fb.n_max)}[reach]
     seen = []
-    for idx, n_lo, n_hi, A in semiclassics._coherent_chunks(vs, nu, fb,
-                                                            window=window):
+    for idx, n_lo, sectors in semiclassics._coherent_chunks(vs, nu, fb,
+                                                            per_point):
         assert idx.size == min(256, 700 - len(seen))
-        assert (n_lo, n_hi) == (semiclassics._sector_window(
-            nu[idx[0]], nu[idx[-1]], fb.n_max) if window else (0, fb.n_max))
-        assert A.shape == (fb.sector_offsets[n_hi + 1], idx.size)
-        for j in (0, idx.size - 1):
-            full = gl.coherent(vs[idx[j]], fb).amplitudes
-            assert np.allclose(A[:, j], full[:A.shape[0]], rtol=1e-14,
-                               atol=1e-300)
+        lo, hi = semiclassics._sector_window(nu[idx[0]], nu[idx[-1]],
+                                             fb.n_max)
+        if per_point is None:
+            top = np.full(idx.size, hi)
+            assert n_lo == lo
+        else:
+            top = per_point[idx]
+            assert n_lo == 0
+        full = np.array([gl.coherent(v, fb).amplitudes for v in vs[idx]]).T
+        steps = []
+        for n, c, A in sectors:
+            assert c == np.sum(top < n)
+            assert A.tobytes() == full[fb.sector_slice(n), c:].tobytes()
+            steps.append(n)
+        assert steps == list(range(top[-1] + 1))
         seen += idx.tolist()
     assert sorted(seen) == list(range(700))
     assert np.all(np.diff(nu[seen]) >= 0)
 
 
+def test_point_reach_is_the_sector_window():
+    # the table of _reach against _sector_window's own n_hi, over nu that
+    # span the vacuum's window to beyond the cutoff
+    rng = np.random.default_rng(11)
+    n_max = 150
+    nu = np.concatenate([rng.uniform(0.0, 160.0, 2900),
+                         10.0 ** rng.uniform(-20.0, 0.0, 100)])
+    got = semiclassics._reach(nu, n_max)
+    want = [semiclassics._sector_window(x, x, n_max)[1] for x in nu]
+    assert got.tolist() == want
+    assert got.min() < 5 and got.max() == n_max
+
+
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
-def test_one_chunk_of_amplitudes_is_alive_at_a_time(monkeypatch, basis_k2,
-                                                    tensor_k2):
-    # each caller of the walk lets a chunk's amplitudes go before the next
-    # chunk is built, so a stage peaks at one chunk, not two
-    build = semiclassics.occupation_products
+def test_at_most_two_sectors_of_amplitudes_are_alive(monkeypatch, basis_k2,
+                                                     tensor_k2):
+    # each caller of the walk lets a sector go before it asks for the next,
+    # so a stage holds two sectors of one chunk, not a chunk's prefix
+    build = semiclassics.occupation_sectors
     built, alive = [], []
 
-    def recording(vs, occs, vacuum=None):
-        alive.append(sum(ref() is not None for ref in built))
-        A = build(vs, occs, vacuum)
-        built.append(weakref.ref(A))
-        return A
+    def recording(vs, occs, vacuum=None, reach=None):
+        for n, c, A in build(vs, occs, vacuum, reach):
+            built.append(weakref.ref(A))
+            alive.append(sum(ref() is not None for ref in built))
+            yield n, c, A
+        alive.append(None)   # end of one stream
 
-    monkeypatch.setattr(semiclassics, "occupation_products", recording)
+    monkeypatch.setattr(semiclassics, "occupation_sectors", recording)
     fb = gl.build_fock_basis(2, 30)
     d = fb.sector_dim(30)
     top = fock.FockState.from_sectors(
@@ -575,8 +613,36 @@ def test_one_chunk_of_amplitudes_is_alive_at_a_time(monkeypatch, basis_k2,
     # all mass in the top sector: windowed chunks, then the full-basis redo
     gl.husimi_density(top, 1.0, _spread_points(600, 3.0, 2))
     gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
-    assert len(alive) == 3 + 3 + 3
-    assert alive == [0] * len(alive)
+    assert alive.count(None) == 3 + 3 + 3
+    assert len(built) > 9 * 20
+    assert max(a for a in alive if a is not None) == 2
+
+
+def _memory_peak(fn, *args):
+    """Peak traced allocation of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+def test_walk_peaks_below_a_quarter_of_one_chunk_prefix(basis_k2, tensor_k2):
+    # one chunk's amplitudes over the whole graded prefix are 256 * dim
+    # complex numbers; the sector stream holds two sectors of them
+    fb = gl.build_fock_basis(2, 120)
+    chunk = 256 * fb.dim * 16
+    gibbs = _gibbs(fb, basis_k2, tensor_k2, T=20.0)
+    pts = _spread_points(600, 50.0, 4)
+    nu_top = np.max(np.sum(np.abs(pts) ** 2, axis=1))
+    assert semiclassics._sector_window(nu_top, nu_top, fb.n_max)[1] > 100
+    assert _memory_peak(gl.husimi_density, gibbs, 1.0, pts) < chunk / 4
+    rng = np.random.default_rng(6)
+    ens = gl.WeightedEnsemble(pts, -rng.uniform(0.0, 2.0, 600), z_r=1.0,
+                              z_r_stderr=0.0, ess=600.0, reweighted=True)
+    assert _memory_peak(gl.trial_state, ens, 1.0, gibbs) < chunk / 4
 
 
 def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
@@ -588,10 +654,19 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
     free, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
     pts = _spread_points(700, 9.0, 1)
-    rows = _record_amplitude_rows(monkeypatch)
-    # sector-block and diagonal states share the windowed chunks
-    h = semiclassics._husimi([gibbs, oracles.diagonal_of(free)], 1.0, pts)
-    assert min(rows) < fb.dim and len(rows) == 3   # windows, no fallback
+    streams = _record_sector_streams(monkeypatch)
+    # sector-block and diagonal states share the chunks, each point up to
+    # its own reach
+    h, reach, redo = semiclassics._husimi(
+        [gibbs, oracles.diagonal_of(free)], 1.0, pts)
+    assert len(streams) == 3 and redo.size == 0   # no fallback
+    assert streams[0][-1][0] < fb.n_max
+    assert [s[-1][0] for s in streams] == [reach[i].max() for i in
+                                           np.array_split(np.argsort(
+                                               reach, kind="stable"),
+                                               [256, 512])]
+    # the first chunk's top sector is built for fewer points than its vacuum
+    assert streams[0][-1][2] < streams[0][0][2]
     for got, state in zip(h, [gibbs, free]):
         want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -611,9 +686,49 @@ def test_husimi_complex_blocks_match_full_basis(K, n_max, seed):
     nu = np.concatenate([rng.uniform(0.0, n_max, 300),
                          rng.uniform(0.0, 1e-3, 300)])
     pts = z * np.sqrt(nu)[:, None]
-    got = semiclassics._husimi([state], 1.0, pts)[0]
+    got = semiclassics._husimi([state], 1.0, pts)[0][0]
     want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def _one_sector_state(fb, m, seed):
+    """A state whose mass sits in sector m alone, as one random block."""
+    rng = np.random.default_rng(seed)
+    d = fb.sector_dim(m)
+    M = rng.standard_normal((d, d))
+    return fock.FockState.from_sectors(
+        fb, [M @ M.T / np.trace(M @ M.T) if n == m
+             else np.zeros((fb.sector_dim(n),) * 2)
+             for n in range(fb.n_max + 1)])
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_husimi_point_reach_against_the_dense_oracle(monkeypatch, short):
+    # all mass in sector 12: the points whose reach is 12 keep it in their
+    # last sector. Negative control: a stream one sector short of each
+    # point's reach (the fallback bound still reads the true reach) drops
+    # that mass and fails the oracle there.
+    fb = gl.build_fock_basis(2, 30)
+    state = _one_sector_state(fb, 12, 4)
+    pts = _spread_points(600, 0.5, 7)
+    reach = semiclassics._reach(np.sum(np.abs(pts) ** 2, axis=1), fb.n_max)
+    at_top = reach == 12
+    assert at_top.sum() > 10
+    if short:
+        build = semiclassics.occupation_sectors
+
+        def one_short(vs, occs, vacuum=None, reach=None):
+            return build(vs, occs, vacuum, np.maximum(reach - 1, 0))
+
+        monkeypatch.setattr(semiclassics, "occupation_sectors", one_short)
+    got = semiclassics._husimi([state], 1.0, pts)[0][0]
+    want = oracles.husimi_dense(state.to_dense(), fb, 1.0, pts)
+    assert np.all(want > 0.0)
+    err = np.abs(got - want) > 1e-13 * want
+    if short:
+        assert np.all(err[at_top])
+    else:
+        assert not err.any()
 
 
 def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
@@ -626,12 +741,37 @@ def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
     top = fock.FockState.from_sectors(
         fb, blocks + [M @ M.T / np.trace(M @ M.T)])
     pts = _spread_points(300, 3.0, 2)
-    rows = _record_amplitude_rows(monkeypatch)
+    streams = _record_sector_streams(monkeypatch)
     got = gl.husimi_density(top, 1.0, pts)
-    assert rows[0] < fb.dim and rows[-1] == fb.dim   # window, then fallback
+    # windows below the top sector, then every point over the full basis
+    assert streams[0][-1][0] < fb.n_max
+    assert streams[-1][-1][:2] == (fb.n_max, 0)
     want = oracles.husimi_dense(top.to_dense(), fb, 1.0, pts)
     assert np.all(want > 0.0)
     assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_kl_estimate_counts_fallback_points_and_reach():
+    # top-sector mass: points whose reach stops below n_max are recomputed
+    # over the full basis, and the estimate counts them; a thermal state
+    # needs none
+    fb = gl.build_fock_basis(2, 30)
+    d = fb.sector_dim(30)
+    top = fock.FockState.from_sectors(
+        fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(30)]
+        + [np.eye(d) / d])
+    ref = oracles.diagonal_of(_thermal_state(fb, 1.0))
+    for state, none in ((top, False), (_thermal_state(fb, 1.0), True)):
+        est = husimi_kl_importance(state, ref, 1.0, n_samples=300, seed=3)
+        rng = np.random.default_rng(3)
+        var = ref.basis.occupations.T @ ref.p + 1.0
+        z = rng.standard_normal((300, 4))
+        u = (z[:, :2] + 1j * z[:, 2:]) * np.sqrt(var / 2.0)
+        _, reach, redo = semiclassics._husimi([state, ref], 1.0, u)
+        assert est.fallback_points == redo.size
+        assert (est.fallback_points == 0) == none
+        assert est.n_hi == (reach.min(), np.median(reach), reach.max())
+        assert reach.min() < reach.max() <= fb.n_max
 
 
 def test_berezin_lieb_rejects_equal_dim_different_bases():
