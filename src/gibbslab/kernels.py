@@ -4,7 +4,7 @@
         prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n),
         with no temporary above _STEP elements besides the factor table
         and a transposed copy of vs
-    occupation_sectors(vs, occs[, vacuum, reach])  -- the same amplitudes
+    occupation_sectors(vs, occs, vacuum, reach)  -- the same amplitudes
         as a stream of sectors, each column only up to its own reach
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
         ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
@@ -133,33 +133,31 @@ def occupation_products(vs: np.ndarray, occs: np.ndarray,
 
 
 def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
-                       vacuum: np.ndarray | None = None,
-                       reach: np.ndarray | None = None):
+                       vacuum: np.ndarray | None, reach: np.ndarray):
     """The amplitudes of occupation_products, one sector at a time.
 
-    Yields (n, c, A_n) for n = 0, 1, ... up to the top sector of occs: A_n
-    is sector n for the columns c: of vs, shape (sector dim, n_samples - c),
-    bitwise those rows and columns of occupation_products. reach, if given,
-    is each column's top sector, non-decreasing along the columns, so the
-    columns that reach n are a suffix; the walk ends at the last column's
-    reach. Sector n is built from sector n - 1 alone, so the generator
-    holds at most the sector it yields and the one before it; a consumer
-    that lets each sector go before it asks for the next keeps at most two
-    alive.
+    reach is each column's top sector, nonnegative and non-decreasing along
+    the columns, so the columns that reach sector n are a suffix c:. Yields
+    (n, c, A_n) for n = 0, 1, ... up to the last column's reach: A_n is
+    sector n for the columns c:, shape (sector dim, n_samples - c), bitwise
+    those rows and columns of occupation_products. Sector n is built from
+    sector n - 1 alone, so the generator holds at most the sector it yields
+    and the one before it; a consumer that lets each sector go before it
+    asks for the next keeps at most two alive.
     """
     vs, occs = _checked(vs, occs)
     n_cols = vs.shape[0]
-    if reach is not None:
-        reach = np.asarray(reach, dtype=np.int64)
-        if reach.shape != (n_cols,) or np.any(np.diff(reach) < 0):
-            raise ValueError("reach must be one non-decreasing sector per "
-                             "column")
+    reach = np.asarray(reach, dtype=np.int64)
+    if reach.shape != (n_cols,) or np.any(reach < 0) \
+            or np.any(np.diff(reach) < 0):
+        raise ValueError("reach must be one nonnegative, non-decreasing "
+                         "sector per column")
     if n_cols == 0 or occs.shape[0] == 0:
         return
     parent, which, factors, bounds = _recurrence(vs, occs)
     starts = np.concatenate([[0], bounds])   # first row of each sector, D
-    top = bounds.size - 1 if reach is None else int(reach[-1])
-    if not 0 <= top < bounds.size:
+    top = int(reach[-1])
+    if top >= bounds.size:
         raise ValueError(f"reach {top} is outside the sectors 0.."
                          f"{bounds.size - 1} of occs")
     A = np.empty((1, n_cols), dtype=np.complex128)
@@ -167,7 +165,7 @@ def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
     c = 0
     yield 0, c, A
     for n in range(1, top + 1):
-        c_n = c if reach is None else c + int(np.searchsorted(reach[c:], n))
+        c_n = c + int(np.searchsorted(reach[c:], n))
         lo, hi = starts[n], starts[n + 1]
         child = np.empty((hi - lo, n_cols - c_n), dtype=np.complex128)
         _step(A[:, c_n - c:], parent[lo:hi] - starts[n - 1], which[lo:hi],

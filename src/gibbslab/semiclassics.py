@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv
+from scipy.special import gammainc, gammaincinv
 
 from .classical import WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 _CHUNK = 256
-_WINDOW_TAIL = 2.0 ** -60  # Poisson mass a sector window leaves out per side
-_WINDOW_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
+_REACH_TAIL = 2.0 ** -60  # Poisson mass a point leaves beyond its reach
+_REACH_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
 _DEGENERATE_ESS = 0.05  # ESS share below which a weighted sample is degenerate
 
@@ -79,61 +79,38 @@ def coherent_overlap(a: CoherentVector, b: CoherentVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _sector_window(nu_lo: float, nu_hi: float, n_top: int) -> tuple[int, int]:
-    """Sectors n_lo..n_hi of 0..n_top outside which Poisson(nu) has at most
-    2^-60 mass below and at most 2^-60 above, for every nu in [nu_lo, nu_hi].
-
-    n_hi is the first n with P(N > n) <= 2^-60 at nu_hi (n_top if none is),
-    and n_lo the last n <= n_hi with P(N < n) <= 2^-60 at nu_lo. The upper
-    tail grows with nu and the lower tail shrinks, so the two ends of the
-    range bound every nu inside it.
-    """
-    upper = gammainc(np.arange(1, n_top + 2), nu_hi) <= _WINDOW_TAIL
-    n_hi = int(np.argmax(upper)) if upper.any() else n_top
-    lower = gammaincc(np.arange(1, n_hi + 1), nu_lo) <= _WINDOW_TAIL
-    n_lo = n_hi if lower.all() else int(np.argmin(lower))
-    return n_lo, n_hi
-
-
 def _reach(nu: np.ndarray, n_max: int) -> np.ndarray:
-    """Each point's n_hi of _sector_window(nu, nu, n_max), from one table.
+    """Each point's reach: the first sector n <= n_max with
+    P(N > n) <= 2^-60 for N ~ Poisson(nu), else n_max.
 
     P(N > n) = gammainc(n + 1, nu) grows with nu, so it is at most 2^-60
-    exactly when nu <= gammaincinv(n + 1, 2^-60), and n_hi is the first n
-    whose threshold reaches nu.
+    exactly when nu <= gammaincinv(n + 1, 2^-60); one table of these
+    thresholds and searchsorted give every point's reach, non-decreasing
+    in nu.
     """
-    table = gammaincinv(np.arange(1, n_max + 2), _WINDOW_TAIL)
+    table = gammaincinv(np.arange(1, n_max + 2), _REACH_TAIL)
     return np.minimum(np.searchsorted(table, nu), n_max)
 
 
 def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
-                     reach: np.ndarray | None = None):
+                     reach: np.ndarray):
     """Coherent amplitudes of the points vs, nu = |v|^2, in chunks of 256 in
     ascending nu (a stable sort), one sector at a time.
 
-    Yields (idx, n_lo, sectors): idx the chunk's rows of vs and sectors the
+    reach is each point's top sector, non-decreasing in nu (as _reach is).
+    Yields (idx, sectors): idx the chunk's rows of vs and sectors the
     occupation_sectors stream of the chunk, (n, c, A_n) with A_n the
-    amplitudes of sector n for the chunk's points c: (one column per
-    point). The particle number of a coherent vector is Poisson(nu), so
-    without a reach the stream ends at the n_hi of the chunk's
-    _sector_window, and n_lo is the low end of that window. With reach, a
-    per-point top sector (non-decreasing in nu, as _reach is), each point's
-    amplitudes stop at its own reach, and n_lo is 0. A caller lets each
-    sector go before it asks for the next, so at most two sectors of
-    amplitudes are alive at a time.
+    amplitudes of sector n for the chunk's points c: that reach it (one
+    column per point). A caller lets each sector go before it asks for the
+    next, so at most two sectors of amplitudes are alive at a time.
     """
     order = np.argsort(nu, kind="stable")
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        if reach is None:
-            n_lo, n_hi = _sector_window(nu[idx[0]], nu[idx[-1]], basis.n_max)
-            top = None
-        else:
-            n_lo, top = 0, reach[idx]
-            n_hi = int(top[-1])
-        occs = basis.occupations[:int(basis.sector_offsets[n_hi + 1])]
-        yield idx, n_lo, occupation_sectors(vs[idx], occs,
-                                            np.exp(-0.5 * nu[idx]), top)
+        top = reach[idx]
+        occs = basis.occupations[:int(basis.sector_offsets[top[-1] + 1])]
+        yield idx, occupation_sectors(vs[idx], occs, np.exp(-0.5 * nu[idx]),
+                                      top)
 
 
 def _by_sector(blocks, basis: FockBasis) -> list[list]:
@@ -147,7 +124,7 @@ def _by_sector(blocks, basis: FockBasis) -> list[list]:
 
 def _rank_update(sums: dict, blocks: list, A: np.ndarray, w2: np.ndarray):
     """sums[b] += Re (A_i diag(w) A_i^H) over the rows A_i of each block b
-    of one sector, w2 the weights w each repeated twice.
+    of one sector, w2 the weights w of A's columns each repeated twice.
 
     Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
     interleaves the real and imaginary part of each sample's column.
@@ -177,17 +154,17 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     energy and, by joint convexity, cannot raise S(. | free), so the state
     is a variational upper bound no worse than the plain mixture.
 
-    Each chunk of _coherent_chunks (nu = T |alpha|^2) updates, one sector
-    of amplitudes at a time, only the sectors n_lo..n_hi of its window,
-    outside which every one of its samples has at most 2^-60 mass on
-    either side. The mixture without this window differs
-    from it by a share eps <= 2^-59 / (1 - tau) of its trace, tau the
-    weighted mean coherent tail beyond n_max, so by joint convexity and
-    concavity of the entropy S(trial | free) moves by at most
+    The samples walk _coherent_chunks (nu = T |alpha|^2), each up to its
+    reach (_reach), beyond which it has at most 2^-60 mass; each sector of
+    amplitudes updates the blocks of its sector, one rank update over the
+    samples that reach it, as it arrives. The mixture over every sector up
+    to n_max differs from it by a share eps <= 2^-60 / (1 - tau) of its
+    trace, tau the weighted mean coherent tail beyond n_max, so by joint
+    convexity and concavity of the entropy S(trial | free) moves by at most
     eps (max|log q| + log(1/eps) + 1), q the free state's diagonal: of
-    order 2^-59 max|log q|. The windowed mixture is still a state, so it is
-    still an upper bound. A sector that no chunk reaches is exactly zero and
-    gets no block.
+    order 2^-60 max|log q|. The truncated mixture is still a state, so it
+    is still an upper bound. A sector that no sample reaches is exactly
+    zero and gets no block.
 
     The mixture is renormalized to unit trace; n_subsample keeps the first
     n samples (a deterministic, unbiased cut of an iid ensemble) with their
@@ -216,11 +193,11 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
             TailWarning, stacklevel=2)
     sums = {}
     by_sector = _by_sector(layout.blocks, basis)
-    for idx, n_lo, sectors in _coherent_chunks(vs, nu, basis):
+    reach = _reach(nu, basis.n_max)
+    for idx, sectors in _coherent_chunks(vs, nu, basis, reach):
         w2 = np.repeat(w[idx], 2)
-        for m, _, A in sectors:
-            if m >= n_lo:
-                _rank_update(sums, by_sector[m], A, w2)
+        for m, c, A in sectors:
+            _rank_update(sums, by_sector[m], A, w2[2 * c:])
     kept = [(m, rows, sums[b]) for b, (m, rows, _) in enumerate(layout.blocks)
             if b in sums]
     tr = sum(float(np.trace(G)) for _, _, G in kept)
@@ -263,7 +240,7 @@ def _densities(terms: list, vs: np.ndarray, nu: np.ndarray,
     """Re <xi(v)|state|xi(v)> for each state's _sector_terms and each point,
     over sectors 0..reach of that point, in the walk of _coherent_chunks."""
     out = np.empty((len(terms), vs.shape[0]))
-    for idx, _, sectors in _coherent_chunks(vs, nu, basis, reach):
+    for idx, sectors in _coherent_chunks(vs, nu, basis, reach):
         vals = np.zeros((len(terms), idx.size))
         for n, c, A in sectors:
             for t, val in zip(terms, vals):
@@ -306,7 +283,7 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     out = _densities(terms, vs, nu, basis, reach)
     short = np.flatnonzero(reach < basis.n_max)
     missed = beyond[:, reach[short]] * gammainc(reach[short] + 1, nu[short])
-    redo = short[np.any(missed > _WINDOW_REL * out[:, short], axis=0)]
+    redo = short[np.any(missed > _REACH_REL * out[:, short], axis=0)]
     out[:, redo] = _densities(terms, vs[redo], nu[redo], basis,
                               np.full(redo.size, basis.n_max))
     return (math.pi * eps) ** (-basis.K) * np.clip(out, 0.0, None), reach, redo

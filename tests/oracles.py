@@ -9,8 +9,10 @@ and polar-grid quadrature over single-mode Husimi densities (the densities
 themselves come from the package). The relative entropy and the Husimi
 density of plain matrices are the whole-space definitions, with no sector
 structure; so is the mixture of coherent projectors, whose symmetry average
-is its real part pinched to (sector, class) blocks. A state that leaves a
-sector out is padded with explicit zero blocks there. The per-pair
+is its real part pinched to (sector, class) blocks. A coherent point's
+reach scans the Poisson tail beyond each sector, with no threshold table.
+A state that leaves a sector out is padded with explicit zero blocks
+there. The per-pair
 partial trace keeps the per-occupation branching loop the package's
 branching table replaced: for each k-body occupation p it looks up p + r
 in the basis table and sums gammaln terms over the modes p occupies. The
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammainc, gammaln, logsumexp
 
 from gibbslab import MomentMatrix, build_fock_basis, husimi_density, symspace
 from gibbslab.fock import DiagonalState, FockState
@@ -217,6 +219,13 @@ def coherent_amplitudes(vs: np.ndarray, basis) -> np.ndarray:
     occs = basis.occupations
     return power_products(vs, occs) * np.exp(
         -0.5 * nu[:, None] - 0.5 * gammaln(occs + 1.0).sum(axis=1)[None, :])
+
+
+def reach(nu: float, n_max: int) -> int:
+    """The first n <= n_max with P(N > n) = gammainc(n + 1, nu) <= 2^-60
+    for N ~ Poisson(nu), else n_max."""
+    small = gammainc(np.arange(1, n_max + 2), nu) <= 2.0 ** -60
+    return int(np.argmax(small)) if small.any() else n_max
 
 
 def husimi_dense(matrix: np.ndarray, basis, eps: float,

@@ -128,23 +128,25 @@ def test_occupation_sectors_are_bitwise_the_products(K, n):
     vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
     want = occupation_products(vs, fb.occupations, vac)
-    for reach in (None, np.sort(rng.integers(0, fb.n_max + 1, n))):
-        top = np.full(n, fb.n_max) if reach is None else reach
+    for reach in (np.full(n, fb.n_max),
+                  np.sort(rng.integers(0, fb.n_max + 1, n))):
         steps = []
         for m, c, A in occupation_sectors(vs, fb.occupations, vac, reach):
-            assert c == np.sum(top < m)
+            assert c == np.sum(reach < m)
             assert A.flags.owndata and A.flags.c_contiguous
             assert A.tobytes() == want[fb.sector_slice(m), c:].tobytes()
             steps.append(m)
-        assert steps == list(range(top[-1] + 1))
+        assert steps == list(range(reach[-1] + 1))
 
 
-@pytest.mark.parametrize("reach", [[2, 1, 3], [0, 1], [0, 1, 4]])
+@pytest.mark.parametrize("reach", [[2, 1, 3], [0, 1], [0, 1, 4],
+                                   [-1, 2, 3]])
 def test_occupation_sectors_rejects_an_unfit_reach(reach):
-    # decreasing, one column short, beyond the top sector
+    # decreasing, one column short, beyond the top sector, below the vacuum
     occs = symspace.graded_indices(2, 3)[0]
     with pytest.raises(ValueError, match="reach"):
-        list(occupation_sectors(np.ones((3, 2)), occs, reach=np.array(reach)))
+        list(occupation_sectors(np.ones((3, 2)), occs, None,
+                                np.array(reach)))
 
 
 def test_two_body_coo_matches_ladder_products():

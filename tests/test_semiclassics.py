@@ -276,21 +276,9 @@ def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2):
             gl.trial_state(ens, 1.0, gibbs, n_subsample=bad)
 
 
-def _record_windows(monkeypatch):
-    windows = []
-    window = semiclassics._sector_window
-
-    def recording(*args):
-        windows.append(window(*args))
-        return windows[-1]
-
-    monkeypatch.setattr(semiclassics, "_sector_window", recording)
-    return windows
-
-
 def _far_ensemble(n, seed):
-    """n reweighted samples with |alpha|^2 spread over [48, 64], where a
-    sector window starts above the vacuum, and log-weights in [-2, 0]."""
+    """n reweighted samples with |alpha|^2 spread over [48, 64], far from
+    the vacuum, and log-weights in [-2, 0]."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     z /= np.linalg.norm(z, axis=1)[:, None]
@@ -308,11 +296,11 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
     free = _free(fb, basis_k2, 10.0)
     log_q = float(np.max(-np.log(free.p)))
     sampled = gl.reweight(gl.sample_free(basis_k2, 700, seed=12), tensor_k2)
-    # T = 2 puts every chunk's top below n_max; the far ensemble's window
-    # starts above the vacuum
-    windows = _record_windows(monkeypatch)
+    # T = 2 puts every sample's reach below n_max; every far sample
+    # reaches n_max, with most of its mass beyond it
+    streams = _record_sector_streams(monkeypatch)
     for ens, T in ((sampled, 2.0), (_far_ensemble(700, 3), 1.0)):
-        windows.clear()
+        streams.clear()
         trial = gl.trial_state(ens, T, gibbs, n_subsample=n)
         vs = math.sqrt(T) * ens.coeffs[:n]
         w = np.exp(ens.log_weights[:n] - ens.log_weights[:n].max())
@@ -320,26 +308,36 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
                                    _labels(fb, tensor_k2))
         _assert_blocks_close(trial, want, 1e-12)
         # the trial_state docstring's bound on S(trial | free)
-        tail = gammainc(fb.n_max + 1, np.sum(np.abs(vs) ** 2, axis=1))
-        eps = 2.0 ** -59 / (1.0 - np.sum(w * tail) / w.sum())
+        nu = np.sum(np.abs(vs) ** 2, axis=1)
+        tail = gammainc(fb.n_max + 1, nu)
+        eps = 2.0 ** -60 / (1.0 - np.sum(w * tail) / w.sum())
         bound = eps * (log_q + math.log(1.0 / eps) + 1.0)
         assert abs(gl.relative_entropy(trial, free)
                    - gl.relative_entropy(want, free)) <= bound + 1e-12
-        # rank updates run only inside the windows, fewer than every sector
-        assert len(windows) == -(-n // 256)
-        assert sum(hi - lo + 1 for lo, hi in windows) \
-            < len(windows) * (fb.n_max + 1)
-    assert windows[0][0] > 0
+        # each chunk of 256 in ascending nu builds sector m for exactly its
+        # samples whose reach is at least m
+        reach = np.array([oracles.reach(x, fb.n_max) for x in nu])
+        chunks = np.array_split(np.argsort(nu, kind="stable"),
+                                range(256, n, 256))
+        assert len(streams) == len(chunks)
+        for stream, idx in zip(streams, chunks):
+            top = reach[idx]
+            assert stream == [(m, int(np.sum(top < m)),
+                               int(np.sum(top >= m)))
+                              for m in range(top.max() + 1)]
+        assert (reach.max() < fb.n_max) == (T == 2.0)
 
 
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
 def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
+    # no sample reaches the top sectors, which get no block
     fb = gl.build_fock_basis(2, 36)
     gibbs = _gibbs(fb, basis_k2, tensor_k2)
-    trial = gl.trial_state(_far_ensemble(256, 3), 1.0, gibbs, n_subsample=256)
+    ens = gl.reweight(gl.sample_free(basis_k2, 256, seed=12), tensor_k2)
+    trial = gl.trial_state(ens, 2.0, gibbs)
     free = _free(fb, basis_k2, 10.0)
     held = {n for n, *_ in trial.blocks}
-    assert min(held) > 0
+    assert held == set(range(max(held) + 1)) and max(held) < fb.n_max
     assert all(G.any() for *_, G in trial.blocks)
     # a stored sector keeps every class block of the layout
     assert [(n, rows.tolist()) for n, rows, _ in trial.blocks] \
@@ -359,19 +357,14 @@ def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
 
 
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
-@pytest.mark.parametrize("far", [False, True])
-def test_missing_sectors_read_as_zero_blocks(basis_k2, tensor_k2, far):
-    # the near ensemble's windows stop below n_max, the far one's start
-    # above the vacuum
+def test_missing_sectors_read_as_zero_blocks(basis_k2, tensor_k2):
+    # every sample's reach stops below n_max
     fb = gl.build_fock_basis(2, 36)
     gibbs = _gibbs(fb, basis_k2, tensor_k2)
-    ens, T = ((_far_ensemble(300, 3), 1.0) if far else
-              (gl.reweight(gl.sample_free(basis_k2, 300, seed=12),
-                           tensor_k2), 2.0))
-    trial = gl.trial_state(ens, T, gibbs)
+    ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=12), tensor_k2)
+    trial = gl.trial_state(ens, 2.0, gibbs)
     full = oracles.padded(trial, gibbs)
-    held = [n for n, *_ in trial.blocks]
-    assert (min(held) > 0) if far else (max(held) < fb.n_max)
+    assert max(n for n, *_ in trial.blocks) < fb.n_max
     assert len(full.blocks) == len(gibbs.blocks) > len(trial.blocks)
     free = _free(fb, basis_k2, 10.0)
     assert gl.relative_entropy(trial, free) == gl.relative_entropy(full, free)
@@ -522,7 +515,7 @@ def _record_sector_streams(monkeypatch):
     streams = []
     build = semiclassics.occupation_sectors
 
-    def recording(vs, occs, vacuum=None, reach=None):
+    def recording(vs, occs, vacuum, reach):
         streams.append([])
         for n, c, A in build(vs, occs, vacuum, reach):
             streams[-1].append((n, c, A.shape[1]))
@@ -541,7 +534,7 @@ def _spread_points(n, nu_max, seed):
 
 
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
-@pytest.mark.parametrize("reach", ["window", "point", "full"])
+@pytest.mark.parametrize("reach", ["point", "full"])
 def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
     # the one walk of trial_state and _husimi: chunks of 256 in ascending
     # nu, each sector bitwise the rows of coherent() for the chunk's points
@@ -549,21 +542,12 @@ def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
     fb = gl.build_fock_basis(2, 30)
     vs = _spread_points(700, 24.0, 3)
     nu = np.sum(np.abs(vs) ** 2, axis=1)
-    per_point = {"window": None,
-                 "point": semiclassics._reach(nu, fb.n_max),
+    per_point = {"point": semiclassics._reach(nu, fb.n_max),
                  "full": np.full(700, fb.n_max)}[reach]
     seen = []
-    for idx, n_lo, sectors in semiclassics._coherent_chunks(vs, nu, fb,
-                                                            per_point):
+    for idx, sectors in semiclassics._coherent_chunks(vs, nu, fb, per_point):
         assert idx.size == min(256, 700 - len(seen))
-        lo, hi = semiclassics._sector_window(nu[idx[0]], nu[idx[-1]],
-                                             fb.n_max)
-        if per_point is None:
-            top = np.full(idx.size, hi)
-            assert n_lo == lo
-        else:
-            top = per_point[idx]
-            assert n_lo == 0
+        top = per_point[idx]
         full = np.array([gl.coherent(v, fb).amplitudes for v in vs[idx]]).T
         steps = []
         for n, c, A in sectors:
@@ -577,14 +561,14 @@ def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
 
 
 def test_point_reach_is_the_sector_window():
-    # the table of _reach against _sector_window's own n_hi, over nu that
-    # span the vacuum's window to beyond the cutoff
+    # the table of _reach against the per-point scan of the Poisson tail,
+    # over nu that span the vacuum's reach to beyond the cutoff
     rng = np.random.default_rng(11)
     n_max = 150
     nu = np.concatenate([rng.uniform(0.0, 160.0, 2900),
                          10.0 ** rng.uniform(-20.0, 0.0, 100)])
     got = semiclassics._reach(nu, n_max)
-    want = [semiclassics._sector_window(x, x, n_max)[1] for x in nu]
+    want = [oracles.reach(x, n_max) for x in nu]
     assert got.tolist() == want
     assert got.min() < 5 and got.max() == n_max
 
@@ -597,7 +581,7 @@ def test_at_most_two_sectors_of_amplitudes_are_alive(monkeypatch, basis_k2,
     build = semiclassics.occupation_sectors
     built, alive = [], []
 
-    def recording(vs, occs, vacuum=None, reach=None):
+    def recording(vs, occs, vacuum, reach):
         for n, c, A in build(vs, occs, vacuum, reach):
             built.append(weakref.ref(A))
             alive.append(sum(ref() is not None for ref in built))
@@ -610,7 +594,8 @@ def test_at_most_two_sectors_of_amplitudes_are_alive(monkeypatch, basis_k2,
     top = fock.FockState.from_sectors(
         fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(30)]
         + [np.eye(d) / d])
-    # all mass in the top sector: windowed chunks, then the full-basis redo
+    # all mass in the top sector: each point up to its reach, then the
+    # full-basis redo
     gl.husimi_density(top, 1.0, _spread_points(600, 3.0, 2))
     gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
     assert alive.count(None) == 3 + 3 + 3
@@ -637,7 +622,7 @@ def test_walk_peaks_below_a_quarter_of_one_chunk_prefix(basis_k2, tensor_k2):
     gibbs = _gibbs(fb, basis_k2, tensor_k2, T=20.0)
     pts = _spread_points(600, 50.0, 4)
     nu_top = np.max(np.sum(np.abs(pts) ** 2, axis=1))
-    assert semiclassics._sector_window(nu_top, nu_top, fb.n_max)[1] > 100
+    assert semiclassics._reach(nu_top, fb.n_max) > 100
     assert _memory_peak(gl.husimi_density, gibbs, 1.0, pts) < chunk / 4
     rng = np.random.default_rng(6)
     ens = gl.WeightedEnsemble(pts, -rng.uniform(0.0, 2.0, 600), z_r=1.0,
@@ -717,7 +702,7 @@ def test_husimi_point_reach_against_the_dense_oracle(monkeypatch, short):
     if short:
         build = semiclassics.occupation_sectors
 
-        def one_short(vs, occs, vacuum=None, reach=None):
+        def one_short(vs, occs, vacuum, reach):
             return build(vs, occs, vacuum, np.maximum(reach - 1, 0))
 
         monkeypatch.setattr(semiclassics, "occupation_sectors", one_short)
@@ -732,7 +717,7 @@ def test_husimi_point_reach_against_the_dense_oracle(monkeypatch, short):
 
 
 def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
-    # negative control: all mass in the top sector, which every window drops
+    # negative control: all mass in the top sector, beyond every point's reach
     fb = gl.build_fock_basis(2, 30)
     rng = np.random.default_rng(5)
     d = fb.sector_dim(30)
@@ -743,7 +728,7 @@ def test_husimi_sector_window_falls_back_on_top_sector_mass(monkeypatch):
     pts = _spread_points(300, 3.0, 2)
     streams = _record_sector_streams(monkeypatch)
     got = gl.husimi_density(top, 1.0, pts)
-    # windows below the top sector, then every point over the full basis
+    # reaches below the top sector, then every point over the full basis
     assert streams[0][-1][0] < fb.n_max
     assert streams[-1][-1][:2] == (fb.n_max, 0)
     want = oracles.husimi_dense(top.to_dense(), fb, 1.0, pts)
