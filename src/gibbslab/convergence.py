@@ -400,11 +400,20 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _finite_or_null(x):
+    """x with every non-finite float in it replaced by None (JSON null)."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def emit_report(result: ConvergenceResult, out_dir) -> tuple:
     """Write report.csv (one row per (T, k) metric plus one free-energy row
     per T) and summary.json; returns both paths. CSV content is a pure
     function of config + seed; wall-clock and the Python, numpy and scipy
-    versions live only in the JSON."""
+    versions live only in the JSON, where a non-finite value is null."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     json_path = os.path.join(out_dir, "summary.json")
@@ -465,7 +474,8 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
                      "numpy": np.__version__, "scipy": scipy.__version__},
     }
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 

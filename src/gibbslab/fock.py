@@ -269,24 +269,19 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _weights_into(G: np.ndarray, lam: np.ndarray, U: np.ndarray,
-                  T: float) -> None:
-    """G = V V^T with V = U exp(-lam/2T) formed in place over U: one BLAS
-    syrk, exactly symmetric."""
+def _solve_block(G: np.ndarray, T: float, tridiagonal: bool) -> np.ndarray:
+    """Solve the class block scattered into G, in G: leave V V^T there,
+    V = U exp(-lam/2T) formed over U (one syrk, exactly symmetric), and
+    return lam. Pool threads run the dense route, so it calls numpy alone."""
+    if tridiagonal:
+        e = G.diagonal(-1) if G.shape[0] > 1 else np.zeros(1)
+        lam, U, info = dstevd(G.diagonal(), e)
+        if info:
+            raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+    else:
+        lam, U = np.linalg.eigh(G)
     U *= np.exp(-lam / (2.0 * T))
     np.matmul(U, U.T, out=G)
-
-
-def _dense_block(r: np.ndarray, c: np.ndarray, v: np.ndarray, T: float,
-                 G: np.ndarray) -> np.ndarray:
-    """Scatter one class block, solve it and write its unnormalized Gibbs
-    block into G; returns the eigenvalues, the eigenvectors are dropped.
-    Runs on a pool thread, so it calls numpy alone."""
-    B = np.zeros(G.shape)
-    B[r, c] = v
-    lam, U = np.linalg.eigh(B)
-    del B
-    _weights_into(G, lam, U, T)
     return lam
 
 
@@ -297,24 +292,24 @@ def gibbs_state(H: FockOperator, T: float):
     The blocks are the label classes of each sector (the reflection-parity
     blocks of build_hamiltonian), cut from H by one permutation
     (_class_blocks); an entry between two blocks is refused, and so is a
-    complex H or one with a non-finite entry. A block whose entries all lie
-    within one place of the diagonal goes to LAPACK's tridiagonal
-    divide-and-conquer solver (stevd) on its diagonal and lower
-    off-diagonal, on the calling thread, as scipy's wrapper holds the GIL.
-    Every other block is scattered densely and goes to the dense one
+    complex H or one with a non-finite entry. The calling thread scatters
+    each block once, into a zeroed G the state keeps, and _solve_block
+    solves it there. A block whose entries all lie within one place of the
+    diagonal goes to LAPACK's tridiagonal divide-and-conquer solver (stevd)
+    on G's diagonal and lower off-diagonal, on the calling thread, as
+    scipy's wrapper holds the GIL. Every other block goes to the dense one
     (syevd, through numpy.linalg.eigh, which releases the GIL) on a pool of
     one thread per CPU this process may use; the pool assumes a
     single-threaded BLAS. syevd reads the lower triangle and on a
     tridiagonal input ends in the same stedc call, so the two give the same
     bits there.
 
-    Each block is solved once into an output G the calling thread
-    allocates: G = V V^T with V = U exp(-lam/2T) is exp(-H/T) unnormalized,
-    one syrk (half the flops of (U w) U^T, and exactly symmetric), and the
-    eigenvectors are dropped at once. A sector's eigenvalues are sorted
-    before the log-sum-exp, so log Z does not depend on the split (the
-    class_split selfcheck holds it to whole sectors). The energy is one dot
-    product over the same eigenvalues, which also give the entropy
+    The solve leaves V V^T in G, exp(-H/T) unnormalized: one syrk (half
+    the flops of (U w) U^T, and exactly symmetric), and the eigenvectors
+    are dropped at once. A sector's eigenvalues are sorted before the
+    log-sum-exp, so log Z does not depend on the split (the class_split
+    selfcheck holds it to whole sectors). The energy is one dot product
+    over the same eigenvalues, which also give the entropy
     -sum p log p = <H>/T + log Z with no second eigensolve. Last, every
     block is scaled in place by exp(-log Z). That cannot overflow: the
     vacuum's eigenvalue is 0 for every H build_hamiltonian makes, so
@@ -336,21 +331,13 @@ def gibbs_state(H: FockOperator, T: float):
     blocks, dense = [], []
     with ThreadPoolExecutor(_workers()) as pool:
         for n, rows, r, c, v in _class_blocks(H):
-            m = rows.size
-            G = np.empty((m, m))
+            G = np.zeros((rows.size, rows.size))
+            G[r, c] = v
             blocks.append((n, rows, G))
-            if not np.all(np.abs(r - c) <= 1):
-                dense.append((n, pool.submit(_dense_block, r, c, v, T, G)))
-                continue
-            diag, lower = r == c, r == c + 1
-            d, e = np.zeros(m), np.zeros(max(m - 1, 1))
-            d[r[diag]] = v[diag]
-            e[c[lower]] = v[lower]
-            lam, U, info = dstevd(d, e)
-            if info:
-                raise np.linalg.LinAlgError(f"stevd failed with info {info}")
-            _weights_into(G, lam, U, T)
-            eigs[n].append(lam)
+            if np.all(np.abs(r - c) <= 1):
+                eigs[n].append(_solve_block(G, T, True))
+            else:
+                dense.append((n, pool.submit(_solve_block, G, T, False)))
         for n, solve in dense:
             eigs[n].append(solve.result())
     eigs = np.concatenate([np.sort(np.concatenate(lams)) for lams in eigs])

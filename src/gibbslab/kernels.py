@@ -133,7 +133,7 @@ def occupation_products(vs: np.ndarray, occs: np.ndarray,
 
 
 def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
-                       vacuum: np.ndarray | None, reach: np.ndarray):
+                       vacuum: np.ndarray, reach: np.ndarray):
     """The amplitudes of occupation_products, one sector at a time.
 
     reach is each column's top sector, nonnegative and non-decreasing along
@@ -161,7 +161,7 @@ def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
         raise ValueError(f"reach {top} is outside the sectors 0.."
                          f"{bounds.size - 1} of occs")
     A = np.empty((1, n_cols), dtype=np.complex128)
-    A[0] = 1.0 if vacuum is None else vacuum
+    A[0] = vacuum
     c = 0
     yield 0, c, A
     for n in range(1, top + 1):

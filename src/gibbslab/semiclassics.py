@@ -339,17 +339,19 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
 
     w_state = np.exp(lh - logq)       # importance weights to the state density
     w_ref = np.exp(lhp - logq)
-    z_state, z_ref = w_state.mean(), w_ref.mean()
     ratio = lh - lhp
-    value = float(np.sum(w_state * ratio) / w_state.sum()
-                  + math.log(z_ref / z_state))
+
+    def kl(s: slice) -> float:   # the self-normalized estimate over s
+        w = w_state[s]
+        return float(np.sum(w * ratio[s]) / w.sum()
+                     + math.log(w_ref[s].mean() / w.mean()))
+
+    value = kl(slice(None))
     ess = float(w_state.sum() ** 2 / np.sum(w_state**2))
 
     nb = 10
     bounds = np.linspace(0, n_samples, nb + 1).astype(int)
-    batch = [np.sum(w_state[lo:hi] * ratio[lo:hi]) / w_state[lo:hi].sum()
-             + math.log(w_ref[lo:hi].mean() / w_state[lo:hi].mean())
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    batch = [kl(slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
                       degenerate=ess < _DEGENERATE_ESS * n_samples,

@@ -431,9 +431,14 @@ def test_tail_policy_failure_marks_row_invalid(tmp_path):
     assert res.rows[0].valid
     assert not res.rows[1].valid and "budget" in res.rows[1].error
     _, json_path = emit_report(res, tmp_path)
-    rows = json.load(open(json_path))["rows"]
+
+    def refuse(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    rows = json.loads(open(json_path).read(), parse_constant=refuse)["rows"]
     assert rows[0]["dim"] == math.comb(2 + rows[0]["n_max"], 2)
     assert rows[1]["n_max"] == -1 and "dim" not in rows[1]
+    assert rows[1]["f_value"] is None and rows[1]["tail_mass"] is None
     props = evaluate_properties(res)
     assert not props["all_valid"] and not props["all"]
 

@@ -898,23 +898,28 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
 
 def _count_solvers(monkeypatch):
     """Count fock's calls of the dense eigensolver (numpy's, on the pool
-    threads) and the tridiagonal one (on the calling thread)."""
+    threads) and the tridiagonal one (on the calling thread); seen holds
+    the array each dense call got and the thread of each tridiagonal
+    call."""
     calls = {"evd": 0, "stevd": 0}
+    seen = {"evd_inputs": [], "stevd_threads": []}
     lock = threading.Lock()
     eigh, dstevd = np.linalg.eigh, fock.dstevd
 
-    def counting_eigh(*args, **kwargs):
+    def counting_eigh(a, *args, **kwargs):
         with lock:
             calls["evd"] += 1
-        return eigh(*args, **kwargs)
+            seen["evd_inputs"].append(a)
+        return eigh(a, *args, **kwargs)
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
+        seen["stevd_threads"].append(threading.get_ident())
         return dstevd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
-    return calls
+    return calls, seen
 
 
 def _assert_same_gibbs(got, want):
@@ -947,9 +952,15 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
         raise AssertionError("gibbs_state read class_block")
 
     monkeypatch.setattr(fock.FockOperator, "class_block", refuse)
-    calls = _count_solvers(monkeypatch)
-    _assert_same_gibbs(gl.gibbs_state(H, T), want)
+    calls, seen = _count_solvers(monkeypatch)
+    got = gl.gibbs_state(H, T)
+    _assert_same_gibbs(got, want)
     assert calls == {"evd": len(want[0].blocks) - tri, "stevd": tri}
+    # stevd runs on the calling thread, and evd solves each block in the
+    # array the state keeps, with no scratch copy
+    assert set(seen["stevd_threads"]) == {threading.get_ident()}
+    kept = {id(G) for *_, G in got[0].blocks}
+    assert all(id(a) in kept for a in seen["evd_inputs"])
     if K == 2:
         assert calls["evd"] == 0
     else:
@@ -1004,7 +1015,7 @@ def test_parity_fallback_blocks_go_to_dense_evd(basis_k2, tensor_k2,
     assert not _is_tridiagonal(fock.FockOperator.class_block(
         H, np.arange(fb.dim)[fb.sector_slice(fb.n_max)]))
     want = oracles.gibbs_blocks_csr(H, T)
-    calls = _count_solvers(monkeypatch)
+    calls, _ = _count_solvers(monkeypatch)
     _assert_same_gibbs(gl.gibbs_state(H, T), want)
     assert calls == {"evd": fb.n_max - 1, "stevd": 2}
 

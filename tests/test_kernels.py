@@ -145,7 +145,7 @@ def test_occupation_sectors_rejects_an_unfit_reach(reach):
     # decreasing, one column short, beyond the top sector, below the vacuum
     occs = symspace.graded_indices(2, 3)[0]
     with pytest.raises(ValueError, match="reach"):
-        list(occupation_sectors(np.ones((3, 2)), occs, None,
+        list(occupation_sectors(np.ones((3, 2)), occs, np.ones(3),
                                 np.array(reach)))
 
 
