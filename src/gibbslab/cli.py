@@ -79,12 +79,12 @@ def cmd_quantum(args) -> int:
     cfg = _load(args)
     T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
     basis, tensor = convergence.resolve(cfg)
-    lam = cfg.coupling_rule / T
+    lam = 1.0 / T
     point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
     out = _ensure_out(cfg)
     gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
-    marginals = fock.reduced_density_matrices(gibbs, min(cfg.k_max, n_max))
+    marginals = fock.reduced_density_matrices(gibbs, cfg.k_max)
     pair = (fock.pair_energy(marginals[2], tensor, lam)
             if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
     info = {"T": T, "lambda": lam, "n_max": n_max, "dim": fb.dim,

@@ -38,7 +38,7 @@ def heavy():
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=512),
         kernel=gl.InteractionKernel("delta", g=1.0),
         K=2, T_schedule=(5.0, 10.0, 20.0, 40.0),
-        coupling_rule=1.0, k_max=2, mc_samples=100_000, seed=7,
+        k_max=2, mc_samples=100_000, seed=7,
         n_max_policy=1e-8, dim_budget=20000,
         trial_subsample=512, bl_samples=4000, n_blocks=50)
     t0 = time.perf_counter()
@@ -188,7 +188,7 @@ def test_criterion_10_free_case_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=512),
         kernel=gl.InteractionKernel("zero"),
-        K=2, T_schedule=(5.0, 10.0), coupling_rule=0.0, k_max=1,
+        K=2, T_schedule=(5.0, 10.0), k_max=1,
         mc_samples=1000, seed=3, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)
     result = run_convergence(cfg)

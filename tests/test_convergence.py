@@ -31,7 +31,6 @@ kernel = delta
 g = 1.0
 K = 2
 T_schedule = 2.0, 4.0
-coupling_rule = 1.0
 k_max = 2
 mc_samples = 4000
 seed = 11
@@ -78,8 +77,8 @@ def test_parse_config_errors():
 @pytest.mark.parametrize("line, message", [
     ("mc_samples = 1e5", "config key mc_samples: expected an integer, "
                          "got '1e5'"),
-    ("coupling_rule = one", "config key coupling_rule: expected a number, "
-                            "got 'one'"),
+    ("n_max_policy = one", "config key n_max_policy: expected a number, "
+                           "got 'one'"),
     ("T_schedule = 5,,10", "config key T_schedule: expected numbers, "
                            "got '5,,10'"),
 ], ids=["int", "float", "schedule"])
@@ -132,6 +131,22 @@ def test_config_echo_parses_back_to_the_config(name):
     lines = [f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}"
              for key, v in config_to_dict(cfg).items()]
     assert parse_config("\n".join(lines)) == cfg
+
+
+def test_readme_config_table_lists_the_echoed_keys():
+    # the keys config_to_dict writes for the committed configs, against
+    # the backticked names of the README's "Config keys" table
+    written = set()
+    for path in glob.glob(os.path.join(CONFIGS, "*.cfg")):
+        written |= set(config_to_dict(gl.read_config(path)))
+    readme = open(os.path.join(CONFIGS, "..", "README.md"),
+                  encoding="utf-8").read()
+    table = readme.split("### Config keys\n\n", 1)[1].split("\n\n")[0]
+    listed = set()
+    for line in table.splitlines()[2:]:
+        listed |= set(line.split("|")[1].replace("`", "").replace(
+            " ", "").split(","))
+    assert listed == written
 
 
 @pytest.mark.parametrize("key, value", [
@@ -394,7 +409,7 @@ def test_degenerate_run_matches_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
         kernel=gl.InteractionKernel("zero"),
-        K=2, T_schedule=(5.0, 10.0), coupling_rule=0.0, k_max=1,
+        K=2, T_schedule=(5.0, 10.0), k_max=1,
         mc_samples=100, seed=0, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)
     res = run_convergence(cfg)
@@ -424,7 +439,7 @@ def test_tail_policy_failure_marks_row_invalid(tmp_path):
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
         kernel=gl.InteractionKernel("delta", g=1.0),
-        K=2, T_schedule=(2.0, 50.0), coupling_rule=1.0, k_max=1,
+        K=2, T_schedule=(2.0, 50.0), k_max=1,
         mc_samples=100, seed=0, dim_budget=2000,
         bl_samples=0, trial_subsample=0)
     res = run_convergence(cfg)
@@ -562,6 +577,18 @@ def test_selfchecks_pass_on_committed_config(name):
     cfg = gl.read_config(os.path.join(CONFIGS, name))
     failed = [c.name for c in run_selfchecks(cfg) if not c.passed]
     assert failed == []
+
+
+def test_cli_selfcheck_passes_where_converge_runs(tmp_path, capsys):
+    # three periodic modes at T=2: the sweep's tail policy fits the default
+    # budget, and the free-occupation check must fit it too
+    cfg = tmp_path / "periodic.cfg"
+    cfg.write_text("domain = interval\nbc = periodic\nK = 3\n"
+                   "grid_points = 256\nT_schedule = 2, 2.5\n"
+                   f"out_dir = {tmp_path}/out\n")
+    assert cli.main(["selfcheck", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS free_state_occupation" in out and "FAIL" not in out
 
 
 def test_selfcheck_notes_say_one_class_on_k1(small_config):
@@ -820,8 +847,8 @@ def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
     seeds = gl.convergence.row_seeds(cfg.seed, len(cfg.T_schedule))
     assert len(summary["rows"]) == len(seeds)
     for T, seed, row in zip(cfg.T_schedule, seeds, summary["rows"]):
-        point = gl.solve_point(basis.eigenvalues, tensor, T,
-                               cfg.coupling_rule / T, tail=cfg.n_max_policy,
+        point = gl.solve_point(basis.eigenvalues, tensor, T, 1.0 / T,
+                               tail=cfg.n_max_policy,
                                dim_budget=cfg.dim_budget)
         gap = semiclassics.BLGap.of(
             point.s_gibbs, semiclassics.husimi_kl_importance(
@@ -848,9 +875,8 @@ def test_desk_berezin_lieb_needs_no_full_basis_fallback():
     # 2^-53, so no Husimi point is recomputed over the full basis
     cfg = gl.read_config(os.path.join(CONFIGS, "desk.cfg"))
     basis, tensor = gl.convergence.resolve(cfg)
-    points = [gl.solve_point(basis.eigenvalues, tensor, T,
-                             cfg.coupling_rule / T, tail=cfg.n_max_policy,
-                             dim_budget=cfg.dim_budget)
+    points = [gl.solve_point(basis.eigenvalues, tensor, T, 1.0 / T,
+                             tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
               for T in cfg.T_schedule]
     for seed in (7, 11):
         seeds = gl.convergence.row_seeds(seed, len(cfg.T_schedule))
@@ -949,10 +975,6 @@ def test_cli_n_max_policy_outside_unit_interval_is_an_error(
      "T_schedule must hold positive finite temperatures"),
     ("T_schedule = 2.0, 4.0", "T_schedule = 2.0, nan",
      "T_schedule must hold positive finite temperatures"),
-    ("coupling_rule = 1.0", "coupling_rule = nan",
-     "coupling_rule must be nonnegative and finite"),
-    ("coupling_rule = 1.0", "coupling_rule = inf",
-     "coupling_rule must be nonnegative and finite"),
     ("g = 1.0", "g = inf", "kernel g and width must be finite"),
     ("g = 1.0", "g = nan", "kernel g and width must be finite"),
     ("kernel = delta", "kernel = gaussian\nwidth = nan",
@@ -964,8 +986,8 @@ def test_cli_n_max_policy_outside_unit_interval_is_an_error(
      "anharmonic exponent must satisfy 2 < a < inf"),
     ("domain = interval", "domain = anharmonic\na = 4\nhalf_width = nan",
      "anharmonic box needs 0 < half_width < inf"),
-], ids=["T-inf", "T-nan", "coupling-nan", "coupling-inf", "g-inf", "g-nan",
-        "width-nan", "gaussian-g-inf", "m-nan", "a-inf", "half_width-nan"])
+], ids=["T-inf", "T-nan", "g-inf", "g-nan", "width-nan", "gaussian-g-inf",
+        "m-nan", "a-inf", "half_width-nan"])
 def test_cli_non_finite_schedule_or_coupling_is_an_error(
         config_file, tmp_path, capsys, monkeypatch, old, new, message):
     def guard(*args, **kwargs):
@@ -1011,6 +1033,31 @@ def test_cli_key_of_the_other_domain_is_an_error(tmp_path, capsys, domain,
     name = key.split(" = ")[0]
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: unknown config keys: ['{name}']"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_deleted_coupling_key_is_unknown(config_file, tmp_path, capsys):
+    # the coupling is 1/T and the kernel's g alone sets the interaction, so
+    # the key that set lambda * T is refused like any other unknown key
+    key = "coupling" "_rule"
+    config_file.write_text(config_file.read_text() + f"{key} = 1.0\n")
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: unknown config keys: ['{key}']"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["key", "override"])
+def test_cli_negative_seed_is_an_error(config_file, tmp_path, capsys, where):
+    args = ["converge", "--config", str(config_file)]
+    if where == "key":
+        config_file.write_text(config_file.read_text().replace(
+            "seed = 11", "seed = -1"))
+    else:
+        args += ["--seed", "-1"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be nonnegative"]
     assert not (tmp_path / "out").exists()
 
 
