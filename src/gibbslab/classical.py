@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+N_BLOCKS = 50  # batch-means blocks of the sweep's moment standard errors
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ def moment_matrices(ensemble: WeightedEnsemble, k_max: int) -> dict:
 
 
 def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
-                         n_blocks: int = 50) -> dict:
+                         n_blocks: int = N_BLOCKS) -> dict:
     """Moment matrices of orders 1..k_max and their per-block estimates.
 
     Each block is `moment_matrices` of a contiguous slice, self-normalized

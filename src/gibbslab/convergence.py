@@ -63,7 +63,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     trial_subsample: int = 512
     bl_samples: int = 4000
-    n_blocks: int = 50
 
     def __post_init__(self):
         sched = tuple(float(t) for t in self.T_schedule)
@@ -79,10 +78,9 @@ class ExperimentConfig:
             raise ValueError("n_max_policy must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be at least 2")
-        if not 2 <= self.n_blocks <= self.mc_samples:
-            raise ValueError("n_blocks must lie in 2..mc_samples")
+        if self.mc_samples < classical.N_BLOCKS:
+            raise ValueError("mc_samples must be at least the "
+                             f"{classical.N_BLOCKS} batch-means blocks")
         if not 0 <= self.trial_subsample <= self.mc_samples:
             raise ValueError("trial_subsample must lie in 0..mc_samples")
         if self.bl_samples != 0 and self.bl_samples < 10:
@@ -235,8 +233,7 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis, tensor):
         blocks = dict.fromkeys(moments)
         z_r, z_err = 1.0, 0.0
     else:
-        pairs = classical.moment_matrix_blocks(ensemble, config.k_max,
-                                               config.n_blocks)
+        pairs = classical.moment_matrix_blocks(ensemble, config.k_max)
         moments = {k: m for k, (m, _) in pairs.items()}
         blocks = {k: b for k, (_, b) in pairs.items()}
         z_r, z_err = ensemble.z_r, ensemble.z_r_stderr
@@ -255,20 +252,19 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         stages[stage] = stages.get(stage, 0.0) + now - clock[0]
         clock[0] = now
 
-    lam = 1.0 / T
     try:
-        point = fock.solve_point(basis.eigenvalues, tensor, T, lam,
+        point = fock.solve_point(basis.eigenvalues, tensor, T,
                                  tail=config.n_max_policy,
                                  dim_budget=config.dim_budget)
     except ValueError as exc:
         lap("solve_point")
-        return ReportRow(T=T, lam=lam, n_max=-1, tail_mass=math.nan,
+        return ReportRow(T=T, lam=1.0 / T, n_max=-1, tail_mass=math.nan,
                          valid=False, error=str(exc),
                          wall_s=time.perf_counter() - t0, stages=stages)
     lap("solve_point")
     fb, gibbs, free_state = point.basis, point.gibbs, point.free
-    row = ReportRow(T=T, lam=lam, n_max=fb.n_max, tail_mass=gibbs.tail_mass(),
-                    dim=fb.dim, stages=stages)
+    row = ReportRow(T=T, lam=point.lam, n_max=fb.n_max,
+                    tail_mass=gibbs.tail_mass(), dim=fb.dim, stages=stages)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
@@ -287,8 +283,8 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
     # the d_2 marginal, where there is one, is Gamma^(2) of the energy
-    pair = (fock.pair_energy(marginals[2], tensor, lam)
-            if 2 in marginals else fock.two_body_energy(gibbs, tensor, lam))
+    pair = (fock.pair_energy(marginals[2], tensor, point.lam) if 2 in marginals
+            else fock.two_body_energy(gibbs, tensor, point.lam))
     # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
     # comes from the Sym^2 pair matrix and the RDM gather, <H> from
     # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks;
@@ -313,7 +309,8 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
             notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
                          f"below n_max_policy {config.n_max_policy:.1e}")
         lap("trial_state")
-        fe_trial = fock.relative_free_energy(trial, free_state, tensor, lam, T)
+        fe_trial = fock.relative_free_energy(trial, free_state, tensor,
+                                            point.lam, T)
         del trial  # not held through the Berezin-Lieb stage
         row.trial_gap = fe_trial - fe_gibbs
         lap("relative_entropy")
@@ -545,7 +542,7 @@ def run_selfchecks(config: ExperimentConfig,
     # log Z of the class split, as the sweep's solve_point reports it at the
     # first schedule point, against the default driver on whole sectors
     T0 = config.T_schedule[0]
-    point = fock.solve_point(basis.eigenvalues, tensor, T0, 1.0 / T0,
+    point = fock.solve_point(basis.eigenvalues, tensor, T0,
                              tail=config.n_max_policy,
                              dim_budget=config.dim_budget)
     H0 = fock.build_hamiltonian(point.basis, basis.eigenvalues, tensor,
@@ -564,7 +561,8 @@ def run_selfchecks(config: ExperimentConfig,
     # (as the random-state checks cut K), so tail 1e-12 fits dim_budget
     T_chk = min(config.T_schedule[0], 2.0)
     lam_occ = basis.eigenvalues[:2]
-    g_free = fock.solve_point(lam_occ, None, T_chk, 0.0, tail=1e-12,
+    no_pair = TwoBodyTensor(np.zeros((lam_occ.size,) * 4))
+    g_free = fock.solve_point(lam_occ, no_pair, T_chk, tail=1e-12,
                               dim_budget=config.dim_budget).free
     occ = g_free.basis.occupations.T @ g_free.p
     exact_occ = 1.0 / (np.exp(lam_occ / T_chk) - 1.0)
@@ -619,8 +617,8 @@ def run_selfchecks(config: ExperimentConfig,
         else "excess over [0, <F_NL>_mu0] / stderr"))
 
     # single-mode closed forms: geometric log Z and the quartic Z_r
-    fb1 = fock.build_fock_basis(1, 10)
-    H1 = fock.build_hamiltonian(fb1, np.array([1.0]), None, 0.0)
+    H1 = fock.build_hamiltonian(fock.build_fock_basis(1, 10), np.ones(1),
+                                TwoBodyTensor(np.zeros((1,) * 4)), 0.0)
     _, log_z1, _ = fock.gibbs_state(H1, 1.0)
     exact_log_z1 = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     z_dev = abs(log_z1 - exact_log_z1)

@@ -144,8 +144,13 @@ class FockOperator:
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
+def _has_pair_term(tensor: TwoBodyTensor, lam: float) -> bool:
+    """Whether lam * W is a nonzero operator: lam != 0 and W has an entry."""
+    return lam != 0.0 and bool(np.any(tensor.entries))
+
+
 def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
-                      tensor: TwoBodyTensor | None, lam: float) -> FockOperator:
+                      tensor: TwoBodyTensor, lam: float) -> FockOperator:
     """H = sum_j lambda_j a_j+ a_j + lam * (1/2) sum W[ijkl] a_i+ a_j+ a_l a_k.
 
     The normal-ordered two-body term reproduces sum_{p<q} w(x_p - x_q) on
@@ -159,19 +164,17 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
         raise ValueError("one-body spectrum size does not match the mode count")
     if lam < 0:
         raise ValueError("coupling must be nonnegative")
-    if tensor is not None and tensor.K != basis.K:
+    if tensor.K != basis.K:
         raise ValueError("two-body tensor mode count does not match basis")
     diag = basis.occupations @ eigenvalues
     H = sparse.diags(diag).tocsr()
-    if lam != 0.0 and tensor is not None and np.any(tensor.entries):
+    if _has_pair_term(tensor, lam):
         rows, cols, vals = two_body_coo(basis.occupations, basis.table,
                                         basis.strides, tensor.entries)
         W = sparse.coo_matrix((vals, (rows, cols)),
                               shape=(basis.dim, basis.dim)).tocsr()
         H = H + lam * W
-    parity = np.zeros(basis.K, dtype=np.int64) if tensor is None \
-        else tensor.parity
-    return FockOperator(basis, H, basis.occupations @ parity % 2)
+    return FockOperator(basis, H, basis.occupations @ tensor.parity % 2)
 
 
 @dataclass(frozen=True)
@@ -462,10 +465,10 @@ def particle_number(state: FockState) -> float:
     return float(np.sum(np.arange(probs.size) * probs))
 
 
-def two_body_energy(state: FockState, tensor: TwoBodyTensor | None,
+def two_body_energy(state: FockState, tensor: TwoBodyTensor,
                     lam: float) -> float:
     """lam tr[W_2 Gamma^(2)] on Sym^2; 0 without a pair term or below n = 2."""
-    if lam == 0.0 or tensor is None or state.basis.n_max < 2:
+    if not _has_pair_term(tensor, lam) or state.basis.n_max < 2:
         return 0.0
     return pair_energy(reduced_density_matrix(state, 2), tensor, lam)
 
@@ -484,7 +487,7 @@ class EnergySplit:
 
 
 def energy_decomposition(state: FockState, eigenvalues: np.ndarray,
-                         tensor: TwoBodyTensor | None, lam: float) -> EnergySplit:
+                         tensor: TwoBodyTensor, lam: float) -> EnergySplit:
     """tr[H state] and its exact split into one- and two-body marginals."""
     H = build_hamiltonian(state.basis, eigenvalues, tensor, lam)
     total = sum(float(np.sum(H.class_block(rows).T * G))
@@ -524,7 +527,7 @@ def relative_entropy(state: FockState, ref: DiagonalState) -> float:
 
 
 def relative_free_energy(state: FockState, free_ref: DiagonalState,
-                         tensor: TwoBodyTensor | None, lam: float,
+                         tensor: TwoBodyTensor, lam: float,
                          T: float) -> float:
     """lam tr[w Gamma^(2)] + T S(state | free reference).
 
@@ -591,7 +594,7 @@ def choose_n_max(eigenvalues: np.ndarray, T: float, tail: float = 1e-8,
 
 @dataclass(frozen=True)
 class ThermalPoint:
-    """Interacting and free (diagonal) Gibbs states of one (T, lam) point.
+    """Interacting (at lam = 1/T) and free (diagonal) Gibbs states of one T.
 
     energy is <H_lam> of the Gibbs state, sum_i p_i eps_i over its spectrum,
     and one_body_energy its <H_0>, the Gibbs blocks' diagonal . E with
@@ -613,19 +616,18 @@ class ThermalPoint:
     s_gibbs: float
 
 
-def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor | None,
-                T: float, lam: float, tail: float = 1e-8,
-                dim_budget: int = 20000) -> ThermalPoint:
-    """Cutoff from the tail policy, then exp(-H_lam/T) and exp(-H_0/T).
-
-    H_0 is diagonal in the occupation basis with energies occupations @
-    eigenvalues, so the free state is written down directly; only H_lam is
-    diagonalized, once; S(gibbs | free) comes from that spectrum (see
-    ThermalPoint). Raises ValueError when the tail policy needs a basis over
-    dim_budget.
+def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
+                tail: float = 1e-8, dim_budget: int = 20000) -> ThermalPoint:
+    """Cutoff from the tail policy, then exp(-H_lam/T) at lam = 1/T (kept
+    as ThermalPoint.lam) and exp(-H_0/T). H_0 is diagonal in the occupation
+    basis with energies occupations @ eigenvalues, so the free state is
+    written down directly; only H_lam is diagonalized, once; S(gibbs | free)
+    comes from that spectrum (see ThermalPoint). Raises ValueError when the
+    tail policy needs a basis over dim_budget.
     """
     n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
     basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
+    lam = 1.0 / T
     gibbs, log_z, energy = gibbs_state(
         build_hamiltonian(basis, eigenvalues, tensor, lam), T)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)

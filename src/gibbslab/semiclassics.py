@@ -113,11 +113,16 @@ def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
                                       top)
 
 
-def _by_sector(blocks, basis: FockBasis) -> list[list]:
-    """(b, rows - first row of sector n, G) of every block b = (n, rows, G),
-    listed under its sector n."""
+def _by_sector(state: FockState | DiagonalState) -> list[list]:
+    """The terms of state listed under each sector n: (b, rows - first row
+    of n, G) for each class block b = (n, rows, G), or (None, None, p_n),
+    the sector's slice of a DiagonalState."""
+    basis = state.basis
+    if isinstance(state, DiagonalState):
+        return [[(None, None, state.p[basis.sector_slice(n)])]
+                for n in range(basis.n_max + 1)]
     out = [[] for _ in range(basis.n_max + 1)]
-    for b, (n, rows, G) in enumerate(blocks):
+    for b, (n, rows, G) in enumerate(state.blocks):
         out[n].append((b, rows - basis.sector_offsets[n], G))
     return out
 
@@ -192,7 +197,7 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
             f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
     sums = {}
-    by_sector = _by_sector(layout.blocks, basis)
+    by_sector = _by_sector(layout)
     reach = _reach(nu, basis.n_max)
     for idx, sectors in _coherent_chunks(vs, nu, basis, reach):
         w2 = np.repeat(w[idx], 2)
@@ -206,20 +211,9 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     return FockState(basis, tuple(kept))
 
 
-def _sector_terms(state: FockState | DiagonalState) -> list[list]:
-    """The terms of state in each sector n: its class blocks (rows - first
-    row of n, G), or (None, p_n), the sector's slice of a DiagonalState."""
-    basis = state.basis
-    if isinstance(state, DiagonalState):
-        return [[(None, state.p[basis.sector_slice(n)])]
-                for n in range(basis.n_max + 1)]
-    return [[(rows, G) for _, rows, G in blocks]
-            for blocks in _by_sector(state.blocks, basis)]
-
-
 def _contract(terms: list, A: np.ndarray, val: np.ndarray) -> None:
     """val += Re <A|terms|A> for each column of A, the amplitudes of one
-    sector, and terms that sector's part of a state (_sector_terms).
+    sector, and terms that sector's part of a state (_by_sector).
 
     A diagonal part costs O(sector dim) per point as p . |A|^2; class
     blocks are contracted one at a time.
@@ -227,7 +221,7 @@ def _contract(terms: list, A: np.ndarray, val: np.ndarray) -> None:
     # The real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
-    for rows, G in terms:
+    for _, rows, G in terms:
         if rows is None:
             val += np.einsum("i,ij,ij->j", G, X, X).reshape(-1, 2).sum(axis=1)
         else:
@@ -237,7 +231,7 @@ def _contract(terms: list, A: np.ndarray, val: np.ndarray) -> None:
 
 def _densities(terms: list, vs: np.ndarray, nu: np.ndarray,
                basis: FockBasis, reach: np.ndarray) -> np.ndarray:
-    """Re <xi(v)|state|xi(v)> for each state's _sector_terms and each point,
+    """Re <xi(v)|state|xi(v)> for each state's _by_sector and each point,
     over sectors 0..reach of that point, in the walk of _coherent_chunks."""
     out = np.empty((len(terms), vs.shape[0]))
     for idx, sectors in _coherent_chunks(vs, nu, basis, reach):
@@ -278,7 +272,7 @@ def _husimi(states: list[FockState | DiagonalState], eps: float,
     beyond = np.zeros_like(tr)
     beyond[:, :-1] = np.maximum.accumulate(tr[:, :0:-1], axis=1)[:, ::-1]
 
-    terms = [_sector_terms(s) for s in states]
+    terms = [_by_sector(s) for s in states]
     reach = _reach(nu, basis.n_max)
     out = _densities(terms, vs, nu, basis, reach)
     short = np.flatnonzero(reach < basis.n_max)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _BCS = ("dirichlet", "neumann", "periodic")
+_KERNELS = ("delta", "constant", "gaussian")  # InteractionKernel names
 _K_TAIL = 8  # top eigenvalues that calibrate the Schatten tail
 _PARITY_TOL = 1e-10  # reflection classification and forbidden-W bound
 
@@ -233,7 +234,8 @@ def _canonical_block(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(op: DiscreteOperator, K: int) -> SpectralBasis:
-    """Lowest K eigenpairs, quadrature-orthonormalized, deterministic."""
+    """Lowest K eigenpairs, quadrature-orthonormalized, deterministic;
+    an operator with lambda_1 <= 0 is refused (the free state needs h > 0)."""
     n = op.n
     if K < 1:
         raise ValueError("K must be positive")
@@ -244,6 +246,8 @@ def eigendecompose(op: DiscreteOperator, K: int) -> SpectralBasis:
                                      select_range=(0, K - 1))
     else:
         lam, vecs = eigh(op.dense(), subset_by_index=(0, K - 1))
+    if lam[0] <= 0:
+        raise ValueError(f"h is not positive definite: lambda_1 = {lam[0]:g}")
     vecs = vecs.T / math.sqrt(op.grid.dx)  # rows = modes, quadrature-normalized
 
     # canonicalize degenerate blocks (periodic spectra come in pairs)
@@ -314,10 +318,10 @@ class InteractionKernel:
     """Nonnegative pair interaction w(x - y), named as in a config file.
 
     delta:    g * delta(x - y).
-    zero:     no interaction; g is not read.
     constant: w = g.
     gaussian: w(d) = g * exp(-(d / width)^2 / 2), width > 0.
-    g >= 0 (defocusing) for every name; g and width must be finite.
+    g >= 0 (defocusing) for every name, and g = 0 is the free case; g and
+    width must be finite, and only gaussian reads a width.
     """
 
     name: str
@@ -327,16 +331,18 @@ class InteractionKernel:
     def __post_init__(self):
         if not (math.isfinite(self.g) and math.isfinite(self.width)):
             raise ValueError("kernel g and width must be finite")
-        if self.name not in ("delta", "zero", "constant", "gaussian"):
+        if self.name not in _KERNELS:
             raise ValueError(f"unknown kernel name {self.name!r}")
         if self.g < 0:
             raise ValueError("kernel g must be nonnegative (defocusing)")
         if self.name == "gaussian" and self.width <= 0:
             raise ValueError("gaussian kernel needs width > 0")
+        if self.name != "gaussian" and self.width != 0:
+            raise ValueError("only the gaussian kernel reads a width")
 
     @property
     def is_zero(self) -> bool:
-        return self.name == "zero" or self.g == 0
+        return self.g == 0
 
 
 @dataclass(frozen=True)

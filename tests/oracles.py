@@ -34,9 +34,20 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln, logsumexp
 
-from gibbslab import MomentMatrix, build_fock_basis, husimi_density, symspace
+from gibbslab import (MomentMatrix, TwoBodyTensor, build_fock_basis,
+                      build_hamiltonian, husimi_density, symspace)
 from gibbslab.fock import DiagonalState, FockState
 from gibbslab.kernels import _parents
+
+
+def no_pair(K: int) -> TwoBodyTensor:
+    """The all-zero pair tensor on K modes: H is H_0 at every coupling."""
+    return TwoBodyTensor(np.zeros((K,) * 4))
+
+
+def free_hamiltonian(fb, eigenvalues):
+    """H_0 = sum_j lambda_j a_j+ a_j on the Fock basis fb."""
+    return build_hamiltonian(fb, eigenvalues, no_pair(fb.K), 0.0)
 
 
 def numerov_ground_state(a: float = 4.0, L: float = 8.0, m: float = 0.0,

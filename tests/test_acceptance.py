@@ -40,7 +40,7 @@ def heavy():
         K=2, T_schedule=(5.0, 10.0, 20.0, 40.0),
         k_max=2, mc_samples=100_000, seed=7,
         n_max_policy=1e-8, dim_budget=20000,
-        trial_subsample=512, bl_samples=4000, n_blocks=50)
+        trial_subsample=512, bl_samples=4000)
     t0 = time.perf_counter()
     result = run_convergence(cfg)
     return result, time.perf_counter() - t0
@@ -103,7 +103,7 @@ def test_criterion_04_single_mode_closed_forms(unit_mode_basis, quartic_tensor):
     zr_oracle = oracles.quartic_zr()
     dev = abs(rw.z_r - zr_oracle) / rw.z_r_stderr
     fb = gl.build_fock_basis(1, 10)
-    H = gl.build_hamiltonian(fb, np.array([1.0]), None, 0.0)
+    H = oracles.free_hamiltonian(fb, np.array([1.0]))
     _, log_z, _ = gl.gibbs_state(H, 1.0)
     exact = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     z_err = abs(log_z - exact)
@@ -187,7 +187,7 @@ def test_criterion_09_berezin_lieb_gap(heavy):
 def test_criterion_10_free_case_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=512),
-        kernel=gl.InteractionKernel("zero"),
+        kernel=gl.InteractionKernel("delta", g=0.0),
         K=2, T_schedule=(5.0, 10.0), k_max=1,
         mc_samples=1000, seed=3, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)

@@ -357,13 +357,15 @@ def test_mean_f_nl_two_modes(basis_k2, tensor_k2):
 
 
 def test_mean_f_nl_zero_kernel(basis_k2):
-    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel("zero"))
+    zero = gl.interaction_elements(basis_k2,
+                                   gl.InteractionKernel("delta", 0.0))
     res = gl.mean_F_NL_free(basis_k2, zero, n_samples=100, seed=0)
     assert res.mc_value == 0.0 and res.closed_form == 0.0
 
 
 def test_classical_free_energy_zero_kernel(basis_k2):
-    zero = gl.interaction_elements(basis_k2, gl.InteractionKernel("zero"))
+    zero = gl.interaction_elements(basis_k2,
+                                   gl.InteractionKernel("delta", 0.0))
     rw = gl.reweight(gl.sample_free(basis_k2, 200, seed=1), zero)
     fe = gl.classical_relative_free_energy(rw)
     assert fe.value == 0.0

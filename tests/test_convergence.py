@@ -39,7 +39,6 @@ dim_budget = 20000
 out_dir = results
 trial_subsample = 64
 bl_samples = 400
-n_blocks = 10
 """
 
 
@@ -94,11 +93,10 @@ def test_interaction_kernel_names(basis_k2):
         return gl.interaction_elements(basis_k2, kern).entries
 
     assert np.array_equal(W("delta", 2.0), 2.0 * W("delta", 1.0))
-    assert gl.InteractionKernel("zero", 1.0).is_zero
-    assert not np.any(W("zero", 1.0))
-    for name in ("delta", "constant", "gaussian"):
-        assert gl.InteractionKernel(name, 0.0, width=0.2).is_zero
-        assert not gl.InteractionKernel(name, 0.5, width=0.2).is_zero
+    for name, width in (("delta", 0.0), ("constant", 0.0), ("gaussian", 0.2)):
+        assert gl.InteractionKernel(name, 0.0, width).is_zero
+        assert not np.any(W(name, 0.0, width))
+        assert not gl.InteractionKernel(name, 0.5, width).is_zero
     # 0 < w <= g pointwise, so the gaussian self-energy of a mode lies
     # below the constant one and reaches it as the width grows
     const = W("constant", 0.5)[0, 0, 0, 0]
@@ -110,7 +108,11 @@ def test_interaction_kernel_names(basis_k2):
     ("kernel = foo", "unknown kernel name 'foo'"),
     ("kernel = constant\ng = -1", "kernel g must be nonnegative (defocusing)"),
     ("kernel = gaussian\nwidth = 0", "gaussian kernel needs width > 0"),
-], ids=["unknown", "negative-g", "zero-width"])
+    ("kernel = delta\nwidth = 0.5", "only the gaussian kernel reads a width"),
+    ("kernel = constant\nwidth = 0.5",
+     "only the gaussian kernel reads a width"),
+], ids=["unknown", "negative-g", "zero-width", "delta-width",
+        "constant-width"])
 def test_parse_config_refuses_a_bad_kernel(tmp_path, capsys, lines, message):
     with pytest.raises(ValueError) as info:
         parse_config(f"K = 1\n{lines}\n")
@@ -149,23 +151,40 @@ def test_readme_config_table_lists_the_echoed_keys():
     assert listed == written
 
 
+def test_readme_kernel_names_are_the_accepted_names():
+    # the backticked names of the README's kernel row, against the names
+    # InteractionKernel accepts
+    readme = open(os.path.join(CONFIGS, "..", "README.md"),
+                  encoding="utf-8").read()
+    row = readme.split("| `kernel`, `g`, `width` | ", 1)[1].split(
+        " pair interaction", 1)[0]
+    listed = set(row.split("`")[1::2])
+    assert listed == set(gl.spectral._KERNELS)
+    for name in listed:
+        gl.InteractionKernel(name, 1.0, 0.2 if name == "gaussian" else 0.0)
+
+
 @pytest.mark.parametrize("key, value", [
-    ("n_blocks", 1), ("n_blocks", 4001),
+    ("mc_samples", 49),
     ("trial_subsample", -1), ("trial_subsample", 4001),
     ("bl_samples", -1), ("bl_samples", 1), ("bl_samples", 9),
     ("dim_budget", 0), ("dim_budget", -1),
 ])
 def test_config_rejects_bad_sampling_counts(small_config, key, value):
-    with pytest.raises(ValueError, match=key):
-        dataclasses.replace(small_config, **{key: value})
+    # the message opens with the key: "trial_subsample must lie in
+    # 0..mc_samples" does not count as naming mc_samples
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        dataclasses.replace(small_config,
+                            **{"trial_subsample": 0, key: value})
 
 
 def test_config_accepts_boundary_sampling_counts(small_config):
-    for key, value in [("n_blocks", 2), ("n_blocks", 4000),
+    for key, value in [("mc_samples", 50),
                        ("trial_subsample", 0), ("trial_subsample", 4000),
                        ("bl_samples", 0), ("bl_samples", 10),
                        ("dim_budget", 1)]:
-        cfg = dataclasses.replace(small_config, **{key: value})
+        cfg = dataclasses.replace(small_config,
+                                  **{"trial_subsample": 0, key: value})
         assert getattr(cfg, key) == value
 
 
@@ -213,9 +232,10 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
     monkeypatch.undo()
     basis, tensor = gl.convergence.resolve(small_config)
     for row in res.rows:
-        point = fock.solve_point(basis.eigenvalues, tensor, row.T, row.lam,
+        point = fock.solve_point(basis.eigenvalues, tensor, row.T,
                                  tail=small_config.n_max_policy,
                                  dim_budget=small_config.dim_budget)
+        assert row.lam == point.lam == 1.0 / row.T
         pair = fock.two_body_energy(point.gibbs, tensor, row.lam)
         exact = row.T * row.f_value
         assert row.fe_identity_defect == abs(
@@ -408,7 +428,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
 def test_degenerate_run_matches_closed_form():
     cfg = ExperimentConfig(
         spec=gl.OneBodySpec.interval("dirichlet", m=1.0, grid_points=256),
-        kernel=gl.InteractionKernel("zero"),
+        kernel=gl.InteractionKernel("delta", g=0.0),
         K=2, T_schedule=(5.0, 10.0), k_max=1,
         mc_samples=100, seed=0, n_max_policy=1e-12,
         bl_samples=0, trial_subsample=0)
@@ -725,10 +745,11 @@ def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
     energy = json.load(open(tmp_path / "out" / "quantum.json"))["energy"]
     cfg = gl.read_config(str(config_file))
     basis, tensor = gl.convergence.resolve(cfg)
-    point = fock.solve_point(basis.eigenvalues, tensor, 2.0, 0.5,
+    point = fock.solve_point(basis.eigenvalues, tensor, 2.0,
                              tail=cfg.n_max_policy)
+    assert point.lam == 0.5
     split = fock.energy_decomposition(point.gibbs, basis.eigenvalues, tensor,
-                                      0.5)
+                                      point.lam)
     assert energy["two_body"] == split.two_body
     for key in ("total", "one_body"):
         assert energy[key] == pytest.approx(getattr(split, key), rel=1e-13)
@@ -847,7 +868,7 @@ def test_sweep_berezin_lieb_matches_the_library(config_file, tmp_path):
     seeds = gl.convergence.row_seeds(cfg.seed, len(cfg.T_schedule))
     assert len(summary["rows"]) == len(seeds)
     for T, seed, row in zip(cfg.T_schedule, seeds, summary["rows"]):
-        point = gl.solve_point(basis.eigenvalues, tensor, T, 1.0 / T,
+        point = gl.solve_point(basis.eigenvalues, tensor, T,
                                tail=cfg.n_max_policy,
                                dim_budget=cfg.dim_budget)
         gap = semiclassics.BLGap.of(
@@ -875,7 +896,7 @@ def test_desk_berezin_lieb_needs_no_full_basis_fallback():
     # 2^-53, so no Husimi point is recomputed over the full basis
     cfg = gl.read_config(os.path.join(CONFIGS, "desk.cfg"))
     basis, tensor = gl.convergence.resolve(cfg)
-    points = [gl.solve_point(basis.eigenvalues, tensor, T, 1.0 / T,
+    points = [gl.solve_point(basis.eigenvalues, tensor, T,
                              tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
               for T in cfg.T_schedule]
     for seed in (7, 11):
@@ -1036,15 +1057,43 @@ def test_cli_key_of_the_other_domain_is_an_error(tmp_path, capsys, domain,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_deleted_coupling_key_is_unknown(config_file, tmp_path, capsys):
-    # the coupling is 1/T and the kernel's g alone sets the interaction, so
-    # the key that set lambda * T is refused like any other unknown key
-    key = "coupling" "_rule"
-    config_file.write_text(config_file.read_text() + f"{key} = 1.0\n")
+@pytest.mark.parametrize("old, new, message", [
+    ("", "coupling" "_rule = 1.0\n",
+     "unknown config keys: ['coupling" "_rule']"),
+    ("", "n_blocks = 50\n", "unknown config keys: ['n_blocks']"),
+    ("kernel = delta\ng = 1.0\n", "kernel = zero\n",
+     "unknown kernel name 'zero'"),
+], ids=["coupling_rule", "n_blocks", "kernel-zero"])
+def test_cli_deleted_setting_is_refused(config_file, tmp_path, capsys, old,
+                                        new, message):
+    # the coupling is 1/T, the block count a constant and the free case
+    # g = 0, so the settings that spelled them are refused like any other
+    # unknown key or kernel name
+    text = config_file.read_text()
+    assert old in text
+    config_file.write_text(text.replace(old, "") + new)
     assert cli.main(["converge", "--config", str(config_file)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: unknown config keys: ['{key}']"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_free_case_sweep_builds_no_pair_marginal(tmp_path, monkeypatch):
+    # g = 0 and k_max = 1: the pair energy is 0 with no two-body marginal
+    one = fock.reduced_density_matrix
+    orders = []
+
+    def recording(state, k):
+        orders.append(k)
+        return one(state, k)
+
+    monkeypatch.setattr(fock, "reduced_density_matrix", recording)
+    cfg = dataclasses.replace(
+        gl.read_config(os.path.join(CONFIGS, "free-case.cfg")),
+        out_dir=str(tmp_path))
+    res = run_convergence(cfg)
+    assert res.degenerate and all(row.valid for row in res.rows)
+    assert 2 not in orders
+
 
 
 @pytest.mark.parametrize("where", ["key", "override"])
@@ -1091,6 +1140,23 @@ def test_cli_memory_error_without_text_still_says_memory(
     monkeypatch.setattr(gl.classical, "sample_free", no_memory)
     assert cli.main(["converge", "--config", str(config_file)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sample", "quantum",
+                                     "converge", "selfcheck"])
+def test_cli_operator_not_positive_definite_is_an_error(tmp_path, capsys,
+                                                        command):
+    # lambda_1 = -3.94: converge used to sample NaN fields and spectrum to
+    # print a NaN tail, the one with exit 2 and the other with exit 0
+    bad = tmp_path / "negative.cfg"
+    bad.write_text("domain = anharmonic\na = 4\nhalf_width = 6\nm = -5\n"
+                   "grid_points = 256\nK = 2\nT_schedule = 4, 8\n"
+                   "mc_samples = 2000\ntrial_subsample = 0\nbl_samples = 0\n"
+                   f"out_dir = {tmp_path}/out\n")
+    assert cli.main([command, "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: h is not positive definite: lambda_1 = -3.9399"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_exit_code(tmp_path):

@@ -88,14 +88,14 @@ def test_single_mode_sector_energies(basis_k2, tensor_k2):
 
 def test_free_hamiltonian_is_diagonal(basis_k2):
     fb = gl.build_fock_basis(2, 3)
-    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     M = H.matrix.toarray()
     assert np.allclose(M, np.diag(fb.occupations @ basis_k2.eigenvalues))
 
 
 def test_two_body_annihilates_low_sectors(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 4)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     H1 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0)
     W = (H1.matrix - H0.matrix).toarray()
     low = slice(0, 3)  # vacuum + one-particle sector
@@ -116,7 +116,7 @@ def test_two_body_matches_pair_potential_on_sectors(basis_k2, tensor_k2):
     # on the n-particle sector the normal-ordered operator must equal
     # sum_{p<q} w(x_p - x_q); check n = 2 against the symmetric-space matrix
     fb = gl.build_fock_basis(2, 3)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     H1 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0)
     W = (H1.matrix - H0.matrix).toarray()
     s = fb.sector_slice(2)
@@ -127,7 +127,7 @@ def test_two_body_matches_pair_potential_on_sectors(basis_k2, tensor_k2):
 
 def test_gibbs_geometric_partition_function():
     fb = gl.build_fock_basis(1, 10)
-    H = gl.build_hamiltonian(fb, np.array([1.0]), None, 0.0)
+    H = oracles.free_hamiltonian(fb, np.array([1.0]))
     state, log_z, _ = gl.gibbs_state(H, 1.0)
     exact = math.log((1.0 - math.exp(-11.0)) / (1.0 - math.exp(-1.0)))
     assert abs(log_z - exact) < 1e-10
@@ -157,7 +157,7 @@ def test_gibbs_commutes_with_number(basis_k2, tensor_k2):
 
 def test_gibbs_rejects_bad_input(basis_k2):
     fb = gl.build_fock_basis(2, 3)
-    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     with pytest.raises(ValueError):
         gl.gibbs_state(H, 0.0)
     bad = fock.FockOperator(fb, sparse.csr_matrix(
@@ -222,7 +222,7 @@ def test_parity_split_gibbs_state_properties(K, n_max, seed, T, lam):
     gibbs, log_z, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, eigenvalues, tensor, lam), T)
     free, log_z0, _ = gl.gibbs_state(
-        gl.build_hamiltonian(fb, eigenvalues, None, 0.0), T)
+        oracles.free_hamiltonian(fb, eigenvalues), T)
     free = oracles.diagonal_of(free)
     g1 = gl.reduced_density_matrix(gibbs, 1)
     assert g1.trace() == pytest.approx(gl.particle_number(gibbs), abs=1e-10)
@@ -316,7 +316,7 @@ def test_free_gibbs_occupancies_closed_form(basis_k2):
     T = 2.0
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-12)
     fb = gl.build_fock_basis(2, n_max)
-    H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     state, _, _ = gl.gibbs_state(H, T)
     occ = np.real(np.diag(gl.reduced_density_matrix(state, 1).entries))
     exact = 1.0 / (np.exp(basis_k2.eigenvalues / T) - 1.0)
@@ -651,14 +651,15 @@ def test_relative_free_energy_identity(basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, n_max)
     lam = 0.5
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     gibbs, log_z, _ = gl.gibbs_state(H, T)
     free_blocks, log_z0, _ = gl.gibbs_state(H0, T)
     free = oracles.diagonal_of(free_blocks)
     fe = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     target = T * (log_z0 - log_z)
     assert abs(fe - target) < 1e-8 * max(abs(target), 1.0)
-    assert gl.relative_free_energy(free_blocks, free, None, 0.0, T) == \
+    no_pair = oracles.no_pair(fb.K)
+    assert gl.relative_free_energy(free_blocks, free, no_pair, 0.0, T) == \
         pytest.approx(0.0, abs=1e-10)
 
 
@@ -668,7 +669,7 @@ def test_relative_free_energy_identity_single_mode(basis_k2, tensor_k2):
     lam1 = basis_k2.eigenvalues[:1]
     t1 = gl.TwoBodyTensor(tensor_k2.entries[:1, :1, :1, :1])
     gibbs, log_z, _ = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, t1, lam), T)
-    free, log_z0, _ = gl.gibbs_state(gl.build_hamiltonian(fb, lam1, None, 0.0), T)
+    free, log_z0, _ = gl.gibbs_state(oracles.free_hamiltonian(fb, lam1), T)
     fe = gl.relative_free_energy(gibbs, oracles.diagonal_of(free), t1, lam, T)
     assert fe == pytest.approx(T * (log_z0 - log_z), rel=1e-8)
 
@@ -701,7 +702,7 @@ def test_variational_bound_of_relative_free_energy(basis_k2, tensor_k2):
                                                 tail=1e-10))
     lam = 0.5
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     gibbs, _, _ = gl.gibbs_state(H, T)
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     base = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
@@ -785,12 +786,12 @@ def test_choose_n_max_is_the_brute_force_cutoff(K, data, T, log_tail,
 @pytest.mark.parametrize("T", [2.0, 5.0])
 def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     lam = 1.0 / T
-    point = gl.solve_point(basis_k2.eigenvalues, tensor_k2, T, lam,
+    point = gl.solve_point(basis_k2.eigenvalues, tensor_k2, T,
                            tail=1e-8, dim_budget=20000)
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-8)
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     gibbs, log_z, _ = gl.gibbs_state(H, T)
     free, log_z0, _ = gl.gibbs_state(H0, T)
     assert (point.T, point.lam) == (T, lam)
@@ -816,10 +817,10 @@ def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,
     # within a K=3 sector the basis order is not the energy order, so the
     # closed form sums log Z in another order than the eigensolver route
     T = 2.0
-    point = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 1.0 / T)
+    point = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T)
     fb = point.basis
     free, log_z0, _ = gl.gibbs_state(
-        gl.build_hamiltonian(fb, basis_k3.eigenvalues, None, 0.0), T)
+        oracles.free_hamiltonian(fb, basis_k3.eigenvalues), T)
     assert point.log_z_free == pytest.approx(log_z0, rel=1e-13, abs=0.0)
     assert point.free.p.shape == (fb.dim,)
     np.testing.assert_allclose(point.free.p, oracles.diagonal_of(free).p,
@@ -892,7 +893,7 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
         want = rho[fb.sector_slice(n), fb.sector_slice(n)]
         assert np.abs(oracles.dense_sector(gibbs, n) - want).max() \
             <= 1e-12 * np.abs(want).max()
-    free = gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, 0.0)
+    free = gl.solve_point(basis_k3.eigenvalues, oracles.no_pair(3), T)
     assert free.log_z_free - free.log_z == 0.0
 
 
@@ -1070,5 +1071,5 @@ def test_tridiagonal_solver_failure_is_raised(basis_k2, tensor_k2,
 
 def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
     with pytest.raises(ValueError, match="budget 2000"):
-        gl.solve_point(basis_k2.eigenvalues, tensor_k2, 50.0, 0.02,
+        gl.solve_point(basis_k2.eigenvalues, tensor_k2, 50.0,
                        dim_budget=2000)

@@ -200,7 +200,7 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2):
     n_max = gl.choose_n_max(basis_k2.eigenvalues, T, tail=1e-10)
     fb = gl.build_fock_basis(2, n_max)
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
-    H0 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0)
+    H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     gibbs, _, _ = gl.gibbs_state(H, T)
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
@@ -469,7 +469,7 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
     gibbs, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _, _ = gl.gibbs_state(
-        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
+        oracles.free_hamiltonian(fb, basis_k2.eigenvalues), T)
     # sector-block contractions of the Gibbs and a random state, each mixed
     # with the diagonal one of the reference in one estimate; the expected
     # value contracts the reference's sector blocks
@@ -483,7 +483,7 @@ def test_husimi_kl_importance_matches_separate_densities(basis_k2, tensor_k2):
 def test_husimi_diagonal_state_matches_block_route(basis_k2):
     fb = gl.build_fock_basis(2, 12)
     free, _, _ = gl.gibbs_state(
-        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), 3.0)
+        oracles.free_hamiltonian(fb, basis_k2.eigenvalues), 3.0)
     rng = np.random.default_rng(8)
     pts = 0.8 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
     eps = 0.4
@@ -637,7 +637,7 @@ def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
     gibbs, _, _ = gl.gibbs_state(
         gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0 / T), T)
     free, _, _ = gl.gibbs_state(
-        gl.build_hamiltonian(fb, basis_k2.eigenvalues, None, 0.0), T)
+        oracles.free_hamiltonian(fb, basis_k2.eigenvalues), T)
     pts = _spread_points(700, 9.0, 1)
     streams = _record_sector_streams(monkeypatch)
     # sector-block and diagonal states share the chunks, each point up to

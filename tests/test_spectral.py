@@ -234,9 +234,34 @@ def test_interaction_elements_zero_only_forbidden_noise(basis_k3):
 
 
 def test_negative_kernel_rejected():
-    for name in ("delta", "zero", "constant", "gaussian"):
+    for name in ("delta", "constant", "gaussian"):
         with pytest.raises(ValueError, match="nonnegative"):
-            gl.InteractionKernel(name, -0.1, width=0.2)
+            gl.InteractionKernel(name, -0.1,
+                                 width=0.2 if name == "gaussian" else 0.0)
+
+
+@pytest.mark.parametrize("name", ["delta", "constant"])
+def test_width_off_the_gaussian_kernel_rejected(name):
+    # a width no kernel reads would be ignored by the run and echoed
+    with pytest.raises(ValueError) as info:
+        gl.InteractionKernel(name, 1.0, width=0.5)
+    assert str(info.value) == "only the gaussian kernel reads a width"
+    assert gl.InteractionKernel(name, 1.0, width=0.0).width == 0.0
+
+
+def test_operator_that_is_not_positive_definite_rejected():
+    # m = -5 pulls the quartic well's lowest level to -3.94; the free state
+    # needs lambda_1 > 0, so the basis is refused instead of sampled as NaN
+    spec = gl.OneBodySpec.anharmonic_line(a=4.0, half_width=6.0, m=-5.0,
+                                          grid_points=256)
+    with pytest.raises(ValueError) as info:
+        gl.eigendecompose(gl.build_operator(spec), 2)
+    assert str(info.value) == \
+        "h is not positive definite: lambda_1 = -3.9399"
+    # a slightly negative m with lambda_1 > 0 stays accepted
+    spec = gl.OneBodySpec.anharmonic_line(a=4.0, half_width=6.0, m=-0.5,
+                                          grid_points=256)
+    assert gl.eigendecompose(gl.build_operator(spec), 2).eigenvalues[0] > 0
 
 
 @pytest.mark.parametrize("make", [
