@@ -15,18 +15,29 @@ tensor power up to the factor sqrt(k!). Each moment order takes one
 Hermitian rank update per chunk (BLAS zherk on sqrt(w) A_k, scaled in
 place); k! is applied once to the finished matrix, which is filled from one
 triangle and so is exactly Hermitian.
+
+The F_NL chunks and the batch-means blocks of moment_matrix_blocks run on
+a pool of one thread per CPU the process may use (kernels._workers, the
+pool size of fock.gibbs_state). The calling thread builds the pass's one
+parent table (kernels.Recurrence); the workers call private routes only,
+and reach zherk through kernels._zherk, which releases the GIL. Each chunk
+and each block is computed as on one thread and the blocks are summed in
+order, so every bit is independent of the pool size.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, zherk
+from scipy.linalg.blas import dsyrk
 
 from . import symspace
-from .kernels import occupation_products
+from .kernels import Recurrence, _products, _workers, _zherk
+# perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
+from .kernels import occupation_products  # noqa: F401
 from .spectral import SpectralBasis, TwoBodyTensor
 
 __all__ = [
@@ -129,16 +140,33 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
     and W_2 is the pair matrix of `symspace.two_body_sym_matrix` that the
     quantum pair energy uses. The tensor entries come from the grid
     quadrature, so F equals (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
+    The _CHUNK-row chunks run on the pool over one parent table, each cut
+    where one thread cuts it.
     """
     W2 = symspace.two_body_sym_matrix(tensor.entries)
+    graded = _graded(coeffs.shape[1], 2)
     out = np.empty(coeffs.shape[0])
-    for lo, A in _amplitudes(coeffs, 2):
+    _on_pool(_f_nl_rows, [(coeffs[lo:lo + _CHUNK], W2, graded,
+                           out[lo:lo + _CHUNK])
+                          for lo in range(0, coeffs.shape[0], _CHUNK)])
+    return out
+
+
+def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, graded, out: np.ndarray):
+    """out = F_NL of each of at most _CHUNK rows, one amplitude pass."""
+    for _, A in _amplitudes(rows, graded):
         # the real W_2 acts alike on the real and imaginary parts, which the
         # float view of A_2 interleaves sample by sample
         X = A[2].view(np.float64)
-        out[lo:lo + _CHUNK] = np.einsum("pj,pj->j", X, W2 @ X
-                                        ).reshape(-1, 2).sum(axis=1)
-    return out
+        out[:] = np.einsum("pj,pj->j", X, W2 @ X).reshape(-1, 2).sum(axis=1)
+
+
+def _on_pool(fn, tasks: list) -> list:
+    """[fn(*task) for task in tasks], in order, on a pool of _workers()
+    threads that is shut down before it returns. fn must call private
+    routes only."""
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def reweight(ensemble: WeightedEnsemble,
@@ -164,26 +192,37 @@ def reweight(ensemble: WeightedEnsemble,
                    ess=ess, reweighted=True)
 
 
-def _amplitudes(coeffs: np.ndarray, k_max: int):
+def _graded(K: int, k_max: int):
+    """(Recurrence, offsets) of the graded occupations 0..k_max over K modes,
+    offsets[k] the first row of sector k: one amplitude pass's parent
+    table, built on the calling thread and read by every chunk and worker."""
+    occs, offsets = symspace.graded_indices(K, k_max)
+    return Recurrence.of(occs), offsets
+
+
+def _amplitudes(coeffs: np.ndarray, graded):
     """Per _CHUNK rows of coeffs, yield (first row, [A_0, ..., A_k_max]).
 
-    A_k is sector k of one occupation_products pass over the graded index
-    set 0..k_max, a row-contiguous view of shape (sym_dim(K, k), rows) whose
-    column s holds prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each
-    amplitude is its parent's times one factor, so A_k is bitwise the same
-    for every k_max >= k. The Sym^k components of the sample's k-fold tensor
-    power are sqrt(k!) A_k. Every chunk of _CHUNK rows is written into one
+    graded is _graded(K, k_max). A_k is sector k of one occupation_products
+    pass over the graded index set 0..k_max, a row-contiguous view of shape
+    (sym_dim(K, k), rows) whose column s holds
+    prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each amplitude is its
+    parent's times one factor, so A_k is bitwise the same for every
+    k_max >= k. The Sym^k components of the sample's k-fold tensor power
+    are sqrt(k!) A_k. Every chunk of _CHUNK rows is written into one
     buffer, so a consumer may scale the views in place but must be done
     with them before it asks for the next chunk.
     """
-    graded, offsets = symspace.graded_indices(coeffs.shape[1], k_max)
+    rec, offsets = graded
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     buf = None
     for lo in range(0, coeffs.shape[0], _CHUNK):
         rows = coeffs[lo:lo + _CHUNK]
         if buf is None or buf.shape[1] != rows.shape[0]:
-            buf = np.empty((graded.shape[0], rows.shape[0]), dtype=np.complex128)
-        A = occupation_products(rows, graded, out=buf)
-        yield lo, [A[offsets[k]:offsets[k + 1]] for k in range(k_max + 1)]
+            buf = np.empty((offsets[-1], rows.shape[0]), dtype=np.complex128)
+        A = _products(rows, rec, None, buf)
+        yield lo, [A[offsets[k]:offsets[k + 1]]
+                   for k in range(offsets.size - 1)]
 
 
 def _hermitian(C: np.ndarray, scale: float) -> np.ndarray:
@@ -208,19 +247,26 @@ def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
     return D
 
 
-def _moments(ensemble: WeightedEnsemble, orders, with_stderr: bool = False):
-    """Self-normalized moment matrices of the given orders, one chunk loop.
-
-    dim Sym^k grows with k, so checking the top order refuses an over-budget
-    pass before any amplitude is built. Per chunk and order, A_k is scaled
-    in place by sqrt(w) and enters one Hermitian rank update; k! is applied
-    to the finished sums. Returns the list of MomentMatrix, and with
-    with_stderr also the list of their standard errors (see
-    `moment_matrix`), whose sums of w^2 A_k A_k^H and of
-    w^2 |A_k|^2 (|A_k|^2)^T ride along in the same loop.
-    """
-    k_max = max(orders, default=0)
+def _checked_graded(ensemble: WeightedEnsemble, k_max: int):
+    """_graded(K, k_max) of a moment pass up to order k_max, after
+    _checked_sym_dim: dim Sym^k grows with k, so checking the top order
+    refuses an over-budget pass before any table or amplitude is built."""
     _checked_sym_dim(ensemble, k_max)
+    return _graded(ensemble.K, k_max)
+
+
+def _moments(ensemble: WeightedEnsemble, orders, graded,
+             with_stderr: bool = False):
+    """Self-normalized moment matrices of the given orders, one chunk loop
+    over the amplitudes of graded (_checked_graded of the top order).
+
+    Per chunk and order, A_k is scaled in place by sqrt(w) and enters one
+    Hermitian rank update; k! is applied to the finished sums. Returns the
+    list of MomentMatrix, and with with_stderr also the list of their
+    standard errors (see `moment_matrix`), whose sums of w^2 A_k A_k^H and
+    of w^2 |A_k|^2 (|A_k|^2)^T ride along in the same loop. It calls
+    private routes only, so pool workers may run it.
+    """
     wt = ensemble.normalized_weights()
     dims = [symspace.sym_dim(ensemble.K, k) for k in orders]
     # Fortran order lets zherk and dsyrk update the sums in place
@@ -228,18 +274,18 @@ def _moments(ensemble: WeightedEnsemble, orders, with_stderr: bool = False):
     X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
     Q = [np.zeros((D, D), order="F") if with_stderr else None for D in dims]
     acc_w2 = 0.0
-    for lo, A in _amplitudes(ensemble.coeffs, k_max):
+    for lo, A in _amplitudes(ensemble.coeffs, graded):
         wc = wt[lo:lo + _CHUNK]
         root = np.sqrt(wc)
         for k, Mk, Xk, Qk in zip(orders, M, X, Q):
             a = A[k]
             a *= root
-            zherk(1.0, a.T, beta=1.0, c=Mk, trans=2, overwrite_c=1)
+            _zherk(a, Mk)
             if with_stderr:
                 r = a.real**2 + a.imag**2
                 dsyrk(1.0, r.T, beta=1.0, c=Qk, trans=1, overwrite_c=1)
                 a *= root
-                zherk(1.0, a.T, beta=1.0, c=Xk, trans=2, overwrite_c=1)
+                _zherk(a, Xk)
         if with_stderr:
             acc_w2 += float(np.sum(wc**2))
     facts = [float(math.factorial(k)) for k in orders]
@@ -270,9 +316,10 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
+    graded = _checked_graded(ensemble, k)
     if not with_stderr:
-        return _moments(ensemble, (k,))[0]
-    (moment,), (stderr,) = _moments(ensemble, (k,), with_stderr=True)
+        return _moments(ensemble, (k,), graded)[0]
+    (moment,), (stderr,) = _moments(ensemble, (k,), graded, with_stderr=True)
     return moment, stderr
 
 
@@ -280,7 +327,8 @@ def moment_matrices(ensemble: WeightedEnsemble, k_max: int) -> dict:
     """{k: moment_matrix(ensemble, k)} for k = 1..k_max, bitwise, from one
     amplitude pass per chunk."""
     orders = range(1, k_max + 1)
-    return dict(zip(orders, _moments(ensemble, orders)))
+    return dict(zip(orders, _moments(ensemble, orders,
+                                     _checked_graded(ensemble, k_max))))
 
 
 def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
@@ -294,17 +342,21 @@ def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
     of the total weight, which is the self-normalized estimate over the
     whole ensemble. Returns {k: (MomentMatrix, list of block entries)}; a
     fixed seed fixes the blocks too.
+
+    The blocks run on the pool, one amplitude buffer per worker, over one
+    parent table; they are summed in order, so the bits do not depend on
+    the pool size.
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    _checked_sym_dim(ensemble, k_max)
+    graded = _checked_graded(ensemble, k_max)
     orders = range(1, k_max + 1)
     w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
     bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
-    per_block = [_moments(replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
-                                  log_weights=ensemble.log_weights[lo:hi]),
-                          orders)
-                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+    per_block = _on_pool(_moments, [
+        (replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
+                 log_weights=ensemble.log_weights[lo:hi]), orders, graded)
+        for lo, hi in zip(bounds[:-1], bounds[1:])])
     shares = np.add.reduceat(w, bounds[:-1]) / w.sum()
     out = {}
     for i, k in enumerate(orders):

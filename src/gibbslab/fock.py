@@ -18,7 +18,6 @@ the convergence driver.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from scipy.special import gammaln, logsumexp
 
 from . import symspace
 from .classical import MomentMatrix
-from .kernels import two_body_coo
+from .kernels import _workers, two_body_coo
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -261,15 +260,6 @@ def _class_blocks(H: FockOperator):
     for lo, hi, a, b in zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]):
         yield (int(s[lo]), order[lo:hi], P.row[a:b] - lo, P.col[a:b] - lo,
                P.data[a:b])
-
-
-def _workers() -> int:
-    """Threads of the Gibbs eigensolve pool: the CPUs this process may run
-    on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _solve_block(G: np.ndarray, T: float, tridiagonal: bool) -> np.ndarray:

@@ -22,7 +22,7 @@ from .classical import WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
 # perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
 from .fock import reduced_density_matrix  # noqa: F401
-from .kernels import occupation_products, occupation_sectors
+from .kernels import Recurrence, occupation_products, occupation_sectors
 
 __all__ = [
     "TailWarning",
@@ -102,15 +102,16 @@ def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
     occupation_sectors stream of the chunk, (n, c, A_n) with A_n the
     amplitudes of sector n for the chunk's points c: that reach it (one
     column per point). A caller lets each sector go before it asks for the
-    next, so at most two sectors of amplitudes are alive at a time.
+    next, so at most two sectors of amplitudes are alive at a time. Every
+    chunk reads one parent table, over the sectors up to the top reach.
     """
     order = np.argsort(nu, kind="stable")
+    top = int(reach.max(initial=0))
+    rec = Recurrence.of(basis.occupations[:basis.sector_offsets[top + 1]])
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        top = reach[idx]
-        occs = basis.occupations[:int(basis.sector_offsets[top[-1] + 1])]
-        yield idx, occupation_sectors(vs[idx], occs, np.exp(-0.5 * nu[idx]),
-                                      top)
+        yield idx, occupation_sectors(vs[idx], rec, np.exp(-0.5 * nu[idx]),
+                                      reach[idx])
 
 
 def _by_sector(state: FockState | DiagonalState) -> list[list]:

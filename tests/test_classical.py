@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,17 @@ import gibbslab as gl
 from gibbslab.classical import (_CHUNK, f_nl_batch, free_moments,
                                 moment_matrices, moment_matrix_blocks,
                                 moments_to_csv, ensemble_to_csv)
+from gibbslab.convergence import _classical_side, parse_config
 
 import oracles
+
+
+_SIDE_CONFIG = """
+grid_points = 256
+K = 2
+T_schedule = 2.0, 4.0
+k_max = 2
+"""
 
 
 def _single_mode_basis(lam, grid):
@@ -293,21 +304,24 @@ def test_moments_match_dense_weighted_sums(K):
 
 
 @pytest.mark.parametrize("blocks", [False, True])
-def test_moment_pass_peak_memory_is_bounded_by_one_chunk(blocks):
+def test_moment_pass_peak_memory_is_bounded_by_one_chunk(blocks, monkeypatch):
     # the pass holds one amplitude chunk of the graded set 0..3 at K=5
-    # (56 rows), reused and scaled in place, and temporaries far smaller
+    # (56 rows), reused and scaled in place, and temporaries far smaller;
+    # the pooled block pass holds one such chunk per worker
     ens = _weighted_ensemble(5, 50_000, seed=8)
     chunk = 56 * _CHUNK * 16
-    tracemalloc.start()
-    try:
-        if blocks:
-            moment_matrix_blocks(ens, 3, n_blocks=5)
-        else:
-            moment_matrices(ens, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * chunk
+    for workers in (1, 2):
+        monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            if blocks:
+                moment_matrix_blocks(ens, 3, n_blocks=5)
+            else:
+                moment_matrices(ens, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ((workers if blocks else 1) + 1.5) * chunk
 
 
 @pytest.mark.parametrize("k_max", [0, 150])
@@ -316,12 +330,113 @@ def test_multi_order_refusal_precedes_amplitudes(basis_k3, monkeypatch,
     def no_amplitudes(*args, **kwargs):
         raise AssertionError("amplitudes built before the order check")
 
-    monkeypatch.setattr(gl.classical, "occupation_products", no_amplitudes)
+    monkeypatch.setattr(gl.classical, "_products", no_amplitudes)
     ens = gl.sample_free(basis_k3, 10, seed=0)
     with pytest.raises(ValueError, match="moment order|too large"):
         moment_matrix_blocks(ens, k_max, n_blocks=2)
     with pytest.raises(ValueError, match="moment order|too large"):
         moment_matrices(ens, k_max)
+
+
+def test_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
+                                            monkeypatch):
+    # the F_NL chunks keep their global cuts and the blocks their own
+    # chunks, and the blocks are summed in order; three workers on a short
+    # switch interval interleave them finely
+    ens = gl.sample_free(basis_k3, 3 * _CHUNK + 5, seed=21)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+            threads = threading.active_count()
+            weighted = gl.reweight(ens, tensor_k3)
+            got[workers] = weighted, moment_matrix_blocks(weighted, 3,
+                                                          n_blocks=7)
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    (one, blocks_one), (three, blocks_three) = got[1], got[3]
+    assert one.log_weights.tobytes() == three.log_weights.tobytes()
+    assert (one.z_r, one.z_r_stderr, one.ess) \
+        == (three.z_r, three.z_r_stderr, three.ess)
+    for k, (full, blocks) in blocks_one.items():
+        full_three, blocks_k = blocks_three[k]
+        assert full.entries.tobytes() == full_three.entries.tobytes()
+        assert len(blocks) == len(blocks_k) == 7
+        for a, b in zip(blocks, blocks_k):
+            assert a.tobytes() == b.tobytes()
+
+
+def _spy_on_public_functions(monkeypatch, modules, record):
+    """Wrap every public function of modules, wherever a gibbslab module
+    holds it, so each call runs record(name) first."""
+    package = [m for n, m in sys.modules.items()
+               if m is not None and n.startswith("gibbslab")]
+    for mod in modules:
+        for name in mod.__all__:
+            fn = getattr(mod, name)
+            if isinstance(fn, type):
+                continue
+
+            def spy(*args, _fn=fn, _name=f"{mod.__name__}.{name}",
+                    **kwargs):
+                record(_name)
+                return _fn(*args, **kwargs)
+
+            for m in package:
+                for key in [k for k, v in vars(m).items() if v is fn]:
+                    monkeypatch.setattr(m, key, spy)
+
+
+def test_classical_side_calls_public_names_on_the_calling_thread(
+        monkeypatch):
+    # a tracer keeps one span stack, so the pool workers may call private
+    # routes only; the spy on the private _products shows that the pool ran
+    cfg = dataclasses.replace(parse_config(_SIDE_CONFIG), mc_samples=20_000)
+    basis = gl.eigendecompose(gl.build_operator(cfg.spec), cfg.K)
+    tensor = gl.interaction_elements(basis, cfg.kernel)
+    monkeypatch.setattr(gl.classical, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    public, private = set(), set()
+    _spy_on_public_functions(
+        monkeypatch, [gl.kernels, gl.classical],
+        lambda name: public.add((name, threading.get_ident())))
+    products = gl.classical._products
+
+    def spy(*args):
+        private.add(threading.get_ident())
+        return products(*args)
+
+    monkeypatch.setattr(gl.classical, "_products", spy)
+    _classical_side(cfg, basis, tensor)
+    assert ("gibbslab.classical.moment_matrix_blocks", caller) in public
+    assert {thread for _, thread in public} == {caller}
+    assert private and caller not in private
+
+
+def _count_parents(monkeypatch):
+    calls = []
+    parents = gl.kernels._parents
+
+    def counting(occs):
+        calls.append(len(occs))
+        return parents(occs)
+
+    monkeypatch.setattr(gl.kernels, "_parents", counting)
+    return calls
+
+
+def test_one_parent_table_per_pass(monkeypatch, basis_k3, tensor_k3):
+    ens = gl.sample_free(basis_k3, 3 * _CHUNK + 5, seed=2)
+    calls = _count_parents(monkeypatch)
+    weighted = gl.reweight(ens, tensor_k3)
+    assert len(calls) == 1
+    moment_matrix_blocks(weighted, 3, n_blocks=5)
+    assert len(calls) == 2
+    moment_matrices(weighted, 2)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,

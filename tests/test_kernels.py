@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.blas import zherk
 
 import gibbslab as gl
 from gibbslab import symspace
-from gibbslab.kernels import (_STEP, occupation_products,
+from gibbslab.kernels import (_STEP, Recurrence, _zherk, occupation_products,
                               occupation_sectors, two_body_coo)
 
 import oracles
@@ -147,6 +148,58 @@ def test_occupation_sectors_rejects_an_unfit_reach(reach):
     with pytest.raises(ValueError, match="reach"):
         list(occupation_sectors(np.ones((3, 2)), occs, np.ones(3),
                                 np.array(reach)))
+
+
+def test_a_shared_recurrence_gives_the_same_bits():
+    # one table over the whole basis serves every prefix of whole sectors
+    rng = np.random.default_rng(5)
+    fb = gl.build_fock_basis(2, 12)
+    rec = Recurrence.of(fb.occupations)
+    vs = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
+    assert occupation_products(vs, rec, vac).tobytes() \
+        == occupation_products(vs, fb.occupations, vac).tobytes()
+    reach = np.sort(rng.integers(0, 7, 50))
+    prefix = fb.occupations[:fb.sector_offsets[reach[-1] + 1]]
+    for (m, c, A), (m0, c0, A0) in zip(
+            occupation_sectors(vs, rec, vac, reach),
+            occupation_sectors(vs, prefix, vac, reach), strict=True):
+        assert (m, c) == (m0, c0) and A.tobytes() == A0.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (6, 1), (6, 0), (35, 8192)])
+def test_ctypes_zherk_is_scipys_zherk_bitwise(shape):
+    # a single row, a single sample, zero samples and a moment chunk
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    D = shape[0]
+    c = np.asfortranarray(rng.standard_normal((D, D))
+                          + 1j * rng.standard_normal((D, D)))
+    want = zherk(1.0, a.T, beta=1.0, c=c.copy(order="F"), trans=2,
+                 overwrite_c=1)
+    got = c.copy(order="F")
+    _zherk(a, got)
+    assert got.tobytes() == want.tobytes()
+    assert (got.tobytes() == c.tobytes()) == (shape[1] == 0)
+
+
+@pytest.mark.parametrize("a, c, match", [
+    (np.ones((4, 10), dtype=complex)[:, ::2], None, "C-contiguous"),
+    (np.ones((4, 5), dtype=complex, order="F"), None, "C-contiguous"),
+    (np.ones((4, 5)), None, "C-contiguous"),
+    (np.ones((4, 5), dtype=complex), np.zeros((4, 4), dtype=complex),
+     "Fortran"),
+    (np.ones((4, 5), dtype=complex), np.zeros((3, 3), dtype=complex,
+                                              order="F"), "Fortran"),
+])
+def test_ctypes_zherk_refuses_a_layout_it_would_misread(a, c, match):
+    # BLAS gets raw pointers: a strided view, a transposed layout or a real
+    # array would be read as garbage, not copied
+    if c is None:
+        c = np.zeros((4, 4), dtype=complex, order="F")
+    with pytest.raises(ValueError, match=match):
+        _zherk(a, c)
+    assert not c.any()
 
 
 def test_two_body_coo_matches_ladder_products():

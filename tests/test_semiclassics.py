@@ -560,6 +560,30 @@ def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
     assert np.all(np.diff(nu[seen]) >= 0)
 
 
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+def test_coherent_walk_builds_one_parent_table(monkeypatch, basis_k2,
+                                               tensor_k2):
+    # one table over the sectors up to the top reach serves every chunk
+    calls = []
+    parents = gl.kernels._parents
+
+    def counting(occs):
+        calls.append(len(occs))
+        return parents(occs)
+
+    monkeypatch.setattr(gl.kernels, "_parents", counting)
+    fb = gl.build_fock_basis(2, 30)
+    vs = _spread_points(700, 24.0, 3)
+    nu = np.sum(np.abs(vs) ** 2, axis=1)
+    reach = semiclassics._reach(nu, fb.n_max)
+    for _, sectors in semiclassics._coherent_chunks(vs, nu, fb, reach):
+        list(sectors)
+    assert calls == [fb.sector_offsets[reach.max() + 1]]
+    calls.clear()
+    gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
+    assert len(calls) == 1
+
+
 def test_point_reach_is_the_sector_window():
     # the table of _reach against the per-point scan of the Poisson tail,
     # over nu that span the vacuum's reach to beyond the cutoff
