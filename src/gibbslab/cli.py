@@ -79,23 +79,24 @@ def cmd_quantum(args) -> int:
     cfg = _load(args)
     T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
     basis, tensor = convergence.resolve(cfg)
-    point = fock.solve_point(basis.eigenvalues, tensor, T,
-                             tail=cfg.n_max_policy, dim_budget=cfg.dim_budget)
+    point = fock.solve_point(basis.eigenvalues, tensor, T, k_max=cfg.k_max,
+                             keep_blocks=False, tail=cfg.n_max_policy,
+                             dim_budget=cfg.dim_budget)
     out = _ensure_out(cfg)
-    gibbs, fb, n_max = point.gibbs, point.basis, point.basis.n_max
-    marginals = fock.reduced_density_matrices(gibbs, cfg.k_max)
-    pair = (fock.pair_energy(marginals[2], tensor, point.lam) if 2 in marginals
-            else fock.two_body_energy(gibbs, tensor, point.lam))
+    fb, n_max = point.basis, point.basis.n_max
+    pair = (fock.pair_energy(point.marginals[2], tensor, point.lam)
+            if 2 in point.marginals else 0.0)
     info = {"T": T, "lambda": point.lam, "n_max": n_max, "dim": fb.dim,
             "log_z": point.log_z, "log_z_free": point.log_z_free,
-            "tail_mass": gibbs.tail_mass(),
-            "particle_number": fock.particle_number(gibbs),
+            "tail_mass": point.tail_mass,
+            "particle_number": point.particle_number,
             "energy": {"total": point.energy,
                        "one_body": point.one_body_energy, "two_body": pair}}
     with open(os.path.join(out, "quantum.json"), "w", encoding="utf-8") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
-    for k, g_k in marginals.items():
-        classical.moments_to_csv(g_k, os.path.join(out, f"quantum_k{k}.csv"))
+    for k in range(1, cfg.k_max + 1):
+        classical.moments_to_csv(point.marginals[k],
+                                 os.path.join(out, f"quantum_k{k}.csv"))
     print(f"T={T} lambda={point.lam:.6g} n_max={n_max} dim={fb.dim} "
           f"<N>={info['particle_number']:.4f} tail={info['tail_mass']:.2e}")
     return 0

@@ -253,9 +253,12 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         clock[0] = now
 
     try:
-        point = fock.solve_point(basis.eigenvalues, tensor, T,
-                                 tail=config.n_max_policy,
-                                 dim_budget=config.dim_budget)
+        # the trial state and the Berezin-Lieb stage read the Gibbs blocks;
+        # a row with neither never holds them all
+        point = fock.solve_point(
+            basis.eigenvalues, tensor, T, k_max=config.k_max,
+            keep_blocks=config.trial_subsample > 0 or config.bl_samples > 0,
+            tail=config.n_max_policy, dim_budget=config.dim_budget)
     except ValueError as exc:
         lap("solve_point")
         return ReportRow(T=T, lam=1.0 / T, n_max=-1, tail_mass=math.nan,
@@ -264,14 +267,13 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     lap("solve_point")
     fb, gibbs, free_state = point.basis, point.gibbs, point.free
     row = ReportRow(T=T, lam=point.lam, n_max=fb.n_max,
-                    tail_mass=gibbs.tail_mass(), dim=fb.dim, stages=stages)
+                    tail_mass=point.tail_mass, dim=fb.dim, stages=stages)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
                      f"n_max_policy {config.n_max_policy:.1e}")
-    marginals = fock.reduced_density_matrices(gibbs, config.k_max)
-    for k, g_k in marginals.items():
-        scaled = math.factorial(k) / T**k * g_k.entries
+    for k in range(1, config.k_max + 1):
+        scaled = math.factorial(k) / T**k * point.marginals[k].entries
         target = moments[k].entries
         d = trace_norm_distance(scaled, target)
         hs = hs_distance(scaled, target)
@@ -282,13 +284,14 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.distances[k] = DistanceMetric(d, se, hs)
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
-    # the d_2 marginal, where there is one, is Gamma^(2) of the energy
-    pair = (fock.pair_energy(marginals[2], tensor, point.lam) if 2 in marginals
-            else fock.two_body_energy(gibbs, tensor, point.lam))
+    # solve_point gathers Gamma^(2) whenever there is a pair term
+    pair = (fock.pair_energy(point.marginals[2], tensor, point.lam)
+            if 2 in point.marginals else 0.0)
     # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
     # comes from the Sym^2 pair matrix and the RDM gather, <H> from
-    # two_body_coo through the eigensolve, <H_0> from the rebuilt blocks;
-    # T f is exactly 0 in the free case, which reads it on the scale of <H>
+    # two_body_coo through the eigensolve, <H_0> from the solved blocks'
+    # diagonal; T f is exactly 0 in the free case, which reads it on the
+    # scale of <H>
     scale = abs(point.energy) if degenerate else abs(T * row.f_value)
     row.fe_identity_defect = abs(
         pair + point.one_body_energy - point.energy) / max(scale, 1e-12)

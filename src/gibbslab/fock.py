@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -206,17 +209,18 @@ class FockState:
         return out
 
     def sector_probabilities(self) -> np.ndarray:
-        # each sector's diagonal in basis order, so the sum is its trace's;
         # a sector with no block keeps its zeros
         diag = np.zeros(self.basis.dim)
         for _, rows, G in self.blocks:
             diag[rows] = np.diagonal(G)
-        return np.array([diag[self.basis.sector_slice(n)].sum()
-                         for n in range(self.basis.n_max + 1)])
+        return _sector_sums(self.basis, diag)
 
-    def tail_mass(self) -> float:
-        """Combined weight of the top two sectors (the truncation diagnostic)."""
-        return float(self.sector_probabilities()[-2:].sum())
+
+def _sector_sums(basis: FockBasis, diag: np.ndarray) -> np.ndarray:
+    """Each sector's sum of a diagonal in basis order, so a state's sum is
+    its sector's trace."""
+    return np.array([diag[basis.sector_slice(n)].sum()
+                     for n in range(basis.n_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -278,38 +282,33 @@ def _solve_block(G: np.ndarray, T: float, tridiagonal: bool) -> np.ndarray:
     return lam
 
 
-def gibbs_state(H: FockOperator, T: float):
-    """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
-    energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
+# Sectors of one Gibbs solve held at once: the one the caller folds in and
+# those whose blocks are scattered or on the pool; the pool solves sector
+# n + 1 while the calling thread folds sector n.
+_IN_FLIGHT = 3
 
-    The blocks are the label classes of each sector (the reflection-parity
-    blocks of build_hamiltonian), cut from H by one permutation
-    (_class_blocks); an entry between two blocks is refused, and so is a
-    complex H or one with a non-finite entry. The calling thread scatters
-    each block once, into a zeroed G the state keeps, and _solve_block
-    solves it there. A block whose entries all lie within one place of the
-    diagonal goes to LAPACK's tridiagonal divide-and-conquer solver (stevd)
-    on G's diagonal and lower off-diagonal, on the calling thread, as
-    scipy's wrapper holds the GIL. Every other block goes to the dense one
-    (syevd, through numpy.linalg.eigh, which releases the GIL) on a pool of
-    one thread per CPU this process may use; the pool assumes a
-    single-threaded BLAS. syevd reads the lower triangle and on a
-    tridiagonal input ends in the same stedc call, so the two give the same
-    bits there.
 
-    The solve leaves V V^T in G, exp(-H/T) unnormalized: one syrk (half
-    the flops of (U w) U^T, and exactly symmetric), and the eigenvectors
-    are dropped at once. A sector's eigenvalues are sorted before the
-    log-sum-exp, so log Z does not depend on the split (the class_split
-    selfcheck holds it to whole sectors). The energy is one dot product
-    over the same eigenvalues, which also give the entropy
-    -sum p log p = <H>/T + log Z with no second eigensolve. Last, every
-    block is scaled in place by exp(-log Z). That cannot overflow: the
-    vacuum's eigenvalue is 0 for every H build_hamiltonian makes, so
-    log Z >= 0 (and V stays finite above a spectrum of -1400 T; the lab's
-    H is positive semidefinite). Against exp(-lam/T - log Z) weights the
-    blocks move at float level, two roundings of one number; log Z and <H>
-    do not move.
+def _gibbs_sectors(H: FockOperator, T: float):
+    """Solve exp(-H/T) sector by sector: yield (n, blocks, flat, lam) in
+    ascending n, blocks the [(rows, G)] of the label classes of sector n,
+    G = V V^T unnormalized, flat the blocks laid end to end and one zero
+    after them (each G is a view of it), and lam the sector's eigenvalues,
+    sorted.
+
+    The blocks are cut from H by one permutation (_class_blocks); an entry
+    between two blocks is refused, and so is a complex H or one with a
+    non-finite entry. The calling thread scatters each block once, into a
+    zeroed G, and _solve_block solves it there. A block whose entries all
+    lie within one place of the diagonal goes to LAPACK's tridiagonal
+    divide-and-conquer solver (stevd) on G's diagonal and lower
+    off-diagonal, on the calling thread, as scipy's wrapper holds the GIL.
+    Every other block goes to the dense one (syevd, through
+    numpy.linalg.eigh, which releases the GIL) on a pool of one thread per
+    CPU this process may use; the pool assumes a single-threaded BLAS.
+    syevd reads the lower triangle and on a tridiagonal input ends in the
+    same stedc call, so the two give the same bits there. At most
+    _IN_FLIGHT sectors are held, the one yielded included; the pool is
+    shut down, its solves finished, when the stream ends or is closed.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -319,27 +318,92 @@ def gibbs_state(H: FockOperator, T: float):
         raise ValueError("Hamiltonian has non-finite entries")
     if H.hermiticity_defect() > 1e-10:
         raise ValueError("Hamiltonian is not symmetric")
-    basis = H.basis
-    eigs = [[] for _ in range(basis.n_max + 1)]
-    blocks, dense = [], []
+
+    def solved(n, blocks, flat, lams):
+        return n, blocks, flat, np.sort(np.concatenate(
+            [x if isinstance(x, np.ndarray) else x.result() for x in lams]))
+
+    pending = deque()
     with ThreadPoolExecutor(_workers()) as pool:
-        for n, rows, r, c, v in _class_blocks(H):
-            G = np.zeros((rows.size, rows.size))
-            G[r, c] = v
-            blocks.append((n, rows, G))
-            if np.all(np.abs(r - c) <= 1):
-                eigs[n].append(_solve_block(G, T, True))
-            else:
-                dense.append((n, pool.submit(_solve_block, G, T, False)))
-        for n, solve in dense:
-            eigs[n].append(solve.result())
-    eigs = np.concatenate([np.sort(np.concatenate(lams)) for lams in eigs])
+        for n, group in groupby(_class_blocks(H), key=itemgetter(0)):
+            group = list(group)
+            flat = np.zeros(sum(rows.size ** 2 for _, rows, *_ in group) + 1)
+            blocks, lams, at = [], [], 0
+            for _, rows, r, c, v in group:
+                G = flat[at:at + rows.size ** 2].reshape(rows.size, rows.size)
+                at += G.size
+                G[r, c] = v
+                blocks.append((rows, G))
+                lams.append(_solve_block(G, T, True)
+                            if np.all(np.abs(r - c) <= 1)
+                            else pool.submit(_solve_block, G, T, False))
+            pending.append((n, blocks, flat, lams))
+            if len(pending) == _IN_FLIGHT - 1:
+                yield solved(*pending.popleft())
+        while pending:
+            yield solved(*pending.popleft())
+
+
+def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
+    """Fold the sector stream of exp(-H/T) into the point's sums: the
+    marginals of the given orders, the diagonal (in basis order) and, with
+    keep, the blocks as (n, rows, G); each normalized by one exp(-log Z)
+    scale at the end. Returns (blocks, log Z, <H>, diagonal, marginals).
+
+    A sector's blocks are dropped once folded in, unless kept. log Z is the
+    log-sum-exp of every eigenvalue, each sector's sorted, so it does not
+    depend on the split (the class_split selfcheck holds it to whole
+    sectors), and <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z), is
+    one dot product over the same eigenvalues, which also give the entropy
+    -sum p log p = <H>/T + log Z with no second eigensolve. The sums cannot
+    overflow: the vacuum's eigenvalue is 0 for every H build_hamiltonian
+    makes, so log Z >= 0 (and V stays finite above a spectrum of -1400 T;
+    the lab's H is positive semidefinite). The kept blocks and the diagonal
+    are scaled in place, so they carry the bits of a scale applied to the
+    whole state; a marginal sums the unnormalized blocks and is scaled
+    once, which moves it at float level against the marginal of the
+    normalized blocks.
+    """
+    basis = H.basis
+    gather = _Marginals(basis, orders)
+    diag = np.zeros(basis.dim)
+    eigs, kept = [], []
+    for n, blocks, flat, lam in _gibbs_sectors(H, T):
+        eigs.append(lam)
+        for rows, G in blocks:
+            diag[rows] = np.diagonal(G)
+        gather.add(n, blocks, flat)
+        if keep:
+            kept += [(n, rows, G) for rows, G in blocks]
+        del blocks, flat, G  # not held while the stream scatters the next
+    eigs = np.concatenate(eigs)
     log_z = float(logsumexp(-eigs / T))
     energy = float(np.exp(-eigs / T - log_z) @ eigs)
     scale = np.exp(-log_z)
-    for *_, G in blocks:
+    for *_, G in kept:
         G *= scale
-    return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
+    diag *= scale
+    return kept, log_z, energy, diag, gather.result(scale)
+
+
+def gibbs_state(H: FockOperator, T: float):
+    """exp(-H/T)/Z as (sector, class) blocks, log Z (log-sum-exp) and the
+    energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
+
+    It collects the sector stream that solve_point folds (_gibbs_sectors,
+    which says how each class block is cut and solved) and keeps every
+    block: the solve leaves V V^T in the array the state keeps, exp(-H/T)
+    unnormalized, V = U exp(-lam/2T): one syrk (half the flops of
+    (U w) U^T, and exactly symmetric), and the eigenvectors are dropped at
+    once. Last, every block is scaled in place by exp(-log Z) (see
+    _fold_gibbs). Against exp(-lam/T - log Z) weights the blocks move at
+    float level, two roundings of one number; log Z and <H> do not move.
+    solve_point folds the same stream into the marginals as it arrives and
+    keeps the blocks only when asked, so the sweep's rows without a trial
+    state or a Berezin-Lieb stage never hold every block.
+    """
+    blocks, log_z, energy, _, _ = _fold_gibbs(H, T)
+    return FockState(basis=H.basis, blocks=tuple(blocks)), log_z, energy
 
 
 def _branching_table(basis: FockBasis, k: int):
@@ -373,45 +437,69 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     """
     if not 1 <= k <= state.basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={state.basis.n_max}")
-    return _marginals(state, (k,))[k]
+    return _state_marginals(state, (k,))[k]
 
 
 def reduced_density_matrices(state: FockState, k_max: int) -> dict:
     """{k: reduced_density_matrix(state, k)} for k = 1..k_max, bitwise, with
-    the block lookup and each sector's flat copy of its class blocks built
-    once for every order."""
+    each sector's flat copy of its class blocks built once for every
+    order."""
     if not 1 <= k_max <= state.basis.n_max:
         raise ValueError(
             f"order k={k_max} outside 1..n_max={state.basis.n_max}")
-    return _marginals(state, range(1, k_max + 1))
+    return _state_marginals(state, range(1, k_max + 1))
 
 
-def _marginals(state: FockState, orders) -> dict:
-    """The marginals of the given orders, one pass over the sectors."""
-    basis = state.basis
-    tables = {k: _branching_table(basis, k) for k in orders}
-    out = {k: np.zeros((occs_k.shape[0],) * 2)
-           for k, (occs_k, _, _) in tables.items()}
-    # block, place in the block and row start in its sector's flat copy
-    cls, pos, start = np.empty((3, basis.dim), dtype=np.int64)
-    flat = [[] for _ in range(basis.n_max + 1)]
-    for c, (n, g, G) in enumerate(state.blocks):
-        cls[g], pos[g] = c, np.arange(g.size)
-        start[g] = sum(map(len, flat[n])) + pos[g] * g.size
-        flat[n].append(G.ravel())
-    for n in sorted({m for m, *_ in state.blocks if m >= min(tables)}):
-        sector = np.concatenate(flat[n] + [np.zeros(1)])
-        for k, (_, rows, coefs) in tables.items():
-            if n < k:
-                continue
-            cols = basis.sector_slice(n - k)
+def _state_marginals(state: FockState, orders) -> dict:
+    """The marginals of the given orders, fed to _Marginals by sector."""
+    sectors = {}
+    for n, rows, G in state.blocks:
+        sectors.setdefault(n, []).append((rows, G))
+    gather = _Marginals(state.basis, orders)
+    for n in sorted(sectors):
+        gather.add(n, sectors[n], np.concatenate(
+            [G.ravel() for _, G in sectors[n]] + [np.zeros(1)]))
+    return gather.result()
+
+
+class _Marginals:
+    """Running sums of the marginals of the given orders, one sector at a
+    time; the gather of reduced_density_matrix over every sector added."""
+
+    def __init__(self, basis: FockBasis, orders):
+        self.basis = basis
+        self.tables = {k: _branching_table(basis, k) for k in orders}
+        self.sums = {k: np.zeros((occs_k.shape[0],) * 2)
+                     for k, (occs_k, _, _) in self.tables.items()}
+        # block, place in the block and row start in its sector's flat copy
+        self.cls, self.pos, self.start = np.empty(
+            (3, basis.dim if self.tables else 0), dtype=np.int64)
+
+    def add(self, n: int, blocks, flat: np.ndarray) -> None:
+        """Add sector n, given as its class blocks [(rows, G)] and flat,
+        the blocks' entries laid end to end and one zero after them: a pair
+        in different classes reads that zero."""
+        tables = [(k, t) for k, t in self.tables.items() if k <= n]
+        if not tables:
+            return
+        cls, pos, start = self.cls, self.pos, self.start
+        at = 0
+        for c, (g, G) in enumerate(blocks):
+            cls[g], pos[g] = c, np.arange(g.size)
+            start[g] = at + pos[g] * g.size
+            at += G.size
+        for k, (_, rows, coefs) in tables:
+            cols = self.basis.sector_slice(n - k)
             a, b = rows[:, None, cols], rows[None, :, cols]
-            vals = sector[np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
+            vals = flat[np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
             c = coefs[:, cols]
-            out[k] += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
-    return {k: MomentMatrix(k=k, entries=0.5 * (g + g.T),
-                            occupations=tables[k][0])
-            for k, g in out.items()}
+            self.sums[k] += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
+
+    def result(self, scale: float = 1.0) -> dict:
+        """{k: MomentMatrix} of the sums, symmetrized and times scale."""
+        return {k: MomentMatrix(k=k, entries=0.5 * (g + g.T) * scale,
+                                occupations=self.tables[k][0])
+                for k, g in self.sums.items()}
 
 
 def reduced_dm_normal_ordered(state: FockState, k: int) -> MomentMatrix:
@@ -587,48 +675,73 @@ class ThermalPoint:
     """Interacting (at lam = 1/T) and free (diagonal) Gibbs states of one T.
 
     energy is <H_lam> of the Gibbs state, sum_i p_i eps_i over its spectrum,
-    and one_body_energy its <H_0>, the Gibbs blocks' diagonal . E with
+    and one_body_energy its <H_0>, the Gibbs diagonal . E with
     E = occupations @ eigenvalues. Together they give the relative entropy
         s_gibbs = S(gibbs | free)
                 = (one_body_energy - energy) / T + log_z_free - log_z,
     from sum p log p = -<H_lam>/T - log Z and log q = -E/T - log Z_0.
+    marginals holds Gamma^(k) of the Gibbs state for k = 1..k_max, and
+    Gamma^(2) too whenever there is a pair term; tail_mass is the weight of
+    the top two sectors and particle_number <N>. gibbs is the Gibbs state
+    as blocks when solve_point was asked to keep them, else None.
     """
 
     T: float
     lam: float
     basis: FockBasis
-    gibbs: FockState
+    gibbs: FockState | None
     free: DiagonalState
     log_z: float
     log_z_free: float
     energy: float
     one_body_energy: float
     s_gibbs: float
+    marginals: dict
+    tail_mass: float
+    particle_number: float
 
 
 def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
-                tail: float = 1e-8, dim_budget: int = 20000) -> ThermalPoint:
+                k_max: int = 1, keep_blocks: bool = True, tail: float = 1e-8,
+                dim_budget: int = 20000) -> ThermalPoint:
     """Cutoff from the tail policy, then exp(-H_lam/T) at lam = 1/T (kept
     as ThermalPoint.lam) and exp(-H_0/T). H_0 is diagonal in the occupation
     basis with energies occupations @ eigenvalues, so the free state is
     written down directly; only H_lam is diagonalized, once; S(gibbs | free)
-    comes from that spectrum (see ThermalPoint). Raises ValueError when the
-    tail policy needs a basis over dim_budget.
+    comes from that spectrum (see ThermalPoint).
+
+    The Gibbs solve is one sector stream (_gibbs_sectors), the one
+    gibbs_state collects: as each sector's solves finish, its blocks are
+    gathered into the marginals of orders 1..k_max (and 2 with a pair
+    term, for the pair energy) and its diagonal kept, and then the blocks
+    are dropped unless keep_blocks; log Z scales the sums once, at the end
+    (_fold_gibbs). Without keep_blocks, at most a few sectors' blocks are
+    held at once and ThermalPoint.gibbs is None. Raises ValueError when the
+    tail policy needs a basis over dim_budget, or k_max is outside
+    1..n_max.
     """
     n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
+    if not 1 <= k_max <= n_max:
+        raise ValueError(f"order k={k_max} outside 1..n_max={n_max}")
     basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
     lam = 1.0 / T
-    gibbs, log_z, energy = gibbs_state(
-        build_hamiltonian(basis, eigenvalues, tensor, lam), T)
+    k_top = max(k_max, 2 if _has_pair_term(tensor, lam) else 1)
+    blocks, log_z, energy, diag, marginals = _fold_gibbs(
+        build_hamiltonian(basis, eigenvalues, tensor, lam), T,
+        orders=range(1, k_top + 1), keep=keep_blocks)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))
     free = DiagonalState(basis, np.exp(-E / T - log_z_free))
-    one_body = sum(float(np.diagonal(G) @ E[rows])
-                   for _, rows, G in gibbs.blocks)
+    one_body = float(diag @ E)
+    probs = _sector_sums(basis, diag)
     return ThermalPoint(
-        T=T, lam=lam, basis=basis, gibbs=gibbs, free=free, log_z=log_z,
-        log_z_free=log_z_free, energy=energy, one_body_energy=one_body,
-        s_gibbs=(one_body - energy) / T + log_z_free - log_z)
+        T=T, lam=lam, basis=basis,
+        gibbs=FockState(basis, tuple(blocks)) if keep_blocks else None,
+        free=free, log_z=log_z, log_z_free=log_z_free, energy=energy,
+        one_body_energy=one_body,
+        s_gibbs=(one_body - energy) / T + log_z_free - log_z,
+        marginals=marginals, tail_mass=float(probs[-2:].sum()),
+        particle_number=float(np.sum(np.arange(probs.size) * probs)))
 
 
 def random_state(basis: FockBasis, seed: int) -> FockState:

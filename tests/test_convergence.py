@@ -211,43 +211,64 @@ def test_run_convergence_small(small_config):
     assert 0 < res.z_r <= 1
 
 
+def _record_marginal_orders(monkeypatch) -> list:
+    """Record the orders of every marginal gather (fock._Marginals): the
+    Gibbs stream of solve_point and reduced_density_matrix[ces] both build
+    theirs there."""
+    orders, gather = [], fock._Marginals
+
+    class Recording(gather):
+        def __init__(self, basis, ks):
+            super().__init__(basis, ks)
+            orders.append(tuple(self.tables))
+
+    monkeypatch.setattr(fock, "_Marginals", Recording)
+    return orders
+
+
 def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
-    one, every = fock.reduced_density_matrix, fock.reduced_density_matrices
-    calls = []
-
-    def counting_one(state, k):
-        calls.append(k)
-        return one(state, k)
-
-    def counting_every(state, k_max):
-        calls.append(range(1, k_max + 1))
-        return every(state, k_max)
-
-    monkeypatch.setattr(fock, "reduced_density_matrix", counting_one)
-    monkeypatch.setattr(fock, "reduced_density_matrices", counting_every)
+    orders = _record_marginal_orders(monkeypatch)
     res = run_convergence(small_config)
-    # per row: d_1 and d_2 of the Gibbs state in one call, then the trial
-    # state's pair energy; the Gibbs free energy reuses the d_2 marginal
-    assert calls == [range(1, 3), 2] * len(res.rows)
+    # per row: d_1 and d_2 of the Gibbs state in its solve's stream, then
+    # the trial state's pair energy; the Gibbs free energy reuses the d_2
+    # marginal
+    per_row = [(1, 2), (2,)]
+    assert orders == per_row * len(res.rows)
+    # negative control: a second gather on the kept Gibbs blocks, as a
+    # separate reduced_density_matrices call, is seen
+    solve = fock.solve_point
+
+    def regather(*args, **kwargs):
+        point = solve(*args, **kwargs)
+        fock.reduced_density_matrices(point.gibbs, 2)
+        return point
+
+    monkeypatch.setattr(fock, "solve_point", regather)
+    orders.clear()
+    run_convergence(small_config)
+    assert orders != per_row * len(res.rows)
     monkeypatch.undo()
     basis, tensor = gl.convergence.resolve(small_config)
     for row in res.rows:
         point = fock.solve_point(basis.eigenvalues, tensor, row.T,
+                                 k_max=small_config.k_max,
                                  tail=small_config.n_max_policy,
                                  dim_budget=small_config.dim_budget)
         assert row.lam == point.lam == 1.0 / row.T
-        pair = fock.two_body_energy(point.gibbs, tensor, row.lam)
+        pair = fock.pair_energy(point.marginals[2], tensor, row.lam)
+        assert pair == pytest.approx(
+            fock.two_body_energy(point.gibbs, tensor, row.lam), rel=1e-13)
         exact = row.T * row.f_value
         assert row.fe_identity_defect == abs(
             pair + point.one_body_energy - point.energy) / abs(exact)
 
 
 def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
-    # gibbs_state solves each Gibbs class block, the tridiagonal ones with
+    # the Gibbs stream solves each class block, the tridiagonal ones with
     # stevd and the others with numpy's evd on its pool, and S(trial | free)
     # each stored trial block with scipy's evd; S(Gibbs | free) comes from
     # the Gibbs spectrum, so relative_entropy sees trial states only
-    eigh, dstevd, gibbs_state = fock.eigh, fock.dstevd, fock.gibbs_state
+    eigh, dstevd, gibbs_sectors = fock.eigh, fock.dstevd, fock._gibbs_sectors
     dense_eigh, lock = np.linalg.eigh, threading.Lock()
     trial_state, relative_entropy = semiclassics.trial_state, \
         fock.relative_entropy
@@ -267,13 +288,15 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         calls["stevd"] += 1
         return dstevd(*args, **kwargs)
 
-    def recording_gibbs(H, T):
-        out = gibbs_state(H, T)
-        shapes = [H.class_block(rows) for _, rows, _ in out[0].blocks]
-        tri = sum(not np.triu(h, 2).any() and not np.tril(h, -2).any()
-                  for h in shapes)
-        gibbs_blocks.append((tri, len(shapes) - tri))
-        return out
+    def recording_sectors(H, T):
+        tri = dense = 0
+        for n, blocks, flat, lam in gibbs_sectors(H, T):
+            for rows, _ in blocks:
+                h = H.class_block(rows)
+                band = not np.triu(h, 2).any() and not np.tril(h, -2).any()
+                tri, dense = tri + band, dense + (not band)
+            yield n, blocks, flat, lam
+        gibbs_blocks.append((tri, dense))
 
     def recording_trial(*args, **kwargs):
         trials.append(trial_state(*args, **kwargs))
@@ -286,7 +309,7 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     monkeypatch.setattr(fock, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigh", counting_dense_eigh)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
-    monkeypatch.setattr(fock, "gibbs_state", recording_gibbs)
+    monkeypatch.setattr(fock, "_gibbs_sectors", recording_sectors)
     monkeypatch.setattr(semiclassics, "trial_state", recording_trial)
     monkeypatch.setattr(fock, "relative_entropy", recording_entropy)
     res = run_convergence(small_config)
@@ -299,25 +322,24 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
 
 
 def _corrupt_gibbs_coupling(monkeypatch):
-    """One off-diagonal pair of one rebuilt Gibbs block, between two states
-    that W couples, moved by 1e-6."""
-    build = fock.gibbs_state
+    """One off-diagonal pair of one solved Gibbs block, between two states
+    that W couples, moved by 1e-6 in the sector stream, before the
+    marginals are gathered."""
+    gibbs_sectors = fock._gibbs_sectors
 
     def corrupted(H, T):
-        state, log_z, energy = build(H, T)
-        blocks = list(state.blocks)
-        for i, (n, rows, G) in enumerate(blocks):
-            h = H.class_block(rows)
-            a, b = np.nonzero(h - np.diag(np.diagonal(h)))
-            if a.size:
-                G = G.copy()
-                G[a[0], b[0]] += 1e-6
-                G[b[0], a[0]] += 1e-6
-                blocks[i] = (n, rows, G)
-                break
-        return fock.FockState(state.basis, tuple(blocks)), log_z, energy
+        moved = False
+        for n, blocks, flat, lam in gibbs_sectors(H, T):
+            for rows, G in blocks:
+                h = H.class_block(rows)
+                a, b = np.nonzero(h - np.diag(np.diagonal(h)))
+                if a.size and not moved:
+                    G[a[0], b[0]] += 1e-6
+                    G[b[0], a[0]] += 1e-6
+                    moved = True
+            yield n, blocks, flat, lam
 
-    monkeypatch.setattr(fock, "gibbs_state", corrupted)
+    monkeypatch.setattr(fock, "_gibbs_sectors", corrupted)
 
 
 def _corrupt_sym2_entry(monkeypatch):
@@ -360,6 +382,31 @@ def test_fe_identity_defect_is_on_rows_without_a_trial_state(
     assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
 
 
+def test_k_max_one_row_keeps_no_block_and_gathers_its_pair_marginal(
+        small_config, monkeypatch):
+    # k_max = 1 with a pair term and neither a trial state nor a
+    # Berezin-Lieb stage: the row keeps no Gibbs block, and its solve's
+    # stream still gathers Gamma^(2), the one source of its pair energy
+    cfg = dataclasses.replace(small_config, k_max=1, trial_subsample=0,
+                              bl_samples=0)
+    solve, points = fock.solve_point, []
+
+    def recording(*args, **kwargs):
+        points.append(solve(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(fock, "solve_point", recording)
+    rows = run_convergence(cfg).rows
+    assert len(points) == len(rows) == 2
+    assert all(p.gibbs is None and sorted(p.marginals) == [1, 2]
+               for p in points)
+    assert all(r.valid and set(r.distances) == {1} for r in rows)
+    assert all(r.fe_identity_defect <= 1e-10 for r in rows)
+    # negative control: a corrupted block in the stream shows in the defect
+    _corrupt_gibbs_coupling(monkeypatch)
+    assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
+
+
 def test_fe_identity_defect_of_the_free_case_is_relative_to_the_energy(
         monkeypatch):
     # T f is exactly 0 without a pair term, so the defect is read on the
@@ -369,13 +416,13 @@ def test_fe_identity_defect_of_the_free_case_is_relative_to_the_energy(
     rows = run_convergence(cfg).rows
     assert all(r.valid and r.T * r.f_value == 0.0 for r in rows)
     assert all(r.fe_identity_defect <= 1e-12 for r in rows)
-    build = fock.gibbs_state
+    solve = fock.solve_point
 
-    def scaled(H, T):
-        state, log_z, energy = build(H, T)
-        return state, log_z, energy * (1.0 + 1e-9)
+    def scaled(*args, **kwargs):
+        point = solve(*args, **kwargs)
+        return dataclasses.replace(point, energy=point.energy * (1.0 + 1e-9))
 
-    monkeypatch.setattr(fock, "gibbs_state", scaled)
+    monkeypatch.setattr(fock, "solve_point", scaled)
     assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
 
 
@@ -483,14 +530,10 @@ def test_interacting_tail_over_the_policy_is_noted(tmp_path, monkeypatch,
     solve = fock.solve_point
 
     def heavy_tail(*args, **kwargs):
-        # the solved Gibbs state with 1e-6 of its mass moved to the top sector
+        # the solved point with 1e-6 of its mass moved to the top sector
         point = solve(*args, **kwargs)
-        top = point.basis.n_max
-        eps = 1e-6 / point.basis.sector_dim(top)
-        gibbs = fock.FockState(basis=point.basis, blocks=tuple(
-            (n, rows, (1.0 - 1e-6) * G + (n == top) * eps * np.eye(rows.size))
-            for n, rows, G in point.gibbs.blocks))
-        return dataclasses.replace(point, gibbs=gibbs)
+        return dataclasses.replace(
+            point, tail_mass=(1.0 - 1e-6) * point.tail_mass + 1e-6)
 
     monkeypatch.setattr(fock, "solve_point", heavy_tail)
     cfg = dataclasses.replace(small_config, trial_subsample=0, bl_samples=0)
@@ -745,16 +788,56 @@ def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
     energy = json.load(open(tmp_path / "out" / "quantum.json"))["energy"]
     cfg = gl.read_config(str(config_file))
     basis, tensor = gl.convergence.resolve(cfg)
-    point = fock.solve_point(basis.eigenvalues, tensor, 2.0,
+    point = fock.solve_point(basis.eigenvalues, tensor, 2.0, k_max=cfg.k_max,
                              tail=cfg.n_max_policy)
     assert point.lam == 0.5
+    assert energy["two_body"] == fock.pair_energy(point.marginals[2], tensor,
+                                                  point.lam)
     split = fock.energy_decomposition(point.gibbs, basis.eigenvalues, tensor,
                                       point.lam)
-    assert energy["two_body"] == split.two_body
-    for key in ("total", "one_body"):
+    for key in ("total", "one_body", "two_body"):
         assert energy[key] == pytest.approx(getattr(split, key), rel=1e-13)
     assert energy["total"] == pytest.approx(
         energy["one_body"] + energy["two_body"], rel=1e-12)
+
+
+def test_cli_quantum_holds_no_gibbs_blocks(config_file, tmp_path,
+                                          monkeypatch):
+    # the marginals, tail mass and <N> come from the solved point, which
+    # keeps no block; nothing gathers on blocks afterwards
+    solve, points = fock.solve_point, []
+
+    def recording(*args, **kwargs):
+        points.append(solve(*args, **kwargs))
+        return points[-1]
+
+    def refuse(*args):
+        raise AssertionError("quantum gathered marginals on kept blocks")
+
+    monkeypatch.setattr(fock, "solve_point", recording)
+    monkeypatch.setattr(fock, "reduced_density_matrices", refuse)
+    assert cli.main(["quantum", "--config", str(config_file),
+                     "--T", "2.0"]) == 0
+    [point] = points
+    assert point.gibbs is None
+    info = json.loads((tmp_path / "out" / "quantum.json").read_text())
+    assert info["tail_mass"] == point.tail_mass
+    assert info["particle_number"] == point.particle_number
+    k_max = gl.read_config(str(config_file)).k_max
+    assert sorted(point.marginals) == [1, 2] == list(range(1, k_max + 1))
+    for k in range(1, k_max + 1):
+        want = tmp_path / f"want_k{k}.csv"
+        gl.classical.moments_to_csv(point.marginals[k], want)
+        got = tmp_path / "out" / f"quantum_k{k}.csv"
+        assert got.read_bytes() == want.read_bytes()
+    assert not (tmp_path / "out" / f"quantum_k{k_max + 1}.csv").exists()
+    # against the state of kept blocks
+    basis, tensor = gl.convergence.resolve(gl.read_config(str(config_file)))
+    kept = solve(basis.eigenvalues, tensor, 2.0)
+    assert info["tail_mass"] == pytest.approx(
+        kept.gibbs.sector_probabilities()[-2:].sum(), rel=1e-13)
+    assert info["particle_number"] == pytest.approx(
+        fock.particle_number(kept.gibbs), rel=1e-13)
 
 
 def _refuses_over_budget_without_output(command, tmp_path, capsys, T="1000"):
@@ -1079,21 +1162,20 @@ def test_cli_deleted_setting_is_refused(config_file, tmp_path, capsys, old,
 
 def test_free_case_sweep_builds_no_pair_marginal(tmp_path, monkeypatch):
     # g = 0 and k_max = 1: the pair energy is 0 with no two-body marginal
-    one = fock.reduced_density_matrix
-    orders = []
-
-    def recording(state, k):
-        orders.append(k)
-        return one(state, k)
-
-    monkeypatch.setattr(fock, "reduced_density_matrix", recording)
+    orders = _record_marginal_orders(monkeypatch)
     cfg = dataclasses.replace(
         gl.read_config(os.path.join(CONFIGS, "free-case.cfg")),
         out_dir=str(tmp_path))
     res = run_convergence(cfg)
     assert res.degenerate and all(row.valid for row in res.rows)
-    assert 2 not in orders
-
+    assert orders == [(1,)] * len(res.rows)
+    # negative control: with a pair term the same k_max = 1 sweep gathers
+    # Gamma^(2) in each row's stream, for the pair energy
+    orders.clear()
+    res = run_convergence(dataclasses.replace(
+        cfg, kernel=gl.InteractionKernel("delta", 1.0)))
+    assert not res.degenerate and all(row.valid for row in res.rows)
+    assert orders == [(1, 2)] * len(res.rows)
 
 
 @pytest.mark.parametrize("where", ["key", "override"])

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1073,3 +1074,125 @@ def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
     with pytest.raises(ValueError, match="budget 2000"):
         gl.solve_point(basis_k2.eigenvalues, tensor_k2, 50.0,
                        dim_budget=2000)
+
+
+def _materialized_point(eigenvalues, tensor, T, k_max):
+    """log Z, <H>, <H_0>, tail mass, <N> and marginals of the Gibbs state
+    of solve_point's cutoff, from gibbs_state's blocks and a separate
+    reduced_density_matrices gather on them."""
+    fb = gl.build_fock_basis(len(eigenvalues),
+                             gl.choose_n_max(eigenvalues, T))
+    H = gl.build_hamiltonian(fb, eigenvalues, tensor, 1.0 / T)
+    state, log_z, energy = gl.gibbs_state(H, T)
+    E = fb.occupations @ eigenvalues
+    one_body = sum(float(np.diagonal(G) @ E[rows])
+                   for _, rows, G in state.blocks)
+    return H, state, {
+        "log_z": log_z, "energy": energy, "one_body_energy": one_body,
+        "tail_mass": float(state.sector_probabilities()[-2:].sum()),
+        "particle_number": gl.particle_number(state),
+        "marginals": gl.reduced_density_matrices(state, k_max)}
+
+
+@pytest.mark.parametrize("case", ["k2-tridiagonal", "k3-pool", "one-class"])
+def test_streamed_point_matches_the_materialized_route(
+        basis_k2, tensor_k2, basis_k3, tensor_k3, monkeypatch, case):
+    # solve_point folds each sector into its sums as it is solved and keeps
+    # no block; the sums are normalized once, at the end, so they leave the
+    # route over normalized blocks at float level only. The pool size does
+    # not change the bits, and the pool is gone when the point returns.
+    basis, tensor, T = {
+        "k2-tridiagonal": (basis_k2, tensor_k2, 10.0),
+        "k3-pool": (basis_k3, tensor_k3, 2.5),
+        "one-class": (basis_k3, gl.TwoBodyTensor(tensor_k3.entries), 2.5),
+    }[case]
+    H, state, want = _materialized_point(basis.eigenvalues, tensor, T, 3)
+    tri = [_is_tridiagonal(H.class_block(rows)) for _, rows, _ in state.blocks]
+    if case == "k2-tridiagonal":
+        assert all(tri)
+    else:
+        assert not any(tri[len(tri) // 2:])
+    assert (len(state.blocks) == H.basis.n_max + 1) == (case == "one-class")
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(fock, "_workers", lambda: workers)
+        threads = threading.active_count()
+        got[workers] = gl.solve_point(basis.eigenvalues, tensor, T, k_max=3,
+                                      keep_blocks=False)
+        assert threading.active_count() == threads
+    point = got[1]
+    assert point.gibbs is None and sorted(point.marginals) == [1, 2, 3]
+    for key in ("log_z", "energy", "one_body_energy", "tail_mass",
+                "particle_number"):
+        assert getattr(point, key) == getattr(got[2], key)
+        assert getattr(point, key) == pytest.approx(want[key], rel=1e-13,
+                                                    abs=0.0)
+    for k, g_k in point.marginals.items():
+        assert g_k.entries.tobytes() == got[2].marginals[k].entries.tobytes()
+        ref = want["marginals"][k]
+        assert np.array_equal(g_k.occupations, ref.occupations)
+        assert np.abs(g_k.entries - ref.entries).max() \
+            <= 1e-13 * np.abs(ref.entries).max()
+    # log Z and <H> come from the same eigenvalues in the same order
+    assert (point.log_z, point.energy) == (want["log_z"], want["energy"])
+    # kept, the blocks are gibbs_state's, bit for bit
+    kept = gl.solve_point(basis.eigenvalues, tensor, T, k_max=3)
+    _assert_same_gibbs((kept.gibbs, kept.log_z, kept.energy),
+                       (state, want["log_z"], want["energy"]))
+
+
+def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
+                                                     monkeypatch):
+    # the ed-k3 shape at T=7 (K=3, k_max=3, dense parity blocks on the
+    # pool, 39 sectors): without its blocks kept, a point holds the gather's
+    # branching tables and the blocks of at most a few sectors, not the
+    # 20 MB of all of them. H is built before the measured window, as the
+    # assembly's own peak is not the solve's.
+    T = 7.0
+    fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
+    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
+    sector = [8 * int((np.bincount(H.labels[fb.sector_slice(n)]) ** 2).sum())
+              for n in range(fb.n_max + 1)]
+    assert sum(sector) > 8 * max(sector)
+    tracemalloc.start()
+    try:
+        fock._Marginals(fb, range(1, 4))
+        _, tables = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(fock, "build_hamiltonian", lambda *args: H)
+    for workers in (1, 2):
+        monkeypatch.setattr(fock, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, k_max=3,
+                           keep_blocks=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + 5 * max(sector)
+
+
+def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
+    for k_max in (0, 100):
+        with pytest.raises(ValueError, match=f"order k={k_max} outside"):
+            gl.solve_point(basis_k2.eigenvalues, tensor_k2, 2.0, k_max=k_max)
+
+
+def test_a_failed_pool_solve_is_raised_and_leaves_no_thread(
+        basis_k3, tensor_k3, monkeypatch):
+    H, T = _k3_point(basis_k3, tensor_k3)
+    eigh, calls = np.linalg.eigh, []
+
+    def failing(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("evd did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "_workers", lambda: 2)
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        gl.gibbs_state(H, T)
+    assert threading.active_count() == threads
