@@ -21,9 +21,9 @@ from .convergence import (CheckResult, ExperimentConfig, ReportRow,
 from .fock import (DiagonalState, FockBasis, FockOperator, FockState,
                    ThermalPoint, build_fock_basis, build_hamiltonian,
                    choose_n_max, energy_decomposition, gibbs_state, ladder,
-                   particle_number, reduced_density_matrices,
-                   reduced_density_matrix, reduced_dm_normal_ordered,
-                   relative_entropy, relative_free_energy, solve_point)
+                   particle_number, reduced_density_matrix,
+                   reduced_dm_normal_ordered, relative_entropy,
+                   relative_free_energy, solve_point)
 from .metrics import hs_distance, trace_norm_distance
 from .semiclassics import (BLGap, CoherentVector, TailWarning,
                            berezin_lieb_gap, coherent, husimi_density,

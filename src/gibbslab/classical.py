@@ -144,17 +144,18 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
     where one thread cuts it.
     """
     W2 = symspace.two_body_sym_matrix(tensor.entries)
-    graded = _graded(coeffs.shape[1], 2)
+    rec = Recurrence.graded(coeffs.shape[1], 2)
     out = np.empty(coeffs.shape[0])
-    _on_pool(_f_nl_rows, [(coeffs[lo:lo + _CHUNK], W2, graded,
+    _on_pool(_f_nl_rows, [(coeffs[lo:lo + _CHUNK], W2, rec,
                            out[lo:lo + _CHUNK])
                           for lo in range(0, coeffs.shape[0], _CHUNK)])
     return out
 
 
-def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, graded, out: np.ndarray):
+def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, rec: Recurrence,
+               out: np.ndarray):
     """out = F_NL of each of at most _CHUNK rows, one amplitude pass."""
-    for _, A in _amplitudes(rows, graded):
+    for _, A in _amplitudes(rows, rec):
         # the real W_2 acts alike on the real and imaginary parts, which the
         # float view of A_2 interleaves sample by sample
         X = A[2].view(np.float64)
@@ -192,28 +193,21 @@ def reweight(ensemble: WeightedEnsemble,
                    ess=ess, reweighted=True)
 
 
-def _graded(K: int, k_max: int):
-    """(Recurrence, offsets) of the graded occupations 0..k_max over K modes,
-    offsets[k] the first row of sector k: one amplitude pass's parent
-    table, built on the calling thread and read by every chunk and worker."""
-    occs, offsets = symspace.graded_indices(K, k_max)
-    return Recurrence.of(occs), offsets
-
-
-def _amplitudes(coeffs: np.ndarray, graded):
+def _amplitudes(coeffs: np.ndarray, rec: Recurrence):
     """Per _CHUNK rows of coeffs, yield (first row, [A_0, ..., A_k_max]).
 
-    graded is _graded(K, k_max). A_k is sector k of one occupation_products
-    pass over the graded index set 0..k_max, a row-contiguous view of shape
-    (sym_dim(K, k), rows) whose column s holds
-    prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each amplitude is its
+    rec is Recurrence.graded(K, k_max), the pass's one parent table, built
+    on the calling thread and read by every chunk and worker. A_k is sector
+    k of one occupation_products pass over the graded index set 0..k_max,
+    a row-contiguous view of shape (sym_dim(K, k), rows) whose column s
+    holds prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each amplitude is its
     parent's times one factor, so A_k is bitwise the same for every
     k_max >= k. The Sym^k components of the sample's k-fold tensor power
     are sqrt(k!) A_k. Every chunk of _CHUNK rows is written into one
     buffer, so a consumer may scale the views in place but must be done
     with them before it asks for the next chunk.
     """
-    rec, offsets = graded
+    offsets = rec.offsets
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     buf = None
     for lo in range(0, coeffs.shape[0], _CHUNK):
@@ -247,18 +241,19 @@ def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
     return D
 
 
-def _checked_graded(ensemble: WeightedEnsemble, k_max: int):
-    """_graded(K, k_max) of a moment pass up to order k_max, after
-    _checked_sym_dim: dim Sym^k grows with k, so checking the top order
-    refuses an over-budget pass before any table or amplitude is built."""
+def _checked_graded(ensemble: WeightedEnsemble, k_max: int) -> Recurrence:
+    """Recurrence.graded(K, k_max) of a moment pass up to order k_max,
+    after _checked_sym_dim: dim Sym^k grows with k, so checking the top
+    order refuses an over-budget pass before any table or amplitude is
+    built."""
     _checked_sym_dim(ensemble, k_max)
-    return _graded(ensemble.K, k_max)
+    return Recurrence.graded(ensemble.K, k_max)
 
 
-def _moments(ensemble: WeightedEnsemble, orders, graded,
+def _moments(ensemble: WeightedEnsemble, orders, rec: Recurrence,
              with_stderr: bool = False):
     """Self-normalized moment matrices of the given orders, one chunk loop
-    over the amplitudes of graded (_checked_graded of the top order).
+    over the amplitudes of rec (_checked_graded of the top order).
 
     Per chunk and order, A_k is scaled in place by sqrt(w) and enters one
     Hermitian rank update; k! is applied to the finished sums. Returns the
@@ -274,7 +269,7 @@ def _moments(ensemble: WeightedEnsemble, orders, graded,
     X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
     Q = [np.zeros((D, D), order="F") if with_stderr else None for D in dims]
     acc_w2 = 0.0
-    for lo, A in _amplitudes(ensemble.coeffs, graded):
+    for lo, A in _amplitudes(ensemble.coeffs, rec):
         wc = wt[lo:lo + _CHUNK]
         root = np.sqrt(wc)
         for k, Mk, Xk, Qk in zip(orders, M, X, Q):
@@ -290,7 +285,8 @@ def _moments(ensemble: WeightedEnsemble, orders, graded,
             acc_w2 += float(np.sum(wc**2))
     facts = [float(math.factorial(k)) for k in orders]
     moments = [MomentMatrix(k=k, entries=_hermitian(Mk, f),
-                            occupations=symspace.multi_indices(ensemble.K, k))
+                            occupations=rec.occs[rec.offsets[k]:
+                                                 rec.offsets[k + 1]])
                for k, Mk, f in zip(orders, M, facts)]
     if not with_stderr:
         return moments
@@ -316,10 +312,10 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
-    graded = _checked_graded(ensemble, k)
+    rec = _checked_graded(ensemble, k)
     if not with_stderr:
-        return _moments(ensemble, (k,), graded)[0]
-    (moment,), (stderr,) = _moments(ensemble, (k,), graded, with_stderr=True)
+        return _moments(ensemble, (k,), rec)[0]
+    (moment,), (stderr,) = _moments(ensemble, (k,), rec, with_stderr=True)
     return moment, stderr
 
 
@@ -349,13 +345,13 @@ def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    graded = _checked_graded(ensemble, k_max)
+    rec = _checked_graded(ensemble, k_max)
     orders = range(1, k_max + 1)
     w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
     bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
     per_block = _on_pool(_moments, [
         (replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
-                 log_weights=ensemble.log_weights[lo:hi]), orders, graded)
+                 log_weights=ensemble.log_weights[lo:hi]), orders, rec)
         for lo, hi in zip(bounds[:-1], bounds[1:])])
     shares = np.add.reduceat(w, bounds[:-1]) / w.sum()
     out = {}

@@ -33,7 +33,7 @@ from scipy.special import gammaln, logsumexp
 
 from . import symspace
 from .classical import MomentMatrix
-from .kernels import _workers, two_body_coo
+from .kernels import Recurrence, _workers, two_body_coo
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "build_hamiltonian",
     "gibbs_state",
     "reduced_density_matrix",
-    "reduced_density_matrices",
     "reduced_dm_normal_ordered",
     "particle_number",
     "energy_decomposition",
@@ -68,14 +67,23 @@ _N_MAX_FLOOR = 4  # smallest cutoff choose_n_max returns
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation basis with total occupation <= n_max, graded colex order."""
+    """Occupation basis with total occupation <= n_max, graded colex order,
+    with the parent table it was enumerated with (kernels.Recurrence), which
+    every coherent walk on the basis reads."""
 
     K: int
     n_max: int
-    occupations: np.ndarray
-    sector_offsets: np.ndarray
+    recurrence: Recurrence
     strides: np.ndarray
     table: np.ndarray
+
+    @property
+    def occupations(self) -> np.ndarray:
+        return self.recurrence.occs
+
+    @property
+    def sector_offsets(self) -> np.ndarray:
+        return self.recurrence.offsets
 
     @property
     def dim(self) -> int:
@@ -99,15 +107,15 @@ def build_fock_basis(K: int, n_max: int, dim_budget: int = 20000) -> FockBasis:
     dim = math.comb(K + n_max, K)
     if dim > dim_budget:
         raise ValueError(f"Fock dimension {dim} exceeds the budget {dim_budget}")
-    occs, offsets = symspace.graded_indices(K, n_max)
     strides = (n_max + 1) ** np.arange(K, dtype=np.int64)
     span = (n_max + 1) ** K
     if span > (1 << 26):
         raise ValueError("radix lookup too large; reduce K or n_max")
+    rec = Recurrence.graded(K, n_max)
     table = np.full(span, -1, dtype=np.int64)
-    table[occs @ strides] = np.arange(dim, dtype=np.int64)
-    return FockBasis(K=K, n_max=n_max, occupations=occs,
-                     sector_offsets=offsets, strides=strides, table=table)
+    table[rec.occs @ strides] = np.arange(dim, dtype=np.int64)
+    return FockBasis(K=K, n_max=n_max, recurrence=rec, strides=strides,
+                     table=table)
 
 
 def ladder(basis: FockBasis, j: int):
@@ -438,16 +446,6 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     if not 1 <= k <= state.basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={state.basis.n_max}")
     return _state_marginals(state, (k,))[k]
-
-
-def reduced_density_matrices(state: FockState, k_max: int) -> dict:
-    """{k: reduced_density_matrix(state, k)} for k = 1..k_max, bitwise, with
-    each sector's flat copy of its class blocks built once for every
-    order."""
-    if not 1 <= k_max <= state.basis.n_max:
-        raise ValueError(
-            f"order k={k_max} outside 1..n_max={state.basis.n_max}")
-    return _state_marginals(state, range(1, k_max + 1))
 
 
 def _state_marginals(state: FockState, orders) -> dict:

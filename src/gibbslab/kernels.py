@@ -1,14 +1,16 @@
 """Hot loops of the occupation basis, in numpy, and what the thread pools
 share.
 
-    occupation_products(vs, occs[, vacuum, out])  -- normalized amplitudes
+    Recurrence.graded(K, n)  -- the graded colex occupations 0..n, the one
+        enumeration of the Fock basis and the Sym^k sectors, with the
+        parent table both amplitude functions walk, built sector from
+        sector in one pass
+    occupation_products(vs, occs[, vacuum])  -- normalized amplitudes
         prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n),
         with no temporary above _STEP elements besides the factor table
         and a transposed copy of vs
     occupation_sectors(vs, occs, vacuum, reach)  -- the same amplitudes
         as a stream of sectors, each column only up to its own reach
-    Recurrence.of(occs)  -- the parent table both functions walk, which a
-        loop over chunks of samples builds once and passes for occs
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
         ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
         one step per annihilated pair (k, l) over every created pair and state
@@ -21,6 +23,7 @@ wraps around the public names runs off the calling thread.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from typing import NamedTuple
 
@@ -87,61 +90,66 @@ def _zherk(a: np.ndarray, c: np.ndarray) -> None:
            ctypes.c_int(D))
 
 
-def _parents(occs: np.ndarray):
-    """Parent row, raised mode and its occupation for every row of occs.
-
-    The parent of a state removes one particle from its highest occupied
-    mode. Returns (parent, mode, count, bounds): bounds holds the first row
-    of each sector after the vacuum and ends with D.
-    """
-    D, K = occs.shape
-    totals = occs.sum(axis=1)
-    if D == 0 or totals[0] != 0 or np.any(np.diff(totals) < 0):
-        raise ValueError("occupations must be graded and start at the vacuum")
-    mode = K - 1 - np.argmax(occs[:, ::-1] > 0, axis=1)
-    count = occs[np.arange(D), mode]
-    base = occs.max(axis=0) + 1
-    if np.sum(np.log2(base)) >= 62:
-        raise ValueError("occupation numbers too large for radix keys")
-    strides = np.concatenate([[1], np.cumprod(base[:-1])])
-    keys = occs @ strides
-    parent_keys = keys - np.where(count > 0, strides[mode], 0)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ValueError("occupation rows repeat")
-    pos = np.searchsorted(sorted_keys, parent_keys).clip(0, D - 1)
-    parent = order[pos]
-    if np.any(keys[parent] != parent_keys):
-        raise ValueError("occupation set is not closed under parents")
-    bounds = np.append(np.flatnonzero(np.diff(totals)) + 1, D)
-    return parent, mode, count, bounds
-
-
 class Recurrence(NamedTuple):
-    """The sample-free half of the amplitude recurrence over occs: row r is
-    factors[which[r]] times row parent[r], with
-    factors[(c - 1) * K + j] = vs[:, j] / sqrt(c) (_factors), and bounds
-    that of _parents. A loop over chunks of samples builds it once
-    (Recurrence.of) and passes it for occs. One over sectors 0..n serves
-    occupation_sectors up to any reach <= n."""
+    """The graded colex occupations 0..n over K modes with the sample-free
+    half of the amplitude recurrence: row r is factors[which[r]] times row
+    parent[r], with factors[(c - 1) * K + j] = vs[:, j] / sqrt(c)
+    (_factors); sector m is rows offsets[m]:offsets[m + 1]. A table over
+    sectors 0..n serves occupation_sectors up to any reach <= n."""
 
     occs: np.ndarray
+    offsets: np.ndarray
     parent: np.ndarray
     which: np.ndarray
-    bounds: np.ndarray
 
     @classmethod
-    def of(cls, occs) -> Recurrence:
-        occs = np.asarray(occs, dtype=np.int64)
-        parent, mode, count, bounds = _parents(occs)
-        return cls(occs, parent, (count - 1) * occs.shape[1] + mode, bounds)
+    def graded(cls, K: int, n: int) -> Recurrence:
+        """Sector m + 1 from sector m: for j = 0..K-1, every state of sector
+        m whose highest occupied mode is <= j, one particle added in j. In
+        colex order those states are a prefix of sector m and their children
+        follow it in order, so the blocks come out in graded colex order.
+        The parent of a row removes a particle from its highest occupied
+        mode; the vacuum's entries (parent 0, which -1) are never read."""
+        if K < 1 or n < 0:
+            raise ValueError("need K >= 1 and n >= 0")
+        # ends[m][j]: rows of sector m whose highest occupied mode is <= j
+        ends = [np.ones(K, dtype=np.int64)]
+        for _ in range(n):
+            ends.append(np.cumsum(ends[-1]))
+        offsets = np.zeros(n + 2, dtype=np.int64)
+        offsets[1:] = np.cumsum([e[-1] for e in ends])
+        D = int(offsets[-1])
+        occs = np.zeros((D, K), dtype=np.int64)
+        parent = np.zeros(D, dtype=np.int64)
+        which = np.full(D, -1, dtype=np.int64)
+        for m in range(n):
+            lo, at = int(offsets[m]), int(offsets[m + 1])
+            for j, c in enumerate(ends[m].tolist()):
+                rows = slice(at, at + c)
+                occs[rows] = occs[lo:lo + c]
+                which[rows] = occs[lo:lo + c, j] * K + j
+                occs[rows, j] += 1
+                parent[rows] = np.arange(lo, lo + c)
+                at += c
+        return cls(occs, offsets, parent, which)
 
 
 def _checked(vs, occs) -> tuple[np.ndarray, Recurrence]:
-    """vs as complex128, and occs as its Recurrence unless it is one."""
+    """vs as complex128, and occs as its Recurrence unless it is one. An
+    array must be the graded colex occupations 0..n of Recurrence.graded."""
     vs = np.asarray(vs, dtype=np.complex128)
-    rec = occs if isinstance(occs, Recurrence) else Recurrence.of(occs)
+    if isinstance(occs, Recurrence):
+        rec = occs
+    else:
+        occs = np.asarray(occs, dtype=np.int64)
+        if occs.ndim != 2 or occs.shape[0] == 0:
+            raise ValueError("occupations must be a nonempty (D, K) array")
+        K, n = occs.shape[1], int(occs[-1].sum())
+        # the row count first, so a stray large total builds no table
+        rec = None if n < 0 or occs.shape[0] != math.comb(K + n, K) \
+            else Recurrence.graded(K, n)
+        if rec is None or not np.array_equal(rec.occs, occs):
+            raise ValueError("occupations must be the graded colex set 0..n")
     if rec.occs.shape[1] != vs.shape[1]:
         raise ValueError("occupation rows and vectors differ in mode count")
     return vs, rec
@@ -177,45 +185,38 @@ def _step(src: np.ndarray, parent: np.ndarray, which: np.ndarray,
 
 
 def occupation_products(vs: np.ndarray, occs: np.ndarray,
-                        vacuum: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> np.ndarray:
+                        vacuum: np.ndarray | None = None) -> np.ndarray:
     """prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!) for every sample s
     and occupation row d, returned with shape (D, n_samples).
 
-    occs must be graded by total occupation, start at the vacuum and be
-    closed under parents (every state with total n + 1 keeps its parent, one
-    particle fewer in its highest occupied mode, in sector n), as a Fock
-    basis or the symmetric-power sectors 0..k are. Each row then costs one
-    multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode), a sector at a
-    time in the row slices of _step. Callers chunk over samples when n * D
-    is large; occupation_sectors walks the same steps one sector at a time.
+    occs must be the graded colex occupations 0..n (Recurrence.graded), as
+    a Fock basis or the symmetric-power sectors 0..k are; any other array
+    is refused. Each row then costs one multiply:
+    A[child] = A[parent] * v[mode] / sqrt(n_mode), a sector at a time in
+    the row slices of _step. Callers chunk over samples when n * D is
+    large; occupation_sectors walks the same steps one sector at a time.
     occs may be given as its Recurrence, which such a loop builds once.
 
     vacuum, if given, is the vacuum row's value per sample and multiplies
     every amplitude of that sample; coherent states pass exp(-|v|^2 / 2),
     which keeps every amplitude below 1 in modulus.
-
-    out, if given, is a C-contiguous complex128 (D, n_samples) array that
-    receives the amplitudes and is returned; a chunk loop can reuse one.
     """
     vs, rec = _checked(vs, occs)
-    shape = (rec.occs.shape[0], vs.shape[0])
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
-    elif (out.shape != shape or out.dtype != np.complex128
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous complex128 {shape} array")
+    out = np.empty((rec.occs.shape[0], vs.shape[0]), dtype=np.complex128)
     if out.size == 0:
         return out
     return _products(vs, rec, vacuum, out)
 
 
 def _products(vs: np.ndarray, rec: Recurrence, vacuum, out: np.ndarray):
-    """occupation_products of a complex128 vs into a fitting out, over rec.
-    A pool worker calls this route, which calls nothing public."""
+    """occupation_products of a complex128 vs into out, a C-contiguous
+    complex128 (D, n_samples) array that a chunk loop can reuse, over rec.
+    Every element of out is written. A pool worker calls this route, which
+    calls nothing public."""
     out[0] = 1.0 if vacuum is None else vacuum
-    factors = _factors(vs, rec.bounds.size - 1)
-    for lo, hi in zip(rec.bounds[:-1], rec.bounds[1:]):
+    offsets = rec.offsets
+    factors = _factors(vs, offsets.size - 2)
+    for lo, hi in zip(offsets[1:-1], offsets[2:]):
         _step(out, rec.parent[lo:hi], rec.which[lo:hi], factors, out[lo:hi])
     return out
 
@@ -243,11 +244,11 @@ def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
                          "sector per column")
     if n_cols == 0:
         return
-    starts = np.concatenate([[0], rec.bounds])  # first row of each sector, D
+    starts = rec.offsets
     top = int(reach[-1])
-    if top >= rec.bounds.size:
+    if top > starts.size - 2:
         raise ValueError(f"reach {top} is outside the sectors 0.."
-                         f"{rec.bounds.size - 1} of occs")
+                         f"{starts.size - 2} of occs")
     factors = _factors(vs, top)
     A = np.empty((1, n_cols), dtype=np.complex128)
     A[0] = vacuum

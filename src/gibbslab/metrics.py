@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigvalsh
 
+__all__ = ["trace_norm_distance", "hs_distance"]
+
 
 def trace_norm_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Sum of singular values of A - B (both Hermitian), via eigenvalues."""

@@ -22,7 +22,7 @@ from .classical import WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
 # perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
 from .fock import reduced_density_matrix  # noqa: F401
-from .kernels import Recurrence, occupation_products, occupation_sectors
+from .kernels import occupation_products, occupation_sectors
 
 __all__ = [
     "TailWarning",
@@ -103,15 +103,14 @@ def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
     amplitudes of sector n for the chunk's points c: that reach it (one
     column per point). A caller lets each sector go before it asks for the
     next, so at most two sectors of amplitudes are alive at a time. Every
-    chunk reads one parent table, over the sectors up to the top reach.
+    chunk reads the parent table the basis was enumerated with; the walk
+    builds none.
     """
     order = np.argsort(nu, kind="stable")
-    top = int(reach.max(initial=0))
-    rec = Recurrence.of(basis.occupations[:basis.sector_offsets[top + 1]])
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]
-        yield idx, occupation_sectors(vs[idx], rec, np.exp(-0.5 * nu[idx]),
-                                      reach[idx])
+        yield idx, occupation_sectors(vs[idx], basis.recurrence,
+                                      np.exp(-0.5 * nu[idx]), reach[idx])
 
 
 def _by_sector(state: FockState | DiagonalState) -> list[list]:

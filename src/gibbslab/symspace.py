@@ -11,14 +11,18 @@ A product vector then has components <e_n | v^{(x) k}> = N_n * prod_j v_j^{n_j}
 with N_n = sqrt(k! / prod_j n_j!), i.e. sqrt(k!) times the amplitudes
 prod_j v_j^{n_j} / sqrt(n_j!) that `kernels.occupation_products` builds on
 the graded index set of `graded_indices`.
+
+The index sets come from `kernels.Recurrence.graded`, which also enumerates
+the Fock basis, so every side reads one enumeration; nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+
+from .kernels import Recurrence
 
 __all__ = [
     "multi_indices",
@@ -34,17 +38,6 @@ def sym_dim(K: int, k: int) -> int:
     return math.comb(K + k - 1, k)
 
 
-@lru_cache(maxsize=None)
-def _multi_indices_cached(K: int, total: int) -> tuple[tuple[int, ...], ...]:
-    if K == 1:
-        return ((total,),)
-    out = []
-    for last in range(total + 1):
-        for head in _multi_indices_cached(K - 1, total - last):
-            out.append(head + (last,))
-    return tuple(out)
-
-
 def multi_indices(K: int, total: int) -> np.ndarray:
     """All occupation multi-indices with the given total, colex order.
 
@@ -54,7 +47,8 @@ def multi_indices(K: int, total: int) -> np.ndarray:
     """
     if K < 1 or total < 0:
         raise ValueError("need K >= 1 and total >= 0")
-    return np.array(_multi_indices_cached(K, total), dtype=np.int64).reshape(-1, K)
+    rec = Recurrence.graded(K, total)
+    return rec.occs[rec.offsets[total]:]
 
 
 def graded_indices(K: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,10 +58,8 @@ def graded_indices(K: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     The set is closed under removing a particle, which is what
     `kernels.occupation_products` needs.
     """
-    sectors = [multi_indices(K, n) for n in range(n_max + 1)]
-    offsets = np.zeros(n_max + 2, dtype=np.int64)
-    offsets[1:] = np.cumsum([sec.shape[0] for sec in sectors])
-    return np.concatenate(sectors, axis=0), offsets
+    rec = Recurrence.graded(K, n_max)
+    return rec.occs, rec.offsets
 
 
 def pair_embedding(K: int) -> np.ndarray:

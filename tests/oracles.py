@@ -16,7 +16,9 @@ there. The per-pair
 partial trace keeps the per-occupation branching loop the package's
 branching table replaced: for each k-body occupation p it looks up p + r
 in the basis table and sums gammaln terms over the modes p occupies. The
-sector-gather amplitudes share the package's parent rows and keep the
+graded colex occupations are itertools multisets sorted by total and
+reversed tuple, with every parent found by tuple lookup; the sector-gather
+amplitudes take their parents from such lookups and keep the
 one-gather-per-sector loop that `occupation_products` must reproduce bit
 for bit. The moment matrices
 are dense weighted sums of per-sample outer products. The Gibbs blocks
@@ -26,6 +28,7 @@ sums the free Gibbs weights over the enumerated basis and scans every
 cutoff in budget.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +40,6 @@ from scipy.special import gammainc, gammaln, logsumexp
 from gibbslab import (MomentMatrix, TwoBodyTensor, build_fock_basis,
                       build_hamiltonian, husimi_density, symspace)
 from gibbslab.fock import DiagonalState, FockState
-from gibbslab.kernels import _parents
 
 
 def no_pair(K: int) -> TwoBodyTensor:
@@ -122,6 +124,42 @@ def power_products(vs: np.ndarray, occs: np.ndarray) -> np.ndarray:
     return out
 
 
+def graded_colex(K: int, n: int):
+    """The occupations of totals 0..n over K modes sorted into graded colex
+    order (by total, then by the reversed tuple), with offsets, each row's
+    parent (one particle fewer in its highest occupied mode, found by tuple
+    lookup) and which = (count - 1) * K + mode of that particle; the vacuum
+    gets parent 0 and which -1."""
+    rows = []
+    for t in range(n + 1):
+        for modes in itertools.combinations_with_replacement(range(K), t):
+            rows.append(tuple(modes.count(j) for j in range(K)))
+    rows.sort(key=lambda r: (sum(r), r[::-1]))
+    occs = np.array(rows, dtype=np.int64).reshape(-1, K)
+    offsets = np.searchsorted(occs.sum(axis=1), np.arange(n + 2))
+    parent, mode, count, _ = _tuple_parents(occs)
+    which = np.where(count > 0, (count - 1) * K + mode, -1)
+    return occs, offsets, parent, which
+
+
+def _tuple_parents(occs: np.ndarray):
+    """Parent row, highest occupied mode and its count for every row of a
+    graded occupation array that starts at the vacuum, by tuple lookup, and
+    the first row of each sector after the vacuum, ending with D. The
+    vacuum is its own parent, with mode 0 and count 0."""
+    rows = [tuple(r) for r in occs.tolist()]
+    index = {r: d for d, r in enumerate(rows)}
+    parent, mode, count = (np.zeros(len(rows), dtype=np.int64)
+                           for _ in range(3))
+    for d, r in enumerate(rows[1:], start=1):
+        j = max(i for i, x in enumerate(r) if x)
+        mode[d], count[d] = j, r[j]
+        parent[d] = index[r[:j] + (r[j] - 1,) + r[j + 1:]]
+    totals = occs.sum(axis=1)
+    bounds = np.append(np.flatnonzero(np.diff(totals)) + 1, len(rows))
+    return parent, mode, count, bounds
+
+
 def sector_gather_products(vs: np.ndarray, occs: np.ndarray,
                            vacuum: np.ndarray | None = None) -> np.ndarray:
     """occupation_products by whole-sector gathers: each sector is one
@@ -133,7 +171,7 @@ def sector_gather_products(vs: np.ndarray, occs: np.ndarray,
     out = np.empty((occs.shape[0], n), dtype=np.complex128)
     if out.size == 0:
         return out
-    parent, mode, count, bounds = _parents(occs)
+    parent, mode, count, bounds = _tuple_parents(occs)
     c_max = max(int(count.max()), 1)
     factors = (vs.T[:, None, :] / np.sqrt(np.arange(1.0, c_max + 1.0))[:, None]
                ).reshape(K * c_max, n)

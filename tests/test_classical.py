@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -416,27 +417,32 @@ def test_classical_side_calls_public_names_on_the_calling_thread(
     assert private and caller not in private
 
 
-def _count_parents(monkeypatch):
+def _count_tables(monkeypatch):
+    """The (K, n) of every parent table the classical module builds, which
+    it does through its own Recurrence name."""
     calls = []
-    parents = gl.kernels._parents
+    graded = gl.kernels.Recurrence.graded
 
-    def counting(occs):
-        calls.append(len(occs))
-        return parents(occs)
+    def counting(K, n):
+        calls.append((K, n))
+        return graded(K, n)
 
-    monkeypatch.setattr(gl.kernels, "_parents", counting)
+    monkeypatch.setattr(gl.classical, "Recurrence",
+                        types.SimpleNamespace(graded=counting))
     return calls
 
 
 def test_one_parent_table_per_pass(monkeypatch, basis_k3, tensor_k3):
+    # every chunk, block and worker of a pass reads the one table the
+    # calling thread built
     ens = gl.sample_free(basis_k3, 3 * _CHUNK + 5, seed=2)
-    calls = _count_parents(monkeypatch)
+    calls = _count_tables(monkeypatch)
     weighted = gl.reweight(ens, tensor_k3)
-    assert len(calls) == 1
+    assert calls == [(3, 2)]
     moment_matrix_blocks(weighted, 3, n_blocks=5)
-    assert len(calls) == 2
+    assert calls == [(3, 2), (3, 3)]
     moment_matrices(weighted, 2)
-    assert len(calls) == 3
+    assert calls == [(3, 2), (3, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,

@@ -235,12 +235,12 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
     per_row = [(1, 2), (2,)]
     assert orders == per_row * len(res.rows)
     # negative control: a second gather on the kept Gibbs blocks, as a
-    # separate reduced_density_matrices call, is seen
+    # separate gather of orders 1 and 2, is seen
     solve = fock.solve_point
 
     def regather(*args, **kwargs):
         point = solve(*args, **kwargs)
-        fock.reduced_density_matrices(point.gibbs, 2)
+        fock._state_marginals(point.gibbs, range(1, 3))
         return point
 
     monkeypatch.setattr(fock, "solve_point", regather)
@@ -815,7 +815,7 @@ def test_cli_quantum_holds_no_gibbs_blocks(config_file, tmp_path,
         raise AssertionError("quantum gathered marginals on kept blocks")
 
     monkeypatch.setattr(fock, "solve_point", recording)
-    monkeypatch.setattr(fock, "reduced_density_matrices", refuse)
+    monkeypatch.setattr(fock, "_state_marginals", refuse)
     assert cli.main(["quantum", "--config", str(config_file),
                      "--T", "2.0"]) == 0
     [point] = points

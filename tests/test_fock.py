@@ -308,9 +308,9 @@ def test_rdm_order_guard():
         gl.reduced_density_matrix(state, 4)
     with pytest.raises(ValueError):
         gl.reduced_dm_normal_ordered(state, 0)
-    for k_max in (0, 4):
+    for k in (0, 4):
         with pytest.raises(ValueError):
-            gl.reduced_density_matrices(state, k_max)
+            gl.reduced_density_matrix(state, k)
 
 
 def test_free_gibbs_occupancies_closed_form(basis_k2):
@@ -386,7 +386,7 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     got = gl.reduced_density_matrix(state, k).entries
     assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
         want_state, k).entries)
-    every = gl.reduced_density_matrices(state, min(3, n_max))
+    every = fock._state_marginals(state, range(1, min(3, n_max) + 1))
     assert list(every) == list(range(1, min(3, n_max) + 1))
     for j, g in every.items():
         one = gl.reduced_density_matrix(state, j)
@@ -1079,7 +1079,7 @@ def test_solve_point_rejects_over_budget_temperature(basis_k2, tensor_k2):
 def _materialized_point(eigenvalues, tensor, T, k_max):
     """log Z, <H>, <H_0>, tail mass, <N> and marginals of the Gibbs state
     of solve_point's cutoff, from gibbs_state's blocks and a separate
-    reduced_density_matrices gather on them."""
+    _state_marginals gather of every order on them."""
     fb = gl.build_fock_basis(len(eigenvalues),
                              gl.choose_n_max(eigenvalues, T))
     H = gl.build_hamiltonian(fb, eigenvalues, tensor, 1.0 / T)
@@ -1091,7 +1091,7 @@ def _materialized_point(eigenvalues, tensor, T, k_max):
         "log_z": log_z, "energy": energy, "one_body_energy": one_body,
         "tail_mass": float(state.sector_probabilities()[-2:].sum()),
         "particle_number": gl.particle_number(state),
-        "marginals": gl.reduced_density_matrices(state, k_max)}
+        "marginals": fock._state_marginals(state, range(1, k_max + 1))}
 
 
 @pytest.mark.parametrize("case", ["k2-tridiagonal", "k3-pool", "one-class"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from scipy.linalg.blas import zherk
 
 import gibbslab as gl
 from gibbslab import symspace
-from gibbslab.kernels import (_STEP, Recurrence, _zherk, occupation_products,
-                              occupation_sectors, two_body_coo)
+from gibbslab.kernels import (_STEP, Recurrence, _products, _zherk,
+                              occupation_products, occupation_sectors,
+                              two_body_coo)
 
 import oracles
 
@@ -76,9 +78,10 @@ def _assert_matches_sector_gathers(K, n, fock_n_max):
             want = oracles.sector_gather_products(vs, occs, vac)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            # a reused buffer is overwritten in full
+            # a reused buffer of the private route is overwritten in full
             buf = np.full(want.shape, np.nan + 0j)
-            assert occupation_products(vs, occs, vac, out=buf) is buf
+            rec = Recurrence.graded(K, int(occs[-1].sum()))
+            assert _products(vs, rec, vac, buf) is buf
             assert buf.tobytes() == want.tobytes()
 
 
@@ -103,20 +106,51 @@ def test_occupation_products_bitwise_across_the_row_step(n):
     [[0, 0], [1, 1], [1, 0]],      # not graded
     [[0, 0], [0, 1], [1, 1]],      # (1, 1) lacks its parent (1, 0)
     [[0, 0], [1, 0], [1, 0]],      # repeated row
+    [[0, 0], [0, 1], [1, 0]],      # closed under parents, not colex
+    [[0, 0], [1, 0]],              # sector 1 lacks (0, 1)
+    np.zeros((0, 2), dtype=int),   # no vacuum
 ])
 def test_occupation_products_rejects_unusable_index_sets(occs):
+    # the one accepted array is the graded colex set 0..n; nothing else is
+    # searched for parents
     with pytest.raises(ValueError):
         occupation_products(np.ones((3, 2)), np.array(occs))
 
 
-@pytest.mark.parametrize("out", [np.empty((3, 4), dtype=np.complex128),
-                                 np.empty((6, 3), dtype=np.complex128),
-                                 np.empty((3, 6), dtype=np.complex128).T,
-                                 np.empty((6, 4))])
-def test_occupation_products_rejects_an_unfit_buffer(out):
-    occs = symspace.graded_indices(2, 2)[0]      # 6 rows
-    with pytest.raises(ValueError, match="out must be"):
-        occupation_products(np.ones((4, 2)), occs, out=out)
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_graded_recurrence_matches_a_tuple_oracle(K):
+    # the builder's rows, sectors, parents and factor slots against an
+    # itertools enumeration sorted into colex order, parents by tuple lookup
+    for n in range(13):
+        rec = Recurrence.graded(K, n)
+        for got, want in zip(rec, oracles.graded_colex(K, n), strict=True):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        occs, offsets = symspace.graded_indices(K, n)
+        assert np.array_equal(occs, rec.occs)
+        assert np.array_equal(offsets, rec.offsets)
+        assert np.array_equal(symspace.multi_indices(K, n),
+                              rec.occs[rec.offsets[n]:])
+    with pytest.raises(ValueError):
+        Recurrence.graded(K, -1)
+
+
+def test_building_a_basis_leaves_nothing_behind():
+    # the enumeration caches nothing: building and dropping a K=2, n_max=400
+    # basis (80601 rows) returns the traced memory to where it started, so
+    # a second basis is not cheaper than the first
+    gl.build_fock_basis(2, 8)            # first-call imports and constants
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        basis = gl.build_fock_basis(2, 400, dim_budget=100_000)
+        held, _ = tracemalloc.get_traced_memory()
+        del basis
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before > 2 << 20       # the basis itself was traced
+    assert after - before < 1 << 20
 
 
 @pytest.mark.parametrize("n", [1, 40, _STEP // 2 + 1])
@@ -154,7 +188,7 @@ def test_a_shared_recurrence_gives_the_same_bits():
     # one table over the whole basis serves every prefix of whole sectors
     rng = np.random.default_rng(5)
     fb = gl.build_fock_basis(2, 12)
-    rec = Recurrence.of(fb.occupations)
+    rec = fb.recurrence
     vs = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
     vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
     assert occupation_products(vs, rec, vac).tobytes() \

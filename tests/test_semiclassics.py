@@ -563,25 +563,29 @@ def test_coherent_chunks_cover_every_point_once_in_ascending_nu(reach):
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
 def test_coherent_walk_builds_one_parent_table(monkeypatch, basis_k2,
                                                tensor_k2):
-    # one table over the sectors up to the top reach serves every chunk
+    # the one table is the basis's, built as it is enumerated; every chunk
+    # of every walk on the basis reads it, and no walk builds another
     calls = []
-    parents = gl.kernels._parents
+    graded = gl.kernels.Recurrence.graded
 
-    def counting(occs):
-        calls.append(len(occs))
-        return parents(occs)
+    def counting(K, n):
+        calls.append((K, n))
+        return graded(K, n)
 
-    monkeypatch.setattr(gl.kernels, "_parents", counting)
+    monkeypatch.setattr(gl.kernels.Recurrence, "graded", counting)
     fb = gl.build_fock_basis(2, 30)
+    assert calls == [(2, 30)]
     vs = _spread_points(700, 24.0, 3)
     nu = np.sum(np.abs(vs) ** 2, axis=1)
     reach = semiclassics._reach(nu, fb.n_max)
+    streams = _record_sector_streams(monkeypatch)
     for _, sectors in semiclassics._coherent_chunks(vs, nu, fb, reach):
         list(sectors)
-    assert calls == [fb.sector_offsets[reach.max() + 1]]
+    assert len(streams) == 3 and calls == [(2, 30)]
+    layout = _gibbs(fb, basis_k2, tensor_k2)
     calls.clear()
-    gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
-    assert len(calls) == 1
+    gl.trial_state(_far_ensemble(600, 3), 1.0, layout)
+    assert len(streams) == 6 and calls == []
 
 
 def test_point_reach_is_the_sector_window():
