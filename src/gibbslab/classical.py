@@ -18,7 +18,7 @@ triangle and so is exactly Hermitian.
 
 The F_NL chunks and the batch-means blocks of moment_matrix_blocks run on
 a pool of one thread per CPU the process may use (kernels._workers, the
-pool size of fock.gibbs_state). The calling thread builds the pass's one
+pool size of the Gibbs solve, fock._gibbs_sectors). The calling thread builds the pass's one
 parent table (kernels.Recurrence); the workers call private routes only,
 and reach zherk through kernels._zherk, which releases the GIL. Each chunk
 and each block is computed as on one thread and the blocks are summed in
@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from . import symspace
 from .kernels import Recurrence, _products, _workers, _zherk
 # perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
 from .kernels import occupation_products  # noqa: F401
@@ -60,6 +59,7 @@ __all__ = [
 
 _CHUNK = 8192
 N_BLOCKS = 50  # batch-means blocks of the sweep's moment standard errors
+DEGENERATE_ESS = 0.05  # ESS share below which a weighted sample is degenerate
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,13 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
 
     S_2 = sqrt(2) A_2 holds the Sym^2 components of alpha (x) alpha, A_2
     being sector 2 of the moment matrices' amplitude pass (`_amplitudes`),
-    and W_2 is the pair matrix of `symspace.two_body_sym_matrix` that the
+    and W_2 is the pair matrix (`TwoBodyTensor.pair_matrix`) that the
     quantum pair energy uses. The tensor entries come from the grid
     quadrature, so F equals (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
     The _CHUNK-row chunks run on the pool over one parent table, each cut
     where one thread cuts it.
     """
-    W2 = symspace.two_body_sym_matrix(tensor.entries)
+    W2 = tensor.pair_matrix()
     rec = Recurrence.graded(coeffs.shape[1], 2)
     out = np.empty(coeffs.shape[0])
     _on_pool(_f_nl_rows, [(coeffs[lo:lo + _CHUNK], W2, rec,
@@ -199,7 +199,7 @@ def _amplitudes(coeffs: np.ndarray, rec: Recurrence):
     rec is Recurrence.graded(K, k_max), the pass's one parent table, built
     on the calling thread and read by every chunk and worker. A_k is sector
     k of one occupation_products pass over the graded index set 0..k_max,
-    a row-contiguous view of shape (sym_dim(K, k), rows) whose column s
+    a row-contiguous view of shape (dim Sym^k, rows) whose column s
     holds prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each amplitude is its
     parent's times one factor, so A_k is bitwise the same for every
     k_max >= k. The Sym^k components of the sample's k-fold tensor power
@@ -231,22 +231,16 @@ def _hermitian(C: np.ndarray, scale: float) -> np.ndarray:
         upper + upper.conj().T + np.diag(C.diagonal().real * scale))
 
 
-def _checked_sym_dim(ensemble: WeightedEnsemble, k: int) -> int:
-    """dim Sym^k(C^K), refused when the moment pass would be too large."""
-    if k < 1:
-        raise ValueError("moment order k must be >= 1")
-    D = symspace.sym_dim(ensemble.K, k)
-    if D > 5000 or ensemble.n * D > 4e8:
-        raise ValueError(f"symmetric space dim {D} too large for the memory budget")
-    return D
-
-
 def _checked_graded(ensemble: WeightedEnsemble, k_max: int) -> Recurrence:
     """Recurrence.graded(K, k_max) of a moment pass up to order k_max,
-    after _checked_sym_dim: dim Sym^k grows with k, so checking the top
-    order refuses an over-budget pass before any table or amplitude is
-    built."""
-    _checked_sym_dim(ensemble, k_max)
+    refused when dim Sym^k_max(C^K) is too large for the memory budget:
+    it grows with k and is checked first, so an over-budget pass builds no
+    table or amplitude."""
+    if k_max < 1:
+        raise ValueError("moment order k must be >= 1")
+    D = math.comb(ensemble.K + k_max - 1, k_max)
+    if D > 5000 or ensemble.n * D > 4e8:
+        raise ValueError(f"symmetric space dim {D} too large for the memory budget")
     return Recurrence.graded(ensemble.K, k_max)
 
 
@@ -263,7 +257,7 @@ def _moments(ensemble: WeightedEnsemble, orders, rec: Recurrence,
     private routes only, so pool workers may run it.
     """
     wt = ensemble.normalized_weights()
-    dims = [symspace.sym_dim(ensemble.K, k) for k in orders]
+    dims = [rec.sector(k).shape[0] for k in orders]
     # Fortran order lets zherk and dsyrk update the sums in place
     M = [np.zeros((D, D), dtype=np.complex128, order="F") for D in dims]
     X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
@@ -285,8 +279,7 @@ def _moments(ensemble: WeightedEnsemble, orders, rec: Recurrence,
             acc_w2 += float(np.sum(wc**2))
     facts = [float(math.factorial(k)) for k in orders]
     moments = [MomentMatrix(k=k, entries=_hermitian(Mk, f),
-                            occupations=rec.occs[rec.offsets[k]:
-                                                 rec.offsets[k + 1]])
+                            occupations=rec.sector(k))
                for k, Mk, f in zip(orders, M, facts)]
     if not with_stderr:
         return moments
@@ -369,7 +362,7 @@ def free_moments(eigenvalues: np.ndarray, k: int) -> MomentMatrix:
     with entries k! * prod_j lambda_j^{-n_j}.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    occs = symspace.multi_indices(eigenvalues.size, k)
+    occs = Recurrence.graded(eigenvalues.size, k).sector(k)
     diag = np.array([math.factorial(k) * np.prod(eigenvalues ** -row)
                      for row in occs])
     return MomentMatrix(k=k, entries=np.diag(diag).astype(np.complex128),

@@ -84,14 +84,13 @@ def cmd_quantum(args) -> int:
                              dim_budget=cfg.dim_budget)
     out = _ensure_out(cfg)
     fb, n_max = point.basis, point.basis.n_max
-    pair = (fock.pair_energy(point.marginals[2], tensor, point.lam)
-            if 2 in point.marginals else 0.0)
     info = {"T": T, "lambda": point.lam, "n_max": n_max, "dim": fb.dim,
             "log_z": point.log_z, "log_z_free": point.log_z_free,
             "tail_mass": point.tail_mass,
             "particle_number": point.particle_number,
             "energy": {"total": point.energy,
-                       "one_body": point.one_body_energy, "two_body": pair}}
+                       "one_body": point.one_body_energy,
+                       "two_body": point.pair_energy}}
     with open(os.path.join(out, "quantum.json"), "w", encoding="utf-8") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
     for k in range(1, cfg.k_max + 1):

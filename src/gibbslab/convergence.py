@@ -284,9 +284,7 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         row.distances[k] = DistanceMetric(d, se, hs)
         row.block_distances[k] = db
     row.f_value = point.log_z_free - point.log_z
-    # solve_point gathers Gamma^(2) whenever there is a pair term
-    pair = (fock.pair_energy(point.marginals[2], tensor, point.lam)
-            if 2 in point.marginals else 0.0)
+    pair = point.pair_energy
     # lam tr[W_2 Gamma^(2)] + <H_0> = <H> holds for any state; here W_2
     # comes from the Sym^2 pair matrix and the RDM gather, <H> from
     # two_body_coo through the eigensolve, <H_0> from the solved blocks'
@@ -382,7 +380,7 @@ def evaluate_properties(result: ConvergenceResult) -> dict:
         out["violations"].append(
             "monotonicity needs at least 2 valid temperatures")
     ess, n = result.ess, result.config.mc_samples
-    cut = semiclassics._DEGENERATE_ESS
+    cut = classical.DEGENERATE_ESS
     out["ensemble_degenerate"] = ess < cut * n
     if out["ensemble_degenerate"]:
         out["violations"].append(f"classical ensemble is degenerate: ESS "

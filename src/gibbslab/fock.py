@@ -31,7 +31,6 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
-from . import symspace
 from .classical import MomentMatrix
 from .kernels import Recurrence, _workers, two_body_coo
 from .spectral import TwoBodyTensor
@@ -418,7 +417,7 @@ def _branching_table(basis: FockBasis, k: int):
     """k-body occupations p, basis indices of p + r and the weights
     sqrt(prod_j C(p_j + r_j, p_j)): a row per p, a column per basis state r
     of sectors 0..n_max-k, so sector n - k's columns branch sector n."""
-    occs_k = symspace.multi_indices(basis.K, k)
+    occs_k = basis.recurrence.sector(k)
     rest = basis.occupations[:basis.sector_offsets[basis.n_max - k + 1]]
     rows = basis.table[(occs_k @ basis.strides)[:, None]
                        + (rest @ basis.strides)[None, :]]
@@ -510,7 +509,7 @@ def reduced_dm_normal_ordered(state: FockState, k: int) -> MomentMatrix:
     basis = state.basis
     if not 1 <= k <= basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={basis.n_max}")
-    occs_k = symspace.multi_indices(basis.K, k)
+    occs_k = basis.recurrence.sector(k)
     Dk = occs_k.shape[0]
     lowering = [ladder(basis, j + 1)[0] for j in range(basis.K)]
     dense = state.to_dense()
@@ -551,8 +550,7 @@ def two_body_energy(state: FockState, tensor: TwoBodyTensor,
 
 def pair_energy(g2: MomentMatrix, tensor: TwoBodyTensor, lam: float) -> float:
     """lam tr[W_2 g2] on Sym^2, for a two-body marginal g2 already built."""
-    W2 = symspace.two_body_sym_matrix(tensor.entries)
-    return lam * float(np.trace(W2 @ g2.entries))
+    return lam * float(np.trace(tensor.pair_matrix() @ g2.entries))
 
 
 @dataclass(frozen=True)
@@ -679,9 +677,10 @@ class ThermalPoint:
                 = (one_body_energy - energy) / T + log_z_free - log_z,
     from sum p log p = -<H_lam>/T - log Z and log q = -E/T - log Z_0.
     marginals holds Gamma^(k) of the Gibbs state for k = 1..k_max, and
-    Gamma^(2) too whenever there is a pair term; tail_mass is the weight of
-    the top two sectors and particle_number <N>. gibbs is the Gibbs state
-    as blocks when solve_point was asked to keep them, else None.
+    Gamma^(2) too whenever there is a pair term, which gives pair_energy
+    lam tr[W_2 Gamma^(2)] (0 without a pair term); tail_mass is the weight
+    of the top two sectors and particle_number <N>. gibbs is the Gibbs
+    state as blocks when solve_point was asked to keep them, else None.
     """
 
     T: float
@@ -695,6 +694,7 @@ class ThermalPoint:
     one_body_energy: float
     s_gibbs: float
     marginals: dict
+    pair_energy: float
     tail_mass: float
     particle_number: float
 
@@ -723,7 +723,8 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
         raise ValueError(f"order k={k_max} outside 1..n_max={n_max}")
     basis = build_fock_basis(len(eigenvalues), n_max, dim_budget=dim_budget)
     lam = 1.0 / T
-    k_top = max(k_max, 2 if _has_pair_term(tensor, lam) else 1)
+    pair = _has_pair_term(tensor, lam)
+    k_top = max(k_max, 2 if pair else 1)
     blocks, log_z, energy, diag, marginals = _fold_gibbs(
         build_hamiltonian(basis, eigenvalues, tensor, lam), T,
         orders=range(1, k_top + 1), keep=keep_blocks)
@@ -738,7 +739,9 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
         free=free, log_z=log_z, log_z_free=log_z_free, energy=energy,
         one_body_energy=one_body,
         s_gibbs=(one_body - energy) / T + log_z_free - log_z,
-        marginals=marginals, tail_mass=float(probs[-2:].sum()),
+        marginals=marginals,
+        pair_energy=pair_energy(marginals[2], tensor, lam) if pair else 0.0,
+        tail_mass=float(probs[-2:].sum()),
         particle_number=float(np.sum(np.arange(probs.size) * probs)))
 
 

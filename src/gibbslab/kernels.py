@@ -95,7 +95,15 @@ class Recurrence(NamedTuple):
     half of the amplitude recurrence: row r is factors[which[r]] times row
     parent[r], with factors[(c - 1) * K + j] = vs[:, j] / sqrt(c)
     (_factors); sector m is rows offsets[m]:offsets[m + 1]. A table over
-    sectors 0..n serves occupation_sectors up to any reach <= n."""
+    sectors 0..n serves occupation_sectors up to any reach <= n.
+
+    Sector k is the occupation basis of Sym^k(C^K) on both sides of the
+    comparison, classical moments and quantum marginals: colex order
+    compares the last coordinate where two rows differ (K=2, k=2 gives
+    (2,0), (1,1), (0,2)), with the normalized symmetric vectors
+        |e_n> = sqrt(prod_j n_j! / k!) * sum over distinct orderings.
+    A product vector then has <e_n | v^{(x) k}> = sqrt(k!) times the
+    amplitude prod_j v_j^{n_j} / sqrt(n_j!) of occupation_products."""
 
     occs: np.ndarray
     offsets: np.ndarray
@@ -132,6 +140,12 @@ class Recurrence(NamedTuple):
                 parent[rows] = np.arange(lo, lo + c)
                 at += c
         return cls(occs, offsets, parent, which)
+
+    def sector(self, m: int) -> np.ndarray:
+        """The rows of sector m, the occupation basis of Sym^m(C^K)."""
+        if not 0 <= m < self.offsets.size - 1:
+            raise ValueError(f"sector {m} is outside 0..{self.offsets.size - 2}")
+        return self.occs[self.offsets[m]:self.offsets[m + 1]]
 
 
 def _checked(vs, occs) -> tuple[np.ndarray, Recurrence]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .classical import WeightedEnsemble
+from .classical import DEGENERATE_ESS, WeightedEnsemble
 from .fock import DiagonalState, FockBasis, FockState, relative_entropy
 # perfbench/tests/test_tracer.py checks that the tracer rebinds this name here
 from .fock import reduced_density_matrix  # noqa: F401
@@ -40,7 +40,6 @@ _CHUNK = 256
 _REACH_TAIL = 2.0 ** -60  # Poisson mass a point leaves beyond its reach
 _REACH_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
-_DEGENERATE_ESS = 0.05  # ESS share below which a weighted sample is degenerate
 
 
 class TailWarning(UserWarning):
@@ -69,7 +68,7 @@ def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
     if tail > _TAIL_THRESHOLD:
         warnings.warn(f"coherent tail mass {tail:.3e} beyond n_max={basis.n_max}",
                       TailWarning, stacklevel=2)
-    amps = occupation_products(v[None, :], basis.occupations,
+    amps = occupation_products(v[None, :], basis.recurrence,
                                np.exp([-0.5 * nu]))[:, 0]
     return CoherentVector(amplitudes=amps, tail_bound=tail)
 
@@ -348,7 +347,7 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
     batch = [kl(slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
     stderr = float(np.std(batch, ddof=1) / math.sqrt(nb))
     return KLEstimate(value=value, stderr=stderr, ess=ess,
-                      degenerate=ess < _DEGENERATE_ESS * n_samples,
+                      degenerate=ess < DEGENERATE_ESS * n_samples,
                       fallback_points=int(redo.size),
                       n_hi=(int(reach.min()), float(np.median(reach)),
                             int(reach.max())))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
+from .kernels import Recurrence
+
 __all__ = [
     "Grid",
     "OneBodySpec",
@@ -384,6 +386,21 @@ class TwoBodyTensor:
     @property
     def K(self) -> int:
         return self.entries.shape[0]
+
+    def pair_matrix(self) -> np.ndarray:
+        """W_2 = C^T W C, the pair interaction on Sym^2(C^K) in the
+        occupation basis (Recurrence sector 2), for energies tr[W_2 G^(2)]
+        and F_NL. Column p of the isometry C holds the product-basis
+        coefficients of |e_p>. Built from entries on every call, as they
+        are a mutable array."""
+        K = self.K
+        occs = Recurrence.graded(K, 2).sector(2)
+        C = np.zeros((K * K, occs.shape[0]))
+        for p, row in enumerate(occs):
+            i, j = np.repeat(np.arange(K), row)  # the occupied modes, i <= j
+            C[[i * K + j, j * K + i], p] = \
+                1.0 if i == j else 1.0 / math.sqrt(2.0)
+        return C.T @ self.entries.reshape(K * K, K * K) @ C
 
 
 def _difference_matrix(profile: np.ndarray, periodic: bool) -> np.ndarray:

@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln, logsumexp
 
 from gibbslab import (MomentMatrix, TwoBodyTensor, build_fock_basis,
-                      build_hamiltonian, husimi_density, symspace)
+                      build_hamiltonian, husimi_density)
 from gibbslab.fock import DiagonalState, FockState
 
 
@@ -130,16 +130,20 @@ def graded_colex(K: int, n: int):
     parent (one particle fewer in its highest occupied mode, found by tuple
     lookup) and which = (count - 1) * K + mode of that particle; the vacuum
     gets parent 0 and which -1."""
-    rows = []
-    for t in range(n + 1):
-        for modes in itertools.combinations_with_replacement(range(K), t):
-            rows.append(tuple(modes.count(j) for j in range(K)))
-    rows.sort(key=lambda r: (sum(r), r[::-1]))
-    occs = np.array(rows, dtype=np.int64).reshape(-1, K)
+    occs = np.concatenate([colex_sector(K, t) for t in range(n + 1)])
     offsets = np.searchsorted(occs.sum(axis=1), np.arange(n + 2))
     parent, mode, count, _ = _tuple_parents(occs)
     which = np.where(count > 0, (count - 1) * K + mode, -1)
     return occs, offsets, parent, which
+
+
+def colex_sector(K: int, n: int) -> np.ndarray:
+    """The occupations of total n over K modes, from itertools, sorted
+    into colex order (by the reversed tuple)."""
+    rows = sorted((tuple(modes.count(j) for j in range(K)) for modes in
+                   itertools.combinations_with_replacement(range(K), n)),
+                  key=lambda r: r[::-1])
+    return np.array(rows, dtype=np.int64).reshape(-1, K)
 
 
 def _tuple_parents(occs: np.ndarray):
@@ -187,7 +191,7 @@ def dense_moments(coeffs: np.ndarray, log_weights: np.ndarray, k: int):
     and its delta-method standard error sqrt(sum_s w_s^2 |S_s S_s^H - M|^2)
     (normalized weights), with S_s = sqrt(k!/prod m_j!) prod_j alpha_j^{m_j}
     from a power table, one (n, D, D) stack of outer products."""
-    occs = symspace.multi_indices(coeffs.shape[1], k)
+    occs = colex_sector(coeffs.shape[1], k)
     norms = np.array([math.sqrt(math.factorial(k) / math.prod(
         math.factorial(int(x)) for x in row)) for row in occs])
     S = power_products(coeffs, occs) * norms
@@ -391,12 +395,12 @@ def reduced_density_matrix_pairs(state, k: int):
     one Python-level reduction per pair, read from each sector's dense
     view."""
     basis = state.basis
-    occs_k = symspace.multi_indices(basis.K, k)
+    occs_k = colex_sector(basis.K, k)
     Dk = occs_k.shape[0]
     out = np.zeros((Dk, Dk), dtype=np.complex128)
     for n in range(k, basis.n_max + 1):
         G = dense_sector(state, n)
-        rest = symspace.multi_indices(basis.K, n - k)
+        rest = colex_sector(basis.K, n - k)
         ridx = np.arange(rest.shape[0])
         rows, coefs = zip(*[branching_rows(basis, p, rest, n) for p in occs_k])
         for a in range(Dk):

@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 import gibbslab as gl
-from gibbslab import cli, fock, semiclassics, symspace
+from gibbslab import cli, fock, semiclassics
 from gibbslab.convergence import (ExperimentConfig, config_to_dict,
                                   emit_report, evaluate_properties,
                                   parse_config, run_convergence,
@@ -256,6 +256,7 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
                                  dim_budget=small_config.dim_budget)
         assert row.lam == point.lam == 1.0 / row.T
         pair = fock.pair_energy(point.marginals[2], tensor, row.lam)
+        assert point.pair_energy == pair
         assert pair == pytest.approx(
             fock.two_body_energy(point.gibbs, tensor, row.lam), rel=1e-13)
         exact = row.T * row.f_value
@@ -345,14 +346,14 @@ def _corrupt_gibbs_coupling(monkeypatch):
 def _corrupt_sym2_entry(monkeypatch):
     """One tensor entry moved by 1e-6 on the Sym^2 pair matrix only; the
     Hamiltonian keeps the true tensor."""
-    restrict = symspace.two_body_sym_matrix
+    restrict = gl.TwoBodyTensor.pair_matrix
 
-    def corrupted(W):
-        W = W.copy()
+    def corrupted(tensor):
+        W = tensor.entries.copy()
         W[0, 0, 0, 0] += 1e-6
-        return restrict(W)
+        return restrict(gl.TwoBodyTensor(W, tensor.parity))
 
-    monkeypatch.setattr(symspace, "two_body_sym_matrix", corrupted)
+    monkeypatch.setattr(gl.TwoBodyTensor, "pair_matrix", corrupted)
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_gibbs_coupling,
@@ -791,8 +792,8 @@ def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
     point = fock.solve_point(basis.eigenvalues, tensor, 2.0, k_max=cfg.k_max,
                              tail=cfg.n_max_policy)
     assert point.lam == 0.5
-    assert energy["two_body"] == fock.pair_energy(point.marginals[2], tensor,
-                                                  point.lam)
+    assert energy["two_body"] == point.pair_energy == fock.pair_energy(
+        point.marginals[2], tensor, point.lam)
     split = fock.energy_decomposition(point.gibbs, basis.eigenvalues, tensor,
                                       point.lam)
     for key in ("total", "one_body", "two_body"):

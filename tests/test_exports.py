@@ -1,13 +1,17 @@
 """Every export of the package resolves, so a deletion cannot leave a stale
-name behind in a module's __all__ or in the package's own imports."""
+name behind in a module's __all__, in the package's own imports or in the
+README's table of modules."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import re
 
 import gibbslab
 
 INIT = gibbslab.__file__
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _modules():
@@ -65,3 +69,37 @@ def test_a_stale_export_is_caught(monkeypatch):
     monkeypatch.setattr(fock, "__all__",
                         [n for n in fock.__all__ if n != "solve_point"])
     assert _unexported_imports() == [("fock", "solve_point")]
+
+
+def _layout_rows(text: str) -> list:
+    """The module of every row of the README's "Library layout" table."""
+    section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `gibbslab\.(\w+)` \|", section, re.MULTILINE)
+
+
+def _layout_mismatch(text: str) -> tuple:
+    """(rows naming no module, modules with no row) of the table."""
+    rows = _layout_rows(text)
+    modules = {info.name for info in pkgutil.iter_modules(gibbslab.__path__)}
+    return (sorted(set(rows) - modules), sorted(modules - set(rows)))
+
+
+def test_readme_layout_names_every_module_once():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    rows = _layout_rows(text)
+    assert "fock" in rows and len(rows) == len(set(rows))
+    assert _layout_mismatch(text) == ([], [])
+
+
+def test_a_stale_layout_row_is_caught():
+    # negative control: a row for a module that does not exist, and a
+    # module whose row is missing
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    ghost = text.replace("| `gibbslab.cli` |",
+                         "| `gibbslab.ghost` | gone |\n| `gibbslab.cli` |")
+    assert _layout_mismatch(ghost) == (["ghost"], [])
+    missing = re.sub(r"^\| `gibbslab\.metrics` \|.*\n", "", text,
+                     flags=re.MULTILINE)
+    assert _layout_mismatch(missing) == ([], ["metrics"])

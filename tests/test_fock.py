@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.special import logsumexp
 
 import gibbslab as gl
-from gibbslab import fock, symspace
+from gibbslab import fock
 
 import oracles
 
@@ -121,9 +121,7 @@ def test_two_body_matches_pair_potential_on_sectors(basis_k2, tensor_k2):
     H1 = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, 1.0)
     W = (H1.matrix - H0.matrix).toarray()
     s = fb.sector_slice(2)
-    from gibbslab.symspace import two_body_sym_matrix
-    assert np.allclose(W[s, s], two_body_sym_matrix(tensor_k2.entries),
-                       atol=1e-12)
+    assert np.allclose(W[s, s], tensor_k2.pair_matrix(), atol=1e-12)
 
 
 def test_gibbs_geometric_partition_function():
@@ -374,11 +372,11 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
             assert len({b[0] for b in want_state.blocks}) \
                 < len(want_state.blocks)
     occs_k, rows, coefs = fock._branching_table(fb, k)
-    assert np.array_equal(occs_k, symspace.multi_indices(K, k))
+    assert np.array_equal(occs_k, oracles.colex_sector(K, k))
     offsets = fb.sector_offsets
     for n in range(k, n_max + 1):
         cols = slice(offsets[n - k], offsets[n - k + 1])
-        rest = symspace.multi_indices(K, n - k)
+        rest = oracles.colex_sector(K, n - k)
         for a, p in enumerate(occs_k):
             ranks, c = oracles.branching_rows(fb, p, rest, n)
             assert np.array_equal(rows[a, cols] - offsets[n], ranks)
@@ -408,6 +406,29 @@ def test_branching_table_weights_are_binomial(K, k):
             exact = math.sqrt(math.prod(math.comb(int(x + y), int(x))
                                         for x, y in zip(p, occ)))
             assert abs(coefs[a, r] - exact) <= 1e-15 * exact
+
+
+def test_marginal_tables_read_the_basis_sectors(monkeypatch):
+    # the k-body occupations of the branching tables and of the
+    # normal-ordered route are the basis's own sectors k: neither
+    # enumerates anything
+    fb = gl.build_fock_basis(3, 6)
+    state = fock.random_state(fb, 3)
+    calls = []
+    graded = gl.kernels.Recurrence.graded
+
+    def counting(K, n):
+        calls.append((K, n))
+        return graded(K, n)
+
+    monkeypatch.setattr(gl.kernels.Recurrence, "graded", counting)
+    gather = fock._Marginals(fb, (1, 2, 3))
+    normal = gl.reduced_dm_normal_ordered(state, 2)
+    assert calls == []
+    for k, (occs_k, _, _) in gather.tables.items():
+        assert np.shares_memory(occs_k, fb.occupations)
+        assert np.array_equal(occs_k, oracles.colex_sector(3, k))
+    assert np.array_equal(normal.occupations, oracles.colex_sector(3, 2))
 
 
 def _random_charge_tensor(K, charge, rng):
@@ -811,6 +832,23 @@ def test_solve_point_matches_hand_built_chain(basis_k2, tensor_k2, T):
     arg = fb.occupations @ basis_k2.eigenvalues / T + log_z0
     assert np.all(np.abs(point.free.p - want)
                   <= (2.0 + np.abs(arg)) * np.spacing(want))
+
+
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_point_pair_energy_reads_its_pair_marginal(basis_k2, tensor_k2,
+                                                   k_max):
+    # lam tr[W_2 Gamma^(2)] of the Gamma^(2) the solve gathers, whatever
+    # k_max; 0 without a pair term, where Gamma^(2) is gathered only for
+    # k_max >= 2
+    point = gl.solve_point(basis_k2.eigenvalues, tensor_k2, 2.0,
+                           k_max=k_max, keep_blocks=False)
+    assert point.pair_energy > 0.0
+    assert point.pair_energy == fock.pair_energy(point.marginals[2],
+                                                 tensor_k2, point.lam)
+    free = gl.solve_point(basis_k2.eigenvalues, oracles.no_pair(2), 2.0,
+                          k_max=k_max, keep_blocks=False)
+    assert free.pair_energy == 0.0
+    assert (2 in free.marginals) == (k_max >= 2)
 
 
 def test_solve_point_free_state_matches_eigensolver_route_k3(basis_k3,

@@ -7,7 +7,6 @@ from scipy import sparse
 from scipy.linalg.blas import zherk
 
 import gibbslab as gl
-from gibbslab import symspace
 from gibbslab.kernels import (_STEP, Recurrence, _products, _zherk,
                               occupation_products, occupation_sectors,
                               two_body_coo)
@@ -47,17 +46,17 @@ def test_occupation_products_match_power_table():
 
 
 def test_occupation_products_on_symmetric_sectors():
-    # the graded index set 0..k of symspace gives sqrt(k!)-scaled sector k
+    # the graded index set 0..k gives sqrt(k!)-scaled sector k
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
     for k in (1, 2, 3):
-        graded, offsets = symspace.graded_indices(4, k)
-        occs = symspace.multi_indices(4, k)
-        assert np.array_equal(graded[offsets[k]:], occs)
+        rec = Recurrence.graded(4, k)
+        occs = rec.sector(k)
+        assert np.array_equal(occs, oracles.colex_sector(4, k))
         multinomial = np.array([math.factorial(k) / math.prod(
             math.factorial(int(x)) for x in row) for row in occs])
         expect = oracles.power_products(vs, occs) * np.sqrt(multinomial)
-        got = occupation_products(vs, graded)[offsets[k]:].T \
+        got = occupation_products(vs, rec.occs)[rec.offsets[k]:].T \
             * math.sqrt(math.factorial(k))
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
@@ -71,7 +70,7 @@ def _assert_matches_sector_gathers(K, n, fock_n_max):
     rng = np.random.default_rng(1000 * K + n)
     vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     vacuum = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
-    for occs in (symspace.graded_indices(K, 3)[0],
+    for occs in (Recurrence.graded(K, 3).occs,
                  gl.build_fock_basis(K, fock_n_max).occupations):
         for vac in (None, vacuum):
             got = occupation_products(vs, occs, vac)
@@ -120,17 +119,22 @@ def test_occupation_products_rejects_unusable_index_sets(occs):
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_graded_recurrence_matches_a_tuple_oracle(K):
     # the builder's rows, sectors, parents and factor slots against an
-    # itertools enumeration sorted into colex order, parents by tuple lookup
+    # itertools enumeration sorted into colex order, parents by tuple lookup;
+    # sector m, the Sym^m basis, is the same rows for every n >= m, and a
+    # sector outside 0..n is refused
     for n in range(13):
         rec = Recurrence.graded(K, n)
-        for got, want in zip(rec, oracles.graded_colex(K, n), strict=True):
+        want = oracles.graded_colex(K, n)
+        for got, w in zip(rec, want, strict=True):
             assert got.dtype == np.int64
-            assert np.array_equal(got, want)
-        occs, offsets = symspace.graded_indices(K, n)
-        assert np.array_equal(occs, rec.occs)
-        assert np.array_equal(offsets, rec.offsets)
-        assert np.array_equal(symspace.multi_indices(K, n),
-                              rec.occs[rec.offsets[n]:])
+            assert np.array_equal(got, w)
+        occs, offsets = want[:2]
+        for m in range(n + 1):
+            assert np.array_equal(rec.sector(m),
+                                  occs[offsets[m]:offsets[m + 1]])
+        for m in (-1, n + 1):
+            with pytest.raises(ValueError, match="sector"):
+                rec.sector(m)
     with pytest.raises(ValueError):
         Recurrence.graded(K, -1)
 
@@ -178,7 +182,7 @@ def test_occupation_sectors_are_bitwise_the_products(K, n):
                                    [-1, 2, 3]])
 def test_occupation_sectors_rejects_an_unfit_reach(reach):
     # decreasing, one column short, beyond the top sector, below the vacuum
-    occs = symspace.graded_indices(2, 3)[0]
+    occs = Recurrence.graded(2, 3).occs
     with pytest.raises(ValueError, match="reach"):
         list(occupation_sectors(np.ones((3, 2)), occs, np.ones(3),
                                 np.array(reach)))

@@ -85,6 +85,30 @@ def test_coherent_particle_number_is_poisson_mean():
                                                     fb)) - nu) < 1e-8
 
 
+def test_coherent_reads_the_basis_table(monkeypatch):
+    # a coherent vector walks the parent table the basis was enumerated
+    # with: one call builds no table, and its amplitudes are those of the
+    # basis's occupation array, which the array route checks by building
+    # the table again (the negative control)
+    fb = gl.build_fock_basis(2, 40)
+    v = np.array([1.2 + 0.3j, -0.5j])
+    calls = []
+    graded = gl.kernels.Recurrence.graded
+
+    def counting(K, n):
+        calls.append((K, n))
+        return graded(K, n)
+
+    monkeypatch.setattr(gl.kernels.Recurrence, "graded", counting)
+    cv = gl.coherent(v, fb)
+    assert calls == []
+    vacuum = np.exp([-0.5 * float(np.sum(np.abs(v) ** 2))])
+    want = gl.kernels.occupation_products(v[None, :], fb.occupations,
+                                          vacuum)[:, 0]
+    assert calls == [(2, 40)]
+    assert cv.amplitudes.tobytes() == want.tobytes()
+
+
 def test_coherent_tail_warning():
     fb = gl.build_fock_basis(1, 6)
     with pytest.warns(TailWarning):

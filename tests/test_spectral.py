@@ -297,3 +297,22 @@ def test_basis_csv_dump(tmp_path, basis_k2):
     assert len(lines) == 1 + basis_k2.K
     lam1 = float(lines[1].split(",")[1])
     assert lam1 == basis_k2.eigenvalues[0]
+
+
+def test_pair_matrix_is_the_sym2_restriction(tensor_k3):
+    # W_2[p, q] = <e_p|W|e_q>, |e_p> the normalized sum of the distinct
+    # orderings of the pair p; the matrix is rebuilt on every call, so an
+    # entry changed in place moves the next one
+    W = tensor_k3.entries
+    pairs = [(i, j) for j in range(3) for i in range(j + 1)]  # colex
+    want = np.empty((6, 6))
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            P, Q = {(i, j), (j, i)}, {(k, l), (l, k)}
+            want[a, b] = sum(W[x + y] for x in P for y in Q) \
+                / math.sqrt(len(P) * len(Q))
+    assert np.allclose(tensor_k3.pair_matrix(), want, rtol=1e-13, atol=1e-14)
+    tensor = gl.TwoBodyTensor(W.copy())
+    before = tensor.pair_matrix()
+    tensor.entries[0, 0, 0, 0] += 1.0
+    assert tensor.pair_matrix()[0, 0] == before[0, 0] + 1.0
