@@ -18,11 +18,12 @@ triangle and so is exactly Hermitian.
 
 The F_NL chunks and the batch-means blocks of moment_matrix_blocks run on
 a pool of one thread per CPU the process may use (kernels._workers, the
-pool size of the Gibbs solve, fock._gibbs_sectors). The calling thread builds the pass's one
-parent table (kernels.Recurrence); the workers call private routes only,
-and reach zherk through kernels._zherk, which releases the GIL. Each chunk
-and each block is computed as on one thread and the blocks are summed in
-order, so every bit is independent of the pool size.
+pool size of the Gibbs solve, fock._gibbs_sectors). The calling thread
+builds the pass's one parent table (kernels.Recurrence); the workers call
+private routes only, and reach zherk through kernels._zherk, which
+releases the GIL. Each chunk and each block is computed as on one thread
+and the blocks are summed in order, so every bit is independent of the
+pool size.
 """
 
 from __future__ import annotations
