@@ -253,11 +253,11 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         clock[0] = now
 
     try:
-        # the trial state and the Berezin-Lieb stage read the Gibbs blocks;
-        # a row with neither never holds them all
+        # only the Berezin-Lieb stage reads the Gibbs blocks; the trial
+        # state is built on the point's class layout once they are dropped
         point = fock.solve_point(
             basis.eigenvalues, tensor, T, k_max=config.k_max,
-            keep_blocks=config.trial_subsample > 0 or config.bl_samples > 0,
+            keep_blocks=config.bl_samples > 0,
             tail=config.n_max_policy, dim_budget=config.dim_budget)
     except ValueError as exc:
         lap("solve_point")
@@ -265,7 +265,7 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                          valid=False, error=str(exc),
                          wall_s=time.perf_counter() - t0, stages=stages)
     lap("solve_point")
-    fb, gibbs, free_state = point.basis, point.gibbs, point.free
+    fb, free_state = point.basis, point.free
     row = ReportRow(T=T, lam=point.lam, n_max=fb.n_max,
                     tail_mass=point.tail_mass, dim=fb.dim, stages=stages)
     notes = []
@@ -295,12 +295,19 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         pair + point.one_body_energy - point.energy) / max(scale, 1e-12)
     lap("rdm")
 
+    if config.bl_samples > 0:
+        row.bl = semiclassics.BLGap.of(
+            point.s_gibbs, semiclassics.husimi_kl_importance(
+                point.gibbs, free_state, 1.0 / T, n_samples=config.bl_samples,
+                seed=row_seed))
+        lap("berezin_lieb")
+    fe_gibbs, layout = pair + T * point.s_gibbs, point.layout
+    del point  # the Gibbs blocks are not held while the trial state is built
     if config.trial_subsample > 0:
-        fe_gibbs = pair + T * point.s_gibbs
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
             trial = semiclassics.trial_state(
-                ensemble, T, gibbs, n_subsample=config.trial_subsample)
+                ensemble, T, fb, layout, n_subsample=config.trial_subsample)
         notes += [str(w.message) for w in caught
                   if issubclass(w.category, semiclassics.TailWarning)]
         probs = trial.sector_probabilities()
@@ -310,17 +317,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
             notes.append(f"trial tail mass {row.trial_tail_mass:.3e} is not "
                          f"below n_max_policy {config.n_max_policy:.1e}")
         lap("trial_state")
-        fe_trial = fock.relative_free_energy(trial, free_state, tensor,
-                                            point.lam, T)
-        del trial  # not held through the Berezin-Lieb stage
-        row.trial_gap = fe_trial - fe_gibbs
+        row.trial_gap = fock.relative_free_energy(
+            trial, free_state, tensor, row.lam, T) - fe_gibbs
         lap("relative_entropy")
-    if config.bl_samples > 0:
-        row.bl = semiclassics.BLGap.of(
-            point.s_gibbs, semiclassics.husimi_kl_importance(
-                gibbs, free_state, 1.0 / T, n_samples=config.bl_samples,
-                seed=row_seed))
-        lap("berezin_lieb")
     row.notes = "; ".join(notes)
     row.wall_s = time.perf_counter() - t0
     return row

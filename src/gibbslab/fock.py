@@ -136,8 +136,8 @@ class FockOperator:
     """Real symmetric operator on the truncated Fock space.
 
     labels[i] is the symmetry class of basis state i; the operator has no
-    entry between two sectors or two labels, so gibbs_state diagonalizes
-    each class of a sector on its own.
+    entry between two sectors or two labels, so the Gibbs solver
+    (_gibbs_sectors) diagonalizes each class of a sector on its own.
     """
 
     basis: FockBasis
@@ -355,7 +355,9 @@ def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
     """Fold the sector stream of exp(-H/T) into the point's sums: the
     marginals of the given orders, the diagonal (in basis order) and, with
     keep, the blocks as (n, rows, G); each normalized by one exp(-log Z)
-    scale at the end. Returns (blocks, log Z, <H>, diagonal, marginals).
+    scale at the end. Returns (blocks, layout, log Z, <H>, diagonal,
+    marginals), layout the (n, rows) of every block in stream order, kept
+    or not: the split of H into (sector, class) blocks.
 
     A sector's blocks are dropped once folded in, unless kept. log Z is the
     log-sum-exp of every eigenvalue, each sector's sorted, so it does not
@@ -374,11 +376,12 @@ def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
     basis = H.basis
     gather = _Marginals(basis, orders)
     diag = np.zeros(basis.dim)
-    eigs, kept = [], []
+    eigs, kept, layout = [], [], []
     for n, blocks, flat, lam in _gibbs_sectors(H, T):
         eigs.append(lam)
         for rows, G in blocks:
             diag[rows] = np.diagonal(G)
+            layout.append((n, rows))
         gather.add(n, blocks, flat)
         if keep:
             kept += [(n, rows, G) for rows, G in blocks]
@@ -390,7 +393,7 @@ def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
     for *_, G in kept:
         G *= scale
     diag *= scale
-    return kept, log_z, energy, diag, gather.result(scale)
+    return kept, layout, log_z, energy, diag, gather.result(scale)
 
 
 def gibbs_state(H: FockOperator, T: float):
@@ -406,10 +409,10 @@ def gibbs_state(H: FockOperator, T: float):
     _fold_gibbs). Against exp(-lam/T - log Z) weights the blocks move at
     float level, two roundings of one number; log Z and <H> do not move.
     solve_point folds the same stream into the marginals as it arrives and
-    keeps the blocks only when asked, so the sweep's rows without a trial
-    state or a Berezin-Lieb stage never hold every block.
+    keeps the blocks only when asked, so the sweep's rows without a
+    Berezin-Lieb stage never hold every block.
     """
-    blocks, log_z, energy, _, _ = _fold_gibbs(H, T)
+    blocks, _, log_z, energy, _, _ = _fold_gibbs(H, T)
     return FockState(basis=H.basis, blocks=tuple(blocks)), log_z, energy
 
 
@@ -679,13 +682,16 @@ class ThermalPoint:
     marginals holds Gamma^(k) of the Gibbs state for k = 1..k_max, and
     Gamma^(2) too whenever there is a pair term, which gives pair_energy
     lam tr[W_2 Gamma^(2)] (0 without a pair term); tail_mass is the weight
-    of the top two sectors and particle_number <N>. gibbs is the Gibbs
-    state as blocks when solve_point was asked to keep them, else None.
+    of the top two sectors and particle_number <N>. layout is the (n, rows)
+    of every (sector, class) block of the Gibbs state, in its order, the
+    split a trial state is built on. gibbs is the Gibbs state as blocks
+    when solve_point was asked to keep them, else None.
     """
 
     T: float
     lam: float
     basis: FockBasis
+    layout: tuple
     gibbs: FockState | None
     free: DiagonalState
     log_z: float
@@ -713,10 +719,10 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
     gathered into the marginals of orders 1..k_max (and 2 with a pair
     term, for the pair energy) and its diagonal kept, and then the blocks
     are dropped unless keep_blocks; log Z scales the sums once, at the end
-    (_fold_gibbs). Without keep_blocks, at most a few sectors' blocks are
-    held at once and ThermalPoint.gibbs is None. Raises ValueError when the
-    tail policy needs a basis over dim_budget, or k_max is outside
-    1..n_max.
+    (_fold_gibbs), which also records the blocks' layout. Without
+    keep_blocks, at most a few sectors' blocks are held at once and
+    ThermalPoint.gibbs is None. Raises ValueError when the tail policy
+    needs a basis over dim_budget, or k_max is outside 1..n_max.
     """
     n_max = choose_n_max(eigenvalues, T, tail=tail, dim_budget=dim_budget)
     if not 1 <= k_max <= n_max:
@@ -725,7 +731,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
     lam = 1.0 / T
     pair = _has_pair_term(tensor, lam)
     k_top = max(k_max, 2 if pair else 1)
-    blocks, log_z, energy, diag, marginals = _fold_gibbs(
+    blocks, layout, log_z, energy, diag, marginals = _fold_gibbs(
         build_hamiltonian(basis, eigenvalues, tensor, lam), T,
         orders=range(1, k_top + 1), keep=keep_blocks)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
@@ -734,7 +740,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
     one_body = float(diag @ E)
     probs = _sector_sums(basis, diag)
     return ThermalPoint(
-        T=T, lam=lam, basis=basis,
+        T=T, lam=lam, basis=basis, layout=tuple(layout),
         gibbs=FockState(basis, tuple(blocks)) if keep_blocks else None,
         free=free, log_z=log_z, log_z_free=log_z_free, energy=energy,
         one_body_energy=one_body,

@@ -8,9 +8,10 @@ share.
     occupation_products(vs, occs[, vacuum])  -- normalized amplitudes
         prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!), shape (D, n),
         with no temporary above _STEP elements besides the factor table
-        and a transposed copy of vs
+        and a transposed copy of vs; occs is a Recurrence, never an array
     occupation_sectors(vs, occs, vacuum, reach)  -- the same amplitudes
-        as a stream of sectors, each column only up to its own reach
+        as a stream of sectors, each column only up to its own reach, over
+        a Recurrence too
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
         ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
         one step per annihilated pair (k, l) over every created pair and state
@@ -23,7 +24,6 @@ wraps around the public names runs off the calling thread.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from typing import NamedTuple
 
@@ -149,24 +149,14 @@ class Recurrence(NamedTuple):
 
 
 def _checked(vs, occs) -> tuple[np.ndarray, Recurrence]:
-    """vs as complex128, and occs as its Recurrence unless it is one. An
-    array must be the graded colex occupations 0..n of Recurrence.graded."""
+    """vs as complex128 and occs, which must be a Recurrence on as many
+    modes; an occupation array is refused."""
+    if not isinstance(occs, Recurrence):
+        raise ValueError("occupations must be given as a kernels.Recurrence")
     vs = np.asarray(vs, dtype=np.complex128)
-    if isinstance(occs, Recurrence):
-        rec = occs
-    else:
-        occs = np.asarray(occs, dtype=np.int64)
-        if occs.ndim != 2 or occs.shape[0] == 0:
-            raise ValueError("occupations must be a nonempty (D, K) array")
-        K, n = occs.shape[1], int(occs[-1].sum())
-        # the row count first, so a stray large total builds no table
-        rec = None if n < 0 or occs.shape[0] != math.comb(K + n, K) \
-            else Recurrence.graded(K, n)
-        if rec is None or not np.array_equal(rec.occs, occs):
-            raise ValueError("occupations must be the graded colex set 0..n")
-    if rec.occs.shape[1] != vs.shape[1]:
+    if occs.occs.shape[1] != vs.shape[1]:
         raise ValueError("occupation rows and vectors differ in mode count")
-    return vs, rec
+    return vs, occs
 
 
 def _factors(vs: np.ndarray, n: int) -> np.ndarray:
@@ -198,18 +188,18 @@ def _step(src: np.ndarray, parent: np.ndarray, which: np.ndarray,
         np.multiply(src[parent[a:b]], factors[which[a:b]], out=dst[a:b])
 
 
-def occupation_products(vs: np.ndarray, occs: np.ndarray,
+def occupation_products(vs: np.ndarray, occs: Recurrence,
                         vacuum: np.ndarray | None = None) -> np.ndarray:
     """prod_j vs[s, j] ** occs[d, j] / sqrt(occs[d, j]!) for every sample s
-    and occupation row d, returned with shape (D, n_samples).
+    and occupation row d of occs.occs, returned with shape (D, n_samples).
 
-    occs must be the graded colex occupations 0..n (Recurrence.graded), as
-    a Fock basis or the symmetric-power sectors 0..k are; any other array
-    is refused. Each row then costs one multiply:
-    A[child] = A[parent] * v[mode] / sqrt(n_mode), a sector at a time in
-    the row slices of _step. Callers chunk over samples when n * D is
-    large; occupation_sectors walks the same steps one sector at a time.
-    occs may be given as its Recurrence, which such a loop builds once.
+    occs is the Recurrence of the graded colex occupations 0..n
+    (Recurrence.graded), as a Fock basis holds one and the symmetric-power
+    sectors 0..k are; an occupation array is refused. Each row costs one
+    multiply: A[child] = A[parent] * v[mode] / sqrt(n_mode), a sector at a
+    time in the row slices of _step. Callers chunk over samples when n * D
+    is large, reading one table; occupation_sectors walks the same steps
+    one sector at a time.
 
     vacuum, if given, is the vacuum row's value per sample and multiplies
     every amplitude of that sample; coherent states pass exp(-|v|^2 / 2),
@@ -235,7 +225,7 @@ def _products(vs: np.ndarray, rec: Recurrence, vacuum, out: np.ndarray):
     return out
 
 
-def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
+def occupation_sectors(vs: np.ndarray, occs: Recurrence,
                        vacuum: np.ndarray, reach: np.ndarray):
     """The amplitudes of occupation_products, one sector at a time.
 
@@ -246,8 +236,8 @@ def occupation_sectors(vs: np.ndarray, occs: np.ndarray,
     those rows and columns of occupation_products. Sector n is built from
     sector n - 1 alone, so the generator holds at most the sector it yields
     and the one before it; a consumer that lets each sector go before it
-    asks for the next keeps at most two alive. occs may be a Recurrence
-    over more sectors than the columns reach.
+    asks for the next keeps at most two alive. occs is a Recurrence, and
+    may be one over more sectors than the columns reach.
     """
     vs, rec = _checked(vs, occs)
     n_cols = vs.shape[0]

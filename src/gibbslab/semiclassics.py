@@ -113,50 +113,52 @@ def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
 
 
 def _by_sector(state: FockState | DiagonalState) -> list[list]:
-    """The terms of state listed under each sector n: (b, rows - first row
-    of n, G) for each class block b = (n, rows, G), or (None, None, p_n),
-    the sector's slice of a DiagonalState."""
+    """The terms of state listed under each sector n: (rows - first row of
+    n, G) for each class block (n, rows, G), or (None, p_n), the sector's
+    slice of a DiagonalState."""
     basis = state.basis
     if isinstance(state, DiagonalState):
-        return [[(None, None, state.p[basis.sector_slice(n)])]
+        return [[(None, state.p[basis.sector_slice(n)])]
                 for n in range(basis.n_max + 1)]
     out = [[] for _ in range(basis.n_max + 1)]
-    for b, (n, rows, G) in enumerate(state.blocks):
-        out[n].append((b, rows - basis.sector_offsets[n], G))
+    for n, rows, G in state.blocks:
+        out[n].append((rows - basis.sector_offsets[n], G))
     return out
 
 
 def _rank_update(sums: dict, blocks: list, A: np.ndarray, w2: np.ndarray):
-    """sums[b] += Re (A_i diag(w) A_i^H) over the rows A_i of each block b
-    of one sector, w2 the weights w of A's columns each repeated twice.
+    """sums[b] += Re (A_i diag(w) A_i^H) over the rows A_i of each block
+    (b, rows) of one sector, rows counted from the sector's first row, w2
+    the weights w of A's columns each repeated twice.
 
     Re (A w A^H) is X diag(w, w) X^T on the float view X of A, which
     interleaves the real and imaginary part of each sample's column.
     """
     X = A.view(np.float64)
-    for b, rows, _ in blocks:
+    for b, rows in blocks:
         Xi = X[rows]
         if b not in sums:
             sums[b] = np.zeros((rows.size, rows.size))
         sums[b] += (Xi * w2) @ Xi.T
 
 
-def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
-                n_subsample: int | None = None) -> FockState:
+def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
+                layout, n_subsample: int | None = None) -> FockState:
     """Symmetrized mixture of coherent projectors at vectors sqrt(T) * alpha,
     on the (sector, class) blocks of layout.
 
-    layout is the Gibbs state the trial state is compared with; only its
-    blocks' (n, rows) are read. The sampled measure, H_lam and the free state
-    are invariant under the global phase alpha -> e^{i theta} alpha, under
-    complex conjugation alpha -> conj(alpha) (the modes and W are real) and
-    under the reflection x -> -x (the mode parity). Each projector is
-    replaced by its exact average over these maps: the phase keeps its
-    sector blocks, conjugation their real part and the reflection their
-    parity-class blocks, the classes of layout (one per sector when the
-    parity fell back, and then nothing is pinched). The average keeps the
-    energy and, by joint convexity, cannot raise S(. | free), so the state
-    is a variational upper bound no worse than the plain mixture.
+    layout holds the (n, rows) of every (sector, class) block of H_lam on
+    basis, as ThermalPoint.layout records them; no Gibbs state is read.
+    The sampled measure, H_lam and the free state are invariant under the
+    global phase alpha -> e^{i theta} alpha, under complex conjugation
+    alpha -> conj(alpha) (the modes and W are real) and under the
+    reflection x -> -x (the mode parity). Each projector is replaced by its
+    exact average over these maps: the phase keeps its sector blocks,
+    conjugation their real part and the reflection their parity-class
+    blocks, the classes of layout (one per sector when the parity fell
+    back, and then nothing is pinched). The average keeps the energy and,
+    by joint convexity, cannot raise S(. | free), so the state is a
+    variational upper bound no worse than the plain mixture.
 
     The samples walk _coherent_chunks (nu = T |alpha|^2), each up to its
     reach (_reach), beyond which it has at most 2^-60 mass; each sector of
@@ -180,7 +182,8 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
     if n_subsample is not None and n_subsample < 1:
         raise ValueError(f"n_subsample must be a positive sample count, "
                          f"got {n_subsample}")
-    basis = layout.basis
+    if sum(rows.size for _, rows in layout) != basis.dim:
+        raise ValueError("layout does not cover the basis")
     n = ensemble.n if n_subsample is None else min(n_subsample, ensemble.n)
     logw = ensemble.log_weights[:n]
     w = np.exp(logw - logw.max())
@@ -195,14 +198,15 @@ def trial_state(ensemble: WeightedEnsemble, T: float, layout: FockState,
             f"{bad} of {n} trial-state samples have coherent tail mass above "
             f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
-    sums = {}
-    by_sector = _by_sector(layout)
+    sums, by_sector = {}, [[] for _ in range(basis.n_max + 1)]
+    for b, (m, rows) in enumerate(layout):
+        by_sector[m].append((b, rows - basis.sector_offsets[m]))
     reach = _reach(nu, basis.n_max)
     for idx, sectors in _coherent_chunks(vs, nu, basis, reach):
         w2 = np.repeat(w[idx], 2)
         for m, c, A in sectors:
             _rank_update(sums, by_sector[m], A, w2[2 * c:])
-    kept = [(m, rows, sums[b]) for b, (m, rows, _) in enumerate(layout.blocks)
+    kept = [(m, rows, sums[b]) for b, (m, rows) in enumerate(layout)
             if b in sums]
     tr = sum(float(np.trace(G)) for _, _, G in kept)
     for _, _, G in kept:
@@ -220,7 +224,7 @@ def _contract(terms: list, A: np.ndarray, val: np.ndarray) -> None:
     # The real p or G acts alike on Re A and Im A, which the float view of A
     # interleaves column by column.
     X = A.view(np.float64)
-    for _, rows, G in terms:
+    for rows, G in terms:
         if rows is None:
             val += np.einsum("i,ij,ij->j", G, X, X).reshape(-1, 2).sum(axis=1)
         else:

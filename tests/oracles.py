@@ -216,13 +216,14 @@ def pinched(matrix: np.ndarray, basis, labels=None) -> FockState:
     return FockState(basis=basis, blocks=tuple(blocks))
 
 
-def padded(state: FockState, layout: FockState) -> FockState:
-    """state with an explicit zero block for each (sector, class) block of
-    layout in a sector where state has none: the zero-padded form that a
-    missing sector stands for."""
+def padded(state: FockState, layout) -> FockState:
+    """state with an explicit zero block for each (sector, class) block
+    (n, rows) of layout in a sector where state has none: the zero-padded
+    form that a missing sector stands for. layout may be a state's blocks,
+    whose entries are not read."""
     held = {n for n, _, _ in state.blocks}
     zeros = [(n, rows, np.zeros((rows.size, rows.size)))
-             for n, rows, _ in layout.blocks if n not in held]
+             for n, rows, *_ in layout if n not in held]
     blocks = sorted(list(state.blocks) + zeros, key=lambda b: b[0])
     return FockState(basis=state.basis, blocks=tuple(blocks))
 

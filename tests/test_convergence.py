@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import glob
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import platform
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -320,6 +322,37 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     assert calls["pool_evd"] == dense
     assert calls["evd"] == sum(len(t.blocks) for t in trials)
     assert [id(s) for s in entropy_states] == [id(t) for t in trials]
+
+
+@pytest.mark.parametrize("bl_samples", [400, 0],
+                         ids=["trial-and-bl", "trial-only"])
+def test_a_row_builds_its_trial_state_holding_no_gibbs_block(
+        small_config, monkeypatch, bl_samples):
+    # the trial state reads the point's class layout, so a row drops the
+    # Gibbs blocks (after the Berezin-Lieb stage, which reads them) before
+    # it builds the trial state: each sector's flat array, which every
+    # block of that sector is a view of, is gone when trial_state starts
+    gibbs_sectors, build = fock._gibbs_sectors, semiclassics.trial_state
+    flats, alive = [], []
+
+    def recording(H, T):
+        for n, blocks, flat, lam in gibbs_sectors(H, T):
+            flats.append(weakref.ref(flat))
+            yield n, blocks, flat, lam
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in flats))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "_gibbs_sectors", recording)
+    monkeypatch.setattr(semiclassics, "trial_state", checked)
+    cfg = dataclasses.replace(small_config, bl_samples=bl_samples)
+    rows = run_convergence(cfg).rows
+    assert all(r.valid and r.trial_gap is not None for r in rows)
+    assert all((r.bl is not None) == (bl_samples > 0) for r in rows)
+    assert len(alive) == len(rows) == 2 and len(flats) > 2 * 10
+    assert alive == [0, 0]
 
 
 def _corrupt_gibbs_coupling(monkeypatch):

@@ -36,12 +36,12 @@ def test_occupation_products_match_power_table():
                                                     for x in row))
                           for row in fb.occupations])
         expect = oracles.power_products(vs, fb.occupations) * norms
-        got = occupation_products(vs, fb.occupations)
+        got = occupation_products(vs, Recurrence.graded(K, n_max))
         assert got.shape == (fb.dim, vs.shape[0])
         assert np.allclose(got.T, expect, rtol=1e-13, atol=1e-13)
         # a vacuum value per sample scales all of that sample's amplitudes
         vac = rng.uniform(0.1, 2.0, vs.shape[0])
-        scaled = occupation_products(vs, fb.occupations, vac)
+        scaled = occupation_products(vs, Recurrence.graded(K, n_max), vac)
         assert np.allclose(scaled, got * vac, rtol=1e-14, atol=0.0)
 
 
@@ -56,7 +56,7 @@ def test_occupation_products_on_symmetric_sectors():
         multinomial = np.array([math.factorial(k) / math.prod(
             math.factorial(int(x)) for x in row) for row in occs])
         expect = oracles.power_products(vs, occs) * np.sqrt(multinomial)
-        got = occupation_products(vs, rec.occs)[rec.offsets[k]:].T \
+        got = occupation_products(vs, rec)[rec.offsets[k]:].T \
             * math.sqrt(math.factorial(k))
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
@@ -70,16 +70,15 @@ def _assert_matches_sector_gathers(K, n, fock_n_max):
     rng = np.random.default_rng(1000 * K + n)
     vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     vacuum = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
-    for occs in (Recurrence.graded(K, 3).occs,
-                 gl.build_fock_basis(K, fock_n_max).occupations):
+    for rec in (Recurrence.graded(K, 3),
+                Recurrence.graded(K, fock_n_max)):
         for vac in (None, vacuum):
-            got = occupation_products(vs, occs, vac)
-            want = oracles.sector_gather_products(vs, occs, vac)
+            got = occupation_products(vs, rec, vac)
+            want = oracles.sector_gather_products(vs, rec.occs, vac)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             # a reused buffer of the private route is overwritten in full
             buf = np.full(want.shape, np.nan + 0j)
-            rec = Recurrence.graded(K, int(occs[-1].sum()))
             assert _products(vs, rec, vac, buf) is buf
             assert buf.tobytes() == want.tobytes()
 
@@ -100,20 +99,34 @@ def test_occupation_products_bitwise_across_the_row_step(n):
     _assert_matches_sector_gathers(2, n, 6)
 
 
+_GRADED = Recurrence.graded(2, 3)
+
+
 @pytest.mark.parametrize("occs", [
+    _GRADED.occs,                  # the graded colex set 0..n itself
+    _GRADED.occs.tolist(),         # the same as nested lists
+    tuple(_GRADED),                # the Recurrence's fields, untyped
     [[1, 0], [0, 0]],              # vacuum not first
-    [[0, 0], [1, 1], [1, 0]],      # not graded
-    [[0, 0], [0, 1], [1, 1]],      # (1, 1) lacks its parent (1, 0)
-    [[0, 0], [1, 0], [1, 0]],      # repeated row
     [[0, 0], [0, 1], [1, 0]],      # closed under parents, not colex
-    [[0, 0], [1, 0]],              # sector 1 lacks (0, 1)
     np.zeros((0, 2), dtype=int),   # no vacuum
+    [[0, 0], [1, 0], [1, 0]],      # repeated row
 ])
 def test_occupation_products_rejects_unusable_index_sets(occs):
-    # the one accepted array is the graded colex set 0..n; nothing else is
-    # searched for parents
-    with pytest.raises(ValueError):
-        occupation_products(np.ones((3, 2)), np.array(occs))
+    # both kernels walk a Recurrence and refuse anything else, even the
+    # occupations one holds; nothing is rebuilt or searched for parents
+    with pytest.raises(ValueError, match="Recurrence"):
+        occupation_products(np.ones((3, 2)), occs)
+    with pytest.raises(ValueError, match="Recurrence"):
+        list(occupation_sectors(np.ones((3, 2)), occs, np.ones(3),
+                                np.full(3, 3)))
+
+
+def test_amplitude_kernels_refuse_vectors_of_another_mode_count():
+    with pytest.raises(ValueError, match="mode count"):
+        occupation_products(np.ones((3, 3)), _GRADED)
+    with pytest.raises(ValueError, match="mode count"):
+        list(occupation_sectors(np.ones((3, 3)), _GRADED, np.ones(3),
+                                np.full(3, 3)))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
@@ -166,11 +179,11 @@ def test_occupation_sectors_are_bitwise_the_products(K, n):
     fb = gl.build_fock_basis(K, _FOCK_N_MAX[K] if n < 1000 else 6)
     vs = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
-    want = occupation_products(vs, fb.occupations, vac)
+    want = occupation_products(vs, fb.recurrence, vac)
     for reach in (np.full(n, fb.n_max),
                   np.sort(rng.integers(0, fb.n_max + 1, n))):
         steps = []
-        for m, c, A in occupation_sectors(vs, fb.occupations, vac, reach):
+        for m, c, A in occupation_sectors(vs, fb.recurrence, vac, reach):
             assert c == np.sum(reach < m)
             assert A.flags.owndata and A.flags.c_contiguous
             assert A.tobytes() == want[fb.sector_slice(m), c:].tobytes()
@@ -182,9 +195,9 @@ def test_occupation_sectors_are_bitwise_the_products(K, n):
                                    [-1, 2, 3]])
 def test_occupation_sectors_rejects_an_unfit_reach(reach):
     # decreasing, one column short, beyond the top sector, below the vacuum
-    occs = Recurrence.graded(2, 3).occs
+    rec = Recurrence.graded(2, 3)
     with pytest.raises(ValueError, match="reach"):
-        list(occupation_sectors(np.ones((3, 2)), occs, np.ones(3),
+        list(occupation_sectors(np.ones((3, 2)), rec, np.ones(3),
                                 np.array(reach)))
 
 
@@ -196,9 +209,9 @@ def test_a_shared_recurrence_gives_the_same_bits():
     vs = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
     vac = np.exp(-0.5 * np.sum(np.abs(vs) ** 2, axis=1))
     assert occupation_products(vs, rec, vac).tobytes() \
-        == occupation_products(vs, fb.occupations, vac).tobytes()
+        == occupation_products(vs, Recurrence.graded(2, 12), vac).tobytes()
     reach = np.sort(rng.integers(0, 7, 50))
-    prefix = fb.occupations[:fb.sector_offsets[reach[-1] + 1]]
+    prefix = Recurrence.graded(2, int(reach[-1]))
     for (m, c, A), (m0, c0, A0) in zip(
             occupation_sectors(vs, rec, vac, reach),
             occupation_sectors(vs, prefix, vac, reach), strict=True):
@@ -266,7 +279,7 @@ def test_two_body_coo_matches_ladder_products():
 
 def test_reference_products_match_direct_loop():
     fb, vs, _ = _random_inputs(1, K=2, n_max=4, n_samples=5)
-    out = occupation_products(vs, fb.occupations)
+    out = occupation_products(vs, fb.recurrence)
     for s in range(vs.shape[0]):
         for d, occ in enumerate(fb.occupations):
             direct = np.prod([vs[s, j] ** occ[j]

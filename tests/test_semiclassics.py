@@ -87,9 +87,8 @@ def test_coherent_particle_number_is_poisson_mean():
 
 def test_coherent_reads_the_basis_table(monkeypatch):
     # a coherent vector walks the parent table the basis was enumerated
-    # with: one call builds no table, and its amplitudes are those of the
-    # basis's occupation array, which the array route checks by building
-    # the table again (the negative control)
+    # with: one call builds no table, and its amplitudes are those of a
+    # table of the same basis built again (the negative control, one call)
     fb = gl.build_fock_basis(2, 40)
     v = np.array([1.2 + 0.3j, -0.5j])
     calls = []
@@ -103,8 +102,8 @@ def test_coherent_reads_the_basis_table(monkeypatch):
     cv = gl.coherent(v, fb)
     assert calls == []
     vacuum = np.exp([-0.5 * float(np.sum(np.abs(v) ** 2))])
-    want = gl.kernels.occupation_products(v[None, :], fb.occupations,
-                                          vacuum)[:, 0]
+    want = gl.kernels.occupation_products(
+        v[None, :], gl.kernels.Recurrence.graded(2, 40), vacuum)[:, 0]
     assert calls == [(2, 40)]
     assert cv.amplitudes.tobytes() == want.tobytes()
 
@@ -153,10 +152,17 @@ def _plain_free_energy(plain, free, tensor, lam, T):
 
 
 def _gibbs(fb, basis, tensor, T=1.0):
-    """The Gibbs state of H_{1/T} on fb, whose (sector, class) blocks a trial
-    state takes."""
+    """The Gibbs state of H_{1/T} on fb."""
     H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
     return gl.gibbs_state(H, T)[0]
+
+
+def _layout(fb, basis, tensor, T=1.0):
+    """The (n, rows) of the (sector, class) blocks of H_{1/T} on fb, as the
+    Gibbs stream records them (ThermalPoint.layout) without keeping a
+    block: the layout a trial state takes."""
+    H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
+    return fock._fold_gibbs(H, T, keep=False)[1]
 
 
 def _free(fb, basis, T):
@@ -172,7 +178,7 @@ def _labels(fb, tensor):
 def _assert_blocks_close(got, want, tol):
     """got, a sector it leaves out read as zero, against want block by
     block."""
-    got = oracles.padded(got, want)
+    got = oracles.padded(got, want.blocks)
     assert [(n, rows.tolist()) for n, rows, _ in got.blocks] \
         == [(n, rows.tolist()) for n, rows, _ in want.blocks]
     for (*_, g), (*_, w) in zip(got.blocks, want.blocks):
@@ -184,7 +190,7 @@ def test_trial_state_single_sample_is_coherent_projector(basis_k2, tensor_k2):
     ens = gl.reweight(gl.sample_free(basis_k2, 1, seed=2), tensor_k2)
     fb = gl.build_fock_basis(2, 20)
     T = 1.0
-    trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
+    trial = gl.trial_state(ens, T, fb, _layout(fb, basis_k2, tensor_k2))
     cv = gl.coherent(math.sqrt(T) * ens.coeffs[0], fb)
     expect = oracles.symmetrized(_projector(cv), fb, _labels(fb, tensor_k2))
     _assert_blocks_close(trial, expect, 1e-12)
@@ -194,7 +200,7 @@ def test_trial_state_particle_number(basis_k2, tensor_k2):
     ens = gl.reweight(gl.sample_free(basis_k2, 3000, seed=4), tensor_k2)
     T = 1.0
     fb = gl.build_fock_basis(2, 25)
-    trial = gl.trial_state(ens, T, _gibbs(fb, basis_k2, tensor_k2))
+    trial = gl.trial_state(ens, T, fb, _layout(fb, basis_k2, tensor_k2))
     wt = ens.normalized_weights()
     target = T * float(np.sum(wt * np.sum(np.abs(ens.coeffs) ** 2, axis=1)))
     h = T * np.sum(np.abs(ens.coeffs) ** 2, axis=1)
@@ -209,7 +215,7 @@ def test_trial_state_phase_average_only_drops_cross_sectors(basis_k2,
     ens = gl.reweight(gl.sample_free(basis_k2, 64, seed=5), tensor_k2)
     fb = gl.build_fock_basis(2, 18)
     plain = _plain_mixture(ens, 0.8, fb)
-    trial = gl.trial_state(ens, 0.8, _gibbs(fb, basis_k2, tensor_k2))
+    trial = gl.trial_state(ens, 0.8, fb, _layout(fb, basis_k2, tensor_k2))
     _assert_blocks_close(
         trial, oracles.symmetrized(plain, fb, _labels(fb, tensor_k2)), 1e-12)
     n_plain = float(np.real(np.diagonal(plain)) @ fb.occupations.sum(axis=1))
@@ -226,11 +232,12 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2):
     H = gl.build_hamiltonian(fb, basis_k2.eigenvalues, tensor_k2, lam)
     H0 = oracles.free_hamiltonian(fb, basis_k2.eigenvalues)
     gibbs, _, _ = gl.gibbs_state(H, T)
+    layout = [(n, rows) for n, rows, _ in gibbs.blocks]
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     for fe_trial in (
             gl.relative_free_energy(
-                gl.trial_state(ens, T, gibbs, n_subsample=256),
+                gl.trial_state(ens, T, fb, layout, n_subsample=256),
                 free, tensor_k2, lam, T),
             _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=256),
                                free, tensor_k2, lam, T)):
@@ -239,8 +246,8 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2):
     fe_plain = _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=128),
                                   free, tensor_k2, lam, T)
     fe_pinch = gl.relative_free_energy(
-        gl.trial_state(ens, T, gibbs, n_subsample=128), free, tensor_k2, lam,
-        T)
+        gl.trial_state(ens, T, fb, layout, n_subsample=128), free, tensor_k2,
+        lam, T)
     assert fe_pinch <= fe_plain + 1e-9
 
 
@@ -259,7 +266,8 @@ def test_symmetrized_gap_is_at_most_the_sector_pinched_gap(
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TailWarning)
-        trial = gl.trial_state(ens, T, gibbs)
+        trial = gl.trial_state(ens, T, fb, [(n, rows)
+                                            for n, rows, _ in gibbs.blocks])
     sym = gl.relative_free_energy(trial, free, tensor_k2, lam, T) - fe_gibbs
     sector = fb.occupations.sum(axis=1)
     pinched = _plain_mixture(ens, T, fb) * (sector[:, None] == sector)
@@ -275,10 +283,10 @@ def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2):
     ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=9), tensor_k2)
     fb = gl.build_fock_basis(2, 16)
     flat = gl.TwoBodyTensor.with_parity(tensor_k2.entries, None)
-    trial = gl.trial_state(ens, 1.0, _gibbs(fb, basis_k2, flat))
-    sectors = fock.FockState.from_sectors(
-        fb, [np.zeros((fb.sector_dim(n),) * 2) for n in range(fb.n_max + 1)])
-    conj_only = gl.trial_state(ens, 1.0, sectors)
+    trial = gl.trial_state(ens, 1.0, fb, _layout(fb, basis_k2, flat))
+    sectors = [(n, np.arange(fb.dim)[fb.sector_slice(n)])
+               for n in range(fb.n_max + 1)]
+    conj_only = gl.trial_state(ens, 1.0, fb, sectors)
     assert len(trial.blocks) == fb.n_max + 1
     for (n, rows, g), (m, want, c) in zip(trial.blocks, conj_only.blocks):
         assert n == m and np.array_equal(rows, want) and np.array_equal(g, c)
@@ -294,10 +302,25 @@ def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2):
 
 def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2):
     ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), tensor_k2)
-    gibbs = _gibbs(gl.build_fock_basis(2, 8), basis_k2, tensor_k2)
+    fb = gl.build_fock_basis(2, 8)
+    layout = _layout(fb, basis_k2, tensor_k2)
     for bad in (0, -5):
         with pytest.raises(ValueError, match="n_subsample must be a positive"):
-            gl.trial_state(ens, 1.0, gibbs, n_subsample=bad)
+            gl.trial_state(ens, 1.0, fb, layout, n_subsample=bad)
+
+
+@pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
+def test_trial_state_refuses_a_layout_of_another_basis(basis_k2, tensor_k2):
+    # the layout of a smaller cutoff, or one block short, does not cover
+    # the basis the amplitudes are built on
+    ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), tensor_k2)
+    fb = gl.build_fock_basis(2, 8)
+    layout = _layout(fb, basis_k2, tensor_k2)
+    for bad in (_layout(gl.build_fock_basis(2, 7), basis_k2, tensor_k2),
+                layout[:-1]):
+        with pytest.raises(ValueError, match="layout does not cover"):
+            gl.trial_state(ens, 1.0, fb, bad)
+    assert len(gl.trial_state(ens, 1.0, fb, layout).blocks) > 0
 
 
 def _far_ensemble(n, seed):
@@ -316,7 +339,7 @@ def _far_ensemble(n, seed):
 def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
                                                tensor_k2, n):
     fb = gl.build_fock_basis(2, 36)
-    gibbs = _gibbs(fb, basis_k2, tensor_k2)
+    layout = _layout(fb, basis_k2, tensor_k2)
     free = _free(fb, basis_k2, 10.0)
     log_q = float(np.max(-np.log(free.p)))
     sampled = gl.reweight(gl.sample_free(basis_k2, 700, seed=12), tensor_k2)
@@ -325,7 +348,7 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
     streams = _record_sector_streams(monkeypatch)
     for ens, T in ((sampled, 2.0), (_far_ensemble(700, 3), 1.0)):
         streams.clear()
-        trial = gl.trial_state(ens, T, gibbs, n_subsample=n)
+        trial = gl.trial_state(ens, T, fb, layout, n_subsample=n)
         vs = math.sqrt(T) * ens.coeffs[:n]
         w = np.exp(ens.log_weights[:n] - ens.log_weights[:n].max())
         want = oracles.symmetrized(oracles.coherent_mixture(vs, w, fb), fb,
@@ -358,7 +381,7 @@ def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
     fb = gl.build_fock_basis(2, 36)
     gibbs = _gibbs(fb, basis_k2, tensor_k2)
     ens = gl.reweight(gl.sample_free(basis_k2, 256, seed=12), tensor_k2)
-    trial = gl.trial_state(ens, 2.0, gibbs)
+    trial = gl.trial_state(ens, 2.0, fb, _layout(fb, basis_k2, tensor_k2))
     free = _free(fb, basis_k2, 10.0)
     held = {n for n, *_ in trial.blocks}
     assert held == set(range(max(held) + 1)) and max(held) < fb.n_max
@@ -384,12 +407,12 @@ def test_trial_state_stores_no_zero_blocks(monkeypatch, basis_k2, tensor_k2):
 def test_missing_sectors_read_as_zero_blocks(basis_k2, tensor_k2):
     # every sample's reach stops below n_max
     fb = gl.build_fock_basis(2, 36)
-    gibbs = _gibbs(fb, basis_k2, tensor_k2)
+    layout = _layout(fb, basis_k2, tensor_k2)
     ens = gl.reweight(gl.sample_free(basis_k2, 300, seed=12), tensor_k2)
-    trial = gl.trial_state(ens, 2.0, gibbs)
-    full = oracles.padded(trial, gibbs)
+    trial = gl.trial_state(ens, 2.0, fb, layout)
+    full = oracles.padded(trial, layout)
     assert max(n for n, *_ in trial.blocks) < fb.n_max
-    assert len(full.blocks) == len(gibbs.blocks) > len(trial.blocks)
+    assert len(full.blocks) == len(layout) > len(trial.blocks)
     free = _free(fb, basis_k2, 10.0)
     assert gl.relative_entropy(trial, free) == gl.relative_entropy(full, free)
     for k in (1, 2, 3):
@@ -408,7 +431,7 @@ def test_trial_state_warns_on_cutoff_violation(basis_k2, tensor_k2):
     ens = gl.reweight(gl.sample_free(basis_k2, 200, seed=7), tensor_k2)
     fb = gl.build_fock_basis(2, 6)
     with pytest.warns(TailWarning, match=r"\d+ of 200"):
-        gl.trial_state(ens, 8.0, _gibbs(fb, basis_k2, tensor_k2))
+        gl.trial_state(ens, 8.0, fb, _layout(fb, basis_k2, tensor_k2))
 
 
 def test_husimi_vacuum_density():
@@ -606,9 +629,9 @@ def test_coherent_walk_builds_one_parent_table(monkeypatch, basis_k2,
     for _, sectors in semiclassics._coherent_chunks(vs, nu, fb, reach):
         list(sectors)
     assert len(streams) == 3 and calls == [(2, 30)]
-    layout = _gibbs(fb, basis_k2, tensor_k2)
+    layout = _layout(fb, basis_k2, tensor_k2)
     calls.clear()
-    gl.trial_state(_far_ensemble(600, 3), 1.0, layout)
+    gl.trial_state(_far_ensemble(600, 3), 1.0, fb, layout)
     assert len(streams) == 6 and calls == []
 
 
@@ -649,7 +672,8 @@ def test_at_most_two_sectors_of_amplitudes_are_alive(monkeypatch, basis_k2,
     # all mass in the top sector: each point up to its reach, then the
     # full-basis redo
     gl.husimi_density(top, 1.0, _spread_points(600, 3.0, 2))
-    gl.trial_state(_far_ensemble(600, 3), 1.0, _gibbs(fb, basis_k2, tensor_k2))
+    gl.trial_state(_far_ensemble(600, 3), 1.0, fb,
+                   _layout(fb, basis_k2, tensor_k2))
     assert alive.count(None) == 3 + 3 + 3
     assert len(built) > 9 * 20
     assert max(a for a in alive if a is not None) == 2
@@ -679,7 +703,8 @@ def test_walk_peaks_below_a_quarter_of_one_chunk_prefix(basis_k2, tensor_k2):
     rng = np.random.default_rng(6)
     ens = gl.WeightedEnsemble(pts, -rng.uniform(0.0, 2.0, 600), z_r=1.0,
                               z_r_stderr=0.0, ess=600.0, reweighted=True)
-    assert _memory_peak(gl.trial_state, ens, 1.0, gibbs) < chunk / 4
+    layout = [(n, rows) for n, rows, _ in gibbs.blocks]
+    assert _memory_peak(gl.trial_state, ens, 1.0, fb, layout) < chunk / 4
 
 
 def test_husimi_sector_window_matches_full_basis(monkeypatch, basis_k2,
