@@ -69,8 +69,9 @@ class ExperimentConfig:
         if not sched or not all(0 < t < math.inf for t in sched):
             raise ValueError(
                 "T_schedule must hold positive finite temperatures")
-        if list(sched) != sorted(sched):
-            raise ValueError("T_schedule must be ascending")
+        # a repeated T would compare a row with its own copy: a vacuous pass
+        if any(b <= a for a, b in zip(sched, sched[1:])):
+            raise ValueError("T_schedule must be strictly ascending")
         object.__setattr__(self, "T_schedule", sched)
         if not 1 <= self.k_max <= 3:
             raise ValueError("k_max must lie in 1..3")
@@ -543,7 +544,7 @@ def run_selfchecks(config: ExperimentConfig,
     # first schedule point, against the default driver on whole sectors
     T0 = config.T_schedule[0]
     point = fock.solve_point(basis.eigenvalues, tensor, T0,
-                             tail=config.n_max_policy,
+                             keep_blocks=False, tail=config.n_max_policy,
                              dim_budget=config.dim_budget)
     H0 = fock.build_hamiltonian(point.basis, basis.eigenvalues, tensor,
                                 point.lam)
@@ -562,8 +563,8 @@ def run_selfchecks(config: ExperimentConfig,
     T_chk = min(config.T_schedule[0], 2.0)
     lam_occ = basis.eigenvalues[:2]
     no_pair = TwoBodyTensor(np.zeros((lam_occ.size,) * 4))
-    g_free = fock.solve_point(lam_occ, no_pair, T_chk, tail=1e-12,
-                              dim_budget=config.dim_budget).free
+    g_free = fock.solve_point(lam_occ, no_pair, T_chk, keep_blocks=False,
+                              tail=1e-12, dim_budget=config.dim_budget).free
     occ = g_free.basis.occupations.T @ g_free.p
     exact_occ = 1.0 / (np.exp(lam_occ / T_chk) - 1.0)
     occ_diff = float(np.abs(occ - exact_occ).max())

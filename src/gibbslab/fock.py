@@ -353,11 +353,12 @@ def _gibbs_sectors(H: FockOperator, T: float):
 
 def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
     """Fold the sector stream of exp(-H/T) into the point's sums: the
-    marginals of the given orders, the diagonal (in basis order) and, with
-    keep, the blocks as (n, rows, G); each normalized by one exp(-log Z)
-    scale at the end. Returns (blocks, layout, log Z, <H>, diagonal,
-    marginals), layout the (n, rows) of every block in stream order, kept
-    or not: the split of H into (sector, class) blocks.
+    marginals of the given orders (_Marginals, which branches each sector
+    as it arrives), the diagonal (in basis order) and, with keep, the
+    blocks as (n, rows, G); each normalized by one exp(-log Z) scale at
+    the end. Returns (blocks, layout, log Z, <H>, diagonal, marginals),
+    layout the (n, rows) of every block in stream order, kept or not: the
+    split of H into (sector, class) blocks.
 
     A sector's blocks are dropped once folded in, unless kept. log Z is the
     log-sum-exp of every eigenvalue, each sector's sorted, so it does not
@@ -416,21 +417,20 @@ def gibbs_state(H: FockOperator, T: float):
     return FockState(basis=H.basis, blocks=tuple(blocks)), log_z, energy
 
 
-def _branching_table(basis: FockBasis, k: int):
-    """k-body occupations p, basis indices of p + r and the weights
-    sqrt(prod_j C(p_j + r_j, p_j)): a row per p, a column per basis state r
-    of sectors 0..n_max-k, so sector n - k's columns branch sector n."""
-    occs_k = basis.recurrence.sector(k)
-    rest = basis.occupations[:basis.sector_offsets[basis.n_max - k + 1]]
+def _branching(basis: FockBasis, k: int, m: int):
+    """Sector m + k branched over Sym^k (x) Sym^m: the places in that
+    sector of p + r and the weights sqrt(prod_j C(p_j + r_j, p_j)), a row
+    per k-body occupation p and a column per state r of sector m."""
+    occs_k, rest = basis.recurrence.sector(k), basis.recurrence.sector(m)
     rows = basis.table[(occs_k @ basis.strides)[:, None]
                        + (rest @ basis.strides)[None, :]]
     lgamma_p = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
-    logs = np.zeros(rows.shape)
-    for j in range(basis.K):
-        p = occs_k[:, j, None]
-        s = (p + rest[None, :, j]).astype(float)
-        logs += gammaln(s + 1.0) - gammaln(s - p + 1.0) - lgamma_p[p]
-    return occs_k, rows, np.exp(0.5 * logs)
+    p, r = occs_k[:, None, :], rest[None, :, :]
+    terms = gammaln(p + r + 1.0) - gammaln(r + 1.0) - lgamma_p[p]
+    logs = terms[..., 0]
+    for j in range(1, basis.K):  # in mode order: np.sum would add in another
+        logs = logs + terms[..., j]
+    return rows - basis.sector_offsets[m + k], np.exp(0.5 * logs)
 
 
 def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
@@ -439,11 +439,11 @@ def reduced_density_matrix(state: FockState, k: int) -> MomentMatrix:
     Expanding each sector's symmetric basis over Sym^k (x) Sym^(n-k) turns
     the weighted partial trace into the gather
         Gamma^(k)[p, q] = sum_n sum_r c(p,r) c(q,r) G_n[p+r, q+r],
-    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)) from one branching table.
-    Each sector is one gather of the Dk^2 |rest| entries G_n[p+r, q+r] and
-    one reduction over r. The gather reads the sector's class blocks laid
-    end to end, and a pair in different classes reads the exact zero put
-    after them. A sector with no block is zero and is skipped.
+    with c(p,r) = sqrt(prod_j C(p_j+r_j, p_j)) branched where sector n is
+    read (_branching). Each sector is one gather of the Dk^2 |rest| entries
+    G_n[p+r, q+r] and one reduction over r. The gather reads the sector's
+    class blocks laid end to end, and a pair in different classes reads the
+    exact zero put after them. A sector with no block is zero, skipped.
     """
     if not 1 <= k <= state.basis.n_max:
         raise ValueError(f"order k={k} outside 1..n_max={state.basis.n_max}")
@@ -464,41 +464,39 @@ def _state_marginals(state: FockState, orders) -> dict:
 
 class _Marginals:
     """Running sums of the marginals of the given orders, one sector at a
-    time; the gather of reduced_density_matrix over every sector added."""
+    time; the gather of reduced_density_matrix over every sector added.
+    It holds the Dk x Dk sums alone: a sector is branched as it is added."""
 
     def __init__(self, basis: FockBasis, orders):
         self.basis = basis
-        self.tables = {k: _branching_table(basis, k) for k in orders}
-        self.sums = {k: np.zeros((occs_k.shape[0],) * 2)
-                     for k, (occs_k, _, _) in self.tables.items()}
-        # block, place in the block and row start in its sector's flat copy
-        self.cls, self.pos, self.start = np.empty(
-            (3, basis.dim if self.tables else 0), dtype=np.int64)
+        self.sums = {k: np.zeros((basis.recurrence.sector(k).shape[0],) * 2)
+                     for k in orders}
 
     def add(self, n: int, blocks, flat: np.ndarray) -> None:
         """Add sector n, given as its class blocks [(rows, G)] and flat,
         the blocks' entries laid end to end and one zero after them: a pair
         in different classes reads that zero."""
-        tables = [(k, t) for k, t in self.tables.items() if k <= n]
-        if not tables:
+        orders = [k for k in self.sums if k <= n]
+        if not orders:
             return
-        cls, pos, start = self.cls, self.pos, self.start
+        # block, place in the block and row start in flat, by place in sector n
+        cls, pos, start = np.empty((3, self.basis.sector_dim(n)), np.int64)
         at = 0
         for c, (g, G) in enumerate(blocks):
+            g = g - self.basis.sector_offsets[n]
             cls[g], pos[g] = c, np.arange(g.size)
             start[g] = at + pos[g] * g.size
             at += G.size
-        for k, (_, rows, coefs) in tables:
-            cols = self.basis.sector_slice(n - k)
-            a, b = rows[:, None, cols], rows[None, :, cols]
+        for k in orders:
+            rows, c = _branching(self.basis, k, n - k)
+            a, b = rows[:, None], rows[None, :]
             vals = flat[np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
-            c = coefs[:, cols]
             self.sums[k] += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)
 
     def result(self, scale: float = 1.0) -> dict:
         """{k: MomentMatrix} of the sums, symmetrized and times scale."""
         return {k: MomentMatrix(k=k, entries=0.5 * (g + g.T) * scale,
-                                occupations=self.tables[k][0])
+                                occupations=self.basis.recurrence.sector(k))
                 for k, g in self.sums.items()}
 
 

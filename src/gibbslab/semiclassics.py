@@ -40,6 +40,10 @@ _CHUNK = 256
 _REACH_TAIL = 2.0 ** -60  # Poisson mass a point leaves beyond its reach
 _REACH_REL = 2.0 ** -53   # omitted share of a density that forces the full basis
 _TAIL_THRESHOLD = 1e-6  # coherent mass beyond n_max that triggers TailWarning
+# the largest nu = |v|^2 whose vacuum amplitude exp(-nu/2), the first factor
+# of every coherent amplitude, is a normal float; above it the walk's
+# products lose their bits (at K = 1, nu = 1600 gives the zero vector)
+_NU_MAX = -2.0 * math.log(np.finfo(float).tiny)
 
 
 class TailWarning(UserWarning):
@@ -54,16 +58,27 @@ class CoherentVector:
     tail_bound: float
 
 
+def _check_nu(nu) -> None:
+    """Refuse coherent points with |v|^2 above _NU_MAX."""
+    top = float(np.max(nu, initial=0.0))
+    if top > _NU_MAX:
+        raise ValueError(f"coherent point with nu = |v|^2 = {top:.6g} above "
+                         f"the limit {_NU_MAX:.6f}, where exp(-nu/2) is "
+                         "subnormal")
+
+
 def coherent(v: np.ndarray, basis: FockBasis) -> CoherentVector:
     """Coherent state over v, truncated at the basis cutoff.
 
     Warns when the Poisson mass beyond n_max exceeds 1e-6; keeping
-    |v|^2 <= n_max / 2 is a comfortable regime.
+    |v|^2 <= n_max / 2 is a comfortable regime. |v|^2 above _NU_MAX
+    (1416.79) is refused.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != basis.K:
         raise ValueError("coherent vector length must match the mode count")
     nu = float(np.sum(np.abs(v) ** 2))
+    _check_nu(nu)
     tail = float(gammainc(basis.n_max + 1, nu)) if nu > 0 else 0.0
     if tail > _TAIL_THRESHOLD:
         warnings.warn(f"coherent tail mass {tail:.3e} beyond n_max={basis.n_max}",
@@ -103,8 +118,9 @@ def _coherent_chunks(vs: np.ndarray, nu: np.ndarray, basis: FockBasis,
     column per point). A caller lets each sector go before it asks for the
     next, so at most two sectors of amplitudes are alive at a time. Every
     chunk reads the parent table the basis was enumerated with; the walk
-    builds none.
+    builds none. A point with nu above _NU_MAX is refused before any chunk.
     """
+    _check_nu(nu)
     order = np.argsort(nu, kind="stable")
     for lo in range(0, order.size, _CHUNK):
         idx = order[lo:lo + _CHUNK]

@@ -222,7 +222,7 @@ def _record_marginal_orders(monkeypatch) -> list:
     class Recording(gather):
         def __init__(self, basis, ks):
             super().__init__(basis, ks)
-            orders.append(tuple(self.tables))
+            orders.append(tuple(self.sums))
 
     monkeypatch.setattr(fock, "_Marginals", Recording)
     return orders
@@ -654,6 +654,30 @@ def test_selfchecks_pass(small_config):
         assert c.passed, f"{c.name}: measured {c.measured} > {c.tolerance}"
 
 
+def test_selfchecks_keep_no_gibbs_block(small_config, monkeypatch):
+    # the selfchecks read a solved point's basis, log Z and free state, never
+    # its blocks, so no solve_point call of theirs keeps them
+    solve, kept = fock.solve_point, []
+
+    def spy(*args, **kwargs):
+        point = solve(*args, **kwargs)
+        kept.append(point.gibbs is not None)
+        return point
+
+    monkeypatch.setattr(fock, "solve_point", spy)
+    checks = run_selfchecks(small_config)
+    assert kept == [False, False]
+    # negative control: the same solves with their blocks kept are seen,
+    # and every check measures the same value either way
+    monkeypatch.setattr(fock, "solve_point", lambda *args, **kwargs: spy(
+        *args, **{**kwargs, "keep_blocks": True}))
+    kept.clear()
+    again = run_selfchecks(small_config)
+    assert kept == [True, True]
+    assert [(c.name, c.measured) for c in again] \
+        == [(c.name, c.measured) for c in checks]
+
+
 @pytest.mark.filterwarnings("error::gibbslab.semiclassics.TailWarning")
 def test_selfchecks_on_free_case_count_tail_warnings_in_the_note():
     # the 20 coherent pairs of coherent_overlap are cut at n_max 30; the
@@ -1037,6 +1061,46 @@ def test_cli_non_positive_temperature_is_an_error(
     assert cli.main([command, "--config", str(config_file), "--T", T]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: --T must be a positive finite temperature"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_a_coherent_point_past_the_float_range(config_file,
+                                                          capsys):
+    # one mode at T = 1000 (n_max 3879, within the budget): the coherent
+    # walks of the Berezin-Lieb and trial stages meet points with |v|^2
+    # above 1416.79, whose amplitudes would lose their bits; the sweep stops
+    # with one error line instead of reporting them
+    config_file.write_text(config_file.read_text().replace(
+        "K = 2", "K = 1").replace("T_schedule = 2.0, 4.0",
+                                  "T_schedule = 1000"))
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: coherent point with nu = |v|^2 = ")
+
+
+@pytest.mark.parametrize("schedule, refused", [
+    ("5, 5", True), ("5, 10", False), ("5, 10, 10, 20", True)],
+    ids=["repeated", "control", "repeated-inner"])
+def test_cli_refuses_a_repeated_temperature(config_file, tmp_path, capsys,
+                                            monkeypatch, schedule, refused):
+    # a repeated T compares a row with its own copy, so every monotonicity
+    # verdict between the two would pass vacuously
+    config_file.write_text(config_file.read_text().replace(
+        "T_schedule = 2.0, 4.0", f"T_schedule = {schedule}"))
+    if not refused:
+        assert cli.main(["converge", "--config", str(config_file)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "report.csv").exists()
+        return
+
+    def guard(*args, **kwargs):
+        raise AssertionError("ran before the config was validated")
+
+    monkeypatch.setattr(gl.classical, "sample_free", guard)
+    assert cli.main(["converge", "--config", str(config_file)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: T_schedule must be strictly ascending"]
     assert not (tmp_path / "out").exists()
 
 

@@ -371,18 +371,18 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
         if K >= 2 and n_max >= 2:
             assert len({b[0] for b in want_state.blocks}) \
                 < len(want_state.blocks)
-    occs_k, rows, coefs = fock._branching_table(fb, k)
+    got = gl.reduced_density_matrix(state, k)
+    occs_k = got.occupations
     assert np.array_equal(occs_k, oracles.colex_sector(K, k))
-    offsets = fb.sector_offsets
     for n in range(k, n_max + 1):
-        cols = slice(offsets[n - k], offsets[n - k + 1])
+        # sector n as the gather branches it, in places of sector n
+        rows, coefs = fock._branching(fb, k, n - k)
         rest = oracles.colex_sector(K, n - k)
         for a, p in enumerate(occs_k):
             ranks, c = oracles.branching_rows(fb, p, rest, n)
-            assert np.array_equal(rows[a, cols] - offsets[n], ranks)
-            assert coefs[a, cols].tobytes() == c.tobytes()
-    got = gl.reduced_density_matrix(state, k).entries
-    assert np.array_equal(got, oracles.reduced_density_matrix_pairs(
+            assert np.array_equal(rows[a], ranks)
+            assert coefs[a].tobytes() == c.tobytes()
+    assert np.array_equal(got.entries, oracles.reduced_density_matrix_pairs(
         want_state, k).entries)
     every = fock._state_marginals(state, range(1, min(3, n_max) + 1))
     assert list(every) == list(range(1, min(3, n_max) + 1))
@@ -395,23 +395,27 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_branching_table_weights_are_binomial(K, k):
+    # every sector k..n_max, branched over Sym^k (x) Sym^m, m = 0..n_max-k
     n_max = k + 4
     fb = gl.build_fock_basis(K, n_max)
-    occs_k, rows, coefs = fock._branching_table(fb, k)
-    rest = fb.occupations[:fb.sector_offsets[n_max - k + 1]]
-    assert rows.shape == coefs.shape == (occs_k.shape[0], rest.shape[0])
-    for a, p in enumerate(occs_k):
-        for r, occ in enumerate(rest):
-            assert np.array_equal(fb.occupations[rows[a, r]], p + occ)
-            exact = math.sqrt(math.prod(math.comb(int(x + y), int(x))
-                                        for x, y in zip(p, occ)))
-            assert abs(coefs[a, r] - exact) <= 1e-15 * exact
+    occs_k = fb.recurrence.sector(k)
+    for m in range(n_max - k + 1):
+        rows, coefs = fock._branching(fb, k, m)
+        rest = fb.recurrence.sector(m)
+        assert rows.shape == coefs.shape == (occs_k.shape[0], rest.shape[0])
+        sector = fb.occupations[fb.sector_slice(m + k)]
+        for a, p in enumerate(occs_k):
+            for r, occ in enumerate(rest):
+                assert np.array_equal(sector[rows[a, r]], p + occ)
+                exact = math.sqrt(math.prod(math.comb(int(x + y), int(x))
+                                            for x, y in zip(p, occ)))
+                assert abs(coefs[a, r] - exact) <= 1e-15 * exact
 
 
 def test_marginal_tables_read_the_basis_sectors(monkeypatch):
-    # the k-body occupations of the branching tables and of the
-    # normal-ordered route are the basis's own sectors k: neither
-    # enumerates anything
+    # the k-body occupations of the marginal gather (its per-sector
+    # branching included) and of the normal-ordered route are the basis's
+    # own sectors k: neither enumerates anything
     fb = gl.build_fock_basis(3, 6)
     state = fock.random_state(fb, 3)
     calls = []
@@ -422,12 +426,13 @@ def test_marginal_tables_read_the_basis_sectors(monkeypatch):
         return graded(K, n)
 
     monkeypatch.setattr(gl.kernels.Recurrence, "graded", counting)
-    gather = fock._Marginals(fb, (1, 2, 3))
+    every = fock._state_marginals(state, (1, 2, 3))
     normal = gl.reduced_dm_normal_ordered(state, 2)
     assert calls == []
-    for k, (occs_k, _, _) in gather.tables.items():
-        assert np.shares_memory(occs_k, fb.occupations)
-        assert np.array_equal(occs_k, oracles.colex_sector(3, k))
+    assert list(every) == [1, 2, 3]
+    for k, g in every.items():
+        assert np.shares_memory(g.occupations, fb.occupations)
+        assert np.array_equal(g.occupations, oracles.colex_sector(3, k))
     assert np.array_equal(normal.occupations, oracles.colex_sector(3, 2))
 
 
@@ -1187,9 +1192,10 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
                                                      monkeypatch):
     # the ed-k3 shape at T=7 (K=3, k_max=3, dense parity blocks on the
     # pool, 39 sectors): without its blocks kept, a point holds the gather's
-    # branching tables and the blocks of at most a few sectors, not the
-    # 20 MB of all of them. H is built before the measured window, as the
-    # assembly's own peak is not the solve's.
+    # Dk x Dk sums and the blocks of at most a few sectors, not the 20 MB of
+    # all of them; no branching of the whole basis is held (the gather
+    # branches each sector as it is added). H is built before the measured
+    # window, as the assembly's own peak is not the solve's.
     T = 7.0
     fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
@@ -1202,6 +1208,7 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
         _, tables = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert tables < 64 * 1024
     monkeypatch.setattr(fock, "build_hamiltonian", lambda *args: H)
     for workers in (1, 2):
         monkeypatch.setattr(fock, "_workers", lambda: workers)

@@ -114,6 +114,31 @@ def test_coherent_tail_warning():
         gl.coherent(np.array([2.5 + 0j]), fb)
 
 
+@pytest.mark.parametrize("nu, refused", [
+    (1488.0, True), (1600.0, True), (1400.0, False)])
+def test_coherent_points_past_the_normal_float_range_are_refused(nu, refused):
+    # exp(-nu/2), the first factor of every coherent amplitude, is subnormal
+    # above nu = 1416.79; there the walk gave a vector of norm 1.285 (nu =
+    # 1488) or the zero vector (nu = 1600), with a tail bound near 0
+    fb = gl.build_fock_basis(1, 2500, dim_budget=3000)
+    v = np.array([math.sqrt(nu) + 0j])
+    flat = fock.DiagonalState(fb, np.full(fb.dim, 1.0 / fb.dim))
+    if not refused:
+        xi = gl.coherent(v, fb)
+        assert abs(np.linalg.norm(xi.amplitudes) - 1.0) < 1e-12
+        assert xi.tail_bound < 1e-100
+        (h,) = semiclassics.husimi_density(flat, 1.0, v[None, :])
+        assert h == pytest.approx(1.0 / (math.pi * fb.dim), rel=1e-12)
+        return
+    for build in (lambda: gl.coherent(v, fb),
+                  lambda: semiclassics.husimi_density(flat, 1.0, v[None, :])):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == (
+            f"coherent point with nu = |v|^2 = {nu:g} above the limit "
+            "1416.792837, where exp(-nu/2) is subnormal")
+
+
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
 def test_overlap_law():
     # tails enter the tolerance explicitly here, so heavy draws are fine
