@@ -24,11 +24,18 @@ private routes only, and reach zherk through kernels._zherk, which
 releases the GIL. Each chunk and each block is computed as on one thread
 and the blocks are summed in order, so every bit is independent of the
 pool size.
+
+sample_free, reweight and the moment functions hold the whole ensemble,
+for `gibbslab sample` and the self-checks. The sweep streams it instead,
+one batch-means block at a time (sample_measure), keeping only F_NL and
+the rows the trial state reads; it shares their routines, and so their
+bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,12 +52,14 @@ __all__ = [
     "MomentMatrix",
     "MeanInteraction",
     "ClassicalFreeEnergy",
+    "MeasureSample",
     "sample_free",
     "f_nl_batch",
     "reweight",
     "moment_matrix",
     "moment_matrices",
     "moment_matrix_blocks",
+    "sample_measure",
     "free_moments",
     "mean_F_NL_free",
     "classical_relative_free_energy",
@@ -87,8 +96,13 @@ class WeightedEnsemble:
         return self.coeffs.shape[1]
 
     def normalized_weights(self) -> np.ndarray:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return w / w.sum()
+        return _normalized(self.log_weights)
+
+
+def _normalized(log_weights: np.ndarray) -> np.ndarray:
+    """The weights exp(log_weights), scaled to sum to 1."""
+    w = np.exp(log_weights - log_weights.max())
+    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -111,26 +125,41 @@ def sample_free(basis: SpectralBasis, n_samples: int,
                 seed: int) -> WeightedEnsemble:
     """Draw independent mode coefficients from the free Gaussian measure.
 
-    The generator is seeded with the first child of numpy's
-    SeedSequence(seed), so a fixed seed fixes the ensemble bit for bit. The
-    normals are drawn _CHUNK rows at a time into the one coefficient array;
-    the stream, and so every coefficient, is that of a single
-    (n_samples, 2K) draw.
+    The rows are the first n_samples of the free stream of seed
+    (_free_stream), drawn into the one coefficient array, so a fixed seed
+    fixes the ensemble bit for bit.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    K = basis.K
-    scale = np.sqrt(0.5 / basis.eigenvalues)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    coeffs = np.empty((n_samples, K), dtype=np.complex128)
-    # the float view of coeffs interleaves real and imaginary parts
-    parts = coeffs.view(np.float64)
-    for lo in range(0, n_samples, _CHUNK):
-        z = rng.standard_normal((min(_CHUNK, n_samples - lo), 2 * K))
-        np.multiply(z[:, :K], scale, out=parts[lo:lo + _CHUNK, 0::2])
-        np.multiply(z[:, K:], scale, out=parts[lo:lo + _CHUNK, 1::2])
+    coeffs = np.empty((n_samples, basis.K), dtype=np.complex128)
+    _free_stream(basis, seed)(coeffs)
     return WeightedEnsemble(coeffs=coeffs, log_weights=np.zeros(n_samples),
                             z_r=1.0, z_r_stderr=0.0, ess=float(n_samples))
+
+
+def _free_stream(basis: SpectralBasis, seed: int):
+    """fill(out) writes the next rows of the free coefficient stream of seed
+    into out, a complex128 (m, K) array.
+
+    The generator is seeded with the first child of numpy's
+    SeedSequence(seed). The normals are drawn _CHUNK rows at a time, each
+    half scaled straight into the real or the imaginary slots of out's float
+    view. Each row reads its 2K normals in turn, so the rows of any cut of
+    the stream into fills are those of a single (rows, 2K) draw.
+    """
+    scale = np.sqrt(0.5 / basis.eigenvalues)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+    def fill(out: np.ndarray) -> None:
+        K = out.shape[1]
+        # the float view of out interleaves real and imaginary parts
+        parts = out.view(np.float64)
+        for lo in range(0, out.shape[0], _CHUNK):
+            z = rng.standard_normal((min(_CHUNK, out.shape[0] - lo), 2 * K))
+            np.multiply(z[:, :K], scale, out=parts[lo:lo + _CHUNK, 0::2])
+            np.multiply(z[:, K:], scale, out=parts[lo:lo + _CHUNK, 1::2])
+
+    return fill
 
 
 def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
@@ -155,12 +184,14 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
 
 def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, rec: Recurrence,
                out: np.ndarray):
-    """out = F_NL of each of at most _CHUNK rows, one amplitude pass."""
-    for _, A in _amplitudes(rows, rec):
+    """out = F_NL of each row, one amplitude pass per _CHUNK rows. Each
+    column is computed on its own, so the bits do not depend on the cut."""
+    for lo, A in _amplitudes(rows, rec):
         # the real W_2 acts alike on the real and imaginary parts, which the
         # float view of A_2 interleaves sample by sample
         X = A[2].view(np.float64)
-        out[:] = np.einsum("pj,pj->j", X, W2 @ X).reshape(-1, 2).sum(axis=1)
+        out[lo:lo + _CHUNK] = \
+            np.einsum("pj,pj->j", X, W2 @ X).reshape(-1, 2).sum(axis=1)
 
 
 def _on_pool(fn, tasks: list) -> list:
@@ -178,20 +209,40 @@ def reweight(ensemble: WeightedEnsemble,
     z_r is the plain mean of the weights (its standard error by the usual
     sample-variance formula) and ess = (sum w)^2 / sum w^2.
     """
-    F = f_nl_batch(ensemble.coeffs, tensor)
+    F = _defocusing(f_nl_batch(ensemble.coeffs, tensor))
+    z, stderr, ess = _weight_statistics(_weights(F))
+    return replace(ensemble, log_weights=-F, z_r=z, z_r_stderr=stderr,
+                   ess=ess, reweighted=True)
+
+
+def _defocusing(F: np.ndarray) -> np.ndarray:
+    """F_NL values clipped at 0 in place, refused when one is below -1e-10.
+    Private, so pool workers may call it."""
     if np.any(F < -1e-10):
         raise ValueError("negative interaction energy: kernel is not defocusing")
-    F = np.clip(F, 0.0, None)
+    return np.clip(F, 0.0, None, out=F)
+
+
+def _weights(F: np.ndarray) -> np.ndarray:
+    """exp(-F) of clipped F_NL values, refused when every one underflows to
+    0: Z_r and the ESS would be 0/0."""
     w = np.exp(-F)
     if not w.any():
         raise ValueError(f"every weight exp(-F_NL) underflows to 0 (smallest "
                          f"F_NL {F.min():.6g}); the interaction is too strong")
-    n = ensemble.n
+    return w
+
+
+def _weight_statistics(w: np.ndarray) -> tuple:
+    """(z_r, z_r_stderr, ess) of the weights w: their plain mean, its
+    standard error by the usual sample-variance formula, and
+    (sum w)^2 / sum w^2, which reads 0 when every weight is 0."""
+    n = w.size
     z = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    ess = float(w.sum() ** 2 / np.sum(w**2))
-    return replace(ensemble, log_weights=-F, z_r=z, z_r_stderr=stderr,
-                   ess=ess, reweighted=True)
+    total = w.sum()
+    ess = float(total ** 2 / np.sum(w**2)) if total else 0.0
+    return z, stderr, ess
 
 
 def _amplitudes(coeffs: np.ndarray, rec: Recurrence):
@@ -232,23 +283,24 @@ def _hermitian(C: np.ndarray, scale: float) -> np.ndarray:
         upper + upper.conj().T + np.diag(C.diagonal().real * scale))
 
 
-def _checked_graded(ensemble: WeightedEnsemble, k_max: int) -> Recurrence:
-    """Recurrence.graded(K, k_max) of a moment pass up to order k_max,
-    refused when dim Sym^k_max(C^K) is too large for the memory budget:
-    it grows with k and is checked first, so an over-budget pass builds no
-    table or amplitude."""
+def _checked_graded(K: int, n: int, k_max: int) -> Recurrence:
+    """Recurrence.graded(K, k_max) of a moment pass up to order k_max over
+    n samples, refused when dim Sym^k_max(C^K) is too large for the memory
+    budget: it grows with k and is checked first, so an over-budget pass
+    builds no table or amplitude."""
     if k_max < 1:
         raise ValueError("moment order k must be >= 1")
-    D = math.comb(ensemble.K + k_max - 1, k_max)
-    if D > 5000 or ensemble.n * D > 4e8:
+    D = math.comb(K + k_max - 1, k_max)
+    if D > 5000 or n * D > 4e8:
         raise ValueError(f"symmetric space dim {D} too large for the memory budget")
-    return Recurrence.graded(ensemble.K, k_max)
+    return Recurrence.graded(K, k_max)
 
 
-def _moments(ensemble: WeightedEnsemble, orders, rec: Recurrence,
-             with_stderr: bool = False):
-    """Self-normalized moment matrices of the given orders, one chunk loop
-    over the amplitudes of rec (_checked_graded of the top order).
+def _moments(coeffs: np.ndarray, log_weights: np.ndarray, orders,
+             rec: Recurrence, with_stderr: bool = False):
+    """Self-normalized moment matrices of the given orders of the samples
+    coeffs with log_weights, one chunk loop over the amplitudes of rec
+    (_checked_graded of the top order).
 
     Per chunk and order, A_k is scaled in place by sqrt(w) and enters one
     Hermitian rank update; k! is applied to the finished sums. Returns the
@@ -257,14 +309,14 @@ def _moments(ensemble: WeightedEnsemble, orders, rec: Recurrence,
     of w^2 |A_k|^2 (|A_k|^2)^T ride along in the same loop. It calls
     private routes only, so pool workers may run it.
     """
-    wt = ensemble.normalized_weights()
+    wt = _normalized(log_weights)
     dims = [rec.sector(k).shape[0] for k in orders]
     # Fortran order lets zherk and dsyrk update the sums in place
     M = [np.zeros((D, D), dtype=np.complex128, order="F") for D in dims]
     X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
     Q = [np.zeros((D, D), order="F") if with_stderr else None for D in dims]
     acc_w2 = 0.0
-    for lo, A in _amplitudes(ensemble.coeffs, rec):
+    for lo, A in _amplitudes(coeffs, rec):
         wc = wt[lo:lo + _CHUNK]
         root = np.sqrt(wc)
         for k, Mk, Xk, Qk in zip(orders, M, X, Q):
@@ -306,10 +358,11 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
-    rec = _checked_graded(ensemble, k)
+    rec = _checked_graded(ensemble.K, ensemble.n, k)
+    args = (ensemble.coeffs, ensemble.log_weights, (k,), rec)
     if not with_stderr:
-        return _moments(ensemble, (k,), rec)[0]
-    (moment,), (stderr,) = _moments(ensemble, (k,), rec, with_stderr=True)
+        return _moments(*args)[0]
+    (moment,), (stderr,) = _moments(*args, with_stderr=True)
     return moment, stderr
 
 
@@ -317,8 +370,9 @@ def moment_matrices(ensemble: WeightedEnsemble, k_max: int) -> dict:
     """{k: moment_matrix(ensemble, k)} for k = 1..k_max, bitwise, from one
     amplitude pass per chunk."""
     orders = range(1, k_max + 1)
-    return dict(zip(orders, _moments(ensemble, orders,
-                                     _checked_graded(ensemble, k_max))))
+    rec = _checked_graded(ensemble.K, ensemble.n, k_max)
+    return dict(zip(orders, _moments(ensemble.coeffs, ensemble.log_weights,
+                                     orders, rec)))
 
 
 def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
@@ -339,14 +393,28 @@ def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    rec = _checked_graded(ensemble, k_max)
+    rec = _checked_graded(ensemble.K, ensemble.n, k_max)
     orders = range(1, k_max + 1)
-    w = np.exp(ensemble.log_weights - ensemble.log_weights.max())
-    bounds = np.linspace(0, ensemble.n, n_blocks + 1).astype(int)
-    per_block = _on_pool(_moments, [
-        (replace(ensemble, coeffs=ensemble.coeffs[lo:hi],
-                 log_weights=ensemble.log_weights[lo:hi]), orders, rec)
-        for lo, hi in zip(bounds[:-1], bounds[1:])])
+    lw = ensemble.log_weights
+    bounds = _block_bounds(ensemble.n, n_blocks)
+    per_block = _on_pool(_moments, [(ensemble.coeffs[lo:hi], lw[lo:hi],
+                                     orders, rec)
+                                    for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return _combine_blocks(lw, bounds, per_block, orders)
+
+
+def _block_bounds(n: int, n_blocks: int) -> np.ndarray:
+    """Edges of n_blocks contiguous batch-means blocks of n samples."""
+    return np.linspace(0, n, n_blocks + 1).astype(int)
+
+
+def _combine_blocks(log_weights: np.ndarray, bounds: np.ndarray,
+                    per_block: list, orders) -> dict:
+    """{k: (MomentMatrix, list of block entries)} of the blocks' moment
+    matrices per_block: each full matrix is the blocks' mean weighted by
+    their share of the total weight exp(log_weights), summed in order."""
+    w = log_weights - log_weights.max()
+    np.exp(w, out=w)
     shares = np.add.reduceat(w, bounds[:-1]) / w.sum()
     out = {}
     for i, k in enumerate(orders):
@@ -354,6 +422,86 @@ def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
         full = sum(s * b for s, b in zip(shares, blocks))
         out[k] = (replace(per_block[0][i], entries=full), blocks)
     return out
+
+
+@dataclass(frozen=True)
+class MeasureSample:
+    """What one streamed pass over the interacting measure keeps.
+
+    head is the reweighted ensemble of the first rows the pass kept, whose
+    own z_r, stderr and ess describe those rows only (None when it kept
+    none). z_r, z_r_stderr and ess are those of the whole ensemble, and
+    moments is {k: (MomentMatrix, list of block entries)} as
+    moment_matrix_blocks returns it (empty when no order was asked for).
+    """
+
+    head: WeightedEnsemble | None
+    z_r: float
+    z_r_stderr: float
+    ess: float
+    moments: dict
+
+
+def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
+                   n_samples: int, seed: int, k_max: int, keep: int,
+                   n_blocks: int = N_BLOCKS) -> MeasureSample:
+    """moment_matrix_blocks(reweight(sample_free(basis, n_samples, seed),
+    tensor), k_max, n_blocks), bitwise, without holding the ensemble.
+
+    The calling thread draws the blocks in turn from the free stream of
+    sample_free and keeps their rows below keep; the pool computes each
+    block's F_NL and its moment matrices of orders 1..k_max (none for
+    k_max = 0), at most two blocks in flight, so at most two blocks of
+    coefficients are held. Each block is cut and normalized as
+    moment_matrix_blocks cuts it. A block with a negative F_NL is refused,
+    as reweight refuses it, when it is collected: no later block is drawn.
+    Only F_NL is kept, 8 bytes per sample; after the last block the
+    weights, their statistics (and the underflow refusal, which reads every
+    weight) and the block shares come from it by the routines of reweight
+    and moment_matrix_blocks.
+    """
+    if n_blocks < 2 or n_blocks > n_samples:
+        raise ValueError("need 2 <= n_blocks <= n_samples")
+    if not 0 <= keep <= n_samples:
+        raise ValueError("keep must lie in 0..n_samples")
+    K = basis.K
+    F = np.empty(n_samples)
+    head = np.empty((keep, K), dtype=np.complex128)
+    orders = range(1, k_max + 1)
+    m_rec = _checked_graded(K, n_samples, k_max) if k_max else None
+    W2, f_rec = tensor.pair_matrix(), Recurrence.graded(K, 2)
+    fill = _free_stream(basis, seed)
+    bounds = _block_bounds(n_samples, n_blocks)
+    per_block, pending = [], deque()
+    with ThreadPoolExecutor(min(2, _workers())) as pool:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if len(pending) == 2:
+                per_block.append(pending.popleft().result())
+            rows = np.empty((hi - lo, K), dtype=np.complex128)
+            fill(rows)
+            if lo < keep:
+                head[lo:hi] = rows[:keep - lo]
+            pending.append(pool.submit(_measure_block, rows, W2, f_rec,
+                                       m_rec, orders, F[lo:hi]))
+        per_block += [task.result() for task in pending]
+    w = _weights(F)
+    held = None if keep == 0 else WeightedEnsemble(
+        head, -F[:keep], *_weight_statistics(w[:keep]), reweighted=True)
+    stats = _weight_statistics(w)
+    del w
+    # F turns into the log-weights in place: one array of n samples is held
+    lw = np.negative(F, out=F)
+    return MeasureSample(held, *stats,
+                         _combine_blocks(lw, bounds, per_block, orders))
+
+
+def _measure_block(rows: np.ndarray, W2: np.ndarray, f_rec: Recurrence,
+                   m_rec: Recurrence | None, orders, F: np.ndarray) -> list:
+    """F = the clipped F_NL of one block's rows, then the block's moment
+    matrices of orders over m_rec. Private routes only, for the pool."""
+    _f_nl_rows(rows, W2, f_rec, F)
+    _defocusing(F)
+    return _moments(rows, -F, orders, m_rec) if orders else []
 
 
 def free_moments(eigenvalues: np.ndarray, k: int) -> MomentMatrix:

@@ -7,6 +7,8 @@ the classical moment matrices, plus the free-energy offset
 (F_coupled - F_free)/T against -log Z_r. The classical ensemble is sampled
 once (the measure does not depend on T), so distances at different T share
 their Monte Carlo noise, which sharpens the monotonicity checks on purpose.
+It is streamed by batch-means block (classical.sample_measure), and only
+the rows the trial state reads are held.
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ class ConvergenceResult:
     mode_parity: list
     degenerate: bool
     wall_s: float
+    classical: dict     # wall time and sample counts of the classical side
 
 
 def resolve(config: ExperimentConfig):
@@ -224,21 +227,23 @@ def row_seeds(seed: int, n: int) -> list:
 
 
 def _classical_side(config: ExperimentConfig, basis: SpectralBasis, tensor):
-    """Ensemble, Z_r and moment matrices (exact ones when no interaction)."""
+    """One streamed pass over the ensemble: the measure (its trial rows and
+    ESS), Z_r and the moment matrices with their blocks (exact ones and no
+    blocks when there is no interaction)."""
     degenerate = config.kernel.is_zero
-    ensemble = classical.sample_free(basis, config.mc_samples, config.seed)
-    ensemble = classical.reweight(ensemble, tensor)
+    measure = classical.sample_measure(
+        basis, tensor, config.mc_samples, config.seed,
+        0 if degenerate else config.k_max, config.trial_subsample)
     if degenerate:
         moments = {k: classical.free_moments(basis.eigenvalues, k)
                    for k in range(1, config.k_max + 1)}
         blocks = dict.fromkeys(moments)
         z_r, z_err = 1.0, 0.0
     else:
-        pairs = classical.moment_matrix_blocks(ensemble, config.k_max)
-        moments = {k: m for k, (m, _) in pairs.items()}
-        blocks = {k: b for k, (_, b) in pairs.items()}
-        z_r, z_err = ensemble.z_r, ensemble.z_r_stderr
-    return ensemble, z_r, z_err, moments, blocks, degenerate
+        moments = {k: m for k, (m, _) in measure.moments.items()}
+        blocks = {k: b for k, (_, b) in measure.moments.items()}
+        z_r, z_err = measure.z_r, measure.z_r_stderr
+    return measure, z_r, z_err, moments, blocks, degenerate
 
 
 def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
@@ -330,22 +335,26 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Run the full sweep, one temperature row after another."""
     t0 = time.perf_counter()
     basis, tensor = resolve(config)
-    ensemble, z_r, z_err, moments, blocks, degenerate = _classical_side(
+    t1 = time.perf_counter()
+    measure, z_r, z_err, moments, blocks, degenerate = _classical_side(
         config, basis, tensor)
+    side = {"wall_s": time.perf_counter() - t1,
+            "samples": config.mc_samples, "blocks": classical.N_BLOCKS,
+            "held_samples": 0 if measure.head is None else measure.head.n}
     seeds = row_seeds(config.seed, len(config.T_schedule))
-    rows = [_temperature_row(config, basis, tensor, ensemble, moments, blocks,
-                             degenerate, T, seed)
+    rows = [_temperature_row(config, basis, tensor, measure.head, moments,
+                             blocks, degenerate, T, seed)
             for T, seed in zip(config.T_schedule, seeds)]
     target = -math.log(z_r)
     for row in rows:
         row.f_target = target
         row.f_stderr = z_err / z_r
     return ConvergenceResult(config=config, rows=rows, z_r=z_r,
-                             z_r_stderr=z_err, ess=ensemble.ess,
+                             z_r_stderr=z_err, ess=measure.ess,
                              eigenvalues=basis.eigenvalues,
                              mode_parity=tensor.parity.tolist(),
                              degenerate=degenerate,
-                             wall_s=time.perf_counter() - t0)
+                             wall_s=time.perf_counter() - t0, classical=side)
 
 
 def evaluate_properties(result: ConvergenceResult) -> dict:
@@ -466,6 +475,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
         "rows": [row_dict(r) for r in result.rows],
         "properties": evaluate_properties(result),
         "wall_clock_s": result.wall_s,
+        "classical": result.classical,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__},
     }

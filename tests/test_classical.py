@@ -412,7 +412,7 @@ def test_classical_side_calls_public_names_on_the_calling_thread(
 
     monkeypatch.setattr(gl.classical, "_products", spy)
     _classical_side(cfg, basis, tensor)
-    assert ("gibbslab.classical.moment_matrix_blocks", caller) in public
+    assert ("gibbslab.classical.sample_measure", caller) in public
     assert {thread for _, thread in public} == {caller}
     assert private and caller not in private
 
@@ -443,6 +443,116 @@ def test_one_parent_table_per_pass(monkeypatch, basis_k3, tensor_k3):
     assert calls == [(3, 2), (3, 3)]
     moment_matrices(weighted, 2)
     assert calls == [(3, 2), (3, 3), (3, 2)]
+    # the streamed pass: one table for its moments, one for its F_NL
+    del calls[:]
+    gl.classical.sample_measure(basis_k3, tensor_k3, 3 * _CHUNK + 5, 2,
+                                k_max=3, keep=4, n_blocks=5)
+    assert calls == [(3, 3), (3, 2)]
+
+
+def test_streamed_pass_matches_the_held_ensemble(basis_k3, tensor_k3,
+                                                 monkeypatch):
+    # 7 blocks of 3 _CHUNK + 5 rows: no block edge falls on a chunk edge,
+    # and the kept rows cross the first block edge
+    n, keep = 3 * _CHUNK + 5, 3600
+    held = gl.reweight(gl.sample_free(basis_k3, n, seed=23), tensor_k3)
+    want = moment_matrix_blocks(held, 3, n_blocks=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+            threads = threading.active_count()
+            got = gl.classical.sample_measure(basis_k3, tensor_k3, n, 23,
+                                              k_max=3, keep=keep, n_blocks=7)
+            assert threading.active_count() == threads
+            assert (got.z_r, got.z_r_stderr, got.ess) \
+                == (held.z_r, held.z_r_stderr, held.ess)
+            assert got.head.coeffs.tobytes() == held.coeffs[:keep].tobytes()
+            assert got.head.log_weights.tobytes() \
+                == held.log_weights[:keep].tobytes()
+            assert sorted(got.moments) == [1, 2, 3]
+            for k, (full, blocks) in want.items():
+                got_full, got_blocks = got.moments[k]
+                assert got_full.entries.tobytes() == full.entries.tobytes()
+                assert np.array_equal(got_full.occupations, full.occupations)
+                assert len(got_blocks) == 7
+                for a, b in zip(got_blocks, blocks):
+                    assert a.tobytes() == b.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_streamed_head_describes_its_own_rows(basis_k3, tensor_k3):
+    got = gl.classical.sample_measure(basis_k3, tensor_k3, 2000, 5,
+                                      k_max=0, keep=300)
+    ens = gl.sample_free(basis_k3, 300, seed=5)
+    want = gl.reweight(ens, tensor_k3)
+    assert got.moments == {}
+    assert got.head.reweighted and got.head.n == 300
+    assert (got.head.z_r, got.head.z_r_stderr, got.head.ess) \
+        == (want.z_r, want.z_r_stderr, want.ess)
+    assert got.ess != want.ess
+    assert gl.classical.sample_measure(basis_k3, tensor_k3, 200, 5, k_max=1,
+                                       keep=0, n_blocks=2).head is None
+
+
+def test_streamed_pass_refuses_a_negative_energy_at_its_block(
+        basis_k3, tensor_k3, monkeypatch):
+    # the refusal of reweight, raised when the first block is collected:
+    # with at most two blocks in flight, no third block is drawn or gathered
+    flipped = gl.TwoBodyTensor.with_parity(-tensor_k3.entries,
+                                           tensor_k3.parity)
+    with pytest.raises(ValueError, match="kernel is not defocusing"):
+        gl.reweight(gl.sample_free(basis_k3, 100, seed=3), flipped)
+    drawn, gathered = [], []
+    stream, block = gl.classical._free_stream, gl.classical._measure_block
+
+    def counting_stream(*args):
+        fill = stream(*args)
+
+        def counting_fill(out):
+            drawn.append(out.shape[0])
+            fill(out)
+        return counting_fill
+
+    def counting_block(*args):
+        gathered.append(args[0].shape[0])
+        return block(*args)
+
+    monkeypatch.setattr(gl.classical, "_free_stream", counting_stream)
+    monkeypatch.setattr(gl.classical, "_measure_block", counting_block)
+    for workers in (1, 2):
+        monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+        del drawn[:], gathered[:]
+        with pytest.raises(ValueError, match="^negative interaction energy: "
+                           "kernel is not defocusing$"):
+            gl.classical.sample_measure(basis_k3, flipped, 4000, 3, k_max=2,
+                                        keep=10, n_blocks=10)
+        assert 1 <= len(gathered) <= len(drawn) <= 2
+
+
+def test_streamed_side_peak_memory_is_bounded_by_blocks_and_chunks(
+        monkeypatch):
+    # the sweep's classical side holds F_NL (8 B a sample), at most two
+    # blocks of coefficients and one amplitude chunk of the graded set
+    # 0..3 at K=5 (56 rows) per busy worker, never the (n, K) ensemble
+    n = 400_000
+    cfg = dataclasses.replace(parse_config(_SIDE_CONFIG), K=5, k_max=3,
+                              mc_samples=n, trial_subsample=512)
+    basis = gl.eigendecompose(gl.build_operator(cfg.spec), cfg.K)
+    tensor = gl.interaction_elements(basis, cfg.kernel)
+    chunk = 56 * _CHUNK * 16
+    block = n // gl.classical.N_BLOCKS * cfg.K * 16
+    for workers in (1, 2):
+        monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            _classical_side(cfg, basis, tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (workers + 1.5) * chunk + 2 * block
 
 
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,

@@ -483,6 +483,27 @@ def test_emit_report_counts_and_format(tmp_path, small_config):
                                    "scipy": scipy.__version__}
 
 
+def test_summary_times_the_classical_side(tmp_path, small_config):
+    # the streamed classical pass gets its own line in summary.json; its
+    # wall time stays out of report.csv
+    for held in (small_config.trial_subsample, 0):
+        cfg = dataclasses.replace(small_config, trial_subsample=held)
+        res = run_convergence(cfg)
+        csv_a, json_a = emit_report(res, tmp_path / f"a{held}")
+        summary = json.load(open(json_a))
+        side = summary["classical"]
+        assert side == {"wall_s": side["wall_s"], "samples": cfg.mc_samples,
+                        "blocks": gl.classical.N_BLOCKS,
+                        "held_samples": held}
+        assert 0.0 < side["wall_s"] < summary["wall_clock_s"]
+        res.classical["wall_s"] += 100.0
+        csv_b, json_b = emit_report(res, tmp_path / f"b{held}")
+        assert open(csv_a, "rb").read() == open(csv_b, "rb").read()
+        assert json.load(open(json_b))["classical"]["wall_s"] \
+            == side["wall_s"] + 100.0
+    assert small_config.trial_subsample > 0
+
+
 def test_emit_report_empty_rows(tmp_path, small_config):
     res = run_convergence(small_config)
     res.rows = []
@@ -500,6 +521,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
     s1, s2 = json.load(open(j1)), json.load(open(j2))
     for s in (s1, s2):
         s.pop("wall_clock_s")
+        s["classical"].pop("wall_s")
         for row in s["rows"]:
             row.pop("wall_s")
             row.pop("stages")
@@ -1317,7 +1339,7 @@ def test_cli_memory_error_without_text_still_says_memory(
     def no_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(gl.classical, "sample_free", no_memory)
+    monkeypatch.setattr(gl.classical, "sample_measure", no_memory)
     assert cli.main(["converge", "--config", str(config_file)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
