@@ -183,10 +183,11 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
 
 
 def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, rec: Recurrence,
-               out: np.ndarray):
-    """out = F_NL of each row, one amplitude pass per _CHUNK rows. Each
-    column is computed on its own, so the bits do not depend on the cut."""
-    for lo, A in _amplitudes(rows, rec):
+               out: np.ndarray, buf: np.ndarray | None = None):
+    """out = F_NL of each row, one amplitude pass per _CHUNK rows, written
+    into buf (see _amplitudes). Each column is computed on its own, so the
+    bits do not depend on the cut."""
+    for lo, A in _amplitudes(rows, rec, buf):
         # the real W_2 acts alike on the real and imaginary parts, which the
         # float view of A_2 interleaves sample by sample
         X = A[2].view(np.float64)
@@ -207,10 +208,12 @@ def reweight(ensemble: WeightedEnsemble,
     """Attach the interaction weights exp(-F_NL) to a free ensemble.
 
     z_r is the plain mean of the weights (its standard error by the usual
-    sample-variance formula) and ess = (sum w)^2 / sum w^2.
+    sample-variance formula) and ess = (sum w)^2 / sum w^2, read from the
+    weights scaled so that the largest is 1 (_weight_statistics).
     """
     F = _defocusing(f_nl_batch(ensemble.coeffs, tensor))
-    z, stderr, ess = _weight_statistics(_weights(F))
+    _refuse_underflow(F)
+    z, stderr, ess = _weight_statistics(F)
     return replace(ensemble, log_weights=-F, z_r=z, z_r_stderr=stderr,
                    ess=ess, reweighted=True)
 
@@ -223,29 +226,34 @@ def _defocusing(F: np.ndarray) -> np.ndarray:
     return np.clip(F, 0.0, None, out=F)
 
 
-def _weights(F: np.ndarray) -> np.ndarray:
-    """exp(-F) of clipped F_NL values, refused when every one underflows to
-    0: Z_r and the ESS would be 0/0."""
-    w = np.exp(-F)
-    if not w.any():
+def _refuse_underflow(F: np.ndarray) -> None:
+    """Refuse clipped F_NL values whose weights exp(-F) all underflow to
+    0: Z_r would be 0."""
+    if not np.exp(-F).any():
         raise ValueError(f"every weight exp(-F_NL) underflows to 0 (smallest "
                          f"F_NL {F.min():.6g}); the interaction is too strong")
-    return w
 
 
-def _weight_statistics(w: np.ndarray) -> tuple:
-    """(z_r, z_r_stderr, ess) of the weights w: their plain mean, its
-    standard error by the usual sample-variance formula, and
-    (sum w)^2 / sum w^2, which reads 0 when every weight is 0."""
-    n = w.size
+def _weight_statistics(F: np.ndarray) -> tuple:
+    """(z_r, z_r_stderr, ess) of the weights w = exp(-F) of clipped F_NL
+    values: the plain mean of w, its standard error by the usual
+    sample-variance formula, and the ESS (sum v)^2 / sum v^2 of
+    v = exp(-(F - min F)), which is w scaled so that its largest entry is
+    1. The ESS does not depend on that scale, but the scaled sums cannot
+    underflow to 0/0 where every w is below about 1e-162."""
+    n = F.size
+    w = np.exp(-F)
     z = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    total = w.sum()
-    ess = float(total ** 2 / np.sum(w**2)) if total else 0.0
+    # v overwrites w: one array of n weights is held
+    v = np.exp(np.subtract(F.min(), F, out=w), out=w)
+    total = v.sum()
+    ess = float(total ** 2 / np.square(v, out=v).sum())
     return z, stderr, ess
 
 
-def _amplitudes(coeffs: np.ndarray, rec: Recurrence):
+def _amplitudes(coeffs: np.ndarray, rec: Recurrence,
+                buf: np.ndarray | None = None):
     """Per _CHUNK rows of coeffs, yield (first row, [A_0, ..., A_k_max]).
 
     rec is Recurrence.graded(K, k_max), the pass's one parent table, built
@@ -255,18 +263,23 @@ def _amplitudes(coeffs: np.ndarray, rec: Recurrence):
     holds prod_j alpha_j^{m_j} / sqrt(m_j!) for sample s. Each amplitude is its
     parent's times one factor, so A_k is bitwise the same for every
     k_max >= k. The Sym^k components of the sample's k-fold tensor power
-    are sqrt(k!) A_k. Every chunk of _CHUNK rows is written into one
-    buffer, so a consumer may scale the views in place but must be done
-    with them before it asks for the next chunk.
+    are sqrt(k!) A_k.
+
+    Every chunk, the short last one included, is written into a
+    contiguous prefix of buf, a flat complex128 array of at least
+    dim(rec) * min(_CHUNK, rows) entries; without one, the call allocates
+    one of that size. A consumer may scale the views in place but must be
+    done with them before it asks for the next chunk.
     """
     offsets = rec.offsets
+    D = int(offsets[-1])
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    buf = None
+    if buf is None:
+        buf = np.empty(D * min(_CHUNK, coeffs.shape[0]), dtype=np.complex128)
     for lo in range(0, coeffs.shape[0], _CHUNK):
         rows = coeffs[lo:lo + _CHUNK]
-        if buf is None or buf.shape[1] != rows.shape[0]:
-            buf = np.empty((offsets[-1], rows.shape[0]), dtype=np.complex128)
-        A = _products(rows, rec, None, buf)
+        out = buf[:D * rows.shape[0]].reshape(D, rows.shape[0])
+        A = _products(rows, rec, None, out)
         yield lo, [A[offsets[k]:offsets[k + 1]]
                    for k in range(offsets.size - 1)]
 
@@ -297,10 +310,11 @@ def _checked_graded(K: int, n: int, k_max: int) -> Recurrence:
 
 
 def _moments(coeffs: np.ndarray, log_weights: np.ndarray, orders,
-             rec: Recurrence, with_stderr: bool = False):
+             rec: Recurrence, with_stderr: bool = False,
+             buf: np.ndarray | None = None):
     """Self-normalized moment matrices of the given orders of the samples
     coeffs with log_weights, one chunk loop over the amplitudes of rec
-    (_checked_graded of the top order).
+    (_checked_graded of the top order), written into buf (see _amplitudes).
 
     Per chunk and order, A_k is scaled in place by sqrt(w) and enters one
     Hermitian rank update; k! is applied to the finished sums. Returns the
@@ -316,7 +330,7 @@ def _moments(coeffs: np.ndarray, log_weights: np.ndarray, orders,
     X = [np.zeros_like(Mk) if with_stderr else None for Mk in M]
     Q = [np.zeros((D, D), order="F") if with_stderr else None for D in dims]
     acc_w2 = 0.0
-    for lo, A in _amplitudes(coeffs, rec):
+    for lo, A in _amplitudes(coeffs, rec, buf):
         wc = wt[lo:lo + _CHUNK]
         root = np.sqrt(wc)
         for k, Mk, Xk, Qk in zip(orders, M, X, Q):
@@ -453,7 +467,14 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
     block's F_NL and its moment matrices of orders 1..k_max (none for
     k_max = 0), at most two blocks in flight, so at most two blocks of
     coefficients are held. Each block is cut and normalized as
-    moment_matrix_blocks cuts it. A block with a negative F_NL is refused,
+    moment_matrix_blocks cuts it. The pass allocates one amplitude buffer
+    per pool thread (at most two) before the first block, sized for the
+    larger of the F_NL and moment recurrences and one chunk of the longest
+    block, and block b writes every chunk of both passes into buffer
+    b % threads: block b is drawn only once block b - 2 is collected, and
+    a pool of one thread runs the blocks in turn. So no block allocates
+    amplitudes of its own, and the buffers are dropped before the blocks
+    are combined. A block with a negative F_NL is refused,
     as reweight refuses it, when it is collected: no later block is drawn.
     Only F_NL is kept, 8 bytes per sample; after the last block the
     weights, their statistics (and the underflow refusal, which reads every
@@ -472,9 +493,13 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
     W2, f_rec = tensor.pair_matrix(), Recurrence.graded(K, 2)
     fill = _free_stream(basis, seed)
     bounds = _block_bounds(n_samples, n_blocks)
+    threads = min(2, _workers())
+    D = max(rec.offsets[-1] for rec in (f_rec, m_rec) if rec is not None)
+    size = int(D) * min(_CHUNK, int(np.diff(bounds).max()))
+    slots = [np.empty(size, dtype=np.complex128) for _ in range(threads)]
     per_block, pending = [], deque()
-    with ThreadPoolExecutor(min(2, _workers())) as pool:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+    with ThreadPoolExecutor(threads) as pool:
+        for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if len(pending) == 2:
                 per_block.append(pending.popleft().result())
             rows = np.empty((hi - lo, K), dtype=np.complex128)
@@ -482,13 +507,14 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
             if lo < keep:
                 head[lo:hi] = rows[:keep - lo]
             pending.append(pool.submit(_measure_block, rows, W2, f_rec,
-                                       m_rec, orders, F[lo:hi]))
+                                       m_rec, orders, F[lo:hi],
+                                       slots[b % threads]))
         per_block += [task.result() for task in pending]
-    w = _weights(F)
+    del slots, rows
+    _refuse_underflow(F)
     held = None if keep == 0 else WeightedEnsemble(
-        head, -F[:keep], *_weight_statistics(w[:keep]), reweighted=True)
-    stats = _weight_statistics(w)
-    del w
+        head, -F[:keep], *_weight_statistics(F[:keep]), reweighted=True)
+    stats = _weight_statistics(F)
     # F turns into the log-weights in place: one array of n samples is held
     lw = np.negative(F, out=F)
     return MeasureSample(held, *stats,
@@ -496,12 +522,14 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
 
 
 def _measure_block(rows: np.ndarray, W2: np.ndarray, f_rec: Recurrence,
-                   m_rec: Recurrence | None, orders, F: np.ndarray) -> list:
+                   m_rec: Recurrence | None, orders, F: np.ndarray,
+                   buf: np.ndarray) -> list:
     """F = the clipped F_NL of one block's rows, then the block's moment
-    matrices of orders over m_rec. Private routes only, for the pool."""
-    _f_nl_rows(rows, W2, f_rec, F)
+    matrices of orders over m_rec, both passes writing their amplitudes
+    into buf. Private routes only, for the pool."""
+    _f_nl_rows(rows, W2, f_rec, F, buf)
     _defocusing(F)
-    return _moments(rows, -F, orders, m_rec) if orders else []
+    return _moments(rows, -F, orders, m_rec, buf=buf) if orders else []
 
 
 def free_moments(eigenvalues: np.ndarray, k: int) -> MomentMatrix:

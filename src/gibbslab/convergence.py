@@ -390,7 +390,7 @@ def evaluate_properties(result: ConvergenceResult) -> dict:
             "monotonicity needs at least 2 valid temperatures")
     ess, n = result.ess, result.config.mc_samples
     cut = classical.DEGENERATE_ESS
-    out["ensemble_degenerate"] = ess < cut * n
+    out["ensemble_degenerate"] = not math.isfinite(ess) or ess < cut * n
     if out["ensemble_degenerate"]:
         out["violations"].append(f"classical ensemble is degenerate: ESS "
                                  f"{ess:.1f} of {n} samples, below {cut:.0%}")

@@ -158,6 +158,11 @@ def _has_pair_term(tensor: TwoBodyTensor, lam: float) -> bool:
     return lam != 0.0 and bool(np.any(tensor.entries))
 
 
+# Triplets of one two_body_coo call in build_hamiltonian: a run of sectors
+# is cut where rows * count_nonzero(W) would pass it.
+_TRIPLETS = 1 << 18
+
+
 def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
                       tensor: TwoBodyTensor, lam: float) -> FockOperator:
     """H = sum_j lambda_j a_j+ a_j + lam * (1/2) sum W[ijkl] a_i+ a_j+ a_l a_k.
@@ -167,6 +172,15 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     sector and keeps the operator block diagonal in total particle number.
     It also conserves the reflection parity (-1)^(occupation of the odd
     modes) of the tensor's mode classes, which labels each basis state.
+
+    The pair term is assembled over runs of consecutive sectors
+    (_sector_runs), each with at most _TRIPLETS triplets unless it is one
+    sector: a run's two_body_coo triplets become its CSR rows with global
+    columns, and the runs are stacked, so no whole-basis COO is held. The
+    operator conserves the particle number, so the triplets whose columns
+    are a run's states are every entry of the run's rows, and each row's
+    duplicates come in the order a whole-basis call gives them: H is
+    bitwise the one of a single COO -> CSR conversion.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size != basis.K:
@@ -178,12 +192,30 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     diag = basis.occupations @ eigenvalues
     H = sparse.diags(diag).tocsr()
     if _has_pair_term(tensor, lam):
-        rows, cols, vals = two_body_coo(basis.occupations, basis.table,
-                                        basis.strides, tensor.entries)
-        W = sparse.coo_matrix((vals, (rows, cols)),
-                              shape=(basis.dim, basis.dim)).tocsr()
-        H = H + lam * W
+        runs = []
+        for lo, hi in _sector_runs(basis, np.count_nonzero(tensor.entries)):
+            rows, cols, vals = two_body_coo(basis.occupations[lo:hi],
+                                            basis.table, basis.strides,
+                                            tensor.entries)
+            runs.append(sparse.coo_matrix(
+                (vals, (rows - lo, cols + lo)),
+                shape=(hi - lo, basis.dim)).tocsr())
+            del rows, cols, vals  # not held while the next run is built
+        H = H + lam * sparse.vstack(runs, format="csr")
     return FockOperator(basis, H, basis.occupations @ tensor.parity % 2)
+
+
+def _sector_runs(basis: FockBasis, per_row: int):
+    """(lo, hi) basis ranges of consecutive sectors, in order, each cut
+    before the sector that would take its rows * per_row past _TRIPLETS;
+    a sector past it alone is a run of its own."""
+    edges = [0]
+    offsets = basis.sector_offsets.tolist()
+    for lo, hi in zip(offsets[1:-1], offsets[2:]):
+        if (hi - edges[-1]) * per_row > _TRIPLETS:
+            edges.append(lo)
+    edges.append(offsets[-1])
+    return zip(edges[:-1], edges[1:])
 
 
 @dataclass(frozen=True)
@@ -417,16 +449,18 @@ def gibbs_state(H: FockOperator, T: float):
     return FockState(basis=H.basis, blocks=tuple(blocks)), log_z, energy
 
 
-def _branching(basis: FockBasis, k: int, m: int):
+def _branching(basis: FockBasis, k: int, m: int, log_fact: np.ndarray):
     """Sector m + k branched over Sym^k (x) Sym^m: the places in that
     sector of p + r and the weights sqrt(prod_j C(p_j + r_j, p_j)), a row
-    per k-body occupation p and a column per state r of sector m."""
+    per k-body occupation p and a column per state r of sector m.
+    log_fact[i] = gammaln(i + 1.0) for i = 0..n_max, read by index: the
+    bits of gammaln on each occupation."""
     occs_k, rest = basis.recurrence.sector(k), basis.recurrence.sector(m)
     rows = basis.table[(occs_k @ basis.strides)[:, None]
                        + (rest @ basis.strides)[None, :]]
     lgamma_p = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
     p, r = occs_k[:, None, :], rest[None, :, :]
-    terms = gammaln(p + r + 1.0) - gammaln(r + 1.0) - lgamma_p[p]
+    terms = log_fact[p + r] - log_fact[r] - lgamma_p[p]
     logs = terms[..., 0]
     for j in range(1, basis.K):  # in mode order: np.sum would add in another
         logs = logs + terms[..., j]
@@ -469,6 +503,7 @@ class _Marginals:
 
     def __init__(self, basis: FockBasis, orders):
         self.basis = basis
+        self.log_fact = gammaln(np.arange(1.0, basis.n_max + 2.0))
         self.sums = {k: np.zeros((basis.recurrence.sector(k).shape[0],) * 2)
                      for k in orders}
 
@@ -488,7 +523,7 @@ class _Marginals:
             start[g] = at + pos[g] * g.size
             at += G.size
         for k in orders:
-            rows, c = _branching(self.basis, k, n - k)
+            rows, c = _branching(self.basis, k, n - k, self.log_fact)
             a, b = rows[:, None], rows[None, :]
             vals = flat[np.where(cls[a] == cls[b], start[a] + pos[b], -1)]
             self.sums[k] += (c[:, None, :] * c[None, :, :] * vals).sum(axis=-1)

@@ -13,8 +13,9 @@ share.
         as a stream of sectors, each column only up to its own reach, over
         a Recurrence too
     two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
-        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k,
-        one step per annihilated pair (k, l) over every created pair and state
+        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k on
+        a run of basis states, one step per annihilated pair (k, l) over
+        every created pair and state
 
 The pools of fock and classical take _workers() threads. Their workers call
 private routes only (_products, _zherk and numpy), so nothing a tracer
@@ -270,14 +271,19 @@ def occupation_sectors(vs: np.ndarray, occs: Recurrence,
 
 def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,
                  W: np.ndarray):
-    """COO triplets of (1/2) sum_{ijkl} W[i,j,k,l] a_i+ a_j+ a_l a_k.
+    """COO triplets of (1/2) sum_{ijkl} W[i,j,k,l] a_i+ a_j+ a_l a_k on the
+    states occs.
 
-    occs: (dim, K) occupation numbers of the basis states; table: radix lookup
-    with table[occ . strides] = state index; W: (K, K, K, K) real tensor.
+    occs: (m, K) occupation numbers of any run of basis states, the whole
+    basis or some of its sectors; table: the basis's radix lookup with
+    table[occ . strides] = state index; W: (K, K, K, K) real tensor.
     Returns (rows, cols, vals) with duplicate entries left for the sparse
-    constructor to sum. The operator conserves total particle number, so every
-    produced row index is valid. Triplets come in the order (k, l, j, i,
-    state) over the nonzero W[i, j, k, l] and the states a_l a_k keeps.
+    constructor to sum: rows index the whole basis (they are table
+    lookups) and cols index the run, cols[t] being the row of occs the
+    triplet acts on. The operator conserves total particle number, so every
+    produced row index is valid and lies in the sectors of the run's
+    states. Triplets come in the order (k, l, j, i, state) over the nonzero
+    W[i, j, k, l] and the states a_l a_k keeps.
     """
     occs = np.asarray(occs, dtype=np.int64)
     keys = occs @ strides

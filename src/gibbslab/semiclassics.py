@@ -350,7 +350,8 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
     lh = np.log(np.clip(h, floor, None))
     lhp = np.log(np.clip(hp, floor, None))
 
-    w_state = np.exp(lh - logq)       # importance weights to the state density
+    log_w = lh - logq
+    w_state = np.exp(log_w)           # importance weights to the state density
     w_ref = np.exp(lhp - logq)
     ratio = lh - lhp
 
@@ -360,7 +361,10 @@ def husimi_kl_importance(state: FockState, ref: DiagonalState, eps: float,
                      + math.log(w_ref[s].mean() / w.mean()))
 
     value = kl(slice(None))
-    ess = float(w_state.sum() ** 2 / np.sum(w_state**2))
+    # the ESS of w_state scaled so that its largest weight is 1, which
+    # cannot underflow to 0/0
+    v = np.exp(log_w - log_w.max())
+    ess = float(v.sum() ** 2 / np.sum(v**2))
 
     nb = 10
     bounds = np.linspace(0, n_samples, nb + 1).astype(int)

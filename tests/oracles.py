@@ -25,13 +25,15 @@ are dense weighted sums of per-sample outer products. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
 scipy's dense divide-and-conquer driver, one by one. The free-state cutoff
 sums the free Gibbs weights over the enumerated basis and scans every
-cutoff in budget.
+cutoff in budget. The Hamiltonian's pair term is one two_body_coo call
+over the whole basis, converted to CSR at once.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -40,6 +42,7 @@ from scipy.special import gammainc, gammaln, logsumexp
 from gibbslab import (MomentMatrix, TwoBodyTensor, build_fock_basis,
                       build_hamiltonian, husimi_density)
 from gibbslab.fock import DiagonalState, FockState
+from gibbslab.kernels import two_body_coo
 
 
 def no_pair(K: int) -> TwoBodyTensor:
@@ -458,3 +461,13 @@ def gibbs_blocks_csr(H, T: float):
         V = U * np.exp(-lam / (2.0 * T))
         blocks.append((n, rows, (V @ V.T) * np.exp(-log_z)))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
+
+
+def hamiltonian_one_shot(fb, eigenvalues, tensor, lam: float):
+    """The CSR matrix of H_0 + lam * W on the Fock basis fb, its pair term
+    from one whole-basis two_body_coo call and one COO -> CSR conversion."""
+    rows, cols, vals = two_body_coo(fb.occupations, fb.table, fb.strides,
+                                    tensor.entries)
+    W = sparse.coo_matrix((vals, (rows, cols)), shape=(fb.dim, fb.dim))
+    return sparse.diags(fb.occupations @ eigenvalues).tocsr() \
+        + lam * W.tocsr()

@@ -555,6 +555,77 @@ def test_streamed_side_peak_memory_is_bounded_by_blocks_and_chunks(
         assert peak <= 8 * n + (workers + 1.5) * chunk + 2 * block
 
 
+def test_ess_reads_the_weights_scaled_to_a_largest_of_one():
+    # z_r and its stderr are those of w = exp(-F); the ESS is that of w,
+    # and stays so where every w^2 underflows (the plain sums read 0/0)
+    F = np.random.default_rng(3).exponential(2.0, 5000)
+    z, stderr, ess = gl.classical._weight_statistics(F)
+    w = np.exp(-F)
+    assert z == float(w.mean()) and stderr == float(w.std(ddof=1) / 5000**0.5)
+    assert ess == pytest.approx(w.sum() ** 2 / np.sum(w**2), rel=1e-12)
+    far = F + 400.0
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.exp(-far).sum() ** 2 / np.sum(np.exp(-far) ** 2))
+    z_far, _, ess_far = gl.classical._weight_statistics(far)
+    assert 0.0 < z_far < 1e-162
+    assert ess_far == pytest.approx(ess, rel=1e-12)
+
+
+def _buffers(outs: list) -> list:
+    """One array per distinct memory block the arrays outs were written in."""
+    found = []
+    for out in outs:
+        if not any(np.shares_memory(out, b) for b in found):
+            found.append(out)
+    return found
+
+
+def _recording_products(monkeypatch) -> list:
+    """The out arrays of every classical._products call, in call order;
+    holding them keeps each buffer alive, so no address is reused."""
+    outs, products = [], gl.classical._products
+
+    def recording(vs, rec, vacuum, out):
+        outs.append(out)
+        return products(vs, rec, vacuum, out)
+
+    monkeypatch.setattr(gl.classical, "_products", recording)
+    return outs
+
+
+def test_streamed_pass_writes_every_chunk_into_one_buffer_per_thread(
+        dirichlet_op, delta_kernel, monkeypatch):
+    # K=5, k_max=3, 10 blocks of chunk + 100 rows: a full and a short chunk
+    # per block, for the F_NL pass (21 rows) and the moment pass (56 rows),
+    # all written into one buffer per pool thread (chunks of 1000 rows keep
+    # the pass small)
+    basis = gl.eigendecompose(dirichlet_op, 5)
+    tensor = gl.interaction_elements(basis, delta_kernel)
+    chunk = 1000
+    monkeypatch.setattr(gl.classical, "_CHUNK", chunk)
+    outs = _recording_products(monkeypatch)
+    for workers in (1, 2):
+        monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
+        del outs[:]
+        gl.classical.sample_measure(basis, tensor, 10 * (chunk + 100), 3,
+                                    k_max=3, keep=0, n_blocks=10)
+        assert sorted(out.shape for out in outs) == sorted(10 * [
+            (21, chunk), (21, 100), (56, chunk), (56, 100)])
+        assert len(_buffers(outs)) == workers
+
+
+def test_held_passes_write_every_chunk_into_one_buffer(monkeypatch):
+    # two full chunks and a short one, in one buffer per call
+    ens = _weighted_ensemble(3, 2 * _CHUNK + 5, seed=4)
+    outs = _recording_products(monkeypatch)
+    for call in (lambda: moment_matrices(ens, 3),
+                 lambda: gl.moment_matrix(ens, 2, with_stderr=True)):
+        del outs[:]
+        call()
+        assert [out.shape[1] for out in outs] == [_CHUNK, _CHUNK, 5]
+        assert len(_buffers(outs)) == 1
+
+
 @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                3 * _CHUNK + 5])
 def test_chunked_sampling_matches_one_shot_draw(basis_k3, n):

@@ -9,6 +9,7 @@ import platform
 import threading
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -990,6 +991,43 @@ def test_cli_converge_fails_on_a_degenerate_ensemble(tmp_path, capsys):
     props = json.load(open(tmp_path / "out" / "summary.json"))["properties"]
     assert props["ensemble_degenerate"] is True and props["all"] is False
     assert props["all_valid"] and props["f_monotone"]
+
+
+def test_cli_converge_fails_on_weights_below_the_square_range(tmp_path,
+                                                               capsys):
+    # every exp(-F_NL) lies below 1e-162, so (sum w)^2 and sum w^2 both
+    # underflow; the ESS of the weights scaled to a largest of 1 still
+    # reads 1 of 2000, and the ensemble is refused as degenerate
+    path = _desk_at_coupling(tmp_path, "3e8")
+    assert cli.main(["converge", "--config", path]) == 2
+    assert "property violation: classical ensemble is degenerate: ESS 1.0 " \
+        "of 2000 samples" in capsys.readouterr().err
+    summary = json.load(open(tmp_path / "out" / "summary.json"))
+    assert summary["ess"] == 1.0 and 0.0 < summary["z_r"] < 1e-162
+    assert summary["properties"]["ensemble_degenerate"] is True
+
+
+def test_cli_converge_passes_a_weak_coupling_ensemble(tmp_path):
+    # the negative control of the degenerate verdicts: the same shape at
+    # g = 1 keeps most of its samples
+    path = _desk_at_coupling(tmp_path, "1.0")
+    assert cli.main(["converge", "--config", path]) == 0
+    summary = json.load(open(tmp_path / "out" / "summary.json"))
+    assert summary["ess"] > 0.5 * 2000
+    assert summary["properties"]["ensemble_degenerate"] is False
+    assert summary["properties"]["all"] is True
+
+
+@pytest.mark.parametrize("ess, degenerate", [
+    (float("nan"), True), (float("inf"), True), (1.0, True),
+    (99.0, True), (100.0, False), (2000.0, False)])
+def test_a_non_finite_ess_is_degenerate(ess, degenerate):
+    config = SimpleNamespace(k_max=1, mc_samples=2000)
+    props = gl.evaluate_properties(SimpleNamespace(rows=[], ess=ess,
+                                                   config=config))
+    assert props["ensemble_degenerate"] is degenerate
+    assert any(v.startswith("classical ensemble is degenerate")
+               for v in props["violations"]) is degenerate
 
 
 def test_cli_selfcheck_and_negative_control(config_file, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 import gibbslab as gl
 from gibbslab import fock
@@ -376,7 +376,7 @@ def test_rdm_gather_is_bitwise_the_pair_loop(K, n_max, seed, kind, data):
     assert np.array_equal(occs_k, oracles.colex_sector(K, k))
     for n in range(k, n_max + 1):
         # sector n as the gather branches it, in places of sector n
-        rows, coefs = fock._branching(fb, k, n - k)
+        rows, coefs = fock._branching(fb, k, n - k, _log_factorials(fb))
         rest = oracles.colex_sector(K, n - k)
         for a, p in enumerate(occs_k):
             ranks, c = oracles.branching_rows(fb, p, rest, n)
@@ -400,7 +400,7 @@ def test_branching_table_weights_are_binomial(K, k):
     fb = gl.build_fock_basis(K, n_max)
     occs_k = fb.recurrence.sector(k)
     for m in range(n_max - k + 1):
-        rows, coefs = fock._branching(fb, k, m)
+        rows, coefs = fock._branching(fb, k, m, _log_factorials(fb))
         rest = fb.recurrence.sector(m)
         assert rows.shape == coefs.shape == (occs_k.shape[0], rest.shape[0])
         sector = fb.occupations[fb.sector_slice(m + k)]
@@ -410,6 +410,31 @@ def test_branching_table_weights_are_binomial(K, k):
                 exact = math.sqrt(math.prod(math.comb(int(x + y), int(x))
                                             for x, y in zip(p, occ)))
                 assert abs(coefs[a, r] - exact) <= 1e-15 * exact
+
+
+def _log_factorials(fb):
+    """The log-factorial table the marginal gather hands _branching."""
+    return fock._Marginals(fb, ()).log_fact
+
+
+@pytest.mark.parametrize("K, n_max", [(2, 197), (3, 30)])
+def test_branching_table_lookup_matches_gammaln(K, n_max):
+    # the table lookups give gammaln's bits on every occupation: the
+    # weights of every (k, m) equal those of gammaln evaluated per entry
+    fb = gl.build_fock_basis(K, n_max)
+    table = _log_factorials(fb)
+    assert table.tobytes() == gammaln(np.arange(n_max + 1) + 1.0).tobytes()
+    for k in range(1, 4):
+        occs_k = fb.recurrence.sector(k)
+        lgamma_p = np.array([math.lgamma(i + 1.0) for i in range(k + 1)])
+        for m in range(n_max - k + 1):
+            rows, coefs = fock._branching(fb, k, m, table)
+            p, r = occs_k[:, None, :], fb.recurrence.sector(m)[None, :, :]
+            terms = gammaln(p + r + 1.0) - gammaln(r + 1.0) - lgamma_p[p]
+            logs = terms[..., 0]
+            for j in range(1, K):
+                logs = logs + terms[..., j]
+            assert coefs.tobytes() == np.exp(0.5 * logs).tobytes()
 
 
 def test_marginal_tables_read_the_basis_sectors(monkeypatch):
@@ -1186,6 +1211,65 @@ def test_streamed_point_matches_the_materialized_route(
     kept = gl.solve_point(basis.eigenvalues, tensor, T, k_max=3)
     _assert_same_gibbs((kept.gibbs, kept.log_z, kept.energy),
                        (state, want["log_z"], want["energy"]))
+
+
+@pytest.fixture(scope="module")
+def desk_k5(dirichlet_op, delta_kernel):
+    basis = gl.eigendecompose(dirichlet_op, 5)
+    return basis, gl.interaction_elements(basis, delta_kernel)
+
+
+@pytest.mark.parametrize("K, n_max, budget", [
+    (2, 197, None), (3, 53, None), (5, 9, None), (5, 10, None), (3, 20, 1)])
+def test_sector_batched_hamiltonian_matches_one_shot_assembly(
+        K, n_max, budget, basis_k2, tensor_k2, basis_k3, tensor_k3, desk_k5,
+        monkeypatch):
+    # desk's T=40, ed-k3's T=10 and classical-k5's T=1.5 bases, one whose
+    # top sector alone passes the triplet budget (K=5, n_max=10: 1001
+    # states of 313 triplets) and one where every sector passes it
+    basis, tensor = {2: (basis_k2, tensor_k2), 3: (basis_k3, tensor_k3),
+                     5: desk_k5}[K]
+    if budget is not None:
+        monkeypatch.setattr(fock, "_TRIPLETS", budget)
+    fb = gl.build_fock_basis(K, n_max, 30000)
+    per_row = np.count_nonzero(tensor.entries)
+    runs = list(fock._sector_runs(fb, per_row))
+    # the runs tile the basis on sector edges, each within the budget
+    # unless it is one sector
+    edges = [lo for lo, _ in runs] + [fb.dim]
+    assert edges[0] == 0 and [hi for _, hi in runs] == edges[1:]
+    starts = fb.sector_offsets.tolist()
+    assert set(edges) <= set(starts)
+    for lo, hi in runs:
+        assert (hi - lo) * per_row <= fock._TRIPLETS \
+            or starts.index(hi) - starts.index(lo) == 1
+    if n_max == 10 or budget:
+        assert fb.sector_dim(n_max) * per_row > fock._TRIPLETS
+        assert runs[-1] == (fb.sector_offsets[n_max], fb.dim)
+    if budget:
+        assert len(runs) == n_max + 1
+    got = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 0.1).matrix
+    want = oracles.hamiltonian_one_shot(fb, basis.eigenvalues, tensor, 0.1)
+    for M in (got, want):
+        M.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_hamiltonian_assembly_peak_memory_is_a_few_runs(basis_k3, tensor_k3):
+    # ed-k3's T=10 point (K=3, n_max=53, dim 27720, 278,619 stored entries):
+    # the whole-basis assembly held 1,016,964 COO triplets and peaked at
+    # 51.7 MB; each sector run holds at most 2^18 triplets (6.3 MB)
+    fb = gl.build_fock_basis(3, 53, 30000)
+    tracemalloc.start()
+    try:
+        H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.matrix.nnz == 278_619
+    assert peak <= 20 * 2**20
 
 
 def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,

@@ -517,6 +517,27 @@ def test_husimi_kl_importance_matches_quadrature_and_oracle():
     assert quad <= quantum + 1e-6
 
 
+def test_husimi_kl_ess_holds_where_the_squared_weights_underflow(
+        monkeypatch):
+    # the state's density times 1e-200 puts every importance weight below
+    # 1e-162, so its square underflows; the ESS reads the weights scaled
+    # to a largest of 1 and does not move
+    a = _thermal_single_mode(0.6, 50)
+    b = oracles.diagonal_of(_thermal_single_mode(1.1, 50))
+    want = husimi_kl_importance(a, b, 1.0, n_samples=2000, seed=11)
+    husimi = semiclassics._husimi
+
+    def dimmed(states, eps, points):
+        (h, hp), reach, redo = husimi(states, eps, points)
+        assert h.min() > 1e-80
+        return (h * 1e-200, hp), reach, redo
+
+    monkeypatch.setattr(semiclassics, "_husimi", dimmed)
+    got = husimi_kl_importance(a, b, 1.0, n_samples=2000, seed=11)
+    assert got.ess == pytest.approx(want.ess, rel=1e-12)
+    assert not got.degenerate and not want.degenerate
+
+
 def _kl_from_separate_densities(state, ref, eps, n_samples, seed):
     """The importance estimate of husimi_kl_importance, rebuilt from two
     husimi_density calls on the same proposal draws; ref is the reference
