@@ -17,6 +17,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -25,6 +26,11 @@ import numpy as np
 import scipy
 from scipy.linalg import eigvalsh
 from scipy.special import logsumexp
+
+try:
+    import resource
+except ImportError:  # not on this platform: per-stage RSS is null
+    resource = None
 
 from . import classical, fock, semiclassics
 from .metrics import hs_distance, trace_norm_distance
@@ -194,6 +200,7 @@ class ReportRow:
     bl: semiclassics.BLGap | None = None
     wall_s: float = 0.0
     stages: dict = field(default_factory=dict)      # stage -> wall seconds
+    stage_rss_mb: dict = field(default_factory=dict)  # stage -> peak RSS
     valid: bool = True
     error: str = ""
     notes: str = ""
@@ -246,16 +253,27 @@ def _classical_side(config: ExperimentConfig, basis: SpectralBasis, tensor):
     return measure, z_r, z_err, moments, blocks, degenerate
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident size so far (ru_maxrss) in MiB; None
+    without the resource module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0**20 if sys.platform == "darwin" else 1024.0)
+
+
 def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
                      tensor, ensemble, moments, blocks, degenerate: bool,
                      T: float, row_seed: int) -> ReportRow:
     t0 = time.perf_counter()
-    stages, clock = {}, [t0]
+    stages, rss, clock = {}, {}, [t0]
 
     def lap(stage: str) -> None:
-        """Add the wall time since the last lap to a stage."""
+        """Add the wall time since the last lap to a stage and record the
+        peak RSS after it."""
         now = time.perf_counter()
         stages[stage] = stages.get(stage, 0.0) + now - clock[0]
+        rss[stage] = _peak_rss_mb()
         clock[0] = now
 
     try:
@@ -269,11 +287,13 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
         lap("solve_point")
         return ReportRow(T=T, lam=1.0 / T, n_max=-1, tail_mass=math.nan,
                          valid=False, error=str(exc),
-                         wall_s=time.perf_counter() - t0, stages=stages)
+                         wall_s=time.perf_counter() - t0, stages=stages,
+                         stage_rss_mb=rss)
     lap("solve_point")
     fb, free_state = point.basis, point.free
     row = ReportRow(T=T, lam=point.lam, n_max=fb.n_max,
-                    tail_mass=point.tail_mass, dim=fb.dim, stages=stages)
+                    tail_mass=point.tail_mass, dim=fb.dim, stages=stages,
+                    stage_rss_mb=rss)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
@@ -443,6 +463,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
              "f_stderr": row.f_stderr, "trial_gap": row.trial_gap,
              "fe_identity_defect": row.fe_identity_defect,
              "wall_s": row.wall_s, "stages": row.stages,
+             "stage_rss_mb": row.stage_rss_mb,
              "distances": {str(k): {"value": m.value, "stderr": m.stderr,
                                     "hs": m.hs}
                            for k, m in row.distances.items()}}

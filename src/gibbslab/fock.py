@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -32,7 +33,8 @@ from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
 from .classical import MomentMatrix
-from .kernels import Recurrence, _workers, two_body_coo
+from .kernels import (Recurrence, _dsyevd, _syevd_sizes, _workers,
+                      two_body_coo)
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -305,25 +307,91 @@ def _class_blocks(H: FockOperator):
                P.data[a:b])
 
 
-def _solve_block(G: np.ndarray, T: float, tridiagonal: bool) -> np.ndarray:
-    """Solve the class block scattered into G, in G: leave V V^T there,
-    V = U exp(-lam/2T) formed over U (one syrk, exactly symmetric), and
-    return lam. Pool threads run the dense route, so it calls numpy alone."""
-    if tridiagonal:
-        e = G.diagonal(-1) if G.shape[0] > 1 else np.zeros(1)
-        lam, U, info = dstevd(G.diagonal(), e)
+def _widest_class(H: FockOperator) -> int:
+    """Rows of the widest (sector, class) block of H, from a bincount of
+    the (sector, label) pairs."""
+    sector = H.basis.occupations.sum(axis=1)
+    _, label = np.unique(H.labels, return_inverse=True)
+    return int(np.bincount(sector * (label.max() + 1) + label).max())
+
+
+def _workspace(d: int):
+    """One dense solve's arrays for blocks of up to d rows: a flat d x d
+    block and dsyevd's work and iwork for d rows, about 3 d^2 doubles."""
+    lwork, liwork = _syevd_sizes(d)
+    return np.empty(d * d), np.empty(lwork), np.empty(liwork, np.intc)
+
+
+class _Workspaces:
+    """The dense-solve workspaces of one Gibbs solve, each sized for its
+    widest class block (_widest_class). A solve takes a spare one, or
+    makes one (_workspace) when none is spare, and gives it back when it
+    ends, so there are at most as many as solves run at once; they are
+    dropped with this object."""
+
+    def __init__(self, d: int):
+        self.d, self.spare = d, []
+
+    @contextmanager
+    def take(self):
+        # list.pop and list.append are atomic, so the pool threads share
+        # the list without a lock
+        try:
+            ws = self.spare.pop()
+        except IndexError:
+            ws = _workspace(self.d)
+        try:
+            yield ws
+        finally:
+            self.spare.append(ws)
+
+
+def _solve_block(G: np.ndarray, r: np.ndarray, c: np.ndarray, v: np.ndarray,
+                 T: float, workspaces: _Workspaces | None = None) -> np.ndarray:
+    """Solve the class block whose entries v lie at (r, c) and write
+    V V^T into G, V = U exp(-lam/2T), formed over U (_gram); return lam.
+
+    Without workspaces the block is tridiagonal, and LAPACK's stevd gets
+    its diagonal and lower off-diagonal straight from the triplets. With
+    them, the dense route: the block is scattered into a taken workspace in
+    the layout numpy.linalg.eigh's copy has, Fortran (i, j) = block[i, j],
+    and dsyevd (kernels._dsyevd, with the GIL released) solves it there,
+    reading the lower triangle, bitwise as numpy's eigh. Pool threads run
+    the dense route, so it calls numpy and kernels' private routes alone.
+    """
+    d = G.shape[0]
+    if workspaces is None:
+        diag, low = np.zeros(d), np.zeros(max(d - 1, 1))
+        on, below = r == c, r == c + 1
+        diag[r[on]] = v[on]
+        low[c[below]] = v[below]
+        lam, U, info = dstevd(diag, low)
         if info:
             raise np.linalg.LinAlgError(f"stevd failed with info {info}")
-    else:
-        lam, U = np.linalg.eigh(G)
+        return _gram(U, lam, T, G)
+    with workspaces.take() as (a, work, iwork):
+        U = a[:d * d].reshape(d, d, order="F")
+        U.fill(0.0)
+        U[r, c] = v
+        lam = np.empty(d)
+        info = _dsyevd(U, lam, work, iwork)
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
+        return _gram(U, lam, T, G)
+
+
+def _gram(U: np.ndarray, lam: np.ndarray, T: float,
+          G: np.ndarray) -> np.ndarray:
+    """G = V V^T with V = U exp(-lam/2T) formed over U: one syrk (half the
+    flops of (U w) U^T, and exactly symmetric). Returns lam."""
     U *= np.exp(-lam / (2.0 * T))
     np.matmul(U, U.T, out=G)
     return lam
 
 
 # Sectors of one Gibbs solve held at once: the one the caller folds in and
-# those whose blocks are scattered or on the pool; the pool solves sector
-# n + 1 while the calling thread folds sector n.
+# those whose blocks are on the pool or being handed to it; the pool solves
+# sector n + 1 while the calling thread folds sector n.
 _IN_FLIGHT = 3
 
 
@@ -336,18 +404,21 @@ def _gibbs_sectors(H: FockOperator, T: float):
 
     The blocks are cut from H by one permutation (_class_blocks); an entry
     between two blocks is refused, and so is a complex H or one with a
-    non-finite entry. The calling thread scatters each block once, into a
-    zeroed G, and _solve_block solves it there. A block whose entries all
-    lie within one place of the diagonal goes to LAPACK's tridiagonal
-    divide-and-conquer solver (stevd) on G's diagonal and lower
-    off-diagonal, on the calling thread, as scipy's wrapper holds the GIL.
-    Every other block goes to the dense one (syevd, through
-    numpy.linalg.eigh, which releases the GIL) on a pool of one thread per
-    CPU this process may use; the pool assumes a single-threaded BLAS.
-    syevd reads the lower triangle and on a tridiagonal input ends in the
-    same stedc call, so the two give the same bits there. At most
-    _IN_FLIGHT sectors are held, the one yielded included; the pool is
-    shut down, its solves finished, when the stream ends or is closed.
+    non-finite entry. Each block's (r, c, v) triplets go to _solve_block,
+    and flat is never scattered into: it is allocated empty but for its
+    last zero, and each G is first written by its own V V^T. A block whose
+    entries all lie within one place of the diagonal goes to LAPACK's
+    tridiagonal divide-and-conquer solver (stevd) on the calling thread,
+    as scipy's wrapper holds the GIL. Every other block goes to the dense
+    one (dsyevd, called by ctypes without the GIL) on a pool of one thread
+    per CPU this process may use; the pool assumes a single-threaded BLAS.
+    A dense solve scatters its block into a workspace of _Workspaces, of
+    which there are at most as many as solves run at once, each 3 d^2
+    doubles for the widest class block d. dsyevd reads the lower triangle
+    and on a tridiagonal input ends in the same stedc call, so the two
+    give the same bits there. At most _IN_FLIGHT sectors are held, the one
+    yielded included; the pool is shut down, its solves finished, and the
+    workspaces dropped when the stream ends or is closed.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -363,19 +434,21 @@ def _gibbs_sectors(H: FockOperator, T: float):
             [x if isinstance(x, np.ndarray) else x.result() for x in lams]))
 
     pending = deque()
+    workspaces = _Workspaces(_widest_class(H))
     with ThreadPoolExecutor(_workers()) as pool:
         for n, group in groupby(_class_blocks(H), key=itemgetter(0)):
             group = list(group)
-            flat = np.zeros(sum(rows.size ** 2 for _, rows, *_ in group) + 1)
+            flat = np.empty(sum(rows.size ** 2 for _, rows, *_ in group) + 1)
+            flat[-1] = 0.0
             blocks, lams, at = [], [], 0
             for _, rows, r, c, v in group:
                 G = flat[at:at + rows.size ** 2].reshape(rows.size, rows.size)
                 at += G.size
-                G[r, c] = v
                 blocks.append((rows, G))
-                lams.append(_solve_block(G, T, True)
+                lams.append(_solve_block(G, r, c, v, T)
                             if np.all(np.abs(r - c) <= 1)
-                            else pool.submit(_solve_block, G, T, False))
+                            else pool.submit(_solve_block, G, r, c, v, T,
+                                             workspaces))
             pending.append((n, blocks, flat, lams))
             if len(pending) == _IN_FLIGHT - 1:
                 yield solved(*pending.popleft())

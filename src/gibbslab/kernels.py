@@ -18,8 +18,8 @@ share.
         every created pair and state
 
 The pools of fock and classical take _workers() threads. Their workers call
-private routes only (_products, _zherk and numpy), so nothing a tracer
-wraps around the public names runs off the calling thread.
+private routes only (_products, _zherk, _dsyevd and numpy), so nothing a
+tracer wraps around the public names runs off the calling thread.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cython_blas
+from scipy.linalg import cython_blas, cython_lapack
 
 __all__ = ["Recurrence", "occupation_products", "occupation_sectors",
            "two_body_coo"]
@@ -48,10 +48,11 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _blas(name: str, *argtypes):
-    """The BLAS routine scipy.linalg.cython_blas exports as name, called
-    by ctypes: the library scipy's f2py wrappers call, without the GIL."""
-    capsule = cython_blas.__pyx_capi__[name]
+def _foreign(module, name: str, *argtypes):
+    """The routine module (scipy.linalg.cython_blas or cython_lapack)
+    exports as name, called by ctypes: the library scipy's f2py wrappers
+    call, without the GIL."""
+    capsule = module.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
@@ -62,9 +63,13 @@ def _blas(name: str, *argtypes):
 
 
 _int, _double = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_char, _ptr = ctypes.c_char_p, ctypes.c_void_p
 # zherk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
-_ZHERK = _blas("zherk", ctypes.c_char_p, ctypes.c_char_p, _int, _int,
-               _double, ctypes.c_void_p, _int, _double, ctypes.c_void_p, _int)
+_ZHERK = _foreign(cython_blas, "zherk", _char, _char, _int, _int, _double,
+                  _ptr, _int, _double, _ptr, _int)
+# dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info)
+_DSYEVD = _foreign(cython_lapack, "dsyevd", _char, _char, _int, _ptr, _int,
+                   _ptr, _ptr, _int, _ptr, _int, _int)
 
 
 def _zherk(a: np.ndarray, c: np.ndarray) -> None:
@@ -89,6 +94,56 @@ def _zherk(a: np.ndarray, c: np.ndarray) -> None:
     _ZHERK(b"U", b"C", ctypes.c_int(D), ctypes.c_int(n), one,
            a.ctypes.data, ctypes.c_int(max(n, 1)), one, c.ctypes.data,
            ctypes.c_int(D))
+
+
+def _syevd_sizes(d: int) -> tuple[int, int]:
+    """(lwork, liwork) that dsyevd('V', 'L') asks for on d rows: its
+    workspace query, the one numpy.linalg.eigh makes and then passes."""
+    if 2 * d * d + 6 * d + 1 >= 2**31:
+        raise ValueError("dsyevd block too large for 32-bit LAPACK ints")
+    work, iwork, info = np.empty(1), np.empty(1, np.intc), ctypes.c_int()
+    _DSYEVD(b"V", b"L", ctypes.c_int(d), None, ctypes.c_int(max(d, 1)), None,
+            work.ctypes.data, ctypes.c_int(-1), iwork.ctypes.data,
+            ctypes.c_int(-1), info)
+    return int(work[0]), int(iwork[0])
+
+
+def _dsyevd(a: np.ndarray, w: np.ndarray, work: np.ndarray,
+            iwork: np.ndarray) -> int:
+    """Eigenvalues, ascending, into w and eigenvectors over a of the
+    symmetric matrix whose lower triangle a holds; returns LAPACK's info.
+
+    The LAPACK call of numpy.linalg.eigh(a) (UPLO='L'), bitwise, with the
+    GIL released. a is a writeable Fortran-ordered float64 (d, d) array, so
+    on return column k of a is the eigenvector of w[k]; w a contiguous
+    float64 (d,) array; work (float64) and iwork (C int) contiguous
+    workspaces at least as long as _syevd_sizes(d). dsyevd gets those
+    sizes, not the arrays' lengths, as numpy passes them: its
+    back-transformation (dormtr) blocks by lwork, so a longer one moves the
+    eigenvectors' bits (d = 64 is such a size). ctypes hands LAPACK raw
+    pointers, so any other layout is refused, not misread.
+    """
+    d = a.shape[0]
+    if (a.dtype != np.float64 or a.shape != (d, d)
+            or not a.flags.f_contiguous or not a.flags.writeable):
+        raise ValueError("dsyevd needs a writeable Fortran-ordered float64 "
+                         "square matrix")
+    if w.dtype != np.float64 or w.shape != (d,) or not w.flags.c_contiguous:
+        raise ValueError(f"dsyevd needs a contiguous float64 ({d},) "
+                         f"eigenvalue array")
+    lwork, liwork = _syevd_sizes(d)
+    if (work.dtype != np.float64 or work.ndim != 1 or work.size < lwork
+            or not work.flags.c_contiguous or iwork.dtype != np.intc
+            or iwork.ndim != 1 or iwork.size < liwork
+            or not iwork.flags.c_contiguous):
+        raise ValueError(f"dsyevd needs contiguous workspaces of {lwork} "
+                         f"float64 and {liwork} C int")
+    info = ctypes.c_int()
+    _DSYEVD(b"V", b"L", ctypes.c_int(d), a.ctypes.data,
+            ctypes.c_int(max(d, 1)), w.ctypes.data, work.ctypes.data,
+            ctypes.c_int(lwork), iwork.ctypes.data, ctypes.c_int(liwork),
+            info)
+    return info.value
 
 
 class Recurrence(NamedTuple):

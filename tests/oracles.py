@@ -23,9 +23,11 @@ one-gather-per-sector loop that `occupation_products` must reproduce bit
 for bit. The moment matrices
 are dense weighted sums of per-sample outer products. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
-scipy's dense divide-and-conquer driver, one by one. The free-state cutoff
-sums the free Gibbs weights over the enumerated basis and scans every
-cutoff in budget. The Hamiltonian's pair term is one two_body_coo call
+scipy's dense divide-and-conquer driver, one by one; a single dense block
+can also go to numpy.linalg.eigh and one matmul into a fresh array, the
+numpy route the package's own dsyevd call must reproduce. The free-state
+cutoff sums the free Gibbs weights over the enumerated basis and scans
+every cutoff in budget. The Hamiltonian's pair term is one two_body_coo call
 over the whole basis, converted to CSR at once.
 """
 
@@ -461,6 +463,17 @@ def gibbs_blocks_csr(H, T: float):
         V = U * np.exp(-lam / (2.0 * T))
         blocks.append((n, rows, (V @ V.T) * np.exp(-log_z)))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
+
+
+def gibbs_block_eigh(B: np.ndarray, T: float):
+    """lam and V V^T of the dense class block B, V = U exp(-lam/2T), with
+    (lam, U) = numpy.linalg.eigh(B) (which reads B's lower triangle) and
+    V V^T one np.matmul(V, V.T) into a fresh array."""
+    lam, U = np.linalg.eigh(B)
+    U *= np.exp(-lam / (2.0 * T))
+    G = np.empty_like(B)
+    np.matmul(U, U.T, out=G)
+    return lam, G
 
 
 def hamiltonian_one_shot(fb, eigenvalues, tensor, lam: float):

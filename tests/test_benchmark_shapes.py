@@ -8,12 +8,18 @@ name that no longer exists, would otherwise show up only inside a benchmark
 run (a missing name changes the shape of a traced run's result line).
 The benchmark's row gate (perfbench/gate.py) is checked here on every
 committed config, so a config that the gate would fail shows up in tier-1.
+A traced desk sweep (perfbench/child.py) is run here too, and its per-layer
+metrics must make a strict-JSON result line that carries every per-layer
+name of BENCHMARK.json.
 """
 
 import dataclasses
 import glob
 import importlib.util
+import json
+import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -101,3 +107,50 @@ def test_committed_config_rows_meet_the_row_gate(name):
             assert row.trial_gap >= GATE.TRIAL_GAP_FLOOR
         if cfg.bl_samples > 0:
             assert not row.bl.degenerate
+
+
+# Per-layer names of BENCHMARK.json that measure() adds after layer_metrics.
+MEASURED = {"trace_overhead_s", "convergence.report_identical"}
+
+
+def _result_problems(metrics: dict) -> list:
+    """The per-layer names of BENCHMARK.json (but MEASURED) that metrics
+    lacks or holds as a non-finite number; a result line without them is
+    not a result."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    return [n for n in names if n not in MEASURED
+            and not (n in metrics and math.isfinite(metrics[n]))]
+
+
+@pytest.fixture(scope="module")
+def traced_desk(tmp_path_factory):
+    """child.json with summary.json of one traced desk sweep at seed 7, run
+    from the repo root with every BLAS/OpenMP pool pinned to one thread."""
+    out = tmp_path_factory.mktemp("traced_desk")
+    env = dict(os.environ, **{var: "1" for var in RUN.THREAD_VARS})
+    subprocess.run([sys.executable, os.path.join(BENCH, "child.py"), "sweep",
+                    "--workload", "desk", "--seed", "7", "--out", str(out),
+                    "--trace"], cwd=ROOT, env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=600)
+    with open(out / "child.json", encoding="utf-8") as fh:
+        traced = json.load(fh)
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        traced["summary"] = json.load(fh)
+    return traced
+
+
+def test_a_traced_sweep_gives_every_per_layer_metric(traced_desk):
+    metrics = RUN.layer_metrics(traced_desk)
+    assert _result_problems(metrics) == []
+    json.dumps({"metrics": metrics}, allow_nan=False)
+
+
+def test_a_non_finite_summary_field_fails_the_result_check(traced_desk):
+    # negative control: json.dumps would write a bare NaN
+    traced = dict(traced_desk, summary=dict(traced_desk["summary"],
+                                            ess=math.nan))
+    metrics = RUN.layer_metrics(traced)
+    assert _result_problems(metrics) == ["classical.ess_ratio"]
+    with pytest.raises(ValueError):
+        json.dumps({"metrics": metrics}, allow_nan=False)

@@ -269,11 +269,11 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
 
 def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     # the Gibbs stream solves each class block, the tridiagonal ones with
-    # stevd and the others with numpy's evd on its pool, and S(trial | free)
+    # stevd and the others with dsyevd on its pool, and S(trial | free)
     # each stored trial block with scipy's evd; S(Gibbs | free) comes from
     # the Gibbs spectrum, so relative_entropy sees trial states only
     eigh, dstevd, gibbs_sectors = fock.eigh, fock.dstevd, fock._gibbs_sectors
-    dense_eigh, lock = np.linalg.eigh, threading.Lock()
+    dsyevd, lock = fock._dsyevd, threading.Lock()
     trial_state, relative_entropy = semiclassics.trial_state, \
         fock.relative_entropy
     calls = {"evd": 0, "stevd": 0, "pool_evd": 0}
@@ -283,10 +283,10 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         calls["evd"] += 1
         return eigh(*args, **kwargs)
 
-    def counting_dense_eigh(*args, **kwargs):
+    def counting_dsyevd(*args):
         with lock:
             calls["pool_evd"] += 1
-        return dense_eigh(*args, **kwargs)
+        return dsyevd(*args)
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
@@ -311,7 +311,7 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         return relative_entropy(state, ref)
 
     monkeypatch.setattr(fock, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "eigh", counting_dense_eigh)
+    monkeypatch.setattr(fock, "_dsyevd", counting_dsyevd)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
     monkeypatch.setattr(fock, "_gibbs_sectors", recording_sectors)
     monkeypatch.setattr(semiclassics, "trial_state", recording_trial)
@@ -526,6 +526,7 @@ def test_reports_are_deterministic(tmp_path, small_config):
         for row in s["rows"]:
             row.pop("wall_s")
             row.pop("stages")
+            row.pop("stage_rss_mb")
     assert s1 == s2
 
 
@@ -788,17 +789,29 @@ def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
 
 
 def test_summary_rows_carry_stage_times_outside_the_report(tmp_path,
-                                                           small_config):
+                                                           small_config,
+                                                           monkeypatch):
+    # next to its wall seconds each stage records the peak RSS after it,
+    # which never falls; without the resource module it is null
     res = run_convergence(small_config)
     csv_path, json_path = emit_report(res, tmp_path / "a")
-    stages = {"solve_point", "rdm", "relative_entropy", "trial_state",
-              "berezin_lieb"}
+    stages = ["solve_point", "rdm", "berezin_lieb", "trial_state",
+              "relative_entropy"]
+    peaks = []
     for row in json.load(open(json_path))["rows"]:
-        assert set(row["stages"]) == stages
+        assert set(row["stages"]) == set(stages)
         assert all(v >= 0.0 for v in row["stages"].values())
         assert sum(row["stages"].values()) <= row["wall_s"]
+        assert set(row["stage_rss_mb"]) == set(stages)
+        peaks += [row["stage_rss_mb"][s] for s in stages]
+    assert peaks == sorted(peaks) and peaks[0] > 1.0
+    monkeypatch.setattr(gl.convergence, "resource", None)
+    res = run_convergence(small_config)
+    _, null_json = emit_report(res, tmp_path / "c")
+    for row in json.load(open(null_json))["rows"]:
+        assert row["stage_rss_mb"] == dict.fromkeys(stages)
     for row in res.rows:
-        row.stages = {}
+        row.stages, row.stage_rss_mb = {}, {}
     bare_csv, _ = emit_report(res, tmp_path / "b")
     assert open(csv_path, "rb").read() == open(bare_csv, "rb").read()
 

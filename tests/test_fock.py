@@ -12,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 
 import gibbslab as gl
 from gibbslab import fock
+from gibbslab.kernels import _syevd_sizes
 
 import oracles
 
@@ -908,13 +909,25 @@ def _k3_point(basis_k3, tensor_k3, T=2.5):
 
 def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
                                                   monkeypatch):
+    # each dense solve takes one of at most as many workspaces as solves
+    # run at once, each sized for the widest class block
     H, T = _k3_point(basis_k3, tensor_k3)
+    d = fock._widest_class(H)
+    lwork, liwork = _syevd_sizes(d)
     got = {}
-    for workers in (1, 3):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(fock, "_workers", lambda: workers)
+        calls, seen = _count_solvers(monkeypatch)
         threads = threading.active_count()
         got[workers] = gl.gibbs_state(H, T)
         assert threading.active_count() == threads
+        made = seen["workspaces"]
+        assert 1 <= len(made) <= min(workers, calls["evd"])
+        assert seen["evd_work"] == {id(work) for _, work, _ in made}
+        for a, work, iwork in made:
+            assert (a.size, work.size, iwork.size) == (d * d, lwork, liwork)
+        monkeypatch.undo()
+    _assert_same_gibbs(got[2], got[1])
     _assert_same_gibbs(got[3], got[1])
     for *_, G in got[3][0].blocks:
         assert np.array_equal(G, G.T)
@@ -967,28 +980,44 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
 
 
 def _count_solvers(monkeypatch):
-    """Count fock's calls of the dense eigensolver (numpy's, on the pool
-    threads) and the tridiagonal one (on the calling thread); seen holds
-    the array each dense call got and the thread of each tridiagonal
-    call."""
+    """Count fock's calls of the dense eigensolver (kernels' dsyevd, on the
+    pool threads) and the tridiagonal one (stevd, on the calling thread);
+    seen holds the thread of each tridiagonal call, the work array of each
+    dense call, the work arrays of the dense workspaces made and the array
+    each V V^T is written into."""
     calls = {"evd": 0, "stevd": 0}
-    seen = {"evd_inputs": [], "stevd_threads": []}
+    seen = {"stevd_threads": [], "evd_work": set(), "workspaces": [],
+            "gram_out": []}
     lock = threading.Lock()
-    eigh, dstevd = np.linalg.eigh, fock.dstevd
+    dsyevd, dstevd = fock._dsyevd, fock.dstevd
+    workspace, gram = fock._workspace, fock._gram
 
-    def counting_eigh(a, *args, **kwargs):
+    def counting_dsyevd(a, w, work, iwork):
         with lock:
             calls["evd"] += 1
-            seen["evd_inputs"].append(a)
-        return eigh(a, *args, **kwargs)
+            seen["evd_work"].add(id(work))
+        return dsyevd(a, w, work, iwork)
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
         seen["stevd_threads"].append(threading.get_ident())
         return dstevd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def recording_workspace(d):
+        made = workspace(d)
+        with lock:
+            seen["workspaces"].append(made)
+        return made
+
+    def recording_gram(U, lam, T, G):
+        with lock:
+            seen["gram_out"].append(id(G))
+        return gram(U, lam, T, G)
+
+    monkeypatch.setattr(fock, "_dsyevd", counting_dsyevd)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
+    monkeypatch.setattr(fock, "_workspace", recording_workspace)
+    monkeypatch.setattr(fock, "_gram", recording_gram)
     return calls, seen
 
 
@@ -1026,15 +1055,17 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     got = gl.gibbs_state(H, T)
     _assert_same_gibbs(got, want)
     assert calls == {"evd": len(want[0].blocks) - tri, "stevd": tri}
-    # stevd runs on the calling thread, and evd solves each block in the
-    # array the state keeps, with no scratch copy
+    # stevd runs on the calling thread, and each block's V V^T is written
+    # once, into the array the state keeps
     assert set(seen["stevd_threads"]) == {threading.get_ident()}
-    kept = {id(G) for *_, G in got[0].blocks}
-    assert all(id(a) in kept for a in seen["evd_inputs"])
+    assert sorted(seen["gram_out"]) == sorted(id(G)
+                                              for *_, G in got[0].blocks)
     if K == 2:
-        assert calls["evd"] == 0
+        assert calls["evd"] == 0 and seen["workspaces"] == []
     else:
         assert calls["evd"] > 25 and calls["stevd"] > 0
+        made = {id(work) for _, work, _ in seen["workspaces"]}
+        assert seen["evd_work"] <= made
 
 
 def _csr_entry(A, r, c) -> int:
@@ -1279,7 +1310,9 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
     # Dk x Dk sums and the blocks of at most a few sectors, not the 20 MB of
     # all of them; no branching of the whole basis is held (the gather
     # branches each sector as it is added). H is built before the measured
-    # window, as the assembly's own peak is not the solve's.
+    # window, as the assembly's own peak is not the solve's. The dense
+    # solves' workspaces are numpy arrays, which tracemalloc sees: their
+    # exact bytes come on top.
     T = 7.0
     fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
@@ -1294,8 +1327,17 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
         tracemalloc.stop()
     assert tables < 64 * 1024
     monkeypatch.setattr(fock, "build_hamiltonian", lambda *args: H)
+    workspace, made = fock._workspace, []
+
+    def recording(d):
+        arrays = workspace(d)
+        made.append(sum(x.nbytes for x in arrays))
+        return arrays
+
+    monkeypatch.setattr(fock, "_workspace", recording)
     for workers in (1, 2):
         monkeypatch.setattr(fock, "_workers", lambda: workers)
+        made.clear()
         tracemalloc.start()
         try:
             gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, k_max=3,
@@ -1303,7 +1345,8 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tables + 5 * max(sector)
+        assert 1 <= len(made) <= workers
+        assert peak <= tables + 5 * max(sector) + sum(made)
 
 
 def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
@@ -1314,18 +1357,103 @@ def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
 
 def test_a_failed_pool_solve_is_raised_and_leaves_no_thread(
         basis_k3, tensor_k3, monkeypatch):
+    # a nonzero info of dsyevd is raised as LinAlgError, and the failed
+    # solve gives its workspace back
     H, T = _k3_point(basis_k3, tensor_k3)
-    eigh, calls = np.linalg.eigh, []
+    dsyevd, calls, spaces = fock._dsyevd, [], []
 
-    def failing(a, *args, **kwargs):
+    def failing(a, w, work, iwork):
         calls.append(a.shape)
-        if len(calls) == 5:
-            raise np.linalg.LinAlgError("evd did not converge")
-        return eigh(a, *args, **kwargs)
+        return 3 if len(calls) == 5 else dsyevd(a, w, work, iwork)
+
+    class Recording(fock._Workspaces):
+        def __init__(self, d):
+            super().__init__(d)
+            spaces.append(self)
 
     monkeypatch.setattr(fock, "_workers", lambda: 2)
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(fock, "_dsyevd", failing)
+    monkeypatch.setattr(fock, "_Workspaces", Recording)
+    made = _count_solvers(monkeypatch)[1]["workspaces"]
     threads = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="dsyevd failed with info 3"):
         gl.gibbs_state(H, T)
     assert threading.active_count() == threads
+    assert len(spaces) == 1 and len(made) >= 1
+    assert sorted(map(id, spaces[0].spare)) == sorted(map(id, made))
+
+
+def _dense_block(d: int, seed: int) -> np.ndarray:
+    """A random d x d block, symmetric to about 1e-13 but not bitwise: its
+    upper triangle is moved off the lower one."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, d))
+    B = X + X.T
+    B[np.triu_indices(d, 1)] *= 1.0 + 1e-13 * rng.standard_normal(
+        d * (d - 1) // 2)
+    return B
+
+
+@pytest.fixture(scope="module")
+def workspaces_300():
+    return fock._Workspaces(300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 13, 14, 15, 16, 17, 64, 100, 129, 300])
+def test_dense_route_is_numpys_eigh_bitwise(d, workspaces_300):
+    # one workspace sized for d = 300 serves every block; dsyevd gets the
+    # work sizes numpy asks for (a longer lwork moves the bits at d = 64)
+    B, T = _dense_block(d, seed=d), 2.5
+    if d > 1:
+        assert 0.0 < np.abs(B - B.T).max() <= 1e-10
+    r, c = np.nonzero(B)
+    G = np.empty((d, d))
+    lam = fock._solve_block(G, r, c, B[r, c], T, workspaces_300)
+    want_lam, want = oracles.gibbs_block_eigh(B, T)
+    assert lam.tobytes() == want_lam.tobytes()
+    assert G.tobytes() == want.tobytes()
+
+
+def test_dense_route_is_numpys_eigh_on_every_dense_k3_block(basis_k3,
+                                                            tensor_k3):
+    # ed-k3's T=2.5 shape (K=3, n_max 15); its H is symmetric to 1e-10,
+    # not bitwise
+    H, T = _k3_point(basis_k3, tensor_k3)
+    assert H.basis.n_max == 15
+    workspaces = fock._Workspaces(fock._widest_class(H))
+    dense = 0
+    for _, rows, r, c, v in fock._class_blocks(H):
+        if np.all(np.abs(r - c) <= 1):
+            continue
+        dense += 1
+        G = np.empty((rows.size,) * 2)
+        lam = fock._solve_block(G, r, c, v, T, workspaces)
+        want_lam, want = oracles.gibbs_block_eigh(H.class_block(rows), T)
+        assert lam.tobytes() == want_lam.tobytes()
+        assert G.tobytes() == want.tobytes()
+    assert dense > 25 and len(workspaces.spare) == 1
+
+
+def test_dense_route_reads_the_lower_triangle(basis_k3, tensor_k3):
+    # negative control: an upper entry of a dense block moved by an ulp
+    # leaves the state unchanged, as numpy's eigh (which reads the lower
+    # triangle) leaves it; the same move below shows. A block scattered
+    # in C order would read the upper triangle instead.
+    H, T = _k3_point(basis_k3, tensor_k3)
+    _, rows, r, c, _ = max(fock._class_blocks(H), key=lambda b: b[1].size)
+    k = int(np.flatnonzero(c - r >= 2)[0])
+    upper, lower = (rows[r[k]], rows[c[k]]), (rows[c[k]], rows[r[k]])
+    moved = {}
+    for side, (i, j) in {"upper": upper, "lower": lower}.items():
+        A = H.matrix.copy()
+        at = _csr_entry(A, i, j)
+        A.data[at] = np.nextafter(A.data[at], np.inf)
+        moved[side] = fock.FockOperator(H.basis, A, H.labels)
+    assert 0.0 < moved["upper"].hermiticity_defect() <= 1e-10
+    base = gl.gibbs_state(H, T)
+    _assert_same_gibbs(gl.gibbs_state(moved["upper"], T), base)
+    lower = gl.gibbs_state(moved["lower"], T)
+    _assert_same_gibbs(lower, oracles.gibbs_blocks_csr(moved["lower"], T))
+    assert any(not np.array_equal(a, b) for (*_, a), (*_, b)
+               in zip(lower[0].blocks, base[0].blocks))

@@ -7,9 +7,9 @@ from scipy import sparse
 from scipy.linalg.blas import zherk
 
 import gibbslab as gl
-from gibbslab.kernels import (_STEP, Recurrence, _products, _zherk,
-                              occupation_products, occupation_sectors,
-                              two_body_coo)
+from gibbslab.kernels import (_STEP, Recurrence, _dsyevd, _products,
+                              _syevd_sizes, _zherk, occupation_products,
+                              occupation_sectors, two_body_coo)
 
 import oracles
 
@@ -251,6 +251,31 @@ def test_ctypes_zherk_refuses_a_layout_it_would_misread(a, c, match):
     with pytest.raises(ValueError, match=match):
         _zherk(a, c)
     assert not c.any()
+
+
+@pytest.mark.parametrize("case", ["C-ordered", "strided", "short work",
+                                  "short iwork", "int64 iwork"])
+def test_ctypes_dsyevd_refuses_a_layout_it_would_misread(case):
+    # LAPACK gets raw pointers: a C-ordered or strided matrix, or a
+    # workspace shorter or wider-typed than the query asks, is refused
+    d = 6
+    lwork, liwork = _syevd_sizes(d)
+    a = np.asfortranarray(np.eye(d))
+    w, work, iwork = np.empty(d), np.empty(lwork), np.empty(liwork, np.intc)
+    if case == "C-ordered":
+        a = np.ascontiguousarray(a + np.tri(d))
+    elif case == "strided":
+        a = np.asfortranarray(np.eye(2 * d))[::2, ::2]
+    elif case == "short work":
+        work = work[:-1]
+    elif case == "short iwork":
+        iwork = iwork[:-1]
+    else:
+        iwork = iwork.astype(np.int64)
+    before = a.copy()
+    with pytest.raises(ValueError, match="dsyevd needs"):
+        _dsyevd(a, w, work, iwork)
+    assert np.array_equal(a, before)
 
 
 def test_two_body_coo_matches_ladder_products():
