@@ -101,19 +101,28 @@ def cmd_quantum(args) -> int:
     return 0
 
 
+def _row_line(row: convergence.ReportRow) -> str:
+    """One line on a finished temperature row."""
+    if not row.valid:
+        return f"T={row.T}: INVALID ({row.error})"
+    dists = " ".join(f"d_{k}={m.value:.5f}+-{m.stderr:.1e}"
+                     for k, m in sorted(row.distances.items()))
+    return (f"T={row.T} n_max={row.n_max} tail={row.tail_mass:.2e} {dists} "
+            f"|f+logZr|={abs(row.f_value - row.f_target):.5f} "
+            f"[{row.wall_s:.1f}s]")
+
+
 def cmd_converge(args) -> int:
     cfg = _load(args)
-    result = convergence.run_convergence(cfg)
+
+    def progress(row) -> None:
+        print(_row_line(row), file=sys.stderr, flush=True)
+
+    result = convergence.run_convergence(
+        cfg, progress=progress if args.progress else None)
     csv_path, json_path = convergence.emit_report(result, cfg.out_dir)
     for row in result.rows:
-        if not row.valid:
-            print(f"T={row.T}: INVALID ({row.error})")
-            continue
-        dists = " ".join(f"d_{k}={m.value:.5f}+-{m.stderr:.1e}"
-                         for k, m in sorted(row.distances.items()))
-        print(f"T={row.T} n_max={row.n_max} tail={row.tail_mass:.2e} {dists} "
-              f"|f+logZr|={abs(row.f_value - row.f_target):.5f} "
-              f"[{row.wall_s:.1f}s]")
+        print(_row_line(row))
     props = convergence.evaluate_properties(result)
     print(f"wrote {csv_path} and {json_path}")
     if not props["all"]:
@@ -152,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", cmd_spectrum, None),
         ("sample", cmd_sample, None),
         ("quantum", cmd_quantum, "T"),
-        ("converge", cmd_converge, None),
+        ("converge", cmd_converge, "progress"),
         ("selfcheck", cmd_selfcheck, "corrupt"),
     ]:
         sp = sub.add_parser(name)
@@ -160,6 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         if extra == "T":
             sp.add_argument("--T", type=float, default=None,
                             help="single temperature instead of the schedule")
+        if extra == "progress":
+            sp.add_argument("--progress", action="store_true",
+                            help="print each row to stderr as it finishes")
         if extra == "corrupt":
             sp.add_argument("--corrupt", action="store_true",
                             help=argparse.SUPPRESS)  # negative-control hook

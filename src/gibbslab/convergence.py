@@ -189,6 +189,7 @@ class ReportRow:
     n_max: int
     tail_mass: float
     dim: int | None = None                          # Fock dim; None if invalid
+    widest_block: int | None = None   # rows of the widest Gibbs class block
     distances: dict = field(default_factory=dict)   # k -> DistanceMetric
     f_value: float = math.nan
     f_target: float = math.nan
@@ -292,8 +293,9 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     lap("solve_point")
     fb, free_state = point.basis, point.free
     row = ReportRow(T=T, lam=point.lam, n_max=fb.n_max,
-                    tail_mass=point.tail_mass, dim=fb.dim, stages=stages,
-                    stage_rss_mb=rss)
+                    tail_mass=point.tail_mass, dim=fb.dim,
+                    widest_block=max(rows.size for _, rows in point.layout),
+                    stages=stages, stage_rss_mb=rss)
     notes = []
     if row.tail_mass >= config.n_max_policy:
         notes.append(f"interacting tail mass {row.tail_mass:.3e} is not below "
@@ -351,8 +353,10 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     return row
 
 
-def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
-    """Run the full sweep, one temperature row after another."""
+def run_convergence(config: ExperimentConfig,
+                    progress=None) -> ConvergenceResult:
+    """Run the full sweep, one temperature row after another; progress, if
+    given, is called with each row as it finishes. Nothing is printed."""
     t0 = time.perf_counter()
     basis, tensor = resolve(config)
     t1 = time.perf_counter()
@@ -362,13 +366,14 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
             "samples": config.mc_samples, "blocks": classical.N_BLOCKS,
             "held_samples": 0 if measure.head is None else measure.head.n}
     seeds = row_seeds(config.seed, len(config.T_schedule))
-    rows = [_temperature_row(config, basis, tensor, measure.head, moments,
-                             blocks, degenerate, T, seed)
-            for T, seed in zip(config.T_schedule, seeds)]
-    target = -math.log(z_r)
-    for row in rows:
-        row.f_target = target
-        row.f_stderr = z_err / z_r
+    rows = []
+    for T, seed in zip(config.T_schedule, seeds):
+        row = _temperature_row(config, basis, tensor, measure.head, moments,
+                               blocks, degenerate, T, seed)
+        row.f_target, row.f_stderr = -math.log(z_r), z_err / z_r
+        rows.append(row)
+        if progress is not None:
+            progress(row)
     return ConvergenceResult(config=config, rows=rows, z_r=z_r,
                              z_r_stderr=z_err, ess=measure.ess,
                              eigenvalues=basis.eigenvalues,
@@ -468,7 +473,7 @@ def emit_report(result: ConvergenceResult, out_dir) -> tuple:
                                     "hs": m.hs}
                            for k, m in row.distances.items()}}
         if row.dim is not None:
-            d["dim"] = row.dim
+            d["dim"], d["widest_block"] = row.dim, row.widest_block
         if row.trial_tail_mass is not None:
             d["trial_tail_mass"] = row.trial_tail_mass
             d["trial_window"] = row.trial_window

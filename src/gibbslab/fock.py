@@ -33,8 +33,8 @@ from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
 from .classical import MomentMatrix
-from .kernels import (Recurrence, _dsyevd, _syevd_sizes, _workers,
-                      two_body_coo)
+from .kernels import (Recurrence, _dsyevd, _pair_moves, _syevd_sizes,
+                      _workers, two_body_coo)
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -151,8 +151,13 @@ class FockOperator:
         return self.matrix[rows][:, rows].toarray()
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
+        return _asymmetry(self.matrix)
+
+
+def _asymmetry(A: sparse.csr_matrix) -> float:
+    """max |A - A^T| over the stored entries, 0 when A is symmetric."""
+    d = A - A.T
+    return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
 def _has_pair_term(tensor: TwoBodyTensor, lam: float) -> bool:
@@ -160,7 +165,7 @@ def _has_pair_term(tensor: TwoBodyTensor, lam: float) -> bool:
     return lam != 0.0 and bool(np.any(tensor.entries))
 
 
-# Triplets of one two_body_coo call in build_hamiltonian: a run of sectors
+# Triplets of one two_body_coo call in the assembly of H: a run of sectors
 # is cut where rows * count_nonzero(W) would pass it.
 _TRIPLETS = 1 << 18
 
@@ -175,14 +180,37 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     It also conserves the reflection parity (-1)^(occupation of the odd
     modes) of the tensor's mode classes, which labels each basis state.
 
-    The pair term is assembled over runs of consecutive sectors
-    (_sector_runs), each with at most _TRIPLETS triplets unless it is one
-    sector: a run's two_body_coo triplets become its CSR rows with global
-    columns, and the runs are stacked, so no whole-basis COO is held. The
-    operator conserves the particle number, so the triplets whose columns
-    are a run's states are every entry of the run's rows, and each row's
-    duplicates come in the order a whole-basis call gives them: H is
-    bitwise the one of a single COO -> CSR conversion.
+    H is its sector runs (_hamiltonian_runs) laid on the diagonal: the
+    blocks solve_point's Gibbs stream assembles one at a time, each
+    dropped once solved, which is how the sweep gets H; this whole matrix
+    serves the selfchecks, the energy split and callers of gibbs_state.
+    Each run's rows are stacked with their columns moved to the whole
+    basis, so no whole-basis COO is held, and H is bitwise the one of a
+    single COO -> CSR conversion.
+    """
+    labels, runs = _hamiltonian_runs(basis, eigenvalues, tensor, lam)
+    stacked = [sparse.csr_matrix((M.data, M.indices + lo, M.indptr),
+                                 shape=(M.shape[0], basis.dim))
+               for lo, M in runs]
+    return FockOperator(basis, sparse.vstack(stacked, format="csr"), labels)
+
+
+def _hamiltonian_runs(basis: FockBasis, eigenvalues: np.ndarray,
+                      tensor: TwoBodyTensor, lam: float):
+    """The labels of H (build_hamiltonian) and a generator of its sector
+    runs (_sector_runs) as (lo, M), M the CSR block of H on the states
+    lo:hi, which H couples to no other state. The arguments are checked
+    at once; a run is assembled on the calling thread when the generator
+    is advanced to it, and the generator keeps none it has yielded.
+
+    Each run is one two_body_coo call on its states, with at most
+    _TRIPLETS triplets unless it is one sector, and its triplets become its
+    CSR rows at once. The operator conserves the particle number, so the
+    triplets whose columns are a run's states are every entry of its rows,
+    and each row's duplicates come in the order a whole-basis call gives
+    them: every entry has the bits of a single COO -> CSR conversion. The
+    per-(k, l) part of the calls (kernels._pair_moves) is made once. Without
+    a pair term H is diagonal, and one run.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size != basis.K:
@@ -192,19 +220,28 @@ def build_hamiltonian(basis: FockBasis, eigenvalues: np.ndarray,
     if tensor.K != basis.K:
         raise ValueError("two-body tensor mode count does not match basis")
     diag = basis.occupations @ eigenvalues
-    H = sparse.diags(diag).tocsr()
-    if _has_pair_term(tensor, lam):
-        runs = []
-        for lo, hi in _sector_runs(basis, np.count_nonzero(tensor.entries)):
-            rows, cols, vals = two_body_coo(basis.occupations[lo:hi],
-                                            basis.table, basis.strides,
-                                            tensor.entries)
-            runs.append(sparse.coo_matrix(
-                (vals, (rows - lo, cols + lo)),
-                shape=(hi - lo, basis.dim)).tocsr())
-            del rows, cols, vals  # not held while the next run is built
-        H = H + lam * sparse.vstack(runs, format="csr")
-    return FockOperator(basis, H, basis.occupations @ tensor.parity % 2)
+
+    def runs():
+        if not _has_pair_term(tensor, lam):
+            yield 0, sparse.diags(diag).tocsr()
+            return
+        W = tensor.entries
+        moves = _pair_moves(W, basis.strides)
+        for lo, hi in _sector_runs(basis, np.count_nonzero(W)):
+            yield lo, _run_matrix(basis, lo, hi, diag, W, moves, lam)
+
+    return basis.occupations @ tensor.parity % 2, runs()
+
+
+def _run_matrix(basis: FockBasis, lo: int, hi: int, diag: np.ndarray,
+                W: np.ndarray, moves: list, lam: float) -> sparse.csr_matrix:
+    """The block of H on the states lo:hi of one sector run."""
+    rows, cols, vals = two_body_coo(basis.occupations[lo:hi], basis.table,
+                                    basis.strides, W, moves)
+    pair = sparse.coo_matrix((vals, (rows - lo, cols)),
+                             shape=(hi - lo, hi - lo)).tocsr()
+    del rows, cols, vals  # not held while the sum is formed
+    return sparse.diags(diag[lo:hi]).tocsr() + lam * pair
 
 
 def _sector_runs(basis: FockBasis, per_row: int):
@@ -280,54 +317,71 @@ class DiagonalState:
         return np.add.reduceat(self.p, self.basis.sector_offsets[:-1])
 
 
-def _class_blocks(H: FockOperator):
-    """The (sector, class) blocks of H as (n, rows, r, c, v): rows the
-    block's basis indices (ascending) and v its stored entries at the
-    in-block positions (r, c), in ascending sector, then label, order.
+def _class_blocks(basis: FockBasis, labels: np.ndarray, lo: int,
+                  M: sparse.csr_matrix):
+    """The (sector, class) blocks of the operator whose block on the basis
+    states lo:lo + m is M (m x m, CSR), which it couples to no other
+    state, as (n, rows, r, c, v): rows the block's basis indices
+    (ascending) and v its stored entries at the in-block positions (r, c),
+    in ascending sector, then label, order; labels[i] is the class of basis
+    state i.
 
-    The stable sort order by (sector, label) lays each block on a run of
-    consecutive states, so in H permuted by order a block's entries are one
-    slice of the COO rows. A stored nonzero outside every run is refused.
+    M is checked first: a complex M, one with a non-finite entry and one
+    whose M - M^T passes 1e-10 are refused. The stable sort order by
+    (sector, label) lays each block on a run of consecutive states, so in
+    M permuted by order a block's entries are one slice of the COO rows. A
+    stored nonzero outside every run is refused. The whole of an operator
+    is the case lo = 0, M its matrix.
     """
-    sector = H.basis.occupations.sum(axis=1)
-    order = np.lexsort((H.labels, sector))
-    P = H.matrix[order][:, order]
+    if np.iscomplexobj(M):
+        raise ValueError("Hamiltonian must be real")
+    if not np.isfinite(M.data).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if _asymmetry(M) > 1e-10:
+        raise ValueError("Hamiltonian is not symmetric")
+    hi = lo + M.shape[0]
+    sector, labels = basis.occupations[lo:hi].sum(axis=1), labels[lo:hi]
+    order = np.lexsort((labels, sector))
+    P = M[order][:, order]
     P.sum_duplicates()
     P.eliminate_zeros()
     P = P.tocoo()
-    s, labels = sector[order], H.labels[order]
+    s, labels = sector[order], labels[order]
     run = np.concatenate(([0], np.cumsum((s[1:] != s[:-1])
                                          | (labels[1:] != labels[:-1]))))
     if np.any(run[P.row] != run[P.col]):
         raise ValueError("H couples states of different classes or sectors")
     edges = np.searchsorted(run, np.arange(run[-1] + 2))
     bounds = np.searchsorted(P.row, edges)
-    for lo, hi, a, b in zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]):
-        yield (int(s[lo]), order[lo:hi], P.row[a:b] - lo, P.col[a:b] - lo,
-               P.data[a:b])
+    for a, b, p, q in zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]):
+        yield (int(s[a]), lo + order[a:b], P.row[p:q] - a, P.col[p:q] - a,
+               P.data[p:q])
 
 
-def _widest_class(H: FockOperator) -> int:
-    """Rows of the widest (sector, class) block of H, from a bincount of
-    the (sector, label) pairs."""
-    sector = H.basis.occupations.sum(axis=1)
-    _, label = np.unique(H.labels, return_inverse=True)
+def _widest_class(basis: FockBasis, labels: np.ndarray) -> int:
+    """Rows of the widest (sector, class) block of an operator on basis
+    whose basis state i has class labels[i], from a bincount of the
+    (sector, label) pairs."""
+    sector = basis.occupations.sum(axis=1)
+    _, label = np.unique(labels, return_inverse=True)
     return int(np.bincount(sector * (label.max() + 1) + label).max())
 
 
 def _workspace(d: int):
-    """One dense solve's arrays for blocks of up to d rows: a flat d x d
-    block and dsyevd's work and iwork for d rows, about 3 d^2 doubles."""
+    """One dense solve's arrays for blocks of up to d rows: dsyevd's work
+    and iwork for d rows, about 2 d^2 doubles. work is longer than d^2, so
+    V V^T is formed in it once dsyevd returns (_solve_block)."""
     lwork, liwork = _syevd_sizes(d)
-    return np.empty(d * d), np.empty(lwork), np.empty(liwork, np.intc)
+    return np.empty(lwork), np.empty(liwork, np.intc)
 
 
 class _Workspaces:
     """The dense-solve workspaces of one Gibbs solve, each sized for its
-    widest class block (_widest_class). A solve takes a spare one, or
-    makes one (_workspace) when none is spare, and gives it back when it
-    ends, so there are at most as many as solves run at once; they are
-    dropped with this object."""
+    widest class block (_widest_class) and each dsyevd's work and iwork
+    alone (_workspace): the block itself is solved in its own place. A
+    solve takes a spare one, or makes one when none is spare, and gives it
+    back when it ends, failed or not, so there are at most as many as
+    solves run at once; they are dropped with this object."""
 
     def __init__(self, d: int):
         self.d, self.spare = d, []
@@ -349,15 +403,19 @@ class _Workspaces:
 def _solve_block(G: np.ndarray, r: np.ndarray, c: np.ndarray, v: np.ndarray,
                  T: float, workspaces: _Workspaces | None = None) -> np.ndarray:
     """Solve the class block whose entries v lie at (r, c) and write
-    V V^T into G, V = U exp(-lam/2T), formed over U (_gram); return lam.
+    V V^T into G, a C-ordered array, V = U exp(-lam/2T), formed over U
+    (_gram); return lam.
 
     Without workspaces the block is tridiagonal, and LAPACK's stevd gets
     its diagonal and lower off-diagonal straight from the triplets. With
-    them, the dense route: the block is scattered into a taken workspace in
-    the layout numpy.linalg.eigh's copy has, Fortran (i, j) = block[i, j],
-    and dsyevd (kernels._dsyevd, with the GIL released) solves it there,
-    reading the lower triangle, bitwise as numpy's eigh. Pool threads run
-    the dense route, so it calls numpy and kernels' private routes alone.
+    them, the dense route solves in G's own memory: the block is scattered
+    into G.T, the layout numpy.linalg.eigh's copy has, Fortran (i, j) =
+    block[i, j], and dsyevd (kernels._dsyevd, with the GIL released)
+    solves it there, reading the lower triangle, bitwise as numpy's eigh.
+    V V^T is then formed in the taken workspace's work array, which dsyevd
+    no longer needs and which is longer than d^2, and copied into G. Pool
+    threads run the dense route, so it calls numpy and kernels' private
+    routes alone.
     """
     d = G.shape[0]
     if workspaces is None:
@@ -369,15 +427,18 @@ def _solve_block(G: np.ndarray, r: np.ndarray, c: np.ndarray, v: np.ndarray,
         if info:
             raise np.linalg.LinAlgError(f"stevd failed with info {info}")
         return _gram(U, lam, T, G)
-    with workspaces.take() as (a, work, iwork):
-        U = a[:d * d].reshape(d, d, order="F")
+    with workspaces.take() as (work, iwork):
+        U = G.T
         U.fill(0.0)
         U[r, c] = v
         lam = np.empty(d)
         info = _dsyevd(U, lam, work, iwork)
         if info:
             raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
-        return _gram(U, lam, T, G)
+        VVt = work[:d * d].reshape(d, d)
+        _gram(U, lam, T, VVt)
+        G[...] = VVt
+        return lam
 
 
 def _gram(U: np.ndarray, lam: np.ndarray, T: float,
@@ -395,75 +456,83 @@ def _gram(U: np.ndarray, lam: np.ndarray, T: float,
 _IN_FLIGHT = 3
 
 
-def _gibbs_sectors(H: FockOperator, T: float):
+def _gibbs_sectors(basis: FockBasis, labels: np.ndarray, runs, T: float):
     """Solve exp(-H/T) sector by sector: yield (n, blocks, flat, lam) in
     ascending n, blocks the [(rows, G)] of the label classes of sector n,
     G = V V^T unnormalized, flat the blocks laid end to end and one zero
     after them (each G is a view of it), and lam the sector's eigenvalues,
     sorted.
 
-    The blocks are cut from H by one permutation (_class_blocks); an entry
-    between two blocks is refused, and so is a complex H or one with a
-    non-finite entry. Each block's (r, c, v) triplets go to _solve_block,
-    and flat is never scattered into: it is allocated empty but for its
-    last zero, and each G is first written by its own V V^T. A block whose
+    H is given as runs, an iterable of (lo, M) in basis order, M the CSR
+    block of H on the basis states lo:lo + m, whole sectors that H couples
+    to no other state (_hamiltonian_runs, or one run of a whole H), and
+    labels[i] is the class of basis state i. A run is taken from runs when
+    the stream reaches it, on the calling thread, and cut into its class
+    blocks and checked by _class_blocks: a complex run, one with a
+    non-finite entry, an asymmetric one and an entry between two blocks
+    are refused. The run is dropped once its blocks are handed on, so at
+    most one run is held, besides the entries of blocks still in flight.
+    Each block's (r, c, v) triplets go to _solve_block, and flat is never
+    scattered into but by that solve: it is allocated empty but for its
+    last zero, and each G is first written by its own solve. A block whose
     entries all lie within one place of the diagonal goes to LAPACK's
     tridiagonal divide-and-conquer solver (stevd) on the calling thread,
     as scipy's wrapper holds the GIL. Every other block goes to the dense
     one (dsyevd, called by ctypes without the GIL) on a pool of one thread
     per CPU this process may use; the pool assumes a single-threaded BLAS.
-    A dense solve scatters its block into a workspace of _Workspaces, of
-    which there are at most as many as solves run at once, each 3 d^2
-    doubles for the widest class block d. dsyevd reads the lower triangle
-    and on a tridiagonal input ends in the same stedc call, so the two
-    give the same bits there. At most _IN_FLIGHT sectors are held, the one
-    yielded included; the pool is shut down, its solves finished, and the
-    workspaces dropped when the stream ends or is closed.
+    A dense solve runs in G's own place, with a workspace of _Workspaces,
+    of which there are at most as many as solves run at once, each about
+    2 d^2 doubles for the widest class block d. dsyevd reads the lower
+    triangle and on a tridiagonal input ends in the same stedc call, so
+    the two give the same bits there. At most _IN_FLIGHT sectors are held,
+    the one yielded included; the pool is shut down, its solves finished,
+    and the workspaces dropped when the stream ends, fails or is closed.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
-    if np.iscomplexobj(H.matrix):
-        raise ValueError("Hamiltonian must be real")
-    if not np.isfinite(H.matrix.data).all():
-        raise ValueError("Hamiltonian has non-finite entries")
-    if H.hermiticity_defect() > 1e-10:
-        raise ValueError("Hamiltonian is not symmetric")
 
     def solved(n, blocks, flat, lams):
         return n, blocks, flat, np.sort(np.concatenate(
             [x if isinstance(x, np.ndarray) else x.result() for x in lams]))
 
     pending = deque()
-    workspaces = _Workspaces(_widest_class(H))
+    workspaces = _Workspaces(_widest_class(basis, labels))
     with ThreadPoolExecutor(_workers()) as pool:
-        for n, group in groupby(_class_blocks(H), key=itemgetter(0)):
-            group = list(group)
-            flat = np.empty(sum(rows.size ** 2 for _, rows, *_ in group) + 1)
-            flat[-1] = 0.0
-            blocks, lams, at = [], [], 0
-            for _, rows, r, c, v in group:
-                G = flat[at:at + rows.size ** 2].reshape(rows.size, rows.size)
-                at += G.size
-                blocks.append((rows, G))
-                lams.append(_solve_block(G, r, c, v, T)
-                            if np.all(np.abs(r - c) <= 1)
-                            else pool.submit(_solve_block, G, r, c, v, T,
-                                             workspaces))
-            pending.append((n, blocks, flat, lams))
-            if len(pending) == _IN_FLIGHT - 1:
-                yield solved(*pending.popleft())
+        for run in runs:
+            for n, group in groupby(_class_blocks(basis, labels, *run),
+                                    key=itemgetter(0)):
+                group = list(group)
+                flat = np.empty(sum(rows.size ** 2 for _, rows, *_ in group)
+                                + 1)
+                flat[-1] = 0.0
+                blocks, lams, at = [], [], 0
+                for _, rows, r, c, v in group:
+                    G = flat[at:at + rows.size ** 2].reshape(rows.size,
+                                                              rows.size)
+                    at += G.size
+                    blocks.append((rows, G))
+                    lams.append(_solve_block(G, r, c, v, T)
+                                if np.all(np.abs(r - c) <= 1)
+                                else pool.submit(_solve_block, G, r, c, v, T,
+                                                 workspaces))
+                pending.append((n, blocks, flat, lams))
+                if len(pending) == _IN_FLIGHT - 1:
+                    yield solved(*pending.popleft())
+            del run  # not held while the next run is assembled
         while pending:
             yield solved(*pending.popleft())
 
 
-def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
-    """Fold the sector stream of exp(-H/T) into the point's sums: the
-    marginals of the given orders (_Marginals, which branches each sector
-    as it arrives), the diagonal (in basis order) and, with keep, the
-    blocks as (n, rows, G); each normalized by one exp(-log Z) scale at
-    the end. Returns (blocks, layout, log Z, <H>, diagonal, marginals),
-    layout the (n, rows) of every block in stream order, kept or not: the
-    split of H into (sector, class) blocks.
+def _fold_gibbs(basis: FockBasis, labels: np.ndarray, runs, T: float,
+                orders=(), keep: bool = True):
+    """Fold the sector stream of exp(-H/T), H given by its labels and runs
+    (_gibbs_sectors), into the point's sums: the marginals of the given
+    orders (_Marginals, which branches each sector as it arrives), the
+    diagonal (in basis order) and, with keep, the blocks as (n, rows, G);
+    each normalized by one exp(-log Z) scale at the end. Returns (blocks,
+    layout, log Z, <H>, diagonal, marginals), layout the (n, rows) of
+    every block in stream order, kept or not: the split of H into
+    (sector, class) blocks.
 
     A sector's blocks are dropped once folded in, unless kept. log Z is the
     log-sum-exp of every eigenvalue, each sector's sorted, so it does not
@@ -471,19 +540,18 @@ def _fold_gibbs(H: FockOperator, T: float, orders=(), keep: bool = True):
     sectors), and <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z), is
     one dot product over the same eigenvalues, which also give the entropy
     -sum p log p = <H>/T + log Z with no second eigensolve. The sums cannot
-    overflow: the vacuum's eigenvalue is 0 for every H build_hamiltonian
-    makes, so log Z >= 0 (and V stays finite above a spectrum of -1400 T;
+    overflow: the vacuum's eigenvalue is 0 for every H _hamiltonian_runs
+    assembles, so log Z >= 0 (and V stays finite above a spectrum of -1400 T;
     the lab's H is positive semidefinite). The kept blocks and the diagonal
     are scaled in place, so they carry the bits of a scale applied to the
     whole state; a marginal sums the unnormalized blocks and is scaled
     once, which moves it at float level against the marginal of the
     normalized blocks.
     """
-    basis = H.basis
     gather = _Marginals(basis, orders)
     diag = np.zeros(basis.dim)
     eigs, kept, layout = [], [], []
-    for n, blocks, flat, lam in _gibbs_sectors(H, T):
+    for n, blocks, flat, lam in _gibbs_sectors(basis, labels, runs, T):
         eigs.append(lam)
         for rows, G in blocks:
             diag[rows] = np.diagonal(G)
@@ -507,7 +575,8 @@ def gibbs_state(H: FockOperator, T: float):
     energy <H> = sum_i p_i eps_i, p_i = exp(-eps_i/T - log Z).
 
     It collects the sector stream that solve_point folds (_gibbs_sectors,
-    which says how each class block is cut and solved) and keeps every
+    which says how each class block is cut and solved), H taken as one
+    run, checked whole before any block is solved, and keeps every
     block: the solve leaves V V^T in the array the state keeps, exp(-H/T)
     unnormalized, V = U exp(-lam/2T): one syrk (half the flops of
     (U w) U^T, and exactly symmetric), and the eigenvectors are dropped at
@@ -518,7 +587,8 @@ def gibbs_state(H: FockOperator, T: float):
     keeps the blocks only when asked, so the sweep's rows without a
     Berezin-Lieb stage never hold every block.
     """
-    blocks, _, log_z, energy, _, _ = _fold_gibbs(H, T)
+    blocks, _, log_z, energy, _, _ = _fold_gibbs(
+        H.basis, H.labels, [(0, H.matrix)], T)
     return FockState(basis=H.basis, blocks=tuple(blocks)), log_z, energy
 
 
@@ -821,7 +891,10 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
     comes from that spectrum (see ThermalPoint).
 
     The Gibbs solve is one sector stream (_gibbs_sectors), the one
-    gibbs_state collects: as each sector's solves finish, its blocks are
+    gibbs_state collects, over H_lam's sector runs (_hamiltonian_runs):
+    each run is assembled when the stream reaches it and dropped once its
+    blocks are on their way, so the whole H is never built. As each
+    sector's solves finish, its blocks are
     gathered into the marginals of orders 1..k_max (and 2 with a pair
     term, for the pair energy) and its diagonal kept, and then the blocks
     are dropped unless keep_blocks; log Z scales the sums once, at the end
@@ -838,7 +911,7 @@ def solve_point(eigenvalues: np.ndarray, tensor: TwoBodyTensor, T: float, *,
     pair = _has_pair_term(tensor, lam)
     k_top = max(k_max, 2 if pair else 1)
     blocks, layout, log_z, energy, diag, marginals = _fold_gibbs(
-        build_hamiltonian(basis, eigenvalues, tensor, lam), T,
+        basis, *_hamiltonian_runs(basis, eigenvalues, tensor, lam), T,
         orders=range(1, k_top + 1), keep=keep_blocks)
     E = basis.occupations @ np.asarray(eigenvalues, dtype=float)
     log_z_free = float(logsumexp(-E / T))

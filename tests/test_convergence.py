@@ -267,6 +267,21 @@ def test_gibbs_pair_marginal_is_built_once_per_row(small_config, monkeypatch):
             pair + point.one_body_energy - point.energy) / abs(exact)
 
 
+def _passing_runs(runs, seen: list):
+    """The sector runs of H as the Gibbs stream takes them, each kept in
+    seen as it passes."""
+    for lo, M in runs:
+        seen.append((lo, M))
+        yield lo, M
+
+
+def _run_block(seen: list, rows: np.ndarray) -> np.ndarray:
+    """The dense block of H on the basis indices rows, cut from the run
+    in seen that holds them."""
+    [(lo, M)] = [(lo, M) for lo, M in seen if lo <= rows[0] < lo + M.shape[0]]
+    return M[rows - lo][:, rows - lo].toarray()
+
+
 def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
     # the Gibbs stream solves each class block, the tridiagonal ones with
     # stevd and the others with dsyevd on its pool, and S(trial | free)
@@ -292,11 +307,12 @@ def test_sweep_eigensolves_each_state_block_once(small_config, monkeypatch):
         calls["stevd"] += 1
         return dstevd(*args, **kwargs)
 
-    def recording_sectors(H, T):
-        tri = dense = 0
-        for n, blocks, flat, lam in gibbs_sectors(H, T):
+    def recording_sectors(basis, labels, runs, T):
+        tri, dense, seen = 0, 0, []
+        for n, blocks, flat, lam in gibbs_sectors(
+                basis, labels, _passing_runs(runs, seen), T):
             for rows, _ in blocks:
-                h = H.class_block(rows)
+                h = _run_block(seen, rows)
                 band = not np.triu(h, 2).any() and not np.tril(h, -2).any()
                 tri, dense = tri + band, dense + (not band)
             yield n, blocks, flat, lam
@@ -336,8 +352,8 @@ def test_a_row_builds_its_trial_state_holding_no_gibbs_block(
     gibbs_sectors, build = fock._gibbs_sectors, semiclassics.trial_state
     flats, alive = [], []
 
-    def recording(H, T):
-        for n, blocks, flat, lam in gibbs_sectors(H, T):
+    def recording(*args):
+        for n, blocks, flat, lam in gibbs_sectors(*args):
             flats.append(weakref.ref(flat))
             yield n, blocks, flat, lam
 
@@ -362,11 +378,12 @@ def _corrupt_gibbs_coupling(monkeypatch):
     marginals are gathered."""
     gibbs_sectors = fock._gibbs_sectors
 
-    def corrupted(H, T):
-        moved = False
-        for n, blocks, flat, lam in gibbs_sectors(H, T):
+    def corrupted(basis, labels, runs, T):
+        moved, seen = False, []
+        for n, blocks, flat, lam in gibbs_sectors(
+                basis, labels, _passing_runs(runs, seen), T):
             for rows, G in blocks:
-                h = H.class_block(rows)
+                h = _run_block(seen, rows)
                 a, b = np.nonzero(h - np.diag(np.diagonal(h)))
                 if a.size and not moved:
                     G[a[0], b[0]] += 1e-6
@@ -398,6 +415,25 @@ def test_fe_identity_defect_sees_one_corrupted_build(small_config,
     assert all(r.fe_identity_defect <= 1e-10 for r in run_convergence(cfg).rows)
     corrupt(monkeypatch)
     assert all(r.fe_identity_defect > 1e-10 for r in run_convergence(cfg).rows)
+
+
+@pytest.mark.parametrize("shape", ["k2", "ed-k3"])
+def test_summary_rows_carry_their_widest_class_block(small_config, tmp_path,
+                                                     shape):
+    # the rows of the widest (sector, class) block of each valid row's
+    # Gibbs state, which sizes the dense solves' workspaces; report.csv
+    # has no column for it
+    cfg = small_config if shape == "k2" else dataclasses.replace(
+        small_config, K=3, k_max=3, trial_subsample=0, bl_samples=0)
+    csv_path, json_path = emit_report(run_convergence(cfg), tmp_path)
+    rows = json.load(open(json_path))["rows"]
+    _, tensor = gl.convergence.resolve(cfg)
+    assert len(rows) == 2
+    for row in rows:
+        fb = gl.build_fock_basis(cfg.K, row["n_max"])
+        labels = fb.occupations @ tensor.parity % 2
+        assert row["widest_block"] == fock._widest_class(fb, labels) > 1
+    assert "widest" not in open(csv_path).read()
 
 
 def test_fe_identity_defect_is_on_rows_without_a_trial_state(
@@ -772,11 +808,11 @@ def test_class_split_selfcheck_fails_on_a_corrupted_split(monkeypatch,
                                                           small_config):
     blocks = fock._class_blocks
 
-    def shifted(H):
+    def shifted(basis, labels, lo, M):
         # class 1 of every split sector moved up by 1e-6; whole sectors and
         # one-class sectors are left as they are
-        for n, rows, r, c, v in blocks(H):
-            if rows.size < H.basis.sector_dim(n) and H.labels[rows[0]] == 1:
+        for n, rows, r, c, v in blocks(basis, labels, lo, M):
+            if rows.size < basis.sector_dim(n) and labels[rows[0]] == 1:
                 assert np.array_equal(np.sort(r[r == c]), np.arange(rows.size))
                 v = v + 1e-6 * (r == c)
             yield n, rows, r, c, v
@@ -863,22 +899,26 @@ def test_cli_quantum(config_file, tmp_path):
     assert (tmp_path / "out" / "quantum_k1.csv").exists()
 
 
-def test_cli_quantum_builds_the_hamiltonian_once(config_file, tmp_path,
-                                                 monkeypatch):
-    # <H> and <H_0> come from the solved point and the pair term from the
-    # written k = 2 marginal, so no energy split rebuilds H
-    build = fock.build_hamiltonian
-    calls = []
+def test_cli_quantum_assembles_the_hamiltonian_once_and_never_whole(
+        config_file, tmp_path, monkeypatch):
+    # the solve assembles H run by run and builds no whole H; <H> and <H_0>
+    # come from the solved point and the pair term from the written k = 2
+    # marginal, so no energy split builds H either
+    build, runs = fock.build_hamiltonian, fock._hamiltonian_runs
+    calls = {"build": 0, "runs": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(fock, "build_hamiltonian", counting)
+    monkeypatch.setattr(fock, "build_hamiltonian", counting("build", build))
+    monkeypatch.setattr(fock, "_hamiltonian_runs", counting("runs", runs))
     assert cli.main(["quantum", "--config", str(config_file),
                      "--T", "2.0"]) == 0
-    assert len(calls) == 1
-    monkeypatch.setattr(fock, "build_hamiltonian", build)
+    assert calls == {"build": 0, "runs": 1}
+    monkeypatch.undo()
     energy = json.load(open(tmp_path / "out" / "quantum.json"))["energy"]
     cfg = gl.read_config(str(config_file))
     basis, tensor = gl.convergence.resolve(cfg)
@@ -969,6 +1009,47 @@ def test_cli_converge(config_file, tmp_path, capsys):
     assert (tmp_path / "out" / "report.csv").exists()
     props = json.load(open(tmp_path / "out" / "summary.json"))["properties"]
     assert props["insufficient_points"] is False and props["all"]
+
+
+def test_cli_converge_progress_prints_each_row_as_it_finishes(
+        config_file, tmp_path, capsys, monkeypatch):
+    # --progress prints a row's line to stderr before the next row starts,
+    # the line stdout prints for it after the sweep; without the flag
+    # nothing reaches stderr, and the report is the same bytes either way
+    temperature_row, printed = gl.convergence._temperature_row, []
+
+    def recording(*args):
+        printed.append(capsys.readouterr().err)
+        return temperature_row(*args)
+
+    monkeypatch.setattr(gl.convergence, "_temperature_row", recording)
+    reports = {}
+    for flag in ([], ["--progress"]):
+        printed.clear()
+        out = tmp_path / ("progress" if flag else "plain")
+        assert cli.main(["converge", "--config", str(config_file),
+                         "--out", str(out), *flag]) == 0
+        streams = capsys.readouterr()
+        printed.append(streams.err)
+        rows = streams.out.splitlines()[:-1]
+        assert len(rows) == 2 and all(r.startswith("T=") for r in rows)
+        want = ["", *(line + "\n" for line in rows)] if flag else [""] * 3
+        assert printed == want
+        reports[bool(flag)] = (out / "report.csv").read_bytes()
+    assert reports[True] == reports[False]
+
+
+def test_run_convergence_prints_nothing_unless_given_progress(
+        small_config, capsys):
+    cfg = dataclasses.replace(small_config, bl_samples=0, trial_subsample=0)
+    res = run_convergence(cfg)
+    assert capsys.readouterr() == ("", "")
+    seen = []
+    again = run_convergence(cfg, progress=seen.append)
+    assert capsys.readouterr() == ("", "")
+    assert [r.T for r in seen] == [r.T for r in again.rows] == [2.0, 4.0]
+    assert all(a is b for a, b in zip(seen, again.rows))
+    assert [r.distances for r in res.rows] == [r.distances for r in seen]
 
 
 def _desk_at_coupling(tmp_path, g):

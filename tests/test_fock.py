@@ -1,7 +1,9 @@
+import gc
 import math
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -910,9 +912,9 @@ def _k3_point(basis_k3, tensor_k3, T=2.5):
 def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
                                                   monkeypatch):
     # each dense solve takes one of at most as many workspaces as solves
-    # run at once, each sized for the widest class block
+    # run at once, each dsyevd's work and iwork for the widest class block
     H, T = _k3_point(basis_k3, tensor_k3)
-    d = fock._widest_class(H)
+    d = fock._widest_class(H.basis, H.labels)
     lwork, liwork = _syevd_sizes(d)
     got = {}
     for workers in (1, 2, 3):
@@ -923,9 +925,9 @@ def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
         assert threading.active_count() == threads
         made = seen["workspaces"]
         assert 1 <= len(made) <= min(workers, calls["evd"])
-        assert seen["evd_work"] == {id(work) for _, work, _ in made}
-        for a, work, iwork in made:
-            assert (a.size, work.size, iwork.size) == (d * d, lwork, liwork)
+        assert seen["evd_work"] == {id(work) for work, _ in made}
+        for work, iwork in made:
+            assert (work.size, iwork.size) == (lwork, liwork)
         monkeypatch.undo()
     _assert_same_gibbs(got[2], got[1])
     _assert_same_gibbs(got[3], got[1])
@@ -983,11 +985,12 @@ def _count_solvers(monkeypatch):
     """Count fock's calls of the dense eigensolver (kernels' dsyevd, on the
     pool threads) and the tridiagonal one (stevd, on the calling thread);
     seen holds the thread of each tridiagonal call, the work array of each
-    dense call, the work arrays of the dense workspaces made and the array
-    each V V^T is written into."""
+    dense call, the dense workspaces made and, for each V V^T, the data
+    addresses of the U it is formed over and of the array it is written
+    into."""
     calls = {"evd": 0, "stevd": 0}
     seen = {"stevd_threads": [], "evd_work": set(), "workspaces": [],
-            "gram_out": []}
+            "gram": []}
     lock = threading.Lock()
     dsyevd, dstevd = fock._dsyevd, fock.dstevd
     workspace, gram = fock._workspace, fock._gram
@@ -1011,7 +1014,7 @@ def _count_solvers(monkeypatch):
 
     def recording_gram(U, lam, T, G):
         with lock:
-            seen["gram_out"].append(id(G))
+            seen["gram"].append((U.ctypes.data, G.ctypes.data))
         return gram(U, lam, T, G)
 
     monkeypatch.setattr(fock, "_dsyevd", counting_dsyevd)
@@ -1044,8 +1047,9 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     fb = gl.build_fock_basis(K, gl.choose_n_max(basis.eigenvalues, T))
     H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
     want = oracles.gibbs_blocks_csr(H, T)
-    tri = sum(_is_tridiagonal(fock.FockOperator.class_block(H, rows))
-              for _, rows, _ in want[0].blocks)
+    band = [_is_tridiagonal(H.class_block(rows))
+            for _, rows, _ in want[0].blocks]
+    tri = sum(band)
 
     def refuse(*args):
         raise AssertionError("gibbs_state read class_block")
@@ -1055,17 +1059,23 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     got = gl.gibbs_state(H, T)
     _assert_same_gibbs(got, want)
     assert calls == {"evd": len(want[0].blocks) - tri, "stevd": tri}
-    # stevd runs on the calling thread, and each block's V V^T is written
-    # once, into the array the state keeps
+    # stevd runs on the calling thread, and each block's V V^T is formed
+    # once: a tridiagonal block's straight into the array the state keeps,
+    # a dense block's over the eigenvectors dsyevd left in that array, into
+    # a workspace's work, and copied back
     assert set(seen["stevd_threads"]) == {threading.get_ident()}
-    assert sorted(seen["gram_out"]) == sorted(id(G)
-                                              for *_, G in got[0].blocks)
+    kept = {G.ctypes.data: b for (*_, G), b in zip(got[0].blocks, band)}
+    made = {work.ctypes.data for work, _ in seen["workspaces"]}
+    assert len(seen["gram"]) == len(kept)
+    for U, out in seen["gram"]:
+        assert (out in kept and kept[out]) or (U in kept and not kept[U]
+                                               and out in made)
+    assert len({U for U, _ in seen["gram"] if U in kept}) == len(kept) - tri
     if K == 2:
         assert calls["evd"] == 0 and seen["workspaces"] == []
     else:
         assert calls["evd"] > 25 and calls["stevd"] > 0
-        made = {id(work) for _, work, _ in seen["workspaces"]}
-        assert seen["evd_work"] <= made
+        assert seen["evd_work"] <= {id(work) for work, _ in seen["workspaces"]}
 
 
 def _csr_entry(A, r, c) -> int:
@@ -1303,20 +1313,141 @@ def test_hamiltonian_assembly_peak_memory_is_a_few_runs(basis_k3, tensor_k3):
     assert peak <= 20 * 2**20
 
 
+def _several_runs(monkeypatch, basis, tensor, T):
+    """The basis of T's cutoff, with the triplet budget cut so that H_lam
+    comes in more than three sector runs; returns it and the runs."""
+    monkeypatch.setattr(fock, "_TRIPLETS", 2000)
+    fb = gl.build_fock_basis(len(basis.eigenvalues),
+                             gl.choose_n_max(basis.eigenvalues, T))
+    runs = list(fock._sector_runs(fb, np.count_nonzero(tensor.entries)))
+    assert len(runs) > 3
+    return fb, runs
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "dropped"])
+@pytest.mark.parametrize("K, T", [(2, 10.0), (3, 2.5)])
+def test_streamed_runs_are_bitwise_the_whole_hamiltonian(
+        basis_k2, tensor_k2, basis_k3, tensor_k3, monkeypatch, K, T, keep):
+    # solve_point assembles H_lam run by run as its stream reaches each
+    # run; the whole H solved as one run gives the same blocks, log Z,
+    # <H>, diagonal, marginals and layout, bit for bit
+    basis, tensor = (basis_k2, tensor_k2) if K == 2 else (basis_k3, tensor_k3)
+    fb, _ = _several_runs(monkeypatch, basis, tensor, T)
+    H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
+    blocks, layout, log_z, energy, diag, marginals = fock._fold_gibbs(
+        fb, H.labels, [(0, H.matrix)], T, orders=range(1, 4), keep=keep)
+    point = gl.solve_point(basis.eigenvalues, tensor, T, k_max=3,
+                           keep_blocks=keep)
+    assert point.basis.matches(fb)
+    assert (point.log_z, point.energy) == (log_z, energy)
+    assert point.one_body_energy == float(diag @ (fb.occupations
+                                                  @ basis.eigenvalues))
+    assert len(point.layout) == len(layout)
+    for (n, rows), (m, want) in zip(point.layout, layout):
+        assert n == m and np.array_equal(rows, want)
+    assert sorted(point.marginals) == sorted(marginals) == [1, 2, 3]
+    for k, g_k in marginals.items():
+        assert point.marginals[k].entries.tobytes() == g_k.entries.tobytes()
+    if keep:
+        assert len(point.gibbs.blocks) == len(blocks)
+        for (n, rows, G), (m, want_rows, want) in zip(point.gibbs.blocks,
+                                                      blocks):
+            assert n == m and np.array_equal(rows, want_rows)
+            assert G.tobytes() == want.tobytes()
+    else:
+        assert point.gibbs is None and blocks == []
+
+
+def test_solve_point_holds_one_run_of_the_hamiltonian_at_a_time(
+        basis_k3, tensor_k3, monkeypatch):
+    # no whole H is built: each run's matrix is gone before the next is
+    # assembled, and at most one is alive whenever the stream yields
+    _, runs = _several_runs(monkeypatch, basis_k3, tensor_k3, 2.5)
+    assemble, sectors = fock._run_matrix, fock._gibbs_sectors
+    refs, at_build, at_sector = [], [], []
+
+    def alive():
+        gc.collect()
+        return sum(ref() is not None for ref in refs)
+
+    def spying(*args):
+        at_build.append(alive())
+        M = assemble(*args)
+        refs.append(weakref.ref(M))
+        return M
+
+    def watching(*args):
+        for item in sectors(*args):
+            at_sector.append(alive())
+            yield item
+
+    def refuse(*args):
+        raise AssertionError("solve_point built the whole H")
+
+    monkeypatch.setattr(fock, "build_hamiltonian", refuse)
+    monkeypatch.setattr(fock, "_run_matrix", spying)
+    monkeypatch.setattr(fock, "_gibbs_sectors", watching)
+    gl.solve_point(basis_k3.eigenvalues, tensor_k3, 2.5, k_max=3,
+                   keep_blocks=False)
+    assert len(refs) == len(runs)
+    assert at_build == [0] * len(runs)
+    assert max(at_sector) == 1 and alive() == 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "non-finite"), ("complex", "real"),
+    ("asymmetric", "not symmetric")])
+def test_a_bad_run_is_refused_and_leaves_no_thread(
+        basis_k3, tensor_k3, monkeypatch, bad, message):
+    # the last run goes bad after the earlier runs' dense blocks went to
+    # the pool: the stream refuses it with the message a whole H gets, and
+    # the pool is shut down
+    T = 2.5
+    _, runs = _several_runs(monkeypatch, basis_k3, tensor_k3, T)
+    last = runs[-1][0]
+    assemble, dsyevd, built, solved = fock._run_matrix, fock._dsyevd, [], []
+
+    def corrupting(basis, lo, *rest):
+        M = assemble(basis, lo, *rest)
+        built.append(lo)
+        if lo != last:
+            return M
+        M = M.astype(complex) if bad == "complex" else M.copy()
+        coo = M.tocoo()
+        k = int(np.flatnonzero(coo.row != coo.col)[0])
+        M.data[k] = np.nan if bad == "nan" else M.data[k] + 1e-6
+        return M
+
+    def counting(*args):
+        solved.append(1)
+        return dsyevd(*args)
+
+    monkeypatch.setattr(fock, "_workers", lambda: 2)
+    monkeypatch.setattr(fock, "_run_matrix", corrupting)
+    monkeypatch.setattr(fock, "_dsyevd", counting)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=message):
+        gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, k_max=3,
+                       keep_blocks=False)
+    assert threading.active_count() == threads
+    assert built == [lo for lo, _ in runs] and len(solved) > 0
+
+
 def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
                                                      monkeypatch):
     # the ed-k3 shape at T=7 (K=3, k_max=3, dense parity blocks on the
-    # pool, 39 sectors): without its blocks kept, a point holds the gather's
-    # Dk x Dk sums and the blocks of at most a few sectors, not the 20 MB of
-    # all of them; no branching of the whole basis is held (the gather
-    # branches each sector as it is added). H is built before the measured
-    # window, as the assembly's own peak is not the solve's. The dense
-    # solves' workspaces are numpy arrays, which tracemalloc sees: their
-    # exact bytes come on top.
+    # pool, 39 sectors): without its blocks kept, a point holds the
+    # gather's Dk x Dk sums, the blocks of at most a few sectors and one
+    # sector run of H, not the 20 MB of all the blocks nor a whole H; no
+    # branching of the whole basis is held (the gather branches each
+    # sector as it is added). The largest run's assembly peak, measured on
+    # its own, comes on top, and so do the exact bytes of the dense
+    # solves' workspaces, numpy arrays that tracemalloc sees.
     T = 7.0
     fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
-    H = gl.build_hamiltonian(fb, basis_k3.eigenvalues, tensor_k3, 1.0 / T)
-    sector = [8 * int((np.bincount(H.labels[fb.sector_slice(n)]) ** 2).sum())
+    labels, runs = fock._hamiltonian_runs(fb, basis_k3.eigenvalues,
+                                          tensor_k3, 1.0 / T)
+    sector = [8 * int((np.bincount(labels[fb.sector_slice(n)]) ** 2).sum())
               for n in range(fb.n_max + 1)]
     assert sum(sector) > 8 * max(sector)
     tracemalloc.start()
@@ -1326,7 +1457,20 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
     finally:
         tracemalloc.stop()
     assert tables < 64 * 1024
-    monkeypatch.setattr(fock, "build_hamiltonian", lambda *args: H)
+    assembly = []
+    tracemalloc.start()
+    try:
+        while True:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run = next(runs, None)
+            if run is None:
+                break
+            assembly.append(tracemalloc.get_traced_memory()[1] - held)
+            del run
+    finally:
+        tracemalloc.stop()
+    assert len(assembly) > 1
     workspace, made = fock._workspace, []
 
     def recording(d):
@@ -1346,7 +1490,7 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
         finally:
             tracemalloc.stop()
         assert 1 <= len(made) <= workers
-        assert peak <= tables + 5 * max(sector) + sum(made)
+        assert peak <= tables + 5 * max(sector) + sum(made) + max(assembly)
 
 
 def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
@@ -1384,6 +1528,11 @@ def test_a_failed_pool_solve_is_raised_and_leaves_no_thread(
     assert sorted(map(id, spaces[0].spare)) == sorted(map(id, made))
 
 
+def _whole_class_blocks(H):
+    """The class blocks of the whole H, cut as one run."""
+    return fock._class_blocks(H.basis, H.labels, 0, H.matrix)
+
+
 def _dense_block(d: int, seed: int) -> np.ndarray:
     """A random d x d block, symmetric to about 1e-13 but not bitwise: its
     upper triangle is moved off the lower one."""
@@ -1415,15 +1564,49 @@ def test_dense_route_is_numpys_eigh_bitwise(d, workspaces_300):
     assert G.tobytes() == want.tobytes()
 
 
+def test_dense_route_solves_in_place_at_odd_offsets(workspaces_300,
+                                                   monkeypatch):
+    # blocks laid at odd element offsets of one sector array: dsyevd
+    # solves each in its own place, V V^T is numpy's eigh route bit for
+    # bit, nothing past a block is written, and a workspace is dsyevd's
+    # work and iwork alone
+    dims, T = [1, 13, 64, 100, 129, 300], 2.5
+    flat = np.full(sum(d * d + 1 for d in dims) + 1, np.nan)
+    dsyevd, places, at, slots = fock._dsyevd, [], 1, []
+
+    def solving(a, w, work, iwork):
+        places.append(a.ctypes.data)
+        return dsyevd(a, w, work, iwork)
+
+    monkeypatch.setattr(fock, "_dsyevd", solving)
+    for d in dims:
+        assert at % 2 == 1
+        G = flat[at:at + d * d].reshape(d, d)
+        B = _dense_block(d, seed=d)
+        r, c = np.nonzero(B)
+        lam = fock._solve_block(G, r, c, B[r, c], T, workspaces_300)
+        want_lam, want = oracles.gibbs_block_eigh(B, T)
+        assert lam.tobytes() == want_lam.tobytes()
+        assert G.tobytes() == want.tobytes()
+        assert places[-1] == G.ctypes.data
+        slots.append(np.arange(at, at + d * d))
+        at += d * d
+        at += at % 2 == 0
+    assert np.isnan(np.delete(flat, np.concatenate(slots))).all()
+    lwork, liwork = _syevd_sizes(300)
+    assert [(work.size, iwork.size) for work, iwork in workspaces_300.spare] \
+        == [(lwork, liwork)]
+
+
 def test_dense_route_is_numpys_eigh_on_every_dense_k3_block(basis_k3,
                                                             tensor_k3):
     # ed-k3's T=2.5 shape (K=3, n_max 15); its H is symmetric to 1e-10,
     # not bitwise
     H, T = _k3_point(basis_k3, tensor_k3)
     assert H.basis.n_max == 15
-    workspaces = fock._Workspaces(fock._widest_class(H))
+    workspaces = fock._Workspaces(fock._widest_class(H.basis, H.labels))
     dense = 0
-    for _, rows, r, c, v in fock._class_blocks(H):
+    for _, rows, r, c, v in _whole_class_blocks(H):
         if np.all(np.abs(r - c) <= 1):
             continue
         dense += 1
@@ -1441,7 +1624,7 @@ def test_dense_route_reads_the_lower_triangle(basis_k3, tensor_k3):
     # triangle) leaves it; the same move below shows. A block scattered
     # in C order would read the upper triangle instead.
     H, T = _k3_point(basis_k3, tensor_k3)
-    _, rows, r, c, _ = max(fock._class_blocks(H), key=lambda b: b[1].size)
+    _, rows, r, c, _ = max(_whole_class_blocks(H), key=lambda b: b[1].size)
     k = int(np.flatnonzero(c - r >= 2)[0])
     upper, lower = (rows[r[k]], rows[c[k]]), (rows[c[k]], rows[r[k]])
     moved = {}

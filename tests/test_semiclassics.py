@@ -187,7 +187,7 @@ def _layout(fb, basis, tensor, T=1.0):
     Gibbs stream records them (ThermalPoint.layout) without keeping a
     block: the layout a trial state takes."""
     H = gl.build_hamiltonian(fb, basis.eigenvalues, tensor, 1.0 / T)
-    return fock._fold_gibbs(H, T, keep=False)[1]
+    return fock._fold_gibbs(fb, H.labels, [(0, H.matrix)], T, keep=False)[1]
 
 
 def _free(fb, basis, T):
