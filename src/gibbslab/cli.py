@@ -114,15 +114,9 @@ def _row_line(row: convergence.ReportRow) -> str:
 
 def cmd_converge(args) -> int:
     cfg = _load(args)
-
-    def progress(row) -> None:
-        print(_row_line(row), file=sys.stderr, flush=True)
-
     result = convergence.run_convergence(
-        cfg, progress=progress if args.progress else None)
+        cfg, progress=lambda row: print(_row_line(row), flush=True))
     csv_path, json_path = convergence.emit_report(result, cfg.out_dir)
-    for row in result.rows:
-        print(_row_line(row))
     props = convergence.evaluate_properties(result)
     print(f"wrote {csv_path} and {json_path}")
     if not props["all"]:
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", cmd_spectrum, None),
         ("sample", cmd_sample, None),
         ("quantum", cmd_quantum, "T"),
-        ("converge", cmd_converge, "progress"),
+        ("converge", cmd_converge, None),
         ("selfcheck", cmd_selfcheck, "corrupt"),
     ]:
         sp = sub.add_parser(name)
@@ -169,9 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         if extra == "T":
             sp.add_argument("--T", type=float, default=None,
                             help="single temperature instead of the schedule")
-        if extra == "progress":
-            sp.add_argument("--progress", action="store_true",
-                            help="print each row to stderr as it finishes")
         if extra == "corrupt":
             sp.add_argument("--corrupt", action="store_true",
                             help=argparse.SUPPRESS)  # negative-control hook

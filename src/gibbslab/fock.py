@@ -33,8 +33,8 @@ from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
 from .classical import MomentMatrix
-from .kernels import (Recurrence, _dsyevd, _pair_moves, _syevd_sizes,
-                      _workers, two_body_coo)
+from .kernels import (Recurrence, _dsyevd, _syevd_sizes, _workers,
+                      two_body_coo)
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -208,9 +208,8 @@ def _hamiltonian_runs(basis: FockBasis, eigenvalues: np.ndarray,
     CSR rows at once. The operator conserves the particle number, so the
     triplets whose columns are a run's states are every entry of its rows,
     and each row's duplicates come in the order a whole-basis call gives
-    them: every entry has the bits of a single COO -> CSR conversion. The
-    per-(k, l) part of the calls (kernels._pair_moves) is made once. Without
-    a pair term H is diagonal, and one run.
+    them: every entry has the bits of a single COO -> CSR conversion.
+    Without a pair term H is diagonal, and one run.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if eigenvalues.size != basis.K:
@@ -226,18 +225,17 @@ def _hamiltonian_runs(basis: FockBasis, eigenvalues: np.ndarray,
             yield 0, sparse.diags(diag).tocsr()
             return
         W = tensor.entries
-        moves = _pair_moves(W, basis.strides)
         for lo, hi in _sector_runs(basis, np.count_nonzero(W)):
-            yield lo, _run_matrix(basis, lo, hi, diag, W, moves, lam)
+            yield lo, _run_matrix(basis, lo, hi, diag, W, lam)
 
     return basis.occupations @ tensor.parity % 2, runs()
 
 
 def _run_matrix(basis: FockBasis, lo: int, hi: int, diag: np.ndarray,
-                W: np.ndarray, moves: list, lam: float) -> sparse.csr_matrix:
+                W: np.ndarray, lam: float) -> sparse.csr_matrix:
     """The block of H on the states lo:hi of one sector run."""
     rows, cols, vals = two_body_coo(basis.occupations[lo:hi], basis.table,
-                                    basis.strides, W, moves)
+                                    basis.strides, W)
     pair = sparse.coo_matrix((vals, (rows - lo, cols)),
                              shape=(hi - lo, hi - lo)).tocsr()
     del rows, cols, vals  # not held while the sum is formed
@@ -495,29 +493,32 @@ def _gibbs_sectors(basis: FockBasis, labels: np.ndarray, runs, T: float):
         return n, blocks, flat, np.sort(np.concatenate(
             [x if isinstance(x, np.ndarray) else x.result() for x in lams]))
 
+    def cut(lo, M):
+        # the run's blocks into pending; its locals, M and the views of its
+        # permuted copy among them, go when it returns
+        for n, group in groupby(_class_blocks(basis, labels, lo, M),
+                                key=itemgetter(0)):
+            group = list(group)
+            flat = np.empty(sum(rows.size ** 2 for _, rows, *_ in group) + 1)
+            flat[-1] = 0.0
+            blocks, lams, at = [], [], 0
+            for _, rows, r, c, v in group:
+                G = flat[at:at + rows.size ** 2].reshape(rows.size, rows.size)
+                at += G.size
+                blocks.append((rows, G))
+                lams.append(_solve_block(G, r, c, v, T)
+                            if np.all(np.abs(r - c) <= 1)
+                            else pool.submit(_solve_block, G, r, c, v, T,
+                                             workspaces))
+            pending.append((n, blocks, flat, lams))
+            if len(pending) == _IN_FLIGHT - 1:
+                yield solved(*pending.popleft())
+
     pending = deque()
     workspaces = _Workspaces(_widest_class(basis, labels))
     with ThreadPoolExecutor(_workers()) as pool:
         for run in runs:
-            for n, group in groupby(_class_blocks(basis, labels, *run),
-                                    key=itemgetter(0)):
-                group = list(group)
-                flat = np.empty(sum(rows.size ** 2 for _, rows, *_ in group)
-                                + 1)
-                flat[-1] = 0.0
-                blocks, lams, at = [], [], 0
-                for _, rows, r, c, v in group:
-                    G = flat[at:at + rows.size ** 2].reshape(rows.size,
-                                                              rows.size)
-                    at += G.size
-                    blocks.append((rows, G))
-                    lams.append(_solve_block(G, r, c, v, T)
-                                if np.all(np.abs(r - c) <= 1)
-                                else pool.submit(_solve_block, G, r, c, v, T,
-                                                 workspaces))
-                pending.append((n, blocks, flat, lams))
-                if len(pending) == _IN_FLIGHT - 1:
-                    yield solved(*pending.popleft())
+            yield from cut(*run)
             del run  # not held while the next run is assembled
         while pending:
             yield solved(*pending.popleft())

@@ -12,11 +12,10 @@ share.
     occupation_sectors(vs, occs, vacuum, reach)  -- the same amplitudes
         as a stream of sectors, each column only up to its own reach, over
         a Recurrence too
-    two_body_coo(occs, table, strides, W[, moves])  -- COO triplets of
-        the normal ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+
-        a_l a_k on a run of basis states, one step per annihilated pair
-        (k, l) over every created pair and state; moves, the steps' part
-        that no state enters (_pair_moves), serves every run of a basis
+    two_body_coo(occs, table, strides, W)  -- COO triplets of the normal
+        ordered two-body operator (1/2) sum W[i,j,k,l] a_i+ a_j+ a_l a_k on
+        a run of basis states, one step per annihilated pair (k, l) over
+        every created pair and state
 
 The pools of fock and classical take _workers() threads. Their workers call
 private routes only (_products, _zherk, _dsyevd and numpy), so nothing a
@@ -325,32 +324,8 @@ def occupation_sectors(vs: np.ndarray, occs: Recurrence,
         yield n, c, A
 
 
-def _pair_moves(W: np.ndarray, strides: np.ndarray) -> list:
-    """The part of two_body_coo that no state enters, one entry per
-    annihilated pair (k, l) in np.ndindex order: (k, l, j, i, shift, c_j,
-    c_i, half) over the nonzero W[i, j, k, l] in np.nonzero(W[:, :, k,
-    l].T) order, with shift the radix key a_i+ a_j+ a_l a_k adds, c_j and
-    c_i what turns a state's occupations of modes j and i into the
-    created-pair factors (left[j] + 1) and (left[i] + 1 + (i == j)) of
-    left, the occupations after a_l a_k, and half = 0.5 * W[i, j, k, l]."""
-    K = W.shape[0]
-    moves = []
-    for k, l in np.ndindex(W.shape[2:]):
-        j, i = np.nonzero(W[:, :, k, l].T)
-        lost = np.zeros(K, dtype=np.int64)
-        lost[k] += 1
-        lost[l] += 1
-        moves.append((k, l, j, i,
-                      (strides[j] + strides[i] - strides[k] - strides[l]
-                       )[:, None],
-                      (1 - lost[j])[:, None],
-                      (1 - lost[i] + (i == j))[:, None],
-                      (0.5 * W[i, j, k, l])[:, None]))
-    return moves
-
-
 def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,
-                 W: np.ndarray, moves: list | None = None):
+                 W: np.ndarray):
     """COO triplets of (1/2) sum_{ijkl} W[i,j,k,l] a_i+ a_j+ a_l a_k on the
     states occs.
 
@@ -364,24 +339,20 @@ def two_body_coo(occs: np.ndarray, table: np.ndarray, strides: np.ndarray,
     produced row index is valid and lies in the sectors of the run's
     states. Triplets come in the order (k, l, j, i, state) over the nonzero
     W[i, j, k, l] and the states a_l a_k keeps.
-
-    moves is _pair_moves(W, strides), made here when not given: a caller
-    that covers a basis in several runs makes it once and passes it to
-    each. Every quantity is the integer or float of a per-state formula,
-    so the triplets' bits do not depend on it or on the runs.
     """
-    if moves is None:
-        moves = _pair_moves(W, strides)
     occs = np.asarray(occs, dtype=np.int64)
     keys = occs @ strides
-    occs_t = occs.T
+    eye = np.eye(occs.shape[1], dtype=np.int64)
     out = []
-    for k, l, j, i, shift, c_j, c_i, half in moves:
-        n_k, n_l = occs_t[k], occs_t[l] - (l == k)
+    for k, l in np.ndindex(W.shape[2:]):
+        n_k, n_l = occs[:, k], occs[:, l] - (l == k)
         sel = np.flatnonzero((n_k >= 1) & (n_l >= 1))
-        held = occs_t[:, sel]
+        j, i = np.nonzero(W[:, :, k, l].T)
+        left = (occs[sel] - eye[k] - eye[l]).T     # occupations after a_l a_k
         amp = np.sqrt((n_k[sel] * n_l[sel]).astype(float)) \
-            * np.sqrt((held[j] + c_j) * (held[i] + c_i))
-        out.append((table[keys[sel] + shift].ravel(), np.tile(sel, j.size),
-                    (half * amp).ravel()))
+            * np.sqrt((left[j] + 1) * (left[i] + 1 + (i == j)[:, None]))
+        out.append((table[keys[sel] - strides[k] - strides[l]
+                          + (strides[j] + strides[i])[:, None]].ravel(),
+                     np.tile(sel, j.size),
+                     ((0.5 * W[i, j, k, l])[:, None] * amp).ravel()))
     return tuple(np.concatenate(x) for x in zip(*out))

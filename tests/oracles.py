@@ -28,9 +28,7 @@ can also go to numpy.linalg.eigh and one matmul into a fresh array, the
 numpy route the package's own dsyevd call must reproduce. The free-state
 cutoff sums the free Gibbs weights over the enumerated basis and scans
 every cutoff in budget. The Hamiltonian's pair term is one two_body_coo call
-over the whole basis, converted to CSR at once; the triplets themselves come
-from a scalar loop over (k, l, j, i, state) with the occupations after
-a_l a_k written out as a list.
+over the whole basis, converted to CSR at once.
 """
 
 import itertools
@@ -486,38 +484,3 @@ def hamiltonian_one_shot(fb, eigenvalues, tensor, lam: float):
     W = sparse.coo_matrix((vals, (rows, cols)), shape=(fb.dim, fb.dim))
     return sparse.diags(fb.occupations @ eigenvalues).tocsr() \
         + lam * W.tocsr()
-
-
-def two_body_triplets(occs, table, strides, W):
-    """The (rows, cols, vals) of two_body_coo from a scalar loop in its
-    order (k, l, j, i, state), j major over the nonzero W[i, j, k, l]:
-    a_l a_k takes the state to left, with factor sqrt(n_k (n_l - [l = k]))
-    as a float of the integer product, and a_i+ a_j+ gives sqrt((left_j +
-    1)(left_i + 1 + [i = j])); the value is 0.5 W[i, j, k, l] times their
-    product, the one float expression of each triplet."""
-    K = W.shape[0]
-    rows, cols, vals = [], [], []
-    for k in range(K):
-        for l in range(K):
-            pairs = [(j, i) for j in range(K) for i in range(K)
-                     if W[i, j, k, l] != 0.0]
-            kept = []
-            for s, occ in enumerate(occs.tolist()):
-                n_k, n_l = occ[k], occ[l] - (l == k)
-                if n_k >= 1 and n_l >= 1:
-                    left = list(occ)
-                    left[k] -= 1
-                    left[l] -= 1
-                    kept.append((s, left, float(n_k * n_l)))
-            for j, i in pairs:
-                for s, left, nn in kept:
-                    created = (left[j] + 1) * (left[i] + 1 + (i == j))
-                    new = list(left)
-                    new[j] += 1
-                    new[i] += 1
-                    rows.append(int(table[int(np.dot(new, strides))]))
-                    cols.append(s)
-                    vals.append(float(0.5 * W[i, j, k, l])
-                                * (math.sqrt(nn) * math.sqrt(created)))
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=float))

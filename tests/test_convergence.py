@@ -1011,39 +1011,29 @@ def test_cli_converge(config_file, tmp_path, capsys):
     assert props["insufficient_points"] is False and props["all"]
 
 
-def test_cli_converge_progress_prints_each_row_as_it_finishes(
+def test_cli_converge_prints_each_row_as_it_finishes(
         config_file, tmp_path, capsys, monkeypatch):
-    # --progress prints a row's line to stderr before the next row starts,
-    # the line stdout prints for it after the sweep; without the flag
-    # nothing reaches stderr, and the report is the same bytes either way
+    # converge prints a row's stdout line before the next row starts,
+    # through run_convergence's progress callback; run_convergence given
+    # none prints nothing, and one given a callback passes it every row
     temperature_row, printed = gl.convergence._temperature_row, []
 
     def recording(*args):
-        printed.append(capsys.readouterr().err)
+        printed.append(capsys.readouterr())
         return temperature_row(*args)
 
     monkeypatch.setattr(gl.convergence, "_temperature_row", recording)
-    reports = {}
-    for flag in ([], ["--progress"]):
-        printed.clear()
-        out = tmp_path / ("progress" if flag else "plain")
-        assert cli.main(["converge", "--config", str(config_file),
-                         "--out", str(out), *flag]) == 0
-        streams = capsys.readouterr()
-        printed.append(streams.err)
-        rows = streams.out.splitlines()[:-1]
-        assert len(rows) == 2 and all(r.startswith("T=") for r in rows)
-        want = ["", *(line + "\n" for line in rows)] if flag else [""] * 3
-        assert printed == want
-        reports[bool(flag)] = (out / "report.csv").read_bytes()
-    assert reports[True] == reports[False]
-
-
-def test_run_convergence_prints_nothing_unless_given_progress(
-        small_config, capsys):
-    cfg = dataclasses.replace(small_config, bl_samples=0, trial_subsample=0)
+    assert cli.main(["converge", "--config", str(config_file)]) == 0
+    printed.append(capsys.readouterr())
+    assert all(err == "" for _, err in printed)
+    out = [o.splitlines() for o, _ in printed]
+    assert out[0] == [] and len(out[1]) == 1 and len(out[2]) == 2
+    assert out[1][0].startswith("T=2.0 ") and out[2][0].startswith("T=4.0 ")
+    assert out[2][1].startswith("wrote ")
+    monkeypatch.undo()
+    cfg = dataclasses.replace(gl.convergence.read_config(str(config_file)),
+                              bl_samples=0, trial_subsample=0)
     res = run_convergence(cfg)
-    assert capsys.readouterr() == ("", "")
     seen = []
     again = run_convergence(cfg, progress=seen.append)
     assert capsys.readouterr() == ("", "")

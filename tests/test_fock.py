@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -1070,7 +1071,10 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     for U, out in seen["gram"]:
         assert (out in kept and kept[out]) or (U in kept and not kept[U]
                                                and out in made)
-    assert len({U for U, _ in seen["gram"] if U in kept}) == len(kept) - tri
+    # a stevd U is freed once used, so a later sector's array may reuse its
+    # address: the dense grams are told apart by where they write
+    dense = {U for U, out in seen["gram"] if out not in kept}
+    assert len(dense) == len(kept) - tri
     if K == 2:
         assert calls["evd"] == 0 and seen["workspaces"] == []
     else:
@@ -1358,27 +1362,53 @@ def test_streamed_runs_are_bitwise_the_whole_hamiltonian(
         assert point.gibbs is None and blocks == []
 
 
+class _InlinePool:
+    """A ThreadPoolExecutor stand-in that runs each submission at once, so
+    no block is in flight when the stream moves on."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
 def test_solve_point_holds_one_run_of_the_hamiltonian_at_a_time(
         basis_k3, tensor_k3, monkeypatch):
-    # no whole H is built: each run's matrix is gone before the next is
-    # assembled, and at most one is alive whenever the stream yields
+    # no whole H is built: each run's matrix and the data of its permuted
+    # copy are gone before the next run is assembled (its blocks solved at
+    # once), and at most one run is alive whenever the stream yields
     _, runs = _several_runs(monkeypatch, basis_k3, tensor_k3, 2.5)
     assemble, sectors = fock._run_matrix, fock._gibbs_sectors
-    refs, at_build, at_sector = [], [], []
+    cut = fock._class_blocks
+    refs, copies, at_build, at_sector = [], [], [], []
 
-    def alive():
+    def alive(watched):
         gc.collect()
-        return sum(ref() is not None for ref in refs)
+        return sum(ref() is not None for ref in watched)
 
     def spying(*args):
-        at_build.append(alive())
+        at_build.append((alive(refs), alive(copies)))
         M = assemble(*args)
         refs.append(weakref.ref(M))
         return M
 
+    def cutting(*args):
+        for block in cut(*args):
+            copies.append(weakref.ref(block[-1].base))
+            yield block
+
     def watching(*args):
         for item in sectors(*args):
-            at_sector.append(alive())
+            at_sector.append(alive(refs))
             yield item
 
     def refuse(*args):
@@ -1386,12 +1416,15 @@ def test_solve_point_holds_one_run_of_the_hamiltonian_at_a_time(
 
     monkeypatch.setattr(fock, "build_hamiltonian", refuse)
     monkeypatch.setattr(fock, "_run_matrix", spying)
+    monkeypatch.setattr(fock, "_class_blocks", cutting)
     monkeypatch.setattr(fock, "_gibbs_sectors", watching)
+    monkeypatch.setattr(fock, "ThreadPoolExecutor", _InlinePool)
     gl.solve_point(basis_k3.eigenvalues, tensor_k3, 2.5, k_max=3,
                    keep_blocks=False)
-    assert len(refs) == len(runs)
-    assert at_build == [0] * len(runs)
-    assert max(at_sector) == 1 and alive() == 0
+    assert len(refs) == len(runs) and len(copies) > len(runs)
+    assert at_build == [(0, 0)] * len(runs)
+    assert max(at_sector) == 1
+    assert alive(refs) == alive(copies) == 0
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -7,10 +7,9 @@ from scipy import sparse
 from scipy.linalg.blas import zherk
 
 import gibbslab as gl
-from gibbslab.kernels import (_STEP, Recurrence, _dsyevd, _pair_moves,
-                              _products, _syevd_sizes, _zherk,
-                              occupation_products, occupation_sectors,
-                              two_body_coo)
+from gibbslab.kernels import (_STEP, Recurrence, _dsyevd, _products,
+                              _syevd_sizes, _zherk, occupation_products,
+                              occupation_sectors, two_body_coo)
 
 import oracles
 
@@ -301,28 +300,6 @@ def test_two_body_coo_matches_ladder_products():
             expect += 0.5 * W[i, j, k, l] * term.toarray()
         assert np.abs(got - expect).max() < 1e-12
         assert np.abs(got - got.T).max() < 1e-12
-
-
-@pytest.mark.parametrize("K", [1, 2, 3, 4])
-def test_two_body_coo_runs_share_their_pair_moves_bitwise(K):
-    # the per-(k, l) part is made once and passed to the call of every run
-    # of sectors; each run's triplets are the scalar loop's, bit for bit
-    # and in its order
-    fb, _, W = _random_inputs(K, K=K, n_max=5)
-    if K == 1:
-        W = np.full((1,) * 4, 0.7)
-    moves = _pair_moves(W, fb.strides)
-    cuts = [0, 1, int(fb.sector_offsets[3]), fb.dim]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        occs = fb.occupations[lo:hi]
-        got = two_body_coo(occs, fb.table, fb.strides, W, moves)
-        want = oracles.two_body_triplets(occs, fb.table, fb.strides, W)
-        assert got[0].size > 0 or lo == 0
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    whole = two_body_coo(fb.occupations, fb.table, fb.strides, W)
-    want = oracles.two_body_triplets(fb.occupations, fb.table, fb.strides, W)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, want))
 
 
 def test_reference_products_match_direct_loop():
