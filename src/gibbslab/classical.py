@@ -16,20 +16,19 @@ Hermitian rank update per chunk (BLAS zherk on sqrt(w) A_k, scaled in
 place); k! is applied once to the finished matrix, which is filled from one
 triangle and so is exactly Hermitian.
 
-The F_NL chunks and the batch-means blocks of moment_matrix_blocks run on
-a pool of one thread per CPU the process may use (kernels._workers, the
-pool size of the Gibbs solve, fock._gibbs_sectors). The calling thread
-builds the pass's one parent table (kernels.Recurrence); the workers call
-private routes only, and reach zherk through kernels._zherk, which
-releases the GIL. Each chunk and each block is computed as on one thread
-and the blocks are summed in order, so every bit is independent of the
-pool size.
+Every command samples the measure through one streamed pass,
+sample_measure, which draws the ensemble one batch-means block at a time
+and keeps only F_NL and the rows asked for. Its blocks run on a pool of at
+most two threads (kernels._workers); the calling thread builds the parent
+tables (kernels.Recurrence), and the workers call private routes only,
+reaching zherk through kernels._zherk, which releases the GIL. Each block
+is computed as on one thread and the blocks are summed in order, so every
+bit is independent of the pool size.
 
-sample_free, reweight and the moment functions hold the whole ensemble,
-for `gibbslab sample` and the self-checks. The sweep streams it instead,
-one batch-means block at a time (sample_measure), keeping only F_NL and
-the rows the trial state reads; it shares their routines, and so their
-bits.
+sample_free, reweight, moment_matrix and moment_matrix_blocks hold the
+whole ensemble and run on the calling thread, over the pass's routines and
+so with its bits. No command calls them: acceptance criteria 02-04 do, and
+perfbench/run.py traces their names.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "f_nl_batch",
     "reweight",
     "moment_matrix",
-    "moment_matrices",
     "moment_matrix_blocks",
     "sample_measure",
     "free_moments",
@@ -170,15 +168,11 @@ def f_nl_batch(coeffs: np.ndarray, tensor: TwoBodyTensor) -> np.ndarray:
     and W_2 is the pair matrix (`TwoBodyTensor.pair_matrix`) that the
     quantum pair energy uses. The tensor entries come from the grid
     quadrature, so F equals (1/2) iint |u(x)|^2 w(x-y) |u(y)|^2 dx dy.
-    The _CHUNK-row chunks run on the pool over one parent table, each cut
-    where one thread cuts it.
+    It runs on the calling thread, every chunk in one amplitude buffer.
     """
-    W2 = tensor.pair_matrix()
-    rec = Recurrence.graded(coeffs.shape[1], 2)
     out = np.empty(coeffs.shape[0])
-    _on_pool(_f_nl_rows, [(coeffs[lo:lo + _CHUNK], W2, rec,
-                           out[lo:lo + _CHUNK])
-                          for lo in range(0, coeffs.shape[0], _CHUNK)])
+    _f_nl_rows(coeffs, tensor.pair_matrix(),
+               Recurrence.graded(coeffs.shape[1], 2), out)
     return out
 
 
@@ -193,14 +187,6 @@ def _f_nl_rows(rows: np.ndarray, W2: np.ndarray, rec: Recurrence,
         X = A[2].view(np.float64)
         out[lo:lo + _CHUNK] = \
             np.einsum("pj,pj->j", X, W2 @ X).reshape(-1, 2).sum(axis=1)
-
-
-def _on_pool(fn, tasks: list) -> list:
-    """[fn(*task) for task in tasks], in order, on a pool of _workers()
-    threads that is shut down before it returns. fn must call private
-    routes only."""
-    with ThreadPoolExecutor(_workers()) as pool:
-        return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def reweight(ensemble: WeightedEnsemble,
@@ -296,15 +282,16 @@ def _hermitian(C: np.ndarray, scale: float) -> np.ndarray:
         upper + upper.conj().T + np.diag(C.diagonal().real * scale))
 
 
-def _checked_graded(K: int, n: int, k_max: int) -> Recurrence:
-    """Recurrence.graded(K, k_max) of a moment pass up to order k_max over
-    n samples, refused when dim Sym^k_max(C^K) is too large for the memory
-    budget: it grows with k and is checked first, so an over-budget pass
-    builds no table or amplitude."""
+def _checked_graded(K: int, k_max: int) -> Recurrence:
+    """Recurrence.graded(K, k_max) of a moment pass up to order k_max,
+    refused when dim Sym^k_max(C^K) is too large for the memory budget: the
+    moment sums are dim^2 and the amplitudes one _CHUNK of rows, whatever
+    the sample count. It grows with k and is checked first, so an
+    over-budget pass builds no table or amplitude."""
     if k_max < 1:
         raise ValueError("moment order k must be >= 1")
     D = math.comb(K + k_max - 1, k_max)
-    if D > 5000 or n * D > 4e8:
+    if D > 5000:
         raise ValueError(f"symmetric space dim {D} too large for the memory budget")
     return Recurrence.graded(K, k_max)
 
@@ -372,7 +359,7 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     complex entries, sqrt(sum_s w_s^2 |X_s - M|^2) with normalized weights
     (the delta-method variance of a self-normalized estimator).
     """
-    rec = _checked_graded(ensemble.K, ensemble.n, k)
+    rec = _checked_graded(ensemble.K, k)
     args = (ensemble.coeffs, ensemble.log_weights, (k,), rec)
     if not with_stderr:
         return _moments(*args)[0]
@@ -380,40 +367,33 @@ def moment_matrix(ensemble: WeightedEnsemble, k: int,
     return moment, stderr
 
 
-def moment_matrices(ensemble: WeightedEnsemble, k_max: int) -> dict:
-    """{k: moment_matrix(ensemble, k)} for k = 1..k_max, bitwise, from one
-    amplitude pass per chunk."""
-    orders = range(1, k_max + 1)
-    rec = _checked_graded(ensemble.K, ensemble.n, k_max)
-    return dict(zip(orders, _moments(ensemble.coeffs, ensemble.log_weights,
-                                     orders, rec)))
-
-
 def moment_matrix_blocks(ensemble: WeightedEnsemble, k_max: int,
                          n_blocks: int = N_BLOCKS) -> dict:
     """Moment matrices of orders 1..k_max and their per-block estimates.
 
-    Each block is `moment_matrices` of a contiguous slice, self-normalized
-    on its own samples, so one amplitude pass per chunk serves every order;
-    the spread of a statistic across blocks gives its batch-means standard
-    error. The full matrix is the mean of the blocks weighted by their share
-    of the total weight, which is the self-normalized estimate over the
-    whole ensemble. Returns {k: (MomentMatrix, list of block entries)}; a
-    fixed seed fixes the blocks too.
+    Each block holds the moment matrices of a contiguous slice, each
+    self-normalized on its own samples as moment_matrix gives it, from one
+    amplitude pass per chunk for every order; the spread of a statistic
+    across blocks gives its batch-means standard error. The full matrix is
+    the mean of the blocks weighted by their share of the total weight,
+    which is the self-normalized estimate over the whole ensemble. Returns
+    {k: (MomentMatrix, list of block entries)}; a fixed seed fixes the
+    blocks too.
 
-    The blocks run on the pool, one amplitude buffer per worker, over one
-    parent table; they are summed in order, so the bits do not depend on
-    the pool size.
+    The blocks run in turn on the calling thread, every chunk of each in
+    one amplitude buffer, over one parent table.
     """
     if n_blocks < 2 or n_blocks > ensemble.n:
         raise ValueError("need 2 <= n_blocks <= n_samples")
-    rec = _checked_graded(ensemble.K, ensemble.n, k_max)
+    rec = _checked_graded(ensemble.K, k_max)
     orders = range(1, k_max + 1)
     lw = ensemble.log_weights
     bounds = _block_bounds(ensemble.n, n_blocks)
-    per_block = _on_pool(_moments, [(ensemble.coeffs[lo:hi], lw[lo:hi],
-                                     orders, rec)
-                                    for lo, hi in zip(bounds[:-1], bounds[1:])])
+    rows = min(_CHUNK, int(np.diff(bounds).max()))
+    buf = np.empty(int(rec.offsets[-1]) * rows, dtype=np.complex128)
+    per_block = [_moments(ensemble.coeffs[lo:hi], lw[lo:hi], orders, rec,
+                          buf=buf)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
     return _combine_blocks(lw, bounds, per_block, orders)
 
 
@@ -460,7 +440,10 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
                    n_samples: int, seed: int, k_max: int, keep: int,
                    n_blocks: int = N_BLOCKS) -> MeasureSample:
     """moment_matrix_blocks(reweight(sample_free(basis, n_samples, seed),
-    tensor), k_max, n_blocks), bitwise, without holding the ensemble.
+    tensor), k_max, n_blocks), bitwise, without holding the ensemble: the
+    one classical pass of `gibbslab converge`, `sample` and `selfcheck`.
+    With keep = n_samples, head is reweight(sample_free(...)) bitwise,
+    since F_NL is computed per sample wherever the blocks are cut.
 
     The calling thread draws the blocks in turn from the free stream of
     sample_free and keeps their rows below keep; the pool computes each
@@ -489,7 +472,7 @@ def sample_measure(basis: SpectralBasis, tensor: TwoBodyTensor,
     F = np.empty(n_samples)
     head = np.empty((keep, K), dtype=np.complex128)
     orders = range(1, k_max + 1)
-    m_rec = _checked_graded(K, n_samples, k_max) if k_max else None
+    m_rec = _checked_graded(K, k_max) if k_max else None
     W2, f_rec = tensor.pair_matrix(), Recurrence.graded(K, 2)
     fill = _free_stream(basis, seed)
     bounds = _block_bounds(n_samples, n_blocks)

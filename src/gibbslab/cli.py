@@ -57,8 +57,10 @@ def cmd_spectrum(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load(args)
     basis, tensor = convergence.resolve(cfg)
-    ens = classical.sample_free(basis, cfg.mc_samples, cfg.seed)
-    ens = classical.reweight(ens, tensor)
+    n = cfg.mc_samples
+    measure = classical.sample_measure(basis, tensor, n, cfg.seed, cfg.k_max,
+                                       keep=n)
+    ens = measure.head
     out = _ensure_out(cfg)
     path = os.path.join(out, "ensemble.csv")
     classical.ensemble_to_csv(ens, path)
@@ -68,7 +70,7 @@ def cmd_sample(args) -> int:
                "entropy_term": fe.entropy_term}
     with open(os.path.join(out, "ensemble.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    for k, moment in classical.moment_matrices(ens, cfg.k_max).items():
+    for k, (moment, _) in measure.moments.items():
         classical.moments_to_csv(moment, os.path.join(out, f"moments_k{k}.csv"))
     print(f"z_r = {ens.z_r:.6f} +- {ens.z_r_stderr:.2e} (ess {ens.ess:.0f})")
     print(f"wrote {path}")

@@ -334,8 +334,7 @@ def _temperature_row(config: ExperimentConfig, basis: SpectralBasis,
     if config.trial_subsample > 0:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", semiclassics.TailWarning)
-            trial = semiclassics.trial_state(
-                ensemble, T, fb, layout, n_subsample=config.trial_subsample)
+            trial = semiclassics.trial_state(ensemble, T, fb, layout)
         notes += [str(w.message) for w in caught
                   if issubclass(w.category, semiclassics.TailWarning)]
         probs = trial.sector_probabilities()
@@ -532,10 +531,14 @@ def run_selfchecks(config: ExperimentConfig,
     basis, tensor = resolve(config)
     n_mc = min(config.mc_samples, 20000)
 
-    # Gaussian moment closure at k = 1, 2 on the free ensemble
-    free = classical.sample_free(basis, n_mc, config.seed)
+    # Gaussian moment closure at k = 1, 2 on the free ensemble: the pass on
+    # a zero tensor, with the sweep's batch-means standard errors
+    free = classical.sample_measure(
+        basis, TwoBodyTensor(np.zeros((basis.K,) * 4)), n_mc, config.seed,
+        k_max=2, keep=0)
     for k in (1, 2):
-        est, se = classical.moment_matrix(free, k, with_stderr=True)
+        est, blocks = free.moments[k]
+        se = np.std(blocks, axis=0, ddof=1) / math.sqrt(len(blocks))
         exact = classical.free_moments(basis.eigenvalues, k)
         dev = np.abs(est.entries - exact.entries) / np.clip(se, 1e-30, None)
         worst = float(dev.max())
@@ -645,7 +648,8 @@ def run_selfchecks(config: ExperimentConfig,
 
     # Gibbs variational (Jensen) bound 0 <= -log Z_r <= <F_NL>_mu0 (Wick
     # closed form); measured is the signed excess over it in stderrs
-    rw = classical.reweight(free, tensor)
+    rw = classical.sample_measure(basis, tensor, n_mc, config.seed, k_max=0,
+                                  keep=n_mc).head
     fe = classical.classical_relative_free_energy(rw)
     excess = max(-fe.value, fe.value - mi.closed_form) / max(fe.stderr, 1e-30)
     checks.append(CheckResult(
@@ -666,18 +670,21 @@ def run_selfchecks(config: ExperimentConfig,
     occs1 = np.ones((1, basis.grid.n)) / math.sqrt(basis.grid.n * basis.grid.dx)
     synth = SpectralBasis(lam1, occs1, basis.grid, basis.spec)
     i4 = float(np.sum(occs1[0] ** 4) * basis.grid.dx)
-    ens1 = classical.sample_free(synth, n_mc, config.seed + 1)
-    rw1 = classical.reweight(ens1, interaction_elements(
-        synth, InteractionKernel("delta", 2.0 / i4)))
+    quartic_tensor = interaction_elements(
+        synth, InteractionKernel("delta", 2.0 / i4))
+    rw1 = classical.sample_measure(synth, quartic_tensor, n_mc,
+                                   config.seed + 1, k_max=0, keep=0)
     zq_dev = abs(rw1.z_r - quartic) / max(3.0 * rw1.z_r_stderr, 1e-30)
     checks.append(CheckResult("single_mode_quartic_zr", zq_dev <= 1.0,
                               zq_dev, 1.0, "|MC - quadrature| / 3 stderr"))
 
     # seed determinism (the corrupt hook changes the second draw's seed)
-    e1 = classical.sample_free(basis, 512, config.seed)
     seed2 = config.seed + 1 if corrupt_determinism else config.seed
-    e2 = classical.sample_free(basis, 512, seed2)
-    identical = bool(np.array_equal(e1.coeffs, e2.coeffs))
+    e1, e2 = (classical.sample_measure(basis, tensor, 512, s, k_max=0,
+                                       keep=512).head
+              for s in (config.seed, seed2))
+    identical = bool(np.array_equal(e1.coeffs, e2.coeffs)
+                     and np.array_equal(e1.log_weights, e2.log_weights))
     checks.append(CheckResult("seed_determinism", identical,
                               0.0 if identical else 1.0, 0.0))
     return checks

@@ -159,9 +159,9 @@ def _rank_update(sums: dict, blocks: list, A: np.ndarray, w2: np.ndarray):
 
 
 def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
-                layout, n_subsample: int | None = None) -> FockState:
+                layout) -> FockState:
     """Symmetrized mixture of coherent projectors at vectors sqrt(T) * alpha,
-    on the (sector, class) blocks of layout.
+    one per row of ensemble, on the (sector, class) blocks of layout.
 
     layout holds the (n, rows) of every (sector, class) block of H_lam on
     basis, as ThermalPoint.layout records them; no Gibbs state is read.
@@ -188,31 +188,27 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
     is still an upper bound. A sector that no sample reaches is exactly
     zero and gets no block.
 
-    The mixture is renormalized to unit trace; n_subsample keeps the first
-    n samples (a deterministic, unbiased cut of an iid ensemble) with their
-    weights renormalized. Warns when a sample's coherent tail beyond n_max
-    exceeds 1e-6.
+    The mixture is renormalized to unit trace. The sweep passes the head
+    of its classical pass (sample_measure), whose rows are the first
+    trial_subsample samples: a deterministic, unbiased cut of an iid
+    ensemble. Warns when a sample's coherent tail beyond n_max exceeds 1e-6.
     """
     if not ensemble.reweighted:
         raise ValueError("trial state needs a reweighted ensemble")
-    if n_subsample is not None and n_subsample < 1:
-        raise ValueError(f"n_subsample must be a positive sample count, "
-                         f"got {n_subsample}")
     if sum(rows.size for _, rows in layout) != basis.dim:
         raise ValueError("layout does not cover the basis")
-    n = ensemble.n if n_subsample is None else min(n_subsample, ensemble.n)
-    logw = ensemble.log_weights[:n]
+    logw = ensemble.log_weights
     w = np.exp(logw - logw.max())
     w = w / w.sum()
-    vs = math.sqrt(T) * ensemble.coeffs[:n]
+    vs = math.sqrt(T) * ensemble.coeffs
 
     nu = np.sum(np.abs(vs) ** 2, axis=1)
     tails = gammainc(basis.n_max + 1, np.clip(nu, 1e-300, None))
     bad = int(np.sum(tails > _TAIL_THRESHOLD))
     if bad:
         warnings.warn(
-            f"{bad} of {n} trial-state samples have coherent tail mass above "
-            f"{_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
+            f"{bad} of {ensemble.n} trial-state samples have coherent tail "
+            f"mass above {_TAIL_THRESHOLD:.1e} (worst {tails.max():.3e})",
             TailWarning, stacklevel=2)
     sums, by_sector = {}, [[] for _ in range(basis.n_max + 1)]
     for b, (m, rows) in enumerate(layout):

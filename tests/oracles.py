@@ -21,7 +21,8 @@ reversed tuple, with every parent found by tuple lookup; the sector-gather
 amplitudes take their parents from such lookups and keep the
 one-gather-per-sector loop that `occupation_products` must reproduce bit
 for bit. The moment matrices
-are dense weighted sums of per-sample outer products. The Gibbs blocks
+are dense weighted sums of per-sample outer products, and F_NL one einsum
+over the raw tensor entries. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
 scipy's dense divide-and-conquer driver, one by one; a single dense block
 can also go to numpy.linalg.eigh and one matmul into a fresh array, the
@@ -343,6 +344,14 @@ def eval_F_NL(coeffs: np.ndarray, basis, kernel) -> float:
     w = kernel.g * (np.ones(n) if kernel.name == "constant"  # w at offset d
                     else np.exp(-0.5 * (d / kernel.width) ** 2))
     return 0.5 * dx * dx * float(rho @ (w[idx] @ rho))
+
+
+def f_nl_entries(coeffs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """F_NL = (1/2) sum_ijkl W_ijkl conj(a_i a_j) a_k a_l of every row a of
+    coeffs, from the raw tensor entries in one einsum (no Sym^2 route)."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    return 0.5 * np.einsum("ijkl,si,sj,sk,sl->s", W, a.conj(), a.conj(), a,
+                           a, optimize=True).real
 
 
 def eval_quadratic_form(coeffs: np.ndarray, basis) -> float:

@@ -8,9 +8,10 @@ name that no longer exists, would otherwise show up only inside a benchmark
 run (a missing name changes the shape of a traced run's result line).
 The benchmark's row gate (perfbench/gate.py) is checked here on every
 committed config, so a config that the gate would fail shows up in tier-1.
-A traced desk sweep (perfbench/child.py) is run here too, and its per-layer
-metrics must make a strict-JSON result line that carries every per-layer
-name of BENCHMARK.json.
+A traced sweep (perfbench/child.py) of every workload is run here too, and
+its per-layer metrics must make a strict-JSON result line that carries
+every per-layer name of BENCHMARK.json, so a break of the traced line on
+one workload alone fails here.
 """
 
 import dataclasses
@@ -124,33 +125,41 @@ def _result_problems(metrics: dict) -> list:
 
 
 @pytest.fixture(scope="module")
-def traced_desk(tmp_path_factory):
-    """child.json with summary.json of one traced desk sweep at seed 7, run
-    from the repo root with every BLAS/OpenMP pool pinned to one thread."""
-    out = tmp_path_factory.mktemp("traced_desk")
-    env = dict(os.environ, **{var: "1" for var in RUN.THREAD_VARS})
-    subprocess.run([sys.executable, os.path.join(BENCH, "child.py"), "sweep",
-                    "--workload", "desk", "--seed", "7", "--out", str(out),
-                    "--trace"], cwd=ROOT, env=env, check=True,
-                   stdout=subprocess.DEVNULL, timeout=600)
-    with open(out / "child.json", encoding="utf-8") as fh:
-        traced = json.load(fh)
-    with open(out / "summary.json", encoding="utf-8") as fh:
-        traced["summary"] = json.load(fh)
-    return traced
+def traced(tmp_path_factory):
+    """traced(workload): child.json with summary.json of one traced sweep of
+    the workload at seed 7, run from the repo root with every BLAS/OpenMP
+    pool pinned to one thread; each workload runs once per module."""
+    runs = {}
+
+    def run(workload):
+        if workload not in runs:
+            out = tmp_path_factory.mktemp(f"traced_{workload}")
+            env = dict(os.environ, **{var: "1" for var in RUN.THREAD_VARS})
+            subprocess.run([sys.executable, os.path.join(BENCH, "child.py"),
+                            "sweep", "--workload", workload, "--seed", "7",
+                            "--out", str(out), "--trace"], cwd=ROOT, env=env,
+                           check=True, stdout=subprocess.DEVNULL, timeout=600)
+            with open(out / "child.json", encoding="utf-8") as fh:
+                runs[workload] = json.load(fh)
+            with open(out / "summary.json", encoding="utf-8") as fh:
+                runs[workload]["summary"] = json.load(fh)
+        return runs[workload]
+
+    return run
 
 
-def test_a_traced_sweep_gives_every_per_layer_metric(traced_desk):
-    metrics = RUN.layer_metrics(traced_desk)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_a_traced_sweep_gives_every_per_layer_metric(traced, workload):
+    metrics = RUN.layer_metrics(traced(workload))
     assert _result_problems(metrics) == []
     json.dumps({"metrics": metrics}, allow_nan=False)
 
 
-def test_a_non_finite_summary_field_fails_the_result_check(traced_desk):
+def test_a_non_finite_summary_field_fails_the_result_check(traced):
     # negative control: json.dumps would write a bare NaN
-    traced = dict(traced_desk, summary=dict(traced_desk["summary"],
-                                            ess=math.nan))
-    metrics = RUN.layer_metrics(traced)
+    desk = traced("desk")
+    broken = dict(desk, summary=dict(desk["summary"], ess=math.nan))
+    metrics = RUN.layer_metrics(broken)
     assert _result_problems(metrics) == ["classical.ess_ratio"]
     with pytest.raises(ValueError):
         json.dumps({"metrics": metrics}, allow_nan=False)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import gibbslab as gl
 from gibbslab.classical import (_CHUNK, f_nl_batch, free_moments,
-                                moment_matrices, moment_matrix_blocks,
-                                moments_to_csv, ensemble_to_csv)
+                                moment_matrix_blocks, moments_to_csv,
+                                ensemble_to_csv)
 from gibbslab.convergence import _classical_side, parse_config
 
 import oracles
@@ -257,11 +257,9 @@ def test_multi_order_moments_match_per_order(K, k_max, n, n_blocks, seed):
     ens = _weighted_ensemble(K, n, seed)
     out = moment_matrix_blocks(ens, k_max, n_blocks=n_blocks)
     assert sorted(out) == list(range(1, k_max + 1))
-    whole = moment_matrices(ens, k_max)
     bounds = np.linspace(0, n, n_blocks + 1).astype(int)
     for k, (full, blocks) in out.items():
         want = gl.moment_matrix(ens, k)
-        assert np.array_equal(whole[k].entries, want.entries)
         assert np.array_equal(full.occupations, want.occupations)
         scale = np.abs(want.entries).max()
         assert np.abs(full.entries - want.entries).max() < 1e-12 * scale
@@ -282,8 +280,6 @@ def test_moments_are_exactly_hermitian():
         _assert_exactly_hermitian(gl.moment_matrix(ens, k).entries)
         _assert_exactly_hermitian(
             gl.moment_matrix(ens, k, with_stderr=True)[0].entries)
-    for m in moment_matrices(ens, 3).values():
-        _assert_exactly_hermitian(m.entries)
     for full, blocks in moment_matrix_blocks(ens, 3, n_blocks=5).values():
         _assert_exactly_hermitian(full.entries)
         for b in blocks:
@@ -294,35 +290,31 @@ def test_moments_are_exactly_hermitian():
 def test_moments_match_dense_weighted_sums(K):
     # the rank updates of sqrt(w) A_k, times k!, against sum_s w_s S_s S_s^H
     ens = _weighted_ensemble(K, 300, seed=40 + K)
-    whole = moment_matrices(ens, 3)
     for k in (1, 2, 3):
         want, want_se = oracles.dense_moments(ens.coeffs, ens.log_weights, k)
         got, se = gl.moment_matrix(ens, k, with_stderr=True)
-        assert np.array_equal(whole[k].entries, got.entries)
         scale = np.abs(want).max()
         assert np.abs(got.entries - want).max() <= 1e-13 * scale
         assert np.abs(se - want_se).max() <= 1e-13 * want_se.max()
 
 
 @pytest.mark.parametrize("blocks", [False, True])
-def test_moment_pass_peak_memory_is_bounded_by_one_chunk(blocks, monkeypatch):
+def test_moment_pass_peak_memory_is_bounded_by_one_chunk(blocks):
     # the pass holds one amplitude chunk of the graded set 0..3 at K=5
     # (56 rows), reused and scaled in place, and temporaries far smaller;
-    # the pooled block pass holds one such chunk per worker
+    # the block pass runs its blocks in turn over that one chunk
     ens = _weighted_ensemble(5, 50_000, seed=8)
     chunk = 56 * _CHUNK * 16
-    for workers in (1, 2):
-        monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
-        tracemalloc.start()
-        try:
-            if blocks:
-                moment_matrix_blocks(ens, 3, n_blocks=5)
-            else:
-                moment_matrices(ens, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= ((workers if blocks else 1) + 1.5) * chunk
+    tracemalloc.start()
+    try:
+        if blocks:
+            moment_matrix_blocks(ens, 3, n_blocks=5)
+        else:
+            gl.moment_matrix(ens, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * chunk
 
 
 @pytest.mark.parametrize("k_max", [0, 150])
@@ -336,15 +328,38 @@ def test_multi_order_refusal_precedes_amplitudes(basis_k3, monkeypatch,
     with pytest.raises(ValueError, match="moment order|too large"):
         moment_matrix_blocks(ens, k_max, n_blocks=2)
     with pytest.raises(ValueError, match="moment order|too large"):
-        moment_matrices(ens, k_max)
+        gl.moment_matrix(ens, k_max)
+
+
+def test_streamed_pass_takes_any_sample_count_its_chunks_hold(
+        dirichlet_op, delta_kernel, monkeypatch):
+    # the pass holds one chunk of amplitudes whatever the sample count, so
+    # 12M samples at K=5 and k_max 3 (dim 35) pass the memory check; the
+    # free stream raises before a single sample is drawn
+    basis = gl.eigendecompose(dirichlet_op, 5)
+    tensor = gl.interaction_elements(basis, delta_kernel)
+
+    class Drawn(Exception):
+        pass
+
+    def no_stream(*args):
+        raise Drawn
+
+    monkeypatch.setattr(gl.classical, "_free_stream", no_stream)
+    with pytest.raises(Drawn):
+        gl.classical.sample_measure(basis, tensor, 12_000_000, 3, k_max=3,
+                                    keep=0)
+    with pytest.raises(ValueError, match="dim 5985 too large"):
+        gl.classical.sample_measure(basis, tensor, 12_000_000, 3, k_max=17,
+                                    keep=0)
 
 
 def test_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
                                             monkeypatch):
-    # the F_NL chunks keep their global cuts and the blocks their own
-    # chunks, and the blocks are summed in order; three workers on a short
-    # switch interval interleave them finely
-    ens = gl.sample_free(basis_k3, 3 * _CHUNK + 5, seed=21)
+    # each block is computed as on one thread and the blocks are summed in
+    # order; 7 blocks of 3 _CHUNK + 5 rows put no block edge on a chunk
+    # edge, and a short switch interval interleaves the two threads finely
+    n, keep = 3 * _CHUNK + 5, 3600
     got = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -352,18 +367,18 @@ def test_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
         for workers in (1, 3):
             monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
             threads = threading.active_count()
-            weighted = gl.reweight(ens, tensor_k3)
-            got[workers] = weighted, moment_matrix_blocks(weighted, 3,
-                                                          n_blocks=7)
+            got[workers] = gl.classical.sample_measure(
+                basis_k3, tensor_k3, n, 21, k_max=3, keep=keep, n_blocks=7)
             assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
-    (one, blocks_one), (three, blocks_three) = got[1], got[3]
-    assert one.log_weights.tobytes() == three.log_weights.tobytes()
+    one, three = got[1], got[3]
     assert (one.z_r, one.z_r_stderr, one.ess) \
         == (three.z_r, three.z_r_stderr, three.ess)
-    for k, (full, blocks) in blocks_one.items():
-        full_three, blocks_k = blocks_three[k]
+    assert one.head.coeffs.tobytes() == three.head.coeffs.tobytes()
+    assert one.head.log_weights.tobytes() == three.head.log_weights.tobytes()
+    for k, (full, blocks) in one.moments.items():
+        full_three, blocks_k = three.moments[k]
         assert full.entries.tobytes() == full_three.entries.tobytes()
         assert len(blocks) == len(blocks_k) == 7
         for a, b in zip(blocks, blocks_k):
@@ -441,8 +456,6 @@ def test_one_parent_table_per_pass(monkeypatch, basis_k3, tensor_k3):
     assert calls == [(3, 2)]
     moment_matrix_blocks(weighted, 3, n_blocks=5)
     assert calls == [(3, 2), (3, 3)]
-    moment_matrices(weighted, 2)
-    assert calls == [(3, 2), (3, 3), (3, 2)]
     # the streamed pass: one table for its moments, one for its F_NL
     del calls[:]
     gl.classical.sample_measure(basis_k3, tensor_k3, 3 * _CHUNK + 5, 2,
@@ -450,49 +463,54 @@ def test_one_parent_table_per_pass(monkeypatch, basis_k3, tensor_k3):
     assert calls == [(3, 3), (3, 2)]
 
 
-def test_streamed_pass_matches_the_held_ensemble(basis_k3, tensor_k3,
-                                                 monkeypatch):
-    # 7 blocks of 3 _CHUNK + 5 rows: no block edge falls on a chunk edge,
-    # and the kept rows cross the first block edge
+def _plain_weights(coeffs, tensor):
+    """F_NL of every row from the raw tensor entries, and the plain z_r,
+    its standard error and the ESS of the weights exp(-F_NL)."""
+    F = oracles.f_nl_entries(coeffs, tensor.entries)
+    w = np.exp(-F)
+    stats = (w.mean(), w.std(ddof=1) / math.sqrt(w.size),
+             w.sum() ** 2 / np.sum(w**2))
+    return F, stats
+
+
+def test_streamed_pass_matches_the_held_ensemble(basis_k3, tensor_k3):
+    # the held ensemble of one numpy draw, with F_NL, the weights and the
+    # moments of every block from plain numpy (one einsum and dense outer
+    # products); 7 blocks of 3 _CHUNK + 5 rows put no block edge on a chunk
+    # edge, and the kept rows cross the first block edge
     n, keep = 3 * _CHUNK + 5, 3600
-    held = gl.reweight(gl.sample_free(basis_k3, n, seed=23), tensor_k3)
-    want = moment_matrix_blocks(held, 3, n_blocks=7)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 3):
-            monkeypatch.setattr(gl.classical, "_workers", lambda: workers)
-            threads = threading.active_count()
-            got = gl.classical.sample_measure(basis_k3, tensor_k3, n, 23,
-                                              k_max=3, keep=keep, n_blocks=7)
-            assert threading.active_count() == threads
-            assert (got.z_r, got.z_r_stderr, got.ess) \
-                == (held.z_r, held.z_r_stderr, held.ess)
-            assert got.head.coeffs.tobytes() == held.coeffs[:keep].tobytes()
-            assert got.head.log_weights.tobytes() \
-                == held.log_weights[:keep].tobytes()
-            assert sorted(got.moments) == [1, 2, 3]
-            for k, (full, blocks) in want.items():
-                got_full, got_blocks = got.moments[k]
-                assert got_full.entries.tobytes() == full.entries.tobytes()
-                assert np.array_equal(got_full.occupations, full.occupations)
-                assert len(got_blocks) == 7
-                for a, b in zip(got_blocks, blocks):
-                    assert a.tobytes() == b.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    coeffs = oracles.sample_free_one_shot(basis_k3, n, seed=23)
+    F, stats = _plain_weights(coeffs, tensor_k3)
+    got = gl.classical.sample_measure(basis_k3, tensor_k3, n, 23, k_max=3,
+                                      keep=keep, n_blocks=7)
+    assert np.allclose((got.z_r, got.z_r_stderr, got.ess), stats,
+                       rtol=1e-12, atol=0.0)
+    assert got.head.coeffs.tobytes() == coeffs[:keep].tobytes()
+    assert np.abs(got.head.log_weights + F[:keep]).max() <= 1e-12 * F.max()
+    assert sorted(got.moments) == [1, 2, 3]
+    bounds = np.linspace(0, n, 8).astype(int)
+    for k, (full, blocks) in got.moments.items():
+        want, _ = oracles.dense_moments(coeffs, -F, k)
+        scale = np.abs(want).max()
+        assert np.abs(full.entries - want).max() <= 1e-12 * scale
+        assert np.array_equal(full.occupations, oracles.colex_sector(3, k))
+        assert len(blocks) == 7
+        for lo, hi, got_block in zip(bounds[:-1], bounds[1:], blocks):
+            part, _ = oracles.dense_moments(coeffs[lo:hi], -F[lo:hi], k)
+            assert np.abs(got_block - part).max() <= 1e-12 * scale
 
 
 def test_streamed_head_describes_its_own_rows(basis_k3, tensor_k3):
     got = gl.classical.sample_measure(basis_k3, tensor_k3, 2000, 5,
                                       k_max=0, keep=300)
-    ens = gl.sample_free(basis_k3, 300, seed=5)
-    want = gl.reweight(ens, tensor_k3)
+    coeffs = oracles.sample_free_one_shot(basis_k3, 300, seed=5)
+    F, stats = _plain_weights(coeffs, tensor_k3)
     assert got.moments == {}
     assert got.head.reweighted and got.head.n == 300
-    assert (got.head.z_r, got.head.z_r_stderr, got.head.ess) \
-        == (want.z_r, want.z_r_stderr, want.ess)
-    assert got.ess != want.ess
+    assert got.head.coeffs.tobytes() == coeffs.tobytes()
+    head = (got.head.z_r, got.head.z_r_stderr, got.head.ess)
+    assert np.allclose(head, stats, rtol=1e-12, atol=0.0)
+    assert not np.isclose(got.ess, stats[2], rtol=1e-6)
     assert gl.classical.sample_measure(basis_k3, tensor_k3, 200, 5, k_max=1,
                                        keep=0, n_blocks=2).head is None
 
@@ -614,15 +632,23 @@ def test_streamed_pass_writes_every_chunk_into_one_buffer_per_thread(
         assert len(_buffers(outs)) == workers
 
 
-def test_held_passes_write_every_chunk_into_one_buffer(monkeypatch):
-    # two full chunks and a short one, in one buffer per call
+def test_held_passes_write_every_chunk_into_one_buffer(monkeypatch,
+                                                       tensor_k3):
+    # two full chunks and a short one, or two blocks of a full chunk and a
+    # short one each, in one buffer per call on the calling thread
     ens = _weighted_ensemble(3, 2 * _CHUNK + 5, seed=4)
     outs = _recording_products(monkeypatch)
-    for call in (lambda: moment_matrices(ens, 3),
-                 lambda: gl.moment_matrix(ens, 2, with_stderr=True)):
+    half = (2 * _CHUNK + 5) // 2 - _CHUNK
+    for call, widths in (
+            (lambda: gl.moment_matrix(ens, 3), [_CHUNK, _CHUNK, 5]),
+            (lambda: gl.moment_matrix(ens, 2, with_stderr=True),
+             [_CHUNK, _CHUNK, 5]),
+            (lambda: f_nl_batch(ens.coeffs, tensor_k3), [_CHUNK, _CHUNK, 5]),
+            (lambda: moment_matrix_blocks(ens, 3, n_blocks=2),
+             [_CHUNK, half, _CHUNK, half + 1])):
         del outs[:]
         call()
-        assert [out.shape[1] for out in outs] == [_CHUNK, _CHUNK, 5]
+        assert [out.shape[1] for out in outs] == widths
         assert len(_buffers(outs)) == 1
 
 

@@ -782,16 +782,17 @@ def test_selfcheck_notes_say_one_class_on_k1(small_config):
 
 
 def test_jensen_bound_selfcheck_fails_on_doubled_reweighting(monkeypatch):
-    # negative control: F_NL doubled in the weights exp(-F_NL) only, not in
-    # the Wick closed form of <F_NL>_mu0, pushes -log Z_r past the bound
+    # negative control: F_NL doubled in the classical pass's weights
+    # exp(-F_NL) only, not in the Wick closed form of <F_NL>_mu0, pushes
+    # -log Z_r past the bound
     cfg = gl.read_config(os.path.join(CONFIGS, "desk.cfg"))
-    reweight = gl.classical.reweight
+    sample_measure = gl.classical.sample_measure
 
-    def doubled(ensemble, tensor):
-        return reweight(ensemble, dataclasses.replace(
-            tensor, entries=2.0 * tensor.entries))
+    def doubled(basis, tensor, *args, **kwargs):
+        return sample_measure(basis, dataclasses.replace(
+            tensor, entries=2.0 * tensor.entries), *args, **kwargs)
 
-    monkeypatch.setattr(gl.classical, "reweight", doubled)
+    monkeypatch.setattr(gl.classical, "sample_measure", doubled)
     check = {c.name: c for c in run_selfchecks(cfg)}["classical_jensen_bound"]
     assert not check.passed and check.measured > 10.0
 
@@ -878,16 +879,32 @@ def test_cli_sample(config_file, tmp_path):
     assert (out / "moments_k1.csv").exists()
 
 
+def _csv_entries(path):
+    """The (row, col) labels and the complex entries of a moments CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return ([r[:2] for r in rows],
+            np.array([complex(float(r[2]), float(r[3])) for r in rows]))
+
+
 def test_cli_sample_moments_match_per_order(config_file, tmp_path):
+    # the streamed pass's ensemble is the held one bit for bit; its moments
+    # combine the batch-means blocks, so they match the per-order moments of
+    # the whole ensemble up to the order of the sums
     assert cli.main(["sample", "--config", str(config_file)]) == 0
     cfg = gl.read_config(str(config_file))
     basis, tensor = gl.convergence.resolve(cfg)
     ens = gl.reweight(gl.sample_free(basis, cfg.mc_samples, cfg.seed), tensor)
+    want = tmp_path / "want.csv"
+    gl.classical.ensemble_to_csv(ens, want)
+    assert (tmp_path / "out" / "ensemble.csv").read_bytes() \
+        == want.read_bytes()
     for k in range(1, cfg.k_max + 1):
         want = tmp_path / f"want_k{k}.csv"
         gl.classical.moments_to_csv(gl.moment_matrix(ens, k), want)
-        got = tmp_path / "out" / f"moments_k{k}.csv"
-        assert got.read_bytes() == want.read_bytes()
+        got_labels, got = _csv_entries(tmp_path / "out" / f"moments_k{k}.csv")
+        want_labels, entries = _csv_entries(want)
+        assert got_labels == want_labels
+        assert np.abs(got - entries).max() <= 1e-12 * np.abs(entries).max()
 
 
 def test_cli_quantum(config_file, tmp_path):
@@ -1241,7 +1258,7 @@ def test_cli_refuses_a_repeated_temperature(config_file, tmp_path, capsys,
     def guard(*args, **kwargs):
         raise AssertionError("ran before the config was validated")
 
-    monkeypatch.setattr(gl.classical, "sample_free", guard)
+    monkeypatch.setattr(gl.classical, "sample_measure", guard)
     assert cli.main(["converge", "--config", str(config_file)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: T_schedule must be strictly ascending"]
@@ -1307,7 +1324,7 @@ def test_cli_n_max_policy_outside_unit_interval_is_an_error(
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config was validated")
 
-    monkeypatch.setattr(gl.classical, "sample_free", no_sampling)
+    monkeypatch.setattr(gl.classical, "sample_measure", no_sampling)
     config_file.write_text(config_file.read_text().replace(
         "n_max_policy = 1e-8", f"n_max_policy = {policy}"))
     assert cli.main(["converge", "--config", str(config_file)]) == 1
@@ -1339,12 +1356,24 @@ def test_cli_non_finite_schedule_or_coupling_is_an_error(
     def guard(*args, **kwargs):
         raise AssertionError("ran before the config was validated")
 
-    monkeypatch.setattr(gl.classical, "sample_free", guard)
+    monkeypatch.setattr(gl.classical, "sample_measure", guard)
     monkeypatch.setattr(gl.fock, "solve_point", guard)
     config_file.write_text(config_file.read_text().replace(old, new))
     assert cli.main(["converge", "--config", str(config_file)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "out").exists()
+
+
+def test_the_sampling_guard_fires_on_a_valid_config(config_file,
+                                                   monkeypatch):
+    # control for the guards above: on a valid config, converge reaches the
+    # classical pass, so a guard there can fire
+    def guard(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(gl.classical, "sample_measure", guard)
+    with pytest.raises(AssertionError, match="^sampled$"):
+        cli.main(["converge", "--config", str(config_file)])
 
 
 @pytest.mark.parametrize("keys", ["a = 4\nhalf_width = 6\n", ""],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -156,12 +157,18 @@ def test_overlap_law():
                    - math.exp(-float(np.sum(np.abs(v - w) ** 2)))) < 2 * slack
 
 
-def _plain_mixture(ens, T, fb, n_subsample=None):
+def _first(ens, n):
+    """The first n samples of an ensemble, as the sweep's classical pass
+    keeps them for the trial state."""
+    return dataclasses.replace(ens, coeffs=ens.coeffs[:n],
+                               log_weights=ens.log_weights[:n])
+
+
+def _plain_mixture(ens, T, fb):
     """The unpinched mixture sum_s w_s |xi_s><xi_s| of the truncated coherent
     vectors at sqrt(T) * alpha_s, as one unit-trace matrix."""
-    n = ens.n if n_subsample is None else n_subsample
-    logw = ens.log_weights[:n]
-    return oracles.coherent_mixture(math.sqrt(T) * ens.coeffs[:n],
+    logw = ens.log_weights
+    return oracles.coherent_mixture(math.sqrt(T) * ens.coeffs,
                                     np.exp(logw - logw.max()), fb)
 
 
@@ -260,19 +267,19 @@ def test_trial_state_variational_bound(basis_k2, tensor_k2):
     layout = [(n, rows) for n, rows, _ in gibbs.blocks]
     free = oracles.diagonal_of(gl.gibbs_state(H0, T)[0])
     fe_gibbs = gl.relative_free_energy(gibbs, free, tensor_k2, lam, T)
+    head = _first(ens, 256)
     for fe_trial in (
-            gl.relative_free_energy(
-                gl.trial_state(ens, T, fb, layout, n_subsample=256),
-                free, tensor_k2, lam, T),
-            _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=256),
+            gl.relative_free_energy(gl.trial_state(head, T, fb, layout),
+                                    free, tensor_k2, lam, T),
+            _plain_free_energy(_plain_mixture(head, T, fb),
                                free, tensor_k2, lam, T)):
         assert fe_trial >= fe_gibbs - 1e-8
     # the symmetry average can only lower the trial free energy
-    fe_plain = _plain_free_energy(_plain_mixture(ens, T, fb, n_subsample=128),
+    head = _first(ens, 128)
+    fe_plain = _plain_free_energy(_plain_mixture(head, T, fb),
                                   free, tensor_k2, lam, T)
     fe_pinch = gl.relative_free_energy(
-        gl.trial_state(ens, T, fb, layout, n_subsample=128), free, tensor_k2,
-        lam, T)
+        gl.trial_state(head, T, fb, layout), free, tensor_k2, lam, T)
     assert fe_pinch <= fe_plain + 1e-9
 
 
@@ -325,15 +332,6 @@ def test_trial_state_without_parity_pinches_nothing(basis_k2, tensor_k2):
     assert cross > 1e-6
 
 
-def test_trial_state_rejects_nonpositive_subsample(basis_k2, tensor_k2):
-    ens = gl.reweight(gl.sample_free(basis_k2, 100, seed=1), tensor_k2)
-    fb = gl.build_fock_basis(2, 8)
-    layout = _layout(fb, basis_k2, tensor_k2)
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="n_subsample must be a positive"):
-            gl.trial_state(ens, 1.0, fb, layout, n_subsample=bad)
-
-
 @pytest.mark.filterwarnings("ignore::gibbslab.semiclassics.TailWarning")
 def test_trial_state_refuses_a_layout_of_another_basis(basis_k2, tensor_k2):
     # the layout of a smaller cutoff, or one block short, does not cover
@@ -373,9 +371,10 @@ def test_trial_state_window_matches_unwindowed(monkeypatch, basis_k2,
     streams = _record_sector_streams(monkeypatch)
     for ens, T in ((sampled, 2.0), (_far_ensemble(700, 3), 1.0)):
         streams.clear()
-        trial = gl.trial_state(ens, T, fb, layout, n_subsample=n)
-        vs = math.sqrt(T) * ens.coeffs[:n]
-        w = np.exp(ens.log_weights[:n] - ens.log_weights[:n].max())
+        ens = _first(ens, n)
+        trial = gl.trial_state(ens, T, fb, layout)
+        vs = math.sqrt(T) * ens.coeffs
+        w = np.exp(ens.log_weights - ens.log_weights.max())
         want = oracles.symmetrized(oracles.coherent_mixture(vs, w, fb), fb,
                                    _labels(fb, tensor_k2))
         _assert_blocks_close(trial, want, 1e-12)
