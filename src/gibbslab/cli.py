@@ -27,10 +27,12 @@ def _load(args) -> convergence.ExperimentConfig:
         cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
-def _temperature(T: float) -> float:
-    """A --T override, refused unless finite and positive, as in a schedule."""
+def _temperature(T: float, k_max: int) -> float:
+    """A --T override, refused unless finite and positive, or too low for
+    k_max (convergence.check_temperature), as in a schedule."""
     if not 0 < T < math.inf:
         raise ValueError("--T must be a positive finite temperature")
+    convergence.check_temperature(T, k_max)
     return T
 
 
@@ -79,7 +81,8 @@ def cmd_sample(args) -> int:
 
 def cmd_quantum(args) -> int:
     cfg = _load(args)
-    T = _temperature(args.T) if args.T is not None else cfg.T_schedule[0]
+    T = (_temperature(args.T, cfg.k_max) if args.T is not None
+         else cfg.T_schedule[0])
     basis, tensor = convergence.resolve(cfg)
     point = fock.solve_point(basis.eigenvalues, tensor, T, k_max=cfg.k_max,
                              keep_blocks=False, tail=cfg.n_max_policy,

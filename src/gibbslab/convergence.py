@@ -39,6 +39,7 @@ from .spectral import InteractionKernel, OneBodySpec, SpectralBasis, \
 
 __all__ = [
     "ExperimentConfig",
+    "check_temperature",
     "DistanceMetric",
     "ReportRow",
     "ConvergenceResult",
@@ -53,6 +54,18 @@ __all__ = [
     "run_selfchecks",
     "CheckResult",
 ]
+
+
+def check_temperature(T: float, k_max: int) -> None:
+    """Refuse a T whose k_max!/T^k_max or 1/T^2 is not a finite float: the
+    sweep scales the k-body marginals by k!/T^k, and at coupling 1/T the
+    Gibbs exponents lam/T grow as 1/T^2 (T = 1e-160 overflows them)."""
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        t = np.float64(T)
+        scales = [math.factorial(k_max) / t**k_max, 1.0 / t**2]
+    if not np.isfinite(scales).all():
+        raise ValueError(f"temperature {T:g} is too low for k_max = "
+                         f"{k_max}: k_max!/T^k_max or 1/T^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,8 @@ class ExperimentConfig:
         object.__setattr__(self, "T_schedule", sched)
         if not 1 <= self.k_max <= 3:
             raise ValueError("k_max must lie in 1..3")
+        for t in sched:
+            check_temperature(t, self.k_max)
         if not 0 < self.n_max_policy < 1:
             raise ValueError("n_max_policy must lie in (0, 1)")
         if self.seed < 0:

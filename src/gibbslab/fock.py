@@ -21,7 +21,6 @@ import math
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -33,8 +32,7 @@ from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln, logsumexp
 
 from .classical import MomentMatrix
-from .kernels import (Recurrence, _dsyevd, _syevd_sizes, _workers,
-                      two_body_coo)
+from .kernels import Recurrence, _dsyevd, _workers, two_body_coo
 from .spectral import TwoBodyTensor
 
 __all__ = [
@@ -149,9 +147,6 @@ class FockOperator:
     def class_block(self, rows: np.ndarray) -> np.ndarray:
         """The dense block on the basis indices rows."""
         return self.matrix[rows][:, rows].toarray()
-
-    def hermiticity_defect(self) -> float:
-        return _asymmetry(self.matrix)
 
 
 def _asymmetry(A: sparse.csr_matrix) -> float:
@@ -356,87 +351,51 @@ def _class_blocks(basis: FockBasis, labels: np.ndarray, lo: int,
                P.data[p:q])
 
 
-def _widest_class(basis: FockBasis, labels: np.ndarray) -> int:
-    """Rows of the widest (sector, class) block of an operator on basis
-    whose basis state i has class labels[i], from a bincount of the
-    (sector, label) pairs."""
-    sector = basis.occupations.sum(axis=1)
-    _, label = np.unique(labels, return_inverse=True)
-    return int(np.bincount(sector * (label.max() + 1) + label).max())
+def _solve_tridiagonal(G: np.ndarray, r: np.ndarray, c: np.ndarray,
+                       v: np.ndarray, T: float) -> np.ndarray:
+    """Solve the tridiagonal class block whose entries v lie at (r, c) and
+    write V V^T into G, V = U exp(-lam/2T) (_gram); return lam.
 
-
-def _workspace(d: int):
-    """One dense solve's arrays for blocks of up to d rows: dsyevd's work
-    and iwork for d rows, about 2 d^2 doubles. work is longer than d^2, so
-    V V^T is formed in it once dsyevd returns (_solve_block)."""
-    lwork, liwork = _syevd_sizes(d)
-    return np.empty(lwork), np.empty(liwork, np.intc)
-
-
-class _Workspaces:
-    """The dense-solve workspaces of one Gibbs solve, each sized for its
-    widest class block (_widest_class) and each dsyevd's work and iwork
-    alone (_workspace): the block itself is solved in its own place. A
-    solve takes a spare one, or makes one when none is spare, and gives it
-    back when it ends, failed or not, so there are at most as many as
-    solves run at once; they are dropped with this object."""
-
-    def __init__(self, d: int):
-        self.d, self.spare = d, []
-
-    @contextmanager
-    def take(self):
-        # list.pop and list.append are atomic, so the pool threads share
-        # the list without a lock
-        try:
-            ws = self.spare.pop()
-        except IndexError:
-            ws = _workspace(self.d)
-        try:
-            yield ws
-        finally:
-            self.spare.append(ws)
-
-
-def _solve_block(G: np.ndarray, r: np.ndarray, c: np.ndarray, v: np.ndarray,
-                 T: float, workspaces: _Workspaces | None = None) -> np.ndarray:
-    """Solve the class block whose entries v lie at (r, c) and write
-    V V^T into G, a C-ordered array, V = U exp(-lam/2T), formed over U
-    (_gram); return lam.
-
-    Without workspaces the block is tridiagonal, and LAPACK's stevd gets
-    its diagonal and lower off-diagonal straight from the triplets. With
-    them, the dense route solves in G's own memory: the block is scattered
-    into G.T, the layout numpy.linalg.eigh's copy has, Fortran (i, j) =
-    block[i, j], and dsyevd (kernels._dsyevd, with the GIL released)
-    solves it there, reading the lower triangle, bitwise as numpy's eigh.
-    V V^T is then formed in the taken workspace's work array, which dsyevd
-    no longer needs and which is longer than d^2, and copied into G. Pool
-    threads run the dense route, so it calls numpy and kernels' private
-    routes alone.
+    LAPACK's stevd gets the diagonal and lower off-diagonal straight from
+    the triplets. scipy's wrapper holds the GIL, so this runs on the
+    calling thread.
     """
     d = G.shape[0]
-    if workspaces is None:
-        diag, low = np.zeros(d), np.zeros(max(d - 1, 1))
-        on, below = r == c, r == c + 1
-        diag[r[on]] = v[on]
-        low[c[below]] = v[below]
-        lam, U, info = dstevd(diag, low)
-        if info:
-            raise np.linalg.LinAlgError(f"stevd failed with info {info}")
-        return _gram(U, lam, T, G)
-    with workspaces.take() as (work, iwork):
-        U = G.T
-        U.fill(0.0)
-        U[r, c] = v
-        lam = np.empty(d)
-        info = _dsyevd(U, lam, work, iwork)
-        if info:
-            raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
-        VVt = work[:d * d].reshape(d, d)
-        _gram(U, lam, T, VVt)
-        G[...] = VVt
-        return lam
+    diag, low = np.zeros(d), np.zeros(max(d - 1, 1))
+    on, below = r == c, r == c + 1
+    diag[r[on]] = v[on]
+    low[c[below]] = v[below]
+    lam, U, info = dstevd(diag, low)
+    if info:
+        raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+    return _gram(U, lam, T, G)
+
+
+def _solve_dense(G: np.ndarray, r: np.ndarray, c: np.ndarray, v: np.ndarray,
+                 T: float) -> np.ndarray:
+    """Solve the class block whose entries v lie at (r, c) in G's own
+    memory and write V V^T into G, a C-ordered array, V = U exp(-lam/2T)
+    (_gram); return lam.
+
+    The block is scattered into G.T, the layout numpy.linalg.eigh's copy
+    has, Fortran (i, j) = block[i, j], and dsyevd (kernels._dsyevd, with
+    the GIL released) solves it there, reading the lower triangle, bitwise
+    as numpy's eigh. V V^T is then formed in the work array dsyevd
+    allocated, longer than d^2, and copied into G. Pool threads run this
+    route, so it calls numpy and kernels' private routes alone.
+    """
+    d = G.shape[0]
+    U = G.T
+    U.fill(0.0)
+    U[r, c] = v
+    lam = np.empty(d)
+    info, work = _dsyevd(U, lam)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info {info}")
+    VVt = work[:d * d].reshape(d, d)
+    _gram(U, lam, T, VVt)
+    G[...] = VVt
+    return lam
 
 
 def _gram(U: np.ndarray, lam: np.ndarray, T: float,
@@ -470,21 +429,20 @@ def _gibbs_sectors(basis: FockBasis, labels: np.ndarray, runs, T: float):
     non-finite entry, an asymmetric one and an entry between two blocks
     are refused. The run is dropped once its blocks are handed on, so at
     most one run is held, besides the entries of blocks still in flight.
-    Each block's (r, c, v) triplets go to _solve_block, and flat is never
+    Each block's (r, c, v) triplets go to one solve, and flat is never
     scattered into but by that solve: it is allocated empty but for its
     last zero, and each G is first written by its own solve. A block whose
-    entries all lie within one place of the diagonal goes to LAPACK's
-    tridiagonal divide-and-conquer solver (stevd) on the calling thread,
-    as scipy's wrapper holds the GIL. Every other block goes to the dense
-    one (dsyevd, called by ctypes without the GIL) on a pool of one thread
-    per CPU this process may use; the pool assumes a single-threaded BLAS.
-    A dense solve runs in G's own place, with a workspace of _Workspaces,
-    of which there are at most as many as solves run at once, each about
-    2 d^2 doubles for the widest class block d. dsyevd reads the lower
+    entries all lie within one place of the diagonal goes to
+    _solve_tridiagonal (LAPACK's stevd) on the calling thread, as scipy's
+    wrapper holds the GIL; every other block to _solve_dense (dsyevd by
+    ctypes, without the GIL) on a pool of one thread per CPU this process
+    may use, which assumes a single-threaded BLAS. A dense solve runs in
+    G's own place with the scratch its dsyevd allocates, about 2 d^2
+    doubles for d rows, freed when it returns. dsyevd reads the lower
     triangle and on a tridiagonal input ends in the same stedc call, so
     the two give the same bits there. At most _IN_FLIGHT sectors are held,
-    the one yielded included; the pool is shut down, its solves finished,
-    and the workspaces dropped when the stream ends, fails or is closed.
+    the one yielded included; the pool is shut down and its solves
+    finished when the stream ends, fails or is closed.
     """
     if T <= 0:
         raise ValueError("temperature must be positive")
@@ -506,16 +464,14 @@ def _gibbs_sectors(basis: FockBasis, labels: np.ndarray, runs, T: float):
                 G = flat[at:at + rows.size ** 2].reshape(rows.size, rows.size)
                 at += G.size
                 blocks.append((rows, G))
-                lams.append(_solve_block(G, r, c, v, T)
+                lams.append(_solve_tridiagonal(G, r, c, v, T)
                             if np.all(np.abs(r - c) <= 1)
-                            else pool.submit(_solve_block, G, r, c, v, T,
-                                             workspaces))
+                            else pool.submit(_solve_dense, G, r, c, v, T))
             pending.append((n, blocks, flat, lams))
             if len(pending) == _IN_FLIGHT - 1:
                 yield solved(*pending.popleft())
 
     pending = deque()
-    workspaces = _Workspaces(_widest_class(basis, labels))
     with ThreadPoolExecutor(_workers()) as pool:
         for run in runs:
             yield from cut(*run)

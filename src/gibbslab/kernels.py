@@ -18,8 +18,9 @@ share.
         every created pair and state
 
 The pools of fock and classical take _workers() threads. Their workers call
-private routes only (_products, _zherk, _dsyevd and numpy), so nothing a
-tracer wraps around the public names runs off the calling thread.
+private routes only (_products, _zherk, _dsyevd, which allocates its own
+scratch on each call, and numpy), so nothing a tracer wraps around the
+public names runs off the calling thread.
 """
 
 from __future__ import annotations
@@ -108,20 +109,19 @@ def _syevd_sizes(d: int) -> tuple[int, int]:
     return int(work[0]), int(iwork[0])
 
 
-def _dsyevd(a: np.ndarray, w: np.ndarray, work: np.ndarray,
-            iwork: np.ndarray) -> int:
+def _dsyevd(a: np.ndarray, w: np.ndarray) -> tuple[int, np.ndarray]:
     """Eigenvalues, ascending, into w and eigenvectors over a of the
-    symmetric matrix whose lower triangle a holds; returns LAPACK's info.
+    symmetric matrix whose lower triangle a holds; returns LAPACK's info
+    and the work array dsyevd used, which the caller may reuse.
 
     The LAPACK call of numpy.linalg.eigh(a) (UPLO='L'), bitwise, with the
     GIL released. a is a writeable Fortran-ordered float64 (d, d) array, so
     on return column k of a is the eigenvector of w[k]; w a contiguous
-    float64 (d,) array; work (float64) and iwork (C int) contiguous
-    workspaces at least as long as _syevd_sizes(d). dsyevd gets those
-    sizes, not the arrays' lengths, as numpy passes them: its
-    back-transformation (dormtr) blocks by lwork, so a longer one moves the
-    eigenvectors' bits (d = 64 is such a size). ctypes hands LAPACK raw
-    pointers, so any other layout is refused, not misread.
+    float64 (d,) array. Each call allocates its own work and iwork at the
+    sizes of the workspace query (_syevd_sizes), as numpy does: dsyevd's
+    back-transformation (dormtr) blocks by lwork, so another lwork would
+    move the eigenvectors' bits. ctypes hands LAPACK raw pointers, so any
+    other layout is refused, not misread.
     """
     d = a.shape[0]
     if (a.dtype != np.float64 or a.shape != (d, d)
@@ -132,18 +132,13 @@ def _dsyevd(a: np.ndarray, w: np.ndarray, work: np.ndarray,
         raise ValueError(f"dsyevd needs a contiguous float64 ({d},) "
                          f"eigenvalue array")
     lwork, liwork = _syevd_sizes(d)
-    if (work.dtype != np.float64 or work.ndim != 1 or work.size < lwork
-            or not work.flags.c_contiguous or iwork.dtype != np.intc
-            or iwork.ndim != 1 or iwork.size < liwork
-            or not iwork.flags.c_contiguous):
-        raise ValueError(f"dsyevd needs contiguous workspaces of {lwork} "
-                         f"float64 and {liwork} C int")
+    work, iwork = np.empty(lwork), np.empty(liwork, np.intc)
     info = ctypes.c_int()
     _DSYEVD(b"V", b"L", ctypes.c_int(d), a.ctypes.data,
             ctypes.c_int(max(d, 1)), w.ctypes.data, work.ctypes.data,
             ctypes.c_int(lwork), iwork.ctypes.data, ctypes.c_int(liwork),
             info)
-    return info.value
+    return info.value, work
 
 
 class Recurrence(NamedTuple):

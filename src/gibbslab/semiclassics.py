@@ -197,9 +197,7 @@ def trial_state(ensemble: WeightedEnsemble, T: float, basis: FockBasis,
         raise ValueError("trial state needs a reweighted ensemble")
     if sum(rows.size for _, rows in layout) != basis.dim:
         raise ValueError("layout does not cover the basis")
-    logw = ensemble.log_weights
-    w = np.exp(logw - logw.max())
-    w = w / w.sum()
+    w = ensemble.normalized_weights()
     vs = math.sqrt(T) * ensemble.coeffs
 
     nu = np.sum(np.abs(vs) ** 2, axis=1)

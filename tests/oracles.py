@@ -24,7 +24,8 @@ for bit. The moment matrices
 are dense weighted sums of per-sample outer products, and F_NL one einsum
 over the raw tensor entries. The Gibbs blocks
 slice each class from the Hamiltonian's CSR matrix and give every one to
-scipy's dense divide-and-conquer driver, one by one; a single dense block
+scipy's dense divide-and-conquer driver, one by one, and the widest of
+them is found by a bincount of (sector, label) pairs; a single dense block
 can also go to numpy.linalg.eigh and one matmul into a fresh array, the
 numpy route the package's own dsyevd call must reproduce. The free-state
 cutoff sums the free Gibbs weights over the enumerated basis and scans
@@ -472,6 +473,15 @@ def gibbs_blocks_csr(H, T: float):
         V = U * np.exp(-lam / (2.0 * T))
         blocks.append((n, rows, (V @ V.T) * np.exp(-log_z)))
     return FockState(basis=basis, blocks=tuple(blocks)), log_z, energy
+
+
+def widest_class(basis, labels: np.ndarray) -> int:
+    """Rows of the widest (sector, class) block of an operator on basis
+    whose basis state i has class labels[i], from a bincount of the
+    (sector, label) pairs."""
+    sector = basis.occupations.sum(axis=1)
+    _, label = np.unique(labels, return_inverse=True)
+    return int(np.bincount(sector * (label.max() + 1) + label).max())
 
 
 def gibbs_block_eigh(B: np.ndarray, T: float):

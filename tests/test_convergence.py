@@ -22,6 +22,8 @@ from gibbslab.convergence import (ExperimentConfig, config_to_dict,
                                   parse_config, run_convergence,
                                   run_selfchecks)
 
+import oracles
+
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 CONFIG_TEXT = """
@@ -421,7 +423,7 @@ def test_fe_identity_defect_sees_one_corrupted_build(small_config,
 def test_summary_rows_carry_their_widest_class_block(small_config, tmp_path,
                                                      shape):
     # the rows of the widest (sector, class) block of each valid row's
-    # Gibbs state, which sizes the dense solves' workspaces; report.csv
+    # Gibbs state, which sets the largest dense solve's scratch; report.csv
     # has no column for it
     cfg = small_config if shape == "k2" else dataclasses.replace(
         small_config, K=3, k_max=3, trial_subsample=0, bl_samples=0)
@@ -432,7 +434,7 @@ def test_summary_rows_carry_their_widest_class_block(small_config, tmp_path,
     for row in rows:
         fb = gl.build_fock_basis(cfg.K, row["n_max"])
         labels = fb.occupations @ tensor.parity % 2
-        assert row["widest_block"] == fock._widest_class(fb, labels) > 1
+        assert row["widest_block"] == oracles.widest_class(fb, labels) > 1
     assert "widest" not in open(csv_path).read()
 
 
@@ -1222,6 +1224,39 @@ def test_cli_non_positive_temperature_is_an_error(
     assert cli.main([command, "--config", str(config_file), "--T", T]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: --T must be a positive finite temperature"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["converge", "quantum"])
+@pytest.mark.parametrize("T, refused", [
+    ("1e-300", True), ("1e-160", True), ("1e-150", False)])
+def test_cli_refuses_a_temperature_too_low_for_floats(
+        config_file, tmp_path, capsys, monkeypatch, command, T, refused):
+    # at k_max = 2, T**2 underflows to 0 at 1e-300 (a division by zero in
+    # the k!/T^k scale) and 1/T**2 overflows at 1e-160 (the Gibbs solve
+    # overflows); both are refused before any work, with one error line.
+    # 1e-150 keeps both finite and still runs, with no overflow warning
+    if command == "converge":
+        config_file.write_text(config_file.read_text().replace(
+            "T_schedule = 2.0, 4.0", f"T_schedule = {T}, 2.0"))
+        argv = ["converge", "--config", str(config_file)]
+    else:
+        argv = ["quantum", "--config", str(config_file), "--T", T]
+    if not refused:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        return
+
+    def guard(*args, **kwargs):
+        raise AssertionError("ran before the temperature was checked")
+
+    monkeypatch.setattr(gl.classical, "sample_measure", guard)
+    monkeypatch.setattr(gl.fock, "solve_point", guard)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: temperature {T} is too low for k_max = 2: "
+                   "k_max!/T^k_max or 1/T^2 overflows"]
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,6 @@
 """Every export of the package resolves, so a deletion cannot leave a stale
 name behind in a module's __all__, in the package's own imports or in the
-README's table of modules."""
+README's table of modules; and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import re
 import gibbslab
 
 INIT = gibbslab.__file__
+SRC = os.path.dirname(INIT)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -103,3 +104,57 @@ def test_a_stale_layout_row_is_caught():
     missing = re.sub(r"^\| `gibbslab\.metrics` \|.*\n", "", text,
                      flags=re.MULTILINE)
     assert _layout_mismatch(missing) == ([], ["metrics"])
+
+
+def _unused_imports(path: str) -> list:
+    """(file, line, name) for every name the module at path imports and
+    never reads, unless its __all__ lists it or its line is marked
+    # noqa (a re-export that code outside the package reads)."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    tree, lines = ast.parse(text), text.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return [(os.path.basename(path), alias.lineno, bound)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__")
+            for alias in node.names
+            for bound in [(alias.asname or alias.name).split(".")[0]]
+            if bound not in read | exported
+            and "# noqa" not in lines[alias.lineno - 1]]
+
+
+def _module_sources() -> list:
+    """The package's modules but __init__.py, whose imports are the
+    package's exports (test_every_package_import_is_a_module_export)."""
+    return sorted(os.path.join(SRC, name) for name in os.listdir(SRC)
+                  if name.endswith(".py") and name != "__init__.py")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert len(_module_sources()) > 5
+    assert [hit for path in _module_sources()
+            for hit in _unused_imports(path)] == []
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    # negative control: a copy of fock with one more import it never uses,
+    # and a copy of classical whose perfbench re-export lost its mark
+    fock = tmp_path / "fock.py"
+    with open(os.path.join(SRC, "fock.py"), encoding="utf-8") as fh:
+        text = fh.read()
+    fock.write_text(text + "\nimport fractions\n", encoding="utf-8")
+    assert _unused_imports(str(fock)) == [
+        ("fock.py", len(text.splitlines()) + 2, "fractions")]
+    classical = tmp_path / "classical.py"
+    with open(os.path.join(SRC, "classical.py"), encoding="utf-8") as fh:
+        text = fh.read()
+    classical.write_text(text.replace("  # noqa: F401", ""), encoding="utf-8")
+    assert [name for *_, name in _unused_imports(str(classical))] \
+        == ["occupation_products"]

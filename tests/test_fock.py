@@ -105,7 +105,7 @@ def test_two_body_annihilates_low_sectors(basis_k2, tensor_k2):
     W = (H1.matrix - H0.matrix).toarray()
     low = slice(0, 3)  # vacuum + one-particle sector
     assert not np.any(W[low, :]) and not np.any(W[:, low])
-    assert H1.hermiticity_defect() < 1e-12
+    assert fock._asymmetry(H1.matrix) < 1e-12
 
 
 def test_hamiltonian_is_sector_block_diagonal(basis_k2, tensor_k2):
@@ -912,11 +912,9 @@ def _k3_point(basis_k3, tensor_k3, T=2.5):
 
 def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
                                                   monkeypatch):
-    # each dense solve takes one of at most as many workspaces as solves
-    # run at once, each dsyevd's work and iwork for the widest class block
+    # each dense solve's dsyevd allocates its own work array, the size the
+    # workspace query gives for its block, whatever the pool size
     H, T = _k3_point(basis_k3, tensor_k3)
-    d = fock._widest_class(H.basis, H.labels)
-    lwork, liwork = _syevd_sizes(d)
     got = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(fock, "_workers", lambda: workers)
@@ -924,11 +922,11 @@ def test_gibbs_pool_size_does_not_change_the_bits(basis_k3, tensor_k3,
         threads = threading.active_count()
         got[workers] = gl.gibbs_state(H, T)
         assert threading.active_count() == threads
-        made = seen["workspaces"]
-        assert 1 <= len(made) <= min(workers, calls["evd"])
-        assert seen["evd_work"] == {id(work) for work, _ in made}
-        for work, iwork in made:
-            assert (work.size, iwork.size) == (lwork, liwork)
+        works = seen["evd_work"]
+        assert len(works) == calls["evd"] > 25
+        assert len({work.ctypes.data for _, work in works}) == len(works)
+        for d, work in works:
+            assert work.size == _syevd_sizes(d)[0]
         monkeypatch.undo()
     _assert_same_gibbs(got[2], got[1])
     _assert_same_gibbs(got[3], got[1])
@@ -985,33 +983,26 @@ def test_gibbs_divide_and_conquer_blocks_match_dense_eigh(basis_k3,
 def _count_solvers(monkeypatch):
     """Count fock's calls of the dense eigensolver (kernels' dsyevd, on the
     pool threads) and the tridiagonal one (stevd, on the calling thread);
-    seen holds the thread of each tridiagonal call, the work array of each
-    dense call, the dense workspaces made and, for each V V^T, the data
-    addresses of the U it is formed over and of the array it is written
-    into."""
+    seen holds the thread of each tridiagonal call, the block rows and the
+    work array of each dense call (held, so no later array takes its
+    address) and, for each V V^T, the data addresses of the U it is formed
+    over and of the array it is written into."""
     calls = {"evd": 0, "stevd": 0}
-    seen = {"stevd_threads": [], "evd_work": set(), "workspaces": [],
-            "gram": []}
+    seen = {"stevd_threads": [], "evd_work": [], "gram": []}
     lock = threading.Lock()
-    dsyevd, dstevd = fock._dsyevd, fock.dstevd
-    workspace, gram = fock._workspace, fock._gram
+    dsyevd, dstevd, gram = fock._dsyevd, fock.dstevd, fock._gram
 
-    def counting_dsyevd(a, w, work, iwork):
+    def counting_dsyevd(a, w):
+        info, work = dsyevd(a, w)
         with lock:
             calls["evd"] += 1
-            seen["evd_work"].add(id(work))
-        return dsyevd(a, w, work, iwork)
+            seen["evd_work"].append((a.shape[0], work))
+        return info, work
 
     def counting_stevd(*args, **kwargs):
         calls["stevd"] += 1
         seen["stevd_threads"].append(threading.get_ident())
         return dstevd(*args, **kwargs)
-
-    def recording_workspace(d):
-        made = workspace(d)
-        with lock:
-            seen["workspaces"].append(made)
-        return made
 
     def recording_gram(U, lam, T, G):
         with lock:
@@ -1020,7 +1011,6 @@ def _count_solvers(monkeypatch):
 
     monkeypatch.setattr(fock, "_dsyevd", counting_dsyevd)
     monkeypatch.setattr(fock, "dstevd", counting_stevd)
-    monkeypatch.setattr(fock, "_workspace", recording_workspace)
     monkeypatch.setattr(fock, "_gram", recording_gram)
     return calls, seen
 
@@ -1063,10 +1053,10 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     # stevd runs on the calling thread, and each block's V V^T is formed
     # once: a tridiagonal block's straight into the array the state keeps,
     # a dense block's over the eigenvectors dsyevd left in that array, into
-    # a workspace's work, and copied back
+    # the work array that dsyevd allocated, and copied back
     assert set(seen["stevd_threads"]) == {threading.get_ident()}
     kept = {G.ctypes.data: b for (*_, G), b in zip(got[0].blocks, band)}
-    made = {work.ctypes.data for work, _ in seen["workspaces"]}
+    made = {work.ctypes.data for _, work in seen["evd_work"]}
     assert len(seen["gram"]) == len(kept)
     for U, out in seen["gram"]:
         assert (out in kept and kept[out]) or (U in kept and not kept[U]
@@ -1076,10 +1066,10 @@ def test_gibbs_blocks_from_coo_are_bitwise_the_csr_route(
     dense = {U for U, out in seen["gram"] if out not in kept}
     assert len(dense) == len(kept) - tri
     if K == 2:
-        assert calls["evd"] == 0 and seen["workspaces"] == []
+        assert calls["evd"] == 0 and not made
     else:
         assert calls["evd"] > 25 and calls["stevd"] > 0
-        assert seen["evd_work"] <= {id(work) for work, _ in seen["workspaces"]}
+        assert len(made) == calls["evd"]
 
 
 def _csr_entry(A, r, c) -> int:
@@ -1105,7 +1095,7 @@ def test_tridiagonal_route_reads_the_lower_triangle(basis_k2, tensor_k2):
         k = _csr_entry(A, r, c)
         A.data[k] = np.nextafter(A.data[k], np.inf)
         moved[side] = fock.FockOperator(fb, A, H.labels)
-    assert 0.0 < moved["upper"].hermiticity_defect() <= 1e-10
+    assert 0.0 < fock._asymmetry(moved["upper"].matrix) <= 1e-10
     base = gl.gibbs_state(H, T)
     _assert_same_gibbs(gl.gibbs_state(moved["upper"], T), base)
     _assert_same_gibbs(gl.gibbs_state(moved["upper"], T),
@@ -1474,8 +1464,9 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
     # sector run of H, not the 20 MB of all the blocks nor a whole H; no
     # branching of the whole basis is held (the gather branches each
     # sector as it is added). The largest run's assembly peak, measured on
-    # its own, comes on top, and so do the exact bytes of the dense
-    # solves' workspaces, numpy arrays that tracemalloc sees.
+    # its own, comes on top, and so does one dsyevd work array for the
+    # widest class block per pool thread (each dense solve allocates its
+    # own, a numpy array that tracemalloc sees, and frees it on return).
     T = 7.0
     fb = gl.build_fock_basis(3, gl.choose_n_max(basis_k3.eigenvalues, T))
     labels, runs = fock._hamiltonian_runs(fb, basis_k3.eigenvalues,
@@ -1504,17 +1495,9 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
     finally:
         tracemalloc.stop()
     assert len(assembly) > 1
-    workspace, made = fock._workspace, []
-
-    def recording(d):
-        arrays = workspace(d)
-        made.append(sum(x.nbytes for x in arrays))
-        return arrays
-
-    monkeypatch.setattr(fock, "_workspace", recording)
+    work = 8 * _syevd_sizes(oracles.widest_class(fb, labels))[0]
     for workers in (1, 2):
         monkeypatch.setattr(fock, "_workers", lambda: workers)
-        made.clear()
         tracemalloc.start()
         try:
             gl.solve_point(basis_k3.eigenvalues, tensor_k3, T, k_max=3,
@@ -1522,8 +1505,8 @@ def test_streamed_solve_peak_memory_is_a_few_sectors(basis_k3, tensor_k3,
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 1 <= len(made) <= workers
-        assert peak <= tables + 5 * max(sector) + sum(made) + max(assembly)
+        assert peak <= tables + 5 * max(sector) + workers * work \
+            + max(assembly)
 
 
 def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
@@ -1534,31 +1517,26 @@ def test_solve_point_refuses_an_order_outside_the_cutoff(basis_k2, tensor_k2):
 
 def test_a_failed_pool_solve_is_raised_and_leaves_no_thread(
         basis_k3, tensor_k3, monkeypatch):
-    # a nonzero info of dsyevd is raised as LinAlgError, and the failed
-    # solve gives its workspace back
+    # a nonzero info of dsyevd is raised as LinAlgError, after the solves
+    # already on the pool have finished
     H, T = _k3_point(basis_k3, tensor_k3)
-    dsyevd, calls, spaces = fock._dsyevd, [], []
+    dsyevd, calls, lock = fock._dsyevd, [], threading.Lock()
 
-    def failing(a, w, work, iwork):
-        calls.append(a.shape)
-        return 3 if len(calls) == 5 else dsyevd(a, w, work, iwork)
-
-    class Recording(fock._Workspaces):
-        def __init__(self, d):
-            super().__init__(d)
-            spaces.append(self)
+    def failing(a, w):
+        with lock:
+            calls.append(a.shape)
+            fail = len(calls) == 5
+        info, work = dsyevd(a, w)
+        return (3 if fail else info), work
 
     monkeypatch.setattr(fock, "_workers", lambda: 2)
     monkeypatch.setattr(fock, "_dsyevd", failing)
-    monkeypatch.setattr(fock, "_Workspaces", Recording)
-    made = _count_solvers(monkeypatch)[1]["workspaces"]
     threads = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError,
                        match="dsyevd failed with info 3"):
         gl.gibbs_state(H, T)
     assert threading.active_count() == threads
-    assert len(spaces) == 1 and len(made) >= 1
-    assert sorted(map(id, spaces[0].spare)) == sorted(map(id, made))
+    assert len(calls) >= 5
 
 
 def _whole_class_blocks(H):
@@ -1577,39 +1555,35 @@ def _dense_block(d: int, seed: int) -> np.ndarray:
     return B
 
 
-@pytest.fixture(scope="module")
-def workspaces_300():
-    return fock._Workspaces(300)
-
-
 @pytest.mark.parametrize("d", [1, 2, 13, 14, 15, 16, 17, 64, 100, 129, 300])
-def test_dense_route_is_numpys_eigh_bitwise(d, workspaces_300):
-    # one workspace sized for d = 300 serves every block; dsyevd gets the
-    # work sizes numpy asks for (a longer lwork moves the bits at d = 64)
+def test_dense_route_is_numpys_eigh_bitwise(d):
+    # dsyevd gets the work sizes numpy's workspace query gives for the
+    # block (another lwork would move the bits, at d = 64 for one)
     B, T = _dense_block(d, seed=d), 2.5
     if d > 1:
         assert 0.0 < np.abs(B - B.T).max() <= 1e-10
     r, c = np.nonzero(B)
     G = np.empty((d, d))
-    lam = fock._solve_block(G, r, c, B[r, c], T, workspaces_300)
+    lam = fock._solve_dense(G, r, c, B[r, c], T)
     want_lam, want = oracles.gibbs_block_eigh(B, T)
     assert lam.tobytes() == want_lam.tobytes()
     assert G.tobytes() == want.tobytes()
 
 
-def test_dense_route_solves_in_place_at_odd_offsets(workspaces_300,
-                                                   monkeypatch):
+def test_dense_route_solves_in_place_at_odd_offsets(monkeypatch):
     # blocks laid at odd element offsets of one sector array: dsyevd
     # solves each in its own place, V V^T is numpy's eigh route bit for
-    # bit, nothing past a block is written, and a workspace is dsyevd's
-    # work and iwork alone
+    # bit, nothing past a block is written, and each solve's scratch is
+    # the work array its own dsyevd call allocated at the query's size
     dims, T = [1, 13, 64, 100, 129, 300], 2.5
     flat = np.full(sum(d * d + 1 for d in dims) + 1, np.nan)
-    dsyevd, places, at, slots = fock._dsyevd, [], 1, []
+    dsyevd, places, works, at, slots = fock._dsyevd, [], [], 1, []
 
-    def solving(a, w, work, iwork):
+    def solving(a, w):
         places.append(a.ctypes.data)
-        return dsyevd(a, w, work, iwork)
+        info, work = dsyevd(a, w)
+        works.append(work.size)
+        return info, work
 
     monkeypatch.setattr(fock, "_dsyevd", solving)
     for d in dims:
@@ -1617,18 +1591,16 @@ def test_dense_route_solves_in_place_at_odd_offsets(workspaces_300,
         G = flat[at:at + d * d].reshape(d, d)
         B = _dense_block(d, seed=d)
         r, c = np.nonzero(B)
-        lam = fock._solve_block(G, r, c, B[r, c], T, workspaces_300)
+        lam = fock._solve_dense(G, r, c, B[r, c], T)
         want_lam, want = oracles.gibbs_block_eigh(B, T)
         assert lam.tobytes() == want_lam.tobytes()
         assert G.tobytes() == want.tobytes()
         assert places[-1] == G.ctypes.data
+        assert works[-1] == _syevd_sizes(d)[0]
         slots.append(np.arange(at, at + d * d))
         at += d * d
         at += at % 2 == 0
     assert np.isnan(np.delete(flat, np.concatenate(slots))).all()
-    lwork, liwork = _syevd_sizes(300)
-    assert [(work.size, iwork.size) for work, iwork in workspaces_300.spare] \
-        == [(lwork, liwork)]
 
 
 def test_dense_route_is_numpys_eigh_on_every_dense_k3_block(basis_k3,
@@ -1637,18 +1609,17 @@ def test_dense_route_is_numpys_eigh_on_every_dense_k3_block(basis_k3,
     # not bitwise
     H, T = _k3_point(basis_k3, tensor_k3)
     assert H.basis.n_max == 15
-    workspaces = fock._Workspaces(fock._widest_class(H.basis, H.labels))
     dense = 0
     for _, rows, r, c, v in _whole_class_blocks(H):
         if np.all(np.abs(r - c) <= 1):
             continue
         dense += 1
         G = np.empty((rows.size,) * 2)
-        lam = fock._solve_block(G, r, c, v, T, workspaces)
+        lam = fock._solve_dense(G, r, c, v, T)
         want_lam, want = oracles.gibbs_block_eigh(H.class_block(rows), T)
         assert lam.tobytes() == want_lam.tobytes()
         assert G.tobytes() == want.tobytes()
-    assert dense > 25 and len(workspaces.spare) == 1
+    assert dense > 25
 
 
 def test_dense_route_reads_the_lower_triangle(basis_k3, tensor_k3):
@@ -1666,7 +1637,7 @@ def test_dense_route_reads_the_lower_triangle(basis_k3, tensor_k3):
         at = _csr_entry(A, i, j)
         A.data[at] = np.nextafter(A.data[at], np.inf)
         moved[side] = fock.FockOperator(H.basis, A, H.labels)
-    assert 0.0 < moved["upper"].hermiticity_defect() <= 1e-10
+    assert 0.0 < fock._asymmetry(moved["upper"].matrix) <= 1e-10
     base = gl.gibbs_state(H, T)
     _assert_same_gibbs(gl.gibbs_state(moved["upper"], T), base)
     lower = gl.gibbs_state(moved["lower"], T)
